@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (and for "true"/"equivalent"/"valid"
 verdicts), 1 for negative verdicts, 2 for usage or input errors, 3 when
-the pebble game refuses an instance for resource reasons.
+an instance exceeds a resource limit (the pebble game's position cap,
+the Python recursion limit, or memory), 4 for an internal error.
 
 Subcommands:
 
@@ -67,6 +68,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _read_graph_file(path: str) -> ColoredGraph:
@@ -104,19 +106,18 @@ def _write_out(path: str | None, writer) -> None:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     phi = _read_sentence_file(args.formula)
+    s = args.s if args.s is not None else variable_count(phi)
     via = args.via
     if via == "naive":
         g = _read_graph_file(args.graph)
         verdict = model_check(g, phi)
     elif via == "tree":
         t = _read_tree_file(args.graph)
-        s = args.s if args.s is not None else variable_count(phi)
         verdict = interpret.mc_tree(t, phi, s)
     elif via == "treedepth":
         g = _read_graph_file(args.graph)
         if args.k is None:
             raise ValueError("--via treedepth needs --k")
-        s = args.s if args.s is not None else variable_count(phi)
         verdict = interpret.mc_treedepth(g, phi, args.k, s)
     else:  # treemodel
         g = _read_graph_file(args.graph)
@@ -124,7 +125,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             raise ValueError("--via treemodel needs --tree-model")
         with open(args.tree_model, encoding="utf-8") as fh:
             tm = read_tree_model(fh)
-        s = args.s if args.s is not None else variable_count(phi)
         verdict = interpret.mc_treemodel(g, tm, phi, s)
     print("true" if verdict else "false")
     return EXIT_OK if verdict else EXIT_FALSE
@@ -291,21 +291,13 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         if args.domain is None or args.edge is None:
             raise ValueError("--interp custom needs --domain and --edge")
         scheme = interpret.InterpretationScheme(
-            domain_formula=_read_sentence_or_formula(args.domain),
-            edge_formula=_read_sentence_or_formula(args.edge),
+            domain_formula=_read_sentence_file(args.domain),
+            edge_formula=_read_sentence_file(args.edge),
             variable_overhead=args.overhead,
         )
     translated = interpret.backwards_translate(phi, scheme)
     _write_out(args.out, lambda stream: write_formulas([translated], stream))
     return EXIT_OK
-
-
-def _read_sentence_or_formula(path: str):
-    with open(path, encoding="utf-8") as fh:
-        formulas = read_formulas(fh)
-    if len(formulas) != 1:
-        raise ValueError(f"{path}: expected exactly one formula")
-    return formulas[0]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -432,9 +424,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except pebble.ResourceLimitError as exc:
         print(f"fomc: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (RecursionError, MemoryError) as exc:
+        # Either would otherwise escape with exit 1, which reads as "false".
+        print(f"fomc: resource limit: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, ParseError, OSError) as exc:
         print(f"fomc: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"fomc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

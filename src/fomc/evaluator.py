@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping, Sequence
 
 from .formulas import (
     Adj,
@@ -28,10 +28,9 @@ from .formulas import (
     Formula,
     HasColor,
     Implies,
-    Not,
     Or,
     Var,
-    free_vars,
+    fold,
     require_sentence,
 )
 from .graphs import ColoredGraph
@@ -50,10 +49,6 @@ class SatisfyingSet:
 
     variables: tuple[Var, ...]
     rows: frozenset[Row]
-
-    def assignments(self) -> Iterator[dict[Var, int]]:
-        for row in sorted(self.rows):
-            yield dict(zip(self.variables, row))
 
     @property
     def holds(self) -> bool:
@@ -131,87 +126,63 @@ def _complement(t: _Table, n: int) -> _Table:
     return _Table(t.vars, full - t.rows)
 
 
-class _Evaluator:
-    def __init__(self, g: ColoredGraph, stats: EvalStats) -> None:
-        self.g = g
-        self.stats = stats
-
-    def run(self, f: Formula) -> _Table:
-        t = self._eval(f)
-        self.stats.tuples_touched += len(t.rows)
-        return t
-
-    def _eval(self, f: Formula) -> _Table:
-        g = self.g
-        match f:
-            case Adj(u, v):
-                if u == v:
-                    return _Table((u,), set())
-                rows = {(a, b) for a, b in g.edges} | {(b, a) for a, b in g.edges}
-                if u < v:
-                    return _Table((u, v), rows)
-                return _Table((v, u), rows)
-            case Eq(u, v):
-                if u == v:
-                    return _Table((u,), {(a,) for a in g.vertices})
-                lo, hi = (u, v) if u < v else (v, u)
-                return _Table((lo, hi), {(a, a) for a in g.vertices})
-            case HasColor(color, v):
-                return _Table(
-                    (v,), {(a,) for a in g.vertices if g.color_of(a) == color}
-                )
-            case Not(child):
-                return _complement(self.run(child), g.n)
-            case And(children):
-                acc = self.run(children[0])
-                for ch in children[1:]:
-                    acc = _join(acc, self.run(ch))
-                return acc
-            case Or(children):
-                out_vars = tuple(sorted(free_vars(f)))
-                rows: set[Row] = set()
-                for ch in children:
-                    rows |= _extend(self.run(ch), out_vars, g.n).rows
-                return _Table(out_vars, rows)
-            case Implies(lhs, rhs):
-                out_vars = tuple(sorted(free_vars(f)))
-                neg = _complement(self.run(lhs), g.n)
-                rows = _extend(neg, out_vars, g.n).rows | _extend(
-                    self.run(rhs), out_vars, g.n
-                ).rows
-                return _Table(out_vars, rows)
-            case Exists(var, body):
-                t = self.run(body)
-                if var not in t.vars:
-                    # vacuous over a nonempty universe
-                    return _Table(t.vars, set(t.rows))
-                keep = tuple(v for v in t.vars if v != var)
-                drop = t.vars.index(var)
-                return _Table(
-                    keep,
-                    {row[:drop] + row[drop + 1 :] for row in t.rows},
-                )
-            case Forall(var, body):
-                t = self.run(body)
-                if var not in t.vars:
-                    return _Table(t.vars, set(t.rows))
-                keep = tuple(v for v in t.vars if v != var)
-                drop = t.vars.index(var)
-                counts: dict[Row, int] = {}
-                for row in t.rows:
-                    key = row[:drop] + row[drop + 1 :]
-                    counts[key] = counts.get(key, 0) + 1
-                return _Table(
-                    keep, {key for key, cnt in counts.items() if cnt == g.n}
-                )
-        raise TypeError(f"not a formula: {f!r}")
+def _table(node: Formula, kids: Sequence[_Table], g: ColoredGraph) -> _Table:
+    """The table of ``node`` from the tables of its subformulas."""
+    match node:
+        case Adj(u, v):
+            if u == v:
+                return _Table((u,), set())
+            rows = {(a, b) for a, b in g.edges} | {(b, a) for a, b in g.edges}
+            return _Table((u, v) if u < v else (v, u), rows)
+        case Eq(u, v):
+            if u == v:
+                return _Table((u,), {(a,) for a in g.vertices})
+            lo, hi = (u, v) if u < v else (v, u)
+            return _Table((lo, hi), {(a, a) for a in g.vertices})
+        case HasColor(color, v):
+            return _Table((v,), {(a,) for a in g.vertices if g.color_of(a) == color})
+        case And():
+            acc = kids[0]
+            for t in kids[1:]:
+                acc = _join(acc, t)
+            return acc
+        case Or() | Implies():
+            if isinstance(node, Implies):
+                kids = (_complement(kids[0], g.n), kids[1])
+            out_vars = tuple(sorted(set().union(*(t.vars for t in kids))))
+            rows: set[Row] = set()
+            for t in kids:
+                rows |= _extend(t, out_vars, g.n).rows
+            return _Table(out_vars, rows)
+        case Exists(var) | Forall(var):
+            t = kids[0]
+            if var not in t.vars:
+                # vacuous over a nonempty universe
+                return _Table(t.vars, set(t.rows))
+            keep = tuple(v for v in t.vars if v != var)
+            drop = t.vars.index(var)
+            if isinstance(node, Exists):
+                return _Table(keep, {row[:drop] + row[drop + 1 :] for row in t.rows})
+            counts: dict[Row, int] = {}
+            for row in t.rows:
+                key = row[:drop] + row[drop + 1 :]
+                counts[key] = counts.get(key, 0) + 1
+            return _Table(keep, {key for key, cnt in counts.items() if cnt == g.n})
+        case _:  # Not
+            return _complement(kids[0], g.n)
 
 
 def evaluate_free_with_stats(
     g: ColoredGraph, f: Formula
 ) -> tuple[SatisfyingSet, EvalStats]:
     stats = EvalStats()
-    table = _Evaluator(g, stats).run(f)
+
+    def leave(node: Formula, kids: Sequence[_Table], _env: None) -> _Table:
+        t = _table(node, kids, g)
+        stats.tuples_touched += len(t.rows)
+        return t
+
+    table = fold(f, leave)
     return SatisfyingSet(table.vars, frozenset(table.rows)), stats
 
 
@@ -232,10 +203,9 @@ def satisfies(
     g: ColoredGraph, f: Formula, assignment: Mapping[Var, int]
 ) -> bool:
     """Whether ``assignment`` (covering the free variables) satisfies ``f``."""
-    fv = free_vars(f)
-    missing = fv - set(assignment)
+    sat = evaluate_free(g, f)
+    missing = set(sat.variables) - set(assignment)
     if missing:
         raise ValueError(f"assignment misses {sorted(str(v) for v in missing)}")
-    sat = evaluate_free(g, f)
     row = tuple(assignment[v] for v in sat.variables)
     return row in sat.rows

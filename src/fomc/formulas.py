@@ -28,13 +28,19 @@ Grammar (whitespace insignificant):
              | "(" formula ")" | atom
     atom    := "adj(" var "," var ")" | var "=" var | "C" nat "(" var ")"
     var     := "x" nat
+
+Every pass over a formula (metrics, renaming, substitution, and the
+passes of the other modules) is a call to ``fold``, an iterative
+post-order traversal, so formula depth is not limited by the Python
+recursion limit. The parser and ``render_formula`` still recurse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TextIO
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 
 @dataclass(frozen=True, order=True)
@@ -144,41 +150,104 @@ def canonical_false(v: Var = Var(1)) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+
+T = TypeVar("T")
+E = TypeVar("E")
+
+#: Each node type's subformulas, in order; atoms have none.
+_PARTS: dict[type, Callable[[Formula], tuple[Formula, ...]] | None] = {
+    Adj: None,
+    Eq: None,
+    HasColor: None,
+    Not: lambda f: (f.child,),
+    And: attrgetter("children"),
+    Or: attrgetter("children"),
+    Implies: attrgetter("lhs", "rhs"),
+    Exists: lambda f: (f.body,),
+    Forall: lambda f: (f.body,),
+}
+
+
+def fold(
+    f: Formula,
+    leave: Callable[[Formula, Sequence[T], E], T],
+    enter: Callable[[Formula, E], E] | None = None,
+    env: E = None,
+) -> T:
+    """Post-order fold of ``f``, iterative so that depth costs no stack.
+
+    ``leave(node, results, env)`` computes a node's value from the values
+    of its subformulas (``results``, in order; empty for atoms). ``env``
+    flows top-down: the subformulas of a node see ``enter(node, env)``,
+    or the node's own ``env`` when ``enter`` is None.
+    """
+    out: list[T] = []
+    # (node, its env, 0 before expansion, else its number of subformulas)
+    todo: list[tuple[Formula, E, int]] = [(f, env, 0)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        node, e, k = pop()
+        if k:
+            results = out[-k:]
+            del out[-k:]
+            out.append(leave(node, results, e))
+            continue
+        try:
+            parts = _PARTS[type(node)]
+        except KeyError:
+            raise TypeError(f"not a formula: {node!r}") from None
+        if parts is None:
+            out.append(leave(node, (), e))
+            continue
+        kids = parts(node)
+        push((node, e, len(kids)))
+        if enter is not None:
+            e = enter(node, e)
+        for kid in reversed(kids):
+            push((kid, e, 0))
+    return out[0]
+
+
+def rebuild(node: Formula, parts: Sequence[Formula]) -> Formula:
+    """``node`` with its subformulas replaced by ``parts``, in order."""
+    if not parts:
+        return node
+    if isinstance(node, (And, Or)):
+        return type(node)(tuple(parts))
+    if isinstance(node, (Exists, Forall)):
+        return type(node)(node.var, parts[0])
+    return type(node)(*parts)  # Not, Implies
+
+
+# ---------------------------------------------------------------------------
 # Metrics and structural helpers
+
+
+def _vars_step(node: Formula, parts: Sequence[frozenset[Var]], at_binder):
+    """``fold`` step gathering variables; the env ``at_binder`` combines a
+    quantifier's body variables with its own."""
+    if not parts:  # an atom
+        if isinstance(node, HasColor):
+            return frozenset((node.v,))
+        return frozenset((node.u, node.v))
+    if isinstance(node, (Exists, Forall)):
+        return at_binder(parts[0], (node.var,))
+    return parts[0].union(*parts[1:])
 
 
 def quantifier_rank(f: Formula) -> int:
     """Maximum depth of quantifier nesting."""
-    match f:
-        case Adj() | Eq() | HasColor():
-            return 0
-        case Not(child):
-            return quantifier_rank(child)
-        case And(children) | Or(children):
-            return max(quantifier_rank(ch) for ch in children)
-        case Implies(lhs, rhs):
-            return max(quantifier_rank(lhs), quantifier_rank(rhs))
-        case Exists(_, body) | Forall(_, body):
-            return 1 + quantifier_rank(body)
-    raise TypeError(f"not a formula: {f!r}")
+
+    def leave(node: Formula, ranks: Sequence[int], _env: None) -> int:
+        return max(ranks, default=0) + isinstance(node, (Exists, Forall))
+
+    return fold(f, leave)
 
 
 def all_vars(f: Formula) -> frozenset[Var]:
     """Every variable occurring in ``f``, bound or free."""
-    match f:
-        case Adj(u, v) | Eq(u, v):
-            return frozenset((u, v))
-        case HasColor(_, v):
-            return frozenset((v,))
-        case Not(child):
-            return all_vars(child)
-        case And(children) | Or(children):
-            return frozenset().union(*(all_vars(ch) for ch in children))
-        case Implies(lhs, rhs):
-            return all_vars(lhs) | all_vars(rhs)
-        case Exists(var, body) | Forall(var, body):
-            return all_vars(body) | {var}
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _vars_step, env=frozenset.union)
 
 
 def variable_count(f: Formula) -> int:
@@ -187,36 +256,12 @@ def variable_count(f: Formula) -> int:
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
-    match f:
-        case Adj(u, v) | Eq(u, v):
-            return frozenset((u, v))
-        case HasColor(_, v):
-            return frozenset((v,))
-        case Not(child):
-            return free_vars(child)
-        case And(children) | Or(children):
-            return frozenset().union(*(free_vars(ch) for ch in children))
-        case Implies(lhs, rhs):
-            return free_vars(lhs) | free_vars(rhs)
-        case Exists(var, body) | Forall(var, body):
-            return free_vars(body) - {var}
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _vars_step, env=frozenset.difference)
 
 
 def formula_length(f: Formula) -> int:
     """AST node count (atoms count 1; variables are not nodes)."""
-    match f:
-        case Adj() | Eq() | HasColor():
-            return 1
-        case Not(child):
-            return 1 + formula_length(child)
-        case And(children) | Or(children):
-            return 1 + sum(formula_length(ch) for ch in children)
-        case Implies(lhs, rhs):
-            return 1 + formula_length(lhs) + formula_length(rhs)
-        case Exists(_, body) | Forall(_, body):
-            return 1 + formula_length(body)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, lambda _node, lengths, _env: 1 + sum(lengths))
 
 
 def is_sentence(f: Formula) -> bool:
@@ -244,7 +289,7 @@ def rename_variables(f: Formula, mapping: Mapping[Var, Var]) -> Formula:
     if len(set(images)) != len(images):
         raise ValueError("renaming is not injective on the occurring variables")
 
-    def go(node: Formula) -> Formula:
+    def leave(node: Formula, parts: Sequence[Formula], _env: None) -> Formula:
         match node:
             case Adj(u, v):
                 return Adj(effective[u], effective[v])
@@ -252,47 +297,24 @@ def rename_variables(f: Formula, mapping: Mapping[Var, Var]) -> Formula:
                 return Eq(effective[u], effective[v])
             case HasColor(color, v):
                 return HasColor(color, effective[v])
-            case Not(child):
-                return Not(go(child))
-            case And(children):
-                return And(tuple(go(ch) for ch in children))
-            case Or(children):
-                return Or(tuple(go(ch) for ch in children))
-            case Implies(lhs, rhs):
-                return Implies(go(lhs), go(rhs))
-            case Exists(var, body):
-                return Exists(effective[var], go(body))
-            case Forall(var, body):
-                return Forall(effective[var], go(body))
-        raise TypeError(f"not a formula: {node!r}")
+            case Exists(var) | Forall(var):
+                return type(node)(effective[var], parts[0])
+        return rebuild(node, parts)
 
-    return go(f)
+    return fold(f, leave)
 
 
 def substitute_edge_atoms(
     f: Formula, subst: Callable[[Var, Var], Formula]
 ) -> Formula:
     """Replace each adjacency atom ``adj(u,v)`` by ``subst(u, v)``."""
-    match f:
-        case Adj(u, v):
-            return subst(u, v)
-        case Eq() | HasColor():
-            return f
-        case Not(child):
-            return Not(substitute_edge_atoms(child, subst))
-        case And(children):
-            return And(tuple(substitute_edge_atoms(ch, subst) for ch in children))
-        case Or(children):
-            return Or(tuple(substitute_edge_atoms(ch, subst) for ch in children))
-        case Implies(lhs, rhs):
-            return Implies(
-                substitute_edge_atoms(lhs, subst), substitute_edge_atoms(rhs, subst)
-            )
-        case Exists(var, body):
-            return Exists(var, substitute_edge_atoms(body, subst))
-        case Forall(var, body):
-            return Forall(var, substitute_edge_atoms(body, subst))
-    raise TypeError(f"not a formula: {f!r}")
+
+    def leave(node: Formula, parts: Sequence[Formula], _env: None) -> Formula:
+        if isinstance(node, Adj):
+            return subst(node.u, node.v)
+        return rebuild(node, parts)
+
+    return fold(f, leave)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +327,17 @@ _PREC_UNARY = 3
 _PREC_ATOM = 4
 
 
-def _prec(f: Formula) -> int:
-    match f:
-        case Adj() | Eq() | HasColor():
-            return _PREC_ATOM
-        case Not() | Exists() | Forall():
-            return _PREC_UNARY
-        case And():
-            return _PREC_AND
-        case Or():
-            return _PREC_OR
-        case Implies():
-            return _PREC_IMPL
-    raise TypeError(f"not a formula: {f!r}")
+_PREC = {
+    Adj: _PREC_ATOM,
+    Eq: _PREC_ATOM,
+    HasColor: _PREC_ATOM,
+    Not: _PREC_UNARY,
+    Exists: _PREC_UNARY,
+    Forall: _PREC_UNARY,
+    And: _PREC_AND,
+    Or: _PREC_OR,
+    Implies: _PREC_IMPL,
+}
 
 
 def render_formula(f: Formula) -> str:
@@ -329,7 +349,8 @@ def _render(f: Formula, min_prec: int, tail: bool) -> str:
     # A quantifier body extends maximally right, so a quantifier that is
     # followed by more tokens of an enclosing chain must be parenthesized
     # even when its precedence alone would allow omitting the parentheses.
-    needs_parens = _prec(f) < min_prec or (
+    # A non-formula gets atom precedence here and a TypeError below.
+    needs_parens = _PREC.get(type(f), _PREC_ATOM) < min_prec or (
         not tail and isinstance(f, (Exists, Forall))
     )
     if needs_parens:

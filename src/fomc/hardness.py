@@ -17,7 +17,9 @@ The pieces, bottom up:
 * ``reduce_to_path(g, sentence)``: rewrites a sentence about g into one
   about the bare n-vertex path. Quantifiers are renamed so depth d binds
   x_{d+1}, adjacency atoms become renamed copies of the edge encoding,
-  and the result is wrapped in "there is an endpoint x1" with a
+  color atoms become renamed copies of ``color_encoding_formula`` (a
+  disjunction over the path positions whose vertex has the color), and
+  the result is wrapped in "there is an endpoint x1" with a
   degree-one guard. The output uses at most max(q+1, 4) variable names,
   where q is the quantifier rank of the input.
 
@@ -28,6 +30,7 @@ whether they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .evaluator import model_check
 from .formulas import (
@@ -40,13 +43,13 @@ from .formulas import (
     HasColor,
     Implies,
     Not,
-    Or,
     Var,
     canonical_false,
     disjunction,
+    fold,
+    rebuild,
     rename_variables,
     require_sentence,
-    substitute_edge_atoms,
 )
 from .graphs import ColoredGraph, gen_path
 
@@ -128,40 +131,55 @@ def edge_encoding_formula(
     return disjunction(disjuncts)
 
 
+def color_encoding_formula(
+    g: ColoredGraph, color: int, ordering: tuple[int, ...]
+) -> Formula:
+    """Free variables x1, x2: with x1 a path endpoint, holds of (p, u)
+    exactly when the vertex encoded by u has ``color`` in ``g``.
+
+    The encoding is the one of ``edge_encoding_formula``. When every
+    vertex has the color the result is ``x2=x2``; when none has it, the
+    canonical false formula.
+    """
+    positions = [i for i, v in enumerate(ordering) if g.color_of(v) == color]
+    if len(positions) == len(ordering):
+        return Eq(Var(2), Var(2))
+    if not positions:
+        return canonical_false(Var(2))
+    return disjunction(distance_formula(i) for i in positions)
+
+
 def _index_quantifiers_by_depth(sentence: Formula) -> Formula:
     """Alpha-rename so the quantifier at nesting depth d binds x_{d+1}.
 
     Every atom then only mentions x2..x_{q+1} for q the quantifier rank.
     Plain simultaneous renaming cannot always reach this form (a rank-q
     sentence may use more than q names across parallel branches), so the
-    rewrite walks the tree with an explicit binder environment.
+    rewrite walks the tree with an explicit binder environment: the
+    nesting depth and the new name of each variable in scope.
     """
+    Env = tuple[int, dict[Var, Var]]
 
-    def go(f: Formula, depth: int, env: dict[Var, Var]) -> Formula:
+    def enter(f: Formula, env: Env) -> Env:
+        if not isinstance(f, (Exists, Forall)):
+            return env
+        depth, names = env
+        return depth + 1, {**names, f.var: Var(depth + 2)}
+
+    def leave(f: Formula, parts: Sequence[Formula], env: Env) -> Formula:
+        depth, names = env
         match f:
             case Adj(u, v):
-                return Adj(env[u], env[v])
+                return Adj(names[u], names[v])
             case Eq(u, v):
-                return Eq(env[u], env[v])
+                return Eq(names[u], names[v])
             case HasColor(color, v):
-                return HasColor(color, env[v])
-            case Not(child):
-                return Not(go(child, depth, env))
-            case And(children):
-                return And(tuple(go(ch, depth, env) for ch in children))
-            case Or(children):
-                return Or(tuple(go(ch, depth, env) for ch in children))
-            case Implies(lhs, rhs):
-                return Implies(go(lhs, depth, env), go(rhs, depth, env))
-            case Exists(var, body) | Forall(var, body):
-                fresh = Var(depth + 2)
-                inner = dict(env)
-                inner[var] = fresh
-                node = Exists if isinstance(f, Exists) else Forall
-                return node(fresh, go(body, depth + 1, inner))
-        raise TypeError(f"not a formula: {f!r}")
+                return HasColor(color, names[v])
+            case Exists() | Forall():
+                return type(f)(Var(depth + 2), parts[0])
+        return rebuild(f, parts)
 
-    return go(sentence, 0, {})
+    return fold(sentence, leave, enter, (0, {}))
 
 
 @dataclass(frozen=True)
@@ -186,16 +204,25 @@ def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
     ordering = tuple(g.vertices)
     encoding = edge_encoding_formula(g, ordering)
 
-    def replace(u: Var, v: Var) -> Formula:
-        if u == v:
-            # adjacency on a repeated variable is false in simple graphs
-            return canonical_false(u)
-        spare = min({2, 3, 4} - {u.index, v.index})
-        return rename_variables(
-            encoding, {Var(2): u, Var(3): v, Var(4): Var(spare)}
-        )
+    def encode_atom(f: Formula, parts: Sequence[Formula], _env: None) -> Formula:
+        match f:
+            case Adj(u, v):
+                if u == v:
+                    # adjacency on a repeated variable is false in simple graphs
+                    return canonical_false(u)
+                spare = min({2, 3, 4} - {u.index, v.index})
+                return rename_variables(
+                    encoding, {Var(2): u, Var(3): v, Var(4): Var(spare)}
+                )
+            case HasColor(k, u):
+                a, b = sorted({2, 3, 4} - {u.index})[:2]
+                return rename_variables(
+                    color_encoding_formula(g, k, ordering),
+                    {Var(2): u, Var(3): Var(a), Var(4): Var(b)},
+                )
+        return rebuild(f, parts)
 
-    body = substitute_edge_atoms(normalized, replace)
+    body = fold(normalized, encode_atom)
     endpoint_guard = Exists(
         Var(2), Forall(Var(3), Implies(Adj(Var(1), Var(3)), Eq(Var(2), Var(3))))
     )

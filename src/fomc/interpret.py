@@ -30,7 +30,7 @@ Pipelines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Sequence
 
 from .evaluator import evaluate_free, model_check
 from .formulas import (
@@ -49,7 +49,9 @@ from .formulas import (
     canonical_false,
     conjunction,
     disjunction,
+    fold,
     free_vars,
+    rebuild,
     rename_variables,
     require_sentence,
     variable_count,
@@ -66,6 +68,9 @@ from .trees import (
 )
 
 X1, X2, X3 = Var(1), Var(2), Var(3)
+
+#: A scheme formula and the renaming of its auxiliary variables.
+Instance = tuple[Formula, dict[Var, Var]]
 
 
 @dataclass(frozen=True)
@@ -95,12 +100,6 @@ class InterpretationScheme:
                     raise ValueError(
                         f"the formula for color {color} may only have x1 free"
                     )
-
-    @cached_property
-    def _color_table(self) -> dict[int, Formula] | None:
-        if self.color_formulas is None:
-            return None
-        return dict(self.color_formulas)
 
 
 def identity_interpretation() -> InterpretationScheme:
@@ -188,64 +187,45 @@ def backwards_translate(
     require_sentence(sentence)
     base = max(v.index for v in all_vars(sentence))
 
-    aux_demand = 0
-    used: list[tuple[Formula, frozenset[Var]]] = [
-        (scheme.domain_formula, frozenset((X1,))),
-        (scheme.edge_formula, frozenset((X1, X2))),
-    ]
+    def with_pool(f: Formula, params: frozenset[Var]) -> Instance:
+        """``f`` and its auxiliary variables, renamed into the pool."""
+        aux = sorted(all_vars(f) - params)
+        return f, {v: Var(base + i) for i, v in enumerate(aux, start=1)}
+
+    one, two = frozenset((X1,)), frozenset((X1, X2))
+    domain = with_pool(scheme.domain_formula, one)
+    edge = with_pool(scheme.edge_formula, two)
+    colors = None
     if scheme.color_formulas is not None:
-        used.extend((f, frozenset((X1,))) for _, f in scheme.color_formulas)
-    for f, params in used:
-        aux_demand = max(aux_demand, len(all_vars(f) - params))
+        colors = {color: with_pool(f, one) for color, f in scheme.color_formulas}
+    aux_demand = max(len(aux) for _, aux in [domain, edge, *(colors or {}).values()])
     if aux_demand > scheme.variable_overhead:
         raise ValueError(
             f"scheme needs {aux_demand} auxiliary variables but declares "
             f"an overhead of {scheme.variable_overhead}"
         )
 
-    def instantiate(f: Formula, params: dict[Var, Var]) -> Formula:
-        aux = sorted(all_vars(f) - set(params))
-        mapping = dict(params)
-        mapping.update(
-            {v: Var(base + i) for i, v in enumerate(aux, start=1)}
-        )
-        return rename_variables(f, mapping)
+    def instantiate(instance: Instance, params: dict[Var, Var]) -> Formula:
+        f, aux = instance
+        return rename_variables(f, {**aux, **params})
 
-    def domain_at(v: Var) -> Formula:
-        return instantiate(scheme.domain_formula, {X1: v})
-
-    color_table = scheme._color_table
-
-    def go(f: Formula) -> Formula:
+    def leave(f: Formula, parts: Sequence[Formula], _env: None) -> Formula:
         match f:
             case Adj(u, v):
                 if u == v:
                     return canonical_false(u)
-                return instantiate(scheme.edge_formula, {X1: u, X2: v})
-            case Eq():
-                return f
-            case HasColor(color, v):
-                if color_table is None:
-                    return f
-                body = color_table.get(color)
-                if body is None:
+                return instantiate(edge, {X1: u, X2: v})
+            case HasColor(color, v) if colors is not None:
+                if color not in colors:
                     return canonical_false(v)
-                return instantiate(body, {X1: v})
-            case Not(child):
-                return Not(go(child))
-            case And(children):
-                return And(tuple(go(ch) for ch in children))
-            case Or(children):
-                return Or(tuple(go(ch) for ch in children))
-            case Implies(lhs, rhs):
-                return Implies(go(lhs), go(rhs))
-            case Exists(var, body):
-                return Exists(var, And((domain_at(var), go(body))))
-            case Forall(var, body):
-                return Forall(var, Implies(domain_at(var), go(body)))
-        raise TypeError(f"not a formula: {f!r}")
+                return instantiate(colors[color], {X1: v})
+            case Exists(var):
+                return Exists(var, And((instantiate(domain, {X1: var}), parts[0])))
+            case Forall(var):
+                return Forall(var, Implies(instantiate(domain, {X1: var}), parts[0]))
+        return rebuild(f, parts)
 
-    return go(sentence)
+    return fold(sentence, leave)
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +422,9 @@ def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
 # the meeting point pinned at x3, so the overhead is 3.
 
 
-@dataclass(frozen=True)
-class _TreeModelHost:
-    tree: RootedColoredTree
-    scheme: InterpretationScheme
-
-
-def _tree_model_host(g: ColoredGraph, tm: TreeModel) -> _TreeModelHost:
+def _tree_model_host(
+    g: ColoredGraph, tm: TreeModel
+) -> tuple[RootedColoredTree, InterpretationScheme]:
     t = tm.tree
     leaves = t.leaves
     composites = []
@@ -574,7 +550,7 @@ def _tree_model_host(g: ColoredGraph, tm: TreeModel) -> _TreeModelHost:
         variable_overhead=3,
         color_formulas=color_formulas,
     )
-    return _TreeModelHost(tree=host_tree, scheme=scheme)
+    return host_tree, scheme
 
 
 def tree_model_interpretation(
@@ -582,8 +558,7 @@ def tree_model_interpretation(
 ) -> tuple[RootedColoredTree, InterpretationScheme]:
     """The recolored host tree and the interpretation recovering ``g``
     from it. Mostly useful for testing the round trip."""
-    host = _tree_model_host(g, tm)
-    return host.tree, host.scheme
+    return _tree_model_host(g, tm)
 
 
 def mc_treemodel(
@@ -597,6 +572,6 @@ def mc_treemodel(
         )
     if not validate_tree_model(g, tm):
         raise ValueError("the tree-model does not reproduce the graph")
-    host = _tree_model_host(g, tm)
-    translated = backwards_translate(sentence, host.scheme)
-    return mc_tree(host.tree, translated, s + host.scheme.variable_overhead)
+    host, scheme = _tree_model_host(g, tm)
+    translated = backwards_translate(sentence, scheme)
+    return mc_tree(host, translated, s + scheme.variable_overhead)

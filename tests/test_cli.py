@@ -221,3 +221,26 @@ def test_deterministic_output_bytes(workdir, capsys):
     main(["gen", "halfgraph", "--t", "4", "--flip", "AA,BB", "--out", out1])
     main(["gen", "halfgraph", "--t", "4", "--flip", "AA,BB", "--out", out2])
     assert (tmp / "a.g").read_bytes() == (tmp / "b.g").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (RecursionError("maximum recursion depth exceeded"), 3, "fomc: resource limit"),
+        (MemoryError(), 3, "fomc: resource limit"),
+        (KeyError("boom"), 4, "fomc: internal error"),
+    ],
+    ids=["recursion", "memory", "internal"],
+)
+def test_crash_exit_codes(workdir, capsys, monkeypatch, error, code, message):
+    tmp, write = workdir
+    tpath = write("star.t", tree_text(RootedColoredTree.build({1: 0, 2: 1})))
+    fpath = write("f.fo", "exists x1. x1=x1\n")
+
+    def crash(*args):
+        raise error
+
+    monkeypatch.setattr("fomc.interpret.mc_tree", crash)
+    assert main(["mc", "--graph", tpath, "--formula", fpath, "--via", "tree"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fomc.evaluator import model_check
 from fomc.formulas import (
     Adj,
     And,
@@ -14,6 +15,7 @@ from fomc.formulas import (
     Or,
     ParseError,
     Var,
+    all_vars,
     formula_length,
     free_vars,
     is_sentence,
@@ -27,6 +29,7 @@ from fomc.formulas import (
     variable_count,
     write_formulas,
 )
+from fomc.graphs import gen_path
 from fomc.randgen import random_formula
 
 x1, x2, x3, x5, x6 = Var(1), Var(2), Var(3), Var(5), Var(6)
@@ -154,6 +157,21 @@ def test_substitute_edge_atoms():
     quantified = parse_formula("exists x2. adj(x2,x2)")
     out = substitute_edge_atoms(quantified, lambda u, v: Not(Eq(u, v)))
     assert out == Exists(x2, Not(Eq(x2, x2)))
+
+
+def test_passes_over_deep_formulas():
+    # Far deeper than the default recursion limit; built without the parser.
+    body = Eq(x1, x1)
+    for _ in range(5000):
+        body = Not(body)
+    f = Exists(x1, body)
+    assert free_vars(f) == frozenset()
+    assert all_vars(f) == {x1}
+    assert quantifier_rank(f) == 1
+    assert formula_length(f) == 5002
+    assert require_sentence(f) is f
+    assert all_vars(rename_variables(f, {x1: x2})) == {x2}
+    assert model_check(gen_path(3), f)
 
 
 def test_variable_count_vs_free_vars():

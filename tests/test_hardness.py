@@ -309,3 +309,19 @@ def test_cross_validate_four_vertex_representatives():
     for g in reps:
         for phi in formulas:
             assert cross_validate(g, phi).agree
+
+
+def test_cross_validate_colored_repro():
+    g = ColoredGraph.build(3, [], [1, 2, 1], c=2)
+    check = cross_validate(g, parse_formula("exists x1. C2(x1)"))
+    assert (check.lhs, check.rhs) == (True, True)
+
+
+def test_cross_validate_two_colors():
+    rng = random.Random(54)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(3, 6), colors=2)
+        phi = random_formula(rng, 3, 2, rng.randint(1, 3))
+        assert cross_validate(g, phi).agree
+        out = reduce_to_path(g, phi)
+        assert variable_count(out.sentence) <= max(quantifier_rank(phi) + 1, 4)
