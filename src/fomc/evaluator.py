@@ -1,9 +1,13 @@
 """Bottom-up relational evaluation of first-order formulas on colored graphs.
 
-Each subformula is evaluated to a relation table indexed by exactly its
-free variables: boolean nodes join or complement tables, quantifiers
-project. That keeps the cost of a formula with q free variables at a
-node bounded by n^q tuples, so variable reuse pays off directly.
+Each subformula is evaluated to a dense table: a numpy boolean array
+with one axis of length n per free variable, in sorted variable order.
+Boolean nodes broadcast their children's tables against each other,
+negation complements, quantifiers reduce one axis with ``any``/``all``.
+A node with q free variables stores n^q cells, so a sentence with s
+distinct names costs at most |formula| * n^s cells, and variable reuse
+pays off directly. A table above ``pebble.DEFAULT_POSITION_CAP`` cells
+is refused with ``ResourceLimitError`` before it is allocated.
 
 Conventions:
 
@@ -15,9 +19,11 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .formulas import (
     Adj,
@@ -34,6 +40,7 @@ from .formulas import (
     require_sentence,
 )
 from .graphs import ColoredGraph
+from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError
 
 Row = tuple[int, ...]
 
@@ -60,130 +67,98 @@ class SatisfyingSet:
 
 @dataclass
 class EvalStats:
-    """Total number of tuples stored across the per-subformula tables."""
+    """Total number of cells stored across the per-subformula tables."""
 
     tuples_touched: int = 0
 
 
 class _Table:
-    __slots__ = ("vars", "rows")
+    """Cells with one axis of length n per variable of ``vars`` (sorted);
+    never written after construction, so tables may share arrays."""
 
-    def __init__(self, vars: tuple[Var, ...], rows: set[Row]) -> None:
+    __slots__ = ("vars", "cells")
+
+    def __init__(self, vars: tuple[Var, ...], cells: np.ndarray) -> None:
         self.vars = vars
-        self.rows = rows
+        self.cells = cells
 
 
-def _join(a: _Table, b: _Table) -> _Table:
-    """Natural join on the shared variables."""
-    shared = tuple(v for v in a.vars if v in b.vars)
-    out_vars = tuple(sorted(set(a.vars) | set(b.vars)))
-    a_pos = {v: i for i, v in enumerate(a.vars)}
-    b_pos = {v: i for i, v in enumerate(b.vars)}
-    b_only = tuple(v for v in b.vars if v not in a_pos)
-    index: dict[Row, list[Row]] = {}
-    for row in b.rows:
-        key = tuple(row[b_pos[v]] for v in shared)
-        index.setdefault(key, []).append(row)
-    out_rows: set[Row] = set()
-    out_pick = []
-    for v in out_vars:
-        if v in a_pos:
-            out_pick.append((0, a_pos[v]))
-        else:
-            out_pick.append((1, b_only.index(v)))
-    for row in a.rows:
-        key = tuple(row[a_pos[v]] for v in shared)
-        for other in index.get(key, ()):
-            rest = tuple(other[b_pos[v]] for v in b_only)
-            out_rows.add(
-                tuple(row[i] if side == 0 else rest[i] for side, i in out_pick)
-            )
-    return _Table(out_vars, out_rows)
+def _require_cells(n: int, width: int) -> None:
+    """Refuse a table of ``n ** width`` cells above the position cap."""
+    if n**width > DEFAULT_POSITION_CAP:
+        raise ResourceLimitError(
+            f"evaluator table needs {n}^{width} cells "
+            f"(cap {DEFAULT_POSITION_CAP})"
+        )
 
 
-def _extend(t: _Table, to_vars: tuple[Var, ...], n: int) -> _Table:
-    """Cylindrify a table to a superset of its variables."""
-    if t.vars == to_vars:
-        return t
-    missing = [v for v in to_vars if v not in t.vars]
-    pos = {v: i for i, v in enumerate(t.vars)}
-    rows: set[Row] = set()
-    fill = itertools.product(range(1, n + 1), repeat=len(missing))
-    fills = list(fill)
-    miss_pos = {v: i for i, v in enumerate(missing)}
-    for row in t.rows:
-        for extra in fills:
-            rows.add(
-                tuple(
-                    row[pos[v]] if v in pos else extra[miss_pos[v]] for v in to_vars
-                )
-            )
-    return _Table(to_vars, rows)
+def _adjacency(g: ColoredGraph) -> np.ndarray:
+    _require_cells(g.n, 2)
+    cells = np.zeros((g.n, g.n), dtype=bool)
+    if g.edges:
+        u, v = (np.array(list(g.edges)) - 1).T
+        cells[u, v] = cells[v, u] = True
+    return cells
 
 
-def _complement(t: _Table, n: int) -> _Table:
-    full = set(itertools.product(range(1, n + 1), repeat=len(t.vars)))
-    return _Table(t.vars, full - t.rows)
-
-
-def _table(node: Formula, kids: Sequence[_Table], g: ColoredGraph) -> _Table:
+def _table(
+    node: Formula,
+    kids: Sequence[_Table],
+    g: ColoredGraph,
+    adjacency: Callable[[], np.ndarray],
+) -> _Table:
     """The table of ``node`` from the tables of its subformulas."""
+    n = g.n
     match node:
         case Adj(u, v):
             if u == v:
-                return _Table((u,), set())
-            rows = {(a, b) for a, b in g.edges} | {(b, a) for a, b in g.edges}
-            return _Table((u, v) if u < v else (v, u), rows)
+                return _Table((u,), np.zeros(n, dtype=bool))
+            return _Table((u, v) if u < v else (v, u), adjacency())
         case Eq(u, v):
             if u == v:
-                return _Table((u,), {(a,) for a in g.vertices})
-            lo, hi = (u, v) if u < v else (v, u)
-            return _Table((lo, hi), {(a, a) for a in g.vertices})
+                return _Table((u,), np.ones(n, dtype=bool))
+            _require_cells(n, 2)
+            return _Table((u, v) if u < v else (v, u), np.eye(n, dtype=bool))
         case HasColor(color, v):
-            return _Table((v,), {(a,) for a in g.vertices if g.color_of(a) == color})
-        case And():
-            acc = kids[0]
-            for t in kids[1:]:
-                acc = _join(acc, t)
-            return acc
-        case Or() | Implies():
+            return _Table((v,), np.equal(g.colors, color))
+        case And() | Or() | Implies():
+            out = tuple(sorted(set().union(*(t.vars for t in kids))))
+            _require_cells(n, len(out))
+            # sorted variables make each child's a subsequence of ``out``
+            parts = [
+                t.cells.reshape([n if v in t.vars else 1 for v in out])
+                for t in kids
+            ]
             if isinstance(node, Implies):
-                kids = (_complement(kids[0], g.n), kids[1])
-            out_vars = tuple(sorted(set().union(*(t.vars for t in kids))))
-            rows: set[Row] = set()
-            for t in kids:
-                rows |= _extend(t, out_vars, g.n).rows
-            return _Table(out_vars, rows)
+                return _Table(out, ~parts[0] | parts[1])
+            op = np.logical_and if isinstance(node, And) else np.logical_or
+            return _Table(out, functools.reduce(op, parts))
         case Exists(var) | Forall(var):
             t = kids[0]
             if var not in t.vars:
                 # vacuous over a nonempty universe
-                return _Table(t.vars, set(t.rows))
-            keep = tuple(v for v in t.vars if v != var)
-            drop = t.vars.index(var)
-            if isinstance(node, Exists):
-                return _Table(keep, {row[:drop] + row[drop + 1 :] for row in t.rows})
-            counts: dict[Row, int] = {}
-            for row in t.rows:
-                key = row[:drop] + row[drop + 1 :]
-                counts[key] = counts.get(key, 0) + 1
-            return _Table(keep, {key for key, cnt in counts.items() if cnt == g.n})
+                return t
+            axis = t.vars.index(var)
+            project = np.any if isinstance(node, Exists) else np.all
+            return _Table(t.vars[:axis] + t.vars[axis + 1 :], project(t.cells, axis))
         case _:  # Not
-            return _complement(kids[0], g.n)
+            return _Table(kids[0].vars, ~kids[0].cells)
 
 
 def evaluate_free_with_stats(
     g: ColoredGraph, f: Formula
 ) -> tuple[SatisfyingSet, EvalStats]:
     stats = EvalStats()
+    adjacency = functools.cache(functools.partial(_adjacency, g))
 
     def leave(node: Formula, kids: Sequence[_Table], _env: None) -> _Table:
-        t = _table(node, kids, g)
-        stats.tuples_touched += len(t.rows)
+        t = _table(node, kids, g, adjacency)
+        stats.tuples_touched += t.cells.size
         return t
 
     table = fold(f, leave)
-    return SatisfyingSet(table.vars, frozenset(table.rows)), stats
+    rows = (np.argwhere(table.cells) + 1).tolist()
+    return SatisfyingSet(table.vars, frozenset(map(tuple, rows))), stats
 
 
 def evaluate_free(g: ColoredGraph, f: Formula) -> SatisfyingSet:
@@ -198,14 +173,3 @@ def model_check(g: ColoredGraph, sentence: Formula) -> bool:
     require_sentence(sentence)
     return evaluate_free(g, sentence).holds
 
-
-def satisfies(
-    g: ColoredGraph, f: Formula, assignment: Mapping[Var, int]
-) -> bool:
-    """Whether ``assignment`` (covering the free variables) satisfies ``f``."""
-    sat = evaluate_free(g, f)
-    missing = set(sat.variables) - set(assignment)
-    if missing:
-        raise ValueError(f"assignment misses {sorted(str(v) for v in missing)}")
-    row = tuple(assignment[v] for v in sat.variables)
-    return row in sat.rows

@@ -553,14 +553,6 @@ def _tree_model_host(
     return host_tree, scheme
 
 
-def tree_model_interpretation(
-    g: ColoredGraph, tm: TreeModel
-) -> tuple[RootedColoredTree, InterpretationScheme]:
-    """The recolored host tree and the interpretation recovering ``g``
-    from it. Mostly useful for testing the round trip."""
-    return _tree_model_host(g, tm)
-
-
 def mc_treemodel(
     g: ColoredGraph, tm: TreeModel, sentence: Formula, s: int
 ) -> bool:

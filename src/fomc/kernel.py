@@ -1,7 +1,7 @@
 """Shrink a colored bounded-depth rooted tree to a small equivalent core.
 
 The reduction works bottom-up. At every vertex the already-reduced child
-subtrees are grouped by canonical code (rooted colored isomorphism); of
+subtrees are grouped by class id (rooted colored isomorphism); of
 each group only the first ``s`` representatives are kept, the rest are
 deleted wholesale. Keeping s copies per class is enough for the tree and
 its core to agree on every sentence with at most s variables: with only
@@ -19,9 +19,11 @@ as if the root's neighbors carried a palette doubled by marking, hence
 the c+1 and 2c. The value explodes for k >= 3, so results carry a
 saturated bound (capped at BOUND_CAP) together with an exactness flag.
 
-Determinism: children are ordered by (canonical code of the reduced
-subtree, vertex id). Re-reducing a reduced tree keeps everything, and
-the kept set only grows with s.
+Determinism: children are ordered by (class id of the reduced subtree,
+vertex id), where class ids are interned Aho-Hopcroft-Ullman style from
+(color, class ids of the kept children) with vertices visited deepest
+first. Re-reducing a reduced tree keeps everything, and the kept set
+only grows with s.
 """
 
 from __future__ import annotations
@@ -59,50 +61,18 @@ def kernel_size_bound_capped(
 def _bound(s: int, k: int, c: int, cap: int | None) -> int | None:
     if s < 1 or c < 1 or k < 0:
         raise ValueError("need s >= 1, c >= 1, k >= 0")
-    if k == 0:
-        return 1
-    inner = _bound(s, k - 1, c + 1, cap)
-    if inner is None:
-        return None
-    if cap is not None:
-        # (2c * inner) ** inner overflows any budget once inner is large
-        if inner.bit_length() * inner > 4 * cap.bit_length():
+    value = 1  # bound(s, 0, c + k)
+    for j in reversed(range(k)):
+        # value is bound(s, k-j-1, c+j+1); step to bound(s, k-j, c+j)
+        if cap is not None:
+            # (2c * value) ** value overflows any budget once value is large
+            if value.bit_length() * value > 4 * cap.bit_length():
+                return None
+        p = (2 * (c + j) * value) ** value
+        value = 1 + s * p * value
+        if cap is not None and value > cap:
             return None
-    p = (2 * c * inner) ** inner
-    value = 1 + s * p * inner
-    if cap is not None and value > cap:
-        return None
     return value
-
-
-def recolor_root(t: RootedColoredTree) -> RootedColoredTree:
-    """Mark the root and its children on a doubled palette.
-
-    The root gets the fresh color 2c+1 and each root child moves from
-    color x to c+x; everything else keeps its color. The original
-    coloring is recoverable, so equivalence over the marked palette
-    implies equivalence over the original one.
-    """
-    c = t.c
-    colors = list(t.colors)
-    colors[t.root - 1] = 2 * c + 1
-    for child in t.children[t.root]:
-        colors[child - 1] = c + t.color_of(child)
-    return RootedColoredTree(
-        n=t.n, root=t.root, parents=t.parents, colors=tuple(colors), c=2 * c + 1
-    )
-
-
-def canonical_code(t: RootedColoredTree) -> bytes:
-    """Canonical form: equal codes exactly for color-preserving rooted
-    isomorphs. The code of a vertex is its color followed by the sorted
-    codes of its children."""
-    return _code_below(t, t.root)
-
-
-def _code_below(t: RootedColoredTree, v: int) -> bytes:
-    kids = sorted(_code_below(t, w) for w in t.children[v])
-    return b"(%d:" % t.color_of(v) + b"".join(kids) + b")"
 
 
 @dataclass(frozen=True)
@@ -127,31 +97,31 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     if s < 1:
         raise ValueError("the variable budget must be positive")
     class_counts: dict[int, int] = {}
-
-    def work(v: int) -> tuple[frozenset[int], bytes]:
-        reduced = sorted(
-            ((*work(w), w) for w in t.children[v]),
-            key=lambda item: (item[1], item[2]),
-        )
-        kept: set[int] = {v}
-        codes: list[bytes] = []
-        copies: dict[bytes, int] = {}
-        for kept_w, code_w, _ in reduced:
-            seen = copies.get(code_w, 0)
-            copies[code_w] = seen + 1
+    # AHU class ids: equal ids exactly for isomorphic reduced subtrees
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    class_of = [0] * (t.n + 1)
+    kept_kids: list[list[int]] = [[] for _ in range(t.n + 1)]
+    deepest_first = sorted(range(1, t.n + 1), key=t.depth_of, reverse=True)
+    for v in deepest_first:
+        copies: dict[int, int] = {}
+        for w in sorted(t.children[v], key=lambda w: (class_of[w], w)):
+            seen = copies.get(class_of[w], 0)
+            copies[class_of[w]] = seen + 1
             if seen < s:
-                kept.update(kept_w)
-                codes.append(code_w)
+                kept_kids[v].append(w)
         if copies:
             level = t.depth_of(v)
             class_counts[level] = class_counts.get(level, 0) + len(copies)
-        return frozenset(kept), b"(%d:" % t.color_of(v) + b"".join(codes) + b")"
-
-    kept_all, _ = work(t.root)
+        key = (t.color_of(v), tuple(class_of[w] for w in kept_kids[v]))
+        class_of[v] = ids.setdefault(key, len(ids))
+    kept_all = {t.root}
+    for v in reversed(deepest_first):
+        if v in kept_all:
+            kept_all.update(kept_kids[v])
     bound, exact = kernel_size_bound_capped(s, t.depth, t.c)
     return KernelResult(
         kernel=restrict_tree(t, kept_all),
-        kept=kept_all,
+        kept=frozenset(kept_all),
         bound=bound,
         bound_exact=exact,
         stats=tuple(sorted(class_counts.items())),

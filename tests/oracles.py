@@ -138,6 +138,18 @@ def _match_children(ka: list[int], kb: list[int], match) -> bool:
     return False
 
 
+def canonical_code(t: RootedColoredTree) -> bytes:
+    """Canonical form: equal codes exactly for color-preserving rooted
+    isomorphs. The code of a vertex is its color followed by the sorted
+    codes of its children."""
+    return _code_below(t, t.root)
+
+
+def _code_below(t: RootedColoredTree, v: int) -> bytes:
+    kids = sorted(_code_below(t, w) for w in t.children[v])
+    return b"(%d:" % t.color_of(v) + b"".join(kids) + b")"
+
+
 def graphs_isomorphic(a: ColoredGraph, b: ColoredGraph) -> bool:
     """Brute force over vertex bijections; fine for n <= 7."""
     if a.n != b.n or len(a.edges) != len(b.edges):

@@ -3,12 +3,7 @@ import random
 
 import pytest
 
-from fomc.evaluator import (
-    evaluate_free,
-    evaluate_free_with_stats,
-    model_check,
-    satisfies,
-)
+from fomc.evaluator import evaluate_free, evaluate_free_with_stats, model_check
 from fomc.formulas import (
     Not,
     Var,
@@ -19,6 +14,7 @@ from fomc.formulas import (
 )
 from fomc.graphs import gen_path
 from fomc.hardness import distance_formula
+from fomc.pebble import ResourceLimitError
 from fomc.randgen import random_formula, random_graph
 
 from .oracles import all_labeled_graphs, bfs_distances, recursive_model_check
@@ -68,13 +64,17 @@ def test_out_of_palette_color_is_false():
     assert model_check(g, parse_formula("forall x1. !C9(x1)"))
 
 
-def test_satisfies_helper():
-    g = gen_path(3)
-    f = parse_formula("adj(x1,x2)")
-    assert satisfies(g, f, {Var(1): 1, Var(2): 2})
-    assert not satisfies(g, f, {Var(1): 1, Var(2): 3})
-    with pytest.raises(ValueError):
-        satisfies(g, f, {Var(1): 1})
+def test_tables_above_the_cell_cap_are_refused():
+    # 3200^2 and 216^3 cells both exceed the ten-million cap
+    with pytest.raises(ResourceLimitError):
+        evaluate_free(gen_path(3200), parse_formula("adj(x1,x2)"))
+    with pytest.raises(ResourceLimitError):
+        evaluate_free(gen_path(216), parse_formula("adj(x1,x2) & adj(x2,x3)"))
+
+
+def test_one_variable_sentence_on_large_graph_builds_no_adjacency():
+    f = parse_formula("forall x1. (C1(x1) & !adj(x1,x1))")
+    assert model_check(gen_path(20000), f)
 
 
 def _small_graph_pool():
@@ -101,19 +101,43 @@ def test_agreement_on_colored_graphs():
         assert model_check(g, f) == recursive_model_check(g, f)
 
 
+# hand-written corners: atoms on one variable, vacuous quantifiers,
+# connectives over disjoint variable sets, sentences under a connective
+EDGE_CASES = [
+    parse_formula(text)
+    for text in (
+        "adj(x1,x1)",
+        "x1=x1",
+        "exists x2. C2(x1)",
+        "forall x3. adj(x1,x2)",
+        "forall x2. exists x1. C2(x1)",
+        "C1(x1) | adj(x2,x3)",
+        "C2(x3) -> x1=x2",
+        "(exists x1. C2(x1)) | (forall x2. C1(x2))",
+    )
+]
+
+
 def test_open_formula_agreement_with_oracle():
     rng = random.Random(300)
+    cases = []
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 4), colors=2)
         f = random_formula(rng, 3, 2, 2)
         # strip the outer quantifier to get free variables
-        body = f.body
-        sat = evaluate_free(g, body)
-        fv = sorted(free_vars(body))
+        cases.append((g, f.body))
+    for n in range(1, 4):
+        for g in all_labeled_graphs(n, colors=2):
+            cases.extend((g, f) for f in EDGE_CASES)
+    for g, f in cases:
+        sat = evaluate_free(g, f)
+        fv = sorted(free_vars(f))
         assert sat.variables == tuple(fv)
+        # apply_interpretation hands rows to ColoredGraph.build
+        assert all(type(x) is int for row in sat.rows for x in row)
         for row in itertools.product(g.vertices, repeat=len(fv)):
             env = dict(zip(fv, row))
-            assert (row in sat.rows) == recursive_model_check(g, body, env)
+            assert (row in sat.rows) == recursive_model_check(g, f, env)
 
 
 def test_de_morgan():

@@ -16,6 +16,7 @@ from fomc.formulas import (
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.interpret import (
     InterpretationScheme,
+    _tree_model_host,
     apply_interpretation,
     backwards_translate,
     complement_interpretation,
@@ -25,7 +26,6 @@ from fomc.interpret import (
     mc_tree,
     mc_treedepth,
     mc_treemodel,
-    tree_model_interpretation,
 )
 from fomc.trees import (
     RootedColoredTree,
@@ -283,7 +283,7 @@ def test_tree_model_round_trip():
     rng = random.Random(37)
     for _ in range(30):
         g, tm = random_tree_model(rng, rng.randint(2, 7), 2)
-        host, scheme = tree_model_interpretation(g, tm)
+        host, scheme = _tree_model_host(g, tm)
         back = apply_interpretation(scheme, host.to_graph())
         assert back.n == g.n
         assert back.edges == g.edges

@@ -1,18 +1,25 @@
 import random
 
+import pytest
+
+from fomc.formulas import parse_formula
+from fomc.interpret import mc_tree
 from fomc.kernel import (
     BOUND_CAP,
-    canonical_code,
     kernel_size_bound,
     kernel_size_bound_capped,
-    recolor_root,
     reduce_tree,
     verify_kernel,
 )
+from fomc.pebble import ResourceLimitError
 from fomc.trees import RootedColoredTree, restrict_tree
 from fomc.randgen import random_tree
 
-from .oracles import all_colored_rooted_trees, rooted_trees_isomorphic
+from .oracles import (
+    all_colored_rooted_trees,
+    canonical_code,
+    rooted_trees_isomorphic,
+)
 
 
 def star(leaves: int, leaf_color: int = 1) -> RootedColoredTree:
@@ -69,31 +76,7 @@ def test_bound_capped():
 
 
 # ---------------------------------------------------------------------------
-# Root recoloring
-
-def test_recolor_single_vertex():
-    k1 = RootedColoredTree.build({1: 0})
-    out = recolor_root(k1)
-    assert out.color_of(1) == 3 and out.c == 3
-
-
-def test_recolor_star():
-    out = recolor_root(star(2))
-    assert out.color_of(1) == 3
-    assert out.color_of(2) == out.color_of(3) == 2
-
-
-def test_recolor_keeps_deeper_colors():
-    chain = RootedColoredTree.build({1: 0, 2: 1, 3: 2})
-    out = recolor_root(chain)
-    assert out.color_of(1) == 3
-    assert out.color_of(2) == 2
-    assert out.color_of(3) == 1
-    assert out.parents == chain.parents
-
-
-# ---------------------------------------------------------------------------
-# Canonical codes
+# Canonical codes (the referee in tests/oracles.py)
 
 def test_canonical_code_relabeling_invariant():
     a = RootedColoredTree.build({1: 0, 2: 1, 3: 1, 4: 2, 5: 2}, {4: 2})
@@ -135,6 +118,19 @@ def test_reduction_stats_class_counts():
         {1: 0, 2: 1, 3: 1, 4: 1}, {2: 1, 3: 2, 4: 2}, c=2
     )
     assert reduce_tree(two_classes, 1).stats == ((0, 2),)
+
+
+def test_deep_path_is_not_capped_by_the_recursion_limit():
+    path = RootedColoredTree.build({v: v - 1 for v in range(1, 5001)})
+    assert reduce_tree(path, 2).kept == frozenset(range(1, 5001))
+    assert kernel_size_bound_capped(2, path.depth, 1) == (BOUND_CAP, False)
+    assert mc_tree(path, parse_formula("forall x1. C1(x1)"), 2)
+    total = parse_formula("forall x1. exists x2. adj(x1,x2)")
+    # 5000^2 adjacency cells exceed the evaluator's cap, 3000^2 do not
+    with pytest.raises(ResourceLimitError):
+        mc_tree(path, total, 2)
+    prefix = RootedColoredTree.build({v: v - 1 for v in range(1, 3001)})
+    assert mc_tree(prefix, total, 2)
 
 
 def test_single_vertex_fixed():
