@@ -2,13 +2,13 @@
 
 Exit codes: 0 for success (and for "true"/"equivalent"/"valid"
 verdicts), 1 for negative verdicts, 2 for usage or input errors, 3 when
-an instance exceeds a resource limit (the pebble game's position cap,
+an instance exceeds a resource limit (the tuple cap of equivalence,
 the Python recursion limit, or memory), 4 for an internal error.
 
 Subcommands:
 
     mc          model check a graph or tree against a sentence
-    equiv       pebble-game equivalence of two graphs
+    equiv       FO^s equivalence of two graphs
     census      partition graphs into equivalence classes
     kernelize   reduce a bounded-depth colored tree
     gen         write generated graphs (path, halfgraph, kpt, flip, sc)
@@ -334,17 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-model", default=None)
     p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("equiv", help="pebble-game equivalence")
+    cap_help = "stored-tuple cap, (n+1)^s per distinct graph"
+    p = sub.add_parser("equiv", help="FO^s equivalence by s-tuple type refinement")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--cap", type=int, default=pebble.DEFAULT_POSITION_CAP)
+    p.add_argument("--cap", type=int, default=pebble.DEFAULT_POSITION_CAP, help=cap_help)
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("census", help="equivalence classes of a graph list")
+    p = sub.add_parser("census", help="FO^s classes of a graph list, refined jointly")
     p.add_argument("graphs", nargs="+")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--cap", type=int, default=pebble.DEFAULT_POSITION_CAP)
+    p.add_argument("--cap", type=int, default=pebble.DEFAULT_POSITION_CAP, help=cap_help)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_census)
 

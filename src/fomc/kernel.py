@@ -137,8 +137,8 @@ def verify_kernel(
     """Check a reduction against an independent referee.
 
     Structural checks first (the kernel really is the restriction to the
-    kept set, contains the root, and honors the size bound), then the
-    pebble game decides equivalence of the original and the kernel.
+    kept set, contains the root, and honors the size bound), then tuple
+    type refinement decides FO^s equivalence of original and kernel.
     """
     if t.root not in result.kept:
         return False

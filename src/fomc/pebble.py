@@ -1,165 +1,153 @@
 """Equivalence of colored graphs under s-variable first-order logic,
-decided by the s-pebble game.
+decided by refining the types of s-tuples.
 
-A game position is a pair of s-tuples over the two vertex sets, with
-``None`` marking a pebble that has not been placed. The decision
-procedure is the standard greatest fixpoint: start from every position
-whose tuples align their blanks and induce a partial isomorphism, then
-repeatedly delete positions where some spoiler move (choose a side, a
-pebble index, and a target vertex) has no reply landing inside the
-surviving set. The two graphs are equivalent exactly when the all-blank
-position survives.
+A tuple is an s-tuple over the vertices plus a blank (index 0, a
+variable that holds no vertex). Its atomic type lists, per slot, the
+vertex color or the blank, and per pair of slots, equality and
+adjacency. One refinement round gives each tuple a new type: its old
+type plus, for each slot i, the *set* of old types of the tuples that
+replace slot i by a vertex, over every vertex. Sets, not counts: the
+logic cannot count.
 
-The fixpoint runs over the full dense position space as a boolean numpy
-array of shape (|A|+1, |B|+1) repeated s times (index 0 is the blank),
-with each pruning round phrased as vectorized any/all reductions. That
-keeps desk-scale instances fast while mirroring the simultaneous-round
-semantics exactly: ``spoiler_distance`` is the round in which the start
-position is deleted.
+Types are interned exactly and jointly over all input graphs. Each
+round refines the last, so once the number of classes stops growing
+the partition is stable. Two graphs agree on every sentence with at
+most s variables exactly when their all-blank tuples end in one class
+(Immerman & Lander 1990). Round r keeps two tuples together exactly
+when the s-pebble game from that pair of positions survives r rounds,
+so ``spoiler_distance`` is the round that separates the all-blank
+tuples. The work is (n+1)^s tuples per graph, not the game's
+((|A|+1)(|B|+1))^s positions per pair.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
 from .graphs import ColoredGraph
 
-#: Refuse instances whose dense position space exceeds this many cells.
+#: Refuse instances that would store more tuples (or table cells) than this.
 DEFAULT_POSITION_CAP = 10_000_000
-
-PebbleTuple = tuple[int | None, ...]
-GamePosition = tuple[PebbleTuple, PebbleTuple]
 
 
 class ResourceLimitError(RuntimeError):
-    """The position space would exceed the configured cap."""
+    """An instance would exceed the configured cap."""
 
 
-def position_space_size(a: ColoredGraph, b: ColoredGraph, s: int) -> int:
-    return ((a.n + 1) * (b.n + 1)) ** s
+def _intern(columns) -> np.ndarray:
+    """Dense ids of the rows formed by non-negative integer columns.
+
+    Exact: the columns are packed into one integer key in mixed radix,
+    and the key is made dense again before it could overflow.
+    """
+    key, bound = 0, 1
+    for col in columns:
+        base = int(col.max()) + 1
+        if bound * base >= 2**62:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = len(key)
+        key, bound = key * base + col, bound * base
+    return np.unique(key, return_inverse=True)[1]
 
 
-def is_s_partial_isomorphism(
-    a: ColoredGraph,
-    ta: Sequence[int | None],
-    b: ColoredGraph,
-    tb: Sequence[int | None],
-) -> bool:
-    """Blanks on the same indexes and the placed pebbles inducing a
-    color- and adjacency-preserving partial isomorphism."""
-    if len(ta) != len(tb):
-        raise ValueError("pebble tuples must have equal length")
-    for x, y in zip(ta, tb):
-        if (x is None) != (y is None):
-            return False
-        if x is not None and not 1 <= x <= a.n:
-            raise ValueError(f"vertex {x} outside the first graph")
-        if y is not None and not 1 <= y <= b.n:
-            raise ValueError(f"vertex {y} outside the second graph")
-        if x is not None and a.color_of(x) != b.color_of(y):
-            return False
-    placed = [(x, y) for x, y in zip(ta, tb) if x is not None]
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            (x1, y1), (x2, y2) = placed[i], placed[j]
-            if (x1 == x2) != (y1 == y2):
-                return False
-            if a.has_edge(x1, x2) != b.has_edge(y1, y2):
-                return False
-    return True
+def _set_ids(types: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Dense ids of the sets of types that the rows of ``gather`` reach,
+    by one sort of the sets, each written as its sorted distinct members
+    after a run of -1s, viewed as bytes."""
+    rows = types[gather]
+    rows.sort(axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+    rows.sort(axis=1)
+    rows = np.ascontiguousarray(rows[:, -int((rows >= 0).sum(axis=1).max()) :])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return np.unique(keys.ravel(), return_inverse=True)[1]
 
 
-def _slot_ok(a: ColoredGraph, b: ColoredGraph) -> np.ndarray:
-    """(n+1, m+1) mask: blank pairs with blank, colors match otherwise."""
-    ok = np.zeros((a.n + 1, b.n + 1), dtype=bool)
-    ok[0, 0] = True
-    ca = np.asarray(a.colors)
-    cb = np.asarray(b.colors)
-    ok[1:, 1:] = ca[:, None] == cb[None, :]
-    return ok
+def _atomic_columns(graphs, s: int):
+    """Per slot the color (0 for the blank), then per slot pair
+    2 * equal + adjacent, each over the tuples of all graphs."""
+    slots, colors, adj = [], [], []
+    for g in graphs:
+        shape = (g.n + 1,) * s
+        slots.append(np.indices(shape, np.min_scalar_type(g.n)).reshape(s, -1))
+        colors.append(np.array((0,) + g.colors))
+        adj.append(np.zeros((g.n + 1, g.n + 1), dtype=np.int8))
+        for u, v in g.edges:
+            adj[-1][u, v] = adj[-1][v, u] = 1
+    for i in range(s):
+        yield np.concatenate([c[d[i]] for c, d in zip(colors, slots)])
+    for i, j in itertools.combinations(range(s), 2):
+        pairs = [2 * (d[i] == d[j]) + a[d[i], d[j]] for a, d in zip(adj, slots)]
+        yield np.concatenate(pairs)
 
 
-def _pair_ok(a: ColoredGraph, b: ColoredGraph) -> np.ndarray:
-    """(n+1, m+1, n+1, m+1) mask over (a_i, b_i, a_j, b_j): the two
-    pebble pairs agree on equality and adjacency. Entries touching a
-    blank are vacuously true; slot alignment is handled elsewhere."""
-    n, m = a.n, b.n
-    eq_a = np.eye(n, dtype=bool)
-    eq_b = np.eye(m, dtype=bool)
-    adj_a = np.zeros((n, n), dtype=bool)
-    for u, v in a.edges:
-        adj_a[u - 1, v - 1] = adj_a[v - 1, u - 1] = True
-    adj_b = np.zeros((m, m), dtype=bool)
-    for u, v in b.edges:
-        adj_b[u - 1, v - 1] = adj_b[v - 1, u - 1] = True
-    ok = np.ones((n + 1, m + 1, n + 1, m + 1), dtype=bool)
-    ok[1:, 1:, 1:, 1:] = (
-        eq_a[:, None, :, None] == eq_b[None, :, None, :]
-    ) & (adj_a[:, None, :, None] == adj_b[None, :, None, :])
-    return ok
+def _moves(graphs, s: int, starts, index) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Index arrays, of dtype ``index``, into the tuples of all graphs.
+
+    Row r of ``gather`` lists the tuples reached from one context (a
+    tuple with slot i left open) by putting each vertex into slot i,
+    padded by repeating vertex 1; ``scatter[i]`` maps every tuple to the
+    row of its context for slot i.
+    """
+    width = max(g.n for g in graphs)
+    gather, scatter, rows_before = [], [], 0
+    for i in range(s):
+        parts = []
+        for g, lo in zip(graphs, starts):
+            m = g.n + 1
+            stride = m ** (s - 1 - i)
+            x = np.arange(m**s, dtype=index)
+            parts.append(rows_before + x // (stride * m) * stride + x % stride)
+            r = np.arange(m ** (s - 1), dtype=index)
+            context = lo + r // stride * stride * m + r % stride
+            vertex = np.maximum(np.arange(g.n - width + 1, m, dtype=index), 1)
+            gather.append(context[:, None] + stride * vertex)
+            rows_before += len(r)
+        scatter.append(np.concatenate(parts))
+    return np.concatenate(gather), scatter
 
 
-def _expand(arr: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    for size, ax in zip(arr.shape, axes):
-        shape[ax] = size
-    return arr.reshape(shape)
+def _refine(
+    graphs: Sequence[ColoredGraph], s: int, cap: int, until_split: bool
+) -> tuple[np.ndarray, int]:
+    """(class id of each graph's all-blank tuple, rounds run).
+
+    Refines until the partition is stable, or with ``until_split`` until
+    the all-blank tuples no longer share one class.
+    """
+    if s < 1:
+        raise ValueError("the pebble count must be positive")
+    sizes = [(g.n + 1) ** s for g in graphs]
+    if sum(sizes) > cap:
+        raise ResourceLimitError(
+            f"type refinement needs {sum(sizes)} tuples (cap {cap}): "
+            f"vertex counts {[g.n for g in graphs]}, s={s}"
+        )
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    types = _intern(_atomic_columns(graphs, s))
+    count = int(types.max()) + 1
+    index = np.int32 if sum(sizes) < 2**31 else np.int64
+    gather, scatter = _moves(graphs, s, starts, index)
+    for rounds in itertools.count(1):
+        sets = _set_ids(types, gather)  # joint over all slots
+        new = _intern(itertools.chain([types], (sets[ctx] for ctx in scatter)))
+        blanks, new_count = new[starts], int(new.max()) + 1
+        if new_count == count or until_split and (blanks != blanks[0]).any():
+            return blanks, rounds
+        types, count = new, new_count
 
 
 def _run_game(
     a: ColoredGraph, b: ColoredGraph, s: int, cap: int
 ) -> tuple[bool, int | None]:
-    """(start position alive, round in which it died)."""
-    if s < 1:
-        raise ValueError("the pebble count must be positive")
-    size = position_space_size(a, b, s)
-    if size > cap:
-        raise ResourceLimitError(
-            f"pebble game needs {size} positions "
-            f"(cap {cap}): |A|={a.n}, |B|={b.n}, s={s}"
-        )
-    ndim = 2 * s
-    slot = _slot_ok(a, b)
-    live = _expand(slot, (0, 1), ndim).copy()
-    for i in range(1, s):
-        live = live & _expand(slot, (2 * i, 2 * i + 1), ndim)
-    if s > 1:
-        pair = _pair_ok(a, b)
-        for i in range(s):
-            for j in range(i + 1, s):
-                live = live & _expand(
-                    pair, (2 * i, 2 * i + 1, 2 * j, 2 * j + 1), ndim
-                )
-    live = np.ascontiguousarray(live)
-
-    start = (0,) * ndim
-    death_round: int | None = None
-    rounds = 0
-    while True:
-        rounds += 1
-        new = live
-        for i in range(s):
-            a_ax, b_ax = 2 * i, 2 * i + 1
-            sl = tuple(
-                slice(1, None) if ax in (a_ax, b_ax) else slice(None)
-                for ax in range(ndim)
-            )
-            block = live[sl]
-            # spoiler plays pebble i in A: every target needs a reply
-            ok_a = block.any(axis=b_ax).all(axis=a_ax)
-            # spoiler plays pebble i in B
-            ok_b = block.any(axis=a_ax).all(axis=b_ax - 1)
-            move_ok = ok_a & ok_b
-            keep = [ax for ax in range(ndim) if ax not in (a_ax, b_ax)]
-            new = new & _expand(move_ok, tuple(keep), ndim)
-        if death_round is None and not new[start]:
-            death_round = rounds
-        if np.array_equal(new, live):
-            break
-        live = new
-    return bool(live[start]), death_round
+    """(the s-pebble game's start position survives, the round in which
+    it dies), read off the refinement of both graphs' tuple types."""
+    blanks, rounds = _refine([a, b], s, cap, until_split=True)
+    alive = bool(blanks[0] == blanks[1])
+    return alive, None if alive else rounds
 
 
 def fo_s_equivalent(
@@ -176,9 +164,9 @@ def fo_s_equivalent(
 def spoiler_distance(
     a: ColoredGraph, b: ColoredGraph, s: int, cap: int = DEFAULT_POSITION_CAP
 ) -> int | None:
-    """The pruning round that deletes the all-blank position, or None
-    when the graphs are equivalent. A finite value certifies the depth
-    at which the spoiler side forces a win."""
+    """The refinement round that separates the all-blank tuples, or None
+    when the graphs are equivalent. This is the number of rounds in which
+    the spoiler wins the s-pebble game."""
     if a == b:
         return None
     alive, death_round = _run_game(a, b, s, cap)
@@ -188,17 +176,18 @@ def spoiler_distance(
 def type_census(
     graphs: Sequence[ColoredGraph], s: int, cap: int = DEFAULT_POSITION_CAP
 ) -> list[list[int]]:
-    """Partition input indices into equivalence classes.
+    """Partition input indices into equivalence classes, blocks in order
+    of their first member.
 
-    Each graph is compared against one representative per existing
-    block; equivalence is transitive, so that fixes the partition.
+    Equal graphs share a block without refinement; the distinct ones are
+    refined together, once, and grouped by their all-blank tuple's class.
     """
-    blocks: list[list[int]] = []
-    for idx, g in enumerate(graphs):
-        for block in blocks:
-            if fo_s_equivalent(g, graphs[block[0]], s, cap):
-                block.append(idx)
-                break
-        else:
-            blocks.append([idx])
-    return blocks
+    first: dict[ColoredGraph, int] = {}
+    rep = [first.setdefault(g, len(first)) for g in graphs]
+    classes = [0]
+    if len(first) > 1:
+        classes = _refine(list(first), s, cap, until_split=False)[0]
+    blocks: dict[int, list[int]] = {}
+    for idx, r in enumerate(rep):
+        blocks.setdefault(int(classes[r]), []).append(idx)
+    return list(blocks.values())

@@ -91,12 +91,13 @@ class RootedColoredTree:
         for v in range(1, self.n + 1):
             if depths[v] >= 0:
                 continue
-            chain = []
+            chain, on_chain = [], set()
             u = v
             while depths[u] < 0:
                 chain.append(u)
+                on_chain.add(u)
                 u = self.parents[u - 1]
-                if u == 0 or u in chain:
+                if u == 0 or u in on_chain:
                     raise ValueError("parent links do not form a rooted tree")
             base = depths[u]
             for i, w in enumerate(reversed(chain), start=1):
@@ -287,45 +288,51 @@ def compute_elimination_forest(
 
     Exhaustive recursion with memoization on connected vertex subsets:
     the tree-depth of a connected piece is 1 plus the best over root
-    choices of the worst remaining component. Intended for small graphs
-    (roughly n <= 20).
+    choices of the worst remaining component. A root choice is cut once a
+    component needs more than the budget leaves. Intended for small
+    graphs (roughly n <= 20).
     """
     if k < 1:
         raise ValueError("the height budget must be positive")
-    memo: dict[frozenset[int], tuple[int, int]] = {}
+    exact: dict[frozenset[int], tuple[int, int]] = {}
+    more_than: dict[frozenset[int], int] = {}  # height exceeds the value
 
-    def best(sub: frozenset[int]) -> tuple[int, int]:
-        """(minimal height, best root) for a connected subset."""
-        if len(sub) == 1:
+    def best(sub: frozenset[int], budget: int) -> tuple[int, int] | None:
+        """(minimal height, best root) for a connected subset, or None
+        when its height exceeds ``budget``."""
+        if len(sub) == 1 and budget >= 1:
             return 1, next(iter(sub))
-        if sub in memo:
-            return memo[sub]
-        best_h, best_root = len(sub) + 1, -1
+        if sub in exact:
+            return exact[sub] if exact[sub][0] <= budget else None
+        # two or more connected vertices need height 2
+        if budget < 2 or more_than.get(sub, 0) >= budget:
+            return None
+        best_h, best_root = min(budget, len(sub)) + 1, -1
         for v in sorted(sub):
             worst = 0
             for comp in _components(sub - {v}, g.adj):
-                h, _ = best(comp)
-                worst = max(worst, h)
-                if 1 + worst >= best_h:
+                found = best(comp, best_h - 2)
+                if found is None:
                     break
-            if 1 + worst < best_h:
+                worst = max(worst, found[0])
+            else:
                 best_h, best_root = 1 + worst, v
-        memo[sub] = (best_h, best_root)
-        return best_h, best_root
+        if best_root < 0:
+            more_than[sub] = budget
+            return None
+        exact[sub] = (best_h, best_root)
+        return exact[sub]
 
     parents = [0] * (g.n + 1)
 
     def attach(sub: frozenset[int], above: int) -> None:
-        _, root = best(sub)
+        _, root = best(sub, k)
         parents[root] = above
         for comp in _components(sub - {root}, g.adj):
             attach(comp, root)
 
-    height = 0
     for comp in _components(frozenset(g.vertices), g.adj):
-        h, _ = best(comp)
-        height = max(height, h)
-        if height > k:
+        if best(comp, k) is None:
             return None
         attach(comp, 0)
     return EliminationForest(n=g.n, parents=tuple(parents[1:]))

@@ -4,7 +4,9 @@ These deliberately avoid the package's own algorithms: the evaluator
 oracle expands quantifiers directly instead of building relation
 tables, the tree-depth oracle recurses on vertex subsets without
 reconstructing a witness, and isomorphism checks are plain backtracking
-searches.
+searches. The pebble game is played over its dense position space,
+independently of the type refinement that decides equivalence in
+``fomc.pebble``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from fomc.formulas import (
     Adj,
@@ -164,6 +169,131 @@ def graphs_isomorphic(a: ColoredGraph, b: ColoredGraph) -> bool:
         if all(b.has_edge(mapping[u], mapping[v]) for u, v in a.edges):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The s-pebble game, played over the dense position space
+
+def is_s_partial_isomorphism(
+    a: ColoredGraph,
+    ta: Sequence[int | None],
+    b: ColoredGraph,
+    tb: Sequence[int | None],
+) -> bool:
+    """Blanks on the same indexes and the placed pebbles inducing a
+    color- and adjacency-preserving partial isomorphism."""
+    if len(ta) != len(tb):
+        raise ValueError("pebble tuples must have equal length")
+    for x, y in zip(ta, tb):
+        if (x is None) != (y is None):
+            return False
+        if x is not None and not 1 <= x <= a.n:
+            raise ValueError(f"vertex {x} outside the first graph")
+        if y is not None and not 1 <= y <= b.n:
+            raise ValueError(f"vertex {y} outside the second graph")
+        if x is not None and a.color_of(x) != b.color_of(y):
+            return False
+    placed = [(x, y) for x, y in zip(ta, tb) if x is not None]
+    for i in range(len(placed)):
+        for j in range(i + 1, len(placed)):
+            (x1, y1), (x2, y2) = placed[i], placed[j]
+            if (x1 == x2) != (y1 == y2):
+                return False
+            if a.has_edge(x1, x2) != b.has_edge(y1, y2):
+                return False
+    return True
+
+
+def _slot_ok(a: ColoredGraph, b: ColoredGraph) -> np.ndarray:
+    """(n+1, m+1) mask: blank pairs with blank, colors match otherwise."""
+    ok = np.zeros((a.n + 1, b.n + 1), dtype=bool)
+    ok[0, 0] = True
+    ca = np.asarray(a.colors)
+    cb = np.asarray(b.colors)
+    ok[1:, 1:] = ca[:, None] == cb[None, :]
+    return ok
+
+
+def _pair_ok(a: ColoredGraph, b: ColoredGraph) -> np.ndarray:
+    """(n+1, m+1, n+1, m+1) mask over (a_i, b_i, a_j, b_j): the two
+    pebble pairs agree on equality and adjacency. Entries touching a
+    blank are vacuously true; slot alignment is handled elsewhere."""
+    n, m = a.n, b.n
+    eq_a = np.eye(n, dtype=bool)
+    eq_b = np.eye(m, dtype=bool)
+    adj_a = np.zeros((n, n), dtype=bool)
+    for u, v in a.edges:
+        adj_a[u - 1, v - 1] = adj_a[v - 1, u - 1] = True
+    adj_b = np.zeros((m, m), dtype=bool)
+    for u, v in b.edges:
+        adj_b[u - 1, v - 1] = adj_b[v - 1, u - 1] = True
+    ok = np.ones((n + 1, m + 1, n + 1, m + 1), dtype=bool)
+    ok[1:, 1:, 1:, 1:] = (
+        eq_a[:, None, :, None] == eq_b[None, :, None, :]
+    ) & (adj_a[:, None, :, None] == adj_b[None, :, None, :])
+    return ok
+
+
+def _expand(arr: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
+    shape = [1] * ndim
+    for size, ax in zip(arr.shape, axes):
+        shape[ax] = size
+    return arr.reshape(shape)
+
+
+def pebble_game(
+    a: ColoredGraph, b: ColoredGraph, s: int
+) -> tuple[bool, int | None]:
+    """(start position alive, round in which it died).
+
+    A position is a pair of s-tuples with index 0 for a blank pebble.
+    The greatest fixpoint starts from every position whose tuples align
+    their blanks and induce a partial isomorphism, then deletes, round
+    by round and simultaneously, each position with a spoiler move
+    (side, pebble, target vertex) that has no reply inside the surviving
+    set. Dense boolean array over ((|A|+1)(|B|+1))^s positions: keep
+    the inputs small.
+    """
+    ndim = 2 * s
+    slot = _slot_ok(a, b)
+    live = _expand(slot, (0, 1), ndim).copy()
+    for i in range(1, s):
+        live = live & _expand(slot, (2 * i, 2 * i + 1), ndim)
+    if s > 1:
+        pair = _pair_ok(a, b)
+        for i in range(s):
+            for j in range(i + 1, s):
+                live = live & _expand(
+                    pair, (2 * i, 2 * i + 1, 2 * j, 2 * j + 1), ndim
+                )
+    live = np.ascontiguousarray(live)
+
+    start = (0,) * ndim
+    death_round: int | None = None
+    rounds = 0
+    while True:
+        rounds += 1
+        new = live
+        for i in range(s):
+            a_ax, b_ax = 2 * i, 2 * i + 1
+            sl = tuple(
+                slice(1, None) if ax in (a_ax, b_ax) else slice(None)
+                for ax in range(ndim)
+            )
+            block = live[sl]
+            # spoiler plays pebble i in A: every target needs a reply
+            ok_a = block.any(axis=b_ax).all(axis=a_ax)
+            # spoiler plays pebble i in B
+            ok_b = block.any(axis=a_ax).all(axis=b_ax - 1)
+            move_ok = ok_a & ok_b
+            keep = [ax for ax in range(ndim) if ax not in (a_ax, b_ax)]
+            new = new & _expand(move_ok, tuple(keep), ndim)
+        if death_round is None and not new[start]:
+            death_round = rounds
+        if np.array_equal(new, live):
+            break
+        live = new
+    return bool(live[start]), death_round
 
 
 # ---------------------------------------------------------------------------

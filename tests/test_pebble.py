@@ -8,14 +8,29 @@ from fomc.graphs import ColoredGraph, gen_path
 from fomc.pebble import (
     ResourceLimitError,
     fo_s_equivalent,
-    is_s_partial_isomorphism,
-    position_space_size,
     spoiler_distance,
     type_census,
 )
 from fomc.randgen import random_formula, random_graph
 
-from .oracles import all_labeled_graphs, graphs_isomorphic
+from .oracles import (
+    all_labeled_graphs,
+    graphs_isomorphic,
+    is_s_partial_isomorphism,
+    pebble_game,
+)
+
+
+def relabel(rng: random.Random, g: ColoredGraph) -> ColoredGraph:
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    mapping = {v: perm[v - 1] for v in g.vertices}
+    colors = [0] * g.n
+    for v in g.vertices:
+        colors[mapping[v] - 1] = g.color_of(v)
+    return ColoredGraph.build(
+        g.n, [(mapping[u], mapping[v]) for u, v in g.edges], colors, c=g.c
+    )
 
 
 def test_s_partial_isomorphism_blank_alignment():
@@ -100,18 +115,7 @@ def test_isomorphic_relabelings_equivalent():
     rng = random.Random(61)
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 6), colors=2)
-        perm = list(g.vertices)
-        rng.shuffle(perm)
-        mapping = {v: perm[v - 1] for v in g.vertices}
-        h_colors = [0] * g.n
-        for v in g.vertices:
-            h_colors[mapping[v] - 1] = g.color_of(v)
-        h = ColoredGraph.build(
-            g.n,
-            [(mapping[u], mapping[v]) for u, v in g.edges],
-            h_colors,
-            c=g.c,
-        )
+        h = relabel(rng, g)
         for s in (1, 2, 3):
             assert fo_s_equivalent(g, h, s)
 
@@ -165,10 +169,59 @@ def test_census_four_vertex_graphs_with_four_pebbles():
     assert len(blocks) == 11
 
 
+def test_refinement_matches_the_referee_game():
+    # verdicts and death rounds of the dense s-pebble game, on random
+    # pairs with and without equal vertex counts
+    rng = random.Random(63)
+    separated = 0
+    for _ in range(400):
+        s = rng.randint(1, 3)
+        colors = rng.randint(1, 2)
+        n = rng.randint(1, 6)
+        m = n if rng.random() < 0.4 else rng.randint(1, 6)
+        a = random_graph(rng, n, colors=colors, edge_prob=rng.uniform(0.1, 0.7))
+        b = random_graph(rng, m, colors=colors, edge_prob=rng.uniform(0.1, 0.7))
+        alive, death_round = pebble_game(a, b, s)
+        assert fo_s_equivalent(a, b, s) == alive, (a, b, s)
+        assert spoiler_distance(a, b, s) == death_round, (a, b, s)
+        separated += not alive
+    # both verdicts occur often enough to matter
+    assert 100 < separated < 350
+
+
+def test_census_matches_pairwise_referee_games():
+    rng = random.Random(64)
+    graphs = [gen_path(n) for n in range(1, 6)]
+    graphs += [random_graph(rng, rng.randint(1, 5), colors=2) for _ in range(8)]
+    graphs += [relabel(rng, g) for g in rng.sample(graphs, 5)]
+    rng.shuffle(graphs)
+    for s in (1, 2, 3):
+        blocks: list[list[int]] = []
+        for idx, g in enumerate(graphs):
+            for block in blocks:
+                if pebble_game(g, graphs[block[0]], s)[0]:
+                    block.append(idx)
+                    break
+            else:
+                blocks.append([idx])
+        assert type_census(graphs, s) == blocks, s
+
+
 def test_resource_refusal():
     big = gen_path(60)
+    # the cap counts the (n+1)^s tuples refinement stores per graph
     with pytest.raises(ResourceLimitError):
-        fo_s_equivalent(big, gen_path(59), 3, cap=10**6)
-    assert position_space_size(big, gen_path(59), 3) > 10**6
+        fo_s_equivalent(big, gen_path(59), 3, cap=61**3 + 60**3 - 1)
+    with pytest.raises(ResourceLimitError):
+        fo_s_equivalent(gen_path(5), gen_path(6), 3, cap=6**3 + 7**3 - 1)
+    assert not fo_s_equivalent(gen_path(5), gen_path(6), 3, cap=6**3 + 7**3)
     # identical graphs short-circuit before the cap check
     assert fo_s_equivalent(big, big, 3, cap=10)
+    assert type_census([big, big], 3, cap=10) == [[0, 1]]
+
+
+def test_paths_beyond_the_dense_game_are_decided():
+    # the dense game needed 9.8e7 positions here and was refused
+    p20 = gen_path(20)
+    assert not fo_s_equivalent(p20, gen_path(21), 3)
+    assert fo_s_equivalent(p20, relabel(random.Random(65), p20), 3)

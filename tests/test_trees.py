@@ -19,6 +19,7 @@ from fomc.trees import (
     write_tree,
     write_tree_model,
 )
+from fomc import trees
 from fomc.randgen import random_graph, random_tree, random_tree_model
 
 from .oracles import treedepth_oracle
@@ -49,6 +50,14 @@ def test_tree_validation():
         RootedColoredTree(n=2, root=1, parents=(0, 2), colors=(1, 1), c=1)
     with pytest.raises(ValueError):
         RootedColoredTree(n=3, root=1, parents=(0, 3, 2), colors=(1, 1, 1), c=1)
+
+
+def test_depths_of_a_long_path_rooted_at_its_largest_id():
+    # vertex 1 climbs through every other vertex; the cycle check on that
+    # chain must not cost a scan per step
+    n = 20000
+    path = RootedColoredTree.build({v: v + 1 if v < n else 0 for v in range(1, n + 1)})
+    assert path.depths == tuple(n - v for v in range(1, n + 1))
 
 
 def test_tree_graph_round_trip():
@@ -116,9 +125,7 @@ def test_compute_elimination_forest_matches_oracle_random():
             rng, rng.randint(1, 12), colors=1, edge_prob=rng.uniform(0.15, 0.5)
         )
         td = treedepth_oracle(g)
-        for k in (td - 1, td, td + 1):
-            if k < 1:
-                continue
+        for k in range(1, td + 2):
             ef = compute_elimination_forest(g, k)
             if k < td:
                 assert ef is None
@@ -140,8 +147,24 @@ def test_compute_elimination_forest_matches_oracle_exhaustive():
         )
         td = treedepth_oracle(g)
         assert compute_elimination_forest(g, td) is not None
-        if td > 1:
-            assert compute_elimination_forest(g, td - 1) is None
+        for k in range(1, td):
+            assert compute_elimination_forest(g, k) is None
+
+
+def test_compute_elimination_forest_prunes_with_its_budget(monkeypatch):
+    # the exact search on this graph makes over 500000 component splits
+    # whatever k is; a budget of 2 rules out every root choice at once
+    g = random_graph(random.Random(16), 16, colors=1, edge_prob=0.5)
+    calls = [0]
+    split = trees._components
+
+    def counting(*args):
+        calls[0] += 1
+        return split(*args)
+
+    monkeypatch.setattr(trees, "_components", counting)
+    assert compute_elimination_forest(g, 2) is None
+    assert calls[0] < 2000
 
 
 def test_forest_file_round_trip():
