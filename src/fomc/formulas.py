@@ -307,7 +307,10 @@ def rename_variables(f: Formula, mapping: Mapping[Var, Var]) -> Formula:
 def substitute_edge_atoms(
     f: Formula, subst: Callable[[Var, Var], Formula]
 ) -> Formula:
-    """Replace each adjacency atom ``adj(u,v)`` by ``subst(u, v)``."""
+    """Replace each adjacency atom ``adj(u,v)`` by ``subst(u, v)``.
+
+    No pipeline calls this; it stays because the benchmark's tracer
+    (``perfbench/spans.py``) resolves it by name."""
 
     def leave(node: Formula, parts: Sequence[Formula], _env: None) -> Formula:
         if isinstance(node, Adj):

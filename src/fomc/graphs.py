@@ -89,6 +89,26 @@ class ColoredGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
+    def induced_subgraph(self, vertices: Iterable[int]) -> "ColoredGraph":
+        """The subgraph induced on ``vertices``, relabeled to 1..m in
+        ascending id order; colors and the palette ``c`` are kept."""
+        kept = sorted(set(vertices))
+        if not kept:
+            raise ValueError("an induced subgraph needs at least one vertex")
+        if not (1 <= kept[0] and kept[-1] <= self.n):
+            raise ValueError(f"vertices must lie in 1..{self.n}")
+        relabel = {old: new for new, old in enumerate(kept, start=1)}
+        return ColoredGraph(
+            n=len(kept),
+            colors=tuple(self.color_of(v) for v in kept),
+            c=self.c,
+            edges=frozenset(
+                (relabel[u], relabel[v])
+                for u, v in self.edges
+                if u in relabel and v in relabel
+            ),
+        )
+
 
 def disjoint_union(parts: Sequence[ColoredGraph]) -> ColoredGraph:
     """Union with the vertex blocks laid out in order; colors preserved."""

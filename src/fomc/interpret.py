@@ -11,20 +11,30 @@ formula's auxiliary variables renamed into a reserved pool so the
 variable count grows by at most ``variable_overhead``.
 
 Color atoms translate through an optional per-color formula table; the
-identity is assumed when the table is absent. The tree pipelines need
-this because their hosts carry composite colors.
+identity is assumed when the table is absent. The interpretations that
+recover a graph from its tree encodings need this, because those hosts
+carry composite colors.
 
 Pipelines:
 
 * ``mc_tree``: reduce the tree to its small equivalent core, then run
   the naive evaluator on the core.
-* ``mc_treedepth``: find an elimination forest of height at most k,
-  re-encode it as a colored tree whose colors carry (depth, original
-  color, adjacency bits toward ancestors), translate the sentence
-  through the matching interpretation, and hand off to ``mc_tree``.
-* ``mc_treemodel``: same shape, with the host tree re-colored by
-  (leaf flag, graph color, model color, depth) and the edge formula
-  assembled from the model's (color, color, distance) rule.
+* ``mc_treedepth``: find an elimination forest of height at most k and
+  encode it as a colored tree whose colors carry (depth, original
+  color, adjacency bits toward ancestors).
+* ``mc_treemodel``: recolor the model tree by (leaf flag, graph color,
+  model color, depth).
+
+Both decomposition pipelines then reduce the host tree at budget
+s + overhead (``FOREST_OVERHEAD``, ``TREE_MODEL_OVERHEAD``: the extra
+variables the matching interpretation needs) and evaluate the original
+s-variable sentence on the graph's induced subgraph on the kept graph
+vertices. The kernel is ancestor-closed and both interpretations read
+only depth, color and ancestry, so interpreting the kernel gives exactly
+that subgraph; the kernel agrees with the host on s + overhead
+variables, so the subgraph agrees with the graph on s variables. No
+sentence is translated on this path; translating through the scheme and
+evaluating on the kernel is the test suite's referee.
 """
 
 from __future__ import annotations
@@ -43,7 +53,6 @@ from .formulas import (
     HasColor,
     Implies,
     Not,
-    Or,
     Var,
     all_vars,
     canonical_false,
@@ -68,6 +77,13 @@ from .trees import (
 )
 
 X1, X2, X3 = Var(1), Var(2), Var(3)
+
+#: Variables the interpretation that recovers a graph from its encoded
+#: elimination forest needs beyond those of the sentence.
+FOREST_OVERHEAD = 2
+#: The same for the interpretation that recovers a graph from its
+#: recolored tree-model.
+TREE_MODEL_OVERHEAD = 3
 
 #: A scheme formula and the renaming of its auxiliary variables.
 Instance = tuple[Formula, dict[Var, Var]]
@@ -375,38 +391,55 @@ def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
     return InterpretationScheme(
         domain_formula=Not(HasColor(1, X1)),
         edge_formula=edge,
-        variable_overhead=2,
+        variable_overhead=FOREST_OVERHEAD,
         color_formulas=color_formulas,
     )
+
+
+def _require_budget(sentence: Formula, s: int) -> None:
+    require_sentence(sentence)
+    if variable_count(sentence) > s:
+        raise ValueError(
+            f"sentence uses {variable_count(sentence)} variables, budget is {s}"
+        )
+
+
+def _decide_on_kernel(
+    g: ColoredGraph, host: RootedColoredTree, sentence: Formula, budget: int
+) -> bool:
+    """Evaluate the sentence on g's induced subgraph on the graph
+    vertices that the kernel of ``host`` at ``budget`` keeps.
+
+    ``host`` must encode g with graph vertex v as host vertex v and every
+    other host vertex above g.n, under an interpretation that reads only
+    depth, color and ancestry and needs ``budget - s`` extra variables
+    for s-variable sentences. The kernel is ancestor-closed, so that
+    interpretation maps it to exactly this induced subgraph, and the
+    kernel agrees with the host on every sentence with ``budget``
+    variables, so the subgraph agrees with g on every sentence with s
+    variables.
+    """
+    kept = reduce_tree(host, budget).kept
+    return model_check(g.induced_subgraph(v for v in kept if v <= g.n), sentence)
 
 
 def mc_tree(t: RootedColoredTree, sentence: Formula, s: int) -> bool:
     """Decide the sentence on a colored tree by evaluating on its
     reduced core. Requires the sentence to use at most ``s`` variables."""
-    require_sentence(sentence)
-    if variable_count(sentence) > s:
-        raise ValueError(
-            f"sentence uses {variable_count(sentence)} variables, budget is {s}"
-        )
+    _require_budget(sentence, s)
     core = reduce_tree(t, s).kernel
     return model_check(core.to_graph(), sentence)
 
 
 def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
-    """Decide the sentence on a graph of tree-depth at most ``k`` via
-    the encoded elimination forest."""
-    require_sentence(sentence)
-    if variable_count(sentence) > s:
-        raise ValueError(
-            f"sentence uses {variable_count(sentence)} variables, budget is {s}"
-        )
+    """Decide the sentence on a graph of tree-depth at most ``k`` on the
+    kernel of its encoded elimination forest."""
+    _require_budget(sentence, s)
     ef = compute_elimination_forest(g, k)
     if ef is None:
         raise ValueError(f"the graph has tree-depth larger than {k}")
     host = encode_elimination_forest(g, ef)
-    scheme = depth_edge_interpretation(ef.height, g.c)
-    translated = backwards_translate(sentence, scheme)
-    return mc_tree(host, translated, s + scheme.variable_overhead)
+    return _decide_on_kernel(g, host, sentence, s + FOREST_OVERHEAD)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +447,15 @@ def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
 #
 # The host is the model tree recolored with composite colors
 # (leaf flag, graph color of the leaf or 0, model color, depth); the
-# palette enumerates the realized composites in sorted order. The edge
-# formula turns every positive rule entry (c1, c2, d) into "the two
-# leaves carry model colors {c1,c2} and their tree distance is exactly
-# d", where distance-d is phrased as "some common ancestor at upward
-# distances i+j = d, and none closer". Upward chains reuse x4, x5 with
-# the meeting point pinned at x3, so the overhead is 3.
+# palette enumerates the realized composites in sorted order. The leaves
+# are the graph vertices, and the adjacency of two leaves follows from
+# their model colors and their distance, which depth and ancestry
+# determine. Phrased as an interpretation, distance-d is "some common
+# ancestor at upward distances i+j = d, and none closer", with upward
+# chains reusing two variables and the meeting point pinned at a third.
 
 
-def _tree_model_host(
-    g: ColoredGraph, tm: TreeModel
-) -> tuple[RootedColoredTree, InterpretationScheme]:
+def _tree_model_host(g: ColoredGraph, tm: TreeModel) -> RootedColoredTree:
     t = tm.tree
     leaves = t.leaves
     composites = []
@@ -440,7 +471,7 @@ def _tree_model_host(
         )
     palette = sorted(set(composites))
     code = {comp: i for i, comp in enumerate(palette, start=1)}
-    host_tree = RootedColoredTree(
+    return RootedColoredTree(
         n=t.n,
         root=t.root,
         parents=t.parents,
@@ -448,122 +479,14 @@ def _tree_model_host(
         c=len(palette),
     )
 
-    def colors_where(pred) -> list[int]:
-        return [code[comp] for comp in palette if pred(comp)]
-
-    max_depth = t.depth
-    X4, X5 = Var(4), Var(5)
-
-    def up_chain(frm: Var, start_depth: int, steps: int, to: Var) -> Formula:
-        """frm sits at start_depth; to is its ancestor ``steps`` up."""
-        if steps == 0:
-            return Eq(frm, to)
-        end = conjunction(
-            (
-                Adj(frm, to),
-                _color_set_atom(
-                    to, colors_where(lambda cp: cp[3] == start_depth - 1)
-                ),
-            )
-        )
-        if steps == 1:
-            return end
-        nxt = X4 if frm != X4 else X5
-        return Exists(
-            nxt,
-            And(
-                (
-                    Adj(frm, nxt),
-                    _color_set_atom(
-                        nxt, colors_where(lambda cp: cp[3] == start_depth - 1)
-                    ),
-                    up_chain(nxt, start_depth - 1, steps - 1, to),
-                )
-            ),
-        )
-
-    def ancestor_at(v: Var, steps: int, to: Var) -> Formula:
-        options = []
-        for d in range(steps, max_depth + 1):
-            anchor = _color_set_atom(v, colors_where(lambda cp, dd=d: cp[3] == dd))
-            options.append(conjunction((anchor, up_chain(v, d, steps, to))))
-        return disjunction(options) if options else canonical_false(v)
-
-    def within_distance(limit: int) -> Formula:
-        meets = []
-        for total in range(1, limit + 1):
-            for i in range(total + 1):
-                j = total - i
-                meets.append(
-                    Exists(
-                        X3,
-                        And((ancestor_at(X1, i, X3), ancestor_at(X2, j, X3))),
-                    )
-                )
-        return disjunction(meets) if meets else canonical_false(X1)
-
-    def distance_exactly(d: int) -> Formula:
-        if d < 1:
-            return canonical_false(X1)
-        at_most = within_distance(d)
-        if d == 1:
-            return at_most
-        return And((at_most, Not(within_distance(d - 1))))
-
-    leaf_model_colors = {}
-    for comp in palette:
-        if comp[0] == 1:
-            leaf_model_colors.setdefault(comp[2], []).append(code[comp])
-
-    def model_color_atom(v: Var, mc: int) -> Formula:
-        return _color_set_atom(v, leaf_model_colors.get(mc, []))
-
-    edge_terms = []
-    for c1, c2, d, is_edge in tm.rules:
-        if not is_edge:
-            continue
-        if c1 == c2:
-            pair = And((model_color_atom(X1, c1), model_color_atom(X2, c2)))
-        else:
-            pair = Or(
-                (
-                    And((model_color_atom(X1, c1), model_color_atom(X2, c2))),
-                    And((model_color_atom(X1, c2), model_color_atom(X2, c1))),
-                )
-            )
-        edge_terms.append(And((pair, distance_exactly(d))))
-    positive = disjunction(edge_terms) if edge_terms else canonical_false(X1)
-    edge = And((Not(Eq(X1, X2)), positive))
-
-    color_formulas = tuple(
-        (
-            orig,
-            _color_set_atom(
-                X1, colors_where(lambda cp, o=orig: cp[0] == 1 and cp[1] == o)
-            ),
-        )
-        for orig in range(1, g.c + 1)
-    )
-    scheme = InterpretationScheme(
-        domain_formula=_color_set_atom(X1, colors_where(lambda cp: cp[0] == 1)),
-        edge_formula=edge,
-        variable_overhead=3,
-        color_formulas=color_formulas,
-    )
-    return host_tree, scheme
-
 
 def mc_treemodel(
     g: ColoredGraph, tm: TreeModel, sentence: Formula, s: int
 ) -> bool:
-    """Decide the sentence on a graph given a valid tree-model for it."""
-    require_sentence(sentence)
-    if variable_count(sentence) > s:
-        raise ValueError(
-            f"sentence uses {variable_count(sentence)} variables, budget is {s}"
-        )
+    """Decide the sentence on a graph given a valid tree-model for it,
+    on the kernel of the recolored model tree."""
+    _require_budget(sentence, s)
     if not validate_tree_model(g, tm):
         raise ValueError("the tree-model does not reproduce the graph")
-    host, scheme = _tree_model_host(g, tm)
-    translated = backwards_translate(sentence, scheme)
-    return mc_tree(host, translated, s + scheme.variable_overhead)
+    host = _tree_model_host(g, tm)
+    return _decide_on_kernel(g, host, sentence, s + TREE_MODEL_OVERHEAD)

@@ -6,15 +6,19 @@ tables, the tree-depth oracle recurses on vertex subsets without
 reconstructing a witness, and isomorphism checks are plain backtracking
 searches. The pebble game is played over its dense position space,
 independently of the type refinement that decides equivalence in
-``fomc.pebble``.
+``fomc.pebble``. The decomposition pipelines are refereed by
+translating the sentence through the interpretation that recovers the
+graph from its tree encoding, where production evaluates the original
+sentence on an induced subgraph.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,9 +34,23 @@ from fomc.formulas import (
     Not,
     Or,
     Var,
+    canonical_false,
+    conjunction,
+    disjunction,
 )
 from fomc.graphs import ColoredGraph
-from fomc.trees import RootedColoredTree
+from fomc.interpret import (
+    TREE_MODEL_OVERHEAD,
+    InterpretationScheme,
+    _color_set_atom,
+    _tree_model_host,
+    backwards_translate,
+    depth_edge_interpretation,
+    encode_elimination_forest,
+    mc_tree,
+)
+from fomc.randgen import random_formula, random_tree, random_tree_model
+from fomc.trees import RootedColoredTree, TreeModel, compute_elimination_forest
 
 
 def recursive_model_check(
@@ -297,7 +315,142 @@ def pebble_game(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive corpora
+# Decomposition pipelines by translate-then-evaluate
+#
+# The production pipelines evaluate the original sentence on the graph's
+# induced subgraph on the kernel's kept graph vertices. The referee route
+# translates the sentence through the interpretation that recovers the
+# graph from its tree encoding and evaluates the translation on the
+# kernel at the budget raised by the scheme's overhead.
+
+
+def treemodel_host_and_scheme(
+    g: ColoredGraph, tm: TreeModel
+) -> tuple[RootedColoredTree, InterpretationScheme]:
+    """The model tree recolored by ``interpret._tree_model_host`` and the
+    interpretation that recovers ``g`` from it.
+
+    Every positive rule entry (c1, c2, d) becomes "the two leaves carry
+    model colors {c1,c2} and their tree distance is exactly d", where
+    distance-d is "some common ancestor at upward distances i+j = d, and
+    none closer". Upward chains reuse x4, x5 with the meeting point
+    pinned at x3, so the overhead is 3.
+    """
+    host = _tree_model_host(g, tm)
+    t = tm.tree
+    leaves = t.leaves
+    code = {}
+    for v in range(1, t.n + 1):
+        is_leaf = v in leaves
+        comp = (
+            1 if is_leaf else 0,
+            g.color_of(v) if is_leaf else 0,
+            t.color_of(v),
+            t.depth_of(v),
+        )
+        code[comp] = host.color_of(v)
+    palette = sorted(code)
+    x1, x2, x3, x4, x5 = (Var(i) for i in range(1, 6))
+
+    def colors_where(pred) -> list[int]:
+        return [code[comp] for comp in palette if pred(comp)]
+
+    def at_depth(v: Var, depth: int) -> Formula:
+        return _color_set_atom(v, colors_where(lambda cp: cp[3] == depth))
+
+    def up_chain(frm: Var, start_depth: int, steps: int, to: Var) -> Formula:
+        """frm sits at start_depth; to is its ancestor ``steps`` up."""
+        if steps == 0:
+            return Eq(frm, to)
+        if steps == 1:
+            return conjunction((Adj(frm, to), at_depth(to, start_depth - 1)))
+        nxt = x4 if frm != x4 else x5
+        return Exists(
+            nxt,
+            And(
+                (
+                    Adj(frm, nxt),
+                    at_depth(nxt, start_depth - 1),
+                    up_chain(nxt, start_depth - 1, steps - 1, to),
+                )
+            ),
+        )
+
+    def ancestor_at(v: Var, steps: int, to: Var) -> Formula:
+        options = [
+            conjunction((at_depth(v, d), up_chain(v, d, steps, to)))
+            for d in range(steps, t.depth + 1)
+        ]
+        return disjunction(options) if options else canonical_false(v)
+
+    def within_distance(limit: int) -> Formula:
+        meets = [
+            Exists(x3, And((ancestor_at(x1, i, x3), ancestor_at(x2, total - i, x3))))
+            for total in range(1, limit + 1)
+            for i in range(total + 1)
+        ]
+        return disjunction(meets) if meets else canonical_false(x1)
+
+    def distance_exactly(d: int) -> Formula:
+        if d < 1:
+            return canonical_false(x1)
+        if d == 1:
+            return within_distance(1)
+        return And((within_distance(d), Not(within_distance(d - 1))))
+
+    def model_color_atom(v: Var, mc: int) -> Formula:
+        return _color_set_atom(
+            v, colors_where(lambda cp: cp[0] == 1 and cp[2] == mc)
+        )
+
+    edge_terms = []
+    for c1, c2, d, is_edge in tm.rules:
+        if not is_edge:
+            continue
+        pair = And((model_color_atom(x1, c1), model_color_atom(x2, c2)))
+        if c1 != c2:
+            swapped = And((model_color_atom(x1, c2), model_color_atom(x2, c1)))
+            pair = Or((pair, swapped))
+        edge_terms.append(And((pair, distance_exactly(d))))
+    positive = disjunction(edge_terms) if edge_terms else canonical_false(x1)
+    return host, InterpretationScheme(
+        domain_formula=_color_set_atom(x1, colors_where(lambda cp: cp[0] == 1)),
+        edge_formula=And((Not(Eq(x1, x2)), positive)),
+        variable_overhead=TREE_MODEL_OVERHEAD,
+        color_formulas=tuple(
+            (
+                orig,
+                _color_set_atom(
+                    x1, colors_where(lambda cp, o=orig: cp[0] == 1 and cp[1] == o)
+                ),
+            )
+            for orig in range(1, g.c + 1)
+        ),
+    )
+
+
+def treedepth_host_and_scheme(
+    g: ColoredGraph, k: int
+) -> tuple[RootedColoredTree, InterpretationScheme]:
+    """The encoded elimination forest of height at most k and the
+    interpretation that recovers ``g`` from it."""
+    ef = compute_elimination_forest(g, k)
+    if ef is None:
+        raise ValueError(f"the graph has tree-depth larger than {k}")
+    return encode_elimination_forest(g, ef), depth_edge_interpretation(ef.height, g.c)
+
+
+def mc_by_translation(
+    host: RootedColoredTree, scheme: InterpretationScheme, sentence: Formula, s: int
+) -> bool:
+    """Translate the s-variable sentence through the scheme and decide
+    the translation on the host's kernel at budget s + overhead."""
+    translated = backwards_translate(sentence, scheme)
+    return mc_tree(host, translated, s + scheme.variable_overhead)
+
+
+# ---------------------------------------------------------------------------
+# Corpora
 
 def all_labeled_graphs(n: int, colors: int = 1) -> list[ColoredGraph]:
     """Every labeled graph on exactly n vertices (single coloring)."""
@@ -363,3 +516,36 @@ def all_colored_rooted_trees(
     for n in range(1, max_n + 1):
         out.extend(realize(s) for s in shapes(n, max_depth))
     return out
+
+
+class PipelineFixtures(NamedTuple):
+    sentences: tuple[Formula, ...]
+    trees: tuple[RootedColoredTree, ...]
+    treedepth_graphs: tuple[ColoredGraph, ...]
+    tree_models: tuple[tuple[ColoredGraph, TreeModel], ...]
+
+
+@lru_cache(maxsize=None)
+def pipeline_fixtures() -> PipelineFixtures:
+    """The inputs of acceptance criterion 3: 100 sentences with 3
+    variables, 120 random trees, every atlas graph of tree-depth at most
+    3, and 100 random tree-models."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = random.Random(31337)
+    sentences = tuple(random_formula(rng, 3, 2, 4) for _ in range(100))
+    trees = tuple(random_tree(rng, rng.randint(1, 25), 3, colors=3) for _ in range(120))
+    graphs = []
+    for G in graph_atlas_g():
+        if G.number_of_nodes() == 0:
+            continue
+        g = ColoredGraph.build(
+            G.number_of_nodes(), [(u + 1, v + 1) for u, v in G.edges()]
+        )
+        if compute_elimination_forest(g, 3) is not None:
+            graphs.append(g)
+    tree_models = tuple(
+        random_tree_model(rng, rng.randint(1, 8), 2, tree_colors=2, graph_colors=2)
+        for _ in range(100)
+    )
+    return PipelineFixtures(sentences, trees, tuple(graphs), tree_models)

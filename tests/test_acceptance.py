@@ -27,7 +27,7 @@ from fomc.interpret import (
 )
 from fomc.kernel import kernel_size_bound, reduce_tree, verify_kernel
 from fomc.pebble import ResourceLimitError, type_census
-from fomc.randgen import random_formula, random_graph, random_tree, random_tree_model
+from fomc.randgen import random_formula, random_graph, random_tree
 from fomc.trees import compute_elimination_forest, write_tree
 
 from .oracles import (
@@ -35,6 +35,7 @@ from .oracles import (
     all_labeled_graphs,
     bfs_distances,
     graphs_isomorphic,
+    pipeline_fixtures,
     recursive_model_check,
 )
 
@@ -105,44 +106,24 @@ def test_criterion_2_kernel_fixed_point_and_determinism():
     report("2 kernel-fixed-point", failures)
 
 
-def _treedepth_corpus():
-    from networkx.generators.atlas import graph_atlas_g
-
-    corpus = []
-    for G in graph_atlas_g():
-        if G.number_of_nodes() == 0:
-            continue
-        g = ColoredGraph.build(
-            G.number_of_nodes(), [(u + 1, v + 1) for u, v in G.edges()]
-        )
-        if compute_elimination_forest(g, 3) is not None:
-            corpus.append(g)
-    return corpus
-
-
 def test_criterion_3_pipeline_agreement():
     failures: list = []
-    rng = random.Random(31337)
-    sentences = [random_formula(rng, 3, 2, 4) for _ in range(100)]
+    fx = pipeline_fixtures()
+    sentences = fx.sentences
     assert all(variable_count(f) <= 3 and quantifier_rank(f) <= 4 for f in sentences)
 
-    trees = [random_tree(rng, rng.randint(1, 25), 3, colors=3) for _ in range(120)]
-    for tree in trees:
+    for tree in fx.trees:
         graph = tree.to_graph()
         for phi in sentences:
             if mc_tree(tree, phi, 3) != model_check(graph, phi):
                 failures.append(("mc_tree", tree, phi))
 
-    for g in _treedepth_corpus():
+    for g in fx.treedepth_graphs:
         for phi in sentences:
             if mc_treedepth(g, phi, 3, 3) != model_check(g, phi):
                 failures.append(("mc_treedepth", g, phi))
 
-    fixtures = [
-        random_tree_model(rng, rng.randint(1, 8), 2, tree_colors=2, graph_colors=2)
-        for _ in range(100)
-    ]
-    for g, tm in fixtures:
+    for g, tm in fx.tree_models:
         for phi in sentences:
             if mc_treemodel(g, tm, phi, 3) != model_check(g, phi):
                 failures.append(("mc_treemodel", g, phi))

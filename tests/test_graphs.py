@@ -51,6 +51,18 @@ def test_gen_path():
         gen_path(0)
 
 
+def test_induced_subgraph():
+    # path 1-2-3-4-5 colored 1,2,1,3,1 over a palette of 4
+    g = ColoredGraph.build(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [1, 2, 1, 3, 1], c=4)
+    sub = g.induced_subgraph([5, 2, 4, 2])
+    # 2, 4, 5 relabeled to 1, 2, 3; only edge 4-5 lies inside the set
+    assert sub == ColoredGraph(n=3, colors=(2, 3, 1), c=4, edges=frozenset({(2, 3)}))
+    assert g.induced_subgraph(g.vertices) == g
+    for bad in ([], [0, 1], [6], [2, 6]):
+        with pytest.raises(ValueError):
+            g.induced_subgraph(bad)
+
+
 def test_half_graph():
     g1, a1, b1 = gen_half_graph(1)
     assert g1.edges == {(1, 2)}

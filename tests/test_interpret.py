@@ -16,7 +16,6 @@ from fomc.formulas import (
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.interpret import (
     InterpretationScheme,
-    _tree_model_host,
     apply_interpretation,
     backwards_translate,
     complement_interpretation,
@@ -27,6 +26,7 @@ from fomc.interpret import (
     mc_treedepth,
     mc_treemodel,
 )
+from fomc.kernel import reduce_tree
 from fomc.trees import (
     RootedColoredTree,
     TreeModel,
@@ -35,7 +35,13 @@ from fomc.trees import (
 )
 from fomc.randgen import random_formula, random_graph, random_tree, random_tree_model
 
-from .oracles import all_labeled_graphs
+from .oracles import (
+    all_labeled_graphs,
+    mc_by_translation,
+    pipeline_fixtures,
+    treedepth_host_and_scheme,
+    treemodel_host_and_scheme,
+)
 
 x1, x2 = Var(1), Var(2)
 
@@ -283,7 +289,7 @@ def test_tree_model_round_trip():
     rng = random.Random(37)
     for _ in range(30):
         g, tm = random_tree_model(rng, rng.randint(2, 7), 2)
-        host, scheme = _tree_model_host(g, tm)
+        host, scheme = treemodel_host_and_scheme(g, tm)
         back = apply_interpretation(scheme, host.to_graph())
         assert back.n == g.n
         assert back.edges == g.edges
@@ -295,3 +301,40 @@ def test_single_leaf_tree_model():
     g = gen_path(1)
     assert validate_tree_model(g, tm)
     assert mc_treemodel(g, tm, parse_formula("exists x1. C1(x1)"), 1)
+
+
+# ---------------------------------------------------------------------------
+# Referee: translate-then-evaluate on the acceptance fixtures
+
+def _referee_cases():
+    """(g, tree-model or None, host, scheme, host ids of g's vertices):
+    the forest encoding keeps g's ids and may add a spare root; the
+    tree-model's leaves are g's vertices."""
+    fx = pipeline_fixtures()
+    for g in fx.treedepth_graphs:
+        yield g, None, *treedepth_host_and_scheme(g, 3), frozenset(g.vertices)
+    for g, tm in fx.tree_models:
+        yield g, tm, *treemodel_host_and_scheme(g, tm), tm.tree.leaves
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_interpreted_kernel_is_induced_subgraph(s):
+    # both sides relabel ascending, so the graphs are equal, which is
+    # stronger than isomorphic
+    for g, _, host, scheme, graph_ids in _referee_cases():
+        res = reduce_tree(host, s + scheme.variable_overhead)
+        image = apply_interpretation(scheme, res.kernel.to_graph())
+        assert image == g.induced_subgraph(res.kept & graph_ids)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pipelines_agree_with_translation_referee(s):
+    rng = random.Random(600 + s)
+    for g, tm, host, scheme, _ in _referee_cases():
+        for _ in range(3):
+            phi = random_formula(rng, s, 2, 4)
+            if tm is None:
+                got = mc_treedepth(g, phi, 3, s)
+            else:
+                got = mc_treemodel(g, tm, phi, s)
+            assert got == mc_by_translation(host, scheme, phi, s), (g, phi)
