@@ -2,18 +2,16 @@
 
 The pieces, bottom up:
 
-* ``walk_formula(k, perm)``: a three-free-variable formula asserting a
-  length-k walk from a to c through b whose steps never immediately
-  backtrack. It recurses through a fixed rotation of the four variable
-  slots so the whole family fits in four variable names.
-* ``distance_formula(k)``: on paths, non-backtracking walks are simple,
-  so existentially closing the walk's second vertex characterizes "the
-  distance between x1 and x2 is exactly k". Linear size in k.
-* ``edge_encoding_formula(g, ordering)``: hardcodes the adjacency matrix
-  of g against an n-vertex path: with x1 pinned to a path endpoint, the
-  i-th vertex of the ordering is represented by the path vertex at
-  distance i-1 from x1. One disjunct per ordered adjacent pair, size
-  cubic in n.
+* ``distance_formula(k)``: on any path, holds of the pairs (x1, x2) at
+  distance exactly k. It asserts a length-k walk from x1 to x2 whose
+  steps never immediately backtrack; on paths such walks are simple.
+  Each step names its two endpoints and the next vertex from a window
+  of three variables that rotates by one place per step, so the whole
+  family fits in four variable names. Linear size in k.
+* ``edge_encoding_formula(g)``: hardcodes the adjacency matrix of g
+  against an n-vertex path: with x1 pinned to a path endpoint, vertex i
+  of g is represented by the path vertex at distance i-1 from x1. One
+  disjunct per ordered adjacent pair, size cubic in n.
 * ``reduce_to_path(g, sentence)``: rewrites a sentence about g into one
   about the bare n-vertex path. Quantifiers are renamed so depth d binds
   x_{d+1}, adjacency atoms become renamed copies of the edge encoding,
@@ -23,12 +21,17 @@ The pieces, bottom up:
   degree-one guard. The output uses at most max(q+1, 4) variable names,
   where q is the quantifier rank of the input.
 
+Every formula is built by a loop, so no size of g meets the Python
+recursion limit here; formulas are immutable, so copies that occur more
+than once are built once and shared.
+
 ``cross_validate`` runs both sides through the evaluator and reports
 whether they agree.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,87 +56,52 @@ from .formulas import (
 )
 from .graphs import ColoredGraph, gen_path
 
-Perm4 = tuple[int, int, int, int]
-
-IDENTITY: Perm4 = (1, 2, 3, 4)
-#: Slot rotation applied at each unfolding step of the walk formula.
-STEP_ROTATION: Perm4 = (2, 4, 3, 1)
-#: Slot arrangement that turns the walk family into the distance family.
-DISTANCE_SLOTS: Perm4 = (1, 3, 2, 4)
-
-
-def compose(outer: Perm4, inner: Perm4) -> Perm4:
-    return tuple(outer[inner[i] - 1] for i in range(4))  # type: ignore[return-value]
-
-
-def _check_perm(perm: Perm4) -> None:
-    if sorted(perm) != [1, 2, 3, 4]:
-        raise ValueError(f"not a permutation of 1..4: {perm}")
-
-
-def walk_formula(k: int, perm: Perm4 = IDENTITY) -> Formula:
-    """Free variables x_{perm(1)}, x_{perm(2)}, x_{perm(3)}: there is a
-    walk (w0, w1, ..., wk) with w0, w1 at the first two slots and wk at
-    the third, never stepping straight back (w_{i-1} != w_{i+1})."""
-    _check_perm(perm)
-    if k < 1:
-        raise ValueError("walk length must be at least 1")
-    a, b, c, d = (Var(i) for i in perm)
-    if k == 1:
-        return And((Adj(a, b), Eq(b, c)))
-    inner = walk_formula(k - 1, compose(perm, STEP_ROTATION))
-    return And(
-        (Adj(a, b), Exists(d, And((Not(Eq(a, d)), Adj(b, d), inner))))
-    )
-
 
 def distance_formula(k: int) -> Formula:
     """On any path, satisfied by the vertex pairs (x1, x2) at distance
-    exactly ``k``. Uses at most the four variables x1..x4; linear size."""
+    exactly ``k``. Uses at most the four variables x1..x4; linear size.
+
+    The formula asserts a walk x1 = w0, w1, ..., wk = x2 with
+    w_{i-1} != w_{i+1}. Step i moves from a to b and binds the next
+    vertex d, where (a, b, d) is the window (x1, x3, x4) rotated i
+    places to the left; the name two steps back is the one reused.
+    """
     if k < 0:
         raise ValueError("distance must be nonnegative")
     if k == 0:
         return Eq(Var(1), Var(2))
-    return Exists(Var(3), walk_formula(k, DISTANCE_SLOTS))
+    window = (Var(1), Var(3), Var(4))
+
+    def step(i: int) -> tuple[Var, Var, Var]:
+        return window[i % 3], window[(i + 1) % 3], window[(i + 2) % 3]
+
+    a, b, _ = step(k - 1)
+    walk: Formula = And((Adj(a, b), Eq(b, Var(2))))
+    for i in reversed(range(k - 1)):
+        a, b, d = step(i)
+        walk = And((Adj(a, b), Exists(d, And((Not(Eq(a, d)), Adj(b, d), walk)))))
+    return Exists(Var(3), walk)
 
 
-def edge_encoding_formula(
-    g: ColoredGraph, ordering: tuple[int, ...] | None = None
-) -> Formula:
+def edge_encoding_formula(g: ColoredGraph) -> Formula:
     """Free variables x1, x2, x3: with x1 a path endpoint, holds of
     (p, u, v) exactly when the vertices encoded by u and v are adjacent
     in ``g``.
 
-    The i-th vertex of ``ordering`` (default: ascending ids) is encoded
-    as the path vertex at distance i-1 from the endpoint, so the i=1
-    vertex is the endpoint itself. An edgeless graph yields the
-    canonical false formula.
+    Vertex i is encoded as the path vertex at distance i-1 from the
+    endpoint, so vertex 1 is the endpoint itself. An edgeless graph
+    yields the canonical false formula.
     """
-    order = ordering if ordering is not None else tuple(g.vertices)
-    if sorted(order) != list(g.vertices):
-        raise ValueError("ordering must be a permutation of the vertices")
-    position = {v: i for i, v in enumerate(order, start=1)}
-    swap_23 = {Var(2): Var(3), Var(3): Var(2)}
-    disjuncts = []
-    for i, u in enumerate(order, start=1):
-        for j, v in enumerate(order, start=1):
-            if g.has_edge(u, v):
-                disjuncts.append(
-                    And(
-                        (
-                            distance_formula(i - 1),
-                            rename_variables(distance_formula(j - 1), swap_23),
-                        )
-                    )
-                )
-    if not disjuncts:
+    if not g.edges:
         return canonical_false(Var(1))
-    return disjunction(disjuncts)
+    at_x2 = {v: distance_formula(v - 1) for e in g.edges for v in e}
+    swap_23 = {Var(2): Var(3), Var(3): Var(2)}
+    at_x3 = {v: rename_variables(f, swap_23) for v, f in at_x2.items()}
+    arcs = sorted(arc for u, v in g.edges for arc in ((u, v), (v, u)))
+    return disjunction(And((at_x2[u], at_x3[v])) for u, v in arcs)
 
 
-def color_encoding_formula(
-    g: ColoredGraph, color: int, ordering: tuple[int, ...]
-) -> Formula:
+def color_encoding_formula(g: ColoredGraph, color: int) -> Formula:
     """Free variables x1, x2: with x1 a path endpoint, holds of (p, u)
     exactly when the vertex encoded by u has ``color`` in ``g``.
 
@@ -141,8 +109,8 @@ def color_encoding_formula(
     vertex has the color the result is ``x2=x2``; when none has it, the
     canonical false formula.
     """
-    positions = [i for i, v in enumerate(ordering) if g.color_of(v) == color]
-    if len(positions) == len(ordering):
+    positions = [v - 1 for v in g.vertices if g.color_of(v) == color]
+    if len(positions) == g.n:
         return Eq(Var(2), Var(2))
     if not positions:
         return canonical_false(Var(2))
@@ -201,8 +169,20 @@ def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
     if g.n < 3:
         raise ValueError("the reduction needs a graph on at least 3 vertices")
     normalized = _index_quantifiers_by_depth(sentence)
-    ordering = tuple(g.vertices)
-    encoding = edge_encoding_formula(g, ordering)
+    encoding = edge_encoding_formula(g)
+
+    # one renamed copy per distinct atom, shared by all its occurrences
+    @functools.cache
+    def adjacency(u: Var, v: Var) -> Formula:
+        spare = min({2, 3, 4} - {u.index, v.index})
+        return rename_variables(encoding, {Var(2): u, Var(3): v, Var(4): Var(spare)})
+
+    @functools.cache
+    def coloring(k: int, u: Var) -> Formula:
+        a, b = sorted({2, 3, 4} - {u.index})[:2]
+        return rename_variables(
+            color_encoding_formula(g, k), {Var(2): u, Var(3): Var(a), Var(4): Var(b)}
+        )
 
     def encode_atom(f: Formula, parts: Sequence[Formula], _env: None) -> Formula:
         match f:
@@ -210,16 +190,9 @@ def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
                 if u == v:
                     # adjacency on a repeated variable is false in simple graphs
                     return canonical_false(u)
-                spare = min({2, 3, 4} - {u.index, v.index})
-                return rename_variables(
-                    encoding, {Var(2): u, Var(3): v, Var(4): Var(spare)}
-                )
+                return adjacency(u, v)
             case HasColor(k, u):
-                a, b = sorted({2, 3, 4} - {u.index})[:2]
-                return rename_variables(
-                    color_encoding_formula(g, k, ordering),
-                    {Var(2): u, Var(3): Var(a), Var(4): Var(b)},
-                )
+                return coloring(k, u)
         return rebuild(f, parts)
 
     body = fold(normalized, encode_atom)
@@ -227,7 +200,9 @@ def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
         Var(2), Forall(Var(3), Implies(Adj(Var(1), Var(3)), Eq(Var(2), Var(3))))
     )
     psi = Exists(Var(1), And((body, endpoint_guard)))
-    return ReductionOutput(path=gen_path(g.n), sentence=psi, ordering=ordering)
+    return ReductionOutput(
+        path=gen_path(g.n), sentence=psi, ordering=tuple(g.vertices)
+    )
 
 
 @dataclass(frozen=True)

@@ -17,24 +17,25 @@ carry composite colors.
 
 Pipelines:
 
-* ``mc_tree``: reduce the tree to its small equivalent core, then run
-  the naive evaluator on the core.
+* ``mc_tree``: the tree is its own host, read as a graph.
 * ``mc_treedepth``: find an elimination forest of height at most k and
   encode it as a colored tree whose colors carry (depth, original
   color, adjacency bits toward ancestors).
 * ``mc_treemodel``: recolor the model tree by (leaf flag, graph color,
   model color, depth).
 
-Both decomposition pipelines then reduce the host tree at budget
-s + overhead (``FOREST_OVERHEAD``, ``TREE_MODEL_OVERHEAD``: the extra
-variables the matching interpretation needs) and evaluate the original
-s-variable sentence on the graph's induced subgraph on the kept graph
-vertices. The kernel is ancestor-closed and both interpretations read
-only depth, color and ancestry, so interpreting the kernel gives exactly
-that subgraph; the kernel agrees with the host on s + overhead
-variables, so the subgraph agrees with the graph on s variables. No
-sentence is translated on this path; translating through the scheme and
-evaluating on the kernel is the test suite's referee.
+All three take one kernel route: reduce the host tree at budget
+s + overhead (0 for ``mc_tree``; ``FOREST_OVERHEAD`` and
+``TREE_MODEL_OVERHEAD``, the extra variables the matching interpretation
+needs, for the other two) and evaluate the original s-variable sentence
+on the graph's induced subgraph on the kept graph vertices. The kernel
+is ancestor-closed and the interpretations read only depth, color and
+ancestry, so interpreting the kernel gives exactly that subgraph; the
+kernel agrees with the host on s + overhead variables, so the subgraph
+agrees with the graph on s variables. For ``mc_tree`` the subgraph is
+the kernel itself read as a graph. No sentence is translated on this
+path; translating through the scheme and evaluating on the kernel is the
+test suite's referee.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .evaluator import evaluate_free, model_check
+from .evaluator import evaluate_free
 from .formulas import (
     Adj,
     And,
@@ -417,18 +418,19 @@ def _decide_on_kernel(
     interpretation maps it to exactly this induced subgraph, and the
     kernel agrees with the host on every sentence with ``budget``
     variables, so the subgraph agrees with g on every sentence with s
-    variables.
+    variables. The caller has checked the sentence (``_require_budget``);
+    ``holds`` still refuses a result with free variables.
     """
     kept = reduce_tree(host, budget).kept
-    return model_check(g.induced_subgraph(v for v in kept if v <= g.n), sentence)
+    core = g.induced_subgraph(v for v in kept if v <= g.n)
+    return evaluate_free(core, sentence).holds
 
 
 def mc_tree(t: RootedColoredTree, sentence: Formula, s: int) -> bool:
     """Decide the sentence on a colored tree by evaluating on its
     reduced core. Requires the sentence to use at most ``s`` variables."""
     _require_budget(sentence, s)
-    core = reduce_tree(t, s).kernel
-    return model_check(core.to_graph(), sentence)
+    return _decide_on_kernel(t.to_graph(), t, sentence, s)
 
 
 def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:

@@ -32,6 +32,25 @@ from typing import Iterable, TextIO
 from .graphs import ColoredGraph, _data_lines
 
 
+def _depths_in_vertices(parents: tuple[int, ...]) -> tuple[int, ...]:
+    """Per vertex, the number of vertices on its chain of parent links up
+    to a root (parent 0), so roots have depth 1; ``parents[v-1]`` is the
+    parent of v. Each vertex is climbed over once."""
+    depths = [0] * (len(parents) + 1)  # 0: not yet known; slot 0 is "above a root"
+    for v in range(1, len(parents) + 1):
+        chain = []
+        u = v
+        while u != 0 and not depths[u]:
+            chain.append(u)
+            depths[u] = -1  # on the chain being climbed
+            u = parents[u - 1]
+        if depths[u] < 0:
+            raise ValueError("parent links contain a cycle")
+        for i, w in enumerate(reversed(chain), start=1):
+            depths[w] = depths[u] + i
+    return tuple(depths[1:])
+
+
 @dataclass(frozen=True)
 class RootedColoredTree:
     n: int
@@ -86,23 +105,7 @@ class RootedColoredTree:
     @cached_property
     def depths(self) -> tuple[int, ...]:
         """Distance in edges from the root, per vertex."""
-        depths = [-1] * (self.n + 1)
-        depths[self.root] = 0
-        for v in range(1, self.n + 1):
-            if depths[v] >= 0:
-                continue
-            chain, on_chain = [], set()
-            u = v
-            while depths[u] < 0:
-                chain.append(u)
-                on_chain.add(u)
-                u = self.parents[u - 1]
-                if u == 0 or u in on_chain:
-                    raise ValueError("parent links do not form a rooted tree")
-            base = depths[u]
-            for i, w in enumerate(reversed(chain), start=1):
-                depths[w] = base + i
-        return tuple(depths[1:])
+        return tuple(d - 1 for d in _depths_in_vertices(self.parents))
 
     @property
     def depth(self) -> int:
@@ -223,21 +226,7 @@ class EliminationForest:
     @cached_property
     def node_depths(self) -> tuple[int, ...]:
         """Depth counted in vertices: roots have depth 1."""
-        depths = [0] * (self.n + 1)
-        for v in range(1, self.n + 1):
-            if depths[v]:
-                continue
-            chain = []
-            u = v
-            while u != 0 and not depths[u]:
-                chain.append(u)
-                u = self.parents[u - 1]
-                if u in chain:
-                    raise ValueError("parent links contain a cycle")
-            base = depths[u] if u != 0 else 0
-            for i, w in enumerate(reversed(chain), start=1):
-                depths[w] = base + i
-        return tuple(depths[1:])
+        return _depths_in_vertices(self.parents)
 
     @property
     def height(self) -> int:

@@ -20,15 +20,10 @@ from fomc.formulas import (
 )
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.hardness import (
-    DISTANCE_SLOTS,
-    IDENTITY,
-    STEP_ROTATION,
-    compose,
     cross_validate,
     distance_formula,
     edge_encoding_formula,
     reduce_to_path,
-    walk_formula,
 )
 from fomc.randgen import random_formula, random_graph
 
@@ -38,49 +33,29 @@ x1, x2, x3, x4 = Var(1), Var(2), Var(3), Var(4)
 
 
 # ---------------------------------------------------------------------------
-# Walk formulas
-
-def test_walk_base_case():
-    assert walk_formula(1) == And((Adj(x1, x2), Eq(x2, x3)))
-
-
-def test_walk_recursive_case():
-    inner = walk_formula(1, compose(IDENTITY, STEP_ROTATION))
-    assert walk_formula(2) == And(
-        (Adj(x1, x2), Exists(x4, And((Not(Eq(x1, x4)), Adj(x2, x4), inner))))
-    )
-    assert inner == And((Adj(x2, x4), Eq(x4, x3)))
-
-
-def test_walk_free_variables():
-    for k in (1, 2, 5):
-        assert free_vars(walk_formula(k)) == {x1, x2, x3}
-
-
-def test_walk_length_increment_constant():
-    lengths = [formula_length(walk_formula(k)) for k in range(1, 31)]
-    diffs = {b - a for a, b in zip(lengths, lengths[1:])}
-    assert len(diffs) == 1
-
-
-def test_rotation_constants():
-    assert STEP_ROTATION == (2, 4, 3, 1)
-    assert DISTANCE_SLOTS == (1, 3, 2, 4)
-    assert compose(IDENTITY, STEP_ROTATION) == STEP_ROTATION
-
-
-def test_walk_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        walk_formula(1, (1, 1, 2, 3))
-
-
-# ---------------------------------------------------------------------------
 # Distance formulas
 
 def test_distance_zero_and_shape():
     assert distance_formula(0) == Eq(x1, x2)
     f1 = distance_formula(1)
     assert f1 == Exists(x3, And((Adj(x1, x3), Eq(x3, x2))))
+
+
+def test_distance_step_shape():
+    # one step: adj(a,b) & exists d. (!a=d & adj(b,d) & <next step>), with
+    # the window (a, b, d) moving to (b, d, a)
+    assert distance_formula(2) == Exists(
+        x3,
+        And(
+            (
+                Adj(x1, x3),
+                Exists(
+                    x4,
+                    And((Not(Eq(x1, x4)), Adj(x3, x4), And((Adj(x3, x4), Eq(x4, x2))))),
+                ),
+            )
+        ),
+    )
 
 
 def test_distance_golden_file():
@@ -117,7 +92,16 @@ def test_distance_beyond_diameter_empty():
 def test_distance_variable_economy():
     for k in range(0, 51):
         assert variable_count(distance_formula(k)) <= 4
-    assert free_vars(distance_formula(7)) == {x1, x2}
+    for k in (1, 2, 5, 7):
+        assert free_vars(distance_formula(k)) == {x1, x2}
+
+
+def test_distance_formula_has_no_recursion_cap():
+    k = 5000
+    f = distance_formula(k)
+    assert formula_length(f) == 7 * k - 3
+    assert variable_count(f) <= 4
+    assert free_vars(f) == {x1, x2}
 
 
 def test_distance_rank_counts_unfoldings():
@@ -203,11 +187,6 @@ def test_encoding_semantics_both_endpoints():
                 assert ((endpoint, path_u, path_v) in sat.rows) == g.has_edge(u, v)
 
 
-def test_encoding_rejects_bad_ordering():
-    with pytest.raises(ValueError):
-        edge_encoding_formula(gen_path(3), (1, 2, 2))
-
-
 def test_encoding_size_cubic():
     sizes = []
     for n in (4, 6, 8):
@@ -222,6 +201,54 @@ def test_encoding_size_cubic():
 
 # ---------------------------------------------------------------------------
 # The reduction
+
+#: (graph, sentence) pairs whose reductions tests/golden/reductions.fo
+#: holds, line by line; the last one was drawn from random.Random(1) by
+#: random_graph (4 vertices, 2 colors) and random_formula (rank 3)
+REDUCTION_INSTANCES = [
+    (
+        ColoredGraph.build(3, [(1, 2), (1, 3), (2, 3)]),
+        "exists x1. exists x2. adj(x1,x2)",
+    ),
+    (ColoredGraph.build(3, [], [1, 2, 1], c=2), "exists x1. C2(x1)"),
+    (
+        ColoredGraph.build(4, [(1, 2), (2, 3), (2, 4), (3, 4)], [2, 1, 1, 2], c=2),
+        "forall x1. forall x3. exists x2. !(adj(x1,x1) | C1(x3)) & (x2=x1 & C1(x3))"
+        " & (C1(x3) -> adj(x2,x1))",
+    ),
+]
+
+
+def test_reduction_golden_file():
+    from pathlib import Path
+
+    from fomc.formulas import read_formulas
+
+    golden = Path(__file__).parent / "golden" / "reductions.fo"
+    with open(golden, encoding="utf-8") as fh:
+        frozen = read_formulas(fh)
+    assert frozen == [
+        reduce_to_path(g, parse_formula(text)).sentence
+        for g, text in REDUCTION_INSTANCES
+    ]
+
+
+@pytest.mark.parametrize(
+    "g, text",
+    [
+        (ColoredGraph.build(1200, [(1199, 1200)]), "exists x1. exists x2. adj(x1,x2)"),
+        (ColoredGraph.build(1200, [], [1] * 1199 + [2], c=2), "exists x1. C2(x1)"),
+    ],
+    ids=["edge", "color"],
+)
+def test_reduce_far_positions_have_no_recursion_cap(g, text):
+    # the encodings reach path position 1200; the output is only built,
+    # since on 1200 vertices the evaluator's cell cap refuses its
+    # three-variable subformulas
+    out = reduce_to_path(g, parse_formula(text))
+    assert not free_vars(out.sentence)
+    assert variable_count(out.sentence) <= 4
+
 
 def test_reduce_requires_three_vertices():
     with pytest.raises(ValueError):

@@ -60,6 +60,20 @@ def test_depths_of_a_long_path_rooted_at_its_largest_id():
     assert path.depths == tuple(n - v for v in range(1, n + 1))
 
 
+def test_node_depths_of_a_long_forest_path_rooted_at_its_largest_id():
+    n = 20000
+    # the same chain as above; depths count vertices, so they start at 1
+    parents = tuple(v + 1 if v < n else 0 for v in range(1, n + 1))
+    path = EliminationForest(n=n, parents=parents)
+    assert path.node_depths == tuple(n + 1 - v for v in range(1, n + 1))
+    assert path.height == n
+
+
+def test_forest_parent_cycle_refused():
+    with pytest.raises(ValueError, match="cycle"):
+        EliminationForest(n=3, parents=(0, 3, 2))
+
+
 def test_tree_graph_round_trip():
     rng = random.Random(8)
     for _ in range(50):
