@@ -58,6 +58,24 @@ def test_distance_step_shape():
     )
 
 
+def _walk(k):
+    # the walk under distance_formula's outer closure over x3
+    f = distance_formula(k)
+    assert isinstance(f, Exists) and f.var == x3
+    return f.body
+
+
+def test_walk_free_variables():
+    for k in (1, 2, 5):
+        assert free_vars(_walk(k)) == {x1, x2, x3}
+
+
+def test_walk_length_increment_constant():
+    lengths = [formula_length(_walk(k)) for k in range(1, 31)]
+    diffs = {b - a for a, b in zip(lengths, lengths[1:])}
+    assert len(diffs) == 1
+
+
 def test_distance_golden_file():
     from pathlib import Path
 
