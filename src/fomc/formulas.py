@@ -32,13 +32,14 @@ Grammar (whitespace insignificant):
 Every pass over a formula (metrics, renaming, substitution, and the
 passes of the other modules) is a call to ``fold``, an iterative
 post-order traversal, so formula depth is not limited by the Python
-recursion limit. The parser and ``render_formula`` still recurse.
+recursion limit. The parser and ``render_formula`` keep explicit stacks.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
@@ -330,68 +331,59 @@ _PREC_UNARY = 3
 _PREC_ATOM = 4
 
 
-_PREC = {
-    Adj: _PREC_ATOM,
-    Eq: _PREC_ATOM,
-    HasColor: _PREC_ATOM,
-    Not: _PREC_UNARY,
-    Exists: _PREC_UNARY,
-    Forall: _PREC_UNARY,
-    And: _PREC_AND,
-    Or: _PREC_OR,
-    Implies: _PREC_IMPL,
+#: Compound nodes: (precedence, text before the first part, text between
+#: parts, the loosest precedence a part may show bare, the same for the
+#: last part). A quantifier's leading text names its variable.
+_LAYOUT = {
+    Not: (_PREC_UNARY, "!", "", None, _PREC_UNARY),
+    Exists: (_PREC_UNARY, "exists {}. ", "", None, _PREC_IMPL),
+    Forall: (_PREC_UNARY, "forall {}. ", "", None, _PREC_IMPL),
+    And: (_PREC_AND, "", " & ", _PREC_UNARY, _PREC_UNARY),
+    Or: (_PREC_OR, "", " | ", _PREC_AND, _PREC_AND),
+    Implies: (_PREC_IMPL, "", " -> ", _PREC_OR, _PREC_IMPL),
 }
 
 
 def render_formula(f: Formula) -> str:
-    """Concrete syntax for ``f``; parsing it back yields an identical AST."""
-    return _render(f, _PREC_IMPL, tail=True)
+    """Concrete syntax for ``f``; parsing it back yields an identical AST.
 
-
-def _render(f: Formula, min_prec: int, tail: bool) -> str:
-    # A quantifier body extends maximally right, so a quantifier that is
-    # followed by more tokens of an enclosing chain must be parenthesized
-    # even when its precedence alone would allow omitting the parentheses.
-    # A non-formula gets atom precedence here and a TypeError below.
-    needs_parens = _PREC.get(type(f), _PREC_ATOM) < min_prec or (
-        not tail and isinstance(f, (Exists, Forall))
-    )
-    if needs_parens:
-        min_prec, tail = _PREC_IMPL, True
-    match f:
-        case Adj(u, v):
-            text = f"adj({u},{v})"
-        case Eq(u, v):
-            text = f"{u}={v}"
-        case HasColor(color, v):
-            text = f"C{color}({v})"
-        case Not(child):
-            text = "!" + _render(child, _PREC_UNARY, tail)
-        case And(children):
-            last = len(children) - 1
-            text = " & ".join(
-                _render(ch, _PREC_UNARY, tail and i == last)
-                for i, ch in enumerate(children)
-            )
-        case Or(children):
-            last = len(children) - 1
-            text = " | ".join(
-                _render(ch, _PREC_AND, tail and i == last)
-                for i, ch in enumerate(children)
-            )
-        case Implies(lhs, rhs):
-            text = (
-                _render(lhs, _PREC_OR, False)
-                + " -> "
-                + _render(rhs, _PREC_IMPL, tail)
-            )
-        case Exists(var, body):
-            text = f"exists {var}. " + _render(body, _PREC_IMPL, tail)
-        case Forall(var, body):
-            text = f"forall {var}. " + _render(body, _PREC_IMPL, tail)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    return f"({text})" if needs_parens else text
+    The stack holds text and (node, the loosest precedence it may show
+    bare, whether it ends the text), so depth costs no Python stack."""
+    out: list[str] = []
+    todo: list = [(f, _PREC_IMPL, True)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_prec, tail = item
+        kind = type(node)
+        layout = _LAYOUT.get(kind)
+        # A quantifier body extends maximally right, so a quantifier that is
+        # followed by more tokens of an enclosing chain must be parenthesized
+        # even when its precedence alone would allow omitting the parentheses.
+        # A non-formula gets atom precedence here and a TypeError below.
+        prec = _PREC_ATOM if layout is None else layout[0]
+        if prec < min_prec or (not tail and kind in (Exists, Forall)):
+            out.append("(")
+            todo.append(")")
+            tail = True
+        if layout is not None:
+            _prec, head, sep, inner, last = layout
+            out.append(head.format(getattr(node, "var", None)))
+            parts = _PARTS[kind](node)
+            todo.append((parts[-1], last, tail))
+            for part in parts[-2::-1]:
+                todo += (sep, (part, inner, False))
+        elif kind is Adj:
+            out.append(f"adj({node.u},{node.v})")
+        elif kind is Eq:
+            out.append(f"{node.u}={node.v}")
+        elif kind is HasColor:
+            out.append(f"C{node.color}({node.v})")
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -469,95 +461,89 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.column)
-        return self.advance()
-
-    def formula(self) -> Formula:
-        lhs = self.or_chain()
-        if self.peek().kind == "arrow":
-            self.advance()
-            return Implies(lhs, self.formula())
-        return lhs
-
-    def or_chain(self) -> Formula:
-        parts = [self.and_chain()]
-        while self.peek().kind == "or":
-            self.advance()
-            parts.append(self.and_chain())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def and_chain(self) -> Formula:
-        parts = [self.unary()]
-        while self.peek().kind == "and":
-            self.advance()
-            parts.append(self.unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind in ("exists", "forall"):
-            self.advance()
-            var = Var(self.expect("var", "a variable").value)
-            self.expect("dot", "'.' after the quantified variable")
-            body = self.formula()
-            return Exists(var, body) if tok.kind == "exists" else Forall(var, body)
-        if tok.kind == "lparen":
-            self.advance()
-            inner = self.formula()
-            self.expect("rparen", "')'")
-            return inner
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "adj":
-            self.advance()
-            self.expect("lparen", "'(' after adj")
-            u = Var(self.expect("var", "a variable").value)
-            self.expect("comma", "','")
-            v = Var(self.expect("var", "a variable").value)
-            self.expect("rparen", "')'")
-            return Adj(u, v)
-        if tok.kind == "color":
-            self.advance()
-            self.expect("lparen", "'(' after the color name")
-            v = Var(self.expect("var", "a variable").value)
-            self.expect("rparen", "')'")
-            return HasColor(tok.value, v)
-        if tok.kind == "var":
-            self.advance()
-            self.expect("eq", "'='")
-            v = Var(self.expect("var", "a variable").value)
-            return Eq(Var(tok.value), v)
-        raise ParseError("expected a formula", tok.line, tok.column)
+#: Binary operators by token kind: (precedence, builder of the node).
+_BINARY = {
+    "and": (_PREC_AND, lambda *parts: And(parts)),
+    "or": (_PREC_OR, lambda *parts: Or(parts)),
+    "arrow": (_PREC_IMPL, Implies),
+}
+_QUANTIFIERS = {"exists": Exists, "forall": Forall}
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(_tokenize(text))
-    f = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input after the formula", tok.line, tok.column)
-    return f
+    """Parse one formula with an operator-stack loop, so depth costs no stack.
+
+    ``frames`` holds the open constructs as (precedence, index of their
+    first operand, builder). Quantifiers (-1) and groups (-2, the whole
+    text being one) rank below every operator, so no operator closes them:
+    a quantifier body runs to the next unmatched ``)`` or to the end.
+    ``&`` and ``|`` extend an open frame of their own precedence, so a
+    chain is one n-ary node; ``->`` always opens one, so it nests right.
+    """
+    tokens = iter(_tokenize(text))
+    operands: list[Formula] = []
+    frames: list[tuple[int, int, Callable | None]] = [(-2, 0, None)]
+    parens = 0
+
+    def expect(kind: str, what: str) -> int | None:
+        tok = next(tokens)
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}", tok.line, tok.column)
+        return tok.value
+
+    while True:
+        # An operand is expected: prefix constructs open frames, an atom ends it.
+        tok = next(tokens)
+        kind = tok.kind
+        if kind == "not":
+            frames.append((_PREC_UNARY, len(operands), Not))
+            continue
+        if kind in _QUANTIFIERS:
+            var = Var(expect("var", "a variable"))
+            expect("dot", "'.' after the quantified variable")
+            frames.append((-1, len(operands), partial(_QUANTIFIERS[kind], var)))
+            continue
+        if kind == "lparen":
+            frames.append((-2, len(operands), None))
+            parens += 1
+            continue
+        if kind == "adj":
+            expect("lparen", "'(' after adj")
+            u = Var(expect("var", "a variable"))
+            expect("comma", "','")
+            operands.append(Adj(u, Var(expect("var", "a variable"))))
+            expect("rparen", "')'")
+        elif kind == "color":
+            expect("lparen", "'(' after the color name")
+            operands.append(HasColor(tok.value, Var(expect("var", "a variable"))))
+            expect("rparen", "')'")
+        elif kind == "var":
+            expect("eq", "'='")
+            operands.append(Eq(Var(tok.value), Var(expect("var", "a variable"))))
+        else:
+            raise ParseError("expected a formula", tok.line, tok.column)
+        # An operand is complete: close groups until an operator follows.
+        while True:
+            tok = next(tokens)
+            kind = tok.kind
+            if kind in _BINARY:
+                prec, build = _BINARY[kind]
+            elif kind == ("rparen" if parens else "eof"):
+                prec = -2
+            else:
+                message = "expected ')'" if parens else "trailing input after the formula"
+                raise ParseError(message, tok.line, tok.column)
+            while frames[-1][0] > prec:
+                _, start, close = frames.pop()
+                operands[start:] = [close(*operands[start:])]
+            if prec >= 0:
+                if kind == "arrow" or frames[-1][0] != prec:
+                    frames.append((prec, len(operands) - 1, build))
+                break
+            frames.pop()
+            if not parens:
+                return operands[0]
+            parens -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +552,8 @@ def parse_formula(text: str) -> Formula:
 def read_formulas(stream: TextIO) -> list[Formula]:
     out = []
     for lineno, raw in enumerate(stream, start=1):
-        text = raw.split("#", 1)[0].strip()
+        # leading blanks stay, so that columns count within the file line
+        text = raw.split("#", 1)[0].rstrip()
         if not text:
             continue
         try:

@@ -452,12 +452,17 @@ def _assemble_tree(n, c, root, parents, colors) -> RootedColoredTree:
     colors.setdefault(root, 1)
     if parents[root] != 0:
         raise ValueError(f"declared root {root} has a nonzero parent")
+    _require_records(n, parents)
+    return RootedColoredTree.build(parents, colors, c=c)
+
+
+def _require_records(n: int, parents: dict[int, int]) -> None:
+    """Refuse unless ``parents`` holds one record for each vertex 1..n."""
     for v in range(1, n + 1):
         if v not in parents:
             raise ValueError(f"vertex {v} has no 't' record")
     if len(parents) != n:
-        raise ValueError("tree records mention vertices outside 1..n")
-    return RootedColoredTree.build(parents, colors, c=c)
+        raise ValueError("'t' records mention vertices outside 1..n")
 
 
 def read_tree_model(stream: TextIO) -> TreeModel:
@@ -498,6 +503,5 @@ def read_forest(stream: TextIO) -> EliminationForest:
             raise ValueError(f"line {lineno}: unknown record {kind!r}")
     if n is None:
         raise ValueError("missing 'p forest' header")
-    return EliminationForest(
-        n=n, parents=tuple(parents.get(v, 0) for v in range(1, n + 1))
-    )
+    _require_records(n, parents)
+    return EliminationForest(n=n, parents=tuple(parents[v] for v in range(1, n + 1)))

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from fomc.cli import main
-from fomc.graphs import gen_path, read_graph, write_graph
+from fomc.formulas import read_formulas, variable_count
+from fomc.graphs import ColoredGraph, gen_path, read_graph, write_graph
 from fomc.trees import RootedColoredTree, read_tree, write_tree, write_tree_model
 from fomc.trees import TreeModel
 
@@ -192,6 +193,9 @@ def test_validate_subcommands(workdir, capsys):
     bad = write("bad.f", "p forest 3\nt 1 0\nt 2 1\nt 3 0\n")
     assert main(["validate", "ef", "--graph", gpath, "--witness", good]) == 0
     assert main(["validate", "ef", "--graph", gpath, "--witness", bad]) == 1
+    e3 = write("e3.g", "p graph 3 1\n")
+    stray = write("stray.f", "p forest 3\nt 9 1\n")
+    assert main(["validate", "ef", "--graph", e3, "--witness", stray]) == 2
 
     tree = RootedColoredTree.build({4: 0, 1: 4, 2: 4, 3: 4})
     tm = TreeModel.build(tree, [(1, 1, 2, True)])
@@ -203,6 +207,16 @@ def test_validate_subcommands(workdir, capsys):
     )
     assert main(["validate", "tm", "--graph", k3, "--witness", tmpath]) == 0
     assert main(["validate", "tm", "--graph", gpath, "--witness", tmpath]) == 1
+
+
+def test_reduce_writes_far_path_positions(workdir, capsys):
+    tmp, write = workdir
+    gpath = write("g.g", graph_text(ColoredGraph.build(1200, [(1199, 1200)])))
+    fpath = write("f.fo", "exists x1. exists x2. adj(x1,x2)\n")
+    assert main(["reduce", "--graph", gpath, "--formula", fpath, "--out", str(tmp)]) == 0
+    with open(tmp / "psi.fo", encoding="utf-8") as fh:
+        (psi,) = read_formulas(fh)
+    assert variable_count(psi) == 4
 
 
 def test_usage_error_exit_code(workdir, capsys):

@@ -1,5 +1,6 @@
 import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +198,55 @@ def test_formula_file_comments_and_error_line():
     with pytest.raises(ParseError) as err:
         read_formulas(io.StringIO(text))
     assert err.value.line == 4
+    # the column counts within the file line, indentation included
+    with pytest.raises(ParseError) as err:
+        read_formulas(io.StringIO("x1=x2\n    adj(x1,)\n"))
+    assert (err.value.line, err.value.column) == (2, 12)
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("(x1=x1", "expected ')'", 7),
+        ("x1=x1)", "trailing input after the formula", 6),
+        ("(x1=x1 x2=x2)", "expected ')'", 8),
+        ("exists x1 x1=x1", "expected '.' after the quantified variable", 11),
+        ("x1=x1 &", "expected a formula", 8),
+        ("()", "expected a formula", 2),
+        ("exists x1. x1=x1 x2=x2", "trailing input after the formula", 18),
+        ("!(x1=x1 | )", "expected a formula", 11),
+        ("adj(x1 x2)", "expected ','", 8),
+    ],
+)
+def test_parse_error_messages_and_columns(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
+
+
+def test_golden_formula_text_renders_back_to_itself():
+    golden = Path(__file__).parent / "golden"
+    for path in sorted(golden.glob("*.fo")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for text in (line for line in lines if line and not line.startswith("#")):
+            assert render_formula(parse_formula(text)) == text, path.name
+
+
+# Deep formulas are compared by text and metrics: the dataclass ``==``
+# still recurses once per nesting level.
+DEPTH = 100_000
+
+
+def test_deep_negation_chain_parses_and_renders():
+    text = "!" * DEPTH + "x1=x1"
+    f = parse_formula(text)
+    assert formula_length(f) == DEPTH + 1
+    assert render_formula(f) == text
+
+
+def test_deep_parentheses_parse():
+    f = parse_formula("(" * DEPTH + "x1=x1" + ")" * DEPTH)
+    assert render_formula(f) == "x1=x1"
+    with pytest.raises(ParseError) as err:
+        parse_formula("(" * DEPTH + "x1=x1" + ")" * (DEPTH - 1))
+    assert (err.value.message, err.value.column) == ("expected ')'", 2 * DEPTH + 5)

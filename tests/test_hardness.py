@@ -16,6 +16,7 @@ from fomc.formulas import (
     free_vars,
     parse_formula,
     quantifier_rank,
+    render_formula,
     variable_count,
 )
 from fomc.graphs import ColoredGraph, gen_path
@@ -266,6 +267,12 @@ def test_reduce_far_positions_have_no_recursion_cap(g, text):
     out = reduce_to_path(g, parse_formula(text))
     assert not free_vars(out.sentence)
     assert variable_count(out.sentence) <= 4
+    # the text goes out and comes back; compared by text and length,
+    # since the dataclass == still recurses once per nesting level
+    written = render_formula(out.sentence)
+    back = parse_formula(written)
+    assert render_formula(back) == written
+    assert formula_length(back) == formula_length(out.sentence)
 
 
 def test_reduce_requires_three_vertices():

@@ -189,6 +189,19 @@ def test_forest_file_round_trip():
     assert read_forest(buf) == ef
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p forest 3\nt 9 1\n", "vertex 1 has no 't' record"),
+        ("p forest 2\nt 1 0\nt 2 1\nt 3 1\n", "outside 1..n"),
+    ],
+    ids=["missing", "outside"],
+)
+def test_forest_file_refuses_bad_records(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_forest(io.StringIO(text))
+
+
 # ---------------------------------------------------------------------------
 # Tree models
 
