@@ -222,8 +222,9 @@ def test_encoding_size_cubic():
 # The reduction
 
 #: (graph, sentence) pairs whose reductions tests/golden/reductions.fo
-#: holds, line by line; the last one was drawn from random.Random(1) by
-#: random_graph (4 vertices, 2 colors) and random_formula (rank 3)
+#: holds, line by line; the third one was drawn from random.Random(1) by
+#: random_graph (4 vertices, 2 colors) and random_formula (rank 3); the
+#: fourth has adjacency and color atoms at depth 4, so its output names x5
 REDUCTION_INSTANCES = [
     (
         ColoredGraph.build(3, [(1, 2), (1, 3), (2, 3)]),
@@ -234,6 +235,11 @@ REDUCTION_INSTANCES = [
         ColoredGraph.build(4, [(1, 2), (2, 3), (2, 4), (3, 4)], [2, 1, 1, 2], c=2),
         "forall x1. forall x3. exists x2. !(adj(x1,x1) | C1(x3)) & (x2=x1 & C1(x3))"
         " & (C1(x3) -> adj(x2,x1))",
+    ),
+    (
+        ColoredGraph.build(4, [(1, 2), (2, 3), (3, 4)], [1, 2, 2, 1], c=2),
+        "exists x1. forall x2. exists x3. forall x4."
+        " adj(x1,x4) & C2(x4) | !adj(x4,x3) | adj(x2,x4) & C1(x2)",
     ),
 ]
 
