@@ -185,15 +185,27 @@ def _parse_index_pairs(spec: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _recipe_list(data: dict, field: str) -> list:
+    value = data.get(field, [])
+    if not isinstance(value, list):
+        raise ValueError(f"recipe field {field!r} must be a JSON list, got {value!r}")
+    return value
+
+
 def _recipe_from_json(data) -> SCLeaf | SCCombine:
     if not isinstance(data, dict):
         raise ValueError("recipe nodes must be JSON objects")
     if "leaf" in data:
-        return SCLeaf(name=str(data["leaf"]), color=int(data.get("color", 1)))
+        color = data.get("color", 1)
+        try:
+            color = int(color)
+        except TypeError:
+            raise ValueError(f"recipe field 'color' must be an integer, got {color!r}") from None
+        return SCLeaf(name=str(data["leaf"]), color=color)
     if "children" in data:
         return SCCombine(
-            children=tuple(_recipe_from_json(ch) for ch in data["children"]),
-            flip_names=frozenset(str(x) for x in data.get("flip", [])),
+            children=tuple(_recipe_from_json(ch) for ch in _recipe_list(data, "children")),
+            flip_names=frozenset(str(x) for x in _recipe_list(data, "flip")),
         )
     raise ValueError("recipe nodes need a 'leaf' or 'children' key")
 
@@ -218,10 +230,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             parts = read_partition(fh)
         order = sorted(parts)
         index = {k: i for i, k in enumerate(order)}
-        rel = [
-            (index[i], index[j])
-            for i, j in _parse_index_pairs(args.rel or "")
-        ]
+        pairs = _parse_index_pairs(args.rel or "")
+        missing = sorted({k for pair in pairs for k in pair} - index.keys())
+        if missing:
+            raise ValueError(f"--rel names part {missing[0]}, not in {args.parts}")
+        rel = [(index[i], index[j]) for i, j in pairs]
         g = apply_flip(base, PartitionFlip.build([parts[k] for k in order], rel))
     else:  # sc
         with open(args.recipe, encoding="utf-8") as fh:

@@ -13,17 +13,19 @@ The pieces, bottom up:
   of g is represented by the path vertex at distance i-1 from x1. One
   disjunct per ordered adjacent pair, size cubic in n.
 * ``reduce_to_path(g, sentence)``: rewrites a sentence about g into one
-  about the bare n-vertex path. Quantifiers are renamed so depth d binds
-  x_{d+1}, adjacency atoms become renamed copies of the edge encoding,
-  color atoms become renamed copies of ``color_encoding_formula`` (a
-  disjunction over the path positions whose vertex has the color), and
-  the result is wrapped in "there is an endpoint x1" with a
-  degree-one guard. The output uses at most max(q+1, 4) variable names,
-  where q is the quantifier rank of the input.
+  about the bare n-vertex path, in one fold. Quantifiers are renamed so
+  depth d binds x_{d+1}; each adjacency atom becomes the edge encoding
+  and each color atom ``color_encoding_formula`` (a disjunction over
+  the path positions whose vertex has the color), each built directly
+  under the names the atom ends up with, so no encoding is renamed
+  after it is built. The result is wrapped in "there is an endpoint x1"
+  with a degree-one guard. The output uses at most max(q+1, 4) variable
+  names, where q is the quantifier rank of the input.
 
-Every formula is built by a loop, so no size of g meets the Python
-recursion limit here; formulas are immutable, so copies that occur more
-than once are built once and shared.
+Every builder takes the variable names it is to use, with x2, x3, x4 as
+the defaults. Every formula is built by a loop, so no size of g meets
+the Python recursion limit here; formulas are immutable, so a formula
+that occurs more than once in an output is built once and shared.
 
 ``cross_validate`` runs both sides through the evaluator and reports
 whether they agree.
@@ -51,42 +53,47 @@ from .formulas import (
     disjunction,
     fold,
     rebuild,
-    rename_variables,
     require_sentence,
 )
 from .graphs import ColoredGraph, gen_path
 
 
-def distance_formula(k: int) -> Formula:
-    """On any path, satisfied by the vertex pairs (x1, x2) at distance
-    exactly ``k``. Uses at most the four variables x1..x4; linear size.
+def distance_formula(
+    k: int, target: Var = Var(2), a: Var = Var(3), b: Var = Var(4)
+) -> Formula:
+    """On any path, satisfied by the vertex pairs (x1, ``target``) at
+    distance exactly ``k``. Uses only x1, ``target``, ``a`` and ``b``;
+    linear size.
 
-    The formula asserts a walk x1 = w0, w1, ..., wk = x2 with
-    w_{i-1} != w_{i+1}. Step i moves from a to b and binds the next
-    vertex d, where (a, b, d) is the window (x1, x3, x4) rotated i
-    places to the left; the name two steps back is the one reused.
+    The formula asserts a walk x1 = w0, w1, ..., wk = target with
+    w_{i-1} != w_{i+1}. Step i moves from one vertex to the next and
+    binds the one after, named by the window (x1, a, b) rotated i places
+    to the left; the name two steps back is the one reused, and ``a`` is
+    bound outermost.
     """
     if k < 0:
         raise ValueError("distance must be nonnegative")
     if k == 0:
-        return Eq(Var(1), Var(2))
-    window = (Var(1), Var(3), Var(4))
+        return Eq(Var(1), target)
+    window = (Var(1), a, b)
 
     def step(i: int) -> tuple[Var, Var, Var]:
         return window[i % 3], window[(i + 1) % 3], window[(i + 2) % 3]
 
-    a, b, _ = step(k - 1)
-    walk: Formula = And((Adj(a, b), Eq(b, Var(2))))
+    p, q, _ = step(k - 1)
+    walk: Formula = And((Adj(p, q), Eq(q, target)))
     for i in reversed(range(k - 1)):
-        a, b, d = step(i)
-        walk = And((Adj(a, b), Exists(d, And((Not(Eq(a, d)), Adj(b, d), walk)))))
-    return Exists(Var(3), walk)
+        p, q, d = step(i)
+        walk = And((Adj(p, q), Exists(d, And((Not(Eq(p, d)), Adj(q, d), walk)))))
+    return Exists(a, walk)
 
 
-def edge_encoding_formula(g: ColoredGraph) -> Formula:
-    """Free variables x1, x2, x3: with x1 a path endpoint, holds of
+def edge_encoding_formula(
+    g: ColoredGraph, u: Var = Var(2), v: Var = Var(3), spare: Var = Var(4)
+) -> Formula:
+    """Free variables x1, ``u``, ``v``: with x1 a path endpoint, holds of
     (p, u, v) exactly when the vertices encoded by u and v are adjacent
-    in ``g``.
+    in ``g``. ``spare`` is the fourth name the distance walks bind.
 
     Vertex i is encoded as the path vertex at distance i-1 from the
     endpoint, so vertex 1 is the endpoint itself. An edgeless graph
@@ -94,60 +101,30 @@ def edge_encoding_formula(g: ColoredGraph) -> Formula:
     """
     if not g.edges:
         return canonical_false(Var(1))
-    at_x2 = {v: distance_formula(v - 1) for e in g.edges for v in e}
-    swap_23 = {Var(2): Var(3), Var(3): Var(2)}
-    at_x3 = {v: rename_variables(f, swap_23) for v, f in at_x2.items()}
-    arcs = sorted(arc for u, v in g.edges for arc in ((u, v), (v, u)))
-    return disjunction(And((at_x2[u], at_x3[v])) for u, v in arcs)
+    ends = {w for e in g.edges for w in e}
+    at_u = {w: distance_formula(w - 1, u, v, spare) for w in ends}
+    at_v = {w: distance_formula(w - 1, v, u, spare) for w in ends}
+    arcs = sorted(arc for s, t in g.edges for arc in ((s, t), (t, s)))
+    return disjunction(And((at_u[s], at_v[t])) for s, t in arcs)
 
 
-def color_encoding_formula(g: ColoredGraph, color: int) -> Formula:
-    """Free variables x1, x2: with x1 a path endpoint, holds of (p, u)
-    exactly when the vertex encoded by u has ``color`` in ``g``.
+def color_encoding_formula(
+    g: ColoredGraph, color: int, u: Var = Var(2), a: Var = Var(3), b: Var = Var(4)
+) -> Formula:
+    """Free variables x1, ``u``: with x1 a path endpoint, holds of (p, u)
+    exactly when the vertex encoded by u has ``color`` in ``g``. The
+    distance walks bind ``a`` and ``b``.
 
     The encoding is the one of ``edge_encoding_formula``. When every
-    vertex has the color the result is ``x2=x2``; when none has it, the
+    vertex has the color the result is ``u=u``; when none has it, the
     canonical false formula.
     """
     positions = [v - 1 for v in g.vertices if g.color_of(v) == color]
     if len(positions) == g.n:
-        return Eq(Var(2), Var(2))
+        return Eq(u, u)
     if not positions:
-        return canonical_false(Var(2))
-    return disjunction(distance_formula(i) for i in positions)
-
-
-def _index_quantifiers_by_depth(sentence: Formula) -> Formula:
-    """Alpha-rename so the quantifier at nesting depth d binds x_{d+1}.
-
-    Every atom then only mentions x2..x_{q+1} for q the quantifier rank.
-    Plain simultaneous renaming cannot always reach this form (a rank-q
-    sentence may use more than q names across parallel branches), so the
-    rewrite walks the tree with an explicit binder environment: the
-    nesting depth and the new name of each variable in scope.
-    """
-    Env = tuple[int, dict[Var, Var]]
-
-    def enter(f: Formula, env: Env) -> Env:
-        if not isinstance(f, (Exists, Forall)):
-            return env
-        depth, names = env
-        return depth + 1, {**names, f.var: Var(depth + 2)}
-
-    def leave(f: Formula, parts: Sequence[Formula], env: Env) -> Formula:
-        depth, names = env
-        match f:
-            case Adj(u, v):
-                return Adj(names[u], names[v])
-            case Eq(u, v):
-                return Eq(names[u], names[v])
-            case HasColor(color, v):
-                return HasColor(color, names[v])
-            case Exists() | Forall():
-                return type(f)(Var(depth + 2), parts[0])
-        return rebuild(f, parts)
-
-    return fold(sentence, leave, enter, (0, {}))
+        return canonical_false(u)
+    return disjunction(distance_formula(i, u, a, b) for i in positions)
 
 
 @dataclass(frozen=True)
@@ -168,34 +145,49 @@ def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
     require_sentence(sentence)
     if g.n < 3:
         raise ValueError("the reduction needs a graph on at least 3 vertices")
-    normalized = _index_quantifiers_by_depth(sentence)
-    encoding = edge_encoding_formula(g)
 
-    # one renamed copy per distinct atom, shared by all its occurrences
+    # one encoding per distinct atom, shared by all its occurrences; the
+    # walks bind the lowest of x2, x3, x4 that the atom leaves free
     @functools.cache
     def adjacency(u: Var, v: Var) -> Formula:
+        if u == v:
+            # adjacency on a repeated variable is false in simple graphs
+            return canonical_false(u)
         spare = min({2, 3, 4} - {u.index, v.index})
-        return rename_variables(encoding, {Var(2): u, Var(3): v, Var(4): Var(spare)})
+        return edge_encoding_formula(g, u, v, Var(spare))
 
     @functools.cache
     def coloring(k: int, u: Var) -> Formula:
         a, b = sorted({2, 3, 4} - {u.index})[:2]
-        return rename_variables(
-            color_encoding_formula(g, k), {Var(2): u, Var(3): Var(a), Var(4): Var(b)}
-        )
+        return color_encoding_formula(g, k, u, Var(a), Var(b))
 
-    def encode_atom(f: Formula, parts: Sequence[Formula], _env: None) -> Formula:
+    # Quantifiers are renamed so that depth d binds x_{d+1}; every atom
+    # then mentions only x2..x_{q+1}. Plain simultaneous renaming cannot
+    # always reach this form (a rank-q sentence may use more than q names
+    # across parallel branches), so the fold carries the nesting depth and
+    # the new name of each variable in scope.
+    Env = tuple[int, dict[Var, Var]]
+
+    def enter(f: Formula, env: Env) -> Env:
+        if not isinstance(f, (Exists, Forall)):
+            return env
+        depth, names = env
+        return depth + 1, {**names, f.var: Var(depth + 2)}
+
+    def leave(f: Formula, parts: Sequence[Formula], env: Env) -> Formula:
+        depth, names = env
         match f:
             case Adj(u, v):
-                if u == v:
-                    # adjacency on a repeated variable is false in simple graphs
-                    return canonical_false(u)
-                return adjacency(u, v)
-            case HasColor(k, u):
-                return coloring(k, u)
+                return adjacency(names[u], names[v])
+            case Eq(u, v):
+                return Eq(names[u], names[v])
+            case HasColor(k, v):
+                return coloring(k, names[v])
+            case Exists() | Forall():
+                return type(f)(Var(depth + 2), parts[0])
         return rebuild(f, parts)
 
-    body = fold(normalized, encode_atom)
+    body = fold(sentence, leave, enter, (0, {}))
     endpoint_guard = Exists(
         Var(2), Forall(Var(3), Implies(Adj(Var(1), Var(3)), Eq(Var(2), Var(3))))
     )

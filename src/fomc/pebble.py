@@ -37,6 +37,12 @@ class ResourceLimitError(RuntimeError):
     """An instance would exceed the configured cap."""
 
 
+def _require_pebbles(s: int) -> None:
+    # checked before any shortcut, so equal graphs get no answer either
+    if s < 1:
+        raise ValueError("the pebble count must be positive")
+
+
 def _intern(columns) -> np.ndarray:
     """Dense ids of the rows formed by non-negative integer columns.
 
@@ -118,8 +124,6 @@ def _refine(
     Refines until the partition is stable, or with ``until_split`` until
     the all-blank tuples no longer share one class.
     """
-    if s < 1:
-        raise ValueError("the pebble count must be positive")
     sizes = [(g.n + 1) ** s for g in graphs]
     if sum(sizes) > cap:
         raise ResourceLimitError(
@@ -155,6 +159,7 @@ def fo_s_equivalent(
 ) -> bool:
     """Whether ``a`` and ``b`` satisfy the same sentences with at most
     ``s`` distinct variables."""
+    _require_pebbles(s)
     if a == b:
         return True
     alive, _ = _run_game(a, b, s, cap)
@@ -167,6 +172,7 @@ def spoiler_distance(
     """The refinement round that separates the all-blank tuples, or None
     when the graphs are equivalent. This is the number of rounds in which
     the spoiler wins the s-pebble game."""
+    _require_pebbles(s)
     if a == b:
         return None
     alive, death_round = _run_game(a, b, s, cap)
@@ -182,6 +188,7 @@ def type_census(
     Equal graphs share a block without refinement; the distinct ones are
     refined together, once, and grouped by their all-blank tuple's class.
     """
+    _require_pebbles(s)
     first: dict[ColoredGraph, int] = {}
     rep = [first.setdefault(g, len(first)) for g in graphs]
     classes = [0]

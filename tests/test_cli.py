@@ -91,6 +91,18 @@ def test_census(workdir, capsys):
     assert out == ["0 2", "1"]
 
 
+@pytest.mark.parametrize("s", ["0", "-3"])
+def test_nonpositive_pebble_count_exits_2(workdir, capsys, s):
+    tmp, write = workdir
+    a = write("p4.g", graph_text(gen_path(4)))
+    b = write("p5.g", graph_text(gen_path(5)))
+    for other in (a, b):
+        assert main(["equiv", "--a", a, "--b", other, "--s", s]) == 2
+        assert "pebble count" in capsys.readouterr().err
+        assert main(["census", a, other, "--s", s]) == 2
+        assert "pebble count" in capsys.readouterr().err
+
+
 def test_kernelize_writes_kernel(workdir, capsys):
     tmp, write = workdir
     star5 = RootedColoredTree.build({1: 0, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1})
@@ -142,6 +154,36 @@ def test_gen_flip_roundtrip(workdir, capsys):
     )
     with open(out2, encoding="utf-8") as fh:
         assert read_graph(fh) == gen_path(4)
+
+
+def test_gen_flip_unknown_part_exits_2(workdir, capsys):
+    tmp, write = workdir
+    gpath = write("g.g", graph_text(gen_path(4)))
+    ppath = write("parts.p", "part 1 1 2\npart 2 3 4\n")
+    out = str(tmp / "flipped.g")
+    args = ["gen", "flip", "--graph", gpath, "--parts", ppath, "--rel", "1-7", "--out", out]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fomc: --rel names part 7")
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ({"children": 5}, "'children' must be a JSON list"),
+        ({"children": [{"leaf": "a"}, {"leaf": "b"}], "flip": 3}, "'flip' must be a JSON list"),
+        ({"children": [{"children": "ab"}]}, "'children' must be a JSON list"),
+        ({"children": [{"leaf": "a", "color": [1]}]}, "'color' must be an integer"),
+        ({"leaf": "a", "color": None}, "'color' must be an integer"),
+    ],
+    ids=["children-int", "flip-int", "children-str", "color-list", "color-null"],
+)
+def test_gen_sc_malformed_recipe_exits_2(workdir, capsys, recipe, message):
+    tmp, write = workdir
+    rpath = write("r.json", json.dumps(recipe))
+    assert main(["gen", "sc", "--recipe", rpath, "--out", str(tmp / "g.g")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fomc: recipe field {message}")
 
 
 def test_reduce_and_validate_outputs(workdir, capsys):

@@ -16,11 +16,13 @@ from fomc.formulas import (
     free_vars,
     parse_formula,
     quantifier_rank,
+    rename_variables,
     render_formula,
     variable_count,
 )
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.hardness import (
+    color_encoding_formula,
     cross_validate,
     distance_formula,
     edge_encoding_formula,
@@ -30,7 +32,7 @@ from fomc.randgen import random_formula, random_graph
 
 from .oracles import all_labeled_graphs, bfs_distances, graphs_isomorphic
 
-x1, x2, x3, x4 = Var(1), Var(2), Var(3), Var(4)
+x1, x2, x3, x4, x5 = Var(1), Var(2), Var(3), Var(4), Var(5)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def test_encoding_k2():
     k2 = gen_path(2)
     f = edge_encoding_formula(k2)
     swap = {x2: x3, x3: x2}
-    from fomc.formulas import rename_variables, Or
+    from fomc.formulas import Or
 
     expected = Or(
         (
@@ -216,6 +218,86 @@ def test_encoding_size_cubic():
     # complete graphs: n*(n-1) disjuncts of size O(n)
     assert sizes[0] < sizes[1] < sizes[2]
     assert sizes[2] < 8**3 * 20
+
+
+# ---------------------------------------------------------------------------
+# Builders under given names, refereed by renaming the default-named build
+
+#: the names reduce_to_path gives its atoms: two distinct names from
+#: x2..x5 for an adjacency atom, with the lowest of x2, x3, x4 left free
+#: as the spare; one name for a color atom, whose walks bind the two
+#: lowest of x2, x3, x4 left free
+ATOM_NAMES = [x2, x3, x4, x5]
+ADJ_NAMES = [
+    (u, v, Var(min({2, 3, 4} - {u.index, v.index})))
+    for u in ATOM_NAMES
+    for v in ATOM_NAMES
+    if u != v
+]
+COLOR_NAMES = [
+    (u, *(Var(i) for i in sorted({2, 3, 4} - {u.index})[:2])) for u in ATOM_NAMES
+]
+
+REFEREE_GRAPHS = {
+    "K2": gen_path(2),
+    "C4": ColoredGraph.build(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    "edgeless": ColoredGraph.build(3, []),
+    "random": random_graph(random.Random(55), 6, colors=2),
+}
+
+
+@pytest.mark.parametrize("g", REFEREE_GRAPHS.values(), ids=REFEREE_GRAPHS.keys())
+def test_edge_encoding_under_names_is_the_renamed_encoding(g):
+    default = edge_encoding_formula(g)
+    for u, v, spare in ADJ_NAMES:
+        renamed = rename_variables(default, {x2: u, x3: v, x4: spare})
+        assert edge_encoding_formula(g, u, v, spare) == renamed, (u, v, spare)
+
+
+@pytest.mark.parametrize("g", REFEREE_GRAPHS.values(), ids=REFEREE_GRAPHS.keys())
+def test_color_encoding_under_names_is_the_renamed_encoding(g):
+    for color in range(1, g.c + 2):
+        default = color_encoding_formula(g, color)
+        for u, a, b in COLOR_NAMES:
+            renamed = rename_variables(default, {x2: u, x3: a, x4: b})
+            assert color_encoding_formula(g, color, u, a, b) == renamed, (color, u)
+
+
+def test_distance_formula_under_names_is_the_renamed_formula():
+    names = set(COLOR_NAMES) | set(ADJ_NAMES) | {(v, u, s) for u, v, s in ADJ_NAMES}
+    for k in range(12):
+        default = distance_formula(k)
+        for target, a, b in sorted(names, key=str):
+            renamed = rename_variables(default, {x2: target, x3: a, x4: b})
+            assert distance_formula(k, target, a, b) == renamed, (k, target, a, b)
+
+
+def _distinct_nodes(f) -> int:
+    """Node objects reachable from ``f``, each counted once by identity."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for field in ("child", "lhs", "rhs", "body"):
+            if hasattr(node, field):
+                stack.append(getattr(node, field))
+        stack.extend(getattr(node, "children", ()))
+    return len(seen)
+
+
+def test_reduction_output_shares_its_distance_formulas():
+    # each endpoint's distance formula is built once per name order and
+    # shared by all arcs that use it, so the distinct nodes stay
+    # quadratic in n while the tree the evaluator folds is cubic
+    n = 24
+    kn = ColoredGraph.build(
+        n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    )
+    out = reduce_to_path(kn, parse_formula("exists x1. exists x2. adj(x1,x2)"))
+    assert formula_length(out.sentence) == 86_306
+    assert _distinct_nodes(out.sentence) <= 10 * n * n
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,20 @@ def test_resource_refusal():
     assert type_census([big, big], 3, cap=10) == [[0, 1]]
 
 
+@pytest.mark.parametrize("s", [0, -3])
+def test_nonpositive_pebble_count_is_refused_even_for_equal_graphs(s):
+    p4, p5 = gen_path(4), gen_path(5)
+    for a, b in ((p4, p4), (p4, p5)):
+        with pytest.raises(ValueError, match="pebble count"):
+            fo_s_equivalent(a, b, s)
+        with pytest.raises(ValueError, match="pebble count"):
+            spoiler_distance(a, b, s)
+        with pytest.raises(ValueError, match="pebble count"):
+            type_census([a, b], s)
+    with pytest.raises(ValueError, match="pebble count"):
+        type_census([p4], s)
+
+
 def test_paths_beyond_the_dense_game_are_decided():
     # the dense game needed 9.8e7 positions here and was refused
     p20 = gen_path(20)
