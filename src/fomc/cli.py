@@ -306,7 +306,6 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         scheme = interpret.InterpretationScheme(
             domain_formula=_read_sentence_file(args.domain),
             edge_formula=_read_sentence_file(args.edge),
-            variable_overhead=args.overhead,
         )
     translated = interpret.backwards_translate(phi, scheme)
     _write_out(args.out, lambda stream: write_formulas([translated], stream))
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--domain", default=None, help="domain formula file (custom)")
     p.add_argument("--edge", default=None, help="edge formula file (custom)")
-    p.add_argument("--overhead", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_translate)
 

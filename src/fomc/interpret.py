@@ -8,7 +8,8 @@ symmetric irreflexive relation on every host graph it is applied to.
 into one about the host: quantifiers are relativized to the domain and
 adjacency atoms are replaced by the edge formula, with the edge
 formula's auxiliary variables renamed into a reserved pool so the
-variable count grows by at most ``variable_overhead``.
+variable count grows by at most the scheme's auxiliary count
+``variable_overhead``, which is read off its formulas, not declared.
 
 Color atoms translate through an optional per-color formula table; the
 identity is assumed when the table is absent. The interpretations that
@@ -41,6 +42,7 @@ test suite's referee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .evaluator import evaluate_free
@@ -79,11 +81,11 @@ from .trees import (
 
 X1, X2, X3 = Var(1), Var(2), Var(3)
 
-#: Variables the interpretation that recovers a graph from its encoded
-#: elimination forest needs beyond those of the sentence.
+#: Kernel budget beyond the sentence's variables in ``mc_treedepth``: no
+#: less than ``depth_edge_interpretation``'s overhead at any height.
 FOREST_OVERHEAD = 2
-#: The same for the interpretation that recovers a graph from its
-#: recolored tree-model.
+#: The same for ``mc_treemodel`` and the interpretation that recovers a
+#: graph from its recolored tree-model.
 TREE_MODEL_OVERHEAD = 3
 
 #: A scheme formula and the renaming of its auxiliary variables.
@@ -92,7 +94,7 @@ Instance = tuple[Formula, dict[Var, Var]]
 
 @dataclass(frozen=True)
 class InterpretationScheme:
-    """A pair of defining formulas plus the declared variable overhead.
+    """A pair of defining formulas, plus optional color formulas.
 
     ``color_formulas`` optionally maps an original color to a one-free-
     variable formula over the host; colors without an entry translate to
@@ -101,7 +103,6 @@ class InterpretationScheme:
 
     domain_formula: Formula
     edge_formula: Formula
-    variable_overhead: int
     color_formulas: tuple[tuple[int, Formula], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -109,8 +110,6 @@ class InterpretationScheme:
             raise ValueError("the domain formula may only have x1 free")
         if not free_vars(self.edge_formula) <= {X1, X2}:
             raise ValueError("the edge formula may only have x1, x2 free")
-        if self.variable_overhead < 0:
-            raise ValueError("variable overhead cannot be negative")
         if self.color_formulas is not None:
             for color, f in self.color_formulas:
                 if not free_vars(f) <= {X1}:
@@ -118,12 +117,20 @@ class InterpretationScheme:
                         f"the formula for color {color} may only have x1 free"
                     )
 
+    @cached_property
+    def variable_overhead(self) -> int:
+        """Variables a translation needs beyond the sentence's: the most
+        that one defining formula uses besides x1 (besides x1 and x2 for
+        the edge formula)."""
+        pairs = [(self.domain_formula, {X1}), (self.edge_formula, {X1, X2})]
+        pairs += [(f, {X1}) for _, f in self.color_formulas or ()]
+        return max(len(all_vars(f) - params) for f, params in pairs)
+
 
 def identity_interpretation() -> InterpretationScheme:
     return InterpretationScheme(
         domain_formula=Eq(X1, X1),
         edge_formula=Adj(X1, X2),
-        variable_overhead=0,
     )
 
 
@@ -131,7 +138,6 @@ def complement_interpretation() -> InterpretationScheme:
     return InterpretationScheme(
         domain_formula=Eq(X1, X1),
         edge_formula=And((Not(Adj(X1, X2)), Not(Eq(X1, X2)))),
-        variable_overhead=0,
     )
 
 
@@ -195,11 +201,11 @@ def backwards_translate(
     Quantifiers are relativized to the domain formula and adjacency
     atoms are replaced by instances of the edge formula. Auxiliary
     variables of the scheme's formulas are renamed into a fresh pool
-    just past the sentence's largest variable index; the pool size is
-    bounded by ``variable_overhead``, so the variable count grows by at
-    most that constant. An adjacency atom on a repeated variable is
-    replaced by falsehood, which matches the edge relation being
-    irreflexive.
+    just past the sentence's largest variable index; each formula's
+    auxiliaries start the pool afresh, so the variable count grows by at
+    most the scheme's ``variable_overhead``, its auxiliary count. An
+    adjacency atom on a repeated variable is replaced by falsehood,
+    which matches the edge relation being irreflexive.
     """
     require_sentence(sentence)
     base = max(v.index for v in all_vars(sentence))
@@ -215,12 +221,6 @@ def backwards_translate(
     colors = None
     if scheme.color_formulas is not None:
         colors = {color: with_pool(f, one) for color, f in scheme.color_formulas}
-    aux_demand = max(len(aux) for _, aux in [domain, edge, *(colors or {}).values()])
-    if aux_demand > scheme.variable_overhead:
-        raise ValueError(
-            f"scheme needs {aux_demand} auxiliary variables but declares "
-            f"an overhead of {scheme.variable_overhead}"
-        )
 
     def instantiate(instance: Instance, params: dict[Var, Var]) -> Formula:
         f, aux = instance
@@ -325,9 +325,7 @@ def encode_elimination_forest(
         colors[v] = _encoded_color(depths[v - 1], g.color_of(v), bits, g.c)
     parents = {v: ef.parents[v - 1] for v in g.vertices}
     roots = ef.roots
-    if len(roots) == 1:
-        pass
-    else:
+    if len(roots) > 1:
         spare = g.n + 1
         for r in roots:
             parents[r] = spare
@@ -392,7 +390,6 @@ def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
     return InterpretationScheme(
         domain_formula=Not(HasColor(1, X1)),
         edge_formula=edge,
-        variable_overhead=FOREST_OVERHEAD,
         color_formulas=color_formulas,
     )
 

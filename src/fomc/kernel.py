@@ -29,6 +29,7 @@ only grows with s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .pebble import DEFAULT_POSITION_CAP, fo_s_equivalent
 from .trees import RootedColoredTree, restrict_tree
@@ -79,18 +80,23 @@ def _bound(s: int, k: int, c: int, cap: int | None) -> int | None:
 class KernelResult:
     """Outcome of a reduction.
 
-    ``kernel`` is the input restricted to ``kept`` (relabeled to 1..m in
-    ascending id order), ``bound`` the size guarantee (saturated at
-    BOUND_CAP when ``bound_exact`` is false), and ``stats`` records, per
-    tree level, how many distinct child classes were seen across that
-    level.
+    ``tree`` is the input and ``kept`` the vertices of it that the kernel
+    keeps; ``bound`` is the size guarantee (saturated at BOUND_CAP when
+    ``bound_exact`` is false), and ``stats`` records, per tree level, how
+    many distinct child classes were seen across that level. The kernel
+    tree itself is built from these on first use.
     """
 
-    kernel: RootedColoredTree
+    tree: RootedColoredTree
     kept: frozenset[int]
     bound: int
     bound_exact: bool
     stats: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def kernel(self) -> RootedColoredTree:
+        """``tree`` restricted to ``kept``, relabeled 1..m in id order."""
+        return restrict_tree(self.tree, self.kept)
 
 
 def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
@@ -120,7 +126,7 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
             kept_all.update(kept_kids[v])
     bound, exact = kernel_size_bound_capped(s, t.depth, t.c)
     return KernelResult(
-        kernel=restrict_tree(t, kept_all),
+        tree=t,
         kept=frozenset(kept_all),
         bound=bound,
         bound_exact=exact,
@@ -136,14 +142,12 @@ def verify_kernel(
 ) -> bool:
     """Check a reduction against an independent referee.
 
-    Structural checks first (the kernel really is the restriction to the
-    kept set, contains the root, and honors the size bound), then tuple
-    type refinement decides FO^s equivalence of original and kernel.
+    Structural checks first (the result is a reduction of ``t``, its kept
+    set contains the root, and it honors the size bound), then tuple type
+    refinement decides FO^s equivalence of original and kernel.
     """
-    if t.root not in result.kept:
+    if result.tree != t or t.root not in result.kept:
         return False
     if len(result.kept) > result.bound:
-        return False
-    if restrict_tree(t, result.kept) != result.kernel:
         return False
     return fo_s_equivalent(t.to_graph(), result.kernel.to_graph(), s, cap)

@@ -74,12 +74,16 @@ def _set_ids(types: np.ndarray, gather: np.ndarray) -> np.ndarray:
 
 def _atomic_columns(graphs, s: int):
     """Per slot the color (0 for the blank), then per slot pair
-    2 * equal + adjacent, each over the tuples of all graphs."""
+    2 * equal + adjacent, each over the tuples of all graphs. Colors are
+    replaced by their rank among the colors of all graphs, so any color
+    value fits the packed keys of ``_intern``."""
+    palette = sorted({col for g in graphs for col in g.colors})
+    rank = {col: i for i, col in enumerate(palette, start=1)}
     slots, colors, adj = [], [], []
     for g in graphs:
         shape = (g.n + 1,) * s
         slots.append(np.indices(shape, np.min_scalar_type(g.n)).reshape(s, -1))
-        colors.append(np.array((0,) + g.colors))
+        colors.append(np.array([0] + [rank[col] for col in g.colors]))
         adj.append(np.zeros((g.n + 1, g.n + 1), dtype=np.int8))
         for u, v in g.edges:
             adj[-1][u, v] = adj[-1][v, u] = 1

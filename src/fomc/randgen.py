@@ -170,7 +170,6 @@ def random_tree_model(
         cols = {v: rng.randint(1, tree_colors) for v in parents}
         tree = RootedColoredTree.build(parents, cols, c=tree_colors)
 
-    dist = tree.distance
     rules: dict[tuple[int, int, int], bool] = {}
     edges = []
     for u in range(1, n_leaves + 1):
@@ -178,7 +177,7 @@ def random_tree_model(
             key = (
                 min(tree.color_of(u), tree.color_of(v)),
                 max(tree.color_of(u), tree.color_of(v)),
-                dist[u - 1][v - 1],
+                tree.distance(u, v),
             )
             if key not in rules:
                 rules[key] = rng.random() < 0.5

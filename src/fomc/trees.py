@@ -159,31 +159,17 @@ class RootedColoredTree:
             parents, {v: g.color_of(v) for v in g.vertices}, c=g.c
         )
 
-    @cached_property
-    def distance(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs distances in the tree (edges), indexed [u-1][v-1]."""
-        up = self.depths
-        anc_cache: dict[int, list[int]] = {}
-
-        def ancestors(v: int) -> list[int]:
-            if v not in anc_cache:
-                chain = [v]
-                while self.parents[chain[-1] - 1] != 0:
-                    chain.append(self.parents[chain[-1] - 1])
-                anc_cache[v] = chain
-            return anc_cache[v]
-
-        rows = []
-        for u in range(1, self.n + 1):
-            anc_u = {w: i for i, w in enumerate(ancestors(u))}
-            row = []
-            for v in range(1, self.n + 1):
-                for j, w in enumerate(ancestors(v)):
-                    if w in anc_u:
-                        row.append(anc_u[w] + j)
-                        break
-            rows.append(tuple(row))
-        return tuple(rows)
+    def distance(self, u: int, v: int) -> int:
+        """Edges on the tree path between ``u`` and ``v``, counted while
+        climbing from the deeper of the two until they meet."""
+        depths, parents = self.depths, self.parents
+        steps = 0
+        while u != v:
+            if depths[u - 1] < depths[v - 1]:
+                u, v = v, u
+            u = parents[u - 1]
+            steps += 1
+        return steps
 
 
 def restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTree:
@@ -379,14 +365,11 @@ def validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
         raise ValueError(
             "tree-model leaves must be exactly the graph vertices 1..n"
         )
-    dist = tm.tree.distance
+    t = tm.tree
     for u in g.vertices:
         for v in range(u + 1, g.n + 1):
-            want = g.has_edge(u, v)
-            got = tm.verdict(
-                tm.tree.color_of(u), tm.tree.color_of(v), dist[u - 1][v - 1]
-            )
-            if got is None or got != want:
+            got = tm.verdict(t.color_of(u), t.color_of(v), t.distance(u, v))
+            if got != g.has_edge(u, v):
                 return False
     return True
 

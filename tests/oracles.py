@@ -40,7 +40,6 @@ from fomc.formulas import (
 )
 from fomc.graphs import ColoredGraph
 from fomc.interpret import (
-    TREE_MODEL_OVERHEAD,
     InterpretationScheme,
     _color_set_atom,
     _tree_model_host,
@@ -334,7 +333,7 @@ def treemodel_host_and_scheme(
     model colors {c1,c2} and their tree distance is exactly d", where
     distance-d is "some common ancestor at upward distances i+j = d, and
     none closer". Upward chains reuse x4, x5 with the meeting point
-    pinned at x3, so the overhead is 3.
+    pinned at x3, so the overhead is at most 3.
     """
     host = _tree_model_host(g, tm)
     t = tm.tree
@@ -416,7 +415,6 @@ def treemodel_host_and_scheme(
     return host, InterpretationScheme(
         domain_formula=_color_set_atom(x1, colors_where(lambda cp: cp[0] == 1)),
         edge_formula=And((Not(Eq(x1, x2)), positive)),
-        variable_overhead=TREE_MODEL_OVERHEAD,
         color_formulas=tuple(
             (
                 orig,

@@ -228,6 +228,30 @@ def test_translate_identity(workdir, capsys):
     assert "exists x1." in text
 
 
+def test_translate_custom_reads_its_overhead_off_the_formulas(workdir, capsys):
+    tmp, write = workdir
+    fpath = write("f.fo", "exists x1. C1(x1)\n")
+    domain = write("dom.fo", "exists x2. adj(x1,x2)\n")
+    edge = write("edge.fo", "adj(x1,x2)\n")
+    out = str(tmp / "t.fo")
+    argv = ["translate", "--formula", fpath, "--interp", "custom"]
+    assert main(argv + ["--domain", domain, "--edge", edge, "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        (translated,) = read_formulas(fh)
+    assert variable_count(translated) == 2
+
+
+def test_equiv_and_census_take_colors_of_any_size(workdir, capsys):
+    tmp, write = workdir
+    big = 2**63 - 1
+    a = write("a.g", f"p graph 2 {big}\nv 2 {big}\n")
+    b = write("b.g", "p graph 2 1\n")
+    assert main(["equiv", "--a", a, "--b", b, "--s", "2"]) == 1
+    assert capsys.readouterr().out.strip() == "inequivalent"
+    assert main(["census", a, b, a, "--s", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 2", "1"]
+
+
 def test_validate_subcommands(workdir, capsys):
     tmp, write = workdir
     gpath = write("p3.g", graph_text(gen_path(3)))

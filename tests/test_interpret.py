@@ -15,6 +15,8 @@ from fomc.formulas import (
 )
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.interpret import (
+    FOREST_OVERHEAD,
+    TREE_MODEL_OVERHEAD,
     InterpretationScheme,
     apply_interpretation,
     backwards_translate,
@@ -48,9 +50,7 @@ x1, x2 = Var(1), Var(2)
 
 def test_scheme_validation():
     with pytest.raises(ValueError):
-        InterpretationScheme(Adj(x1, x2), Adj(x1, x2), 0)
-    with pytest.raises(ValueError):
-        InterpretationScheme(Eq(x1, x1), Eq(x1, x1), -1)
+        InterpretationScheme(Adj(x1, x2), Adj(x1, x2))
 
 
 def test_complement_of_complete():
@@ -64,7 +64,6 @@ def test_domain_restriction():
     scheme = InterpretationScheme(
         domain_formula=parse_formula("C1(x1)"),
         edge_formula=Adj(x1, x2),
-        variable_overhead=0,
     )
     out = apply_interpretation(scheme, g)
     # vertices 1, 3, 4 relabeled to 1, 2, 3; only edge 3-4 survives
@@ -73,7 +72,7 @@ def test_domain_restriction():
 
 
 def test_reflexive_edge_formula_rejected():
-    scheme = InterpretationScheme(Eq(x1, x1), Eq(x1, x2), 0)
+    scheme = InterpretationScheme(Eq(x1, x1), Eq(x1, x2))
     with pytest.raises(ValueError):
         apply_interpretation(scheme, gen_path(2))
 
@@ -84,14 +83,13 @@ def test_asymmetric_edge_formula_rejected():
     scheme = InterpretationScheme(
         Eq(x1, x1),
         And((Adj(x1, x2), parse_formula("C1(x1)"))),
-        0,
     )
     with pytest.raises(ValueError):
         apply_interpretation(scheme, g)
 
 
 def test_empty_domain_rejected():
-    scheme = InterpretationScheme(Not(Eq(x1, x1)), Adj(x1, x2), 0)
+    scheme = InterpretationScheme(Not(Eq(x1, x1)), Adj(x1, x2))
     with pytest.raises(ValueError):
         apply_interpretation(scheme, gen_path(3))
 
@@ -128,11 +126,22 @@ def test_overhead_pool_reports_demand():
     scheme = InterpretationScheme(
         domain_formula=Exists(x2, Adj(x1, x2)),  # needs one auxiliary
         edge_formula=Adj(x1, x2),
-        variable_overhead=0,
     )
-    with pytest.raises(ValueError) as err:
-        backwards_translate(Exists(x1, Eq(x1, x1)), scheme)
-    assert "needs 1" in str(err.value)
+    assert scheme.variable_overhead == 1
+
+
+def test_variable_overhead_is_read_off_the_formulas():
+    assert identity_interpretation().variable_overhead == 0
+    assert complement_interpretation().variable_overhead == 0
+    for g, tm in pipeline_fixtures().tree_models:
+        _, scheme = treemodel_host_and_scheme(g, tm)
+        assert scheme.variable_overhead <= TREE_MODEL_OVERHEAD
+    # on a star model the leaves meet at the root, one step up: only the
+    # meeting point is bound
+    star = RootedColoredTree.build({1: 3, 2: 3, 3: 0})
+    tm = TreeModel.build(star, [(1, 1, 2, True)])
+    _, scheme = treemodel_host_and_scheme(gen_path(2), tm)
+    assert scheme.variable_overhead == 1
 
 
 def test_translation_renames_domain_auxiliaries():
@@ -140,7 +149,6 @@ def test_translation_renames_domain_auxiliaries():
     scheme = InterpretationScheme(
         domain_formula=Exists(x2, Adj(x1, x2)),  # "has a neighbor"
         edge_formula=Adj(x1, x2),
-        variable_overhead=1,
     )
     phi = parse_formula("exists x1. exists x2. adj(x1,x2)")
     translated = backwards_translate(phi, scheme)
@@ -203,9 +211,11 @@ def test_depth_edge_round_trip_exhaustive_small():
 
 
 def test_depth_edge_overhead_constant():
-    for k in (1, 2, 3, 4):
-        for c in (1, 2):
-            assert depth_edge_interpretation(k, c).variable_overhead == 2
+    # the chain to an ancestor k - 1 levels up reuses two names
+    for c in (1, 2):
+        derived = [depth_edge_interpretation(k, c).variable_overhead for k in range(1, 7)]
+        assert derived == [0, 0, 1, 2, 2, 2]
+        assert max(derived) <= FOREST_OVERHEAD
 
 
 # ---------------------------------------------------------------------------

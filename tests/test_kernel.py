@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from fomc import kernel
 from fomc.formulas import parse_formula
-from fomc.interpret import mc_tree
+from fomc.graphs import gen_path
+from fomc.interpret import mc_tree, mc_treedepth, mc_treemodel
 from fomc.kernel import (
     BOUND_CAP,
     kernel_size_bound,
@@ -12,7 +14,7 @@ from fomc.kernel import (
     verify_kernel,
 )
 from fomc.pebble import ResourceLimitError
-from fomc.trees import RootedColoredTree, restrict_tree
+from fomc.trees import RootedColoredTree, TreeModel, restrict_tree
 from fomc.randgen import random_tree
 
 from .oracles import (
@@ -204,7 +206,7 @@ def test_verify_kernel_rejects_overpruned():
     res = reduce_tree(t, 2)  # keeps the root and two leaves
     pruned = frozenset(sorted(res.kept)[:-1])  # drop one kept leaf
     broken = type(res)(
-        kernel=restrict_tree(t, pruned),
+        tree=t,
         kept=pruned,
         bound=res.bound,
         bound_exact=res.bound_exact,
@@ -218,13 +220,34 @@ def test_verify_kernel_rejects_wrong_restriction():
     t = star(3)
     res = reduce_tree(t, 1)
     tampered = type(res)(
-        kernel=star(2),
+        tree=star(2),
         kept=res.kept,
         bound=res.bound,
         bound_exact=res.bound_exact,
         stats=res.stats,
     )
     assert not verify_kernel(t, tampered, 1)
+
+
+def test_kernel_tree_is_built_only_when_read(monkeypatch):
+    calls = []
+
+    def counting(t, kept):
+        calls.append(t)
+        return restrict_tree(t, kept)
+
+    monkeypatch.setattr(kernel, "restrict_tree", counting)
+    t = star(5)
+    two_leaves = parse_formula("exists x1. exists x2. adj(x1,x2) & !x1=x2")
+    assert mc_tree(t, two_leaves, 2)
+    assert mc_treedepth(gen_path(4), two_leaves, 3, 2)
+    tm = TreeModel.build(RootedColoredTree.build({1: 3, 2: 3, 3: 0}), [(1, 1, 2, True)])
+    assert mc_treemodel(gen_path(2), tm, two_leaves, 2)
+    assert calls == []
+    res = reduce_tree(t, 2)
+    assert res.kernel is res.kernel
+    assert res.kernel.n == 3
+    assert calls == [t]
 
 
 def test_exhaustive_small_corpus_class_multiplicity():

@@ -207,6 +207,23 @@ def test_census_matches_pairwise_referee_games():
         assert type_census(graphs, s) == blocks, s
 
 
+@pytest.mark.parametrize("big", [2**62, 10**20])
+def test_huge_colors_decide_as_small_ones(big):
+    rng = random.Random(41)
+    small = [random_graph(rng, rng.randint(1, 4), colors=2) for _ in range(12)]
+    huge = [
+        ColoredGraph.build(g.n, g.edges, [big if col == 2 else col for col in g.colors], c=big)
+        for g in small
+    ]
+    assert any(2 in g.colors for g in small)
+    for i, j in itertools.combinations(range(len(small)), 2):
+        for s in (1, 2):
+            a, b = small[i], small[j]
+            assert fo_s_equivalent(huge[i], huge[j], s) == fo_s_equivalent(a, b, s)
+            assert spoiler_distance(huge[i], huge[j], s) == spoiler_distance(a, b, s)
+    assert type_census(huge, 2) == type_census(small, 2)
+
+
 def test_resource_refusal():
     big = gen_path(60)
     # the cap counts the (n+1)^s tuples refinement stores per graph

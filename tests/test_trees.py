@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from fomc.trees import (
 from fomc import trees
 from fomc.randgen import random_graph, random_tree, random_tree_model
 
-from .oracles import treedepth_oracle
+from .oracles import bfs_distances, treedepth_oracle
 
 
 def star(leaves: int) -> RootedColoredTree:
@@ -39,8 +40,16 @@ def test_tree_basics():
     chain = RootedColoredTree.build({1: 0, 2: 1, 3: 2})
     assert chain.depth == 2
     assert chain.depth_of(3) == 2
-    assert chain.distance[0][2] == 2
-    assert chain.distance[1][2] == 1
+    assert chain.distance(1, 3) == chain.distance(3, 1) == 2
+    assert chain.distance(2, 3) == 1
+    assert chain.distance(2, 2) == 0
+    rng = random.Random(5)
+    for _ in range(20):
+        t = random_tree(rng, rng.randint(1, 25), 4)
+        as_graph = t.to_graph()
+        for u in range(1, t.n + 1):
+            dist = bfs_distances(as_graph, u)
+            assert all(t.distance(u, v) == dist[v] for v in range(1, t.n + 1))
 
 
 def test_tree_validation():
@@ -224,6 +233,21 @@ def test_tree_model_leaf_mismatch():
 def test_tree_model_missing_rule_is_mismatch():
     tree = RootedColoredTree.build({3: 0, 1: 3, 2: 3})
     assert not validate_tree_model(gen_path(2), TreeModel.build(tree, []))
+
+
+def test_tree_model_validation_memory_stays_flat():
+    # no table over all node pairs: a 400-leaf star stores nothing per pair
+    n = 400
+    tree = RootedColoredTree.build({**{v: n + 1 for v in range(1, n + 1)}, n + 1: 0})
+    tm = TreeModel.build(tree, [(1, 1, 2, False)])
+    g = ColoredGraph.build(n, [])
+    tracemalloc.start()
+    try:
+        assert validate_tree_model(g, tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
 
 
 def test_random_tree_models_validate_and_break_under_mutation():
