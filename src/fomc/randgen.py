@@ -46,11 +46,13 @@ def random_tree(
     vertex of depth < max_depth."""
     parents = {1: 0}
     depths = {1: 0}
+    shallow = [1] if max_depth > 0 else []  # vertices of depth < max_depth, by id
     for v in range(2, n + 1):
-        shallow = [u for u in parents if depths[u] < max_depth]
         p = rng.choice(shallow)
         parents[v] = p
         depths[v] = depths[p] + 1
+        if depths[v] < max_depth:
+            shallow.append(v)
     cols = {v: rng.randint(1, colors) for v in parents}
     return RootedColoredTree.build(parents, cols, c=colors)
 

@@ -25,9 +25,10 @@ Tree-model files are tree files with extra rule lines:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .graphs import ColoredGraph, _data_lines
 
@@ -234,26 +235,54 @@ def validate_elimination_forest(g: ColoredGraph, ef: EliminationForest) -> bool:
     """True when every edge of ``g`` joins an ancestor-descendant pair."""
     if ef.n != g.n:
         raise ValueError("forest and graph disagree on the vertex count")
-    anc: list[set[int]] = [set()] + [set(ef.ancestors(v)) for v in g.vertices]
-    return all(v in anc[u] or u in anc[v] for u, v in g.edges)
+    depths, parents = ef.node_depths, ef.parents
+    for u, v in g.edges:
+        if depths[u - 1] < depths[v - 1]:
+            u, v = v, u
+        for _ in range(depths[u - 1] - depths[v - 1]):
+            u = parents[u - 1]
+        if u != v:
+            return False
+    return True
 
 
-def _components(vertices: frozenset[int], adj) -> list[frozenset[int]]:
-    left = set(vertices)
+def _members(mask: int) -> Iterator[int]:
+    """The vertices of a mask (bit v is vertex v), ascending."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
+
+
+def _split(sub: int, nb: list[int]) -> list[int]:
+    """The components of the vertex mask ``sub``; ``nb[v]`` masks N(v)."""
     comps = []
-    while left:
-        seed = left.pop()
-        comp = {seed}
-        frontier = [seed]
+    while sub:
+        comp = frontier = sub & -sub
         while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w in left:
-                    left.remove(w)
-                    comp.add(w)
-                    frontier.append(w)
-        comps.append(frozenset(comp))
+            reach = 0
+            for v in _members(frontier):
+                reach |= nb[v]
+            frontier = reach & sub & ~comp
+            comp |= frontier
+        comps.append(comp)
+        sub &= ~comp
     return comps
+
+
+def _deepest_chain(start: int, sub: int, nb: list[int]) -> list[int]:
+    """The longest root-to-leaf chain, a path, of a DFS tree of ``sub`` from ``start``."""
+    stack, unseen, longest = [start], sub & ~(1 << start), []
+    while stack:
+        fresh = nb[stack[-1]] & unseen
+        if fresh:
+            unseen ^= fresh & -fresh
+            stack.append((fresh & -fresh).bit_length() - 1)
+        else:
+            if len(stack) > len(longest):
+                longest = stack.copy()
+            stack.pop()
+    return longest
 
 
 def compute_elimination_forest(
@@ -261,55 +290,64 @@ def compute_elimination_forest(
 ) -> EliminationForest | None:
     """Exact minimum-height elimination forest, or None when tree-depth > k.
 
-    Exhaustive recursion with memoization on connected vertex subsets:
-    the tree-depth of a connected piece is 1 plus the best over root
-    choices of the worst remaining component. A root choice is cut once a
-    component needs more than the budget leaves. Intended for small
-    graphs (roughly n <= 20).
+    Memoized recursion on connected vertex masks: a connected piece needs
+    1 plus, over root choices, the worst of its remaining components. A
+    double-sweep depth-first search (from the lowest vertex, then from
+    the end of the longest chain found) gives a path P of l vertices, so
+    the piece needs ``low = l.bit_length()``; it is refused at once when
+    that exceeds its budget. Roots on P are tried first, from its middle
+    outwards; a root off P leaves P whole, so it is tried only while
+    ``low + 1`` beats the best found, and a root reaching ``low`` ends
+    the search. Dense graphs and graphs of high tree-depth still cost
+    time exponential in n.
     """
     if k < 1:
         raise ValueError("the height budget must be positive")
-    exact: dict[frozenset[int], tuple[int, int]] = {}
-    more_than: dict[frozenset[int], int] = {}  # height exceeds the value
+    nb = [sum(1 << w for w in ws) for ws in g.adj]  # slot 0 is empty
+    known: dict[int, tuple[int, int]] = {}  # (height, root); root 0: height exceeds it
 
-    def best(sub: frozenset[int], budget: int) -> tuple[int, int] | None:
-        """(minimal height, best root) for a connected subset, or None
-        when its height exceeds ``budget``."""
-        if len(sub) == 1 and budget >= 1:
-            return 1, next(iter(sub))
-        if sub in exact:
-            return exact[sub] if exact[sub][0] <= budget else None
-        # two or more connected vertices need height 2
-        if budget < 2 or more_than.get(sub, 0) >= budget:
+    def best(sub: int, budget: int) -> tuple[int, int] | None:
+        """(minimal height, a root for it) of a connected mask; None above ``budget``."""
+        if sub & (sub - 1) == 0:
+            return (1, sub.bit_length() - 1) if budget >= 1 else None
+        h, root = known.get(sub, (0, 0))
+        if root or h >= budget:
+            return (h, root) if root and h <= budget else None
+        far = _deepest_chain((sub & -sub).bit_length() - 1, sub, nb)[-1]
+        path = _deepest_chain(far, sub, nb)
+        low = len(path).bit_length()
+        if low > budget:
+            known[sub] = (low - 1, 0)
             return None
-        best_h, best_root = min(budget, len(sub)) + 1, -1
-        for v in sorted(sub):
+        outwards = sorted(range(len(path)), key=lambda i: abs(2 * i + 1 - len(path)))
+        off_path = sub & ~sum(1 << v for v in path)
+        best_h, best_root = min(budget, sub.bit_count()) + 1, 0
+        roots = itertools.chain((path[j] for j in outwards), _members(off_path))
+        for i, v in enumerate(roots):
+            if i >= len(path) and low >= best_h - 1:
+                break
             worst = 0
-            for comp in _components(sub - {v}, g.adj):
+            for comp in _split(sub & ~(1 << v), nb):
                 found = best(comp, best_h - 2)
                 if found is None:
                     break
                 worst = max(worst, found[0])
             else:
                 best_h, best_root = 1 + worst, v
-        if best_root < 0:
-            more_than[sub] = budget
-            return None
-        exact[sub] = (best_h, best_root)
-        return exact[sub]
+                if best_h <= low:
+                    break
+        known[sub] = (best_h, best_root) if best_root else (budget, 0)
+        return known[sub] if best_root else None
 
     parents = [0] * (g.n + 1)
-
-    def attach(sub: frozenset[int], above: int) -> None:
+    pending = [(comp, 0) for comp in _split(sum(1 << v for v in g.vertices), nb)]
+    if any(best(comp, k) is None for comp, _ in pending):
+        return None
+    while pending:
+        sub, above = pending.pop()
         _, root = best(sub, k)
         parents[root] = above
-        for comp in _components(sub - {root}, g.adj):
-            attach(comp, root)
-
-    for comp in _components(frozenset(g.vertices), g.adj):
-        if best(comp, k) is None:
-            return None
-        attach(comp, 0)
+        pending.extend((comp, root) for comp in _split(sub & ~(1 << root), nb))
     return EliminationForest(n=g.n, parents=tuple(parents[1:]))
 
 

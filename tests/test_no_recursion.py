@@ -9,9 +9,9 @@ bindings, so a call to a parameter that shares a function's name counts
 too; that errs towards reporting a cycle.
 
 ``interpret``, ``trees`` and ``graphs`` are left out: their recursions are
-bounded by the budget k (``interpret``'s ``chain``, ``trees``' ``best``
-and ``attach``) or by the nesting of a JSON recipe (the ``graphs`` recipe
-functions), not by the size of the input.
+bounded by the budget k (``interpret``'s ``chain``, and ``best``, the only
+recursion in ``trees``) or by the nesting of a JSON recipe (the ``graphs``
+recipe functions), not by the size of the input.
 """
 
 import ast

@@ -52,6 +52,35 @@ def test_tree_basics():
             assert all(t.distance(u, v) == dist[v] for v in range(1, t.n + 1))
 
 
+def _random_tree_rebuilding_its_list(rng, n, max_depth, colors=1):
+    """The draw of ``random_tree`` as first written: the list of shallow
+    vertices is rebuilt for every vertex."""
+    parents = {1: 0}
+    depths = {1: 0}
+    for v in range(2, n + 1):
+        shallow = [u for u in parents if depths[u] < max_depth]
+        p = rng.choice(shallow)
+        parents[v] = p
+        depths[v] = depths[p] + 1
+    cols = {v: rng.randint(1, colors) for v in parents}
+    return RootedColoredTree.build(parents, cols, c=colors)
+
+
+def test_random_tree_draws_are_unchanged():
+    for seed in range(50):
+        rng = random.Random(seed)
+        n, max_depth, colors = rng.randint(1, 60), rng.randint(1, 5), rng.randint(1, 3)
+        args = (n, max_depth, colors)
+        assert random_tree(random.Random(seed), *args) == _random_tree_rebuilding_its_list(
+            random.Random(seed), *args
+        )
+
+
+def test_random_tree_draws_a_large_tree():
+    t = random_tree(random.Random(7), 100_000, 3)
+    assert t.n == 100_000 and t.depth == 3
+
+
 def test_tree_validation():
     with pytest.raises(ValueError):
         RootedColoredTree.build({1: 2, 2: 1})  # no root
@@ -124,6 +153,25 @@ def test_validate_elimination_forest_chain_dominates():
         assert validate_elimination_forest(g, EliminationForest(g.n, parents))
 
 
+def test_validate_elimination_forest_memory_stays_flat():
+    # no ancestor set per vertex: a 4000-vertex chain over a path stores
+    # nothing that grows with its height
+    n = 4000
+    g = gen_path(n)
+    ef = EliminationForest(n=n, parents=tuple(range(n)))
+    tracemalloc.start()
+    try:
+        assert validate_elimination_forest(g, ef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # vertex 3 moved under vertex 1: the edge 3-4 still climbs to 3, but
+    # the edge 2-3 now joins two siblings
+    moved = EliminationForest(n=n, parents=(0, 1, 1) + tuple(range(3, n)))
+    assert not validate_elimination_forest(g, moved)
+
+
 def test_compute_elimination_forest_examples():
     k1 = gen_path(1)
     ef = compute_elimination_forest(k1, 1)
@@ -154,7 +202,7 @@ def test_compute_elimination_forest_matches_oracle_random():
                 assert ef is None
             else:
                 assert ef is not None
-                assert ef.height <= k
+                assert ef.height == td
                 assert validate_elimination_forest(g, ef)
 
 
@@ -169,25 +217,76 @@ def test_compute_elimination_forest_matches_oracle_exhaustive():
             G.number_of_nodes(), [(u + 1, v + 1) for u, v in G.edges()]
         )
         td = treedepth_oracle(g)
-        assert compute_elimination_forest(g, td) is not None
+        ef = compute_elimination_forest(g, td)
+        assert ef is not None and ef.height == td
         for k in range(1, td):
             assert compute_elimination_forest(g, k) is None
 
 
-def test_compute_elimination_forest_prunes_with_its_budget(monkeypatch):
-    # the exact search on this graph makes over 500000 component splits
-    # whatever k is; a budget of 2 rules out every root choice at once
-    g = random_graph(random.Random(16), 16, colors=1, edge_prob=0.5)
+@pytest.fixture
+def split_calls(monkeypatch):
+    """A one-item list counting the search's component splits."""
     calls = [0]
-    split = trees._components
+    split = trees._split
 
     def counting(*args):
         calls[0] += 1
         return split(*args)
 
-    monkeypatch.setattr(trees, "_components", counting)
+    monkeypatch.setattr(trees, "_split", counting)
+    return calls
+
+
+def test_compute_elimination_forest_prunes_with_its_budget(split_calls):
+    # the exact search on this graph makes over 300000 component splits;
+    # a budget of 2 rules out every root choice at once
+    g = random_graph(random.Random(16), 16, colors=1, edge_prob=0.5)
     assert compute_elimination_forest(g, 2) is None
-    assert calls[0] < 2000
+    assert split_calls[0] < 2000
+
+
+def test_compute_elimination_forest_splits_a_shallow_tree_linearly(split_calls):
+    g = random_tree(random.Random(2000), 2000, 3).to_graph()
+    ef = compute_elimination_forest(g, 4)
+    assert ef is not None and ef.height == 4
+    assert validate_elimination_forest(g, ef)
+    assert split_calls[0] < 8000
+    assert compute_elimination_forest(g, 3) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 11])
+def test_compute_elimination_forest_refuses_a_long_path_at_once(split_calls, k):
+    # a path on 2^k vertices has tree-depth k + 1
+    assert compute_elimination_forest(gen_path(2**k), k) is None
+    assert split_calls[0] <= 2
+
+
+def test_compute_elimination_forest_on_a_long_path_needs_no_deep_recursion():
+    g = gen_path(1200)
+    ef = compute_elimination_forest(g, 1200)
+    assert ef is not None and ef.height == 11
+    assert validate_elimination_forest(g, ef)
+
+
+def test_compute_elimination_forest_matches_oracle_on_shallow_trees(split_calls):
+    # a tree's longest path bounds its tree-depth from below, and the
+    # search refuses a budget under that bound before its first root
+    rng = random.Random(314)
+    for _ in range(150):
+        g = random_tree(rng, rng.randint(1, 14), rng.randint(1, 3)).to_graph()
+        td = treedepth_oracle(g)
+        far = max(bfs_distances(g, 1).items(), key=lambda item: item[1])[0]
+        low = (max(bfs_distances(g, far).values()) + 1).bit_length()
+        for k in range(1, td + 2):
+            split_calls[0] = 0
+            ef = compute_elimination_forest(g, k)
+            if k < td:
+                assert ef is None
+            else:
+                assert ef is not None and ef.height == td
+                assert validate_elimination_forest(g, ef)
+            if k < low:
+                assert split_calls[0] == 1
 
 
 def test_forest_file_round_trip():
