@@ -1,13 +1,20 @@
 """Bottom-up relational evaluation of first-order formulas on colored graphs.
 
 Each subformula is evaluated to a dense table: a numpy boolean array
-with one axis of length n per free variable, in sorted variable order.
-Boolean nodes broadcast their children's tables against each other,
-negation complements, quantifiers reduce one axis with ``any``/``all``.
-A node with q free variables stores n^q cells, so a sentence with s
-distinct names costs at most |formula| * n^s cells, and variable reuse
-pays off directly. A table above ``pebble.DEFAULT_POSITION_CAP`` cells
-is refused with ``ResourceLimitError`` before it is allocated.
+with one axis of length n per free variable, keyed by the variable's
+index, in increasing order. Boolean nodes broadcast their children's
+tables against each other, negation complements, quantifiers reduce one
+axis with ``any``/``all``. A node with q free variables stores n^q
+cells, so a sentence with s distinct names costs at most
+|formula| * n^s cells, and variable reuse pays off directly.
+
+The tables come from one ``fold``, which evaluates each distinct node
+object once: a subformula shared by several parents (as in the output of
+``hardness.reduce_to_path``) costs one table, and ``EvalStats`` counts it
+once. The adjacency and identity matrices and the colour array are built
+at most once per evaluation, when an atom first needs them. A table
+above ``pebble.DEFAULT_POSITION_CAP`` cells is refused with
+``ResourceLimitError`` before it is allocated.
 
 Conventions:
 
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .formulas import (
     Formula,
     HasColor,
     Implies,
+    Not,
     Or,
     Var,
     fold,
@@ -67,18 +75,19 @@ class SatisfyingSet:
 
 @dataclass
 class EvalStats:
-    """Total number of cells stored across the per-subformula tables."""
+    """Total number of cells stored, one table per distinct subformula object."""
 
     tuples_touched: int = 0
 
 
 class _Table:
-    """Cells with one axis of length n per variable of ``vars`` (sorted);
-    never written after construction, so tables may share arrays."""
+    """Cells with one axis of length n per variable index in ``vars``
+    (sorted); never written after construction, so tables may share
+    arrays."""
 
     __slots__ = ("vars", "cells")
 
-    def __init__(self, vars: tuple[Var, ...], cells: np.ndarray) -> None:
+    def __init__(self, vars: tuple[int, ...], cells: np.ndarray) -> None:
         self.vars = vars
         self.cells = cells
 
@@ -92,73 +101,95 @@ def _require_cells(n: int, width: int) -> None:
         )
 
 
-def _adjacency(g: ColoredGraph) -> np.ndarray:
-    _require_cells(g.n, 2)
-    cells = np.zeros((g.n, g.n), dtype=bool)
-    if g.edges:
-        u, v = (np.array(list(g.edges)) - 1).T
-        cells[u, v] = cells[v, u] = True
-    return cells
+class _Atoms:
+    """The graph's arrays that atoms read, each built at most once per
+    evaluation and only when an atom needs it."""
+
+    def __init__(self, g: ColoredGraph) -> None:
+        self.g = g
+        self.n = g.n
+
+    @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        n = self.n
+        _require_cells(n, 2)
+        cells = np.zeros((n, n), dtype=bool)
+        if self.g.edges:
+            u, v = (np.array(list(self.g.edges)) - 1).T
+            cells[u, v] = cells[v, u] = True
+        return cells
+
+    @functools.cached_property
+    def identity(self) -> np.ndarray:
+        _require_cells(self.n, 2)
+        return np.eye(self.n, dtype=bool)
+
+    @functools.cached_property
+    def colors(self) -> np.ndarray:
+        # int64, uint64 or object, whichever holds every colour exactly
+        return np.asarray(self.g.colors)
 
 
-def _table(
-    node: Formula,
-    kids: Sequence[_Table],
-    g: ColoredGraph,
-    adjacency: Callable[[], np.ndarray],
-) -> _Table:
+def _table(node: Formula, kids: Sequence[_Table], atoms: _Atoms) -> _Table:
     """The table of ``node`` from the tables of its subformulas."""
-    n = g.n
-    match node:
-        case Adj(u, v):
-            if u == v:
-                return _Table((u,), np.zeros(n, dtype=bool))
-            return _Table((u, v) if u < v else (v, u), adjacency())
-        case Eq(u, v):
-            if u == v:
-                return _Table((u,), np.ones(n, dtype=bool))
-            _require_cells(n, 2)
-            return _Table((u, v) if u < v else (v, u), np.eye(n, dtype=bool))
-        case HasColor(color, v):
-            return _Table((v,), np.equal(g.colors, color))
-        case And() | Or() | Implies():
-            out = tuple(sorted(set().union(*(t.vars for t in kids))))
-            _require_cells(n, len(out))
-            # sorted variables make each child's a subsequence of ``out``
-            parts = [
-                t.cells.reshape([n if v in t.vars else 1 for v in out])
-                for t in kids
-            ]
-            if isinstance(node, Implies):
-                return _Table(out, ~parts[0] | parts[1])
-            op = np.logical_and if isinstance(node, And) else np.logical_or
-            return _Table(out, functools.reduce(op, parts))
-        case Exists(var) | Forall(var):
-            t = kids[0]
-            if var not in t.vars:
-                # vacuous over a nonempty universe
-                return t
-            axis = t.vars.index(var)
-            project = np.any if isinstance(node, Exists) else np.all
-            return _Table(t.vars[:axis] + t.vars[axis + 1 :], project(t.cells, axis))
-        case _:  # Not
-            return _Table(kids[0].vars, ~kids[0].cells)
+    n = atoms.n
+    kind = type(node)
+    if kind is And or kind is Or or kind is Implies:
+        out = tuple(sorted({i for t in kids for i in t.vars}))
+        _require_cells(n, len(out))
+        # sorted indices make each child's a subsequence of ``out``
+        parts = [
+            t.cells if t.vars == out
+            else t.cells.reshape([n if i in t.vars else 1 for i in out])
+            for t in kids
+        ]
+        if kind is Implies:
+            return _Table(out, ~parts[0] | parts[1])
+        cells = parts[0]
+        if kind is And:
+            for part in parts[1:]:
+                cells = cells & part
+        else:
+            for part in parts[1:]:
+                cells = cells | part
+        return _Table(out, cells)
+    if kind is Not:
+        return _Table(kids[0].vars, ~kids[0].cells)
+    if kind is Exists or kind is Forall:
+        t = kids[0]
+        var = node.var.index
+        if var not in t.vars:
+            # vacuous over a nonempty universe
+            return t
+        axis = t.vars.index(var)
+        cells = t.cells.any(axis) if kind is Exists else t.cells.all(axis)
+        return _Table(t.vars[:axis] + t.vars[axis + 1 :], cells)
+    if kind is HasColor:
+        return _Table((node.v.index,), np.equal(atoms.colors, node.color))
+    u, v = node.u.index, node.v.index  # Adj, Eq
+    if u == v:
+        return _Table((u,), np.full(n, kind is Eq))
+    cells = atoms.adjacency if kind is Adj else atoms.identity
+    return _Table((u, v) if u < v else (v, u), cells)
 
 
 def evaluate_free_with_stats(
     g: ColoredGraph, f: Formula
 ) -> tuple[SatisfyingSet, EvalStats]:
     stats = EvalStats()
-    adjacency = functools.cache(functools.partial(_adjacency, g))
+    atoms = _Atoms(g)
 
     def leave(node: Formula, kids: Sequence[_Table], _env: None) -> _Table:
-        t = _table(node, kids, g, adjacency)
+        t = _table(node, kids, atoms)
         stats.tuples_touched += t.cells.size
         return t
 
     table = fold(f, leave)
+    variables = tuple(map(Var, table.vars))
+    if not variables:
+        return SatisfyingSet((), frozenset([()] if table.cells else [])), stats
     rows = (np.argwhere(table.cells) + 1).tolist()
-    return SatisfyingSet(table.vars, frozenset(map(tuple, rows))), stats
+    return SatisfyingSet(variables, frozenset(map(tuple, rows))), stats
 
 
 def evaluate_free(g: ColoredGraph, f: Formula) -> SatisfyingSet:

@@ -32,13 +32,14 @@ Grammar (whitespace insignificant):
 Every pass over a formula (metrics, renaming, substitution, and the
 passes of the other modules) is a call to ``fold``, an iterative
 post-order traversal, so formula depth is not limited by the Python
-recursion limit. The parser and ``render_formula`` keep explicit stacks.
+recursion limit. The parser, ``render_formula`` and the ``==``, ``hash``
+and ``repr`` of nodes keep explicit stacks too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
@@ -59,27 +60,45 @@ class Var:
 
 
 class Formula:
-    """Base class of all AST nodes. Nodes are immutable and hashable."""
+    """Base class of all AST nodes. Nodes are immutable and hashable.
+
+    ``==``, ``hash`` and ``repr`` are loops over the nodes, so nesting
+    depth costs no Python stack. They mean what the dataclass methods
+    would: equal type and equal fields, and the dataclass text. A node
+    caches its hash when first asked, so hashing a shared subformula
+    again costs nothing."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return render_formula(self)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return _equal(self, other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        return _hash(self) if cached is None else cached
+
+    def __repr__(self) -> str:
+        return _repr(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Adj(Formula):
     u: Var
     v: Var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Eq(Formula):
     u: Var
     v: Var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HasColor(Formula):
     color: int
     v: Var
@@ -89,12 +108,12 @@ class HasColor(Formula):
             raise ValueError(f"color index must be >= 1, got {self.color}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     children: tuple[Formula, ...]
 
@@ -103,7 +122,7 @@ class And(Formula):
             raise ValueError("conjunction needs at least two children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     children: tuple[Formula, ...]
 
@@ -112,19 +131,19 @@ class Or(Formula):
             raise ValueError("disjunction needs at least two children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Exists(Formula):
     var: Var
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Forall(Formula):
     var: Var
     body: Formula
@@ -182,32 +201,140 @@ def fold(
     of its subformulas (``results``, in order; empty for atoms). ``env``
     flows top-down: the subformulas of a node see ``enter(node, env)``,
     or the node's own ``env`` when ``enter`` is None.
+
+    When ``enter`` is None every node sees the same ``env``, so ``leave``
+    must be pure: its value then depends on the node alone, and ``fold``
+    computes it once per distinct node object, however often the object
+    occurs. The memo is keyed by ``id``, which is sound because ``f``
+    keeps every node alive for the whole call; it holds every value until
+    the fold returns. With ``enter`` given, every occurrence is visited.
     """
     out: list[T] = []
+    memo: dict[int, T] | None = {} if enter is None else None
     # (node, its env, 0 before expansion, else its number of subformulas)
     todo: list[tuple[Formula, E, int]] = [(f, env, 0)]
     pop, push = todo.pop, todo.append
     while todo:
         node, e, k = pop()
         if k:
-            results = out[-k:]
+            value = leave(node, out[-k:], e)
             del out[-k:]
-            out.append(leave(node, results, e))
-            continue
-        try:
-            parts = _PARTS[type(node)]
-        except KeyError:
-            raise TypeError(f"not a formula: {node!r}") from None
-        if parts is None:
-            out.append(leave(node, (), e))
-            continue
-        kids = parts(node)
-        push((node, e, len(kids)))
-        if enter is not None:
-            e = enter(node, e)
-        for kid in reversed(kids):
-            push((kid, e, 0))
+        else:
+            if memo is not None and id(node) in memo:
+                out.append(memo[id(node)])
+                continue
+            try:
+                parts = _PARTS[type(node)]
+            except KeyError:
+                raise TypeError(f"not a formula: {node!r}") from None
+            if parts is not None:
+                kids = parts(node)
+                push((node, e, len(kids)))
+                if enter is not None:
+                    e = enter(node, e)
+                for kid in reversed(kids):
+                    push((kid, e, 0))
+                continue
+            value = leave(node, (), e)
+        if memo is not None:
+            memo[id(node)] = value
+        out.append(value)
     return out[0]
+
+
+#: Each node type's dataclass fields, in order.
+_FIELDS: dict[type, tuple[str, ...]] = {
+    kind: tuple(field.name for field in fields(kind)) for kind in _PARTS
+}
+#: A stable number per node type, so that hashes repeat across runs.
+_KIND_TAG = {kind: tag for tag, kind in enumerate(_PARTS)}
+
+
+def _hash(f: Formula) -> int:
+    """Hash ``f``, computing and caching the hash of every node below it
+    that has none yet; a node's hash combines its type, its data and its
+    subformulas' hashes."""
+    todo = [f]
+    while todo:
+        node = todo[-1]
+        if "_hash" in node.__dict__:
+            todo.pop()
+            continue
+        kids = _PARTS[type(node)]
+        pending = [k for k in kids(node) if "_hash" not in k.__dict__] if kids else ()
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        key = [_KIND_TAG[type(node)]]
+        for name in _FIELDS[type(node)]:
+            value = getattr(node, name)
+            if isinstance(value, Formula):
+                value = value.__dict__["_hash"]
+            elif type(value) is tuple:
+                value = tuple(k.__dict__["_hash"] for k in value)
+            key.append(value)
+        object.__setattr__(node, "_hash", hash(tuple(key)))
+    return f.__dict__["_hash"]
+
+
+def _equal(a: Formula, b: Formula) -> bool:
+    """Structural equality of two formulas: same node types, equal data.
+    A pair of nodes already compared is not compared again, so shared
+    subformulas cost one comparison per pair of objects."""
+    todo: list[tuple[object, object]] = [(a, b)]
+    seen: set[tuple[int, int]] = set()
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        kind = type(x)
+        if type(y) is not kind:
+            return False
+        names = _FIELDS.get(kind)
+        if names is None:  # variables, colours
+            if x != y:
+                return False
+            continue
+        if (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        for name in names:
+            vx, vy = getattr(x, name), getattr(y, name)
+            if type(vx) is tuple and type(vy) is tuple:
+                if len(vx) != len(vy):
+                    return False
+                todo += zip(vx, vy)
+            else:
+                todo.append((vx, vy))
+    return True
+
+
+def _repr(f: Formula) -> str:
+    """The text the dataclass ``repr`` gives, e.g. ``Not(child=Eq(u=Var(index=1),
+    v=Var(index=1)))``. The stack holds finished text and the nodes and
+    tuples still to write."""
+    out: list[str] = []
+    todo: list[object] = [f]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item) is tuple:
+            values, close = item, ",)" if len(item) == 1 else ")"
+            out.append("(")
+        else:
+            names = _FIELDS[type(item)]
+            values, close = [getattr(item, name) for name in names], ")"
+            out.append(f"{type(item).__name__}(")
+        todo.append(close)
+        for i in range(len(values) - 1, -1, -1):
+            value = values[i]
+            todo.append(value if isinstance(value, (Formula, tuple)) else repr(value))
+            label = "" if type(item) is tuple else f"{names[i]}="
+            todo.append(f", {label}" if i else label)
+    return "".join(out)
 
 
 def rebuild(node: Formula, parts: Sequence[Formula]) -> Formula:

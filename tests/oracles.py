@@ -85,6 +85,21 @@ def recursive_model_check(
     raise TypeError(f"not a formula: {f!r}")
 
 
+def distinct_nodes(f) -> int:
+    """Node objects reachable from ``f``, each counted once by identity."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for field in ("child", "lhs", "rhs", "body"):
+            if hasattr(node, field):
+                stack.append(getattr(node, field))
+        stack.extend(getattr(node, "children", ()))
+    return len(seen)
+
+
 def bfs_distances(g: ColoredGraph, source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])

@@ -5,19 +5,33 @@ import pytest
 
 from fomc.evaluator import evaluate_free, evaluate_free_with_stats, model_check
 from fomc.formulas import (
+    Adj,
+    And,
+    Eq,
+    Exists,
+    Forall,
+    HasColor,
+    Implies,
     Not,
+    Or,
     Var,
     formula_length,
     free_vars,
     parse_formula,
+    quantifier_rank,
     variable_count,
 )
-from fomc.graphs import gen_path
-from fomc.hardness import distance_formula
+from fomc.graphs import ColoredGraph, gen_path
+from fomc.hardness import distance_formula, reduce_to_path
 from fomc.pebble import ResourceLimitError
 from fomc.randgen import random_formula, random_graph
 
-from .oracles import all_labeled_graphs, bfs_distances, recursive_model_check
+from .oracles import (
+    all_labeled_graphs,
+    bfs_distances,
+    distinct_nodes,
+    recursive_model_check,
+)
 
 
 def test_model_check_basics():
@@ -156,3 +170,73 @@ def test_tuple_count_within_bound():
         _, stats = evaluate_free_with_stats(g, f)
         bound = formula_length(f) * g.n ** variable_count(f)
         assert stats.tuples_touched <= bound
+
+
+def _random_dag(rng: random.Random, names: int, colors: int, rank: int, steps: int):
+    """A random formula built from a growing pool of subformulas, each
+    step drawing its operands from the pool with replacement, so that one
+    object occurs at several places and under several quantifiers."""
+    var = lambda: Var(rng.randint(1, names))
+    pool = [Adj(var(), var()), Eq(var(), var())]
+    pool += [HasColor(rng.randint(1, colors), var()) for _ in range(2)]
+    for _ in range(steps):
+        pick = lambda: pool[rng.randrange(len(pool) // 2, len(pool))]
+        kind = rng.choice((Not, And, Or, Implies, Exists, Forall))
+        if kind is Not:
+            node = Not(pick())
+        elif kind in (And, Or):
+            node = kind(tuple(pick() for _ in range(rng.randint(2, 3))))
+        elif kind is Implies:
+            node = Implies(pick(), pick())
+        else:
+            node = kind(var(), pick())
+        if quantifier_rank(node) <= rank and formula_length(node) <= 40:
+            pool.append(node)
+    return pool[-1]
+
+
+def test_shared_subformulas_agree_with_recursive_oracle():
+    rng = random.Random(600)
+    shared_cases = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 6), colors=2)
+        f = _random_dag(rng, names=3, colors=2, rank=3, steps=rng.randint(4, 12))
+        sat = evaluate_free(g, f)
+        fv = sorted(free_vars(f))
+        assert sat.variables == tuple(fv)
+        for row in itertools.product(g.vertices, repeat=len(fv)):
+            env = dict(zip(fv, row))
+            assert (row in sat.rows) == recursive_model_check(g, f, env)
+        shared_cases += distinct_nodes(f) < formula_length(f)
+    assert shared_cases >= 200
+
+
+def test_shared_reduction_output_stores_each_table_once():
+    # the output has 9602 tree nodes but about a thousand distinct
+    # objects; folded as a tree it stored 30,727,333 cells
+    k12 = ColoredGraph.build(12, list(itertools.combinations(range(1, 13), 2)))
+    out = reduce_to_path(k12, parse_formula("exists x1. exists x2. adj(x1,x2)"))
+    assert formula_length(out.sentence) == 9602
+    sat, stats = evaluate_free_with_stats(out.path, out.sentence)
+    assert sat.holds
+    assert stats.tuples_touched <= 3_100_000
+
+
+def test_huge_colors_decide_as_python_integers():
+    # colours at and beyond the int64 and uint64 limits
+    g = ColoredGraph.build(3, [(1, 2)], [2**63 - 1, 2**64, 1], c=2**64)
+    expected = {2**63 - 1: {(1,)}, 2**63: set(), 2**64: {(2,)}, 2**70: set(), 1: {(3,)}}
+    for color, rows in expected.items():
+        sat = evaluate_free(g, HasColor(color, Var(1)))
+        assert sat.rows == rows
+        assert model_check(g, Exists(Var(1), HasColor(color, Var(1)))) == bool(rows)
+        assert model_check(g, Forall(Var(1), Not(HasColor(color, Var(1))))) == (not rows)
+    small = ColoredGraph.build(2, [(1, 2)], [1, 2], c=2)
+    for color in (2**63 - 1, 2**63, 2**70):
+        assert not model_check(small, Exists(Var(1), HasColor(color, Var(1))))
+    sat = evaluate_free(g, parse_formula("adj(x2,x1) & !C1(x1) | x1=x3"))
+    assert sat.variables == (Var(1), Var(2), Var(3))
+    assert all(type(v) is Var for v in sat.variables)
+    assert all(type(x) is int for row in sat.rows for x in row)
+    assert (1, 2, 3) in sat.rows and (2, 1, 2) in sat.rows and (3, 2, 3) in sat.rows
+    assert (3, 1, 1) not in sat.rows

@@ -10,6 +10,7 @@ from fomc.formulas import (
     And,
     Eq,
     Exists,
+    Forall,
     HasColor,
     Implies,
     Not,
@@ -17,6 +18,7 @@ from fomc.formulas import (
     ParseError,
     Var,
     all_vars,
+    fold,
     formula_length,
     free_vars,
     is_sentence,
@@ -232,8 +234,6 @@ def test_golden_formula_text_renders_back_to_itself():
             assert render_formula(parse_formula(text)) == text, path.name
 
 
-# Deep formulas are compared by text and metrics: the dataclass ``==``
-# still recurses once per nesting level.
 DEPTH = 100_000
 
 
@@ -242,6 +242,71 @@ def test_deep_negation_chain_parses_and_renders():
     f = parse_formula(text)
     assert formula_length(f) == DEPTH + 1
     assert render_formula(f) == text
+
+
+def test_deep_negation_chain_compares_hashes_and_reprs():
+    a = parse_formula("!" * DEPTH + "x1=x1")
+    b = parse_formula("!" * DEPTH + "x1=x1")
+    c = parse_formula("!" * DEPTH + "x1=x2")
+    assert a == b and a is not b
+    assert a != c and c != a
+    assert hash(a) == hash(b)
+    assert {a, b, c} == {a, c}
+    assert repr(a) == "Not(child=" * DEPTH + "Eq(u=Var(index=1), v=Var(index=1))" + ")" * DEPTH
+
+
+def test_repr_is_the_dataclass_text():
+    f = parse_formula("exists x1. (adj(x1,x2) & !C3(x1)) | (forall x2. x1=x2 -> x1=x1)")
+    assert repr(f) == (
+        "Exists(var=Var(index=1), body=Or(children=(And(children=(Adj(u=Var(index=1), "
+        "v=Var(index=2)), Not(child=HasColor(color=3, v=Var(index=1))))), "
+        "Forall(var=Var(index=2), body=Implies(lhs=Eq(u=Var(index=1), v=Var(index=2)), "
+        "rhs=Eq(u=Var(index=1), v=Var(index=1)))))))"
+    )
+
+
+def test_equality_and_hash_agree_with_structure():
+    # rendering is injective on formulas (it round-trips), so equal text is
+    # structural equality; re-parsed copies are equal but share no objects
+    rng = random.Random(41)
+    pool = [random_formula(rng, max_vars=3, colors=2, rank=2, size=rng.randint(1, 8)) for _ in range(120)]
+    pool += [parse_formula(render_formula(f)) for f in pool[::2]]
+    texts = [render_formula(f) for f in pool]
+    equal_pairs = 0
+    for a, ta in zip(pool, texts):
+        for b, tb in zip(pool, texts):
+            assert (a == b) == (ta == tb)
+            assert (a != b) == (ta != tb)
+            if ta == tb:
+                assert hash(a) == hash(b)
+                equal_pairs += a is not b
+    assert equal_pairs >= 120
+    assert len(set(pool)) == len(set(texts))
+    assert Adj(x1, x2) != Eq(x1, x2) and Adj(x1, x2) != "adj(x1,x2)"
+
+
+def test_match_args_patterns_still_match():
+    match parse_formula("exists x2. adj(x1,x2) & !C3(x2)"):
+        case Exists(Var(2), And((Adj(u, v), Not(HasColor(3, w))))):
+            assert (u, v, w) == (x1, x2, x2)
+        case other:
+            pytest.fail(f"no pattern matched {other!r}")
+
+
+def test_fold_visits_each_shared_node_once_unless_enter_is_given():
+    shared = parse_formula("adj(x1,x2) & C1(x2)")
+    f = Exists(x1, Or((shared, Forall(x2, shared), Not(shared))))
+    seen = []
+
+    def leave(node, parts, _env):
+        seen.append(node)
+        return sum(parts) + 1
+
+    assert fold(f, leave) == 13 == formula_length(f)
+    assert len(seen) == len({id(node) for node in seen}) == 7
+    seen.clear()
+    assert fold(f, leave, enter=lambda _node, env: env) == 13
+    assert len(seen) == 13
 
 
 def test_deep_parentheses_parse():

@@ -30,7 +30,7 @@ from fomc.hardness import (
 )
 from fomc.randgen import random_formula, random_graph
 
-from .oracles import all_labeled_graphs, bfs_distances, graphs_isomorphic
+from .oracles import all_labeled_graphs, bfs_distances, distinct_nodes, graphs_isomorphic
 
 x1, x2, x3, x4, x5 = Var(1), Var(2), Var(3), Var(4), Var(5)
 
@@ -272,21 +272,6 @@ def test_distance_formula_under_names_is_the_renamed_formula():
             assert distance_formula(k, target, a, b) == renamed, (k, target, a, b)
 
 
-def _distinct_nodes(f) -> int:
-    """Node objects reachable from ``f``, each counted once by identity."""
-    seen, stack = set(), [f]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        for field in ("child", "lhs", "rhs", "body"):
-            if hasattr(node, field):
-                stack.append(getattr(node, field))
-        stack.extend(getattr(node, "children", ()))
-    return len(seen)
-
-
 def test_reduction_output_shares_its_distance_formulas():
     # each endpoint's distance formula is built once per name order and
     # shared by all arcs that use it, so the distinct nodes stay
@@ -297,7 +282,21 @@ def test_reduction_output_shares_its_distance_formulas():
     )
     out = reduce_to_path(kn, parse_formula("exists x1. exists x2. adj(x1,x2)"))
     assert formula_length(out.sentence) == 86_306
-    assert _distinct_nodes(out.sentence) <= 10 * n * n
+    assert distinct_nodes(out.sentence) <= 10 * n * n
+
+
+def test_shared_subformula_under_two_depths_reduces_like_a_copy():
+    # ``inner`` occurs at depth 1 and depth 2, where the reduction must
+    # name its variables differently; the fold memo must not reuse the
+    # first image for the second occurrence
+    inner = Exists(x2, Adj(x1, x2))
+    shared = Exists(x1, And((inner, Forall(x1, inner))))
+    copy = parse_formula(render_formula(shared))
+    assert copy.body.children[0] is not copy.body.children[1].body
+    g = ColoredGraph.build(4, [(1, 2), (2, 3), (1, 4)])
+    out = reduce_to_path(g, shared).sentence
+    assert render_formula(out) == render_formula(reduce_to_path(g, copy).sentence)
+    assert cross_validate(g, shared).agree
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +354,11 @@ def test_reduce_far_positions_have_no_recursion_cap(g, text):
     out = reduce_to_path(g, parse_formula(text))
     assert not free_vars(out.sentence)
     assert variable_count(out.sentence) <= 4
-    # the text goes out and comes back; compared by text and length,
-    # since the dataclass == still recurses once per nesting level
+    # the text goes out and comes back
     written = render_formula(out.sentence)
     back = parse_formula(written)
     assert render_formula(back) == written
+    assert back == out.sentence
     assert formula_length(back) == formula_length(out.sentence)
 
 
