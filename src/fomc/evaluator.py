@@ -8,10 +8,11 @@ axis with ``any``/``all``. A node with q free variables stores n^q
 cells, so a sentence with s distinct names costs at most
 |formula| * n^s cells, and variable reuse pays off directly.
 
-The tables come from one ``fold``, which evaluates each distinct node
-object once: a subformula shared by several parents (as in the output of
-``hardness.reduce_to_path``) costs one table, and ``EvalStats`` counts it
-once. The adjacency and identity matrices and the colour array are built
+The tables come from one ``fold``, which evaluates each distinct
+subformula once. Formula nodes are interned, so equal subformulas are one
+object however the formula was built (parsed, renamed or reduced by
+``hardness.reduce_to_path``): a subformula that occurs under several
+parents costs one table, and ``EvalStats`` counts it once. The adjacency and identity matrices and the colour array are built
 at most once per evaluation, when an atom first needs them. A table
 above ``pebble.DEFAULT_POSITION_CAP`` cells is refused with
 ``ResourceLimitError`` before it is allocated.
@@ -75,7 +76,7 @@ class SatisfyingSet:
 
 @dataclass
 class EvalStats:
-    """Total number of cells stored, one table per distinct subformula object."""
+    """Total number of cells stored, one table per distinct subformula."""
 
     tuples_touched: int = 0
 

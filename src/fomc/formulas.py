@@ -29,16 +29,22 @@ Grammar (whitespace insignificant):
     atom    := "adj(" var "," var ")" | var "=" var | "C" nat "(" var ")"
     var     := "x" nat
 
+Nodes are hash-consed: constructing a node whose type and fields equal
+those of a live node returns that node, so equal formulas are one object
+and ``==`` and ``hash`` are those of identity. A formula's hash is
+therefore not stable across processes, and nothing orders output by it.
+
 Every pass over a formula (metrics, renaming, substitution, and the
 passes of the other modules) is a call to ``fold``, an iterative
 post-order traversal, so formula depth is not limited by the Python
-recursion limit. The parser, ``render_formula`` and the ``==``, ``hash``
-and ``repr`` of nodes keep explicit stacks too.
+recursion limit. The parser, ``render_formula`` and ``repr`` keep
+explicit stacks too.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, fields
 from functools import partial
 from operator import attrgetter
@@ -59,46 +65,71 @@ class Var:
         return f"x{self.index}"
 
 
-class Formula:
-    """Base class of all AST nodes. Nodes are immutable and hashable.
+class _Interned(type):
+    """Metaclass of ``Formula``: a constructor call returns the live node
+    of the same type and fields when there is one. The fields' subformulas
+    are interned already, so the lookup compares and hashes them by
+    identity."""
 
-    ``==``, ``hash`` and ``repr`` are loops over the nodes, so nesting
-    depth costs no Python stack. They mean what the dataclass methods
-    would: equal type and equal fields, and the dataclass text. A node
-    caches its hash when first asked, so hashing a shared subformula
-    again costs nothing."""
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # the dataclass ``__init__`` binds keywords to fields
+            made = super().__call__(*args, **kwargs)
+            return _NODES.setdefault(
+                (cls, *(getattr(made, name) for name in _FIELDS[cls])), made
+            )
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__call__(*args)
+        return node
 
-    __slots__ = ()
+
+#: Every live node, keyed by its type and fields; an entry goes when its
+#: node is no longer referenced.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class Formula(metaclass=_Interned):
+    """Base class of all AST nodes. Nodes are immutable and interned: two
+    formulas are equal exactly when they are the same object, so ``==``
+    and ``hash`` are identity's. Copying returns the node itself, and
+    unpickling builds it through the constructor. ``repr`` is a loop that
+    prints the dataclass text, so nesting depth costs no Python stack."""
+
+    __slots__ = ("__weakref__",)  # the intern table holds nodes weakly
 
     def __str__(self) -> str:
         return render_formula(self)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return _equal(self, other)
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        return _hash(self) if cached is None else cached
-
     def __repr__(self) -> str:
         return _repr(self)
 
+    def __copy__(self) -> Formula:
+        return self
 
-@dataclass(frozen=True, eq=False, repr=False)
+    def __deepcopy__(self, _memo: dict) -> Formula:
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
+
+
+_node = dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+
+@_node
 class Adj(Formula):
     u: Var
     v: Var
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_node
 class Eq(Formula):
     u: Var
     v: Var
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_node
 class HasColor(Formula):
     color: int
     v: Var
@@ -108,12 +139,12 @@ class HasColor(Formula):
             raise ValueError(f"color index must be >= 1, got {self.color}")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_node
 class And(Formula):
     children: tuple[Formula, ...]
 
@@ -122,7 +153,7 @@ class And(Formula):
             raise ValueError("conjunction needs at least two children")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_node
 class Or(Formula):
     children: tuple[Formula, ...]
 
@@ -131,19 +162,19 @@ class Or(Formula):
             raise ValueError("disjunction needs at least two children")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_node
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_node
 class Exists(Formula):
     var: Var
     body: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_node
 class Forall(Formula):
     var: Var
     body: Formula
@@ -204,10 +235,11 @@ def fold(
 
     When ``enter`` is None every node sees the same ``env``, so ``leave``
     must be pure: its value then depends on the node alone, and ``fold``
-    computes it once per distinct node object, however often the object
-    occurs. The memo is keyed by ``id``, which is sound because ``f``
-    keeps every node alive for the whole call; it holds every value until
-    the fold returns. With ``enter`` given, every occurrence is visited.
+    computes it once per distinct subformula (nodes are interned, so a
+    distinct subformula is a distinct object), however often it occurs.
+    The memo is keyed by ``id``, which is sound because ``f`` keeps every
+    node alive for the whole call; it holds every value until the fold
+    returns. With ``enter`` given, every occurrence is visited.
     """
     out: list[T] = []
     memo: dict[int, T] | None = {} if enter is None else None
@@ -246,70 +278,6 @@ def fold(
 _FIELDS: dict[type, tuple[str, ...]] = {
     kind: tuple(field.name for field in fields(kind)) for kind in _PARTS
 }
-#: A stable number per node type, so that hashes repeat across runs.
-_KIND_TAG = {kind: tag for tag, kind in enumerate(_PARTS)}
-
-
-def _hash(f: Formula) -> int:
-    """Hash ``f``, computing and caching the hash of every node below it
-    that has none yet; a node's hash combines its type, its data and its
-    subformulas' hashes."""
-    todo = [f]
-    while todo:
-        node = todo[-1]
-        if "_hash" in node.__dict__:
-            todo.pop()
-            continue
-        kids = _PARTS[type(node)]
-        pending = [k for k in kids(node) if "_hash" not in k.__dict__] if kids else ()
-        if pending:
-            todo += pending
-            continue
-        todo.pop()
-        key = [_KIND_TAG[type(node)]]
-        for name in _FIELDS[type(node)]:
-            value = getattr(node, name)
-            if isinstance(value, Formula):
-                value = value.__dict__["_hash"]
-            elif type(value) is tuple:
-                value = tuple(k.__dict__["_hash"] for k in value)
-            key.append(value)
-        object.__setattr__(node, "_hash", hash(tuple(key)))
-    return f.__dict__["_hash"]
-
-
-def _equal(a: Formula, b: Formula) -> bool:
-    """Structural equality of two formulas: same node types, equal data.
-    A pair of nodes already compared is not compared again, so shared
-    subformulas cost one comparison per pair of objects."""
-    todo: list[tuple[object, object]] = [(a, b)]
-    seen: set[tuple[int, int]] = set()
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        kind = type(x)
-        if type(y) is not kind:
-            return False
-        names = _FIELDS.get(kind)
-        if names is None:  # variables, colours
-            if x != y:
-                return False
-            continue
-        if (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
-        for name in names:
-            vx, vy = getattr(x, name), getattr(y, name)
-            if type(vx) is tuple and type(vy) is tuple:
-                if len(vx) != len(vy):
-                    return False
-                todo += zip(vx, vy)
-            else:
-                todo.append((vx, vy))
-    return True
-
-
 def _repr(f: Formula) -> str:
     """The text the dataclass ``repr`` gives, e.g. ``Not(child=Eq(u=Var(index=1),
     v=Var(index=1)))``. The stack holds finished text and the nodes and
@@ -530,8 +498,8 @@ _TOKEN_RE = re.compile(
     | (?P<adj>adj\b)
     | (?P<exists>exists\b)
     | (?P<forall>forall\b)
-    | (?P<var>x(?P<varnum>\d+))
-    | (?P<color>C(?P<colnum>\d+))
+    | (?P<var>x\d+)
+    | (?P<color>C\d+)
     | (?P<arrow>->)
     | (?P<lparen>\()
     | (?P<rparen>\))
@@ -541,50 +509,36 @@ _TOKEN_RE = re.compile(
     | (?P<eq>=)
     | (?P<comma>,)
     | (?P<dot>\.)
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+_INDEXED = {"var": "variable", "color": "color"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: int | None
-    line: int
-    column: int
+def _error(text: str, pos: int, message: str) -> ParseError:
+    """A ``ParseError`` at offset ``pos`` of ``text``, placed by line and column."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        col = m.start() - line_start + 1
+def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
+    """(kind, index of a variable or color else None, offset) per token,
+    ending with an ``eof`` token."""
+    tokens: list[tuple[str, int | None, int]] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos = m.lastgroup, m.start()
         if kind == "ws":
-            for i in range(m.start(), m.end()):
-                if text[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-        elif kind == "var":
-            idx = int(m.group("varnum"))
-            if idx == 0:
-                raise ParseError("variable index 0 is not allowed", line, col)
-            tokens.append(_Token("var", idx, line, col))
-        elif kind == "color":
-            idx = int(m.group("colnum"))
-            if idx == 0:
-                raise ParseError("color index 0 is not allowed", line, col)
-            tokens.append(_Token("color", idx, line, col))
+            continue
+        if kind in _INDEXED:
+            value = int(m.group()[1:])
+            if not value:
+                raise _error(text, pos, f"{_INDEXED[kind]} index 0 is not allowed")
+            tokens.append((kind, value, pos))
+        elif kind == "bad":
+            raise _error(text, pos, f"unexpected character {text[pos]!r}")
         else:
-            tokens.append(_Token(kind, None, line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", None, line, len(text) - line_start + 1))
+            tokens.append((kind, None, pos))
+    tokens.append(("eof", None, len(text)))
     return tokens
 
 
@@ -613,15 +567,14 @@ def parse_formula(text: str) -> Formula:
     parens = 0
 
     def expect(kind: str, what: str) -> int | None:
-        tok = next(tokens)
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.column)
-        return tok.value
+        got, value, pos = next(tokens)
+        if got != kind:
+            raise _error(text, pos, f"expected {what}")
+        return value
 
     while True:
         # An operand is expected: prefix constructs open frames, an atom ends it.
-        tok = next(tokens)
-        kind = tok.kind
+        kind, value, pos = next(tokens)
         if kind == "not":
             frames.append((_PREC_UNARY, len(operands), Not))
             continue
@@ -642,24 +595,23 @@ def parse_formula(text: str) -> Formula:
             expect("rparen", "')'")
         elif kind == "color":
             expect("lparen", "'(' after the color name")
-            operands.append(HasColor(tok.value, Var(expect("var", "a variable"))))
+            operands.append(HasColor(value, Var(expect("var", "a variable"))))
             expect("rparen", "')'")
         elif kind == "var":
             expect("eq", "'='")
-            operands.append(Eq(Var(tok.value), Var(expect("var", "a variable"))))
+            operands.append(Eq(Var(value), Var(expect("var", "a variable"))))
         else:
-            raise ParseError("expected a formula", tok.line, tok.column)
+            raise _error(text, pos, "expected a formula")
         # An operand is complete: close groups until an operator follows.
         while True:
-            tok = next(tokens)
-            kind = tok.kind
+            kind, _, pos = next(tokens)
             if kind in _BINARY:
                 prec, build = _BINARY[kind]
             elif kind == ("rparen" if parens else "eof"):
                 prec = -2
             else:
                 message = "expected ')'" if parens else "trailing input after the formula"
-                raise ParseError(message, tok.line, tok.column)
+                raise _error(text, pos, message)
             while frames[-1][0] > prec:
                 _, start, close = frames.pop()
                 operands[start:] = [close(*operands[start:])]

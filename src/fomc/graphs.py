@@ -303,17 +303,26 @@ SCRecipe = SCLeaf | SCCombine
 
 
 def recipe_depth(r: SCRecipe) -> int:
-    if isinstance(r, SCLeaf):
-        return 0
-    return 1 + max(recipe_depth(ch) for ch in r.children)
+    deepest = 0
+    todo = [(r, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, SCLeaf):
+            deepest = max(deepest, depth)
+        else:
+            todo += ((ch, depth + 1) for ch in node.children)
+    return deepest
 
 
 def recipe_leaf_names(r: SCRecipe) -> list[str]:
-    if isinstance(r, SCLeaf):
-        return [r.name]
     out: list[str] = []
-    for ch in r.children:
-        out.extend(recipe_leaf_names(ch))
+    todo = [r]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, SCLeaf):
+            out.append(node.name)
+        else:
+            todo += reversed(node.children)
     return out
 
 
@@ -322,37 +331,38 @@ def build_sc_graph(r: SCRecipe) -> ColoredGraph:
     takes the disjoint union of its children and toggles adjacency
     inside its flip set. Leaf names must be unique; flip sets may only
     name leaves below the combine. Vertex ids follow leaf order.
-    """
-    names = recipe_leaf_names(r)
-    if len(set(names)) != len(names):
-        raise ValueError("leaf names must be unique in a recipe")
 
-    def go(node: SCRecipe, offset: int) -> tuple[ColoredGraph, dict[str, int]]:
-        if isinstance(node, SCLeaf):
-            return ColoredGraph.build(1, colors=[node.color]), {node.name: offset + 1}
-        built: list[ColoredGraph] = []
-        ids: dict[str, int] = {}
-        at = offset
-        for ch in node.children:
-            sub, sub_ids = go(ch, at)
-            built.append(sub)
-            ids.update(sub_ids)
-            at += sub.n
-        combined = disjoint_union(built)
-        missing = node.flip_names - ids.keys()
+    A combine's leaves are consecutive in that order, so one pass notes
+    each combine's range of leaf positions as it closes, and its flip
+    set's pairs are toggled in one edge set.
+    """
+    leaves: list[SCLeaf] = []
+    closed: list[tuple[SCCombine, int, int]] = []  # post-order, leaves (first, last]
+    todo: list = [r]  # recipe nodes to open, (combine, first) pairs to close
+    while todo:
+        item = todo.pop()
+        if isinstance(item, SCLeaf):
+            leaves.append(item)
+        elif isinstance(item, SCCombine):
+            todo.append((item, len(leaves)))
+            todo += reversed(item.children)
+        else:
+            node, first = item
+            closed.append((node, first, len(leaves)))
+    ids = {leaf.name: v for v, leaf in enumerate(leaves, start=1)}
+    if len(ids) != len(leaves):
+        raise ValueError("leaf names must be unique in a recipe")
+    edges: set[Edge] = set()
+    for node, first, last in closed:
+        missing = [name for name in node.flip_names if not first < ids.get(name, 0) <= last]
         if missing:
             raise ValueError(
                 "flip set names unknown below this combine: "
                 + ", ".join(sorted(missing))
             )
-        flip_ids = frozenset(ids[name] - offset for name in node.flip_names)
-        flipped = apply_flip(
-            combined, PartitionFlip.build([flip_ids], [(0, 0)] if flip_ids else [])
-        )
-        return flipped, ids
-
-    g, _ = go(r, 0)
-    return g
+        flipped = sorted(ids[name] for name in node.flip_names)
+        edges.symmetric_difference_update(itertools.combinations(flipped, 2))
+    return ColoredGraph.build(len(leaves), edges, [leaf.color for leaf in leaves])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import copy
+import gc
 import io
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 
-from fomc.evaluator import model_check
+from fomc import formulas
+from fomc.evaluator import evaluate_free_with_stats, model_check
 from fomc.formulas import (
     Adj,
     And,
@@ -248,7 +252,7 @@ def test_deep_negation_chain_compares_hashes_and_reprs():
     a = parse_formula("!" * DEPTH + "x1=x1")
     b = parse_formula("!" * DEPTH + "x1=x1")
     c = parse_formula("!" * DEPTH + "x1=x2")
-    assert a == b and a is not b
+    assert a is b
     assert a != c and c != a
     assert hash(a) == hash(b)
     assert {a, b, c} == {a, c}
@@ -267,22 +271,68 @@ def test_repr_is_the_dataclass_text():
 
 def test_equality_and_hash_agree_with_structure():
     # rendering is injective on formulas (it round-trips), so equal text is
-    # structural equality; re-parsed copies are equal but share no objects
+    # structural equality; re-parsed copies are built apart from the
+    # originals, and interning makes each the very object it copies
     rng = random.Random(41)
     pool = [random_formula(rng, max_vars=3, colors=2, rank=2, size=rng.randint(1, 8)) for _ in range(120)]
     pool += [parse_formula(render_formula(f)) for f in pool[::2]]
     texts = [render_formula(f) for f in pool]
     equal_pairs = 0
-    for a, ta in zip(pool, texts):
-        for b, tb in zip(pool, texts):
+    for i, (a, ta) in enumerate(zip(pool, texts)):
+        for j, (b, tb) in enumerate(zip(pool, texts)):
+            assert (a is b) == (ta == tb)
             assert (a == b) == (ta == tb)
             assert (a != b) == (ta != tb)
             if ta == tb:
                 assert hash(a) == hash(b)
-                equal_pairs += a is not b
+                equal_pairs += i != j
     assert equal_pairs >= 120
     assert len(set(pool)) == len(set(texts))
     assert Adj(x1, x2) != Eq(x1, x2) and Adj(x1, x2) != "adj(x1,x2)"
+
+
+def test_equal_formulas_are_one_object():
+    text = "exists x1. (adj(x1,x2) & !C3(x1)) | (forall x2. x1=x2 -> x1=x1)"
+    assert parse_formula(text) is parse_formula(text)
+    assert parse_formula(text) is parse_formula(render_formula(parse_formula(text)))
+    assert Adj(u=x1, v=x2) is Adj(x1, x2) is parse_formula("adj(x1,x2)")
+    assert rename_variables(parse_formula("adj(x1,x2)"), {x1: x2, x2: x1}) is Adj(x2, x1)
+
+
+def test_repeated_subformula_is_one_object_and_one_table():
+    f = parse_formula("adj(x1,x2) & adj(x1,x2)")
+    assert f.children[0] is f.children[1]
+    # the Adj table and the And table, 5^2 cells each; a second Adj
+    # object would add a third
+    assert evaluate_free_with_stats(gen_path(5), f)[1].tuples_touched == 2 * 5**2
+
+
+def test_invalid_nodes_are_refused_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="color index must be >= 1"):
+            HasColor(0, x1)
+        with pytest.raises(ValueError, match="conjunction needs at least two children"):
+            And((Adj(x1, x2),))
+
+
+def test_copies_and_pickles_are_the_same_object():
+    deep = parse_formula("!" * DEPTH + "x1=x1")
+    f = parse_formula("forall x1. exists x2. adj(x1,x2) & !C2(x2) | x1=x2")
+    for g in (f, deep):
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+    assert copy.deepcopy([f, {"key": f}]) == [f, {"key": f}]
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_dropped_deep_chain_leaves_the_intern_table():
+    gc.collect()
+    before = len(formulas._NODES)
+    chain = parse_formula("!" * DEPTH + "x5=x6")
+    assert len(formulas._NODES) == before + DEPTH + 1
+    del chain
+    gc.collect()
+    assert len(formulas._NODES) == before
 
 
 def test_match_args_patterns_still_match():

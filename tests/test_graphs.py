@@ -12,6 +12,7 @@ from fomc.graphs import (
     SCLeaf,
     apply_flip,
     build_sc_graph,
+    disjoint_union,
     gen_disjoint_paths,
     gen_flipped_half_graph,
     gen_half_graph,
@@ -20,6 +21,7 @@ from fomc.graphs import (
     read_graph,
     read_partition,
     recipe_depth,
+    recipe_leaf_names,
     write_graph,
     write_partition,
 )
@@ -209,6 +211,57 @@ def test_sc_dangling_name_rejected():
         build_sc_graph(SCCombine((SCLeaf("a"),), frozenset({"zz"})))
     with pytest.raises(ValueError):
         build_sc_graph(SCCombine((SCLeaf("a"), SCLeaf("a")), frozenset()))
+
+
+def test_sc_dangling_name_is_reported_at_its_combine():
+    # "a" is below the outer combine but not below the inner one
+    inner = SCCombine((SCLeaf("b"), SCLeaf("c")), frozenset({"a", "b"}))
+    with pytest.raises(ValueError, match="unknown below this combine: a$"):
+        build_sc_graph(SCCombine((SCLeaf("a"), inner), frozenset()))
+
+
+def _union_then_flip(r):
+    """Reference: each combine builds the disjoint union of its children
+    and applies its flip set as a partition flip."""
+    if isinstance(r, SCLeaf):
+        return ColoredGraph.build(1, colors=[r.color]), [r.name]
+    built = [_union_then_flip(ch) for ch in r.children]
+    names = [name for _, sub in built for name in sub]
+    part = [names.index(name) + 1 for name in r.flip_names]
+    g = disjoint_union([sub for sub, _ in built])
+    return apply_flip(g, PartitionFlip.build([part], [(0, 0)] if part else [])), names
+
+
+def test_sc_recipes_agree_with_union_then_flip():
+    rng = random.Random(13)
+    for _ in range(200):
+        count = 0
+
+        def draw(depth):
+            nonlocal count
+            if depth == 0 or rng.random() < 0.3:
+                count += 1
+                return SCLeaf(f"v{count}", rng.randint(1, 3))
+            children = tuple(draw(depth - 1) for _ in range(rng.randint(1, 3)))
+            below = recipe_leaf_names(SCCombine(children, frozenset()))
+            flip = rng.sample(below, rng.randint(0, len(below)))
+            return SCCombine(children, frozenset(flip))
+
+        recipe = draw(4)
+        expected, names = _union_then_flip(recipe)
+        assert recipe_leaf_names(recipe) == names
+        assert build_sc_graph(recipe) == expected
+
+
+def test_sc_recipe_nesting_has_no_recursion_cap():
+    # a 1500-level chain whose every combine flips its two newest leaves
+    # builds the path on 1501 vertices
+    recipe = SCLeaf("v1")
+    for v in range(2, 1502):
+        recipe = SCCombine((recipe, SCLeaf(f"v{v}")), frozenset({f"v{v - 1}", f"v{v}"}))
+    assert recipe_depth(recipe) == 1500
+    assert recipe_leaf_names(recipe) == [f"v{v}" for v in range(1, 1502)]
+    assert build_sc_graph(recipe) == gen_path(1501)
 
 
 def test_graph_file_round_trip_random():

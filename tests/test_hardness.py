@@ -288,14 +288,35 @@ def test_reduction_output_shares_its_distance_formulas():
 def test_shared_subformula_under_two_depths_reduces_like_a_copy():
     # ``inner`` occurs at depth 1 and depth 2, where the reduction must
     # name its variables differently; the fold memo must not reuse the
-    # first image for the second occurrence
+    # first image for the second occurrence. Equal subformulas are one
+    # object, so there is no unshared copy to compare with: the text is
+    # the one an unshared copy reduced to before nodes were interned.
     inner = Exists(x2, Adj(x1, x2))
     shared = Exists(x1, And((inner, Forall(x1, inner))))
-    copy = parse_formula(render_formula(shared))
-    assert copy.body.children[0] is not copy.body.children[1].body
     g = ColoredGraph.build(4, [(1, 2), (2, 3), (1, 4)])
     out = reduce_to_path(g, shared).sentence
-    assert render_formula(out) == render_formula(reduce_to_path(g, copy).sentence)
+    assert render_formula(out) == (
+        "exists x1. (exists x2. (exists x3. x1=x2 & (exists x2. adj(x1,x2) & "
+        "x2=x3) | x1=x2 & (exists x2. adj(x1,x2) & exists x4. !x1=x4 & "
+        "adj(x2,x4) & (adj(x2,x4) & exists x1. !x2=x1 & adj(x4,x1) & "
+        "(adj(x4,x1) & x1=x3))) | (exists x3. adj(x1,x3) & x3=x2) & x1=x3 | "
+        "(exists x3. adj(x1,x3) & x3=x2) & (exists x2. adj(x1,x2) & exists x4. "
+        "!x1=x4 & adj(x2,x4) & (adj(x2,x4) & x4=x3)) | (exists x3. adj(x1,x3) &"
+        " exists x4. !x1=x4 & adj(x3,x4) & (adj(x3,x4) & x4=x2)) & (exists x2. "
+        "adj(x1,x2) & x2=x3) | (exists x3. adj(x1,x3) & exists x4. !x1=x4 & "
+        "adj(x3,x4) & (adj(x3,x4) & exists x1. !x3=x1 & adj(x4,x1) & "
+        "(adj(x4,x1) & x1=x2))) & x1=x3) & forall x3. exists x4. x1=x3 & "
+        "(exists x3. adj(x1,x3) & x3=x4) | x1=x3 & (exists x3. adj(x1,x3) & "
+        "exists x2. !x1=x2 & adj(x3,x2) & (adj(x3,x2) & exists x1. !x3=x1 & "
+        "adj(x2,x1) & (adj(x2,x1) & x1=x4))) | (exists x4. adj(x1,x4) & x4=x3) "
+        "& x1=x4 | (exists x4. adj(x1,x4) & x4=x3) & (exists x3. adj(x1,x3) & "
+        "exists x2. !x1=x2 & adj(x3,x2) & (adj(x3,x2) & x2=x4)) | (exists x4. "
+        "adj(x1,x4) & exists x2. !x1=x2 & adj(x4,x2) & (adj(x4,x2) & x2=x3)) & "
+        "(exists x3. adj(x1,x3) & x3=x4) | (exists x4. adj(x1,x4) & exists x2. "
+        "!x1=x2 & adj(x4,x2) & (adj(x4,x2) & exists x1. !x4=x1 & adj(x2,x1) & "
+        "(adj(x2,x1) & x1=x3))) & x1=x4) & exists x2. forall x3. adj(x1,x3) -> "
+        "x2=x3"
+    )
     assert cross_validate(g, shared).agree
 
 

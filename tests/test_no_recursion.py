@@ -8,10 +8,9 @@ calls by bare name or as a ``self.`` method. Names are matched, not
 bindings, so a call to a parameter that shares a function's name counts
 too; that errs towards reporting a cycle.
 
-``interpret``, ``trees`` and ``graphs`` are left out: their recursions are
-bounded by the budget k (``interpret``'s ``chain``, and ``best``, the only
-recursion in ``trees``) or by the nesting of a JSON recipe (the ``graphs``
-recipe functions), not by the size of the input.
+``interpret`` and ``trees`` are left out: their recursions are bounded by
+the budget k (``interpret``'s ``chain``, and ``best``, the only recursion
+in ``trees``), not by the size of the input.
 """
 
 import ast
@@ -22,7 +21,7 @@ import pytest
 
 import fomc
 
-SCALING_MODULES = ["formulas", "evaluator", "hardness", "kernel", "pebble"]
+SCALING_MODULES = ["formulas", "evaluator", "graphs", "hardness", "kernel", "pebble"]
 
 
 def call_graph(source: str) -> dict[str, set[str]]:
