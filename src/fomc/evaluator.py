@@ -4,18 +4,25 @@ Each subformula is evaluated to a dense table: a numpy boolean array
 with one axis of length n per free variable, keyed by the variable's
 index, in increasing order. Boolean nodes broadcast their children's
 tables against each other, negation complements, quantifiers reduce one
-axis with ``any``/``all``. A node with q free variables stores n^q
-cells, so a sentence with s distinct names costs at most
+axis with ``logical_or``/``logical_and``. A node with q free variables
+stores n^q cells, so a sentence with s distinct names costs at most
 |formula| * n^s cells, and variable reuse pays off directly.
 
 The tables come from one ``fold``, which evaluates each distinct
 subformula once. Formula nodes are interned, so equal subformulas are one
 object however the formula was built (parsed, renamed or reduced by
 ``hardness.reduce_to_path``): a subformula that occurs under several
-parents costs one table, and ``EvalStats`` counts it once. The adjacency and identity matrices and the colour array are built
-at most once per evaluation, when an atom first needs them. A table
-above ``pebble.DEFAULT_POSITION_CAP`` cells is refused with
+parents costs one table, and ``EvalStats`` counts it once. The adjacency
+and identity matrices and the colour array are built at most once per
+evaluation, when an atom first needs them. A table above
+``pebble.DEFAULT_POSITION_CAP`` cells is refused with
 ``ResourceLimitError`` before it is allocated.
+
+The root table's variables are the formula's free variables, so
+``model_check`` reads sentence-ness off the evaluation instead of walking
+the formula a second time: an open formula is evaluated before its
+``ValueError``, unless the evaluation is refused for size, in which case
+the ``ValueError`` still comes first.
 
 Conventions:
 
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -54,24 +62,34 @@ from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SatisfyingSet:
     """The satisfying assignments of a formula over its free variables.
 
-    ``variables`` is sorted by index; each row lists vertices in that
-    order. A formula without free variables yields ``variables == ()``
-    and either one empty row (true) or no rows (false).
+    ``variables`` is sorted by index, and ``cells`` is the formula's
+    table, one axis per variable in that order. ``rows`` lists the
+    satisfying assignments, each giving vertices in that order; it is
+    built from ``cells`` when first read, so a caller that needs only the
+    variables or the verdict pays for no rows. A formula without free
+    variables yields ``variables == ()`` and either one empty row (true)
+    or no rows (false).
     """
 
     variables: tuple[Var, ...]
-    rows: frozenset[Row]
+    cells: np.ndarray
+
+    @functools.cached_property
+    def rows(self) -> frozenset[Row]:
+        if not self.variables:
+            return frozenset([()] if self.cells else [])
+        return frozenset(map(tuple, (np.argwhere(self.cells) + 1).tolist()))
 
     @property
     def holds(self) -> bool:
         """For sentences: whether the empty assignment satisfies."""
         if self.variables:
             raise ValueError("not a sentence-level result")
-        return bool(self.rows)
+        return bool(self.cells)
 
 
 @dataclass
@@ -115,8 +133,10 @@ class _Atoms:
         n = self.n
         _require_cells(n, 2)
         cells = np.zeros((n, n), dtype=bool)
-        if self.g.edges:
-            u, v = (np.array(list(self.g.edges)) - 1).T
+        edges = self.g.edges
+        if edges:
+            ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)) - 1
+            u, v = ends[0::2], ends[1::2]
             cells[u, v] = cells[v, u] = True
         return cells
 
@@ -163,7 +183,8 @@ def _table(node: Formula, kids: Sequence[_Table], atoms: _Atoms) -> _Table:
             # vacuous over a nonempty universe
             return t
         axis = t.vars.index(var)
-        cells = t.cells.any(axis) if kind is Exists else t.cells.all(axis)
+        reduce = np.logical_or.reduce if kind is Exists else np.logical_and.reduce
+        cells = reduce(t.cells, axis)
         return _Table(t.vars[:axis] + t.vars[axis + 1 :], cells)
     if kind is HasColor:
         return _Table((node.v.index,), np.equal(atoms.colors, node.color))
@@ -186,11 +207,7 @@ def evaluate_free_with_stats(
         return t
 
     table = fold(f, leave)
-    variables = tuple(map(Var, table.vars))
-    if not variables:
-        return SatisfyingSet((), frozenset([()] if table.cells else [])), stats
-    rows = (np.argwhere(table.cells) + 1).tolist()
-    return SatisfyingSet(variables, frozenset(map(tuple, rows))), stats
+    return SatisfyingSet(tuple(map(Var, table.vars)), table.cells), stats
 
 
 def evaluate_free(g: ColoredGraph, f: Formula) -> SatisfyingSet:
@@ -201,7 +218,21 @@ def evaluate_free(g: ColoredGraph, f: Formula) -> SatisfyingSet:
 
 
 def model_check(g: ColoredGraph, sentence: Formula) -> bool:
-    """Whether the nonempty colored graph ``g`` satisfies the sentence."""
-    require_sentence(sentence)
-    return evaluate_free(g, sentence).holds
+    """Whether the nonempty colored graph ``g`` satisfies the sentence.
+
+    The formula is walked once, to evaluate it: the root table's
+    variables are its free variables, so an open formula is evaluated and
+    then refused with ``require_sentence``'s ``ValueError``; no rows are
+    built for it. When the evaluation is refused for size
+    (``ResourceLimitError``), an open formula still gets the
+    ``ValueError``, so an input error is reported before a resource
+    error."""
+    try:
+        sat = evaluate_free(g, sentence)
+    except ResourceLimitError:
+        require_sentence(sentence)
+        raise
+    if sat.variables:
+        require_sentence(sentence)
+    return sat.holds
 

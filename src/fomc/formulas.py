@@ -31,14 +31,19 @@ Grammar (whitespace insignificant):
 
 Nodes are hash-consed: constructing a node whose type and fields equal
 those of a live node returns that node, so equal formulas are one object
-and ``==`` and ``hash`` are those of identity. A formula's hash is
-therefore not stable across processes, and nothing orders output by it.
+and ``==`` and ``hash`` are those of identity. Variables are shared the
+same way, one ``Var`` per index. A formula's hash is therefore not
+stable across processes, and nothing orders output by it.
 
 Every pass over a formula (metrics, renaming, substitution, and the
 passes of the other modules) is a call to ``fold``, an iterative
 post-order traversal, so formula depth is not limited by the Python
-recursion limit. The parser, ``render_formula`` and ``repr`` keep
-explicit stacks too.
+recursion limit. ``variables`` gathers the free and the occurring
+variables in one such pass; ``free_vars``, ``all_vars``,
+``variable_count`` and ``require_sentence`` read from it, so a caller
+that needs both sets calls ``variables`` once. The parser,
+``render_formula``, ``repr`` and pickling keep explicit stacks or flat
+lists too.
 """
 
 from __future__ import annotations
@@ -46,23 +51,54 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import partial, total_ordering
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, TextIO, TypeVar
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Var:
-    """A variable name; rendered ``x1``, ``x2``, ..."""
+    """A variable name; rendered ``x1``, ``x2``, ...
 
-    index: int
+    There is one ``Var`` per index, so ``==`` and ``hash`` are those of
+    identity and run in C; variables order by index."""
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
+
+    def __new__(cls, index: int) -> Var:
+        var = _VARS.get(index)
+        if var is None:
+            if index < 1:
+                raise ValueError(f"variable index must be >= 1, got {index}")
+            var = object.__new__(cls)
+            object.__setattr__(var, "index", index)
+            var = _VARS.setdefault(index, var)
+        return var
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not Var:
+            return NotImplemented
+        return self.index < other.index
+
+    def __reduce__(self):
+        return Var, (self.index,)
+
+    def __repr__(self) -> str:
+        return f"Var(index={self.index!r})"
 
     def __str__(self) -> str:
         return f"x{self.index}"
+
+
+#: The one ``Var`` of each index made so far.
+_VARS: dict[int, Var] = {}
 
 
 class _Interned(type):
@@ -92,9 +128,11 @@ _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class Formula(metaclass=_Interned):
     """Base class of all AST nodes. Nodes are immutable and interned: two
     formulas are equal exactly when they are the same object, so ``==``
-    and ``hash`` are identity's. Copying returns the node itself, and
-    unpickling builds it through the constructor. ``repr`` is a loop that
-    prints the dataclass text, so nesting depth costs no Python stack."""
+    and ``hash`` are identity's. Copying returns the node itself. Pickling
+    writes the flat ``_flatten`` list of distinct subformulas, and
+    unpickling builds them through the constructors in one loop. ``repr``
+    is a loop that prints the dataclass text. So nesting depth costs no
+    Python stack in any of them."""
 
     __slots__ = ("__weakref__",)  # the intern table holds nodes weakly
 
@@ -111,7 +149,7 @@ class Formula(metaclass=_Interned):
         return self
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
+        return _unflatten, (_flatten(self),)
 
 
 _node = dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -278,6 +316,41 @@ def fold(
 _FIELDS: dict[type, tuple[str, ...]] = {
     kind: tuple(field.name for field in fields(kind)) for kind in _PARTS
 }
+
+
+def _flatten(f: Formula) -> list[tuple[type, tuple, tuple[int, ...]]]:
+    """The distinct subformulas of ``f`` in post-order, ``f`` last, each as
+    (type, its fields that are not subformulas, the places of its
+    subformulas in the list). Pickling writes this flat list, so depth
+    costs the pickler no stack."""
+    record: list[tuple[type, tuple, tuple[int, ...]]] = []
+
+    def leave(node: Formula, kids: Sequence[int], _env: None) -> int:
+        kind = type(node)
+        if kids:
+            data = (node.var,) if kind is Exists or kind is Forall else ()
+        else:
+            data = tuple(getattr(node, name) for name in _FIELDS[kind])
+        record.append((kind, data, tuple(kids)))
+        return len(record) - 1
+
+    fold(f, leave)
+    return record
+
+
+def _unflatten(record: Sequence[tuple[type, tuple, tuple[int, ...]]]) -> Formula:
+    """The last formula of a ``_flatten`` list, built through the
+    interning constructors."""
+    nodes: list[Formula] = []
+    for kind, data, kids in record:
+        parts = [nodes[i] for i in kids]
+        if kind is And or kind is Or:
+            nodes.append(kind(tuple(parts)))
+        else:
+            nodes.append(kind(*data, *parts))
+    return nodes[-1]
+
+
 def _repr(f: Formula) -> str:
     """The text the dataclass ``repr`` gives, e.g. ``Not(child=Eq(u=Var(index=1),
     v=Var(index=1)))``. The stack holds finished text and the nodes and
@@ -320,16 +393,26 @@ def rebuild(node: Formula, parts: Sequence[Formula]) -> Formula:
 # Metrics and structural helpers
 
 
-def _vars_step(node: Formula, parts: Sequence[frozenset[Var]], at_binder):
-    """``fold`` step gathering variables; the env ``at_binder`` combines a
-    quantifier's body variables with its own."""
+def _vars_step(
+    node: Formula, parts: Sequence[tuple[frozenset[Var], frozenset[Var]]], _env: None
+) -> tuple[frozenset[Var], frozenset[Var]]:
+    """``fold`` step of ``variables``."""
     if not parts:  # an atom
-        if isinstance(node, HasColor):
-            return frozenset((node.v,))
-        return frozenset((node.u, node.v))
-    if isinstance(node, (Exists, Forall)):
-        return at_binder(parts[0], (node.var,))
-    return parts[0].union(*parts[1:])
+        names = frozenset((node.v,) if type(node) is HasColor else (node.u, node.v))
+        return names, names
+    if len(parts) == 1:
+        if type(node) is Not:
+            return parts[0]
+        free, every = parts[0]  # a quantifier
+        return free - {node.var}, every | {node.var}
+    free, every = zip(*parts)
+    return free[0].union(*free[1:]), every[0].union(*every[1:])
+
+
+def variables(f: Formula) -> tuple[frozenset[Var], frozenset[Var]]:
+    """The free variables of ``f`` and every variable occurring in it,
+    bound or free, from one ``fold``."""
+    return fold(f, _vars_step)
 
 
 def quantifier_rank(f: Formula) -> int:
@@ -343,16 +426,16 @@ def quantifier_rank(f: Formula) -> int:
 
 def all_vars(f: Formula) -> frozenset[Var]:
     """Every variable occurring in ``f``, bound or free."""
-    return fold(f, _vars_step, env=frozenset.union)
+    return variables(f)[1]
 
 
 def variable_count(f: Formula) -> int:
     """Number of distinct variable names (reuse counted once)."""
-    return len(all_vars(f))
+    return len(variables(f)[1])
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
-    return fold(f, _vars_step, env=frozenset.difference)
+    return variables(f)[0]
 
 
 def formula_length(f: Formula) -> int:
@@ -365,6 +448,8 @@ def is_sentence(f: Formula) -> bool:
 
 
 def require_sentence(f: Formula) -> Formula:
+    """``f`` itself when it is a sentence; else a ``ValueError`` that
+    lists its free variables."""
     fv = free_vars(f)
     if fv:
         names = ", ".join(str(v) for v in sorted(fv))

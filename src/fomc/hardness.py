@@ -141,9 +141,14 @@ class ReductionOutput:
 
 def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
     """Build the path-and-sentence instance equivalent to ``g`` and
-    ``sentence``. Needs at least three vertices."""
-    require_sentence(sentence)
+    ``sentence``. Needs at least three vertices.
+
+    The sentence is walked once, by the renaming fold. A free variable
+    shows up there as a name with no binder in scope, and is refused with
+    ``require_sentence``'s ``ValueError``; on fewer than three vertices
+    that error still comes before the size error."""
     if g.n < 3:
+        require_sentence(sentence)
         raise ValueError("the reduction needs a graph on at least 3 vertices")
 
     # one encoding per distinct atom, shared by all its occurrences; the
@@ -187,7 +192,11 @@ def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
                 return type(f)(Var(depth + 2), parts[0])
         return rebuild(f, parts)
 
-    body = fold(sentence, leave, enter, (0, {}))
+    try:
+        body = fold(sentence, leave, enter, (0, {}))
+    except KeyError:  # a name with no binder in scope
+        require_sentence(sentence)
+        raise
     endpoint_guard = Exists(
         Var(2), Forall(Var(3), Implies(Adj(Var(1), Var(3)), Eq(Var(2), Var(3))))
     )

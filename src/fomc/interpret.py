@@ -66,7 +66,7 @@ from .formulas import (
     rebuild,
     rename_variables,
     require_sentence,
-    variable_count,
+    variables,
 )
 from .graphs import ColoredGraph
 from .kernel import reduce_tree
@@ -207,8 +207,10 @@ def backwards_translate(
     adjacency atom on a repeated variable is replaced by falsehood,
     which matches the edge relation being irreflexive.
     """
-    require_sentence(sentence)
-    base = max(v.index for v in all_vars(sentence))
+    free, occurring = variables(sentence)
+    if free:
+        require_sentence(sentence)
+    base = max(v.index for v in occurring)
 
     def with_pool(f: Formula, params: frozenset[Var]) -> Instance:
         """``f`` and its auxiliary variables, renamed into the pool."""
@@ -395,11 +397,13 @@ def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
 
 
 def _require_budget(sentence: Formula, s: int) -> None:
-    require_sentence(sentence)
-    if variable_count(sentence) > s:
-        raise ValueError(
-            f"sentence uses {variable_count(sentence)} variables, budget is {s}"
-        )
+    """Refuse an open sentence, then one with more than ``s`` variables,
+    from one walk."""
+    free, occurring = variables(sentence)
+    if free:
+        require_sentence(sentence)
+    if len(occurring) > s:
+        raise ValueError(f"sentence uses {len(occurring)} variables, budget is {s}")
 
 
 def _decide_on_kernel(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fomc import evaluator, formulas
 from fomc.evaluator import evaluate_free, evaluate_free_with_stats, model_check
 from fomc.formulas import (
     Adj,
@@ -15,6 +16,7 @@ from fomc.formulas import (
     Not,
     Or,
     Var,
+    fold,
     formula_length,
     free_vars,
     parse_formula,
@@ -42,6 +44,50 @@ def test_model_check_basics():
 def test_model_check_requires_sentence():
     with pytest.raises(ValueError):
         model_check(gen_path(2), parse_formula("adj(x1,x2)"))
+
+
+def test_open_formula_is_an_input_error_before_a_resource_error():
+    # evaluating the conjunction needs 30^5 cells, above the cap; the
+    # free variables are still reported first
+    f = parse_formula("adj(x1,x2) & adj(x3,x4) & adj(x4,x5)")
+    with pytest.raises(ResourceLimitError):
+        evaluate_free(gen_path(30), f)
+    with pytest.raises(ValueError) as caught:
+        model_check(gen_path(30), f)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == (
+        "expected a sentence but found free variables: x1, x2, x3, x4, x5"
+    )
+    with pytest.raises(ValueError, match="found free variables: x2$"):
+        model_check(gen_path(4), parse_formula("exists x1. adj(x1,x2) | C1(x1)"))
+
+
+def test_open_formula_is_refused_without_building_rows(monkeypatch):
+    # P215 stores 215^3 cells, just under the cap; rows would be ten million tuples
+    def no_rows(*_args):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr(evaluator.np, "argwhere", no_rows)
+    with pytest.raises(ValueError, match="found free variables: x1, x2, x3$"):
+        model_check(gen_path(215), parse_formula("x1=x1 & x2=x2 & x3=x3"))
+    sat = evaluate_free(gen_path(4), parse_formula("exists x2. adj(x1,x2) & C1(x3)"))
+    assert sat.variables == (Var(1), Var(3))
+    with pytest.raises(AssertionError, match="rows were built"):
+        sat.rows
+
+
+def test_model_check_walks_a_sentence_once(monkeypatch):
+    calls = []
+
+    def counting_fold(*args, **kwargs):
+        calls.append(args[0])
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(formulas, "fold", counting_fold)
+    monkeypatch.setattr(evaluator, "fold", counting_fold)
+    f = parse_formula("exists x1. forall x2. adj(x1,x2) | x1=x2")
+    assert not model_check(gen_path(4), f)
+    assert calls == [f]
 
 
 def test_distance_pair_on_path():

@@ -34,6 +34,7 @@ from fomc.formulas import (
     require_sentence,
     substitute_edge_atoms,
     variable_count,
+    variables,
     write_formulas,
 )
 from fomc.graphs import gen_path
@@ -179,6 +180,36 @@ def test_passes_over_deep_formulas():
     assert require_sentence(f) is f
     assert all_vars(rename_variables(f, {x1: x2})) == {x2}
     assert model_check(gen_path(3), f)
+
+
+def _variables_by_recursion(f):
+    match f:
+        case Adj(u, v) | Eq(u, v):
+            return {u, v}, {u, v}
+        case HasColor(_, v):
+            return {v}, {v}
+        case Exists(var, body) | Forall(var, body):
+            free, every = _variables_by_recursion(body)
+            return free - {var}, every | {var}
+        case Not(child):
+            return _variables_by_recursion(child)
+        case Implies(lhs, rhs):
+            parts = [lhs, rhs]
+        case And(parts) | Or(parts):
+            pass
+    found = [_variables_by_recursion(part) for part in parts]
+    return set().union(*(p[0] for p in found)), set().union(*(p[1] for p in found))
+
+
+def test_variables_gives_free_and_occurring_in_one_fold():
+    f = parse_formula("exists x2. adj(x1,x2) & (forall x3. C1(x3)) | x4=x1 -> !x5=x5")
+    assert variables(f) == ({x1, Var(4), x5}, {x1, x2, x3, Var(4), x5})
+    rng = random.Random(14)
+    for _ in range(200):
+        f = random_formula(rng, max_vars=4, colors=2, rank=3)
+        free, every = variables(f)
+        assert (free, every) == _variables_by_recursion(f)
+        assert (free_vars(f), all_vars(f), variable_count(f)) == (free, every, len(every))
 
 
 def test_variable_count_vs_free_vars():
@@ -365,3 +396,28 @@ def test_deep_parentheses_parse():
     with pytest.raises(ParseError) as err:
         parse_formula("(" * DEPTH + "x1=x1" + ")" * (DEPTH - 1))
     assert (err.value.message, err.value.column) == ("expected ')'", 2 * DEPTH + 5)
+
+
+def test_deep_chain_pickles_to_the_same_object():
+    deep = parse_formula("!" * DEPTH + "x1=x1")
+    assert pickle.loads(pickle.dumps(deep)) is deep
+    shared = parse_formula("adj(x1,x2) & C2(x2)")
+    f = Exists(x1, Or((shared, Forall(x2, Implies(shared, Not(shared))), Eq(x1, x1))))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps([f, shared], protocol)) == [f, shared]
+
+
+def test_one_var_per_index():
+    assert Var(3) is Var(3) is Var(index=3) is pickle.loads(pickle.dumps(Var(3)))
+    assert copy.copy(x2) is x2 and copy.deepcopy(x2) is x2
+    assert sorted([Var(10), x2, Var(9), x1, x2]) == [x1, x2, x2, Var(9), Var(10)]
+    assert x1 < x2 <= x2 < Var(10) and Var(10) > Var(9) >= Var(9)
+    assert x1 != x2 and x1 != 1 and {x1, Var(1), x2} == {x1, x2}
+    assert (str(Var(12)), repr(Var(12))) == ("x12", "Var(index=12)")
+    with pytest.raises(TypeError):
+        x1 < 2
+    with pytest.raises(AttributeError):
+        x1.index = 2
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"variable index must be >= 1, got {bad}"):
+            Var(bad)

@@ -388,6 +388,16 @@ def test_reduce_requires_three_vertices():
         reduce_to_path(gen_path(2), parse_formula("exists x1. C1(x1)"))
 
 
+def test_reduce_refuses_open_sentences_first():
+    free = "expected a sentence but found free variables: x2, x4$"
+    f = parse_formula("exists x1. adj(x1,x2) & (x4=x1 | exists x2. C1(x2))")
+    for g in (gen_path(2), gen_path(5), ColoredGraph.build(3, [], [1, 2, 1], c=2)):
+        with pytest.raises(ValueError, match=free):
+            reduce_to_path(g, f)
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        reduce_to_path(gen_path(2), parse_formula("exists x1. C1(x1)"))
+
+
 def test_reduce_k3_edge_sentence():
     k3 = ColoredGraph.build(3, [(1, 2), (1, 3), (2, 3)])
     phi = parse_formula("exists x2. exists x3. adj(x2,x3)")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fomc import interpret
 from fomc.evaluator import model_check
 from fomc.formulas import (
     Adj,
@@ -262,6 +263,22 @@ def test_mc_treedepth_budget_exceeded():
     c4 = ColoredGraph.build(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     with pytest.raises(ValueError):
         mc_treedepth(c4, parse_formula("exists x1. C1(x1)"), 2, 1)
+
+
+def test_mc_treedepth_refuses_bad_sentences_before_the_forest_search(monkeypatch):
+    def no_search(*_args):
+        raise AssertionError("the forest search ran")
+
+    monkeypatch.setattr(interpret, "compute_elimination_forest", no_search)
+    p4 = gen_path(4)
+    with pytest.raises(ValueError, match="found free variables: x1, x3$"):
+        mc_treedepth(p4, parse_formula("adj(x1,x3) & exists x2. x2=x2"), 3, 3)
+    four = parse_formula("exists x1. exists x2. exists x3. exists x4. adj(x1,x2) & x3=x4")
+    with pytest.raises(ValueError, match="^sentence uses 4 variables, budget is 3$"):
+        mc_treedepth(p4, four, 3, 3)
+    # an open sentence over budget reports its free variables
+    with pytest.raises(ValueError, match="found free variables: x5$"):
+        mc_treedepth(p4, parse_formula("exists x1. exists x2. adj(x1,x2) & x2=x5"), 3, 1)
 
 
 def test_mc_treedepth_distance_three_on_p7():
