@@ -107,18 +107,22 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
     class_of = [0] * (t.n + 1)
     kept_kids: list[list[int]] = [[] for _ in range(t.n + 1)]
-    deepest_first = sorted(range(1, t.n + 1), key=t.depth_of, reverse=True)
+    depths, colors, children = t.depths, t.colors, t.children
+    deepest_first = sorted(
+        range(1, t.n + 1), key=lambda v: depths[v - 1], reverse=True
+    )
     for v in deepest_first:
         copies: dict[int, int] = {}
-        for w in sorted(t.children[v], key=lambda w: (class_of[w], w)):
-            seen = copies.get(class_of[w], 0)
-            copies[class_of[w]] = seen + 1
+        kept = kept_kids[v]
+        for cls, w in sorted([(class_of[w], w) for w in children[v]]):
+            seen = copies.get(cls, 0)
+            copies[cls] = seen + 1
             if seen < s:
-                kept_kids[v].append(w)
+                kept.append(w)
         if copies:
-            level = t.depth_of(v)
+            level = depths[v - 1]
             class_counts[level] = class_counts.get(level, 0) + len(copies)
-        key = (t.color_of(v), tuple(class_of[w] for w in kept_kids[v]))
+        key = (colors[v - 1], tuple([class_of[w] for w in kept]))
         class_of[v] = ids.setdefault(key, len(ids))
     kept_all = {t.root}
     for v in reversed(deepest_first):

@@ -9,14 +9,21 @@ type plus, for each slot i, the *set* of old types of the tuples that
 replace slot i by a vertex, over every vertex. Sets, not counts: the
 logic cannot count.
 
-Types are interned exactly and jointly over all input graphs. Each
-round refines the last, so once the number of classes stops growing
-the partition is stable. Two graphs agree on every sentence with at
-most s variables exactly when their all-blank tuples end in one class
-(Immerman & Lander 1990). Round r keeps two tuples together exactly
-when the s-pebble game from that pair of positions survives r rounds,
-so ``spoiler_distance`` is the round that separates the all-blank
-tuples. The work is (n+1)^s tuples per graph, not the game's
+Types are interned exactly and jointly over all input graphs, as dense
+int32 ids. Each interning packs its columns into one int64 key in mixed
+radix (the radices are class counts, known in advance) and ranks the
+keys by one argsort and a running count of the steps between sorted
+neighbours; where the product of radices would reach 2^62 the key is
+ranked first and packing goes on from the ranks. A set of types is
+packed as its sorted distinct members.
+
+Each round refines the last, so once the number of classes stops
+growing the partition is stable. Two graphs agree on every sentence
+with at most s variables exactly when their all-blank tuples end in one
+class (Immerman & Lander 1990). Round r keeps two tuples together
+exactly when the s-pebble game from that pair of positions survives r
+rounds, so ``spoiler_distance`` is the round that separates the
+all-blank tuples. The work is (n+1)^s tuples per graph, not the game's
 ((|A|+1)(|B|+1))^s positions per pair.
 """
 
@@ -32,6 +39,10 @@ from .graphs import ColoredGraph
 #: Refuse instances that would store more tuples (or table cells) than this.
 DEFAULT_POSITION_CAP = 10_000_000
 
+#: Packed type keys are made dense before their bound reaches this, so
+#: they stay exact in int64.
+_KEY_LIMIT = 2**62
+
 
 class ResourceLimitError(RuntimeError):
     """An instance would exceed the configured cap."""
@@ -43,55 +54,83 @@ def _require_pebbles(s: int) -> None:
         raise ValueError("the pebble count must be positive")
 
 
-def _intern(columns) -> np.ndarray:
-    """Dense ids of the rows formed by non-negative integer columns.
+def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """(dense ids of the values of ``key``, in the values' order, the
+    number of distinct values), by one argsort and a running count of
+    the steps between neighbours in sorted order."""
+    order = np.argsort(key)
+    ordered = key[order]
+    rank = np.empty(len(key), np.int32 if len(key) < 2**31 else np.int64)
+    rank[0] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=rank[1:])
+    del ordered
+    np.cumsum(rank, out=rank)
+    ids = np.empty_like(rank)
+    ids[order] = rank
+    return ids, int(rank[-1]) + 1
 
-    Exact: the columns are packed into one integer key in mixed radix,
-    and the key is made dense again before it could overflow.
+
+def _intern(columns) -> tuple[np.ndarray, int]:
+    """(dense ids of the rows formed by ``(column, base)`` pairs, whose
+    values lie in ``range(base)``, the number of distinct rows).
+
+    Exact: the columns are packed into one int64 key in mixed radix, and
+    the key is made dense again wherever the next radix would take its
+    bound to ``_KEY_LIMIT``.
     """
-    key, bound = 0, 1
-    for col in columns:
-        base = int(col.max()) + 1
-        if bound * base >= 2**62:
-            key = np.unique(key, return_inverse=True)[1]
-            bound = len(key)
-        key, bound = key * base + col, bound * base
-    return np.unique(key, return_inverse=True)[1]
+    columns = iter(columns)
+    first, bound = next(columns)
+    key = first.astype(np.int64)
+    for col, base in columns:
+        if bound * base >= _KEY_LIMIT:
+            key, bound = _dense(key)
+            key = key.astype(np.int64)
+        key *= base
+        key += col
+        bound *= base
+    return _dense(key)
 
 
-def _set_ids(types: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Dense ids of the sets of types that the rows of ``gather`` reach,
-    by one sort of the sets, each written as its sorted distinct members
-    after a run of -1s, viewed as bytes."""
+def _set_ids(
+    types: np.ndarray, count: int, gather: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """(dense ids of the sets of types that the rows of ``gather`` reach,
+    the number of distinct sets). Each set is written as its sorted
+    distinct members plus one, after a run of zeros, and packed in radix
+    ``count + 1``."""
     rows = types[gather]
     rows.sort(axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+    repeat = rows[:, 1:] == rows[:, :-1]
+    rows += 1
+    rows[:, 1:][repeat] = 0
+    width = rows.shape[1] - int(repeat.sum(axis=1).min())
+    del repeat
     rows.sort(axis=1)
-    rows = np.ascontiguousarray(rows[:, -int((rows >= 0).sum(axis=1).max()) :])
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    return np.unique(keys.ravel(), return_inverse=True)[1]
+    return _intern((col, count + 1) for col in rows.T[-width:])
 
 
 def _atomic_columns(graphs, s: int):
-    """Per slot the color (0 for the blank), then per slot pair
-    2 * equal + adjacent, each over the tuples of all graphs. Colors are
-    replaced by their rank among the colors of all graphs, so any color
-    value fits the packed keys of ``_intern``."""
+    """``(column, base)`` pairs over the tuples of all graphs: per slot
+    the color (0 for the blank), then per slot pair 2 * equal + adjacent.
+    Colors are replaced by their rank among the colors of all graphs, so
+    any color value fits the packed keys of ``_intern``."""
     palette = sorted({col for g in graphs for col in g.colors})
     rank = {col: i for i, col in enumerate(palette, start=1)}
     slots, colors, adj = [], [], []
     for g in graphs:
         shape = (g.n + 1,) * s
         slots.append(np.indices(shape, np.min_scalar_type(g.n)).reshape(s, -1))
-        colors.append(np.array([0] + [rank[col] for col in g.colors]))
-        adj.append(np.zeros((g.n + 1, g.n + 1), dtype=np.int8))
-        for u, v in g.edges:
+        colors.append(np.array([0] + [rank[col] for col in g.colors], np.int32))
+        if s >= 2:
+            adj.append(np.zeros((g.n + 1, g.n + 1), dtype=np.int8))
+            ends = itertools.chain.from_iterable(g.edges)
+            u, v = np.fromiter(ends, np.intp, 2 * len(g.edges)).reshape(-1, 2).T
             adj[-1][u, v] = adj[-1][v, u] = 1
     for i in range(s):
-        yield np.concatenate([c[d[i]] for c, d in zip(colors, slots)])
+        yield np.concatenate([c[d[i]] for c, d in zip(colors, slots)]), len(rank) + 1
     for i, j in itertools.combinations(range(s), 2):
         pairs = [2 * (d[i] == d[j]) + a[d[i], d[j]] for a, d in zip(adj, slots)]
-        yield np.concatenate(pairs)
+        yield np.concatenate(pairs), 3  # no loops: an equal pair is not adjacent
 
 
 def _moves(graphs, s: int, starts, index) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -135,14 +174,14 @@ def _refine(
             f"vertex counts {[g.n for g in graphs]}, s={s}"
         )
     starts = list(itertools.accumulate(sizes[:-1], initial=0))
-    types = _intern(_atomic_columns(graphs, s))
-    count = int(types.max()) + 1
+    types, count = _intern(_atomic_columns(graphs, s))
     index = np.int32 if sum(sizes) < 2**31 else np.int64
     gather, scatter = _moves(graphs, s, starts, index)
     for rounds in itertools.count(1):
-        sets = _set_ids(types, gather)  # joint over all slots
-        new = _intern(itertools.chain([types], (sets[ctx] for ctx in scatter)))
-        blanks, new_count = new[starts], int(new.max()) + 1
+        sets, nsets = _set_ids(types, count, gather)  # joint over all slots
+        slots = ((sets[ctx], nsets) for ctx in scatter)
+        new, new_count = _intern(itertools.chain([(types, count)], slots))
+        blanks = new[starts]
         if new_count == count or until_split and (blanks != blanks[0]).any():
             return blanks, rounds
         types, count = new, new_count

@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from fomc import pebble
 from fomc.evaluator import model_check
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.pebble import (
@@ -256,3 +258,37 @@ def test_paths_beyond_the_dense_game_are_decided():
     p20 = gen_path(20)
     assert not fo_s_equivalent(p20, gen_path(21), 3)
     assert fo_s_equivalent(p20, relabel(random.Random(65), p20), 3)
+
+
+def test_keys_split_below_the_limit_decide_as_whole_ones(monkeypatch):
+    # with a tiny limit the packed keys are made dense between most of
+    # their columns; the referee sweeps must come out the same
+    calls = []
+    dense = pebble._dense
+
+    def counting(key):
+        calls.append(len(key))
+        return dense(key)
+
+    monkeypatch.setattr(pebble, "_dense", counting)
+    assert spoiler_distance(gen_path(5), gen_path(6), 3) == 3
+    whole = len(calls)
+    monkeypatch.setattr(pebble, "_KEY_LIMIT", 2**10)
+    calls.clear()
+    assert spoiler_distance(gen_path(5), gen_path(6), 3) == 3
+    assert len(calls) > whole
+    test_refinement_matches_the_referee_game()
+    test_census_matches_pairwise_referee_games()
+
+
+def test_refinement_peak_memory_per_tuple():
+    # refinement keeps index arrays, types and one sort's buffers: about
+    # 60 bytes per stored tuple at s = 3
+    a, b = gen_path(60), gen_path(61)
+    tracemalloc.start()
+    try:
+        assert spoiler_distance(a, b, 3) == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (61**3 + 62**3) <= 80
