@@ -443,10 +443,6 @@ def formula_length(f: Formula) -> int:
     return fold(f, lambda _node, lengths, _env: 1 + sum(lengths))
 
 
-def is_sentence(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def require_sentence(f: Formula) -> Formula:
     """``f`` itself when it is a sentence; else a ``ValueError`` that
     lists its free variables."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 Edge = tuple[int, int]
 
@@ -86,9 +86,6 @@ class ColoredGraph:
     def color_of(self, v: int) -> int:
         return self.colors[v - 1]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def induced_subgraph(self, vertices: Iterable[int]) -> "ColoredGraph":
         """The subgraph induced on ``vertices``, relabeled to 1..m in
         ascending id order; colors and the palette ``c`` are kept."""
@@ -108,22 +105,6 @@ class ColoredGraph:
                 if u in relabel and v in relabel
             ),
         )
-
-
-def disjoint_union(parts: Sequence[ColoredGraph]) -> ColoredGraph:
-    """Union with the vertex blocks laid out in order; colors preserved."""
-    if not parts:
-        raise ValueError("empty union")
-    offset = 0
-    colors: list[int] = []
-    edges: set[Edge] = set()
-    for g in parts:
-        colors.extend(g.colors)
-        edges.update((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return ColoredGraph.build(
-        offset, edges, colors, c=max(g.c for g in parts)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +283,6 @@ class SCCombine:
 SCRecipe = SCLeaf | SCCombine
 
 
-def recipe_depth(r: SCRecipe) -> int:
-    deepest = 0
-    todo = [(r, 0)]
-    while todo:
-        node, depth = todo.pop()
-        if isinstance(node, SCLeaf):
-            deepest = max(deepest, depth)
-        else:
-            todo += ((ch, depth + 1) for ch in node.children)
-    return deepest
-
-
-def recipe_leaf_names(r: SCRecipe) -> list[str]:
-    out: list[str] = []
-    todo = [r]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, SCLeaf):
-            out.append(node.name)
-        else:
-            todo += reversed(node.children)
-    return out
-
-
 def build_sc_graph(r: SCRecipe) -> ColoredGraph:
     """Evaluate a recipe: leaves become single vertices, each combine
     takes the disjoint union of its children and toggles adjacency
@@ -426,12 +383,6 @@ def read_graph(stream: TextIO) -> ColoredGraph:
     return ColoredGraph.build(
         n, edges, [colors.get(v, 1) for v in range(1, n + 1)], c=c
     )
-
-
-def write_partition(parts: Mapping[int, Iterable[int]], stream: TextIO) -> None:
-    for k in sorted(parts):
-        ids = " ".join(str(v) for v in sorted(parts[k]))
-        stream.write(f"part {k} {ids}\n")
 
 
 def read_partition(stream: TextIO) -> dict[int, frozenset[int]]:

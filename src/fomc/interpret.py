@@ -348,6 +348,12 @@ def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
     ancestor's depth is set. Ancestry at a fixed distance is spelled as
     a chain of tree edges whose depth annotations decrease by one per
     step, reusing the two auxiliary variables x3 and x4.
+
+    No pipeline calls this: ``mc_treedepth`` evaluates the original
+    sentence on an induced subgraph, and the test suite uses this scheme
+    as its referee. It stays here, with its ``_colors_*`` and
+    ``_color_set_atom`` helpers, because the benchmark's tracer
+    (``perfbench/spans.py``) resolves it by name.
     """
     if k < 1 or colors < 1:
         raise ValueError("need k >= 1 and colors >= 1")

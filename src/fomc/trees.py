@@ -140,26 +140,6 @@ class RootedColoredTree:
         ]
         return ColoredGraph.build(self.n, edges, self.colors, c=self.c)
 
-    @staticmethod
-    def from_graph(g: ColoredGraph, root: int) -> "RootedColoredTree":
-        if not 1 <= root <= g.n:
-            raise ValueError("root out of range")
-        if len(g.edges) != g.n - 1:
-            raise ValueError("not a tree: wrong edge count")
-        parents = {root: 0}
-        frontier = [root]
-        while frontier:
-            u = frontier.pop()
-            for w in g.adj[u]:
-                if w not in parents:
-                    parents[w] = u
-                    frontier.append(w)
-        if len(parents) != g.n:
-            raise ValueError("not a tree: graph is disconnected")
-        return RootedColoredTree.build(
-            parents, {v: g.color_of(v) for v in g.vertices}, c=g.c
-        )
-
     def distance(self, u: int, v: int) -> int:
         """Edges on the tree path between ``u`` and ``v``, counted while
         climbing from the deeper of the two until they meet."""
@@ -432,10 +412,14 @@ def _read_tree_records(
     for lineno, fields in _data_lines(stream):
         kind = fields[0]
         if kind == "p":
+            if n is not None:
+                raise ValueError(f"line {lineno}: duplicate header")
             if len(fields) != 4 or fields[1] != "tree":
                 raise ValueError(f"line {lineno}: malformed header, want 'p tree <n> <c>'")
             n, c = int(fields[2]), int(fields[3])
         elif kind == "r":
+            if root is not None:
+                raise ValueError(f"line {lineno}: duplicate root line")
             if len(fields) != 2:
                 raise ValueError(f"line {lineno}: malformed root line")
             root = int(fields[1])
@@ -492,24 +476,14 @@ def read_tree_model(stream: TextIO) -> TreeModel:
     return TreeModel.build(tree, rules)
 
 
-def write_tree_model(tm: TreeModel, stream: TextIO) -> None:
-    write_tree(tm.tree, stream)
-    for c1, c2, d, edge in tm.rules:
-        stream.write(f"rule {c1} {c2} {d} {1 if edge else 0}\n")
-
-
-def write_forest(ef: EliminationForest, stream: TextIO) -> None:
-    stream.write(f"p forest {ef.n}\n")
-    for v in range(1, ef.n + 1):
-        stream.write(f"t {v} {ef.parents[v - 1]}\n")
-
-
 def read_forest(stream: TextIO) -> EliminationForest:
     n = None
     parents: dict[int, int] = {}
     for lineno, fields in _data_lines(stream):
         kind = fields[0]
         if kind == "p":
+            if n is not None:
+                raise ValueError(f"line {lineno}: duplicate header")
             if len(fields) != 3 or fields[1] != "forest":
                 raise ValueError(f"line {lineno}: malformed header, want 'p forest <n>'")
             n = int(fields[2])

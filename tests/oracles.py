@@ -10,6 +10,11 @@ independently of the type refinement that decides equivalence in
 translating the sentence through the interpretation that recovers the
 graph from its tree encoding, where production evaluates the original
 sentence on an induced subgraph.
+
+The module also holds the suite's seeded generators (random trees and
+tree-models), the tree-from-graph rooting and the forest and tree-model
+file writers. These are not independent referees: they only build and
+write inputs, and they live here because no production path calls them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import itertools
 import random
 from collections import deque
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -48,8 +53,14 @@ from fomc.interpret import (
     encode_elimination_forest,
     mc_tree,
 )
-from fomc.randgen import random_formula, random_tree, random_tree_model
-from fomc.trees import RootedColoredTree, TreeModel, compute_elimination_forest
+from fomc.randgen import random_formula
+from fomc.trees import (
+    EliminationForest,
+    RootedColoredTree,
+    TreeModel,
+    compute_elimination_forest,
+    write_tree,
+)
 
 
 def recursive_model_check(
@@ -460,6 +471,149 @@ def mc_by_translation(
     the translation on the host's kernel at budget s + overhead."""
     translated = backwards_translate(sentence, scheme)
     return mc_tree(host, translated, s + scheme.variable_overhead)
+
+
+# ---------------------------------------------------------------------------
+# Seeded generators and file writers
+#
+# Not referees: these draw and write the suite's inputs. Seeded draws are
+# pinned by tests/test_trees.py::test_random_tree_draws_are_unchanged.
+
+def random_tree(
+    rng: random.Random, n: int, max_depth: int, colors: int = 1
+) -> RootedColoredTree:
+    """A rooted tree built by attaching each vertex below a random
+    vertex of depth < max_depth."""
+    parents = {1: 0}
+    depths = {1: 0}
+    shallow = [1] if max_depth > 0 else []  # vertices of depth < max_depth, by id
+    for v in range(2, n + 1):
+        p = rng.choice(shallow)
+        parents[v] = p
+        depths[v] = depths[p] + 1
+        if depths[v] < max_depth:
+            shallow.append(v)
+    cols = {v: rng.randint(1, colors) for v in parents}
+    return RootedColoredTree.build(parents, cols, c=colors)
+
+
+def random_tree_model(
+    rng: random.Random,
+    n_leaves: int,
+    max_depth: int,
+    tree_colors: int = 2,
+    graph_colors: int = 2,
+) -> tuple[ColoredGraph, TreeModel]:
+    """A random model tree over leaves 1..n plus the graph it defines.
+
+    Internal nodes take ids above n. The rule assigns a random verdict
+    to every realized (color, color, distance) triple, so the pair
+    always validates.
+    """
+    if n_leaves < 1 or max_depth < 1:
+        raise ValueError("need at least one leaf and positive depth")
+    parents: dict[int, int] = {}
+    depths: dict[int, int] = {}
+    root = n_leaves + 1
+    parents[root] = 0
+    depths[root] = 0
+    next_id = root + 1
+    internals = [root]
+    for _ in range(rng.randrange(0, max(1, n_leaves // 2) + 1)):
+        shallow = [u for u in internals if depths[u] < max_depth - 1]
+        if not shallow:
+            break
+        p = rng.choice(shallow)
+        parents[next_id] = p
+        depths[next_id] = depths[p] + 1
+        internals.append(next_id)
+        next_id += 1
+    for leaf in range(1, n_leaves + 1):
+        p = rng.choice(internals)
+        parents[leaf] = p
+        depths[leaf] = depths[p] + 1
+    # internal nodes that stayed childless would count as leaves: give
+    # each a leaf child by restealing, or drop it by rerooting leaves
+    child_count = {u: 0 for u in internals}
+    for v, p in parents.items():
+        if v != root and p in child_count:
+            child_count[p] += 1
+    for u in internals:
+        if child_count[u] == 0 and u != root:
+            # steal a random leaf so this internal node is not itself a leaf
+            leaf = rng.randint(1, n_leaves)
+            old = parents[leaf]
+            if old in child_count:
+                child_count[old] -= 1
+            parents[leaf] = u
+            depths[leaf] = depths[u] + 1
+            child_count[u] += 1
+    if child_count[root] == 0:
+        parents[1] = root
+        depths[1] = 1
+    cols = {v: rng.randint(1, tree_colors) for v in parents}
+    tree = RootedColoredTree.build(parents, cols, c=tree_colors)
+    if tree.leaves != frozenset(range(1, n_leaves + 1)):
+        # a rare degenerate shape: fall back to a flat star model
+        parents = {root: 0}
+        parents.update({leaf: root for leaf in range(1, n_leaves + 1)})
+        cols = {v: rng.randint(1, tree_colors) for v in parents}
+        tree = RootedColoredTree.build(parents, cols, c=tree_colors)
+
+    rules: dict[tuple[int, int, int], bool] = {}
+    edges = []
+    for u in range(1, n_leaves + 1):
+        for v in range(u + 1, n_leaves + 1):
+            key = (
+                min(tree.color_of(u), tree.color_of(v)),
+                max(tree.color_of(u), tree.color_of(v)),
+                tree.distance(u, v),
+            )
+            if key not in rules:
+                rules[key] = rng.random() < 0.5
+            if rules[key]:
+                edges.append((u, v))
+    g = ColoredGraph.build(
+        n_leaves,
+        edges,
+        [rng.randint(1, graph_colors) for _ in range(n_leaves)],
+        c=graph_colors,
+    )
+    tm = TreeModel.build(tree, [(c1, c2, d, e) for (c1, c2, d), e in rules.items()])
+    return g, tm
+
+
+def tree_from_graph(g: ColoredGraph, root: int) -> RootedColoredTree:
+    """The tree ``g`` rooted at ``root``; colors and the palette are kept."""
+    if not 1 <= root <= g.n:
+        raise ValueError("root out of range")
+    if len(g.edges) != g.n - 1:
+        raise ValueError("not a tree: wrong edge count")
+    parents = {root: 0}
+    frontier = [root]
+    while frontier:
+        u = frontier.pop()
+        for w in g.adj[u]:
+            if w not in parents:
+                parents[w] = u
+                frontier.append(w)
+    if len(parents) != g.n:
+        raise ValueError("not a tree: graph is disconnected")
+    return RootedColoredTree.build(
+        parents, {v: g.color_of(v) for v in g.vertices}, c=g.c
+    )
+
+
+def write_tree_model(tm: TreeModel, stream: TextIO) -> None:
+    write_tree(tm.tree, stream)
+    for c1, c2, d, edge in tm.rules:
+        stream.write(f"rule {c1} {c2} {d} {1 if edge else 0}\n")
+
+
+def write_forest(ef: EliminationForest, stream: TextIO) -> None:
+    stream.write(f"p forest {ef.n}\n")
+    for v in range(1, ef.n + 1):
+        stream.write(f"t {v} {ef.parents[v - 1]}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fomc.interpret import (
 )
 from fomc.kernel import kernel_size_bound, reduce_tree, verify_kernel
 from fomc.pebble import ResourceLimitError, type_census
-from fomc.randgen import random_formula, random_graph, random_tree
+from fomc.randgen import random_formula, random_graph
 from fomc.trees import compute_elimination_forest, write_tree
 
 from .oracles import (
@@ -36,6 +36,7 @@ from .oracles import (
     bfs_distances,
     graphs_isomorphic,
     pipeline_fixtures,
+    random_tree,
     recursive_model_check,
 )
 

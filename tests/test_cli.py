@@ -6,8 +6,10 @@ import pytest
 from fomc.cli import main
 from fomc.formulas import read_formulas, variable_count
 from fomc.graphs import ColoredGraph, gen_path, read_graph, write_graph
-from fomc.trees import RootedColoredTree, read_tree, write_tree, write_tree_model
+from fomc.trees import RootedColoredTree, read_tree, write_tree
 from fomc.trees import TreeModel
+
+from .oracles import write_tree_model
 
 
 @pytest.fixture
@@ -113,6 +115,13 @@ def test_kernelize_writes_kernel(workdir, capsys):
     with open(out, encoding="utf-8") as fh:
         kernel = read_tree(fh)
     assert kernel.n == 2
+
+
+def test_kernelize_refuses_a_second_tree_header(workdir, capsys):
+    _, write = workdir
+    tpath = write("twice.t", "p tree 3 1\np tree 2 1\nr 1\nt 2 1\n")
+    assert main(["kernelize", "--tree", tpath, "--s", "1"]) == 2
+    assert "line 2: duplicate header" in capsys.readouterr().err
 
 
 def test_gen_commands(workdir, capsys):

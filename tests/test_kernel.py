@@ -15,11 +15,11 @@ from fomc.kernel import (
 )
 from fomc.pebble import ResourceLimitError
 from fomc.trees import RootedColoredTree, TreeModel, restrict_tree
-from fomc.randgen import random_tree
 
 from .oracles import (
     all_colored_rooted_trees,
     canonical_code,
+    random_tree,
     rooted_trees_isomorphic,
 )
 

@@ -16,14 +16,20 @@ from fomc.trees import (
     restrict_tree,
     validate_elimination_forest,
     validate_tree_model,
-    write_forest,
     write_tree,
-    write_tree_model,
 )
 from fomc import trees
-from fomc.randgen import random_graph, random_tree, random_tree_model
+from fomc.randgen import random_graph
 
-from .oracles import bfs_distances, treedepth_oracle
+from .oracles import (
+    bfs_distances,
+    random_tree,
+    random_tree_model,
+    tree_from_graph,
+    treedepth_oracle,
+    write_forest,
+    write_tree_model,
+)
 
 
 def star(leaves: int) -> RootedColoredTree:
@@ -116,7 +122,7 @@ def test_tree_graph_round_trip():
     rng = random.Random(8)
     for _ in range(50):
         t = random_tree(rng, rng.randint(1, 15), 4, colors=3)
-        back = RootedColoredTree.from_graph(t.to_graph(), t.root)
+        back = tree_from_graph(t.to_graph(), t.root)
         assert back == t
 
 
@@ -302,8 +308,9 @@ def test_forest_file_round_trip():
     [
         ("p forest 3\nt 9 1\n", "vertex 1 has no 't' record"),
         ("p forest 2\nt 1 0\nt 2 1\nt 3 1\n", "outside 1..n"),
+        ("p forest 3\np forest 2\nt 1 0\nt 2 1\n", "line 2: duplicate header"),
     ],
-    ids=["missing", "outside"],
+    ids=["missing", "outside", "second-header"],
 )
 def test_forest_file_refuses_bad_records(text, message):
     with pytest.raises(ValueError, match=message):
@@ -397,3 +404,26 @@ def test_tree_file_defaults_and_errors():
         read_tree(io.StringIO("p tree 2 1\nr 1\n"))  # vertex 2 unknown
     with pytest.raises(ValueError):
         read_tree(io.StringIO("p tree 2 1\nt 2 1\n"))  # no root line
+
+
+#: A second header or root line would otherwise silently replace the first.
+REPEATED_TREE_LINES = pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p tree 3 1\np tree 2 1\nr 1\nt 2 1\n", "line 2: duplicate header"),
+        ("p tree 2 1\nr 1\nr 2\nt 1 2\n", "line 3: duplicate root line"),
+    ],
+    ids=["second-header", "second-root"],
+)
+
+
+@REPEATED_TREE_LINES
+def test_tree_file_refuses_repeated_lines(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_tree(io.StringIO(text))
+
+
+@REPEATED_TREE_LINES
+def test_tree_model_file_refuses_repeated_lines(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_tree_model(io.StringIO(text + "rule 1 1 2 1\n"))
