@@ -25,7 +25,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from . import interpret, pebble, randgen
 from .evaluator import model_check
@@ -42,6 +42,7 @@ from .graphs import (
     PartitionFlip,
     SCCombine,
     SCLeaf,
+    SCRecipe,
     apply_flip,
     build_sc_graph,
     gen_flipped_half_graph,
@@ -192,9 +193,48 @@ def _recipe_list(data: dict, field: str) -> list:
     return value
 
 
-def _recipe_from_json(data) -> SCLeaf | SCCombine:
-    if not isinstance(data, dict):
-        raise ValueError("recipe nodes must be JSON objects")
+_json_blanks = json.decoder.WHITESPACE.match
+_json_scalar = json.JSONDecoder().scan_once
+_VALUE, _KEY = '[{"-0123456789tfnNI', '"'  # the first characters of a value, a key
+
+
+def _load_json(text: str, object_hook: Callable[[dict], object]):
+    """What ``json.loads(text, object_hook=object_hook)`` returns, read with
+    an explicit stack so nesting depth costs no Python stack. Each scalar
+    is one ``scan_once`` call of the standard decoder."""
+    frames: list[tuple[str, list]] = [("", [])]  # (bracket, items): the text, then open containers
+    want, pos = _VALUE, 0  # the characters the next token may start with
+    while True:
+        pos = _json_blanks(text, pos).end()
+        char = text[pos : pos + 1]
+        if not char and not want:
+            return frames[0][1][0]
+        if not char or char not in want:
+            raise ValueError(f"malformed JSON at offset {pos}")
+        if char in "[{":
+            frames.append((char, []))
+            want, pos = (_VALUE + "]" if char == "[" else _KEY + "}"), pos + 1
+            continue
+        if char in ",:":
+            want, pos = (_KEY if char == "," and frames[-1][0] == "{" else _VALUE), pos + 1
+            continue
+        if char in "]}":
+            bracket, items = frames.pop()
+            value = items if bracket == "[" else object_hook(dict(zip(items[::2], items[1::2])))
+            pos += 1
+        else:
+            try:
+                value, pos = _json_scalar(text, pos)
+            except StopIteration:
+                raise ValueError(f"malformed JSON at offset {pos}") from None
+        bracket, items = frames[-1]
+        items.append(value)  # an object's keys and values alternate until it closes
+        want = {"[": ",]", "{": ":" if len(items) % 2 else ",}"}.get(bracket, "")
+
+
+def _recipe_node(data: dict) -> SCRecipe:
+    """The recipe node of a JSON object. ``_load_json`` calls this as each
+    object closes, so its children are recipe nodes already."""
     if "leaf" in data:
         color = data.get("color", 1)
         try:
@@ -203,10 +243,11 @@ def _recipe_from_json(data) -> SCLeaf | SCCombine:
             raise ValueError(f"recipe field 'color' must be an integer, got {color!r}") from None
         return SCLeaf(name=str(data["leaf"]), color=color)
     if "children" in data:
-        return SCCombine(
-            children=tuple(_recipe_from_json(ch) for ch in _recipe_list(data, "children")),
-            flip_names=frozenset(str(x) for x in _recipe_list(data, "flip")),
-        )
+        children = tuple(_recipe_list(data, "children"))
+        if not all(isinstance(child, SCRecipe) for child in children):
+            raise ValueError("recipe nodes must be JSON objects")
+        flip = frozenset(str(x) for x in _recipe_list(data, "flip"))
+        return SCCombine(children=children, flip_names=flip)
     raise ValueError("recipe nodes need a 'leaf' or 'children' key")
 
 
@@ -238,7 +279,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         g = apply_flip(base, PartitionFlip.build([parts[k] for k in order], rel))
     else:  # sc
         with open(args.recipe, encoding="utf-8") as fh:
-            recipe = _recipe_from_json(json.load(fh))
+            recipe = _load_json(fh.read(), _recipe_node)
+        if not isinstance(recipe, SCRecipe):
+            raise ValueError("recipe nodes must be JSON objects")
         g = build_sc_graph(recipe)
     _write_out(args.out, lambda stream: write_graph(g, stream))
     return EXIT_OK

@@ -28,6 +28,12 @@ Grammar (whitespace insignificant):
              | "(" formula ")" | atom
     atom    := "adj(" var "," var ")" | var "=" var | "C" nat "(" var ")"
     var     := "x" nat
+    nat     := [0-9]+          ASCII digits, not 0
+
+The parser reads the text in one pass, one regex match per token, and
+keeps no token list. A well-formed atom or quantifier prefix is one match.
+A failed parse reports the first bad character or index (0, or too many
+digits) of the text when there is one, else the syntax error.
 
 Nodes are hash-consed: constructing a node whose type and fields equal
 those of a live node returns that node, so equal formulas are one object
@@ -573,54 +579,29 @@ class ParseError(ValueError):
         self.column = column
 
 
+#: One match per token, after optional blanks. A well-formed atom or
+#: quantifier prefix is one match; when it is malformed, its pieces match
+#: one at a time as the fine tokens after the operators.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<adj>adj\b)
-    | (?P<exists>exists\b)
-    | (?P<forall>forall\b)
-    | (?P<var>x\d+)
-    | (?P<color>C\d+)
-    | (?P<arrow>->)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<not>!)
-    | (?P<and>&)
-    | (?P<or>\|)
-    | (?P<eq>=)
-    | (?P<comma>,)
-    | (?P<dot>\.)
-    | (?P<bad>.)
-    """,
+    r"""\s*(?:
+      (?P<adj_atom>adj\s*\(\s*x(?P<adj_u>[0-9]+)\s*,\s*x(?P<adj_v>[0-9]+)\s*\))
+    | (?P<eq_atom>x(?P<eq_u>[0-9]+)\s*=\s*x(?P<eq_v>[0-9]+))
+    | (?P<color_atom>C(?P<color_c>[0-9]+)\s*\(\s*x(?P<color_v>[0-9]+)\s*\))
+    | (?P<prefix>(?P<quantifier>exists|forall)\s+x(?P<prefix_v>[0-9]+)\s*\.)
+    | (?P<arrow>->) | (?P<lparen>\() | (?P<rparen>\)) | (?P<not>!) | (?P<and>&) | (?P<or>\|)
+    | (?P<adj>adj\b) | (?P<exists>exists\b) | (?P<forall>forall\b)
+    | (?P<var>x[0-9]+) | (?P<color>C[0-9]+) | (?P<eq>=) | (?P<comma>,) | (?P<dot>\.)
+    | (?P<bad>.) | (?P<eof>\Z)
+    )""",
     re.VERBOSE,
 )
-_INDEXED = {"var": "variable", "color": "color"}
+#: A variable or color index within a token.
+_INDEX_RE = re.compile(r"([xC])([0-9]+)")
 
 
 def _error(text: str, pos: int, message: str) -> ParseError:
     """A ``ParseError`` at offset ``pos`` of ``text``, placed by line and column."""
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
-
-
-def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
-    """(kind, index of a variable or color else None, offset) per token,
-    ending with an ``eof`` token."""
-    tokens: list[tuple[str, int | None, int]] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, pos = m.lastgroup, m.start()
-        if kind == "ws":
-            continue
-        if kind in _INDEXED:
-            value = int(m.group()[1:])
-            if not value:
-                raise _error(text, pos, f"{_INDEXED[kind]} index 0 is not allowed")
-            tokens.append((kind, value, pos))
-        elif kind == "bad":
-            raise _error(text, pos, f"unexpected character {text[pos]!r}")
-        else:
-            tokens.append((kind, None, pos))
-    tokens.append(("eof", None, len(text)))
-    return tokens
 
 
 #: Binary operators by token kind: (precedence, builder of the node).
@@ -630,10 +611,43 @@ _BINARY = {
     "arrow": (_PREC_IMPL, Implies),
 }
 _QUANTIFIERS = {"exists": Exists, "forall": Forall}
+#: The fine tokens that must follow each first piece of a malformed atom
+#: or prefix, with the name an error gives the one that is missing.
+_VAR, _DOT = ("var", "a variable"), ("dot", "'.' after the quantified variable")
+_PIECES = {
+    "adj": (("lparen", "'(' after adj"), _VAR, ("comma", "','"), _VAR, ("rparen", "')'")),
+    "color": (("lparen", "'(' after the color name"), _VAR, ("rparen", "')'")),
+    "var": (("eq", "'='"), _VAR),
+    "exists": (_VAR, _DOT),
+    "forall": (_VAR, _DOT),
+}
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse one formula with an operator-stack loop, so depth costs no stack.
+    """Parse one formula. When that fails, the first bad character or bad
+    index (0, or too long for ``int``) of the text is reported, reading its
+    tokens in order; only when there is none, the error met first."""
+    try:
+        return _parse(text)
+    except ValueError:  # a ParseError, or an index that is 0 or too long
+        for m in _TOKEN_RE.finditer(text):
+            start = m.start(m.lastgroup)
+            if m.lastgroup == "bad":
+                raise _error(text, start, f"unexpected character {text[start]!r}") from None
+            for index in _INDEX_RE.finditer(text, start, m.end()):
+                name = "variable" if index[1] == "x" else "color"
+                try:
+                    zero = not int(index[2])
+                except ValueError:
+                    raise _error(text, index.start(), f"{name} index is too long") from None
+                if zero:
+                    raise _error(text, index.start(), f"{name} index 0 is not allowed") from None
+        raise
+
+
+def _parse(text: str) -> Formula:
+    """Parse with an operator-stack loop over ``_TOKEN_RE`` matches read as
+    they come, so depth costs no stack and no token list is kept.
 
     ``frames`` holds the open constructs as (precedence, index of their
     first operand, builder). Quantifiers (-1) and groups (-2, the whole
@@ -642,57 +656,56 @@ def parse_formula(text: str) -> Formula:
     ``&`` and ``|`` extend an open frame of their own precedence, so a
     chain is one n-ary node; ``->`` always opens one, so it nests right.
     """
-    tokens = iter(_tokenize(text))
+    match = _TOKEN_RE.match
     operands: list[Formula] = []
     frames: list[tuple[int, int, Callable | None]] = [(-2, 0, None)]
-    parens = 0
-
-    def expect(kind: str, what: str) -> int | None:
-        got, value, pos = next(tokens)
-        if got != kind:
-            raise _error(text, pos, f"expected {what}")
-        return value
-
+    parens = pos = 0
     while True:
         # An operand is expected: prefix constructs open frames, an atom ends it.
-        kind, value, pos = next(tokens)
-        if kind == "not":
+        m = match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "adj_atom":
+            operands.append(Adj(Var(int(m["adj_u"])), Var(int(m["adj_v"]))))
+        elif kind == "eq_atom":
+            operands.append(Eq(Var(int(m["eq_u"])), Var(int(m["eq_v"]))))
+        elif kind == "color_atom":
+            operands.append(HasColor(int(m["color_c"]), Var(int(m["color_v"]))))
+        elif kind == "prefix":
+            build = partial(_QUANTIFIERS[m["quantifier"]], Var(int(m["prefix_v"])))
+            frames.append((-1, len(operands), build))
+            continue
+        elif kind == "not":
             frames.append((_PREC_UNARY, len(operands), Not))
             continue
-        if kind in _QUANTIFIERS:
-            var = Var(expect("var", "a variable"))
-            expect("dot", "'.' after the quantified variable")
-            frames.append((-1, len(operands), partial(_QUANTIFIERS[kind], var)))
-            continue
-        if kind == "lparen":
+        elif kind == "lparen":
             frames.append((-2, len(operands), None))
             parens += 1
             continue
-        if kind == "adj":
-            expect("lparen", "'(' after adj")
-            u = Var(expect("var", "a variable"))
-            expect("comma", "','")
-            operands.append(Adj(u, Var(expect("var", "a variable"))))
-            expect("rparen", "')'")
-        elif kind == "color":
-            expect("lparen", "'(' after the color name")
-            operands.append(HasColor(value, Var(expect("var", "a variable"))))
-            expect("rparen", "')'")
-        elif kind == "var":
-            expect("eq", "'='")
-            operands.append(Eq(Var(value), Var(expect("var", "a variable"))))
         else:
-            raise _error(text, pos, "expected a formula")
+            # A malformed atom or prefix: its fine tokens name the first
+            # missing piece. One is missing, else its whole pattern had matched.
+            start = m.start(kind)
+            for want, what in _PIECES.get(kind, ()):
+                m = match(text, pos)
+                got = m.lastgroup
+                if got == "eq_atom" and want == "var":  # it starts with the variable
+                    pos = m.end("eq_u")
+                elif got == want:
+                    pos = m.end()
+                else:
+                    raise _error(text, m.start(got), f"expected {what}")
+            raise _error(text, start, "expected a formula")
         # An operand is complete: close groups until an operator follows.
         while True:
-            kind, _, pos = next(tokens)
+            m = match(text, pos)
+            kind, pos = m.lastgroup, m.end()
             if kind in _BINARY:
                 prec, build = _BINARY[kind]
             elif kind == ("rparen" if parens else "eof"):
                 prec = -2
             else:
                 message = "expected ')'" if parens else "trailing input after the formula"
-                raise _error(text, pos, message)
+                raise _error(text, m.start(kind), message)
             while frames[-1][0] > prec:
                 _, start, close = frames.pop()
                 operands[start:] = [close(*operands[start:])]

@@ -341,6 +341,17 @@ def _data_lines(stream: TextIO) -> Iterable[tuple[int, list[str]]]:
             yield lineno, text.split()
 
 
+def _natural(field: str, lineno: int) -> int:
+    """``field`` read as an ASCII decimal natural number, else a ``ValueError``
+    that names the line."""
+    if field.isascii() and field.isdigit():
+        try:
+            return int(field)
+        except ValueError:  # more digits than ``int`` reads
+            pass
+    raise ValueError(f"line {lineno}: expected a natural number, got {field!r}")
+
+
 def read_graph(stream: TextIO) -> ColoredGraph:
     n = c = None
     colors: dict[int, int] = {}
@@ -352,13 +363,13 @@ def read_graph(stream: TextIO) -> ColoredGraph:
                 raise ValueError(f"line {lineno}: duplicate header")
             if len(fields) != 4 or fields[1] != "graph":
                 raise ValueError(f"line {lineno}: malformed header, want 'p graph <n> <c>'")
-            n, c = int(fields[2]), int(fields[3])
+            n, c = _natural(fields[2], lineno), _natural(fields[3], lineno)
         elif kind == "v":
             if n is None:
                 raise ValueError(f"line {lineno}: vertex line before header")
             if len(fields) != 3:
                 raise ValueError(f"line {lineno}: malformed vertex line")
-            v, col = int(fields[1]), int(fields[2])
+            v, col = _natural(fields[1], lineno), _natural(fields[2], lineno)
             if not 1 <= v <= n:
                 raise ValueError(f"line {lineno}: vertex {v} out of range")
             colors[v] = col
@@ -367,7 +378,7 @@ def read_graph(stream: TextIO) -> ColoredGraph:
                 raise ValueError(f"line {lineno}: edge line before header")
             if len(fields) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line")
-            u, v = int(fields[1]), int(fields[2])
+            u, v = _natural(fields[1], lineno), _natural(fields[2], lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"line {lineno}: edge endpoint out of range")
             if u == v:
@@ -390,8 +401,8 @@ def read_partition(stream: TextIO) -> dict[int, frozenset[int]]:
     for lineno, fields in _data_lines(stream):
         if fields[0] != "part" or len(fields) < 3:
             raise ValueError(f"line {lineno}: expected 'part <k> <id...>'")
-        k = int(fields[1])
+        k = _natural(fields[1], lineno)
         if k in parts:
             raise ValueError(f"line {lineno}: duplicate part {k}")
-        parts[k] = frozenset(int(v) for v in fields[2:])
+        parts[k] = frozenset(_natural(v, lineno) for v in fields[2:])
     return parts

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
-from .graphs import ColoredGraph, _data_lines
+from .graphs import ColoredGraph, _data_lines, _natural
 
 
 def _depths_in_vertices(parents: tuple[int, ...]) -> tuple[int, ...]:
@@ -416,25 +416,25 @@ def _read_tree_records(
                 raise ValueError(f"line {lineno}: duplicate header")
             if len(fields) != 4 or fields[1] != "tree":
                 raise ValueError(f"line {lineno}: malformed header, want 'p tree <n> <c>'")
-            n, c = int(fields[2]), int(fields[3])
+            n, c = _natural(fields[2], lineno), _natural(fields[3], lineno)
         elif kind == "r":
             if root is not None:
                 raise ValueError(f"line {lineno}: duplicate root line")
             if len(fields) != 2:
                 raise ValueError(f"line {lineno}: malformed root line")
-            root = int(fields[1])
+            root = _natural(fields[1], lineno)
         elif kind == "t":
             if len(fields) not in (3, 4):
                 raise ValueError(f"line {lineno}: want 't <v> <parent> [<color>]'")
-            v, p = int(fields[1]), int(fields[2])
+            v, p = _natural(fields[1], lineno), _natural(fields[2], lineno)
             if v in parents:
                 raise ValueError(f"line {lineno}: duplicate record for vertex {v}")
             parents[v] = p
-            colors[v] = int(fields[3]) if len(fields) == 4 else 1
+            colors[v] = _natural(fields[3], lineno) if len(fields) == 4 else 1
         elif kind == "rule":
             if len(fields) != 5:
                 raise ValueError(f"line {lineno}: want 'rule <c1> <c2> <d> <0|1>'")
-            c1, c2, d, bit = (int(x) for x in fields[1:])
+            c1, c2, d, bit = (_natural(x, lineno) for x in fields[1:])
             if bit not in (0, 1):
                 raise ValueError(f"line {lineno}: rule verdict must be 0 or 1")
             rules.append((c1, c2, d, bool(bit)))
@@ -486,11 +486,11 @@ def read_forest(stream: TextIO) -> EliminationForest:
                 raise ValueError(f"line {lineno}: duplicate header")
             if len(fields) != 3 or fields[1] != "forest":
                 raise ValueError(f"line {lineno}: malformed header, want 'p forest <n>'")
-            n = int(fields[2])
+            n = _natural(fields[2], lineno)
         elif kind == "t":
             if len(fields) != 3:
                 raise ValueError(f"line {lineno}: want 't <v> <parent>'")
-            v, p = int(fields[1]), int(fields[2])
+            v, p = _natural(fields[1], lineno), _natural(fields[2], lineno)
             if v in parents:
                 raise ValueError(f"line {lineno}: duplicate record for vertex {v}")
             parents[v] = p

@@ -9,7 +9,8 @@ independently of the type refinement that decides equivalence in
 ``fomc.pebble``. The decomposition pipelines are refereed by
 translating the sentence through the interpretation that recovers the
 graph from its tree encoding, where production evaluates the original
-sentence on an induced subgraph.
+sentence on an induced subgraph. The formula reader that builds its whole
+token list first referees the streaming one.
 
 The module also holds the suite's seeded generators (random trees and
 tree-models), the tree-from-graph rooting and the forest and tree-model
@@ -21,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
-from functools import lru_cache
-from typing import NamedTuple, Sequence, TextIO
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -38,7 +40,12 @@ from fomc.formulas import (
     Implies,
     Not,
     Or,
+    ParseError,
     Var,
+    _BINARY,
+    _QUANTIFIERS,
+    _PREC_UNARY,
+    _error,
     canonical_false,
     conjunction,
     disjunction,
@@ -212,6 +219,130 @@ def graphs_isomorphic(a: ColoredGraph, b: ColoredGraph) -> bool:
         if all(b.has_edge(mapping[u], mapping[v]) for u, v in a.edges):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The tokenize-then-parse formula reader, the referee of
+# ``fomc.formulas.parse_formula``: it builds the whole token list before the
+# operator-stack loop reads it, and its ``\d`` also takes non-ASCII digits.
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<adj>adj\b)
+    | (?P<exists>exists\b)
+    | (?P<forall>forall\b)
+    | (?P<var>x\d+)
+    | (?P<color>C\d+)
+    | (?P<arrow>->)
+    | (?P<lparen>\()
+    | (?P<rparen>\))
+    | (?P<not>!)
+    | (?P<and>&)
+    | (?P<or>\|)
+    | (?P<eq>=)
+    | (?P<comma>,)
+    | (?P<dot>\.)
+    | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+_INDEXED = {"var": "variable", "color": "color"}
+
+
+def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
+    """(kind, index of a variable or color else None, offset) per token,
+    ending with an ``eof`` token."""
+    tokens: list[tuple[str, int | None, int]] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "ws":
+            continue
+        if kind in _INDEXED:
+            value = int(m.group()[1:])
+            if not value:
+                raise _error(text, pos, f"{_INDEXED[kind]} index 0 is not allowed")
+            tokens.append((kind, value, pos))
+        elif kind == "bad":
+            raise _error(text, pos, f"unexpected character {text[pos]!r}")
+        else:
+            tokens.append((kind, None, pos))
+    tokens.append(("eof", None, len(text)))
+    return tokens
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse one formula with an operator-stack loop, so depth costs no stack.
+
+    ``frames`` holds the open constructs as (precedence, index of their
+    first operand, builder). Quantifiers (-1) and groups (-2, the whole
+    text being one) rank below every operator, so no operator closes them:
+    a quantifier body runs to the next unmatched ``)`` or to the end.
+    ``&`` and ``|`` extend an open frame of their own precedence, so a
+    chain is one n-ary node; ``->`` always opens one, so it nests right.
+    """
+    tokens = iter(_tokenize(text))
+    operands: list[Formula] = []
+    frames: list[tuple[int, int, Callable | None]] = [(-2, 0, None)]
+    parens = 0
+
+    def expect(kind: str, what: str) -> int | None:
+        got, value, pos = next(tokens)
+        if got != kind:
+            raise _error(text, pos, f"expected {what}")
+        return value
+
+    while True:
+        # An operand is expected: prefix constructs open frames, an atom ends it.
+        kind, value, pos = next(tokens)
+        if kind == "not":
+            frames.append((_PREC_UNARY, len(operands), Not))
+            continue
+        if kind in _QUANTIFIERS:
+            var = Var(expect("var", "a variable"))
+            expect("dot", "'.' after the quantified variable")
+            frames.append((-1, len(operands), partial(_QUANTIFIERS[kind], var)))
+            continue
+        if kind == "lparen":
+            frames.append((-2, len(operands), None))
+            parens += 1
+            continue
+        if kind == "adj":
+            expect("lparen", "'(' after adj")
+            u = Var(expect("var", "a variable"))
+            expect("comma", "','")
+            operands.append(Adj(u, Var(expect("var", "a variable"))))
+            expect("rparen", "')'")
+        elif kind == "color":
+            expect("lparen", "'(' after the color name")
+            operands.append(HasColor(value, Var(expect("var", "a variable"))))
+            expect("rparen", "')'")
+        elif kind == "var":
+            expect("eq", "'='")
+            operands.append(Eq(Var(value), Var(expect("var", "a variable"))))
+        else:
+            raise _error(text, pos, "expected a formula")
+        # An operand is complete: close groups until an operator follows.
+        while True:
+            kind, _, pos = next(tokens)
+            if kind in _BINARY:
+                prec, build = _BINARY[kind]
+            elif kind == ("rparen" if parens else "eof"):
+                prec = -2
+            else:
+                message = "expected ')'" if parens else "trailing input after the formula"
+                raise _error(text, pos, message)
+            while frames[-1][0] > prec:
+                _, start, close = frames.pop()
+                operands[start:] = [close(*operands[start:])]
+            if prec >= 0:
+                if kind == "arrow" or frames[-1][0] != prec:
+                    frames.append((prec, len(operands) - 1, build))
+                break
+            frames.pop()
+            if not parens:
+                return operands[0]
+            parens -= 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,17 @@ import json
 
 import pytest
 
-from fomc.cli import main
+from fomc.cli import _load_json, main
 from fomc.formulas import read_formulas, variable_count
-from fomc.graphs import ColoredGraph, gen_path, read_graph, write_graph
+from fomc.graphs import (
+    ColoredGraph,
+    SCCombine,
+    SCLeaf,
+    build_sc_graph,
+    gen_path,
+    read_graph,
+    write_graph,
+)
 from fomc.trees import RootedColoredTree, read_tree, write_tree
 from fomc.trees import TreeModel
 
@@ -193,6 +201,76 @@ def test_gen_sc_malformed_recipe_exits_2(workdir, capsys, recipe, message):
     assert main(["gen", "sc", "--recipe", rpath, "--out", str(tmp / "g.g")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"fomc: recipe field {message}")
+
+
+
+def chain_recipe(depth: int) -> tuple[str, SCCombine]:
+    """A chain of ``depth`` nested combines as JSON text and as the same
+    recipe built in Python: level i adds leaf vi and flips it with v(i-1)."""
+    opens, closes = [], []
+    recipe = SCLeaf(name="v0")
+    for i in range(1, depth + 1):
+        opens.append('{"children": [')
+        closes.append(f', {{"leaf": "v{i}", "color": 2}}], "flip": ["v{i - 1}", "v{i}"]}}')
+        flip = frozenset({f"v{i - 1}", f"v{i}"})
+        recipe = SCCombine(children=(recipe, SCLeaf(name=f"v{i}", color=2)), flip_names=flip)
+    return "".join(opens) + '{"leaf": "v0"}' + "".join(closes), recipe
+
+
+@pytest.mark.parametrize("depth", [520, 5000])
+def test_gen_sc_reads_deeply_nested_recipes(workdir, depth):
+    tmp, write = workdir
+    text, recipe = chain_recipe(depth)
+    out = str(tmp / "g.g")
+    assert main(["gen", "sc", "--recipe", write("r.json", text), "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        g = read_graph(fh)
+    assert g == build_sc_graph(recipe)
+    assert g.n == depth + 1 and len(g.edges) == depth
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"children": [{"leaf": "a"},]}', "malformed JSON"),
+        ('{"leaf": "a"', "malformed JSON"),
+        ('{"leaf": "a"} {"leaf": "b"}', "malformed JSON"),
+        ('[{"leaf": "a"}]', "recipe nodes must be JSON objects"),
+        ('{"children": [{"leaf": "a"}, 5]}', "recipe nodes must be JSON objects"),
+    ],
+    ids=["trailing-comma", "unclosed", "two-documents", "list-root", "number-child"],
+)
+def test_gen_sc_malformed_json_exits_2(workdir, capsys, text, message):
+    tmp, write = workdir
+    rpath = write("r.json", text)
+    assert main(["gen", "sc", "--recipe", rpath, "--out", str(tmp / "g.g")]) == 2
+    assert capsys.readouterr().err.startswith(f"fomc: {message}")
+
+
+JSON_TEXTS = [
+    '{"a": [1, -2.5e3, true, false, null, "\\u00e9\\n"], "b": {}, "c": [[]], "a": 0}',
+    ' [ {"x" : {"y": [NaN, -Infinity]}} ] ',
+    "[]", '"s"', "17", '{"k": [1, 2,]}', "[1 2]", '{"k" 1}', '{1: 2}', '{"k": 1,}',
+    "[", "]", "", "[1]]", "tru", "[01]", '{"a": {"b": [}]}', "[,]", '{"a"::1}', "[1]x",
+]
+
+
+@pytest.mark.parametrize("text", JSON_TEXTS)
+def test_json_reader_agrees_with_the_json_module(text):
+    try:
+        want = json.loads(text, object_hook=lambda d: ("object", d))
+    except ValueError:
+        with pytest.raises(ValueError):
+            _load_json(text, lambda d: ("object", d))
+    else:
+        assert repr(_load_json(text, lambda d: ("object", d))) == repr(want)
+
+
+def test_graph_file_number_error_names_the_line(workdir, capsys):
+    tmp, write = workdir
+    gpath = write("g.g", "p graph x 2\n")
+    assert main(["gen", "flip", "--graph", gpath, "--parts", gpath, "--out", str(tmp / "o.g")]) == 2
+    assert capsys.readouterr().err.startswith("fomc: line 1: expected a natural number, got 'x'")
 
 
 def test_reduce_and_validate_outputs(workdir, capsys):

@@ -3,6 +3,8 @@ import gc
 import io
 import pickle
 import random
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,8 @@ from fomc.formulas import (
 )
 from fomc.graphs import gen_path
 from fomc.randgen import random_formula
+
+from .oracles import parse_formula as referee_parse
 
 x1, x2, x3, x5, x6 = Var(1), Var(2), Var(3), Var(5), Var(6)
 
@@ -265,6 +269,116 @@ def test_golden_formula_text_renders_back_to_itself():
         lines = path.read_text(encoding="utf-8").splitlines()
         for text in (line for line in lines if line and not line.startswith("#")):
             assert render_formula(parse_formula(text)) == text, path.name
+
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("x\u0661=x1", "unexpected character 'x'", 1),  # an Arabic-Indic digit one
+        ("C\u0662(x1)", "unexpected character 'C'", 1),
+        ("x1=x1 & x" + "1" * 5000 + "=x1", "variable index is too long", 9),
+        ("x1=x1 | C" + "2" * 5000 + "(x1)", "color index is too long", 9),
+    ],
+    ids=["var-arabic-digit", "color-arabic-digit", "var-5000-digits", "color-5000-digits"],
+)
+def test_indices_are_ascii_naturals_int_can_read(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("x1=x1 x2=x2 @", "unexpected character '@'", 13),
+        ("adj(x1 x2) & x0=x1", "variable index 0 is not allowed", 14),
+        ("exists x1 x1=x1 | C0(x1)", "color index 0 is not allowed", 19),
+    ],
+)
+def test_a_bad_character_or_index_is_reported_before_an_earlier_syntax_error(
+    text, message, column
+):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
+
+
+#: One token of rendered text: the pieces between which blanks may go.
+TOKEN = re.compile(r"adj|exists|forall|x[0-9]+|C[0-9]+|->|\S")
+#: What a mutation inserts or writes over: the grammar's characters, some
+#: whole tokens, and junk; no non-ASCII digits, which the referee reads.
+ALPHABET = list("adjexistsforallxC0123456789()=,.!&|-> \t\n@y") + [
+    "x1", "x0", "C0", "C2", "->", "adj(", "exists x2.", "forall x1", "x1=x2", "  "
+]
+
+
+def _with_blanks(rng: random.Random, text: str) -> str:
+    """``text`` with random blanks, tabs and newlines between its tokens."""
+    tokens = TOKEN.findall(text)
+    out = [tokens[0]]
+    for left, right in zip(tokens, tokens[1:]):
+        apart = left[-1].isalnum() and right[0].isalnum()
+        out.append(rng.choice([" ", "\t", "\n", " \n\t"] if apart else ["", "", " ", "\t", "\n"]))
+        out.append(right)
+    return "".join(out)
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + rng.choice(ALPHABET) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + rng.randint(1, 3) :]
+        else:
+            text = text[:i] + rng.choice(ALPHABET) + text[i + 1 :]
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.column
+
+
+def test_parser_agrees_with_the_tokenize_then_parse_referee():
+    rng = random.Random(18)
+    mutants = errors = 0
+    for _ in range(1000):
+        f = random_formula(rng, 3, 2, 3, size=rng.randint(2, 20))
+        text = _with_blanks(rng, render_formula(f))
+        assert parse_formula(text) is f and referee_parse(text) is f, text
+        for _ in range(12):
+            mutated = _mutant(rng, text)
+            got, want = _outcome(parse_formula, mutated), _outcome(referee_parse, mutated)
+            if isinstance(want, tuple):
+                errors += 1
+                assert got == want, mutated
+            else:
+                assert got is want, mutated
+            mutants += 1
+    assert mutants >= 10_000 and mutants - 500 > errors > 5000, errors
+
+
+def test_golden_formulas_read_back_as_the_referee_reads_them():
+    for path in sorted((Path(__file__).parent / "golden").glob("*.fo")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line and not line.startswith("#"):
+                assert parse_formula(line) is referee_parse(line), path.name
+
+
+def test_parse_keeps_no_token_list():
+    text = " & ".join(f"adj(x{i%7+1},x{i*3%7+1}) | x{i%5+1}=x{i%3+1}" for i in range(20000))
+    tracemalloc.start()
+    try:
+        parse_formula(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB on {len(text) / 1e6:.2f} MB of text"
 
 
 DEPTH = 100_000

@@ -320,6 +320,23 @@ def test_graph_file_errors():
         read_graph(io.StringIO("p graph x y\n"))
 
 
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p graph 2 1\ne 1 \u0662\n", "line 2: expected a natural number, got '\u0662'"),
+        ("p graph 1_0 1\n", "line 1: expected a natural number, got '1_0'"),
+        ("p graph 2 1\ne 1 +2\n", "line 2: expected a natural number, got '\\+2'"),
+        ("p graph x 2\n", "line 1: expected a natural number, got 'x'"),
+        ("p graph 2 1\nv 1 " + "1" * 5000 + "\n", "line 2: expected a natural number"),
+    ],
+    ids=["arabic-digit", "underscore", "plus-sign", "letter", "5000-digits"],
+)
+def test_graph_file_numbers_are_ascii_naturals(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_graph(io.StringIO(text))
+
+
 def write_partition(parts: Mapping[int, Iterable[int]], stream: TextIO) -> None:
     for k in sorted(parts):
         ids = " ".join(str(v) for v in sorted(parts[k]))
@@ -332,3 +349,8 @@ def test_partition_file_round_trip():
     write_partition(parts, buf)
     buf.seek(0)
     assert read_partition(buf) == parts
+
+
+def test_partition_file_numbers_are_ascii_naturals():
+    with pytest.raises(ValueError, match="line 2: expected a natural number, got '\u0665'"):
+        read_partition(io.StringIO("part 1 1 2\npart 2 3 \u0665\n"))

@@ -317,6 +317,11 @@ def test_forest_file_refuses_bad_records(text, message):
         read_forest(io.StringIO(text))
 
 
+def test_forest_file_numbers_are_ascii_naturals():
+    with pytest.raises(ValueError, match="line 3: expected a natural number, got '\\+1'"):
+        read_forest(io.StringIO("p forest 2\nt 1 0\nt 2 +1\n"))
+
+
 # ---------------------------------------------------------------------------
 # Tree models
 
@@ -427,3 +432,14 @@ def test_tree_file_refuses_repeated_lines(text, message):
 def test_tree_model_file_refuses_repeated_lines(text, message):
     with pytest.raises(ValueError, match=message):
         read_tree_model(io.StringIO(text + "rule 1 1 2 1\n"))
+
+
+def test_tree_file_numbers_are_ascii_naturals():
+    with pytest.raises(ValueError, match="line 3: expected a natural number, got '\u0661'"):
+        read_tree(io.StringIO("p tree 2 1\nr 1\nt 2 \u0661\n"))
+
+
+def test_tree_model_file_numbers_are_ascii_naturals():
+    text = "p tree 2 1\nr 1\nt 2 1\nrule 1 1 1_0 1\n"
+    with pytest.raises(ValueError, match="line 4: expected a natural number, got '1_0'"):
+        read_tree_model(io.StringIO(text))
