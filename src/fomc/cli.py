@@ -43,6 +43,7 @@ from .graphs import (
     SCCombine,
     SCLeaf,
     SCRecipe,
+    _natural,
     apply_flip,
     build_sc_graph,
     gen_flipped_half_graph,
@@ -175,14 +176,16 @@ def _parse_half_flip(spec: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _parse_index_pairs(spec: str) -> list[tuple[int, int]]:
+def _parse_index_pairs(spec: str, option: str) -> list[tuple[int, int]]:
+    """The ``i-j`` pairs of ``spec``, each side an ASCII natural number;
+    a ``ValueError`` names ``option`` otherwise."""
     pairs = []
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
         left, _, right = item.partition("-")
-        pairs.append((int(left), int(right)))
+        pairs.append((_natural(left, option), _natural(right, option)))
     return pairs
 
 
@@ -237,10 +240,13 @@ def _recipe_node(data: dict) -> SCRecipe:
     object closes, so its children are recipe nodes already."""
     if "leaf" in data:
         color = data.get("color", 1)
-        try:
-            color = int(color)
-        except TypeError:
-            raise ValueError(f"recipe field 'color' must be an integer, got {color!r}") from None
+        if isinstance(color, str):
+            try:
+                color = _natural(color, "recipe field 'color'")
+            except ValueError:
+                pass
+        if type(color) is not int:  # not a bool, a float or a container
+            raise ValueError(f"recipe field 'color' must be an integer, got {color!r}")
         return SCLeaf(name=str(data["leaf"]), color=color)
     if "children" in data:
         children = tuple(_recipe_list(data, "children"))
@@ -262,7 +268,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             g, _, _ = gen_half_graph(args.t)
     elif kind == "kpt":
         if args.flip:
-            g = gen_layer_flipped_paths(args.k, args.t, _parse_index_pairs(args.flip))
+            g = gen_layer_flipped_paths(args.k, args.t, _parse_index_pairs(args.flip, "--flip"))
         else:
             g, _ = gen_disjoint_paths(args.k, args.t)
     elif kind == "flip":
@@ -271,7 +277,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             parts = read_partition(fh)
         order = sorted(parts)
         index = {k: i for i, k in enumerate(order)}
-        pairs = _parse_index_pairs(args.rel or "")
+        pairs = _parse_index_pairs(args.rel or "", "--rel")
         missing = sorted({k for pair in pairs for k in pair} - index.keys())
         if missing:
             raise ValueError(f"--rel names part {missing[0]}, not in {args.parts}")

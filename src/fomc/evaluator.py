@@ -1,20 +1,22 @@
 """Bottom-up relational evaluation of first-order formulas on colored graphs.
 
-Each subformula is evaluated to a dense table: a numpy boolean array
-with one axis of length n per free variable, keyed by the variable's
-index, in increasing order. Boolean nodes broadcast their children's
+Each subformula is evaluated to a dense table, the pair ``(axes, cells)``:
+``cells`` is a numpy boolean array with one axis of length n per free
+variable, and ``axes`` lists the variables' indices in increasing order,
+one per axis. Boolean nodes broadcast their children's
 tables against each other, negation complements, quantifiers reduce one
 axis with ``logical_or``/``logical_and``. A node with q free variables
 stores n^q cells, so a sentence with s distinct names costs at most
 |formula| * n^s cells, and variable reuse pays off directly.
 
-The tables come from one ``fold``, which evaluates each distinct
-subformula once. Formula nodes are interned, so equal subformulas are one
-object however the formula was built (parsed, renamed or reduced by
-``hardness.reduce_to_path``): a subformula that occurs under several
-parents costs one table, and ``EvalStats`` counts it once. The adjacency
-and identity matrices and the colour array are built at most once per
-evaluation, when an atom first needs them. A table above
+The tables come from one ``fold`` of ``_table``, which evaluates each
+distinct subformula once. Formula nodes are interned, so equal
+subformulas are one object however the formula was built (parsed,
+renamed or reduced by ``hardness.reduce_to_path``): a subformula that
+occurs under several parents costs one table, and ``EvalStats`` counts
+it once. The fold's context holds the adjacency and identity matrices
+and the colour array, each built at most once per evaluation, when an
+atom first needs them, and counts the cells stored. A table above
 ``pebble.DEFAULT_POSITION_CAP`` cells is refused with
 ``ResourceLimitError`` before it is allocated.
 
@@ -59,9 +61,6 @@ from .formulas import (
 from .graphs import ColoredGraph
 from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError
 
-Row = tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class SatisfyingSet:
     """The satisfying assignments of a formula over its free variables.
@@ -79,7 +78,7 @@ class SatisfyingSet:
     cells: np.ndarray
 
     @functools.cached_property
-    def rows(self) -> frozenset[Row]:
+    def rows(self) -> frozenset[tuple[int, ...]]:
         if not self.variables:
             return frozenset([()] if self.cells else [])
         return frozenset(map(tuple, (np.argwhere(self.cells) + 1).tolist()))
@@ -96,19 +95,7 @@ class SatisfyingSet:
 class EvalStats:
     """Total number of cells stored, one table per distinct subformula."""
 
-    tuples_touched: int = 0
-
-
-class _Table:
-    """Cells with one axis of length n per variable index in ``vars``
-    (sorted); never written after construction, so tables may share
-    arrays."""
-
-    __slots__ = ("vars", "cells")
-
-    def __init__(self, vars: tuple[int, ...], cells: np.ndarray) -> None:
-        self.vars = vars
-        self.cells = cells
+    tuples_touched: int
 
 
 def _require_cells(n: int, width: int) -> None:
@@ -120,13 +107,15 @@ def _require_cells(n: int, width: int) -> None:
         )
 
 
-class _Atoms:
-    """The graph's arrays that atoms read, each built at most once per
-    evaluation and only when an atom needs it."""
+class _Context:
+    """One evaluation's context: the graph's arrays that atoms read, each
+    built at most once and only when an atom needs it, and the number of
+    cells stored so far."""
 
     def __init__(self, g: ColoredGraph) -> None:
         self.g = g
         self.n = g.n
+        self.cells = 0
 
     @functools.cached_property
     def adjacency(self) -> np.ndarray:
@@ -151,63 +140,63 @@ class _Atoms:
         return np.asarray(self.g.colors)
 
 
-def _table(node: Formula, kids: Sequence[_Table], atoms: _Atoms) -> _Table:
-    """The table of ``node`` from the tables of its subformulas."""
-    n = atoms.n
+Table = tuple[tuple[int, ...], np.ndarray]
+
+
+def _table(node: Formula, kids: Sequence[Table], ctx: _Context) -> Table:
+    """The table ``(axes, cells)`` of ``node`` from the tables of its
+    subformulas: ``cells`` has one axis of length n per variable index in
+    ``axes`` (sorted). Cells are never written after construction, so
+    tables may share arrays."""
+    n = ctx.n
     kind = type(node)
     if kind is And or kind is Or or kind is Implies:
-        out = tuple(sorted({i for t in kids for i in t.vars}))
-        _require_cells(n, len(out))
-        # sorted indices make each child's a subsequence of ``out``
+        axes = tuple(sorted({i for t, _ in kids for i in t}))
+        _require_cells(n, len(axes))
+        # sorted indices make each child's a subsequence of ``axes``
         parts = [
-            t.cells if t.vars == out
-            else t.cells.reshape([n if i in t.vars else 1 for i in out])
-            for t in kids
+            cells if t == axes else cells.reshape([n if i in t else 1 for i in axes])
+            for t, cells in kids
         ]
-        if kind is Implies:
-            return _Table(out, ~parts[0] | parts[1])
         cells = parts[0]
-        if kind is And:
+        if kind is Implies:
+            cells = ~cells | parts[1]
+        elif kind is And:
             for part in parts[1:]:
                 cells = cells & part
         else:
             for part in parts[1:]:
                 cells = cells | part
-        return _Table(out, cells)
-    if kind is Not:
-        return _Table(kids[0].vars, ~kids[0].cells)
-    if kind is Exists or kind is Forall:
-        t = kids[0]
+    elif kind is Not:
+        axes, cells = kids[0]
+        cells = ~cells
+    elif kind is Exists or kind is Forall:
+        axes, cells = kids[0]
         var = node.var.index
-        if var not in t.vars:
-            # vacuous over a nonempty universe
-            return t
-        axis = t.vars.index(var)
-        reduce = np.logical_or.reduce if kind is Exists else np.logical_and.reduce
-        cells = reduce(t.cells, axis)
-        return _Table(t.vars[:axis] + t.vars[axis + 1 :], cells)
-    if kind is HasColor:
-        return _Table((node.v.index,), np.equal(atoms.colors, node.color))
-    u, v = node.u.index, node.v.index  # Adj, Eq
-    if u == v:
-        return _Table((u,), np.full(n, kind is Eq))
-    cells = atoms.adjacency if kind is Adj else atoms.identity
-    return _Table((u, v) if u < v else (v, u), cells)
+        if var in axes:  # else vacuous over a nonempty universe
+            axis = axes.index(var)
+            reduce = np.logical_or.reduce if kind is Exists else np.logical_and.reduce
+            cells = reduce(cells, axis)
+            axes = axes[:axis] + axes[axis + 1 :]
+    elif kind is HasColor:
+        axes, cells = (node.v.index,), np.equal(ctx.colors, node.color)
+    else:  # Adj, Eq
+        u, v = node.u.index, node.v.index
+        if u == v:
+            axes, cells = (u,), np.full(n, kind is Eq)
+        else:
+            axes = (u, v) if u < v else (v, u)
+            cells = ctx.adjacency if kind is Adj else ctx.identity
+    ctx.cells += cells.size
+    return axes, cells
 
 
 def evaluate_free_with_stats(
     g: ColoredGraph, f: Formula
 ) -> tuple[SatisfyingSet, EvalStats]:
-    stats = EvalStats()
-    atoms = _Atoms(g)
-
-    def leave(node: Formula, kids: Sequence[_Table], _env: None) -> _Table:
-        t = _table(node, kids, atoms)
-        stats.tuples_touched += t.cells.size
-        return t
-
-    table = fold(f, leave)
-    return SatisfyingSet(tuple(map(Var, table.vars)), table.cells), stats
+    ctx = _Context(g)
+    axes, cells = fold(f, _table, env=ctx)
+    return SatisfyingSet(tuple(map(Var, axes)), cells), EvalStats(ctx.cells)
 
 
 def evaluate_free(g: ColoredGraph, f: Formula) -> SatisfyingSet:

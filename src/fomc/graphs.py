@@ -14,10 +14,9 @@ Partition files hold one part per line: ``part <k> <id> <id> ...``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, TextIO
+from typing import Collection, Iterable, Sequence, TextIO
 
 Edge = tuple[int, int]
 
@@ -142,30 +141,28 @@ class PartitionFlip:
             rel=frozenset((min(i, j), max(i, j)) for i, j in rel),
         )
 
-    def flips(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.rel
+
+def _toggle_pairs(edges: set[Edge], a: Collection[int], b: Collection[int]) -> None:
+    """XOR into ``edges`` each unordered pair {u, v} with u != v, u from
+    ``a`` and v from ``b``, once. ``a`` and ``b`` are equal or disjoint."""
+    edges.symmetric_difference_update(
+        {(u, v) if u < v else (v, u) for u in a for v in b if u != v}
+    )
 
 
 def apply_flip(g: ColoredGraph, flip: PartitionFlip) -> ColoredGraph:
-    """XOR the flip relation into the adjacency of ``g``.
+    """XOR the flip relation into the adjacency of ``g``: each related pair
+    of parts costs the pairs of its vertices, and nothing else is visited.
 
     Involution: applying the same flip twice restores ``g``.
     """
-    part_of: dict[int, int] = {}
-    for idx, part in enumerate(flip.parts):
+    for part in flip.parts:
         for v in part:
             if not 1 <= v <= g.n:
                 raise ValueError(f"part vertex {v} outside the graph")
-            part_of[v] = idx
     edges = set(g.edges)
-    covered = sorted(part_of)
-    for u, v in itertools.combinations(covered, 2):
-        if flip.flips(part_of[u], part_of[v]):
-            e = (u, v)
-            if e in edges:
-                edges.remove(e)
-            else:
-                edges.add(e)
+    for i, j in flip.rel:
+        _toggle_pairs(edges, flip.parts[i], flip.parts[j])
     return ColoredGraph(n=g.n, colors=g.colors, c=g.c, edges=frozenset(edges))
 
 
@@ -190,16 +187,6 @@ def gen_half_graph(t: int) -> tuple[ColoredGraph, frozenset[int], frozenset[int]
     edges = [(i, t + j) for i in range(1, t + 1) for j in range(i, t + 1)]
     g = ColoredGraph.build(2 * t, edges)
     return g, frozenset(range(1, t + 1)), frozenset(range(t + 1, 2 * t + 1))
-
-
-#: All eight symmetric relations on the two half-graph sides, in binary
-#: order over the pair set {(A,A), (A,B), (B,B)}. None is singled out as
-#: canonical.
-ALL_HALF_GRAPH_FLIP_RELATIONS: tuple[frozenset[tuple[str, str]], ...] = tuple(
-    frozenset(combo)
-    for size in range(4)
-    for combo in itertools.combinations((("A", "A"), ("A", "B"), ("B", "B")), size)
-)
 
 
 def gen_flipped_half_graph(
@@ -317,8 +304,8 @@ def build_sc_graph(r: SCRecipe) -> ColoredGraph:
                 "flip set names unknown below this combine: "
                 + ", ".join(sorted(missing))
             )
-        flipped = sorted(ids[name] for name in node.flip_names)
-        edges.symmetric_difference_update(itertools.combinations(flipped, 2))
+        flipped = [ids[name] for name in node.flip_names]
+        _toggle_pairs(edges, flipped, flipped)
     return ColoredGraph.build(len(leaves), edges, [leaf.color for leaf in leaves])
 
 
@@ -341,15 +328,16 @@ def _data_lines(stream: TextIO) -> Iterable[tuple[int, list[str]]]:
             yield lineno, text.split()
 
 
-def _natural(field: str, lineno: int) -> int:
+def _natural(field: str, where: int | str) -> int:
     """``field`` read as an ASCII decimal natural number, else a ``ValueError``
-    that names the line."""
+    that names where it was read: a file's line number, or another place."""
     if field.isascii() and field.isdigit():
         try:
             return int(field)
         except ValueError:  # more digits than ``int`` reads
             pass
-    raise ValueError(f"line {lineno}: expected a natural number, got {field!r}")
+    place = f"line {where}" if isinstance(where, int) else where
+    raise ValueError(f"{place}: expected a natural number, got {field!r}")
 
 
 def read_graph(stream: TextIO) -> ColoredGraph:

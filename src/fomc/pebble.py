@@ -202,11 +202,7 @@ def fo_s_equivalent(
 ) -> bool:
     """Whether ``a`` and ``b`` satisfy the same sentences with at most
     ``s`` distinct variables."""
-    _require_pebbles(s)
-    if a == b:
-        return True
-    alive, _ = _run_game(a, b, s, cap)
-    return alive
+    return spoiler_distance(a, b, s, cap) is None
 
 
 def spoiler_distance(

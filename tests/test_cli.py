@@ -1,23 +1,27 @@
 import io
 import json
+import random
 
 import pytest
 
 from fomc.cli import _load_json, main
-from fomc.formulas import read_formulas, variable_count
+from fomc.evaluator import model_check
+from fomc.formulas import parse_formula, read_formulas, variable_count
 from fomc.graphs import (
     ColoredGraph,
     SCCombine,
     SCLeaf,
     build_sc_graph,
+    gen_layer_flipped_paths,
     gen_path,
     read_graph,
     write_graph,
 )
+from fomc.interpret import backwards_translate, complement_interpretation
 from fomc.trees import RootedColoredTree, read_tree, write_tree
 from fomc.trees import TreeModel
 
-from .oracles import write_tree_model
+from .oracles import random_tree_model, write_tree_model
 
 
 @pytest.fixture
@@ -192,8 +196,15 @@ def test_gen_flip_unknown_part_exits_2(workdir, capsys):
         ({"children": [{"children": "ab"}]}, "'children' must be a JSON list"),
         ({"children": [{"leaf": "a", "color": [1]}]}, "'color' must be an integer"),
         ({"leaf": "a", "color": None}, "'color' must be an integer"),
+        ({"leaf": "a", "color": "\u0662"}, "'color' must be an integer"),
+        ({"leaf": "a", "color": " +3 "}, "'color' must be an integer"),
+        ({"leaf": "a", "color": True}, "'color' must be an integer"),
+        ({"leaf": "a", "color": 2.7}, "'color' must be an integer"),
     ],
-    ids=["children-int", "flip-int", "children-str", "color-list", "color-null"],
+    ids=[
+        "children-int", "flip-int", "children-str", "color-list", "color-null",
+        "color-arabic-indic-digit", "color-signed-padded", "color-bool", "color-float",
+    ],
 )
 def test_gen_sc_malformed_recipe_exits_2(workdir, capsys, recipe, message):
     tmp, write = workdir
@@ -411,3 +422,112 @@ def test_crash_exit_codes(workdir, capsys, monkeypatch, error, code, message):
     assert main(["mc", "--graph", tpath, "--formula", fpath, "--via", "tree"]) == code
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_gen_sc_color_is_a_json_integer_or_ascii_digits(workdir, capsys):
+    tmp, write = workdir
+    recipe = {"children": [{"leaf": "a", "color": 3}, {"leaf": "b", "color": "02"}]}
+    out = str(tmp / "g.g")
+    assert main(["gen", "sc", "--recipe", write("r.json", json.dumps(recipe)), "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert read_graph(fh).colors == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "rel, message",
+    [
+        ("\u0661-\u0662", "fomc: --rel: expected a natural number, got '\u0661'"),
+        ("1", "fomc: --rel: expected a natural number, got ''"),
+        ("1-+2", "fomc: --rel: expected a natural number, got '+2'"),
+    ],
+    ids=["arabic-indic-digits", "no-dash", "signed"],
+)
+def test_gen_flip_rel_pairs_are_ascii_naturals(workdir, capsys, rel, message):
+    tmp, write = workdir
+    gpath = write("g.g", graph_text(gen_path(4)))
+    ppath = write("parts.p", "part 1 1 2\npart 2 3 4\n")
+    args = ["gen", "flip", "--graph", gpath, "--parts", ppath, "--rel", rel]
+    assert main(args + ["--out", str(tmp / "o.g")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_gen_kpt_flip_matches_the_generator(workdir, capsys):
+    tmp, write = workdir
+    out = str(tmp / "g.g")
+    assert main(["gen", "kpt", "--k", "3", "--t", "4", "--flip", "1-1, 2-4,", "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert read_graph(fh) == gen_layer_flipped_paths(3, 4, [(1, 1), (2, 4)])
+    args = ["gen", "kpt", "--k", "2", "--t", "3", "--flip", "\u0661-\u0662", "--out", out]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("fomc: --flip: expected a natural number")
+
+
+def test_mc_via_treemodel_matches_naive(workdir, capsys):
+    tmp, write = workdir
+    rng = random.Random(3)
+    sentences = [
+        "exists x1. exists x2. adj(x1,x2)",
+        "forall x1. exists x2. adj(x1,x2)",
+        "exists x1. C2(x1) & forall x2. (adj(x1,x2) -> C1(x2))",
+    ]
+    for trial in range(4):
+        g, tm = random_tree_model(rng, rng.randint(2, 6), 2)
+        buf = io.StringIO()
+        write_tree_model(tm, buf)
+        gpath = write(f"g{trial}.g", graph_text(g))
+        tmpath = write(f"tm{trial}.t", buf.getvalue())
+        for text in sentences:
+            fpath = write("f.fo", text + "\n")
+            argv = ["mc", "--graph", gpath, "--formula", fpath, "--via", "treemodel"]
+            code = main(argv + ["--tree-model", tmpath])
+            verdict = model_check(g, parse_formula(text))
+            assert code == (0 if verdict else 1)
+            assert capsys.readouterr().out.strip() == str(verdict).lower()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--via", "treedepth"], "--via treedepth needs --k"),
+        (["--via", "treemodel"], "--via treemodel needs --tree-model"),
+    ],
+    ids=["treedepth-without-k", "treemodel-without-tree-model"],
+)
+def test_mc_missing_route_flag_exits_2(workdir, capsys, extra, message):
+    tmp, write = workdir
+    gpath = write("p4.g", graph_text(gen_path(4)))
+    fpath = write("f.fo", "exists x1. exists x2. adj(x1,x2)\n")
+    assert main(["mc", "--graph", gpath, "--formula", fpath] + extra) == 2
+    assert capsys.readouterr().err.startswith(f"fomc: {message}")
+
+
+def test_kernelize_writes_next_to_the_tree_by_default(workdir, capsys):
+    tmp, write = workdir
+    star5 = RootedColoredTree.build({1: 0, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1})
+    tpath = write("star5.t", tree_text(star5))
+    assert main(["kernelize", "--tree", tpath, "--s", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "kept=2 bound=3"
+    with open(tmp / "star5.kernel.t", encoding="utf-8") as fh:
+        assert read_tree(fh).n == 2
+
+
+def test_translate_complement(workdir, capsys):
+    tmp, write = workdir
+    text = "exists x1. forall x2. (adj(x1,x2) | x1=x2)"
+    fpath = write("f.fo", text + "\n")
+    out = str(tmp / "t.fo")
+    assert main(["translate", "--formula", fpath, "--interp", "complement", "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        (translated,) = read_formulas(fh)
+    assert translated == backwards_translate(parse_formula(text), complement_interpretation())
+
+
+@pytest.mark.parametrize("given", ["--domain", "--edge", None])
+def test_translate_custom_without_both_formulas_exits_2(workdir, capsys, given):
+    tmp, write = workdir
+    fpath = write("f.fo", "exists x1. C1(x1)\n")
+    argv = ["translate", "--formula", fpath, "--interp", "custom"]
+    if given is not None:
+        argv += [given, write("part.fo", "adj(x1,x2)\n")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("fomc: --interp custom needs --domain and --edge")

@@ -1,12 +1,12 @@
 import io
 import itertools
 import random
+import time
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import pytest
 
 from fomc.graphs import (
-    ALL_HALF_GRAPH_FLIP_RELATIONS,
     ColoredGraph,
     Edge,
     PartitionFlip,
@@ -27,6 +27,15 @@ from fomc.graphs import (
 from fomc.randgen import random_graph
 
 from .oracles import graphs_isomorphic
+
+#: All eight symmetric relations on the two half-graph sides, in binary
+#: order over the pair set {(A,A), (A,B), (B,B)}. None is singled out as
+#: canonical.
+ALL_HALF_GRAPH_FLIP_RELATIONS: tuple[frozenset[tuple[str, str]], ...] = tuple(
+    frozenset(combo)
+    for size in range(4)
+    for combo in itertools.combinations((("A", "A"), ("A", "B"), ("B", "B")), size)
+)
 
 
 def test_graph_validation():
@@ -158,6 +167,55 @@ def test_apply_flip_identity_and_involution():
         assert once.colors == g.colors
         empty = PartitionFlip.build(parts, [])
         assert apply_flip(g, empty) == g
+
+
+def _brute_force_flip(g: ColoredGraph, parts, rel) -> frozenset[Edge]:
+    """Every pair of vertices tested against the relation of its parts."""
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+    related = {(min(i, j), max(i, j)) for i, j in rel}
+    edges = set(g.edges)
+    for u, v in itertools.combinations(g.vertices, 2):
+        if u in part_of and v in part_of:
+            i, j = sorted((part_of[u], part_of[v]))
+            if (i, j) in related:
+                edges ^= {(u, v)}
+    return frozenset(edges)
+
+
+def test_apply_flip_matches_pairwise_xor():
+    rng = random.Random(20)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), colors=2)
+        verts = list(g.vertices)
+        rng.shuffle(verts)
+        covered = verts[: rng.randint(0, len(verts))]  # the rest stay outside
+        parts: list[list[int]] = []
+        for v in covered:
+            if not parts or rng.random() < 0.4:
+                parts.append([])
+            parts[-1].append(v)
+        rel = [
+            (rng.randrange(len(parts)), rng.randrange(len(parts)))
+            for _ in range(rng.randint(0, 2 * len(parts)))
+        ]
+        if parts:
+            i = rng.randrange(len(parts))
+            rel.append((i, i))
+        flipped = apply_flip(g, PartitionFlip.build(parts, rel))
+        assert flipped.edges == _brute_force_flip(g, parts, rel)
+        assert flipped.colors == g.colors and flipped.c == g.c
+
+
+def test_apply_flip_costs_only_the_related_parts():
+    g = gen_path(6000)
+    parts = [range(60 * k + 1, 60 * k + 61) for k in range(100)]
+    flip = PartitionFlip.build(parts, [(0, 1), (5, 5)])
+    start = time.perf_counter()
+    flipped = apply_flip(g, flip)
+    assert time.perf_counter() - start < 1.0
+    # 60 * 60 pairs between parts 0 and 1 (one of them the path edge
+    # 60-61), 60 * 59 / 2 inside part 5 (59 of them path edges)
+    assert len(flipped.edges) == 5999 + (3600 - 2) + (1770 - 2 * 59)  # 11,249
 
 
 def test_flip_on_half_graph_between_sides():
