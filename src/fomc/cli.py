@@ -25,7 +25,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO, TypeVar
 
 from . import interpret, pebble, randgen
 from .evaluator import model_check
@@ -73,37 +73,29 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _read_graph_file(path: str) -> ColoredGraph:
-    with open(path, encoding="utf-8") as fh:
-        return read_graph(fh)
+T = TypeVar("T")
 
 
-def _read_tree_file(path: str):
+def _read(path: str, reader: Callable[[TextIO], T]) -> T:
+    """What ``reader`` reads from the UTF-8 text file at ``path``."""
     with open(path, encoding="utf-8") as fh:
-        return read_tree(fh)
+        return reader(fh)
 
 
 def _read_sentence_file(path: str):
-    with open(path, encoding="utf-8") as fh:
-        formulas = read_formulas(fh)
+    formulas = _read(path, read_formulas)
     if len(formulas) != 1:
         raise ValueError(f"{path}: expected exactly one formula, found {len(formulas)}")
     return formulas[0]
 
 
-def _out_stream(path: str | None):
+def _write_out(path: str | Path | None, writer: Callable[[TextIO], object]) -> None:
+    """Write through ``writer`` to ``path``, or to standard output for None or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _write_out(path: str | None, writer) -> None:
-    stream, close = _out_stream(path)
-    try:
-        writer(stream)
-    finally:
-        if close:
-            stream.close()
+        writer(sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        writer(fh)
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
@@ -111,37 +103,36 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     s = args.s if args.s is not None else variable_count(phi)
     via = args.via
     if via == "naive":
-        g = _read_graph_file(args.graph)
+        g = _read(args.graph, read_graph)
         verdict = model_check(g, phi)
     elif via == "tree":
-        t = _read_tree_file(args.graph)
+        t = _read(args.graph, read_tree)
         verdict = interpret.mc_tree(t, phi, s)
     elif via == "treedepth":
-        g = _read_graph_file(args.graph)
+        g = _read(args.graph, read_graph)
         if args.k is None:
             raise ValueError("--via treedepth needs --k")
         verdict = interpret.mc_treedepth(g, phi, args.k, s)
     else:  # treemodel
-        g = _read_graph_file(args.graph)
+        g = _read(args.graph, read_graph)
         if args.tree_model is None:
             raise ValueError("--via treemodel needs --tree-model")
-        with open(args.tree_model, encoding="utf-8") as fh:
-            tm = read_tree_model(fh)
+        tm = _read(args.tree_model, read_tree_model)
         verdict = interpret.mc_treemodel(g, tm, phi, s)
     print("true" if verdict else "false")
     return EXIT_OK if verdict else EXIT_FALSE
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    a = _read_graph_file(args.a)
-    b = _read_graph_file(args.b)
+    a = _read(args.a, read_graph)
+    b = _read(args.b, read_graph)
     same = pebble.fo_s_equivalent(a, b, args.s, cap=args.cap)
     print("equivalent" if same else "inequivalent")
     return EXIT_OK if same else EXIT_FALSE
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    graphs = [_read_graph_file(p) for p in args.graphs]
+    graphs = [_read(p, read_graph) for p in args.graphs]
     blocks = pebble.type_census(graphs, args.s, cap=args.cap)
 
     def writer(stream: TextIO) -> None:
@@ -153,7 +144,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
-    t = _read_tree_file(args.tree)
+    t = _read(args.tree, read_tree)
     result = reduce_tree(t, args.s)
     out = args.out
     if out is None:
@@ -239,7 +230,7 @@ def _recipe_node(data: dict) -> SCRecipe:
     """The recipe node of a JSON object. ``_load_json`` calls this as each
     object closes, so its children are recipe nodes already."""
     if "leaf" in data:
-        color = data.get("color", 1)
+        name, color = str(data["leaf"]), data.get("color", 1)
         if isinstance(color, str):
             try:
                 color = _natural(color, "recipe field 'color'")
@@ -247,7 +238,9 @@ def _recipe_node(data: dict) -> SCRecipe:
                 pass
         if type(color) is not int:  # not a bool, a float or a container
             raise ValueError(f"recipe field 'color' must be an integer, got {color!r}")
-        return SCLeaf(name=str(data["leaf"]), color=color)
+        if color < 1:
+            raise ValueError(f"recipe leaf {name!r} has color {color}, below 1")
+        return SCLeaf(name=name, color=color)
     if "children" in data:
         children = tuple(_recipe_list(data, "children"))
         if not all(isinstance(child, SCRecipe) for child in children):
@@ -272,9 +265,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         else:
             g, _ = gen_disjoint_paths(args.k, args.t)
     elif kind == "flip":
-        base = _read_graph_file(args.graph)
-        with open(args.parts, encoding="utf-8") as fh:
-            parts = read_partition(fh)
+        base = _read(args.graph, read_graph)
+        parts = _read(args.parts, read_partition)
         order = sorted(parts)
         index = {k: i for i, k in enumerate(order)}
         pairs = _parse_index_pairs(args.rel or "", "--rel")
@@ -284,8 +276,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         rel = [(index[i], index[j]) for i, j in pairs]
         g = apply_flip(base, PartitionFlip.build([parts[k] for k in order], rel))
     else:  # sc
-        with open(args.recipe, encoding="utf-8") as fh:
-            recipe = _load_json(fh.read(), _recipe_node)
+        recipe = _load_json(_read(args.recipe, lambda fh: fh.read()), _recipe_node)
         if not isinstance(recipe, SCRecipe):
             raise ValueError("recipe nodes must be JSON objects")
         g = build_sc_graph(recipe)
@@ -294,20 +285,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = _read_graph_file(args.graph)
+    g = _read(args.graph, read_graph)
     phi = _read_sentence_file(args.formula)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     result = reduce_to_path(g, phi)
-    with open(out_dir / "path.g", "w", encoding="utf-8") as fh:
-        write_graph(result.path, fh)
-    with open(out_dir / "psi.fo", "w", encoding="utf-8") as fh:
-        write_formulas([result.sentence], fh)
-    with open(out_dir / "provenance.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"ordering {' '.join(str(v) for v in result.ordering)}\n")
-        fh.write(f"rank {quantifier_rank(phi)}\n")
-        fh.write(f"variables {variable_count(result.sentence)}\n")
-        fh.write(f"length {formula_length(result.sentence)}\n")
+    _write_out(out_dir / "path.g", lambda fh: write_graph(result.path, fh))
+    _write_out(out_dir / "psi.fo", lambda fh: write_formulas([result.sentence], fh))
+    provenance = (
+        f"ordering {' '.join(str(v) for v in result.ordering)}\n"
+        f"rank {quantifier_rank(phi)}\n"
+        f"variables {variable_count(result.sentence)}\n"
+        f"length {formula_length(result.sentence)}\n"
+    )
+    _write_out(out_dir / "provenance.txt", lambda fh: fh.write(provenance))
     print(f"wrote {out_dir}/path.g {out_dir}/psi.fo {out_dir}/provenance.txt")
     return EXIT_OK
 
@@ -321,9 +312,13 @@ def _cmd_xvalidate(args: argparse.Namespace) -> int:
             if not fpath.exists():
                 raise ValueError(f"{gpath} has no matching {fpath.name}")
             instances.append(
-                (gpath.stem, _read_graph_file(str(gpath)), _read_sentence_file(str(fpath)))
+                (gpath.stem, _read(str(gpath), read_graph), _read_sentence_file(str(fpath)))
             )
     else:
+        limits = (("--random", args.random, 0), ("--n", args.n, 3), ("--q", args.q, 1))
+        for flag, value, least in limits:
+            if value < least:
+                raise ValueError(f"{flag} must be at least {least}, got {value}")
         rng = random.Random(args.seed)
         print(f"# seed {args.seed}")
         for i in range(args.random):
@@ -362,15 +357,11 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    g = _read_graph_file(args.graph)
+    g = _read(args.graph, read_graph)
     if args.what == "ef":
-        with open(args.witness, encoding="utf-8") as fh:
-            ef = read_forest(fh)
-        ok = validate_elimination_forest(g, ef)
+        ok = validate_elimination_forest(g, _read(args.witness, read_forest))
     else:
-        with open(args.witness, encoding="utf-8") as fh:
-            tm = read_tree_model(fh)
-        ok = validate_tree_model(g, tm)
+        ok = validate_tree_model(g, _read(args.witness, read_tree_model))
     print("valid" if ok else "invalid")
     return EXIT_OK if ok else EXIT_FALSE
 

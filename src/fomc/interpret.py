@@ -26,12 +26,15 @@ Pipelines:
   model color, depth).
 
 All three take one kernel route: reduce the host tree at budget
-s + overhead (0 for ``mc_tree``; ``FOREST_OVERHEAD`` and
-``TREE_MODEL_OVERHEAD``, the extra variables the matching interpretation
-needs, for the other two) and evaluate the original s-variable sentence
-on the graph's induced subgraph on the kept graph vertices. The kernel
-is ancestor-closed and the interpretations read only depth, color and
-ancestry, so interpreting the kernel gives exactly that subgraph; the
+s + overhead and evaluate the original s-variable sentence on the
+graph's induced subgraph on the kept graph vertices. The overhead is the
+extra variables the matching interpretation needs, read off the host: 0
+for ``mc_tree``, min(2, max(0, h - 2)) for a forest of height h (the
+closed form of ``depth_edge_interpretation(h, c).variable_overhead``)
+and min(3, depth) for a tree-model (a meeting point plus two names
+reused along upward chains, which climb no higher than the tree). The
+kernel is ancestor-closed and the interpretations read only depth, color
+and ancestry, so interpreting the kernel gives exactly that subgraph; the
 kernel agrees with the host on s + overhead variables, so the subgraph
 agrees with the graph on s variables. For ``mc_tree`` the subgraph is
 the kernel itself read as a graph. No sentence is translated on this
@@ -80,13 +83,6 @@ from .trees import (
 )
 
 X1, X2, X3 = Var(1), Var(2), Var(3)
-
-#: Kernel budget beyond the sentence's variables in ``mc_treedepth``: no
-#: less than ``depth_edge_interpretation``'s overhead at any height.
-FOREST_OVERHEAD = 2
-#: The same for ``mc_treemodel`` and the interpretation that recovers a
-#: graph from its recolored tree-model.
-TREE_MODEL_OVERHEAD = 3
 
 #: A scheme formula and the renaming of its auxiliary variables.
 Instance = tuple[Formula, dict[Var, Var]]
@@ -448,7 +444,7 @@ def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
     if ef is None:
         raise ValueError(f"the graph has tree-depth larger than {k}")
     host = encode_elimination_forest(g, ef)
-    return _decide_on_kernel(g, host, sentence, s + FOREST_OVERHEAD)
+    return _decide_on_kernel(g, host, sentence, s + min(2, max(0, ef.height - 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,4 +494,4 @@ def mc_treemodel(
     if not validate_tree_model(g, tm):
         raise ValueError("the tree-model does not reproduce the graph")
     host = _tree_model_host(g, tm)
-    return _decide_on_kernel(g, host, sentence, s + TREE_MODEL_OVERHEAD)
+    return _decide_on_kernel(g, host, sentence, s + min(3, tm.tree.depth))

@@ -36,15 +36,19 @@ from .graphs import ColoredGraph, _data_lines, _natural
 def _depths_in_vertices(parents: tuple[int, ...]) -> tuple[int, ...]:
     """Per vertex, the number of vertices on its chain of parent links up
     to a root (parent 0), so roots have depth 1; ``parents[v-1]`` is the
-    parent of v. Each vertex is climbed over once."""
-    depths = [0] * (len(parents) + 1)  # 0: not yet known; slot 0 is "above a root"
-    for v in range(1, len(parents) + 1):
+    parent of v. Each vertex is climbed over once, and its parent is
+    checked to lie in 0..n before it is used as an index."""
+    n = len(parents)
+    depths = [0] * (n + 1)  # 0: not yet known; slot 0 is "above a root"
+    for v in range(1, n + 1):
         chain = []
         u = v
         while u != 0 and not depths[u]:
             chain.append(u)
             depths[u] = -1  # on the chain being climbed
             u = parents[u - 1]
+            if not 0 <= u <= n:
+                raise ValueError(f"vertex {chain[-1]} has parent {u} out of range")
         if depths[u] < 0:
             raise ValueError("parent links contain a cycle")
         for i, w in enumerate(reversed(chain), start=1):
@@ -61,24 +65,19 @@ class RootedColoredTree:
     c: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.root <= self.n:
-            raise ValueError("root out of range")
         if len(self.parents) != self.n or len(self.colors) != self.n:
             raise ValueError("parents and colors must cover every vertex")
-        if self.parents[self.root - 1] != 0:
-            raise ValueError("the root must have parent 0")
+        if self.parents.count(0) != 1:
+            raise ValueError(f"expected exactly one root, found {self.parents.count(0)}")
+        if not 1 <= self.root <= self.n or self.parents[self.root - 1] != 0:
+            raise ValueError(f"root {self.root} is not the vertex with parent 0")
         if self.c < 1:
             raise ValueError("color count must be positive")
         for v in range(1, self.n + 1):
             col = self.colors[v - 1]
             if not 1 <= col <= self.c:
                 raise ValueError(f"vertex {v} has color {col} outside 1..{self.c}")
-            p = self.parents[v - 1]
-            if v != self.root and not 1 <= p <= self.n:
-                raise ValueError(f"vertex {v} has parent {p} out of range")
-            if p == v:
-                raise ValueError(f"vertex {v} is its own parent")
-        self.depths  # forces the cycle/connectivity check
+        self.depths  # forces the parent range and cycle checks
 
     @staticmethod
     def build(
@@ -88,16 +87,13 @@ class RootedColoredTree:
     ) -> "RootedColoredTree":
         """From a child-to-parent map over 1..n (root mapped to 0)."""
         n = len(parents)
-        roots = [v for v, p in parents.items() if p == 0]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {len(roots)}")
         cols = {v: 1 for v in parents}
         if colors:
             cols.update(colors)
         palette = c if c is not None else max(cols.values(), default=1)
         return RootedColoredTree(
             n=n,
-            root=roots[0],
+            root=next((v for v, p in parents.items() if p == 0), 0),
             parents=tuple(parents[v] for v in range(1, n + 1)),
             colors=tuple(cols[v] for v in range(1, n + 1)),
             c=palette,
@@ -184,11 +180,7 @@ class EliminationForest:
     def __post_init__(self) -> None:
         if len(self.parents) != self.n:
             raise ValueError("parents must cover every vertex")
-        for v in range(1, self.n + 1):
-            p = self.parents[v - 1]
-            if p != 0 and not 1 <= p <= self.n:
-                raise ValueError(f"vertex {v} has parent {p} out of range")
-        self.node_depths  # cycle check
+        self.node_depths  # parent range and cycle checks
 
     @cached_property
     def node_depths(self) -> tuple[int, ...]:

@@ -306,6 +306,21 @@ def test_xvalidate_random_tap(workdir, capsys):
     assert all(line.startswith("ok") for line in out[2:])
 
 
+@pytest.mark.parametrize(
+    "flag, value, least", [("--n", "2", 3), ("--q", "0", 1), ("--random", "-1", 0)]
+)
+def test_xvalidate_random_refuses_bad_sizes_before_drawing(capsys, flag, value, least):
+    assert main(["xvalidate", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fomc: {flag} must be at least {least}, got {value}\n"
+
+
+def test_xvalidate_random_zero_is_an_empty_plan(capsys):
+    assert main(["xvalidate", "--random", "0", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["# seed 5", "1..0"]
+
+
 def test_xvalidate_corpus_dir(workdir, capsys):
     tmp, write = workdir
     corpus = tmp / "corpus"
@@ -422,6 +437,17 @@ def test_crash_exit_codes(workdir, capsys, monkeypatch, error, code, message):
     assert main(["mc", "--graph", tpath, "--formula", fpath, "--via", "tree"]) == code
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("color", [0, -1])
+@pytest.mark.parametrize("alone", [True, False], ids=["alone", "beside-color-2"])
+def test_gen_sc_leaf_color_below_1_names_the_leaf(workdir, capsys, color, alone):
+    tmp, write = workdir
+    leaf = {"leaf": "a", "color": color}
+    recipe = leaf if alone else {"children": [leaf, {"leaf": "b", "color": 2}]}
+    rpath = write("r.json", json.dumps(recipe))
+    assert main(["gen", "sc", "--recipe", rpath, "--out", str(tmp / "g.g")]) == 2
+    assert capsys.readouterr().err == f"fomc: recipe leaf 'a' has color {color}, below 1\n"
 
 
 def test_gen_sc_color_is_a_json_integer_or_ascii_digits(workdir, capsys):

@@ -16,8 +16,6 @@ from fomc.formulas import (
 )
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.interpret import (
-    FOREST_OVERHEAD,
-    TREE_MODEL_OVERHEAD,
     InterpretationScheme,
     apply_interpretation,
     backwards_translate,
@@ -136,9 +134,6 @@ def test_overhead_pool_reports_demand():
 def test_variable_overhead_is_read_off_the_formulas():
     assert identity_interpretation().variable_overhead == 0
     assert complement_interpretation().variable_overhead == 0
-    for g, tm in pipeline_fixtures().tree_models:
-        _, scheme = treemodel_host_and_scheme(g, tm)
-        assert scheme.variable_overhead <= TREE_MODEL_OVERHEAD
     # on a star model the leaves meet at the root, one step up: only the
     # meeting point is bound
     star = RootedColoredTree.build({1: 3, 2: 3, 3: 0})
@@ -214,11 +209,73 @@ def test_depth_edge_round_trip_exhaustive_small():
 
 
 def test_depth_edge_overhead_constant():
-    # the chain to an ancestor k - 1 levels up reuses two names
-    for c in (1, 2):
-        derived = [depth_edge_interpretation(k, c).variable_overhead for k in range(1, 7)]
-        assert derived == [0, 0, 1, 2, 2, 2]
-        assert max(derived) <= FOREST_OVERHEAD
+    # the chain to an ancestor j levels up binds min(j - 1, 2) names
+    for c in (1, 2, 3):
+        derived = [depth_edge_interpretation(k, c).variable_overhead for k in range(1, 9)]
+        assert derived == [0, 0, 1, 2, 2, 2, 2, 2]
+        assert derived == [min(2, max(0, k - 2)) for k in range(1, 9)]
+
+
+# ---------------------------------------------------------------------------
+# Kernel budgets: the pipelines reduce at s plus the overhead of the
+# interpretation that recovers the graph from the host. The agreement
+# tests alone do not guard this: a budget of s passes them all.
+
+def _kernel_calls(monkeypatch) -> list:
+    """Each (budget, kept vertices) the pipelines' ``reduce_tree`` call
+    sees, appended in call order."""
+    calls = []
+
+    def spy(host, budget):
+        result = reduce_tree(host, budget)
+        calls.append((budget, len(result.kept)))
+        return result
+
+    monkeypatch.setattr(interpret, "reduce_tree", spy)
+    return calls
+
+
+def test_mc_treedepth_reduces_at_the_forest_schemes_overhead(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    phi = parse_formula("exists x1. C1(x1)")
+    for h in range(1, 9):
+        g = gen_path(2 ** (h - 1))  # tree-depth h
+        assert mc_treedepth(g, phi, h, 1)
+        overhead = depth_edge_interpretation(h, g.c).variable_overhead
+        assert calls.pop()[0] == 1 + overhead == 1 + min(2, max(0, h - 2))
+
+
+def test_mc_treemodel_reduces_within_the_referee_overhead(monkeypatch):
+    # the referee binds a meeting point plus two names along upward
+    # chains, which climb at most the tree's depth
+    calls = _kernel_calls(monkeypatch)
+    phi = parse_formula("exists x1. C1(x1)")
+    rng = random.Random(21)
+    seeded = [random_tree_model(rng, rng.randint(1, 8), rng.randint(1, 3)) for _ in range(150)]
+    reached = set()
+    for g, tm in list(pipeline_fixtures().tree_models) + seeded:
+        depth = tm.tree.depth
+        overhead = treemodel_host_and_scheme(g, tm)[1].variable_overhead
+        mc_treemodel(g, tm, phi, 1)
+        assert overhead <= calls.pop()[0] - 1 == min(3, depth)
+        if overhead == depth:
+            reached.add(depth)
+    assert reached == {1, 2, 3}
+
+
+def test_shallow_forest_hosts_keep_only_what_their_overhead_needs(monkeypatch):
+    # criterion 3's graphs at s = 1, kept vertices summed per forest
+    # height; a fixed budget of s + 2 would keep 24, 228 and 1371
+    calls = _kernel_calls(monkeypatch)
+    phi = parse_formula("exists x1. C1(x1)")
+    hosts, kept = {}, {}
+    for g in pipeline_fixtures().treedepth_graphs:
+        h = compute_elimination_forest(g, 3).height
+        mc_treedepth(g, phi, 3, 1)
+        hosts[h] = hosts.get(h, 0) + 1
+        kept[h] = kept.get(h, 0) + calls.pop()[1]
+    assert hosts[2] == 37
+    assert kept == {1: 13, 2: 128, 3: 1320}
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,25 @@ def test_forest_parent_cycle_refused():
         EliminationForest(n=3, parents=(0, 3, 2))
 
 
+@pytest.mark.parametrize("parent", [-1, 4])
+def test_parent_outside_0_to_n_refused(parent):
+    # a negative parent would index from the end of the list
+    message = f"vertex 2 has parent {parent} out of range"
+    with pytest.raises(ValueError, match=message):
+        RootedColoredTree(n=3, root=1, parents=(0, parent, 1), colors=(1, 1, 1), c=1)
+    with pytest.raises(ValueError, match=message):
+        EliminationForest(n=3, parents=(0, parent, 1))
+
+
+def test_tree_refuses_a_second_root_and_a_self_parent():
+    with pytest.raises(ValueError, match="^expected exactly one root, found 2$"):
+        RootedColoredTree(n=3, root=1, parents=(0, 0, 1), colors=(1, 1, 1), c=1)
+    with pytest.raises(ValueError, match="^expected exactly one root, found 2$"):
+        RootedColoredTree.build({1: 0, 2: 0, 3: 1})
+    with pytest.raises(ValueError, match="cycle"):
+        RootedColoredTree(n=3, root=1, parents=(0, 2, 1), colors=(1, 1, 1), c=1)
+
+
 def test_tree_graph_round_trip():
     rng = random.Random(8)
     for _ in range(50):
