@@ -3,7 +3,8 @@
 Vertices are the dense 1-based integers ``1..n``. Every vertex carries a
 color from ``1..c``. Graphs are simple: no loops, no multi-edges.
 
-Graph file format (ASCII, newline-delimited, ``#`` starts a comment):
+Graph file format (ASCII, newline-delimited, ``#`` starts a comment, lines
+in any order):
 
     p graph <n> <c>
     v <id> <color>      # optional; color defaults to 1
@@ -27,6 +28,16 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _require_palette(colors: Sequence[int], c: int) -> None:
+    """Refuse a palette size ``c`` below 1, or a color of vertex v
+    (``colors[v-1]``) outside 1..c."""
+    if c < 1:
+        raise ValueError("color count must be positive")
+    for v, col in enumerate(colors, start=1):
+        if not 1 <= col <= c:
+            raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
+
+
 @dataclass(frozen=True)
 class ColoredGraph:
     n: int
@@ -39,11 +50,7 @@ class ColoredGraph:
             raise ValueError("graphs must have at least one vertex")
         if len(self.colors) != self.n:
             raise ValueError("colors must assign exactly one color per vertex")
-        if self.c < 1:
-            raise ValueError("color count must be positive")
-        for v, col in enumerate(self.colors, start=1):
-            if not 1 <= col <= self.c:
-                raise ValueError(f"vertex {v} has color {col} outside 1..{self.c}")
+        _require_palette(self.colors, self.c)
         for u, v in self.edges:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"bad edge ({u},{v}) on {self.n} vertices")
@@ -340,48 +347,64 @@ def _natural(field: str, where: int | str) -> int:
     raise ValueError(f"{place}: expected a natural number, got {field!r}")
 
 
-def read_graph(stream: TextIO) -> ColoredGraph:
-    n = c = None
-    colors: dict[int, int] = {}
-    edges: set[Edge] = set()
+def _records(stream: TextIO, shapes: dict[str, str]) -> dict[str, list[tuple[int, list[int]]]]:
+    """The data lines of ``stream`` by kind, each as (line number, its
+    numbers), after one ``p`` header.
+
+    ``shapes`` maps each kind to its usage text: in it a plain word must
+    match, each ``<...>`` is read as a natural, and a trailing ``[...]``
+    may be left out. Ranges, and repeats of other kinds, are left to the
+    caller.
+    """
+    usages = {kind: usage.split() for kind, usage in shapes.items()}
+    found: dict[str, list[tuple[int, list[int]]]] = {kind: [] for kind in shapes}
     for lineno, fields in _data_lines(stream):
         kind = fields[0]
-        if kind == "p":
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate header")
-            if len(fields) != 4 or fields[1] != "graph":
-                raise ValueError(f"line {lineno}: malformed header, want 'p graph <n> <c>'")
-            n, c = _natural(fields[2], lineno), _natural(fields[3], lineno)
-        elif kind == "v":
-            if n is None:
-                raise ValueError(f"line {lineno}: vertex line before header")
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: malformed vertex line")
-            v, col = _natural(fields[1], lineno), _natural(fields[2], lineno)
-            if not 1 <= v <= n:
-                raise ValueError(f"line {lineno}: vertex {v} out of range")
-            colors[v] = col
-        elif kind == "e":
-            if n is None:
-                raise ValueError(f"line {lineno}: edge line before header")
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: malformed edge line")
-            u, v = _natural(fields[1], lineno), _natural(fields[2], lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"line {lineno}: edge endpoint out of range")
-            if u == v:
-                raise ValueError(f"line {lineno}: loop at vertex {u}")
-            e = _norm_edge(u, v)
-            if e in edges:
-                raise ValueError(f"line {lineno}: duplicate edge {e}")
-            edges.add(e)
-        else:
+        if kind not in usages:
             raise ValueError(f"line {lineno}: unknown record {kind!r}")
-    if n is None:
-        raise ValueError("missing 'p graph' header")
-    return ColoredGraph.build(
-        n, edges, [colors.get(v, 1) for v in range(1, n + 1)], c=c
-    )
+        words = usages[kind]
+        if not len(words) - words[-1].startswith("[") <= len(fields) <= len(words) or any(
+            word != field for word, field in zip(words, fields) if word[0] not in "<["
+        ):
+            raise ValueError(f"line {lineno}: want '{shapes[kind]}'")
+        if kind == "p" and found["p"]:
+            raise ValueError(f"line {lineno}: duplicate header")
+        numbers = [_natural(field, lineno) for word, field in zip(words, fields) if word[0] in "<["]
+        found[kind].append((lineno, numbers))
+    if not found["p"]:
+        raise ValueError(f"missing header '{shapes['p']}'")
+    return found
+
+
+def _by_vertex(lines: list[tuple[int, list[int]]]) -> dict[int, list[int]]:
+    """The numbers of ``lines`` keyed by their first, a vertex; a second
+    line for one vertex is refused, naming its line."""
+    by_vertex: dict[int, list[int]] = {}
+    for lineno, numbers in lines:
+        if numbers[0] in by_vertex:
+            raise ValueError(f"line {lineno}: duplicate record for vertex {numbers[0]}")
+        by_vertex[numbers[0]] = numbers
+    return by_vertex
+
+
+def read_graph(stream: TextIO) -> ColoredGraph:
+    found = _records(stream, {"p": "p graph <n> <c>", "v": "v <id> <color>", "e": "e <u> <v>"})
+    n, c = found["p"][0][1]
+    for lineno, (v, _) in found["v"]:
+        if not 1 <= v <= n:
+            raise ValueError(f"line {lineno}: vertex {v} out of range")
+    colors = {v: col for v, col in _by_vertex(found["v"]).values()}
+    edges: set[Edge] = set()
+    for lineno, (u, v) in found["e"]:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"line {lineno}: edge endpoint out of range")
+        if u == v:
+            raise ValueError(f"line {lineno}: loop at vertex {u}")
+        e = _norm_edge(u, v)
+        if e in edges:
+            raise ValueError(f"line {lineno}: duplicate edge {e}")
+        edges.add(e)
+    return ColoredGraph.build(n, edges, [colors.get(v, 1) for v in range(1, n + 1)], c=c)
 
 
 def read_partition(stream: TextIO) -> dict[int, frozenset[int]]:

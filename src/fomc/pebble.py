@@ -48,10 +48,12 @@ class ResourceLimitError(RuntimeError):
     """An instance would exceed the configured cap."""
 
 
-def _require_pebbles(s: int) -> None:
+def _require_pebbles(s: int, cap: int) -> None:
     # checked before any shortcut, so equal graphs get no answer either
     if s < 1:
         raise ValueError("the pebble count must be positive")
+    if cap < 1:
+        raise ValueError(f"the tuple cap must be positive, got {cap}")
 
 
 def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
@@ -211,7 +213,7 @@ def spoiler_distance(
     """The refinement round that separates the all-blank tuples, or None
     when the graphs are equivalent. This is the number of rounds in which
     the spoiler wins the s-pebble game."""
-    _require_pebbles(s)
+    _require_pebbles(s, cap)
     if a == b:
         return None
     alive, death_round = _run_game(a, b, s, cap)
@@ -227,7 +229,7 @@ def type_census(
     Equal graphs share a block without refinement; the distinct ones are
     refined together, once, and grouped by their all-blank tuple's class.
     """
-    _require_pebbles(s)
+    _require_pebbles(s, cap)
     first: dict[ColoredGraph, int] = {}
     rep = [first.setdefault(g, len(first)) for g in graphs]
     classes = [0]

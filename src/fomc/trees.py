@@ -7,7 +7,7 @@ Conventions:
   so a single vertex has height 1. A graph has tree-depth at most k
   exactly when it has an elimination forest of height at most k.
 
-Tree file format (ASCII, ``#`` comments):
+Tree file format (ASCII, ``#`` comments, lines in any order):
 
     p tree <n> <c>
     r <root>
@@ -28,9 +28,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from typing import Collection, Iterable, Iterator, TextIO
 
-from .graphs import ColoredGraph, _data_lines, _natural
+from .graphs import ColoredGraph, _by_vertex, _records, _require_palette
 
 
 def _depths_in_vertices(parents: tuple[int, ...]) -> tuple[int, ...]:
@@ -71,12 +71,7 @@ class RootedColoredTree:
             raise ValueError(f"expected exactly one root, found {self.parents.count(0)}")
         if not 1 <= self.root <= self.n or self.parents[self.root - 1] != 0:
             raise ValueError(f"root {self.root} is not the vertex with parent 0")
-        if self.c < 1:
-            raise ValueError("color count must be positive")
-        for v in range(1, self.n + 1):
-            col = self.colors[v - 1]
-            if not 1 <= col <= self.c:
-                raise ValueError(f"vertex {v} has color {col} outside 1..{self.c}")
+        _require_palette(self.colors, self.c)
         self.depths  # forces the parent range and cycle checks
 
     @staticmethod
@@ -85,10 +80,14 @@ class RootedColoredTree:
         colors: dict[int, int] | None = None,
         c: int | None = None,
     ) -> "RootedColoredTree":
-        """From a child-to-parent map over 1..n (root mapped to 0)."""
+        """From a child-to-parent map over 1..n (root mapped to 0) and
+        colors of some of its vertices (default 1)."""
         n = len(parents)
+        _require_records(n, parents)
         cols = {v: 1 for v in parents}
         if colors:
+            if not colors.keys() <= cols.keys():
+                raise ValueError(f"colors given for non-vertices {sorted(colors - cols.keys())}")
             cols.update(colors)
         palette = c if c is not None else max(cols.values(), default=1)
         return RootedColoredTree(
@@ -394,101 +393,52 @@ def write_tree(t: RootedColoredTree, stream: TextIO) -> None:
         stream.write(f"t {v} {t.parents[v - 1]} {t.color_of(v)}\n")
 
 
-def _read_tree_records(
-    stream: TextIO,
-) -> tuple[int, int, int, dict[int, int], dict[int, int], list[tuple[int, int, int, bool]]]:
-    n = c = root = None
-    parents: dict[int, int] = {}
-    colors: dict[int, int] = {}
-    rules: list[tuple[int, int, int, bool]] = []
-    for lineno, fields in _data_lines(stream):
-        kind = fields[0]
-        if kind == "p":
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate header")
-            if len(fields) != 4 or fields[1] != "tree":
-                raise ValueError(f"line {lineno}: malformed header, want 'p tree <n> <c>'")
-            n, c = _natural(fields[2], lineno), _natural(fields[3], lineno)
-        elif kind == "r":
-            if root is not None:
-                raise ValueError(f"line {lineno}: duplicate root line")
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: malformed root line")
-            root = _natural(fields[1], lineno)
-        elif kind == "t":
-            if len(fields) not in (3, 4):
-                raise ValueError(f"line {lineno}: want 't <v> <parent> [<color>]'")
-            v, p = _natural(fields[1], lineno), _natural(fields[2], lineno)
-            if v in parents:
-                raise ValueError(f"line {lineno}: duplicate record for vertex {v}")
-            parents[v] = p
-            colors[v] = _natural(fields[3], lineno) if len(fields) == 4 else 1
-        elif kind == "rule":
-            if len(fields) != 5:
-                raise ValueError(f"line {lineno}: want 'rule <c1> <c2> <d> <0|1>'")
-            c1, c2, d, bit = (_natural(x, lineno) for x in fields[1:])
-            if bit not in (0, 1):
-                raise ValueError(f"line {lineno}: rule verdict must be 0 or 1")
-            rules.append((c1, c2, d, bool(bit)))
-        else:
-            raise ValueError(f"line {lineno}: unknown record {kind!r}")
-    if n is None or root is None:
-        raise ValueError("tree file needs a 'p tree' header and an 'r' line")
-    return n, c, root, parents, colors, rules
+_TREE = {"p": "p tree <n> <c>", "r": "r <root>", "t": "t <v> <parent> [<color>]"}
 
 
 def read_tree(stream: TextIO) -> RootedColoredTree:
-    n, c, root, parents, colors, rules = _read_tree_records(stream)
-    if rules:
-        raise ValueError("unexpected rule lines in a plain tree file")
-    return _assemble_tree(n, c, root, parents, colors)
-
-
-def _assemble_tree(n, c, root, parents, colors) -> RootedColoredTree:
-    parents.setdefault(root, 0)
-    colors.setdefault(root, 1)
-    if parents[root] != 0:
-        raise ValueError(f"declared root {root} has a nonzero parent")
-    _require_records(n, parents)
-    return RootedColoredTree.build(parents, colors, c=c)
-
-
-def _require_records(n: int, parents: dict[int, int]) -> None:
-    """Refuse unless ``parents`` holds one record for each vertex 1..n."""
-    for v in range(1, n + 1):
-        if v not in parents:
-            raise ValueError(f"vertex {v} has no 't' record")
-    if len(parents) != n:
-        raise ValueError("'t' records mention vertices outside 1..n")
+    return _read_tree(_records(stream, _TREE)).tree
 
 
 def read_tree_model(stream: TextIO) -> TreeModel:
-    n, c, root, parents, colors, rules = _read_tree_records(stream)
-    tree = _assemble_tree(n, c, root, parents, colors)
-    return TreeModel.build(tree, rules)
+    return _read_tree(_records(stream, {**_TREE, "rule": "rule <c1> <c2> <d> <0|1>"}))
+
+
+def _read_tree(found: dict[str, list[tuple[int, list[int]]]]) -> TreeModel:
+    """The tree and rules of a tree or tree-model file's records; the root needs no 't' record."""
+    n, c = found["p"][0][1]
+    roots = found["r"]
+    if len(roots) != 1:
+        raise ValueError(
+            f"line {roots[1][0]}: duplicate root line" if roots else "missing 'r' line"
+        )
+    (root,) = roots[0][1]
+    records = _by_vertex(found["t"])
+    records.setdefault(root, [root, 0])
+    _require_records(n, records)
+    if records[root][1] != 0:
+        raise ValueError(f"declared root {root} has a nonzero parent")
+    parents = {v: numbers[1] for v, numbers in records.items()}
+    colors = {v: numbers[2] for v, numbers in records.items() if len(numbers) > 2}
+    for lineno, (*_, bit) in found.get("rule", []):
+        if bit > 1:
+            raise ValueError(f"line {lineno}: rule verdict must be 0 or 1")
+    rules = (numbers for _, numbers in found.get("rule", []))
+    return TreeModel.build(RootedColoredTree.build(parents, colors, c=c), rules)
+
+
+def _require_records(n: int, records: Collection[int]) -> None:
+    """Refuse unless ``records`` (of 't' lines, by vertex) holds one for each vertex 1..n."""
+    for v in range(1, n + 1):
+        if v not in records:
+            raise ValueError(f"vertex {v} has no 't' record")
+    if len(records) != n:
+        raise ValueError("'t' records mention vertices outside 1..n")
 
 
 def read_forest(stream: TextIO) -> EliminationForest:
-    n = None
-    parents: dict[int, int] = {}
-    for lineno, fields in _data_lines(stream):
-        kind = fields[0]
-        if kind == "p":
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate header")
-            if len(fields) != 3 or fields[1] != "forest":
-                raise ValueError(f"line {lineno}: malformed header, want 'p forest <n>'")
-            n = _natural(fields[2], lineno)
-        elif kind == "t":
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: want 't <v> <parent>'")
-            v, p = _natural(fields[1], lineno), _natural(fields[2], lineno)
-            if v in parents:
-                raise ValueError(f"line {lineno}: duplicate record for vertex {v}")
-            parents[v] = p
-        else:
-            raise ValueError(f"line {lineno}: unknown record {kind!r}")
-    if n is None:
-        raise ValueError("missing 'p forest' header")
-    _require_records(n, parents)
-    return EliminationForest(n=n, parents=tuple(parents[v] for v in range(1, n + 1)))
+    found = _records(stream, {"p": "p forest <n>", "t": "t <v> <parent>"})
+    (n,) = found["p"][0][1]
+    records = _by_vertex(found["t"])
+    _require_records(n, records)
+    return EliminationForest(n=n, parents=tuple(records[v][1] for v in range(1, n + 1)))

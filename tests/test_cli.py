@@ -117,6 +117,18 @@ def test_nonpositive_pebble_count_exits_2(workdir, capsys, s):
         assert "pebble count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_1_exits_2(workdir, capsys, cap):
+    tmp, write = workdir
+    a = write("p4.g", graph_text(gen_path(4)))
+    b = write("p5.g", graph_text(gen_path(5)))
+    for other in (a, b):
+        assert main(["equiv", "--a", a, "--b", other, "--s", "2", "--cap", cap]) == 2
+        assert f"tuple cap must be positive, got {cap}" in capsys.readouterr().err
+        assert main(["census", a, other, "--s", "2", "--cap", cap]) == 2
+        assert f"tuple cap must be positive, got {cap}" in capsys.readouterr().err
+
+
 def test_kernelize_writes_kernel(workdir, capsys):
     tmp, write = workdir
     star5 = RootedColoredTree.build({1: 0, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1})
@@ -186,6 +198,15 @@ def test_gen_flip_unknown_part_exits_2(workdir, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("fomc: --rel names part 7")
+
+
+def test_gen_flip_refuses_a_repeated_vertex_line(workdir, capsys):
+    # the second line used to recolor vertex 1 silently
+    tmp, write = workdir
+    gpath = write("dup.g", "p graph 2 3\nv 1 2\nv 1 3\n")
+    ppath = write("parts.p", "part 1 1\npart 2 2\n")
+    assert main(["gen", "flip", "--graph", gpath, "--parts", ppath]) == 2
+    assert capsys.readouterr().err == "fomc: line 3: duplicate record for vertex 1\n"
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,12 @@ def test_verify_kernel_accepts_reductions():
             assert verify_kernel(t, res, s)
 
 
+def test_verify_kernel_refuses_a_cap_below_1():
+    t = star(3)
+    with pytest.raises(ValueError, match="tuple cap must be positive"):
+        verify_kernel(t, reduce_tree(t, 1), 1, cap=0)
+
+
 def test_verify_kernel_rejects_overpruned():
     t = star(5)
     res = reduce_tree(t, 2)  # keeps the root and two leaves

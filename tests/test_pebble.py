@@ -253,6 +253,19 @@ def test_nonpositive_pebble_count_is_refused_even_for_equal_graphs(s):
         type_census([p4], s)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_1_is_refused_even_for_equal_graphs(cap):
+    p4, p5 = gen_path(4), gen_path(5)
+    message = f"^the tuple cap must be positive, got {cap}$"
+    for a, b in ((p4, p4), (p4, p5)):
+        with pytest.raises(ValueError, match=message):
+            fo_s_equivalent(a, b, 2, cap=cap)
+        with pytest.raises(ValueError, match=message):
+            spoiler_distance(a, b, 2, cap=cap)
+        with pytest.raises(ValueError, match=message):
+            type_census([a, b], 2, cap=cap)
+
+
 def test_paths_beyond_the_dense_game_are_decided():
     # the dense game needed 9.8e7 positions here and was refused
     p20 = gen_path(20)

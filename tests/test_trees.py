@@ -137,6 +137,13 @@ def test_tree_refuses_a_second_root_and_a_self_parent():
         RootedColoredTree(n=3, root=1, parents=(0, 2, 1), colors=(1, 1, 1), c=1)
 
 
+def test_build_refuses_a_gap_in_the_vertices_and_colors_of_non_vertices():
+    with pytest.raises(ValueError, match="^vertex 2 has no 't' record$"):
+        RootedColoredTree.build({1: 0, 3: 1})
+    with pytest.raises(ValueError, match=r"^colors given for non-vertices \[7\]$"):
+        RootedColoredTree.build({1: 0, 2: 1}, {2: 2, 7: 5})
+
+
 def test_tree_graph_round_trip():
     rng = random.Random(8)
     for _ in range(50):
