@@ -390,9 +390,11 @@ def _by_vertex(lines: list[tuple[int, list[int]]]) -> dict[int, list[int]]:
 def read_graph(stream: TextIO) -> ColoredGraph:
     found = _records(stream, {"p": "p graph <n> <c>", "v": "v <id> <color>", "e": "e <u> <v>"})
     n, c = found["p"][0][1]
-    for lineno, (v, _) in found["v"]:
+    for lineno, (v, col) in found["v"]:
         if not 1 <= v <= n:
             raise ValueError(f"line {lineno}: vertex {v} out of range")
+        if c >= 1 and not 1 <= col <= c:  # a palette below 1 is left to the constructor
+            raise ValueError(f"line {lineno}: vertex {v} has color {col} outside 1..{c}")
     colors = {v: col for v, col in _by_vertex(found["v"]).values()}
     edges: set[Edge] = set()
     for lineno, (u, v) in found["e"]:

@@ -93,14 +93,11 @@ def _intern(columns) -> tuple[np.ndarray, int]:
     return _dense(key)
 
 
-def _set_ids(
-    types: np.ndarray, count: int, gather: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """(dense ids of the sets of types that the rows of ``gather`` reach,
+def _set_ids(rows: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """(dense ids of the sets of types listed by the rows of ``rows``,
     the number of distinct sets). Each set is written as its sorted
     distinct members plus one, after a run of zeros, and packed in radix
-    ``count + 1``."""
-    rows = types[gather]
+    ``count + 1``. ``rows`` is overwritten."""
     rows.sort(axis=1)
     repeat = rows[:, 1:] == rows[:, :-1]
     rows += 1
@@ -111,6 +108,19 @@ def _set_ids(
     return _intern((col, count + 1) for col in rows.T[-width:])
 
 
+def _spread(table: np.ndarray, sides: list[int], s: int, axes) -> np.ndarray:
+    """One column over all graphs' tuples. ``table`` holds, graph after
+    graph, an array with one axis of n + 1 per slot in ``axes``; each
+    tuple reads its graph's at those slots."""
+    col = np.empty(sum(m**s for m in sides), table.dtype)
+    lo = at = 0
+    for m in sides:
+        shape = [m if k in axes else 1 for k in range(s)]
+        col[lo : lo + m**s].reshape((m,) * s)[...] = table[at : at + m ** len(axes)].reshape(shape)
+        lo, at = lo + m**s, at + m ** len(axes)
+    return col
+
+
 def _atomic_columns(graphs, s: int):
     """``(column, base)`` pairs over the tuples of all graphs: per slot
     the color (0 for the blank), then per slot pair 2 * equal + adjacent.
@@ -118,47 +128,32 @@ def _atomic_columns(graphs, s: int):
     any color value fits the packed keys of ``_intern``."""
     palette = sorted({col for g in graphs for col in g.colors})
     rank = {col: i for i, col in enumerate(palette, start=1)}
-    slots, colors, adj = [], [], []
-    for g in graphs:
-        shape = (g.n + 1,) * s
-        slots.append(np.indices(shape, np.min_scalar_type(g.n)).reshape(s, -1))
-        colors.append(np.array([0] + [rank[col] for col in g.colors], np.int32))
-        if s >= 2:
-            adj.append(np.zeros((g.n + 1, g.n + 1), dtype=np.int8))
-            ends = itertools.chain.from_iterable(g.edges)
-            u, v = np.fromiter(ends, np.intp, 2 * len(g.edges)).reshape(-1, 2).T
-            adj[-1][u, v] = adj[-1][v, u] = 1
+    colors = np.array([r for g in graphs for r in [0, *map(rank.get, g.colors)]], np.int32)
+    pairs = [2 * np.eye(g.n + 1, dtype=np.int8) for g in graphs]  # equal, never adjacent
+    for g, table in zip(graphs, pairs):
+        u, v = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp).reshape(-1, 2).T
+        table[u, v] = table[v, u] = 1
+    sides, pairs = [g.n + 1 for g in graphs], np.concatenate(pairs, axis=None)
     for i in range(s):
-        yield np.concatenate([c[d[i]] for c, d in zip(colors, slots)]), len(rank) + 1
-    for i, j in itertools.combinations(range(s), 2):
-        pairs = [2 * (d[i] == d[j]) + a[d[i], d[j]] for a, d in zip(adj, slots)]
-        yield np.concatenate(pairs), 3  # no loops: an equal pair is not adjacent
+        yield _spread(colors, sides, s, {i}), len(rank) + 1
+    for ij in itertools.combinations(range(s), 2):
+        yield _spread(pairs, sides, s, ij), 3
 
 
-def _moves(graphs, s: int, starts, index) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Index arrays, of dtype ``index``, into the tuples of all graphs.
-
-    Row r of ``gather`` lists the tuples reached from one context (a
-    tuple with slot i left open) by putting each vertex into slot i,
-    padded by repeating vertex 1; ``scatter[i]`` maps every tuple to the
-    row of its context for slot i.
-    """
-    width = max(g.n for g in graphs)
-    gather, scatter, rows_before = [], [], 0
-    for i in range(s):
-        parts = []
-        for g, lo in zip(graphs, starts):
-            m = g.n + 1
-            stride = m ** (s - 1 - i)
-            x = np.arange(m**s, dtype=index)
-            parts.append(rows_before + x // (stride * m) * stride + x % stride)
-            r = np.arange(m ** (s - 1), dtype=index)
-            context = lo + r // stride * stride * m + r % stride
-            vertex = np.maximum(np.arange(g.n - width + 1, m, dtype=index), 1)
-            gather.append(context[:, None] + stride * vertex)
-            rows_before += len(r)
-        scatter.append(np.concatenate(parts))
-    return np.concatenate(gather), scatter
+def _rows(types: np.ndarray, sides: list[int], starts: list[int], s: int) -> np.ndarray:
+    """One row per context, slot-major, then graph-minor, then in tuple
+    order: the types of the tuples that put each vertex into the open
+    slot, padded to the widest graph by repeating the first."""
+    rows = np.empty((s * sum(m ** (s - 1) for m in sides), max(sides) - 1), types.dtype)
+    at = 0
+    for i, (lo, m) in itertools.product(range(s), zip(starts, sides)):
+        before, after = m**i, m ** (s - 1 - i)
+        block = rows[at : at + before * after]
+        lines = types[lo : lo + m**s].reshape(before, m, after)[:, 1:]
+        block.reshape(before, after, -1)[..., : m - 1] = lines.transpose(0, 2, 1)
+        block[:, m - 1 :] = block[:, :1]
+        at += before * after
+    return rows
 
 
 def _refine(
@@ -167,21 +162,25 @@ def _refine(
     """(class id of each graph's all-blank tuple, rounds run).
 
     Refines until the partition is stable, or with ``until_split`` until
-    the all-blank tuples no longer share one class.
+    the all-blank tuples no longer share one class. Viewed with one axis
+    of n + 1 per slot, a graph's types hold one context (a tuple with
+    slot i left open) per line along axis i: its set is the line minus
+    the blank, and its id goes back to every tuple on the line.
     """
-    sizes = [(g.n + 1) ** s for g in graphs]
+    sides = [g.n + 1 for g in graphs]
+    sizes = [m**s for m in sides]
     if sum(sizes) > cap:
         raise ResourceLimitError(
             f"type refinement needs {sum(sizes)} tuples (cap {cap}): "
             f"vertex counts {[g.n for g in graphs]}, s={s}"
         )
     starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    others = [set(range(s)) - {i} for i in range(s)]
     types, count = _intern(_atomic_columns(graphs, s))
-    index = np.int32 if sum(sizes) < 2**31 else np.int64
-    gather, scatter = _moves(graphs, s, starts, index)
     for rounds in itertools.count(1):
-        sets, nsets = _set_ids(types, count, gather)  # joint over all slots
-        slots = ((sets[ctx], nsets) for ctx in scatter)
+        sets, nsets = _set_ids(_rows(types, sides, starts, s), count)  # joint over all slots
+        columns = zip(sets.reshape(s, -1), others)
+        slots = ((_spread(ids, sides, s, axes), nsets) for ids, axes in columns)
         new, new_count = _intern(itertools.chain([(types, count)], slots))
         blanks = new[starts]
         if new_count == count or until_split and (blanks != blanks[0]).any():

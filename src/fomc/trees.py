@@ -418,11 +418,17 @@ def _read_tree(found: dict[str, list[tuple[int, list[int]]]]) -> TreeModel:
     _require_records(n, records)
     if records[root][1] != 0:
         raise ValueError(f"declared root {root} has a nonzero parent")
+    _require_t_lines(n, c, found["t"])
     parents = {v: numbers[1] for v, numbers in records.items()}
     colors = {v: numbers[2] for v, numbers in records.items() if len(numbers) > 2}
-    for lineno, (*_, bit) in found.get("rule", []):
+    keys = set()
+    for lineno, (c1, c2, d, bit) in found.get("rule", []):
+        key = (min(c1, c2), max(c1, c2), d)
         if bit > 1:
             raise ValueError(f"line {lineno}: rule verdict must be 0 or 1")
+        if key in keys:
+            raise ValueError(f"line {lineno}: duplicate rule for {key}")
+        keys.add(key)
     rules = (numbers for _, numbers in found.get("rule", []))
     return TreeModel.build(RootedColoredTree.build(parents, colors, c=c), rules)
 
@@ -436,9 +442,21 @@ def _require_records(n: int, records: Collection[int]) -> None:
         raise ValueError("'t' records mention vertices outside 1..n")
 
 
+def _require_t_lines(n: int, c: int, lines: list[tuple[int, list[int]]]) -> None:
+    """Refuse, naming its line, a 't' record whose parent lies outside
+    0..n or whose color lies outside 1..c. A palette below 1 is left to
+    the constructor, which refuses it first."""
+    for lineno, (v, parent, *color) in lines:
+        if parent > n:
+            raise ValueError(f"line {lineno}: vertex {v} has parent {parent} out of range")
+        if color and c >= 1 and not 1 <= color[0] <= c:
+            raise ValueError(f"line {lineno}: vertex {v} has color {color[0]} outside 1..{c}")
+
+
 def read_forest(stream: TextIO) -> EliminationForest:
     found = _records(stream, {"p": "p forest <n>", "t": "t <v> <parent>"})
     (n,) = found["p"][0][1]
     records = _by_vertex(found["t"])
     _require_records(n, records)
+    _require_t_lines(n, 1, found["t"])  # forest lines carry no color
     return EliminationForest(n=n, parents=tuple(records[v][1] for v in range(1, n + 1)))

@@ -145,8 +145,25 @@ def test_rule_lines_are_unknown_in_a_plain_tree_file():
         ("tree", "p tree 2 1\nt 2 1\n", "missing 'r' line"),
         ("tree-model", "p tree 1 1\nrule 1 1 0 2\nr 1\n", "line 2: rule verdict must be 0 or 1"),
         ("forest", "p forest 2\nt 1 0\nt 2 1\nt 1 2\n", "line 4: duplicate record for vertex 1"),
+        (
+            "tree-model",
+            "p tree 3 1\nr 3\nt 1 3\nt 2 3\nrule 1 1 2 1\nrule 1 1 2 0\n",
+            "line 6: duplicate rule for (1, 1, 2)",
+        ),
+        (
+            "tree-model",
+            "p tree 3 2\nr 3\nt 1 3\nt 2 3\nrule 1 2 2 1\nrule 2 1 2 1\n",
+            "line 6: duplicate rule for (1, 2, 2)",
+        ),
+        ("graph", "p graph 3 2\nv 2 5\n", "line 2: vertex 2 has color 5 outside 1..2"),
+        ("tree", "p tree 3 2\nr 1\nt 2 1 5\nt 3 1\n", "line 3: vertex 2 has color 5 outside 1..2"),
+        ("tree", "p tree 3 2\nr 1\nt 2 1\nt 3 9\n", "line 4: vertex 3 has parent 9 out of range"),
+        ("forest", "p forest 3\nt 1 0\nt 2 9\nt 3 1\n", "line 3: vertex 2 has parent 9 out of range"),
     ],
-    ids=["v", "graph-p", "e", "tree-t", "tree-no-r", "rule-verdict", "forest-t"],
+    ids=[
+        "v", "graph-p", "e", "tree-t", "tree-no-r", "rule-verdict", "forest-t", "rule",
+        "rule-swapped-colors", "graph-color", "tree-color", "tree-parent", "forest-parent",
+    ],
 )
 def test_repeated_and_out_of_range_lines_are_refused(name, text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
