@@ -387,13 +387,21 @@ def _by_vertex(lines: list[tuple[int, list[int]]]) -> dict[int, list[int]]:
     return by_vertex
 
 
+def _sized_header(found: dict[str, list[tuple[int, list[int]]]]) -> tuple[int, int]:
+    """(n, c) of a graph or tree header; a palette below 1 is refused, naming its line."""
+    lineno, (n, c) = found["p"][0]
+    if c < 1:
+        raise ValueError(f"line {lineno}: color count must be positive")
+    return n, c
+
+
 def read_graph(stream: TextIO) -> ColoredGraph:
     found = _records(stream, {"p": "p graph <n> <c>", "v": "v <id> <color>", "e": "e <u> <v>"})
-    n, c = found["p"][0][1]
+    n, c = _sized_header(found)
     for lineno, (v, col) in found["v"]:
         if not 1 <= v <= n:
             raise ValueError(f"line {lineno}: vertex {v} out of range")
-        if c >= 1 and not 1 <= col <= c:  # a palette below 1 is left to the constructor
+        if not 1 <= col <= c:
             raise ValueError(f"line {lineno}: vertex {v} has color {col} outside 1..{c}")
     colors = {v: col for v, col in _by_vertex(found["v"]).values()}
     edges: set[Edge] = set()

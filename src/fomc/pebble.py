@@ -121,7 +121,7 @@ def _spread(table: np.ndarray, sides: list[int], s: int, axes) -> np.ndarray:
     return col
 
 
-def _atomic_columns(graphs, s: int):
+def _atomic_columns(graphs, sides: list[int], s: int):
     """``(column, base)`` pairs over the tuples of all graphs: per slot
     the color (0 for the blank), then per slot pair 2 * equal + adjacent.
     Colors are replaced by their rank among the colors of all graphs, so
@@ -129,13 +129,15 @@ def _atomic_columns(graphs, s: int):
     palette = sorted({col for g in graphs for col in g.colors})
     rank = {col: i for i, col in enumerate(palette, start=1)}
     colors = np.array([r for g in graphs for r in [0, *map(rank.get, g.colors)]], np.int32)
-    pairs = [2 * np.eye(g.n + 1, dtype=np.int8) for g in graphs]  # equal, never adjacent
+    for i in range(s):
+        yield _spread(colors, sides, s, {i}), len(rank) + 1
+    if s == 1:
+        return  # no slot pairs, whose (n+1) x (n+1) tables may outgrow the tuples
+    pairs = [np.eye(m, dtype=np.int8) * 2 for m in sides]  # equal, never adjacent
     for g, table in zip(graphs, pairs):
         u, v = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp).reshape(-1, 2).T
         table[u, v] = table[v, u] = 1
-    sides, pairs = [g.n + 1 for g in graphs], np.concatenate(pairs, axis=None)
-    for i in range(s):
-        yield _spread(colors, sides, s, {i}), len(rank) + 1
+    pairs = np.concatenate(pairs, axis=None)
     for ij in itertools.combinations(range(s), 2):
         yield _spread(pairs, sides, s, ij), 3
 
@@ -176,7 +178,7 @@ def _refine(
         )
     starts = list(itertools.accumulate(sizes[:-1], initial=0))
     others = [set(range(s)) - {i} for i in range(s)]
-    types, count = _intern(_atomic_columns(graphs, s))
+    types, count = _intern(_atomic_columns(graphs, sides, s))
     for rounds in itertools.count(1):
         sets, nsets = _set_ids(_rows(types, sides, starts, s), count)  # joint over all slots
         columns = zip(sets.reshape(s, -1), others)
@@ -231,9 +233,7 @@ def type_census(
     _require_pebbles(s, cap)
     first: dict[ColoredGraph, int] = {}
     rep = [first.setdefault(g, len(first)) for g in graphs]
-    classes = [0]
-    if len(first) > 1:
-        classes = _refine(list(first), s, cap, until_split=False)[0]
+    classes = _refine(list(first), s, cap, until_split=False)[0] if len(first) > 1 else [0]
     blocks: dict[int, list[int]] = {}
     for idx, r in enumerate(rep):
         blocks.setdefault(int(classes[r]), []).append(idx)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, TextIO
 
-from .graphs import ColoredGraph, _by_vertex, _records, _require_palette
+from .graphs import ColoredGraph, _by_vertex, _records, _require_palette, _sized_header
 
 
 def _depths_in_vertices(parents: tuple[int, ...]) -> tuple[int, ...]:
@@ -406,7 +406,7 @@ def read_tree_model(stream: TextIO) -> TreeModel:
 
 def _read_tree(found: dict[str, list[tuple[int, list[int]]]]) -> TreeModel:
     """The tree and rules of a tree or tree-model file's records; the root needs no 't' record."""
-    n, c = found["p"][0][1]
+    n, c = _sized_header(found)
     roots = found["r"]
     if len(roots) != 1:
         raise ValueError(
@@ -418,7 +418,10 @@ def _read_tree(found: dict[str, list[tuple[int, list[int]]]]) -> TreeModel:
     _require_records(n, records)
     if records[root][1] != 0:
         raise ValueError(f"declared root {root} has a nonzero parent")
-    _require_t_lines(n, c, found["t"])
+    _require_parents(n, found["t"])
+    for lineno, (v, _, *color) in found["t"]:
+        if color and not 1 <= color[0] <= c:
+            raise ValueError(f"line {lineno}: vertex {v} has color {color[0]} outside 1..{c}")
     parents = {v: numbers[1] for v, numbers in records.items()}
     colors = {v: numbers[2] for v, numbers in records.items() if len(numbers) > 2}
     keys = set()
@@ -442,15 +445,11 @@ def _require_records(n: int, records: Collection[int]) -> None:
         raise ValueError("'t' records mention vertices outside 1..n")
 
 
-def _require_t_lines(n: int, c: int, lines: list[tuple[int, list[int]]]) -> None:
-    """Refuse, naming its line, a 't' record whose parent lies outside
-    0..n or whose color lies outside 1..c. A palette below 1 is left to
-    the constructor, which refuses it first."""
-    for lineno, (v, parent, *color) in lines:
+def _require_parents(n: int, lines: list[tuple[int, list[int]]]) -> None:
+    """Refuse, naming its line, a 't' record whose parent lies outside 0..n."""
+    for lineno, (v, parent, *_) in lines:
         if parent > n:
             raise ValueError(f"line {lineno}: vertex {v} has parent {parent} out of range")
-        if color and c >= 1 and not 1 <= color[0] <= c:
-            raise ValueError(f"line {lineno}: vertex {v} has color {color[0]} outside 1..{c}")
 
 
 def read_forest(stream: TextIO) -> EliminationForest:
@@ -458,5 +457,5 @@ def read_forest(stream: TextIO) -> EliminationForest:
     (n,) = found["p"][0][1]
     records = _by_vertex(found["t"])
     _require_records(n, records)
-    _require_t_lines(n, 1, found["t"])  # forest lines carry no color
+    _require_parents(n, found["t"])
     return EliminationForest(n=n, parents=tuple(records[v][1] for v in range(1, n + 1)))

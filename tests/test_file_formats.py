@@ -159,10 +159,13 @@ def test_rule_lines_are_unknown_in_a_plain_tree_file():
         ("tree", "p tree 3 2\nr 1\nt 2 1 5\nt 3 1\n", "line 3: vertex 2 has color 5 outside 1..2"),
         ("tree", "p tree 3 2\nr 1\nt 2 1\nt 3 9\n", "line 4: vertex 3 has parent 9 out of range"),
         ("forest", "p forest 3\nt 1 0\nt 2 9\nt 3 1\n", "line 3: vertex 2 has parent 9 out of range"),
+        ("graph", "# two vertices\np graph 2 0\nv 1 1\n", "line 2: color count must be positive"),
+        ("tree", "p tree 3 0\nr 1\nt 2 1\nt 3 1\n", "line 1: color count must be positive"),
     ],
     ids=[
         "v", "graph-p", "e", "tree-t", "tree-no-r", "rule-verdict", "forest-t", "rule",
         "rule-swapped-colors", "graph-color", "tree-color", "tree-parent", "forest-parent",
+        "graph-palette", "tree-palette",
     ],
 )
 def test_repeated_and_out_of_range_lines_are_refused(name, text, message):

@@ -324,3 +324,16 @@ def test_refinement_peak_memory_per_tuple():
     finally:
         tracemalloc.stop()
     assert peak / (61**3 + 62**3) <= 48
+
+
+def test_one_pebble_on_long_paths_stores_no_vertex_pair_table():
+    # at s = 1 there are n + 1 tuples per graph and no slot pairs, so an
+    # (n+1) x (n+1) adjacency table (hundreds of MB here) must never be built
+    a, b = gen_path(20_000), gen_path(20_001)
+    tracemalloc.start()
+    try:
+        assert fo_s_equivalent(a, b, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (20_001 + 20_002) <= 48
