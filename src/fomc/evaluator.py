@@ -3,22 +3,20 @@
 Each subformula is evaluated to a dense table, the pair ``(axes, cells)``:
 ``cells`` is a numpy boolean array with one axis of length n per free
 variable, and ``axes`` lists the variables' indices in increasing order,
-one per axis. Boolean nodes broadcast their children's
-tables against each other, negation complements, quantifiers reduce one
-axis with ``logical_or``/``logical_and``. A node with q free variables
-stores n^q cells, so a sentence with s distinct names costs at most
-|formula| * n^s cells, and variable reuse pays off directly.
+one per axis. Boolean nodes broadcast their children's tables against
+each other (``a -> b`` is ``a <= b``), negation complements, quantifiers
+reduce one axis with ``logical_or``/``logical_and``. A node with q free
+variables stores n^q cells, so a sentence with s distinct names costs at
+most |formula| * n^s cells, and variable reuse pays off directly.
 
-The tables come from one ``fold`` of ``_table``, which evaluates each
-distinct subformula once. Formula nodes are interned, so equal
-subformulas are one object however the formula was built (parsed,
-renamed or reduced by ``hardness.reduce_to_path``): a subformula that
-occurs under several parents costs one table, and ``EvalStats`` counts
-it once. The fold's context holds the adjacency and identity matrices
-and the colour array, each built at most once per evaluation, when an
-atom first needs them, and counts the cells stored. A table above
-``pebble.DEFAULT_POSITION_CAP`` cells is refused with
-``ResourceLimitError`` before it is allocated.
+``evaluate_free_with_stats`` is one iterative post-order loop over a stack
+of nodes to expand and ``(node, child count)`` frames, each under a
+private marker; when a frame comes back up, its children's tables top the
+table stack. Nodes are interned, so an identity memo stores one table per
+distinct subformula, and ``EvalStats`` counts each once. The adjacency and
+identity matrices and the colour array are built once per call, when an
+atom first needs them. A table above ``pebble.DEFAULT_POSITION_CAP`` cells
+is refused with ``ResourceLimitError`` before it is allocated.
 
 The root table's variables are the formula's free variables, so
 ``model_check`` reads sentence-ness off the evaluation instead of walking
@@ -39,7 +37,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +52,6 @@ from .formulas import (
     Not,
     Or,
     Var,
-    fold,
     require_sentence,
 )
 from .graphs import ColoredGraph
@@ -107,96 +103,100 @@ def _require_cells(n: int, width: int) -> None:
         )
 
 
-class _Context:
-    """One evaluation's context: the graph's arrays that atoms read, each
-    built at most once and only when an atom needs it, and the number of
-    cells stored so far."""
-
-    def __init__(self, g: ColoredGraph) -> None:
-        self.g = g
-        self.n = g.n
-        self.cells = 0
-
-    @functools.cached_property
-    def adjacency(self) -> np.ndarray:
-        n = self.n
-        _require_cells(n, 2)
-        cells = np.zeros((n, n), dtype=bool)
-        edges = self.g.edges
-        if edges:
-            ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)) - 1
-            u, v = ends[0::2], ends[1::2]
-            cells[u, v] = cells[v, u] = True
-        return cells
-
-    @functools.cached_property
-    def identity(self) -> np.ndarray:
-        _require_cells(self.n, 2)
-        return np.eye(self.n, dtype=bool)
-
-    @functools.cached_property
-    def colors(self) -> np.ndarray:
-        # int64, uint64 or object, whichever holds every colour exactly
-        return np.asarray(self.g.colors)
+#: The ufunc that combines two tables of each connective; a -> b is a <= b.
+_CONNECTIVES = {And: np.logical_and, Or: np.logical_or, Implies: np.less_equal}
+#: Marks a frame on the evaluation stack; no formula holds this object.
+_LEAVE = object()
 
 
-Table = tuple[tuple[int, ...], np.ndarray]
-
-
-def _table(node: Formula, kids: Sequence[Table], ctx: _Context) -> Table:
-    """The table ``(axes, cells)`` of ``node`` from the tables of its
-    subformulas: ``cells`` has one axis of length n per variable index in
-    ``axes`` (sorted). Cells are never written after construction, so
-    tables may share arrays."""
-    n = ctx.n
-    kind = type(node)
-    if kind is And or kind is Or or kind is Implies:
-        axes = tuple(sorted({i for t, _ in kids for i in t}))
-        _require_cells(n, len(axes))
-        # sorted indices make each child's a subsequence of ``axes``
-        parts = [
-            cells if t == axes else cells.reshape([n if i in t else 1 for i in axes])
-            for t, cells in kids
-        ]
-        cells = parts[0]
-        if kind is Implies:
-            cells = ~cells | parts[1]
-        elif kind is And:
-            for part in parts[1:]:
-                cells = cells & part
-        else:
-            for part in parts[1:]:
-                cells = cells | part
-    elif kind is Not:
-        axes, cells = kids[0]
-        cells = ~cells
-    elif kind is Exists or kind is Forall:
-        axes, cells = kids[0]
-        var = node.var.index
-        if var in axes:  # else vacuous over a nonempty universe
-            axis = axes.index(var)
-            reduce = np.logical_or.reduce if kind is Exists else np.logical_and.reduce
-            cells = reduce(cells, axis)
-            axes = axes[:axis] + axes[axis + 1 :]
-    elif kind is HasColor:
-        axes, cells = (node.v.index,), np.equal(ctx.colors, node.color)
-    else:  # Adj, Eq
-        u, v = node.u.index, node.v.index
-        if u == v:
-            axes, cells = (u,), np.full(n, kind is Eq)
-        else:
-            axes = (u, v) if u < v else (v, u)
-            cells = ctx.adjacency if kind is Adj else ctx.identity
-    ctx.cells += cells.size
-    return axes, cells
+def _adjacency(g: ColoredGraph) -> np.ndarray:
+    """The n x n adjacency table of ``g``, refused above the cell cap."""
+    n = g.n
+    _require_cells(n, 2)
+    cells = np.zeros((n, n), dtype=bool)
+    edges = g.edges
+    if edges:
+        ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)) - 1
+        u, v = ends[0::2], ends[1::2]
+        cells[u, v] = cells[v, u] = True
+    return cells
 
 
 def evaluate_free_with_stats(
     g: ColoredGraph, f: Formula
 ) -> tuple[SatisfyingSet, EvalStats]:
-    ctx = _Context(g)
-    axes, cells = fold(f, _table, env=ctx)
-    return SatisfyingSet(tuple(map(Var, axes)), cells), EvalStats(ctx.cells)
+    n = g.n
+    adjacency = identity = colors = None
+    stored = 0
+    memo: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    tables: list[tuple[tuple[int, ...], np.ndarray]] = []
+    todo: list = [f]  # nodes to expand, and (node, child count) frames under _LEAVE
+    while todo:
+        node = todo.pop()
+        if node is _LEAVE:
+            k, node = todo.pop(), todo.pop()
+            kind = type(node)
+            if k == 1:  # Not, Exists, Forall
+                axes, cells = tables.pop()
+                if kind is Not:
+                    cells = ~cells
+                elif node.var.index in axes:  # else vacuous over a nonempty universe
+                    axis = axes.index(node.var.index)
+                    op = np.logical_or if kind is Exists else np.logical_and
+                    if axis and cells.ndim > 2:  # a copy's leading axis reduces faster
+                        order = (axis, *range(axis), *range(axis + 1, cells.ndim))
+                        cells = op.reduce(np.ascontiguousarray(cells.transpose(order)), 0)
+                    else:
+                        cells = op.reduce(cells, axis)
+                    axes = axes[:axis] + axes[axis + 1 :]
+            else:  # And, Or, Implies
+                kids = tables[-k:]
+                del tables[-k:]
+                axes = tuple(sorted({i for t, _ in kids for i in t}))
+                _require_cells(n, len(axes))
+                op = _CONNECTIVES[kind]
+                cells = None
+                for t, part in kids:
+                    if t != axes:  # sorted, so ``t`` is a subsequence of ``axes``
+                        part = part.reshape([n if i in t else 1 for i in axes])
+                    cells = part if cells is None else op(cells, part)
+        else:
+            kind = type(node)
+            table = memo.get(id(node))
+            if table is not None:
+                tables.append(table)
+                continue
+            if kind is And or kind is Or or kind is Implies:
+                kids = (node.lhs, node.rhs) if kind is Implies else node.children
+                todo += (node, len(kids), _LEAVE, *kids[::-1])
+                continue
+            if kind is Not or kind is Exists or kind is Forall:
+                todo += (node, 1, _LEAVE, node.child if kind is Not else node.body)
+                continue
+            if kind is HasColor:
+                if colors is None:  # int64, uint64 or object: every colour exact
+                    colors = np.asarray(g.colors)
+                axes, cells = (node.v.index,), np.equal(colors, node.color)
+            elif kind is Adj or kind is Eq:
+                u, v = node.u.index, node.v.index
+                if u == v:
+                    axes, cells = (u,), np.full(n, kind is Eq)
+                elif kind is Adj:
+                    if adjacency is None:
+                        adjacency = _adjacency(g)
+                    axes, cells = (u, v) if u < v else (v, u), adjacency
+                else:
+                    if identity is None:
+                        _require_cells(n, 2)
+                        identity = np.eye(n, dtype=bool)
+                    axes, cells = (u, v) if u < v else (v, u), identity
+            else:
+                raise TypeError(f"not a formula: {node!r}")
+        stored += cells.size
+        memo[id(node)] = table = (axes, cells)
+        tables.append(table)
+    axes, cells = tables[0]
+    return SatisfyingSet(tuple(map(Var, axes)), cells), EvalStats(stored)
 
 
 def evaluate_free(g: ColoredGraph, f: Formula) -> SatisfyingSet:

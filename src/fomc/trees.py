@@ -26,6 +26,7 @@ Tree-model files are tree files with extra rule lines:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, TextIO
@@ -369,17 +370,42 @@ def validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
     The leaves of the tree must be exactly the vertex ids 1..n of ``g``;
     a realized color/distance triple missing from the rule counts as a
     mismatch.
+
+    Leaves with one parent and one colour are alike: two distinct leaves
+    are 2 plus the distance between their parents apart. So the tree is
+    climbed once per pair of these classes, for the pair's verdict. The
+    graph then matches when every edge lies in a class pair whose verdict
+    is an edge, and the edges number the vertex pairs of those class pairs.
     """
     if tm.tree.leaves != frozenset(g.vertices):
         raise ValueError(
             "tree-model leaves must be exactly the graph vertices 1..n"
         )
     t = tm.tree
-    for u in g.vertices:
-        for v in range(u + 1, g.n + 1):
-            got = tm.verdict(t.color_of(u), t.color_of(v), t.distance(u, v))
-            if got != g.has_edge(u, v):
-                return False
+    ids: dict[tuple[int, int], int] = {}  # (parent, colour) -> class
+    leaves = zip(t.parents[: g.n], t.colors[: g.n])  # the leaves are 1..n
+    of = [ids.setdefault(key, len(ids)) for key in leaves]
+    sizes = Counter(of)
+    classes = list(ids)
+    adjacent = [bytearray(len(classes)) for _ in classes]
+    expected = 0
+    for i, (p, c1) in enumerate(classes):
+        for j in range(i, len(classes)):
+            pairs = sizes[i] * sizes[j] if j > i else sizes[i] * (sizes[i] - 1) // 2
+            if pairs:
+                q, c2 = classes[j]
+                edge = tm.verdict(c1, c2, 2 + t.distance(p, q))
+                if edge is None:
+                    return False
+                if edge:
+                    adjacent[i][j] = adjacent[j][i] = 1
+                    expected += pairs
+    if len(g.edges) != expected:
+        return False
+    row, cls = [None, *(adjacent[c] for c in of)], [None, *of]  # by vertex
+    for u, v in g.edges:
+        if not row[u][cls[v]]:
+            return False
     return True
 
 

@@ -10,7 +10,10 @@ independently of the type refinement that decides equivalence in
 translating the sentence through the interpretation that recovers the
 graph from its tree encoding, where production evaluates the original
 sentence on an induced subgraph. The formula reader that builds its whole
-token list first referees the streaming one.
+token list first referees the streaming one. The evaluator that built its
+tables through one ``fold`` of ``_table`` referees the evaluator's own
+loop, and the tree-model check that climbs the tree once per leaf pair
+referees the one that checks each pair of leaf classes once.
 
 The module also holds the suite's seeded generators (random trees and
 tree-models), the tree-from-graph rooting and the forest and tree-model
@@ -20,15 +23,18 @@ write inputs, and they live here because no production path calls them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
 from collections import deque
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from fomc.evaluator import EvalStats, SatisfyingSet, _require_cells
 from fomc.formulas import (
     Adj,
     And,
@@ -49,6 +55,7 @@ from fomc.formulas import (
     canonical_false,
     conjunction,
     disjunction,
+    fold,
 )
 from fomc.graphs import ColoredGraph
 from fomc.interpret import (
@@ -103,19 +110,117 @@ def recursive_model_check(
     raise TypeError(f"not a formula: {f!r}")
 
 
-def distinct_nodes(f) -> int:
-    """Node objects reachable from ``f``, each counted once by identity."""
-    seen, stack = set(), [f]
+class _Context:
+    """One evaluation's context: the graph's arrays that atoms read, each
+    built at most once and only when an atom needs it, and the number of
+    cells stored so far."""
+
+    def __init__(self, g: ColoredGraph) -> None:
+        self.g = g
+        self.n = g.n
+        self.cells = 0
+
+    @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        n = self.n
+        _require_cells(n, 2)
+        cells = np.zeros((n, n), dtype=bool)
+        edges = self.g.edges
+        if edges:
+            ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)) - 1
+            u, v = ends[0::2], ends[1::2]
+            cells[u, v] = cells[v, u] = True
+        return cells
+
+    @functools.cached_property
+    def identity(self) -> np.ndarray:
+        _require_cells(self.n, 2)
+        return np.eye(self.n, dtype=bool)
+
+    @functools.cached_property
+    def colors(self) -> np.ndarray:
+        # int64, uint64 or object, whichever holds every colour exactly
+        return np.asarray(self.g.colors)
+
+
+Table = tuple[tuple[int, ...], np.ndarray]
+
+
+def _table(node: Formula, kids: Sequence[Table], ctx: _Context) -> Table:
+    """The table ``(axes, cells)`` of ``node`` from the tables of its
+    subformulas: ``cells`` has one axis of length n per variable index in
+    ``axes`` (sorted). Cells are never written after construction, so
+    tables may share arrays."""
+    n = ctx.n
+    kind = type(node)
+    if kind is And or kind is Or or kind is Implies:
+        axes = tuple(sorted({i for t, _ in kids for i in t}))
+        _require_cells(n, len(axes))
+        # sorted indices make each child's a subsequence of ``axes``
+        parts = [
+            cells if t == axes else cells.reshape([n if i in t else 1 for i in axes])
+            for t, cells in kids
+        ]
+        cells = parts[0]
+        if kind is Implies:
+            cells = ~cells | parts[1]
+        elif kind is And:
+            for part in parts[1:]:
+                cells = cells & part
+        else:
+            for part in parts[1:]:
+                cells = cells | part
+    elif kind is Not:
+        axes, cells = kids[0]
+        cells = ~cells
+    elif kind is Exists or kind is Forall:
+        axes, cells = kids[0]
+        var = node.var.index
+        if var in axes:  # else vacuous over a nonempty universe
+            axis = axes.index(var)
+            reduce = np.logical_or.reduce if kind is Exists else np.logical_and.reduce
+            cells = reduce(cells, axis)
+            axes = axes[:axis] + axes[axis + 1 :]
+    elif kind is HasColor:
+        axes, cells = (node.v.index,), np.equal(ctx.colors, node.color)
+    else:  # Adj, Eq
+        u, v = node.u.index, node.v.index
+        if u == v:
+            axes, cells = (u,), np.full(n, kind is Eq)
+        else:
+            axes = (u, v) if u < v else (v, u)
+            cells = ctx.adjacency if kind is Adj else ctx.identity
+    ctx.cells += cells.size
+    return axes, cells
+
+
+def fold_evaluate(g: ColoredGraph, f: Formula) -> tuple[SatisfyingSet, EvalStats]:
+    """``evaluate_free_with_stats`` as one ``fold`` of ``_table``, whose
+    context builds the graph's arrays when an atom first reads them."""
+    ctx = _Context(g)
+    axes, cells = fold(f, _table, env=ctx)
+    return SatisfyingSet(tuple(map(Var, axes)), cells), EvalStats(ctx.cells)
+
+
+def distinct_subformulas(f) -> list:
+    """Node objects reachable from ``f``, each listed once by identity."""
+    seen, nodes, stack = set(), [], [f]
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
+        nodes.append(node)
         for field in ("child", "lhs", "rhs", "body"):
             if hasattr(node, field):
                 stack.append(getattr(node, field))
         stack.extend(getattr(node, "children", ()))
-    return len(seen)
+    return nodes
+
+
+def distinct_nodes(f) -> int:
+    """Node objects reachable from ``f``, each counted once by identity."""
+    return len(distinct_subformulas(f))
 
 
 def bfs_distances(g: ColoredGraph, source: int) -> dict[int, int]:
@@ -602,6 +707,21 @@ def mc_by_translation(
     the translation on the host's kernel at budget s + overhead."""
     translated = backwards_translate(sentence, scheme)
     return mc_tree(host, translated, s + scheme.variable_overhead)
+
+
+def pairwise_validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
+    """``validate_tree_model`` with one verdict per pair of leaves."""
+    if tm.tree.leaves != frozenset(g.vertices):
+        raise ValueError(
+            "tree-model leaves must be exactly the graph vertices 1..n"
+        )
+    t = tm.tree
+    for u in g.vertices:
+        for v in range(u + 1, g.n + 1):
+            got = tm.verdict(t.color_of(u), t.color_of(v), t.distance(u, v))
+            if got != g.has_edge(u, v):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from fomc import evaluator, formulas
@@ -32,6 +33,8 @@ from .oracles import (
     all_labeled_graphs,
     bfs_distances,
     distinct_nodes,
+    distinct_subformulas,
+    fold_evaluate,
     recursive_model_check,
 )
 
@@ -77,6 +80,8 @@ def test_open_formula_is_refused_without_building_rows(monkeypatch):
 
 
 def test_model_check_walks_a_sentence_once(monkeypatch):
+    # the evaluator walks the formula in its own loop, and a sentence
+    # needs no second walk to find its free variables
     calls = []
 
     def counting_fold(*args, **kwargs):
@@ -84,10 +89,26 @@ def test_model_check_walks_a_sentence_once(monkeypatch):
         return fold(*args, **kwargs)
 
     monkeypatch.setattr(formulas, "fold", counting_fold)
-    monkeypatch.setattr(evaluator, "fold", counting_fold)
+    assert not hasattr(evaluator, "fold")
     f = parse_formula("exists x1. forall x2. adj(x1,x2) | x1=x2")
     assert not model_check(gen_path(4), f)
-    assert calls == [f]
+    assert calls == []
+    with pytest.raises(ValueError):
+        model_check(gen_path(4), f.body)
+    assert calls == [f.body]
+
+
+def test_a_non_formula_node_is_named():
+    bad = And((Eq(Var(1), Var(1)), 3))
+    with pytest.raises(TypeError, match="^not a formula: 3$"):
+        fold(bad, lambda node, kids, env: None)
+    with pytest.raises(TypeError, match="^not a formula: 3$"):
+        evaluate_free(gen_path(2), bad)
+    # a tuple shaped like the evaluator's own stack entries is refused too
+    x1 = Var(1)
+    for junk in ((Not(Eq(x1, x1)), 1), (Eq(x1, x1),)):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            evaluate_free(gen_path(2), And((Adj(x1, x1), junk)))
 
 
 def test_distance_pair_on_path():
@@ -162,7 +183,8 @@ def test_agreement_on_colored_graphs():
 
 
 # hand-written corners: atoms on one variable, vacuous quantifiers,
-# connectives over disjoint variable sets, sentences under a connective
+# connectives over disjoint variable sets, sentences under a connective,
+# quantifiers over a middle or last axis of a table that is not symmetric
 EDGE_CASES = [
     parse_formula(text)
     for text in (
@@ -174,6 +196,10 @@ EDGE_CASES = [
         "C1(x1) | adj(x2,x3)",
         "C2(x3) -> x1=x2",
         "(exists x1. C2(x1)) | (forall x2. C1(x2))",
+        "exists x2. C1(x1) & adj(x1,x2) & adj(x2,x3) & C2(x3)",
+        "forall x2. C2(x1) | adj(x2,x3) | x1=x2",
+        "exists x3. adj(x1,x3) & C1(x2) & !x2=x3",
+        "exists x2. adj(x1,x2) & C1(x1) & adj(x2,x3) & C2(x4) & !x2=x4",
     )
 ]
 
@@ -189,6 +215,9 @@ def test_open_formula_agreement_with_oracle():
     for n in range(1, 4):
         for g in all_labeled_graphs(n, colors=2):
             cases.extend((g, f) for f in EDGE_CASES)
+    # the labeled graphs are all of colour 1, so colour atoms break no symmetry
+    for f in EDGE_CASES:
+        cases.extend((random_graph(rng, rng.randint(2, 4), colors=2), f) for _ in range(10))
     for g, f in cases:
         sat = evaluate_free(g, f)
         fv = sorted(free_vars(f))
@@ -257,6 +286,21 @@ def test_shared_subformulas_agree_with_recursive_oracle():
     assert shared_cases >= 200
 
 
+def test_each_distinct_subformula_is_stored_once():
+    # a subformula with q free variables stores n^q cells, once however
+    # often it occurs
+    rng = random.Random(700)
+    open_cases = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 6), colors=2)
+        f = _random_dag(rng, names=3, colors=2, rank=3, steps=rng.randint(4, 12))
+        _, stats = evaluate_free_with_stats(g, f)
+        expected = sum(g.n ** len(free_vars(node)) for node in distinct_subformulas(f))
+        assert stats.tuples_touched == expected
+        open_cases += bool(free_vars(f))
+    assert 50 <= open_cases <= 250
+
+
 def test_shared_reduction_output_stores_each_table_once():
     # the output has 9602 tree nodes but about a thousand distinct
     # objects; folded as a tree it stored 30,727,333 cells
@@ -265,7 +309,7 @@ def test_shared_reduction_output_stores_each_table_once():
     assert formula_length(out.sentence) == 9602
     sat, stats = evaluate_free_with_stats(out.path, out.sentence)
     assert sat.holds
-    assert stats.tuples_touched <= 3_100_000
+    assert stats.tuples_touched == 1_554_517
 
 
 def test_huge_colors_decide_as_python_integers():
@@ -286,3 +330,36 @@ def test_huge_colors_decide_as_python_integers():
     assert all(type(x) is int for row in sat.rows for x in row)
     assert (1, 2, 3) in sat.rows and (2, 1, 2) in sat.rows and (3, 2, 3) in sat.rows
     assert (3, 1, 1) not in sat.rows
+
+
+def _stripped(f):
+    """``f`` and each body under its leading quantifiers."""
+    yield f
+    while type(f) in (Exists, Forall):
+        f = f.body
+        yield f
+
+
+def test_loop_agrees_with_the_fold_evaluator():
+    rng = random.Random(800)
+    huge = ColoredGraph.build(3, [(1, 2)], [2**63 - 1, 2**64, 1], c=2**64)
+    colors = (1, 2**63 - 1, 2**63, 2**64, 2**70)
+    cases = 0
+    for i in range(560):
+        if i % 2:
+            f = _random_dag(rng, names=3, colors=2, rank=3, steps=rng.randint(4, 12))
+        else:
+            f = random_formula(rng, 3, 2, 3)
+        for body in (*_stripped(f), EDGE_CASES[i % len(EDGE_CASES)]):
+            g = random_graph(rng, rng.randint(1, 6), colors=2)
+            for graph, formula in (
+                (g, body),
+                (huge, Or((HasColor(rng.choice(colors), Var(rng.randint(1, 3))), body))),
+            ):
+                sat, stats = evaluate_free_with_stats(graph, formula)
+                want, want_stats = fold_evaluate(graph, formula)
+                assert sat.variables == want.variables
+                assert np.array_equal(sat.cells, want.cells)
+                assert stats.tuples_touched == want_stats.tuples_touched
+                cases += 1
+    assert cases >= 2000

@@ -1,7 +1,10 @@
 import io
+import itertools
 import random
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fomc.graphs import ColoredGraph, gen_path
@@ -23,6 +26,7 @@ from fomc.randgen import random_graph
 
 from .oracles import (
     bfs_distances,
+    pairwise_validate_tree_model,
     random_tree,
     random_tree_model,
     tree_from_graph,
@@ -405,6 +409,79 @@ def test_random_tree_models_validate_and_break_under_mutation():
         mutated_rules[idx] = (c1, c2, d, not edge)
         mutated = TreeModel(tree=tm.tree, rules=tuple(mutated_rules))
         assert not validate_tree_model(g, mutated)
+
+
+def test_tree_model_validation_matches_the_pairwise_check():
+    # each model as drawn, with one vertex pair flipped, with one edge moved
+    # to a non-adjacent pair (so the edge count holds), and with one rule
+    # dropped: about 3600 cases in all
+    rng = random.Random(24)
+    verdicts = []
+    for _ in range(1000):
+        g, tm = random_tree_model(
+            rng, rng.randint(1, 30), rng.randint(1, 3), tree_colors=rng.randint(1, 3)
+        )
+        cases = [(g, tm)]
+        pairs = list(itertools.combinations(g.vertices, 2))
+        if pairs:
+            flipped = g.edges ^ {rng.choice(pairs)}
+            cases.append((ColoredGraph.build(g.n, flipped, g.colors, c=g.c), tm))
+        non_edges = [pair for pair in pairs if pair not in g.edges]
+        if g.edges and non_edges:
+            moved = g.edges - {rng.choice(sorted(g.edges))} | {rng.choice(non_edges)}
+            cases.append((ColoredGraph.build(g.n, moved, g.colors, c=g.c), tm))
+        if tm.rules:
+            rules = list(tm.rules)
+            del rules[rng.randrange(len(rules))]
+            cases.append((g, TreeModel(tree=tm.tree, rules=tuple(rules))))
+        for graph, model in cases:
+            want = pairwise_validate_tree_model(graph, model)
+            assert validate_tree_model(graph, model) == want
+            verdicts.append(want)
+    assert len(verdicts) >= 3000 and verdicts.count(False) >= 2000
+
+
+def _wide_tree_model(leaves: int, parents: int, seed: int) -> tuple[ColoredGraph, TreeModel]:
+    """A depth-2 model: a root, ``parents`` children of it, and ``leaves``
+    leaves under them, with two tree colours and a random rule."""
+    rng = random.Random(seed)
+    root = leaves + 1
+    tree_parents = {root: 0, **{p: root for p in range(root + 1, root + 1 + parents)}}
+    tree_parents.update({v: rng.randint(root + 1, root + parents) for v in range(1, root)})
+    colors = {v: rng.randint(1, 2) for v in tree_parents}
+    tree = RootedColoredTree.build(tree_parents, colors, c=2)
+    rule = {(c1, c2, d): rng.random() < 0.5 for c1 in (1, 2) for c2 in range(c1, 3) for d in (2, 4)}
+    # leaves under one parent are 2 apart, any other two 4
+    up, col = np.array(tree.parents[:leaves]), np.array(tree.colors[:leaves])
+    far = up[:, None] != up[None, :]
+    table = np.zeros((3, 3, 2), dtype=bool)
+    for (c1, c2, d), edge in rule.items():
+        table[c1, c2, d // 4] = table[c2, c1, d // 4] = edge
+    adjacent = np.triu(table[col[:, None], col[None, :], far.astype(int)], 1)
+    g = ColoredGraph.build(leaves, (np.argwhere(adjacent) + 1).tolist())
+    return g, TreeModel.build(tree, [(*key, edge) for key, edge in rule.items()])
+
+
+def test_a_wide_tree_model_validates_in_time(monkeypatch):
+    # 2000 leaves under 39 parents fall in 78 (parent, colour) classes: the
+    # tree is climbed once per pair of classes, not once per pair of leaves
+    g, tm = _wide_tree_model(2000, 39, seed=6)
+    assert len(g.edges) == 525_943
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        assert validate_tree_model(g, tm)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.3
+    climbs = []
+    distance = RootedColoredTree.distance
+    monkeypatch.setattr(
+        RootedColoredTree, "distance", lambda t, u, v: climbs.append(1) or distance(t, u, v)
+    )
+    assert validate_tree_model(g, tm)
+    assert len(climbs) == 78 * 79 // 2
+    u, v = next(iter(g.edges))
+    assert not validate_tree_model(ColoredGraph.build(g.n, g.edges - {(u, v)}), tm)
 
 
 def test_tree_file_round_trip():
