@@ -33,9 +33,10 @@ def _require_palette(colors: Sequence[int], c: int) -> None:
     (``colors[v-1]``) outside 1..c."""
     if c < 1:
         raise ValueError("color count must be positive")
-    for v, col in enumerate(colors, start=1):
-        if not 1 <= col <= c:
-            raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
+    if colors and not 1 <= min(colors) <= max(colors) <= c:
+        for v, col in enumerate(colors, start=1):
+            if not 1 <= col <= c:
+                raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
 
 
 @dataclass(frozen=True)

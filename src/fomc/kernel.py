@@ -19,11 +19,13 @@ as if the root's neighbors carried a palette doubled by marking, hence
 the c+1 and 2c. The value explodes for k >= 3, so results carry a
 saturated bound (capped at BOUND_CAP) together with an exactness flag.
 
-Determinism: children are ordered by (class id of the reduced subtree,
-vertex id), where class ids are interned Aho-Hopcroft-Ullman style from
-(color, class ids of the kept children) with vertices visited deepest
-first. Re-reducing a reduced tree keeps everything, and the kept set
-only grows with s.
+Determinism: vertices are bucketed by level and visited level by level,
+deepest first, each level in ascending id order. Class ids are interned
+Aho-Hopcroft-Ullman style from (color, class ids of the kept children)
+in that visiting order, so they depend only on the tree, and a vertex's
+children are ordered by (class id of the reduced subtree, vertex id).
+Re-reducing a reduced tree keeps everything, and the kept set only grows
+with s.
 """
 
 from __future__ import annotations
@@ -102,39 +104,46 @@ class KernelResult:
 def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     if s < 1:
         raise ValueError("the variable budget must be positive")
-    class_counts: dict[int, int] = {}
+    depths, colors, children = t.depths, t.colors, t.children
+    levels: list[list[int]] = [[] for _ in range(t.depth + 1)]
+    for v, level in enumerate(depths, start=1):
+        levels[level].append(v)
     # AHU class ids: equal ids exactly for isomorphic reduced subtrees
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
     class_of = [0] * (t.n + 1)
-    kept_kids: list[list[int]] = [[] for _ in range(t.n + 1)]
-    depths, colors, children = t.depths, t.colors, t.children
-    deepest_first = sorted(
-        range(1, t.n + 1), key=lambda v: depths[v - 1], reverse=True
-    )
-    for v in deepest_first:
-        copies: dict[int, int] = {}
-        kept = kept_kids[v]
-        for cls, w in sorted([(class_of[w], w) for w in children[v]]):
-            seen = copies.get(cls, 0)
-            copies[cls] = seen + 1
-            if seen < s:
-                kept.append(w)
-        if copies:
-            level = depths[v - 1]
-            class_counts[level] = class_counts.get(level, 0) + len(copies)
-        key = (colors[v - 1], tuple([class_of[w] for w in kept]))
-        class_of[v] = ids.setdefault(key, len(ids))
-    kept_all = {t.root}
-    for v in reversed(deepest_first):
-        if v in kept_all:
-            kept_all.update(kept_kids[v])
+    kept_kids: list[list[int] | tuple[()]] = [()] * (t.n + 1)
+    stats = []
+    for level in reversed(range(len(levels))):
+        distinct = 0  # child classes seen across this level
+        for v in levels[level]:
+            kids = children[v]
+            if not kids:
+                class_of[v] = ids.setdefault((colors[v - 1], ()), len(ids))
+                continue
+            kept, kept_classes, last, copies = [], [], -1, 0
+            for cls, w in sorted(zip(map(class_of.__getitem__, kids), kids)):
+                if cls != last:
+                    last, copies = cls, 0
+                    distinct += 1
+                if copies < s:
+                    kept.append(w)
+                    kept_classes.append(cls)
+                copies += 1
+            kept_kids[v] = kept
+            key = (colors[v - 1], tuple(kept_classes))
+            class_of[v] = ids.setdefault(key, len(ids))
+        if distinct:
+            stats.append((level, distinct))
+    kept_all = [t.root]
+    for v in kept_all:  # grows as it is walked: each kept vertex brings its kept children
+        kept_all.extend(kept_kids[v])
     bound, exact = kernel_size_bound_capped(s, t.depth, t.c)
     return KernelResult(
         tree=t,
         kept=frozenset(kept_all),
         bound=bound,
         bound_exact=exact,
-        stats=tuple(sorted(class_counts.items())),
+        stats=tuple(reversed(stats)),
     )
 
 

@@ -34,27 +34,36 @@ from typing import Collection, Iterable, Iterator, TextIO
 from .graphs import ColoredGraph, _by_vertex, _records, _require_palette, _sized_header
 
 
-def _depths_in_vertices(parents: tuple[int, ...]) -> tuple[int, ...]:
-    """Per vertex, the number of vertices on its chain of parent links up
-    to a root (parent 0), so roots have depth 1; ``parents[v-1]`` is the
-    parent of v. Each vertex is climbed over once, and its parent is
+def _depths(parents: tuple[int, ...], top: int) -> tuple[int, ...]:
+    """Per vertex, its depth along its chain of parent links, where a root
+    (parent 0) has depth ``top``; ``parents[v-1]`` is the parent of v. A
+    vertex whose parent's depth is known takes one step; otherwise the
+    chain above it is climbed, once per vertex, and each parent is
     checked to lie in 0..n before it is used as an index."""
     n = len(parents)
-    depths = [0] * (n + 1)  # 0: not yet known; slot 0 is "above a root"
-    for v in range(1, n + 1):
+    unknown, climbing = top - 2, top - 3  # both below every depth
+    depths = [unknown] * (n + 1)
+    depths[0] = top - 1  # slot 0 is "above a root"
+    for v, p in enumerate(parents, start=1):
+        if depths[v] != unknown:
+            continue
+        if 0 <= p <= n and depths[p] != unknown:
+            depths[v] = depths[p] + 1
+            continue
         chain = []
         u = v
-        while u != 0 and not depths[u]:
+        while depths[u] == unknown:
             chain.append(u)
-            depths[u] = -1  # on the chain being climbed
+            depths[u] = climbing
             u = parents[u - 1]
             if not 0 <= u <= n:
                 raise ValueError(f"vertex {chain[-1]} has parent {u} out of range")
-        if depths[u] < 0:
+        if depths[u] == climbing:
             raise ValueError("parent links contain a cycle")
         for i, w in enumerate(reversed(chain), start=1):
             depths[w] = depths[u] + i
-    return tuple(depths[1:])
+    del depths[0]
+    return tuple(depths)
 
 
 @dataclass(frozen=True)
@@ -85,24 +94,26 @@ class RootedColoredTree:
         colors of some of its vertices (default 1)."""
         n = len(parents)
         _require_records(n, parents)
-        cols = {v: 1 for v in parents}
+        vertices = range(1, n + 1)
         if colors:
-            if not colors.keys() <= cols.keys():
-                raise ValueError(f"colors given for non-vertices {sorted(colors - cols.keys())}")
-            cols.update(colors)
-        palette = c if c is not None else max(cols.values(), default=1)
+            if not colors.keys() <= parents.keys():
+                raise ValueError(f"colors given for non-vertices {sorted(colors - parents.keys())}")
+            cols = tuple(map(colors.get, vertices, itertools.repeat(1, n)))
+        else:
+            cols = (1,) * n
+        links = tuple(map(parents.__getitem__, vertices))
         return RootedColoredTree(
             n=n,
-            root=next((v for v, p in parents.items() if p == 0), 0),
-            parents=tuple(parents[v] for v in range(1, n + 1)),
-            colors=tuple(cols[v] for v in range(1, n + 1)),
-            c=palette,
+            root=links.index(0) + 1 if 0 in links else 0,
+            parents=links,
+            colors=cols,
+            c=c if c is not None else max(cols, default=1),
         )
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
         """Distance in edges from the root, per vertex."""
-        return tuple(d - 1 for d in _depths_in_vertices(self.parents))
+        return _depths(self.parents, top=0)
 
     @property
     def depth(self) -> int:
@@ -111,16 +122,21 @@ class RootedColoredTree:
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         """Children lists indexed by vertex (slot 0 unused), ids ascending."""
-        kids: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for v in range(1, self.n + 1):
-            p = self.parents[v - 1]
-            if p != 0:
+        kids: dict[int, list[int]] = {}  # only parents get a list
+        for v, p in enumerate(self.parents, start=1):
+            if p in kids:
                 kids[p].append(v)
-        return tuple(tuple(sorted(k)) for k in kids)
+            else:
+                kids[p] = [v]
+        slots: list[tuple[int, ...]] = [()] * (self.n + 1)
+        for p, vs in kids.items():
+            slots[p] = tuple(vs)
+        slots[0] = ()  # it held the root
+        return tuple(slots)
 
     @cached_property
     def leaves(self) -> frozenset[int]:
-        return frozenset(v for v in range(1, self.n + 1) if not self.children[v])
+        return frozenset(range(1, self.n + 1)).difference(self.parents)
 
     def color_of(self, v: int) -> int:
         return self.colors[v - 1]
@@ -129,16 +145,17 @@ class RootedColoredTree:
         return self.depths[v - 1]
 
     def to_graph(self) -> ColoredGraph:
-        edges = [
-            (v, self.parents[v - 1])
-            for v in range(1, self.n + 1)
-            if self.parents[v - 1] != 0
-        ]
-        return ColoredGraph.build(self.n, edges, self.colors, c=self.c)
+        edges = frozenset(
+            [(p, v) if p < v else (v, p) for v, p in enumerate(self.parents, start=1) if p]
+        )
+        return ColoredGraph(n=self.n, colors=self.colors, c=self.c, edges=edges)
 
     def distance(self, u: int, v: int) -> int:
         """Edges on the tree path between ``u`` and ``v``, counted while
         climbing from the deeper of the two until they meet."""
+        for w in (u, v):
+            if not 1 <= w <= self.n:
+                raise ValueError(f"vertex {w} is not in 1..{self.n}")
         depths, parents = self.depths, self.parents
         steps = 0
         while u != v:
@@ -152,21 +169,27 @@ class RootedColoredTree:
 def restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTree:
     """Induced subtree on ``kept``, relabeled to 1..m in ascending id order.
 
-    ``kept`` must contain the root and be closed under taking parents.
+    ``kept`` must lie in 1..n, contain the root and be closed under
+    taking parents.
     """
-    kept_sorted = sorted(set(kept))
-    if t.root not in kept_sorted:
+    ids = sorted(set(kept))
+    if t.root not in ids:
         raise ValueError("the kept set must contain the root")
-    relabel = {old: new for new, old in enumerate(kept_sorted, start=1)}
-    parents: dict[int, int] = {}
-    colors: dict[int, int] = {}
-    for old in kept_sorted:
-        p = t.parents[old - 1]
-        if p != 0 and p not in relabel:
+    for v in (ids[0], ids[-1]):
+        if not 1 <= v <= t.n:
+            raise ValueError(f"kept id {v} is not a vertex of the tree")
+    relabel = dict(zip(ids, range(1, len(ids) + 1)))
+    relabel[0] = 0
+    parents, colors = [], []
+    for v in ids:
+        p = relabel.get(t.parents[v - 1])
+        if p is None:
             raise ValueError("the kept set is not closed under parents")
-        parents[relabel[old]] = relabel[p] if p != 0 else 0
-        colors[relabel[old]] = t.color_of(old)
-    return RootedColoredTree.build(parents, colors, c=t.c)
+        parents.append(p)
+        colors.append(t.colors[v - 1])
+    return RootedColoredTree(
+        n=len(ids), root=relabel[t.root], parents=tuple(parents), colors=tuple(colors), c=t.c
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +208,7 @@ class EliminationForest:
     @cached_property
     def node_depths(self) -> tuple[int, ...]:
         """Depth counted in vertices: roots have depth 1."""
-        return _depths_in_vertices(self.parents)
+        return _depths(self.parents, top=1)
 
     @property
     def height(self) -> int:
@@ -464,9 +487,10 @@ def _read_tree(found: dict[str, list[tuple[int, list[int]]]]) -> TreeModel:
 
 def _require_records(n: int, records: Collection[int]) -> None:
     """Refuse unless ``records`` (of 't' lines, by vertex) holds one for each vertex 1..n."""
-    for v in range(1, n + 1):
-        if v not in records:
-            raise ValueError(f"vertex {v} has no 't' record")
+    if not all(map(records.__contains__, range(1, n + 1))):
+        for v in range(1, n + 1):
+            if v not in records:
+                raise ValueError(f"vertex {v} has no 't' record")
     if len(records) != n:
         raise ValueError("'t' records mention vertices outside 1..n")
 

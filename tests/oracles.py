@@ -13,7 +13,13 @@ sentence on an induced subgraph. The formula reader that builds its whole
 token list first referees the streaming one. The evaluator that built its
 tables through one ``fold`` of ``_table`` referees the evaluator's own
 loop, and the tree-model check that climbs the tree once per leaf pair
-referees the one that checks each pair of leaf classes once.
+referees the one that checks each pair of leaf classes once. The tree
+kernel that sorts its vertices by depth and counts each vertex's child
+classes in a dict referees the one that visits level buckets, and the
+depth pass that climbs from every vertex referees the one that takes one
+step when a parent's depth is known. The restriction that rebuilds its
+tree from relabelled dicts referees the one that builds the tuples in one
+pass.
 
 The module also holds the suite's seeded generators (random trees and
 tree-models), the tree-from-graph rooting and the forest and tree-model
@@ -30,7 +36,7 @@ import re
 from collections import deque
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Callable, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -67,6 +73,7 @@ from fomc.interpret import (
     encode_elimination_forest,
     mc_tree,
 )
+from fomc.kernel import KernelResult, kernel_size_bound_capped
 from fomc.randgen import random_formula
 from fomc.trees import (
     EliminationForest,
@@ -722,6 +729,87 @@ def pairwise_validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
             if got != g.has_edge(u, v):
                 return False
     return True
+
+
+def climbing_depths_in_vertices(parents: tuple[int, ...]) -> tuple[int, ...]:
+    """Per vertex, the number of vertices on its chain of parent links up
+    to a root (parent 0), so roots have depth 1; ``parents[v-1]`` is the
+    parent of v. Each vertex is climbed over once, and its parent is
+    checked to lie in 0..n before it is used as an index."""
+    n = len(parents)
+    depths = [0] * (n + 1)  # 0: not yet known; slot 0 is "above a root"
+    for v in range(1, n + 1):
+        chain = []
+        u = v
+        while u != 0 and not depths[u]:
+            chain.append(u)
+            depths[u] = -1  # on the chain being climbed
+            u = parents[u - 1]
+            if not 0 <= u <= n:
+                raise ValueError(f"vertex {chain[-1]} has parent {u} out of range")
+        if depths[u] < 0:
+            raise ValueError("parent links contain a cycle")
+        for i, w in enumerate(reversed(chain), start=1):
+            depths[w] = depths[u] + i
+    return tuple(depths[1:])
+
+
+def sorting_reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
+    """``kernel.reduce_tree`` with its vertices sorted deepest first and
+    each vertex's child classes counted in a dict."""
+    if s < 1:
+        raise ValueError("the variable budget must be positive")
+    class_counts: dict[int, int] = {}
+    # AHU class ids: equal ids exactly for isomorphic reduced subtrees
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    class_of = [0] * (t.n + 1)
+    kept_kids: list[list[int]] = [[] for _ in range(t.n + 1)]
+    depths, colors, children = t.depths, t.colors, t.children
+    deepest_first = sorted(
+        range(1, t.n + 1), key=lambda v: depths[v - 1], reverse=True
+    )
+    for v in deepest_first:
+        copies: dict[int, int] = {}
+        kept = kept_kids[v]
+        for cls, w in sorted([(class_of[w], w) for w in children[v]]):
+            seen = copies.get(cls, 0)
+            copies[cls] = seen + 1
+            if seen < s:
+                kept.append(w)
+        if copies:
+            level = depths[v - 1]
+            class_counts[level] = class_counts.get(level, 0) + len(copies)
+        key = (colors[v - 1], tuple([class_of[w] for w in kept]))
+        class_of[v] = ids.setdefault(key, len(ids))
+    kept_all = {t.root}
+    for v in reversed(deepest_first):
+        if v in kept_all:
+            kept_all.update(kept_kids[v])
+    bound, exact = kernel_size_bound_capped(s, t.depth, t.c)
+    return KernelResult(
+        tree=t,
+        kept=frozenset(kept_all),
+        bound=bound,
+        bound_exact=exact,
+        stats=tuple(sorted(class_counts.items())),
+    )
+
+
+def dict_restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTree:
+    """``trees.restrict_tree`` through relabelled dicts and ``RootedColoredTree.build``."""
+    kept_sorted = sorted(set(kept))
+    if t.root not in kept_sorted:
+        raise ValueError("the kept set must contain the root")
+    relabel = {old: new for new, old in enumerate(kept_sorted, start=1)}
+    parents: dict[int, int] = {}
+    colors: dict[int, int] = {}
+    for old in kept_sorted:
+        p = t.parents[old - 1]
+        if p != 0 and p not in relabel:
+            raise ValueError("the kept set is not closed under parents")
+        parents[relabel[old]] = relabel[p] if p != 0 else 0
+        colors[relabel[old]] = t.color_of(old)
+    return RootedColoredTree.build(parents, colors, c=t.c)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ from fomc.trees import RootedColoredTree, TreeModel, restrict_tree
 from .oracles import (
     all_colored_rooted_trees,
     canonical_code,
+    dict_restrict_tree,
     random_tree,
     rooted_trees_isomorphic,
+    sorting_reduce_tree,
 )
 
 
@@ -254,6 +256,46 @@ def test_kernel_tree_is_built_only_when_read(monkeypatch):
     assert res.kernel is res.kernel
     assert res.kernel.n == 3
     assert calls == [t]
+
+
+def relabelled(t: RootedColoredTree, rng: random.Random) -> RootedColoredTree:
+    """``t`` under a random permutation of its vertex ids."""
+    ids = list(range(1, t.n + 1))
+    rng.shuffle(ids)
+    new = dict(zip(range(1, t.n + 1), ids))
+    new[0] = 0
+    return RootedColoredTree.build(
+        {new[v]: new[p] for v, p in enumerate(t.parents, start=1)},
+        {new[v]: col for v, col in enumerate(t.colors, start=1)},
+        c=t.c,
+    )
+
+
+def _kernel_referee_cases():
+    rng = random.Random(25)
+    for _ in range(150):
+        n, depth, colors = rng.randint(1, 400), rng.randint(1, 3), rng.randint(1, 3)
+        t = random_tree(rng, n, depth, colors)
+        yield t
+        yield relabelled(t, rng)
+    for n in (1, 2, 3, 7, 40):
+        path = RootedColoredTree.build({v: v - 1 for v in range(1, n + 1)})
+        yield path
+        yield relabelled(path, rng)
+    for leaves in (1, 2, 5, 30):
+        yield star(leaves)
+        yield star(leaves, leaf_color=2)
+        yield relabelled(star(leaves), rng)
+
+
+def test_reduce_tree_matches_the_sorting_referee():
+    for t in _kernel_referee_cases():
+        for s in (1, 2, 3):
+            got, want = reduce_tree(t, s), sorting_reduce_tree(t, s)
+            assert got.kept == want.kept
+            assert got.stats == want.stats
+            assert (got.bound, got.bound_exact) == (want.bound, want.bound_exact)
+            assert got.kernel == dict_restrict_tree(t, want.kept)
 
 
 def test_exhaustive_small_corpus_class_multiplicity():

@@ -26,6 +26,8 @@ from fomc.randgen import random_graph
 
 from .oracles import (
     bfs_distances,
+    climbing_depths_in_vertices,
+    dict_restrict_tree,
     pairwise_validate_tree_model,
     random_tree,
     random_tree_model,
@@ -47,6 +49,8 @@ def test_tree_basics():
     assert t.depth == 1
     assert t.leaves == {2, 3, 4}
     assert t.children[1] == (2, 3, 4)
+    partial = RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {3: 2})
+    assert partial.colors == (1, 1, 2) and partial.c == 2
     chain = RootedColoredTree.build({1: 0, 2: 1, 3: 2})
     assert chain.depth == 2
     assert chain.depth_of(3) == 2
@@ -148,12 +152,146 @@ def test_build_refuses_a_gap_in_the_vertices_and_colors_of_non_vertices():
         RootedColoredTree.build({1: 0, 2: 1}, {2: 2, 7: 5})
 
 
+def _build_referee(parents: dict) -> tuple[int, ...] | str:
+    """The depths of ``RootedColoredTree.build(parents)``, or the message
+    it refuses with: records first, then the root count, then the parent
+    links as the climbing referee reads them."""
+    n = len(parents)
+    for v in range(1, n + 1):
+        if v not in parents:
+            return f"vertex {v} has no 't' record"
+    links = tuple(parents[v] for v in range(1, n + 1))
+    if links.count(0) != 1:
+        return f"expected exactly one root, found {links.count(0)}"
+    try:
+        return tuple(d - 1 for d in climbing_depths_in_vertices(links))
+    except ValueError as e:
+        return str(e)
+
+
+def _faulty_parent_map(rng: random.Random) -> dict[int, int]:
+    """A random tree over 1..n, relabelled, with up to three faults."""
+    n = rng.randint(1, 30)
+    t = random_tree(rng, n, rng.randint(1, 4))
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    new = dict(zip(range(1, n + 1), ids))
+    new[0] = 0
+    parents = {new[v]: new[p] for v, p in enumerate(t.parents, start=1)}
+    for _ in range(rng.randint(0, 3)):
+        v = rng.randint(1, n)
+        fault = rng.choice(["cycle", "self-loop", "out-of-range", "root", "missing"])
+        if fault == "cycle" and n > 1:
+            loop = rng.sample(range(1, n + 1), rng.randint(2, min(n, 4)))
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                parents[a] = b
+        elif fault == "self-loop":
+            parents[v] = v
+        elif fault == "out-of-range":
+            parents[v] = rng.choice([-2, -1, n + 1, n + 5])
+        elif fault == "root":
+            parents[v] = 0
+        elif fault == "missing" and v in parents:
+            del parents[v]
+    return parents
+
+
+def test_depths_and_refusals_match_the_climbing_referee():
+    rng = random.Random(11)
+    kinds = ("no 't' record", "exactly one root", "out of range", "cycle")
+    refused = set()
+    for _ in range(3000):
+        parents = _faulty_parent_map(rng)
+        want = _build_referee(parents)
+        try:
+            got = RootedColoredTree.build(parents).depths
+        except ValueError as e:
+            got = str(e)
+            refused.update(kind for kind in kinds if kind in got)
+        assert got == want, parents
+        n = len(parents)
+        if set(parents) == set(range(1, n + 1)):
+            links = tuple(parents[v] for v in range(1, n + 1))
+            try:
+                want = climbing_depths_in_vertices(links)
+            except ValueError as e:
+                want = str(e)
+            try:
+                got = EliminationForest(n=n, parents=links).node_depths
+            except ValueError as e:
+                got = str(e)
+            assert got == want, links
+    assert refused == set(kinds)
+
+
+def test_the_first_of_two_faults_is_named():
+    # two bad colours: the lower vertex
+    with pytest.raises(ValueError, match=r"^vertex 2 has color 0 outside 1\.\.2$"):
+        RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {2: 0, 3: 9}, c=2)
+    with pytest.raises(ValueError, match=r"^vertex 2 has color 5 outside 1\.\.2$"):
+        ColoredGraph(n=3, colors=(1, 5, 0), c=2, edges=frozenset())
+    # a missing record and colours for non-vertices: the record
+    with pytest.raises(ValueError, match="^vertex 2 has no 't' record$"):
+        RootedColoredTree.build({1: 0, 3: 1}, {3: 2, 7: 5})
+    # two roots and a bad colour: the roots
+    with pytest.raises(ValueError, match="^expected exactly one root, found 2$"):
+        RootedColoredTree.build({1: 0, 2: 0, 3: 1}, {3: 9}, c=2)
+    # a bad colour and a cycle: the colour
+    with pytest.raises(ValueError, match=r"^vertex 3 has color 9 outside 1\.\.2$"):
+        RootedColoredTree.build({1: 0, 2: 3, 3: 2}, {3: 9}, c=2)
+    # a cycle met before an out-of-range parent, climbing from vertex 1 up
+    for make in (
+        lambda parents: RootedColoredTree.build(dict(enumerate(parents, start=1))),
+        lambda parents: EliminationForest(n=len(parents), parents=parents),
+    ):
+        with pytest.raises(ValueError, match="^parent links contain a cycle$"):
+            make((0, 3, 2, 5))
+        with pytest.raises(ValueError, match="^vertex 2 has parent 5 out of range$"):
+            make((0, 5, 4, 3))
+        # the climb from vertex 2 reaches vertex 3's parent before vertex 4's cycle
+        with pytest.raises(ValueError, match="^vertex 3 has parent -1 out of range$"):
+            make((0, 3, -1, 4))
+
+
+def test_restrict_tree_refuses_ids_outside_the_tree():
+    t = RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {3: 2})
+    for kept, bad in (([0, 1, 2], 0), ([-1, 1], -1), ([1, 2, 5], 5)):
+        with pytest.raises(ValueError, match=f"^kept id {bad} is not a vertex of the tree$"):
+            restrict_tree(t, kept)
+
+
+def test_distance_refuses_ids_outside_the_tree():
+    t = RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {3: 2})
+    for u, v, bad in ((0, 1, 0), (-1, 2, -1), (1, 4, 4)):
+        with pytest.raises(ValueError, match=f"^vertex {bad} is not in 1\\.\\.3$"):
+            t.distance(u, v)
+
+
+def test_restrict_tree_matches_the_dict_referee():
+    rng = random.Random(12)
+    for _ in range(300):
+        t = random_tree(rng, rng.randint(1, 40), 3, colors=3)
+        kept = {t.root}
+        for v in rng.sample(range(1, t.n + 1), rng.randint(0, t.n)):
+            while v not in kept:
+                kept.add(v)
+                v = t.parents[v - 1] or t.root
+        assert restrict_tree(t, kept) == dict_restrict_tree(t, kept)
+        orphans = [w for w in range(1, t.n + 1) if t.parents[w - 1] not in kept | {0}]
+        if orphans:
+            with pytest.raises(ValueError, match="^the kept set is not closed under parents$"):
+                restrict_tree(t, kept | {orphans[0]})
+
+
 def test_tree_graph_round_trip():
     rng = random.Random(8)
     for _ in range(50):
         t = random_tree(rng, rng.randint(1, 15), 4, colors=3)
         back = tree_from_graph(t.to_graph(), t.root)
         assert back == t
+    # parents with larger ids than their children
+    upward = RootedColoredTree.build({3: 0, 1: 3, 2: 1})
+    assert upward.to_graph().edges == {(1, 2), (1, 3)}
 
 
 def test_restrict_tree():
