@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Collection, Iterable, Sequence, TextIO
 
 Edge = tuple[int, int]
@@ -30,11 +31,14 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 def _require_palette(colors: Sequence[int], c: int) -> None:
     """Refuse a palette size ``c`` below 1, or a color of vertex v
-    (``colors[v-1]``) outside 1..c."""
+    (``colors[v-1]``) that is not an integer or lies outside 1..c. A sum
+    of ints is an int, and a float, NaN included, makes it a float."""
     if c < 1:
         raise ValueError("color count must be positive")
-    if colors and not 1 <= min(colors) <= max(colors) <= c:
+    if colors and not (type(sum(colors)) is int and 1 <= min(colors) <= max(colors) <= c):
         for v, col in enumerate(colors, start=1):
+            if not isinstance(col, Integral):
+                raise ValueError(f"vertex {v} has color {col!r}, not an integer")
             if not 1 <= col <= c:
                 raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
 
@@ -52,9 +56,13 @@ class ColoredGraph:
         if len(self.colors) != self.n:
             raise ValueError("colors must assign exactly one color per vertex")
         _require_palette(self.colors, self.c)
+        n = self.n
         for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge ({u},{v}) on {self.n} vertices")
+            if not (1 <= u < v <= n and type(u) is type(v) is int):
+                if not (isinstance(u, Integral) and isinstance(v, Integral)):
+                    raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
+                if not 1 <= u < v <= n:
+                    raise ValueError(f"bad edge ({u},{v}) on {n} vertices")
 
     @staticmethod
     def build(

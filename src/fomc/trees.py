@@ -29,6 +29,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Collection, Iterable, Iterator, TextIO
 
 from .graphs import ColoredGraph, _by_vertex, _records, _require_palette, _sized_header
@@ -39,8 +40,13 @@ def _depths(parents: tuple[int, ...], top: int) -> tuple[int, ...]:
     (parent 0) has depth ``top``; ``parents[v-1]`` is the parent of v. A
     vertex whose parent's depth is known takes one step; otherwise the
     chain above it is climbed, once per vertex, and each parent is
-    checked to lie in 0..n before it is used as an index."""
+    checked to lie in 0..n before it is used as an index. A parent that is
+    not an integer is refused first."""
     n = len(parents)
+    if type(sum(parents)) is not int:
+        for v, p in enumerate(parents, start=1):
+            if not isinstance(p, Integral):
+                raise ValueError(f"vertex {v} has parent {p!r}, not an integer")
     unknown, climbing = top - 2, top - 3  # both below every depth
     depths = [unknown] * (n + 1)
     depths[0] = top - 1  # slot 0 is "above a root"
@@ -218,27 +224,27 @@ class EliminationForest:
     def roots(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if self.parents[v - 1] == 0)
 
-    def ancestors(self, v: int) -> Iterable[int]:
-        """Proper ancestors of ``v``, nearest first."""
-        p = self.parents[v - 1]
-        while p != 0:
-            yield p
-            p = self.parents[p - 1]
 
-
-def validate_elimination_forest(g: ColoredGraph, ef: EliminationForest) -> bool:
-    """True when every edge of ``g`` joins an ancestor-descendant pair."""
+def _edge_ancestry(g: ColoredGraph, ef: EliminationForest) -> Iterator[tuple[int, int] | None]:
+    """Per edge of ``g``, its deeper end in ``ef`` and the depth of its other
+    end, or None, a miss, when climbing from the deeper end by the depth
+    difference does not reach the other end. Nothing is stored per vertex."""
     if ef.n != g.n:
         raise ValueError("forest and graph disagree on the vertex count")
     depths, parents = ef.node_depths, ef.parents
     for u, v in g.edges:
-        if depths[u - 1] < depths[v - 1]:
-            u, v = v, u
-        for _ in range(depths[u - 1] - depths[v - 1]):
-            u = parents[u - 1]
-        if u != v:
-            return False
-    return True
+        du, dv = depths[u - 1], depths[v - 1]
+        if du < dv:
+            u, v, du, dv = v, u, dv, du
+        w = u
+        while du > dv:
+            w, du = parents[w - 1], du - 1
+        yield (u, dv) if w == v else None
+
+
+def validate_elimination_forest(g: ColoredGraph, ef: EliminationForest) -> bool:
+    """True when every edge of ``g`` joins an ancestor-descendant pair."""
+    return all(_edge_ancestry(g, ef))
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -298,7 +304,10 @@ def compute_elimination_forest(
     """
     if k < 1:
         raise ValueError("the height budget must be positive")
-    nb = [sum(1 << w for w in ws) for ws in g.adj]  # slot 0 is empty
+    nb = [0] * (g.n + 1)  # slot 0 is empty
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
     known: dict[int, tuple[int, int]] = {}  # (height, root); root 0: height exceeds it
 
     def best(sub: int, budget: int) -> tuple[int, int] | None:

@@ -19,7 +19,9 @@ classes in a dict referees the one that visits level buckets, and the
 depth pass that climbs from every vertex referees the one that takes one
 step when a parent's depth is known. The restriction that rebuilds its
 tree from relabelled dicts referees the one that builds the tuples in one
-pass.
+pass. The forest encoding that climbs every vertex's ancestor chain and
+asks the graph for each ancestor's edge referees the one that reads its
+adjacency bits off the per-edge validation climb.
 
 The module also holds the suite's seeded generators (random trees and
 tree-models), the tree-from-graph rooting and the forest and tree-model
@@ -67,6 +69,8 @@ from fomc.graphs import ColoredGraph
 from fomc.interpret import (
     InterpretationScheme,
     _color_set_atom,
+    _encoded_color,
+    _encoded_palette_size,
     _tree_model_host,
     backwards_translate,
     depth_edge_interpretation,
@@ -731,6 +735,40 @@ def pairwise_validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
     return True
 
 
+def climbing_encode_elimination_forest(
+    g: ColoredGraph, ef: EliminationForest
+) -> RootedColoredTree:
+    """``encode_elimination_forest`` with each vertex's adjacency bits
+    found by climbing its ancestor chain and probing ``g.has_edge`` at
+    every ancestor. The forest is valid when these probes find every edge
+    of ``g``, each from its lower end."""
+    if ef.n != g.n:
+        raise ValueError("forest and graph disagree on the vertex count")
+    depths = ef.node_depths
+    colors: dict[int, int] = {}
+    found = 0
+    for v in g.vertices:
+        bits = 0
+        anc = ef.parents[v - 1]
+        while anc != 0:
+            if g.has_edge(v, anc):
+                bits |= 1 << (depths[anc - 1] - 1)
+                found += 1
+            anc = ef.parents[anc - 1]
+        colors[v] = _encoded_color(depths[v - 1], g.color_of(v), bits, g.c)
+    if found != len(g.edges):
+        raise ValueError("not a valid elimination forest for this graph")
+    parents = {v: ef.parents[v - 1] for v in g.vertices}
+    roots = ef.roots
+    if len(roots) > 1:
+        spare = g.n + 1
+        for r in roots:
+            parents[r] = spare
+        parents[spare] = 0
+        colors[spare] = 1
+    return RootedColoredTree.build(parents, colors, c=_encoded_palette_size(ef.height, g.c))
+
+
 def climbing_depths_in_vertices(parents: tuple[int, ...]) -> tuple[int, ...]:
     """Per vertex, the number of vertices on its chain of parent links up
     to a root (parent 0), so roots have depth 1; ``parents[v-1]`` is the
@@ -959,13 +997,24 @@ def write_forest(ef: EliminationForest, stream: TextIO) -> None:
 # Corpora
 
 def all_labeled_graphs(n: int, colors: int = 1) -> list[ColoredGraph]:
-    """Every labeled graph on exactly n vertices (single coloring)."""
+    """Every labeled graph on exactly n vertices, all of color 1 under a
+    palette of ``colors``."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     out = []
     for bits in range(2 ** len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         out.append(ColoredGraph.build(n, edges, c=colors))
     return out
+
+
+def all_colored_labeled_graphs(n: int, colors: int) -> list[ColoredGraph]:
+    """Every labeled graph on exactly n vertices under every coloring of
+    its vertices from 1..colors."""
+    return [
+        ColoredGraph.build(n, g.edges, coloring, c=colors)
+        for g in all_labeled_graphs(n)
+        for coloring in itertools.product(range(1, colors + 1), repeat=n)
+    ]
 
 
 def all_colored_rooted_trees(

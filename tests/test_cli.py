@@ -548,6 +548,20 @@ def test_mc_missing_route_flag_exits_2(workdir, capsys, extra, message):
     assert capsys.readouterr().err.startswith(f"fomc: {message}")
 
 
+@pytest.mark.parametrize(
+    "text, found",
+    [("", 0), ("exists x1. x1=x1\nforall x1. x1=x1\n", 2)],
+    ids=["empty", "two-formulas"],
+)
+def test_mc_needs_exactly_one_formula_in_its_file(workdir, capsys, text, found):
+    tmp, write = workdir
+    gpath = write("p4.g", graph_text(gen_path(4)))
+    fpath = write("f.fo", text)
+    assert main(["mc", "--graph", gpath, "--formula", fpath]) == 2
+    message = f"fomc: {fpath}: expected exactly one formula, found {found}"
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_kernelize_writes_next_to_the_tree_by_default(workdir, capsys):
     tmp, write = workdir
     star5 = RootedColoredTree.build({1: 0, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1})

@@ -30,6 +30,7 @@ from fomc.pebble import ResourceLimitError
 from fomc.randgen import random_formula, random_graph
 
 from .oracles import (
+    all_colored_labeled_graphs,
     all_labeled_graphs,
     bfs_distances,
     distinct_nodes,
@@ -151,6 +152,10 @@ def test_tables_above_the_cell_cap_are_refused():
         evaluate_free(gen_path(3200), parse_formula("adj(x1,x2)"))
     with pytest.raises(ResourceLimitError):
         evaluate_free(gen_path(216), parse_formula("adj(x1,x2) & adj(x2,x3)"))
+    # a closed sentence: model_check passes the refusal on
+    closed = parse_formula("exists x1. exists x2. exists x3. adj(x1,x2) & adj(x2,x3)")
+    with pytest.raises(ResourceLimitError):
+        model_check(gen_path(216), closed)
 
 
 def test_one_variable_sentence_on_large_graph_builds_no_adjacency():
@@ -162,6 +167,8 @@ def _small_graph_pool():
     graphs = []
     for n in range(1, 5):
         graphs.extend(all_labeled_graphs(n, colors=2))
+    for n in range(1, 4):
+        graphs.extend(all_colored_labeled_graphs(n, colors=2))
     return graphs
 
 
@@ -213,9 +220,9 @@ def test_open_formula_agreement_with_oracle():
         # strip the outer quantifier to get free variables
         cases.append((g, f.body))
     for n in range(1, 4):
-        for g in all_labeled_graphs(n, colors=2):
+        for g in all_labeled_graphs(n, colors=2) + all_colored_labeled_graphs(n, colors=2):
             cases.extend((g, f) for f in EDGE_CASES)
-    # the labeled graphs are all of colour 1, so colour atoms break no symmetry
+    # coloured random graphs reach n = 4, past the coloured exhaustive family
     for f in EDGE_CASES:
         cases.extend((random_graph(rng, rng.randint(2, 4), colors=2), f) for _ in range(10))
     for g, f in cases:

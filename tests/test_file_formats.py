@@ -161,11 +161,13 @@ def test_rule_lines_are_unknown_in_a_plain_tree_file():
         ("forest", "p forest 3\nt 1 0\nt 2 9\nt 3 1\n", "line 3: vertex 2 has parent 9 out of range"),
         ("graph", "# two vertices\np graph 2 0\nv 1 1\n", "line 2: color count must be positive"),
         ("tree", "p tree 3 0\nr 1\nt 2 1\nt 3 1\n", "line 1: color count must be positive"),
+        ("graph", "p graph 2 1\nv 3 1\n", "line 2: vertex 3 out of range"),
+        ("tree", "p tree 2 1\nr 2\nt 2 1\nt 1 0\n", "declared root 2 has a nonzero parent"),
     ],
     ids=[
         "v", "graph-p", "e", "tree-t", "tree-no-r", "rule-verdict", "forest-t", "rule",
         "rule-swapped-colors", "graph-color", "tree-color", "tree-parent", "forest-parent",
-        "graph-palette", "tree-palette",
+        "graph-palette", "tree-palette", "graph-vertex", "tree-root-parent",
     ],
 )
 def test_repeated_and_out_of_range_lines_are_refused(name, text, message):

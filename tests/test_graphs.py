@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 import time
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -407,6 +408,20 @@ def test_partition_file_round_trip():
     write_partition(parts, buf)
     buf.seek(0)
     assert read_partition(buf) == parts
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("part 1\n", "line 1: expected 'part <k> <id...>'"),
+        ("part 1 2\ncell 2 3\n", "line 2: expected 'part <k> <id...>'"),
+        ("part 1 2\npart 1 3\n", "line 2: duplicate part 1"),
+    ],
+    ids=["no-ids", "wrong-word", "duplicate"],
+)
+def test_partition_file_refuses_malformed_and_duplicate_parts(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_partition(io.StringIO(text))
 
 
 def test_partition_file_numbers_are_ascii_naturals():

@@ -29,15 +29,18 @@ from fomc.interpret import (
 )
 from fomc.kernel import reduce_tree
 from fomc.trees import (
+    EliminationForest,
     RootedColoredTree,
     TreeModel,
     compute_elimination_forest,
+    validate_elimination_forest,
     validate_tree_model,
 )
 from fomc.randgen import random_formula, random_graph
 
 from .oracles import (
     all_labeled_graphs,
+    climbing_encode_elimination_forest,
     mc_by_translation,
     pipeline_fixtures,
     random_tree,
@@ -176,8 +179,6 @@ def test_encode_k2_chain():
 def test_encode_p3_center_root():
     g = gen_path(3)
     ef_parents = (2, 0, 2)  # center as the root
-    from fomc.trees import EliminationForest, validate_elimination_forest
-
     ef = EliminationForest(n=3, parents=ef_parents)
     assert validate_elimination_forest(g, ef)
     enc = encode_elimination_forest(g, ef)
@@ -193,6 +194,64 @@ def test_encode_edgeless_has_no_bits():
     assert enc.n == 4  # spare root added above three singleton roots
     assert enc.color_of(4) == 1
     assert all(enc.color_of(v) == 2 for v in (1, 2, 3))
+
+
+def random_graph_on_a_forest(rng: random.Random, n: int, colors: int):
+    """A random forest on 1..n, often with several roots, and a random
+    graph whose edges join some of its ancestor-descendant pairs."""
+    order = rng.sample(range(1, n + 1), n)
+    parents = [0] * (n + 1)
+    for i, v in enumerate(order[1:], start=1):
+        parents[v] = order[rng.randrange(i)] if rng.random() < 0.8 else 0
+    ef = EliminationForest(n=n, parents=tuple(parents[1:]))
+    edges = []
+    for v in range(1, n + 1):
+        anc = parents[v]
+        while anc:
+            if rng.random() < 0.6:
+                edges.append((v, anc))
+            anc = parents[anc]
+    cols = [rng.randint(1, colors) for _ in range(n)]
+    return ColoredGraph.build(n, edges, cols, c=colors), ef
+
+
+def test_encode_elimination_forest_matches_the_climbing_referee():
+    rng = random.Random(26)
+    spare_roots = refused_forests = 0
+    for _ in range(300):
+        n, colors = rng.randint(1, 14), rng.randint(1, 3)
+        g, ef = random_graph_on_a_forest(rng, n, colors)
+        cases = [(g, ef), (g, compute_elimination_forest(g, n))]
+        other = random_graph(rng, n, colors, edge_prob=rng.uniform(0.1, 0.5))
+        cases += [(other, compute_elimination_forest(other, n)), (other, ef)]
+        for g, ef in cases:
+            try:
+                want = climbing_encode_elimination_forest(g, ef)
+            except ValueError as refused:
+                assert not validate_elimination_forest(g, ef)
+                with pytest.raises(ValueError, match=f"^{refused}$"):
+                    encode_elimination_forest(g, ef)
+                refused_forests += 1
+                continue
+            assert validate_elimination_forest(g, ef)
+            assert encode_elimination_forest(g, ef) == want
+            spare_roots += len(ef.roots) > 1
+    assert spare_roots > 100 and refused_forests > 100
+
+
+@pytest.mark.parametrize(
+    "check", [validate_elimination_forest, encode_elimination_forest], ids=["validate", "encode"]
+)
+def test_forest_checks_refuse_a_vertex_count_mismatch_and_a_crossing_edge(check):
+    for g in (gen_path(3), ColoredGraph.build(3)):
+        with pytest.raises(ValueError, match="^forest and graph disagree on the vertex count$"):
+            check(g, EliminationForest(n=2, parents=(0, 1)))
+    crossing = EliminationForest(n=3, parents=(0, 1, 0))  # edge 2-3 joins two trees
+    if check is validate_elimination_forest:
+        assert not check(gen_path(3), crossing)
+    else:
+        with pytest.raises(ValueError, match="^not a valid elimination forest for this graph$"):
+            check(gen_path(3), crossing)
 
 
 def test_depth_edge_round_trip_exhaustive_small():

@@ -237,6 +237,20 @@ def test_verify_kernel_rejects_wrong_restriction():
     assert not verify_kernel(t, tampered, 1)
 
 
+def test_verify_kernel_rejects_a_kept_set_above_its_bound():
+    t = star(3)
+    res = reduce_tree(t, 1)
+    tight = type(res)(
+        tree=t,
+        kept=res.kept,
+        bound=len(res.kept) - 1,
+        bound_exact=res.bound_exact,
+        stats=res.stats,
+    )
+    assert verify_kernel(t, res, 1)
+    assert not verify_kernel(t, tight, 1)
+
+
 def test_kernel_tree_is_built_only_when_read(monkeypatch):
     calls = []
 

@@ -21,7 +21,7 @@ import pytest
 
 import fomc
 
-SCALING_MODULES = ["formulas", "evaluator", "graphs", "hardness", "kernel", "pebble"]
+SCALING_MODULES = ["formulas", "evaluator", "graphs", "hardness", "kernel", "pebble", "cli"]
 
 
 def call_graph(source: str) -> dict[str, set[str]]:

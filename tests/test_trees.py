@@ -1,6 +1,8 @@
 import io
 import itertools
+import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -236,6 +238,11 @@ def test_the_first_of_two_faults_is_named():
     # two roots and a bad colour: the roots
     with pytest.raises(ValueError, match="^expected exactly one root, found 2$"):
         RootedColoredTree.build({1: 0, 2: 0, 3: 1}, {3: 9}, c=2)
+    # a colour that is not an integer and one out of range: the lower vertex
+    with pytest.raises(ValueError, match="^vertex 2 has color nan, not an integer$"):
+        ColoredGraph(n=3, colors=(1, math.nan, 0), c=2, edges=frozenset())
+    with pytest.raises(ValueError, match=r"^vertex 2 has color 0 outside 1\.\.2$"):
+        ColoredGraph(n=3, colors=(1, 0, 1.5), c=2, edges=frozenset())
     # a bad colour and a cycle: the colour
     with pytest.raises(ValueError, match=r"^vertex 3 has color 9 outside 1\.\.2$"):
         RootedColoredTree.build({1: 0, 2: 3, 3: 2}, {3: 9}, c=2)
@@ -251,6 +258,46 @@ def test_the_first_of_two_faults_is_named():
         # the climb from vertex 2 reaches vertex 3's parent before vertex 4's cycle
         with pytest.raises(ValueError, match="^vertex 3 has parent -1 out of range$"):
             make((0, 3, -1, 4))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: ColoredGraph.build(2, [(1, 2)], [1, 1.5], c=2),
+            "vertex 2 has color 1.5, not an integer",
+        ),
+        (
+            lambda: RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {2: 1.5}, c=2),
+            "vertex 2 has color 1.5, not an integer",
+        ),
+        (
+            lambda: ColoredGraph.build(3, [(1, 2.5), (2, 3)]),
+            "edge (1,2.5) has an endpoint that is not an integer",
+        ),
+        (
+            lambda: ColoredGraph.build(3, [], [1, math.nan, 1], c=1),
+            "vertex 2 has color nan, not an integer",
+        ),
+        (
+            lambda: RootedColoredTree.build({1: 0, 2: 1.0}),
+            "vertex 2 has parent 1.0, not an integer",
+        ),
+        (
+            lambda: EliminationForest(n=2, parents=(0, 1.0)),
+            "vertex 2 has parent 1.0, not an integer",
+        ),
+    ],
+    ids=[
+        "graph-color", "tree-color", "graph-edge", "graph-nan-color", "tree-parent",
+        "forest-parent",
+    ],
+)
+def test_a_non_integer_is_refused_naming_its_vertex_or_edge(make, message):
+    # each used to be accepted, or to escape as a TypeError: a colour 1.5
+    # satisfied neither C1 nor C2, and the edge (1, 2.5) was read as 1-2
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_restrict_tree_refuses_ids_outside_the_tree():
@@ -501,6 +548,20 @@ def test_tree_model_k2():
     assert validate_tree_model(k2, tm_edge)
     tm_nonedge = TreeModel.build(tree, [(1, 1, 2, False)])
     assert not validate_tree_model(k2, tm_nonedge)
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        (((2, 1, 2, True),), "rule colors must be stored sorted"),
+        (((1, 1, 2, True), (1, 1, 2, False)), "duplicate rule for (1, 1, 2)"),
+    ],
+    ids=["unsorted", "duplicate"],
+)
+def test_tree_model_refuses_unsorted_and_duplicate_rule_keys(rules, message):
+    tree = RootedColoredTree.build({3: 0, 1: 3, 2: 3}, {2: 2})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TreeModel(tree=tree, rules=rules)
 
 
 def test_tree_model_leaf_mismatch():
