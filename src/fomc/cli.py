@@ -100,8 +100,9 @@ def _write_out(path: str | Path | None, writer: Callable[[TextIO], object]) -> N
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     phi = _read_sentence_file(args.formula)
-    s = args.s if args.s is not None else variable_count(phi)
-    via = args.via
+    via, s = args.via, args.s
+    if s is None and via != "naive":  # only the decomposition routes read s
+        s = variable_count(phi)
     if via == "naive":
         g = _read(args.graph, read_graph)
         verdict = model_check(g, phi)

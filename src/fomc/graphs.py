@@ -29,10 +29,19 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _require_integer(name: str, value: object) -> None:
+    """Refuse a count that is not an integer, under the rule colors follow;
+    an int passes without the slower ``Integral`` check."""
+    if type(value) is not int and not isinstance(value, Integral):
+        raise ValueError(f"{name} {value!r} is not an integer")
+
+
 def _require_palette(colors: Sequence[int], c: int) -> None:
-    """Refuse a palette size ``c`` below 1, or a color of vertex v
-    (``colors[v-1]``) that is not an integer or lies outside 1..c. A sum
-    of ints is an int, and a float, NaN included, makes it a float."""
+    """Refuse a palette size ``c`` that is not an integer or lies below 1,
+    or a color of vertex v (``colors[v-1]``) that is not an integer or lies
+    outside 1..c. A sum of ints is an int, and a float, NaN included,
+    makes it a float."""
+    _require_integer("color count", c)
     if c < 1:
         raise ValueError("color count must be positive")
     if colors and not (type(sum(colors)) is int and 1 <= min(colors) <= max(colors) <= c):
@@ -51,6 +60,7 @@ class ColoredGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
+        _require_integer("vertex count", self.n)
         if self.n < 1:
             raise ValueError("graphs must have at least one vertex")
         if len(self.colors) != self.n:
@@ -71,6 +81,7 @@ class ColoredGraph:
         colors: Sequence[int] | None = None,
         c: int | None = None,
     ) -> "ColoredGraph":
+        _require_integer("vertex count", n)
         cols = tuple(colors) if colors is not None else (1,) * n
         palette = c if c is not None else max(cols, default=1)
         return ColoredGraph(

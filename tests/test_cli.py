@@ -78,6 +78,22 @@ def test_mc_via_tree(workdir, capsys):
     assert main(["mc", "--graph", tpath, "--formula", fpath, "--via", "tree"]) == 0
 
 
+def test_mc_naive_does_not_count_the_sentences_variables(workdir, capsys, monkeypatch):
+    # only the decomposition routes read s
+    tmp, write = workdir
+    gpath = write("p5.g", graph_text(gen_path(5)))
+
+    def crash(*args):
+        raise KeyError("variable_count")
+
+    monkeypatch.setattr("fomc.cli.variable_count", crash)
+    for text, code in (("exists x1. exists x2. adj(x1,x2)", 0), ("exists x1. adj(x1,x1)", 1)):
+        fpath = write("f.fo", text + "\n")
+        assert main(["mc", "--graph", gpath, "--formula", fpath]) == code
+        assert capsys.readouterr().out.strip() == ("true" if code == 0 else "false")
+    assert main(["mc", "--graph", gpath, "--formula", fpath, "--via", "treedepth", "--k", "3"]) == 4
+
+
 def test_equiv_exit_codes(workdir, capsys):
     tmp, write = workdir
     a = write("p5.g", graph_text(gen_path(5)))

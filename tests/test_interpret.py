@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,12 +12,15 @@ from fomc.formulas import (
     Exists,
     Not,
     Var,
+    formula_length,
     parse_formula,
+    render_formula,
     variable_count,
 )
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.interpret import (
     InterpretationScheme,
+    _tree_model_host,
     apply_interpretation,
     backwards_translate,
     complement_interpretation,
@@ -275,6 +279,51 @@ def test_depth_edge_overhead_constant():
         assert derived == [min(2, max(0, k - 2)) for k in range(1, 9)]
 
 
+# The schemes as depth_edge_interpretation(k, c) built them when the palette
+# had one enumerator per kind of color set and ``chain`` recursed: its
+# domain, edge and color formulas, rendered in full for k <= 2, and for
+# k = 3..5 as their formula lengths and the first 16 hex digits of the
+# SHA-256 of their renderings joined by newlines.
+PINNED_SCHEME_TEXT = {
+    (1, 1): ["!C1(x1)", "!x1=x1", "C2(x1)"],
+    (1, 2): ["!C1(x1)", "!x1=x1", "C2(x1)", "C3(x1)"],
+    (2, 1): [
+        "!C1(x1)",
+        "C4(x1) & C2(x2) & adj(x1,x2) | C4(x2) & C2(x1) & adj(x2,x1)",
+        "C2(x1) | C3(x1) | C4(x1)",
+    ],
+    (2, 2): [
+        "!C1(x1)",
+        "(C5(x1) | C7(x1)) & (C2(x2) | C3(x2)) & adj(x1,x2)"
+        " | (C5(x2) | C7(x2)) & (C2(x1) | C3(x1)) & adj(x2,x1)",
+        "C2(x1) | C4(x1) | C5(x1)",
+        "C3(x1) | C6(x1) | C7(x1)",
+    ],
+}
+PINNED_SCHEME_DIGEST = {
+    (3, 1): ([2, 49, 8], "fc77610f9da86a6b"),
+    (3, 2): ([2, 77, 8, 8], "d406e9df1b4df9d3"),
+    (4, 1): ([2, 153, 16], "6d1d57fb07e042ba"),
+    (4, 2): ([2, 241, 16, 16], "2147bae781e7c1dd"),
+    (5, 1): ([2, 393, 32], "de5b71b3c0df97a1"),
+    (5, 2): ([2, 645, 32, 32], "8158b90f5649f89c"),
+}
+
+
+@pytest.mark.parametrize("k, c", sorted({**PINNED_SCHEME_TEXT, **PINNED_SCHEME_DIGEST}))
+def test_depth_edge_interpretation_is_pinned(k, c):
+    scheme = depth_edge_interpretation(k, c)
+    assert [orig for orig, _ in scheme.color_formulas] == list(range(1, c + 1))
+    parts = [scheme.domain_formula, scheme.edge_formula]
+    parts += [f for _, f in scheme.color_formulas]
+    texts = [render_formula(f) for f in parts]
+    if (k, c) in PINNED_SCHEME_TEXT:
+        assert texts == PINNED_SCHEME_TEXT[k, c]
+    else:
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+        assert ([formula_length(f) for f in parts], digest) == PINNED_SCHEME_DIGEST[k, c]
+
+
 # ---------------------------------------------------------------------------
 # Kernel budgets: the pipelines reduce at s plus the overhead of the
 # interpretation that recovers the graph from the host. The agreement
@@ -438,6 +487,28 @@ def test_tree_model_round_trip():
         back = apply_interpretation(scheme, host.to_graph())
         assert back.n == g.n
         assert back.edges == g.edges
+
+
+def test_tree_model_host_ranks_the_composites_of_the_model_tree():
+    rng = random.Random(27)
+    palettes = set()
+    for _ in range(400):
+        n, model_colors, graph_colors = rng.randint(1, 12), rng.randint(1, 3), rng.randint(1, 3)
+        g, tm = random_tree_model(rng, n, rng.randint(1, 4), model_colors, graph_colors)
+        assert validate_tree_model(g, tm)
+        t, host = tm.tree, _tree_model_host(g, tm)
+        assert (host.n, host.root, host.parents) == (t.n, t.root, t.parents)
+        composites = [
+            (1, g.color_of(v), t.color_of(v), t.depth_of(v))
+            if v in t.leaves
+            else (0, 0, t.color_of(v), t.depth_of(v))
+            for v in range(1, t.n + 1)
+        ]
+        ranked = sorted(set(composites))
+        assert host.c == len(ranked)
+        assert list(host.colors) == [ranked.index(comp) + 1 for comp in composites]
+        palettes.add(host.c)
+    assert len(palettes) > 10
 
 
 def test_single_leaf_tree_model():

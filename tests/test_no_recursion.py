@@ -8,9 +8,8 @@ calls by bare name or as a ``self.`` method. Names are matched, not
 bindings, so a call to a parameter that shares a function's name counts
 too; that errs towards reporting a cycle.
 
-``interpret`` and ``trees`` are left out: their recursions are bounded by
-the budget k (``interpret``'s ``chain``, and ``best``, the only recursion
-in ``trees``), not by the size of the input.
+``trees`` is left out: its one recursion, ``best``, is bounded by the
+budget k, not by the size of the input.
 """
 
 import ast
@@ -21,7 +20,9 @@ import pytest
 
 import fomc
 
-SCALING_MODULES = ["formulas", "evaluator", "graphs", "hardness", "kernel", "pebble", "cli"]
+SCALING_MODULES = [
+    "formulas", "evaluator", "graphs", "hardness", "interpret", "kernel", "pebble", "cli",
+]
 
 
 def call_graph(source: str) -> dict[str, set[str]]:

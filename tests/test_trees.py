@@ -300,6 +300,33 @@ def test_a_non_integer_is_refused_naming_its_vertex_or_edge(make, message):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ColoredGraph.build(2, [(1, 2)], [1, 2], c=2.5), "color count 2.5"),
+        (lambda: RootedColoredTree.build({1: 0, 2: 1}, {2: 2}, c=2.5), "color count 2.5"),
+        (lambda: ColoredGraph.build(2, c=math.nan), "color count nan"),
+        (lambda: ColoredGraph(n=2.0, colors=(1, 1), c=1, edges=frozenset()), "vertex count 2.0"),
+        (lambda: ColoredGraph.build(2.0, [(1, 2)]), "vertex count 2.0"),
+        (
+            lambda: RootedColoredTree(n=2.0, root=1, parents=(0, 1), colors=(1, 1), c=1),
+            "vertex count 2.0",
+        ),
+        (lambda: EliminationForest(n=2.0, parents=(0, 1)), "vertex count 2.0"),
+    ],
+    ids=[
+        "graph-palette", "tree-palette", "graph-nan-palette", "graph-n", "graph-build-n",
+        "tree-n", "forest-n",
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_refused(make, message):
+    # a palette of 2.5 used to be accepted, and mc_treedepth then named an
+    # encoded colour 5.5; a vertex count of 2.0 matched two colours, and
+    # build escaped with a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+        make()
+
+
 def test_restrict_tree_refuses_ids_outside_the_tree():
     t = RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {3: 2})
     for kept, bad in (([0, 1, 2], 0), ([-1, 1], -1), ([1, 2, 5], 5)):
