@@ -48,7 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .evaluator import evaluate_free
 from .formulas import (
@@ -62,18 +64,16 @@ from .formulas import (
     Implies,
     Not,
     Var,
-    all_vars,
     canonical_false,
     conjunction,
     disjunction,
     fold,
-    free_vars,
     rebuild,
     rename_variables,
     require_sentence,
     variables,
 )
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, _require_integer
 from .kernel import reduce_tree
 from .trees import (
     EliminationForest,
@@ -86,16 +86,23 @@ from .trees import (
 
 X1, X2, X3 = Var(1), Var(2), Var(3)
 
-#: A scheme formula and the renaming of its auxiliary variables.
-Instance = tuple[Formula, dict[Var, Var]]
+
+class _Definition(NamedTuple):
+    """A defining formula: what it defines, as refusals name it, the
+    formula, its parameters and its auxiliaries, sorted by index."""
+
+    name: str
+    formula: Formula
+    params: tuple[Var, ...]
+    aux: tuple[Var, ...]
 
 
 @dataclass(frozen=True)
 class InterpretationScheme:
     """A pair of defining formulas, plus optional color formulas.
 
-    ``color_formulas`` optionally maps an original color to a one-free-
-    variable formula over the host; colors without an entry translate to
+    ``color_formulas`` optionally gives an original color its one formula
+    over the host, with x1 free; colors without an entry translate to
     false, and an absent table means colors pass through unchanged.
     """
 
@@ -104,25 +111,29 @@ class InterpretationScheme:
     color_formulas: tuple[tuple[int, Formula], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not free_vars(self.domain_formula) <= {X1}:
-            raise ValueError("the domain formula may only have x1 free")
-        if not free_vars(self.edge_formula) <= {X1, X2}:
-            raise ValueError("the edge formula may only have x1, x2 free")
-        if self.color_formulas is not None:
-            for color, f in self.color_formulas:
-                if not free_vars(f) <= {X1}:
-                    raise ValueError(
-                        f"the formula for color {color} may only have x1 free"
-                    )
+        self._definitions  # refuses a stray free variable or a repeated color
+
+    @cached_property
+    def _definitions(self) -> tuple[_Definition, ...]:
+        """The domain, edge and color formulas, in order, each read by one ``variables`` walk."""
+        parts = [("domain formula", self.domain_formula, (X1,))]
+        parts += [("edge formula", self.edge_formula, (X1, X2))]
+        parts += [(f"formula for color {c}", f, (X1,)) for c, f in self.color_formulas or ()]
+        definitions: dict[str, _Definition] = {}
+        for name, f, params in parts:
+            if name in definitions:
+                raise ValueError(f"the {name} is given twice")
+            free, occurring = variables(f)
+            if not free <= set(params):
+                raise ValueError(f"the {name} may only have {', '.join(map(str, params))} free")
+            aux = tuple(sorted(occurring.difference(params)))
+            definitions[name] = _Definition(name, f, params, aux)
+        return tuple(definitions.values())
 
     @cached_property
     def variable_overhead(self) -> int:
-        """Variables a translation needs beyond the sentence's: the most
-        that one defining formula uses besides x1 (besides x1 and x2 for
-        the edge formula)."""
-        pairs = [(self.domain_formula, {X1}), (self.edge_formula, {X1, X2})]
-        pairs += [(f, {X1}) for _, f in self.color_formulas or ()]
-        return max(len(all_vars(f) - params) for f, params in pairs)
+        """Extra variables a translation needs: the most auxiliaries one defining formula has."""
+        return max(len(d.aux) for d in self._definitions)
 
 
 def identity_interpretation() -> InterpretationScheme:
@@ -145,48 +156,42 @@ def apply_interpretation(
     """The graph the scheme defines inside ``g``.
 
     The realized edge relation is checked to be symmetric and
-    irreflexive on ``g``; violations are hard errors. Domain vertices
-    are relabeled to 1..m in ascending order. Without color formulas
-    they keep the host's colors; with color formulas each domain vertex
-    must satisfy exactly one of them, which becomes its color.
+    irreflexive on ``g``; the first violation in vertex order is a hard
+    error. Domain vertices are relabeled to 1..m in ascending order.
+    Without color formulas they keep the host's colors; with them (one
+    per color) each domain vertex must satisfy exactly one, its color.
     """
-    dom_sat = evaluate_free(g, And((scheme.domain_formula, Eq(X1, X1))))
-    domain = sorted(row[0] for row in dom_sat.rows)
-    if not domain:
+    def table(d: _Definition) -> np.ndarray:
+        """The evaluator's table of ``d``, one axis per parameter."""
+        return evaluate_free(g, And((d.formula, *(Eq(v, v) for v in d.params)))).cells
+
+    domain_def, edge_def, *color_defs = scheme._definitions
+    domain = np.flatnonzero(table(domain_def))
+    if not domain.size:
         raise ValueError("the interpretation has an empty domain on this graph")
-    edge_sat = evaluate_free(
-        g, And((scheme.edge_formula, Eq(X1, X1), Eq(X2, X2)))
-    )
-    related = {tuple(row) for row in edge_sat.rows}
-    for u, v in related:
+    related = table(edge_def)
+    bad = np.argwhere(related & (~related.T | np.eye(g.n, dtype=bool)))
+    if len(bad):
+        u, v = bad[0] + 1
         if u == v:
             raise ValueError(f"edge formula is reflexive at vertex {u}")
-        if (v, u) not in related:
-            raise ValueError(f"edge formula is asymmetric on ({u},{v})")
-    relabel = {old: new for new, old in enumerate(domain, start=1)}
-    edges = {
-        (relabel[u], relabel[v])
-        for u, v in related
-        if u < v and u in relabel and v in relabel
-    }
+        raise ValueError(f"edge formula is asymmetric on ({u},{v})")
+    edges = (np.argwhere(np.triu(related[np.ix_(domain, domain)], 1)) + 1).tolist()
     if scheme.color_formulas is None:
-        colors = [g.color_of(v) for v in domain]
+        colors = np.asarray(g.colors)[domain].tolist()
         palette = g.c
     else:
-        holders: dict[int, set[int]] = {}
-        for color, body in scheme.color_formulas:
-            sat = evaluate_free(g, And((body, Eq(X1, X1))))
-            holders[color] = {row[0] for row in sat.rows}
-        colors = []
-        for v in domain:
-            matches = [color for color in sorted(holders) if v in holders[color]]
-            if len(matches) != 1:
-                raise ValueError(
-                    f"vertex {v} satisfies {len(matches)} color formulas; "
-                    "the interpreted coloring must be unambiguous"
-                )
-            colors.append(matches[0])
-        palette = max(holders, default=1)
+        keys = list(dict(scheme.color_formulas))
+        holds = np.array([table(d)[domain] for d in color_defs], bool).reshape(-1, domain.size)
+        counts = holds.sum(axis=0)
+        wrong = np.flatnonzero(counts != 1)
+        if wrong.size:
+            raise ValueError(
+                f"vertex {domain[wrong[0]] + 1} satisfies {counts[wrong[0]]} color "
+                "formulas; the interpreted coloring must be unambiguous"
+            )
+        colors = np.take(keys, holds.argmax(axis=0)).tolist()
+        palette = max(keys)
     return ColoredGraph.build(len(domain), edges, colors, c=palette)
 
 
@@ -210,36 +215,28 @@ def backwards_translate(
         require_sentence(sentence)
     base = max(v.index for v in occurring)
 
-    def with_pool(f: Formula, params: frozenset[Var]) -> Instance:
-        """``f`` and its auxiliary variables, renamed into the pool."""
-        aux = sorted(all_vars(f) - params)
-        return f, {v: Var(base + i) for i, v in enumerate(aux, start=1)}
+    def instance(d: _Definition) -> Callable[..., Formula]:
+        """``d`` with its auxiliaries in the pool, at the given parameters."""
+        pool = {v: Var(base + i) for i, v in enumerate(d.aux, start=1)}
+        return lambda *args: rename_variables(d.formula, {**pool, **dict(zip(d.params, args))})
 
-    one, two = frozenset((X1,)), frozenset((X1, X2))
-    domain = with_pool(scheme.domain_formula, one)
-    edge = with_pool(scheme.edge_formula, two)
-    colors = None
-    if scheme.color_formulas is not None:
-        colors = {color: with_pool(f, one) for color, f in scheme.color_formulas}
-
-    def instantiate(instance: Instance, params: dict[Var, Var]) -> Formula:
-        f, aux = instance
-        return rename_variables(f, {**aux, **params})
+    domain, edge, *color_instances = map(instance, scheme._definitions)
+    colors = dict(zip(dict(scheme.color_formulas or ()), color_instances))
 
     def leave(f: Formula, parts: Sequence[Formula], _env: None) -> Formula:
         match f:
             case Adj(u, v):
                 if u == v:
                     return canonical_false(u)
-                return instantiate(edge, {X1: u, X2: v})
-            case HasColor(color, v) if colors is not None:
+                return edge(u, v)
+            case HasColor(color, v) if scheme.color_formulas is not None:
                 if color not in colors:
                     return canonical_false(v)
-                return instantiate(colors[color], {X1: v})
+                return colors[color](v)
             case Exists(var):
-                return Exists(var, And((instantiate(domain, {X1: var}), parts[0])))
+                return Exists(var, And((domain(var), parts[0])))
             case Forall(var):
-                return Forall(var, Implies(instantiate(domain, {X1: var}), parts[0]))
+                return Forall(var, Implies(domain(var), parts[0]))
         return rebuild(f, parts)
 
     return fold(sentence, leave)
@@ -381,8 +378,9 @@ def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
 
 
 def _require_budget(sentence: Formula, s: int) -> None:
-    """Refuse an open sentence, then one with more than ``s`` variables,
-    from one walk."""
+    """Refuse a budget that is not an integer, an open sentence, then one
+    with more than ``s`` variables, from one walk."""
+    _require_integer("variable budget", s)
     free, occurring = variables(sentence)
     if free:
         require_sentence(sentence)

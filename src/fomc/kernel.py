@@ -33,47 +33,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .pebble import DEFAULT_POSITION_CAP, fo_s_equivalent
+from .graphs import _require_integer
+from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError, fo_s_equivalent
 from .trees import RootedColoredTree, restrict_tree
 
 #: Saturation threshold for the size bound carried in results.
 BOUND_CAP = 10**30
+#: The most bits an exact size bound may have.
+BOUND_BITS = 4096
 
 
 def kernel_size_bound(s: int, k: int, c: int) -> int:
-    """Exact value of the size recurrence.
+    """Exact value of the size recurrence, refused with
+    ``ResourceLimitError`` when it has more than 4096 bits (``BOUND_BITS``).
 
-    Beware: the value is astronomical for k >= 3; use
-    ``kernel_size_bound_capped`` when only a comparison is needed.
+    The value is astronomical for k >= 3: (1, 3, 1) alone would need
+    about 3.5 * 10^12 bits. Use ``kernel_size_bound_capped`` when only a
+    comparison is needed.
     """
-    value = _bound(s, k, c, cap=None)
-    assert value is not None
+    value = _bound(s, k, c, BOUND_BITS)
+    if value is None:
+        raise ResourceLimitError(
+            f"the kernel size bound at s={s}, k={k}, c={c} has more than {BOUND_BITS} bits"
+        )
     return value
 
 
-def kernel_size_bound_capped(
-    s: int, k: int, c: int, cap: int = BOUND_CAP
-) -> tuple[int, bool]:
-    """(min(bound, cap), whether the returned value is exact)."""
-    value = _bound(s, k, c, cap=cap)
-    if value is None:
-        return cap, False
+def kernel_size_bound_capped(s: int, k: int, c: int) -> tuple[int, bool]:
+    """(min(bound, BOUND_CAP), whether the returned value is exact)."""
+    value = _bound(s, k, c, BOUND_CAP.bit_length())
+    if value is None or value > BOUND_CAP:
+        return BOUND_CAP, False
     return value, True
 
 
-def _bound(s: int, k: int, c: int, cap: int | None) -> int | None:
+def _bound(s: int, k: int, c: int, bits: int) -> int | None:
+    """The value of the recurrence, or None when it has more than
+    ``bits`` bits; no power of more than 2 * ``bits`` bits is computed."""
+    _require_integer("variable budget", s)
+    _require_integer("depth", k)
+    _require_integer("color count", c)
     if s < 1 or c < 1 or k < 0:
         raise ValueError("need s >= 1, c >= 1, k >= 0")
     value = 1  # bound(s, 0, c + k)
     for j in reversed(range(k)):
         # value is bound(s, k-j-1, c+j+1); step to bound(s, k-j, c+j)
-        if cap is not None:
-            # (2c * value) ** value overflows any budget once value is large
-            if value.bit_length() * value > 4 * cap.bit_length():
-                return None
-        p = (2 * (c + j) * value) ** value
-        value = 1 + s * p * value
-        if cap is not None and value > cap:
+        base = 2 * (c + j) * value
+        # base ** value has more than (bit_length(base) - 1) * value bits
+        if (base.bit_length() - 1) * value >= bits:
+            return None
+        value = 1 + s * base**value * value
+        if value.bit_length() > bits:
             return None
     return value
 
@@ -102,6 +112,7 @@ class KernelResult:
 
 
 def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
+    _require_integer("variable budget", s)
     if s < 1:
         raise ValueError("the variable budget must be positive")
     depths, colors, children = t.depths, t.colors, t.children

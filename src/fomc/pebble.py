@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, _require_integer
 
 #: Refuse instances that would store more tuples (or table cells) than this.
 DEFAULT_POSITION_CAP = 10_000_000
@@ -50,6 +50,8 @@ class ResourceLimitError(RuntimeError):
 
 def _require_pebbles(s: int, cap: int) -> None:
     # checked before any shortcut, so equal graphs get no answer either
+    _require_integer("pebble count", s)
+    _require_integer("tuple cap", cap)
     if s < 1:
         raise ValueError("the pebble count must be positive")
     if cap < 1:

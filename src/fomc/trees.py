@@ -311,6 +311,7 @@ def compute_elimination_forest(
     the search. Dense graphs and graphs of high tree-depth still cost
     time exponential in n.
     """
+    _require_integer("height budget", k)
     if k < 1:
         raise ValueError("the height budget must be positive")
     nb = [0] * (g.n + 1)  # slot 0 is empty

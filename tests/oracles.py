@@ -21,7 +21,9 @@ step when a parent's depth is known. The restriction that rebuilds its
 tree from relabelled dicts referees the one that builds the tuples in one
 pass. The forest encoding that climbs every vertex's ancestor chain and
 asks the graph for each ancestor's edge referees the one that reads its
-adjacency bits off the per-edge validation climb.
+adjacency bits off the per-edge validation climb. The interpretation
+that reads the evaluator's satisfying rows into sets and dicts referees
+the one that works on its tables.
 
 The module also holds the suite's seeded generators (random trees and
 tree-models), the tree-from-graph rooting and the forest and tree-model
@@ -42,7 +44,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from fomc.evaluator import EvalStats, SatisfyingSet, _require_cells
+from fomc.evaluator import EvalStats, SatisfyingSet, _require_cells, evaluate_free
 from fomc.formulas import (
     Adj,
     And,
@@ -67,6 +69,8 @@ from fomc.formulas import (
 )
 from fomc.graphs import ColoredGraph
 from fomc.interpret import (
+    X1,
+    X2,
     InterpretationScheme,
     _color_set_atom,
     _encoded_color,
@@ -718,6 +722,53 @@ def mc_by_translation(
     the translation on the host's kernel at budget s + overhead."""
     translated = backwards_translate(sentence, scheme)
     return mc_tree(host, translated, s + scheme.variable_overhead)
+
+
+def row_set_apply_interpretation(
+    scheme: InterpretationScheme, g: ColoredGraph
+) -> ColoredGraph:
+    """The graph the scheme defines inside ``g``, read off the evaluator's
+    satisfying rows: a row set per formula, a relabelling dict and a set
+    of holders per color. A violation is named in the iteration order of
+    those sets, not necessarily the first one in vertex order."""
+    dom_sat = evaluate_free(g, And((scheme.domain_formula, Eq(X1, X1))))
+    domain = sorted(row[0] for row in dom_sat.rows)
+    if not domain:
+        raise ValueError("the interpretation has an empty domain on this graph")
+    edge_sat = evaluate_free(
+        g, And((scheme.edge_formula, Eq(X1, X1), Eq(X2, X2)))
+    )
+    related = {tuple(row) for row in edge_sat.rows}
+    for u, v in related:
+        if u == v:
+            raise ValueError(f"edge formula is reflexive at vertex {u}")
+        if (v, u) not in related:
+            raise ValueError(f"edge formula is asymmetric on ({u},{v})")
+    relabel = {old: new for new, old in enumerate(domain, start=1)}
+    edges = {
+        (relabel[u], relabel[v])
+        for u, v in related
+        if u < v and u in relabel and v in relabel
+    }
+    if scheme.color_formulas is None:
+        colors = [g.color_of(v) for v in domain]
+        palette = g.c
+    else:
+        holders: dict[int, set[int]] = {}
+        for color, body in scheme.color_formulas:
+            sat = evaluate_free(g, And((body, Eq(X1, X1))))
+            holders[color] = {row[0] for row in sat.rows}
+        colors = []
+        for v in domain:
+            matches = [color for color in sorted(holders) if v in holders[color]]
+            if len(matches) != 1:
+                raise ValueError(
+                    f"vertex {v} satisfies {len(matches)} color formulas; "
+                    "the interpreted coloring must be unambiguous"
+                )
+            colors.append(matches[0])
+        palette = max(holders, default=1)
+    return ColoredGraph.build(len(domain), edges, colors, c=palette)
 
 
 def pairwise_validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:

@@ -285,8 +285,9 @@ def test_gen_sc_reads_deeply_nested_recipes(workdir, depth):
         ('{"leaf": "a"} {"leaf": "b"}', "malformed JSON"),
         ('[{"leaf": "a"}]', "recipe nodes must be JSON objects"),
         ('{"children": [{"leaf": "a"}, 5]}', "recipe nodes must be JSON objects"),
+        ('{"name": "a"}', "recipe nodes need a 'leaf' or 'children' key"),
     ],
-    ids=["trailing-comma", "unclosed", "two-documents", "list-root", "number-child"],
+    ids=["trailing-comma", "unclosed", "two-documents", "list-root", "number-child", "no-kind"],
 )
 def test_gen_sc_malformed_json_exits_2(workdir, capsys, text, message):
     tmp, write = workdir
@@ -367,6 +368,21 @@ def test_xvalidate_corpus_dir(workdir, capsys):
     assert main(["xvalidate", "--dir", str(corpus)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["1..1", "ok 1 - a"]
+
+
+def test_xvalidate_corpus_refuses_a_graph_without_its_formula(workdir, capsys):
+    tmp, write = workdir
+    corpus = tmp / "corpus"
+    corpus.mkdir()
+    (corpus / "a.g").write_text(graph_text(gen_path(3)), encoding="utf-8")
+    assert main(["xvalidate", "--dir", str(corpus)]) == 2
+    assert capsys.readouterr().err == f"fomc: {corpus / 'a.g'} has no matching a.fo\n"
+
+
+def test_gen_halfgraph_refuses_a_flip_pair_outside_its_sides(workdir, capsys):
+    tmp, write = workdir
+    assert main(["gen", "halfgraph", "--t", "3", "--flip", "AB,AC", "--out", str(tmp / "g.g")]) == 2
+    assert capsys.readouterr().err == "fomc: bad half-graph flip pair 'AC', want e.g. AB\n"
 
 
 def test_translate_identity(workdir, capsys):

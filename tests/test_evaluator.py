@@ -80,6 +80,12 @@ def test_open_formula_is_refused_without_building_rows(monkeypatch):
         sat.rows
 
 
+def test_an_open_result_has_no_verdict():
+    sat = evaluate_free(gen_path(3), parse_formula("exists x2. adj(x1,x2)"))
+    with pytest.raises(ValueError, match="^not a sentence-level result$"):
+        sat.holds
+
+
 def test_model_check_walks_a_sentence_once(monkeypatch):
     # the evaluator walks the formula in its own loop, and a sentence
     # needs no second walk to find its free variables

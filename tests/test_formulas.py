@@ -24,6 +24,8 @@ from fomc.formulas import (
     ParseError,
     Var,
     all_vars,
+    conjunction,
+    disjunction,
     fold,
     formula_length,
     free_vars,
@@ -533,3 +535,32 @@ def test_one_var_per_index():
     for bad in (0, -3):
         with pytest.raises(ValueError, match=f"variable index must be >= 1, got {bad}"):
             Var(bad)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Or((Adj(x1, x2),)), ValueError, "disjunction needs at least two children"),
+        (lambda: conjunction([]), ValueError, "empty conjunction"),
+        (lambda: disjunction([]), ValueError, "empty disjunction"),
+        (lambda: render_formula(5), TypeError, "not a formula: 5"),
+        (lambda: x1.__delattr__("index"), AttributeError, "cannot delete field 'index'"),
+        (
+            lambda: random_formula(random.Random(0), 3, 2, 0),
+            ValueError,
+            "sentences need rank at least 1",
+        ),
+    ],
+    ids=[
+        "one-child-or", "empty-conjunction", "empty-disjunction", "render-int", "del-var-index",
+        "rank-0",
+    ],
+)
+def test_malformed_formula_input_is_refused(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_str_of_a_formula_is_its_rendering():
+    text = "forall x1. exists x2. adj(x1,x2) & !C2(x2) | x1=x2"
+    assert str(parse_formula(text)) == render_formula(parse_formula(text)) == text

@@ -427,3 +427,42 @@ def test_partition_file_refuses_malformed_and_duplicate_parts(text, message):
 def test_partition_file_numbers_are_ascii_naturals():
     with pytest.raises(ValueError, match="line 2: expected a natural number, got '\u0665'"):
         read_partition(io.StringIO("part 1 1 2\npart 2 3 \u0665\n"))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ColoredGraph.build(2, c=0), "color count must be positive"),
+        (
+            lambda: ColoredGraph(n=2, colors=(1,), c=1, edges=frozenset()),
+            "colors must assign exactly one color per vertex",
+        ),
+        (
+            lambda: PartitionFlip.build([[1], [2]], [(0, 2)]),
+            "flip relation mentions unknown part (0,2)",
+        ),
+        (
+            lambda: PartitionFlip(parts=(frozenset({1}), frozenset({2})), rel=frozenset({(1, 0)})),
+            "flip relation pairs must be stored as (i,j), i<=j",
+        ),
+        (
+            lambda: apply_flip(gen_path(2), PartitionFlip.build([[3]], [(0, 0)])),
+            "part vertex 3 outside the graph",
+        ),
+        (lambda: gen_half_graph(0), "order must be positive"),
+        (lambda: gen_flipped_half_graph(2, [("A", "C")]), "unknown side in flip relation: (A,C)"),
+        (lambda: gen_disjoint_paths(0, 3), "both path count and path length must be positive"),
+        (lambda: gen_layer_flipped_paths(2, 3, [(1, 4)]), "layer index out of range in (1,4)"),
+        (
+            lambda: SCCombine(children=(), flip_names=frozenset()),
+            "combine needs at least one child",
+        ),
+    ],
+    ids=[
+        "palette-0", "colors-short", "flip-unknown-part", "flip-pair-order", "flip-vertex-outside",
+        "half-graph-0", "half-graph-side", "paths-0", "paths-layer", "combine-empty",
+    ],
+)
+def test_the_graph_api_refuses_malformed_arguments(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

@@ -44,6 +44,11 @@ def test_distance_zero_and_shape():
     assert f1 == Exists(x3, And((Adj(x1, x3), Eq(x3, x2))))
 
 
+def test_a_negative_distance_is_refused():
+    with pytest.raises(ValueError, match="^distance must be nonnegative$"):
+        distance_formula(-1)
+
+
 def test_distance_step_shape():
     # one step: adj(a,b) & exists d. (!a=d & adj(b,d) & <next step>), with
     # the window (a, b, d) moving to (b, d, a)

@@ -1,19 +1,25 @@
 import hashlib
 import random
+import re
 
 import pytest
 
 from fomc import interpret
-from fomc.evaluator import model_check
+from fomc.evaluator import evaluate_free, model_check
 from fomc.formulas import (
     Adj,
     And,
     Eq,
     Exists,
+    Forall,
+    HasColor,
     Not,
+    Or,
     Var,
     formula_length,
+    free_vars,
     parse_formula,
+    rename_variables,
     render_formula,
     variable_count,
 )
@@ -49,16 +55,173 @@ from .oracles import (
     pipeline_fixtures,
     random_tree,
     random_tree_model,
+    row_set_apply_interpretation,
     treedepth_host_and_scheme,
     treemodel_host_and_scheme,
 )
 
-x1, x2 = Var(1), Var(2)
+x1, x2, x3 = Var(1), Var(2), Var(3)
 
 
 def test_scheme_validation():
     with pytest.raises(ValueError):
         InterpretationScheme(Adj(x1, x2), Adj(x1, x2))
+
+
+@pytest.mark.parametrize(
+    "domain, edge, colors, message",
+    [
+        (Adj(x1, x2), Adj(x1, x2), None, "the domain formula may only have x1 free"),
+        (Eq(x1, x1), Adj(x1, x3), None, "the edge formula may only have x1, x2 free"),
+        (
+            Eq(x1, x1),
+            Adj(x1, x2),
+            ((1, HasColor(1, x1)), (2, Adj(x1, x2))),
+            "the formula for color 2 may only have x1 free",
+        ),
+    ],
+    ids=["domain", "edge", "color"],
+)
+def test_a_free_variable_outside_the_parameters_is_refused(domain, edge, colors, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        InterpretationScheme(domain, edge, colors)
+
+
+# Each host below has exactly one violation of the edge relation, so the
+# message does not depend on the order in which such violations are
+# searched; vertices are checked for their colors in ascending order.
+@pytest.mark.parametrize(
+    "edge, colors, message",
+    [
+        ("x1=x2 & C2(x1)", None, "edge formula is reflexive at vertex 2"),
+        ("adj(x1,x2) & C1(x1)", None, "edge formula is asymmetric on (1,2)"),
+        ("adj(x1,x2)", ["C1(x1)"], "vertex 2 satisfies 0 color formulas"),
+        ("adj(x1,x2)", ["x1=x1", "C2(x1)"], "vertex 2 satisfies 2 color formulas"),
+        ("adj(x1,x2)", [], "vertex 1 satisfies 0 color formulas"),
+    ],
+    ids=["reflexive", "asymmetric", "no-color", "two-colors", "empty-table"],
+)
+def test_apply_interpretation_names_the_violation(edge, colors, message):
+    g = ColoredGraph.build(2, [(1, 2)], [1, 2], c=2)
+    if colors is not None:
+        colors = tuple(enumerate(map(parse_formula, colors), start=1))
+    scheme = InterpretationScheme(Eq(x1, x1), parse_formula(edge), colors)
+    if colors is not None:
+        message += "; the interpreted coloring must be unambiguous"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_interpretation(scheme, g)
+
+
+def test_a_color_with_two_formulas_is_refused():
+    # translation used to keep only the last formula, and applying the scheme
+    # to a graph coloured (1, 2) said vertex 1 satisfied no color formula
+    colors = ((1, HasColor(1, x1)), (1, HasColor(2, x1)))
+    with pytest.raises(ValueError, match="^the formula for color 1 is given twice$"):
+        InterpretationScheme(Eq(x1, x1), Adj(x1, x2), colors)
+
+
+def _violations(scheme: InterpretationScheme, g: ColoredGraph) -> list[str]:
+    """The refusals ``apply_interpretation`` may give on ``g``, in vertex
+    order, from the first of its three checks that fails: the domain, the
+    edge relation, the coloring."""
+
+    def rows(f, *params):
+        return evaluate_free(g, And((f, *(Eq(v, v) for v in params)))).rows
+
+    domain = sorted(v for (v,) in rows(scheme.domain_formula, x1))
+    if not domain:
+        return ["the interpretation has an empty domain on this graph"]
+    related = rows(scheme.edge_formula, x1, x2)
+    edge = [
+        f"edge formula is reflexive at vertex {u}" if u == v
+        else f"edge formula is asymmetric on ({u},{v})"
+        for u, v in sorted(related)
+        if u == v or (v, u) not in related
+    ]
+    if edge or scheme.color_formulas is None:
+        return edge
+    holders = [{v for (v,) in rows(f, x1)} for _, f in scheme.color_formulas]
+    counts = [sum(v in held for held in holders) for v in domain]
+    return [
+        f"vertex {v} satisfies {count} color formulas; "
+        "the interpreted coloring must be unambiguous"
+        for v, count in zip(domain, counts)
+        if count != 1
+    ]
+
+
+def _open_formula(rng: random.Random, params: set, colors: int):
+    """A random formula whose free variables lie among ``params``: a
+    random sentence with some of its outer quantifiers peeled off."""
+    while True:
+        f = random_formula(rng, 3, colors, rng.randint(1, 3), size=rng.randint(2, 10))
+        while isinstance(f, (Exists, Forall)) and rng.random() < 0.8:
+            f = f.body
+        if free_vars(f) <= params:
+            return f
+
+
+def _random_application(rng: random.Random):
+    """A scheme and a host graph with n <= 8 and 1-3 colours: identity,
+    complement, random defining formulas with or without a random color
+    table, or the depth-edge scheme on an encoded forest or a random host."""
+    n, colors = rng.randint(1, 7), rng.randint(1, 3)
+    kind = rng.randrange(5)
+    if kind == 4:
+        g, ef = random_graph_on_a_forest(rng, n, colors)
+        scheme = depth_edge_interpretation(ef.height, colors)
+        host = encode_elimination_forest(g, ef)
+        if rng.random() < 0.8:
+            return scheme, host.to_graph()
+        return scheme, random_graph(rng, host.n, host.c, rng.uniform(0.1, 0.6))
+    g = random_graph(rng, n, colors, rng.uniform(0.1, 0.7))
+    if kind < 2:
+        return (identity_interpretation(), complement_interpretation())[kind], g
+    domain = _open_formula(rng, {x1}, colors) if rng.random() < 0.6 else Eq(x1, x1)
+    edge = _open_formula(rng, {x1, x2}, colors)
+    if rng.random() < 0.6:
+        edge = Or((edge, rename_variables(edge, {x1: x2, x2: x1})))
+    if rng.random() < 0.7:
+        edge = And((Not(Eq(x1, x2)), edge))
+    table = None
+    if kind == 3:
+        keys = rng.sample(range(1, 5), rng.randint(0, 3))
+        table = tuple(
+            (key, HasColor(key, x1) if rng.random() < 0.6 else _open_formula(rng, {x1}, colors))
+            for key in keys
+        )
+    return InterpretationScheme(domain, edge, table), g
+
+
+def test_apply_interpretation_matches_the_row_set_referee():
+    rng = random.Random(2028)
+    applied = renamed = 0
+    for _ in range(1500):
+        scheme, g = _random_application(rng)
+        try:
+            want = row_set_apply_interpretation(scheme, g)
+        except ValueError as refused:
+            violations = _violations(scheme, g)
+            assert str(refused) in violations
+            with pytest.raises(ValueError, match=f"^{re.escape(violations[0])}$"):
+                apply_interpretation(scheme, g)
+            renamed += str(refused) != violations[0]
+            continue
+        assert not _violations(scheme, g)
+        assert apply_interpretation(scheme, g) == want
+        applied += 1
+    assert applied > 1000 and 1500 - applied > 300 and renamed > 30
+
+
+def test_translating_an_open_sentence_is_refused():
+    with pytest.raises(ValueError, match="^expected a sentence but found free variables: x2$"):
+        backwards_translate(parse_formula("exists x1. adj(x1,x2)"), identity_interpretation())
+
+
+@pytest.mark.parametrize("k, colors", [(0, 1), (1, 0)])
+def test_depth_edge_interpretation_needs_a_height_and_a_color(k, colors):
+    with pytest.raises(ValueError, match="^need k >= 1 and colors >= 1$"):
+        depth_edge_interpretation(k, colors)
 
 
 def test_complement_of_complete():

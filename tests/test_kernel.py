@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from fomc import kernel
 from fomc.formulas import parse_formula
-from fomc.graphs import gen_path
+from fomc.graphs import ColoredGraph, gen_path
 from fomc.interpret import mc_tree, mc_treedepth, mc_treemodel
 from fomc.kernel import (
     BOUND_CAP,
@@ -13,8 +14,8 @@ from fomc.kernel import (
     reduce_tree,
     verify_kernel,
 )
-from fomc.pebble import ResourceLimitError
-from fomc.trees import RootedColoredTree, TreeModel, restrict_tree
+from fomc.pebble import ResourceLimitError, fo_s_equivalent, type_census
+from fomc.trees import RootedColoredTree, TreeModel, compute_elimination_forest, restrict_tree
 
 from .oracles import (
     all_colored_rooted_trees,
@@ -77,6 +78,67 @@ def test_bound_capped():
     for args in ((3, 2, 4), (3, 3, 3)):
         capped, is_exact = kernel_size_bound_capped(*args)
         assert not is_exact and capped == BOUND_CAP
+
+
+def test_an_exact_bound_above_4096_bits_is_refused():
+    # (1, 3, 1) would raise about 9.4 * 10^10 to its own power
+    message = "^the kernel size bound at s=1, k=3, c=1 has more than 4096 bits$"
+    with pytest.raises(ResourceLimitError, match=message):
+        kernel_size_bound(1, 3, 1)
+    with pytest.raises(ResourceLimitError):
+        kernel_size_bound(20, 2, 20)  # about 12,600 bits
+    inner = kernel_size_bound(10, 1, 11)
+    assert inner == 1 + 2 * 10 * 11
+    assert kernel_size_bound(10, 2, 10) == 1 + 10 * (2 * 10 * inner) ** inner * inner
+    assert kernel_size_bound(10, 2, 10).bit_length() == 2688
+    assert kernel_size_bound_capped(1, 3, 1) == (BOUND_CAP, False)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: kernel_size_bound(0, 1, 1), "need s >= 1, c >= 1, k >= 0"),
+        (lambda: kernel_size_bound(1, -1, 1), "need s >= 1, c >= 1, k >= 0"),
+        (lambda: kernel_size_bound_capped(1, 1, 0), "need s >= 1, c >= 1, k >= 0"),
+        (lambda: reduce_tree(star(2), 0), "the variable budget must be positive"),
+    ],
+    ids=["bound-s", "bound-k", "bound-c", "reduce-s"],
+)
+def test_a_budget_out_of_range_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+P4 = gen_path(4)
+TWO = parse_formula("exists x1. exists x2. adj(x1,x2)")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: reduce_tree(star(3), 1.5), "variable budget 1.5"),
+        (lambda: mc_tree(star(3), TWO, 2.5), "variable budget 2.5"),
+        (lambda: mc_treedepth(P4, TWO, 3.5, 2), "height budget 3.5"),
+        (lambda: mc_treedepth(P4, TWO, 3, 2.5), "variable budget 2.5"),
+        (lambda: mc_treemodel(ColoredGraph.build(1), None, TWO, 2.5), "variable budget 2.5"),
+        (lambda: compute_elimination_forest(P4, 2.5), "height budget 2.5"),
+        (lambda: fo_s_equivalent(P4, gen_path(5), 1.5), "pebble count 1.5"),
+        (lambda: fo_s_equivalent(P4, P4, 2, cap=1e7), "tuple cap 10000000.0"),
+        (lambda: type_census([P4, gen_path(5)], 1.5), "pebble count 1.5"),
+        (lambda: verify_kernel(star(3), reduce_tree(star(3), 1), 1.5), "pebble count 1.5"),
+        (lambda: kernel_size_bound(1, 1.0, 1), "depth 1.0"),
+        (lambda: kernel_size_bound_capped(1, 1, 2.0), "color count 2.0"),
+    ],
+    ids=[
+        "reduce-s", "tree-s", "treedepth-k", "treedepth-s", "treemodel-s", "forest-k",
+        "equivalent-s", "equivalent-cap", "census-s", "verify-s", "bound-k", "bound-c",
+    ],
+)
+def test_a_budget_or_height_that_is_not_an_integer_is_refused(make, message):
+    # reduce_tree at 1.5 used to keep what s = 2 keeps, the pipelines and the
+    # forest search answered, and the pebble game escaped with a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+        make()
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,27 @@ def test_tree_refuses_a_second_root_and_a_self_parent():
         RootedColoredTree(n=3, root=1, parents=(0, 2, 1), colors=(1, 1, 1), c=1)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: RootedColoredTree(n=2, root=1, parents=(0,), colors=(1, 1), c=1),
+            "parents and colors must cover every vertex",
+        ),
+        (
+            lambda: RootedColoredTree(n=2, root=2, parents=(0, 1), colors=(1, 1), c=1),
+            "root 2 is not the vertex with parent 0",
+        ),
+        (lambda: EliminationForest(n=2, parents=(0,)), "parents must cover every vertex"),
+        (lambda: compute_elimination_forest(gen_path(2), 0), "the height budget must be positive"),
+    ],
+    ids=["tree-short", "tree-wrong-root", "forest-short", "search-budget-0"],
+)
+def test_a_tree_or_forest_that_does_not_fit_its_count_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_build_refuses_a_gap_in_the_vertices_and_colors_of_non_vertices():
     with pytest.raises(ValueError, match="^vertex 2 has no 't' record$"):
         RootedColoredTree.build({1: 0, 3: 1})
