@@ -34,7 +34,6 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import chain
 
@@ -62,22 +61,14 @@ class SatisfyingSet:
     """The satisfying assignments of a formula over its free variables.
 
     ``variables`` is sorted by index, and ``cells`` is the formula's
-    table, one axis per variable in that order. ``rows`` lists the
-    satisfying assignments, each giving vertices in that order; it is
-    built from ``cells`` when first read, so a caller that needs only the
-    variables or the verdict pays for no rows. A formula without free
-    variables yields ``variables == ()`` and either one empty row (true)
-    or no rows (false).
+    table, one axis per variable in that order: a cell is true where the
+    assignment of vertex k + 1 to the variable of an axis at index k
+    satisfies. A formula without free variables yields ``variables == ()``
+    and a 0-dimensional table.
     """
 
     variables: tuple[Var, ...]
     cells: np.ndarray
-
-    @functools.cached_property
-    def rows(self) -> frozenset[tuple[int, ...]]:
-        if not self.variables:
-            return frozenset([()] if self.cells else [])
-        return frozenset(map(tuple, (np.argwhere(self.cells) + 1).tolist()))
 
     @property
     def holds(self) -> bool:

@@ -23,7 +23,10 @@ pass. The forest encoding that climbs every vertex's ancestor chain and
 asks the graph for each ancestor's edge referees the one that reads its
 adjacency bits off the per-edge validation climb. The interpretation
 that reads the evaluator's satisfying rows into sets and dicts referees
-the one that works on its tables.
+the one that works on its tables. The type refinement that builds the
+contexts of every slot, pads them to the widest graph and interns the
+types once more to find them stable referees the one that builds slot
+0's contexts alone and stops as soon as its answer is fixed.
 
 The module also holds the suite's seeded generators (random trees and
 tree-models), the tree-from-graph rooting and the forest and tree-model
@@ -67,6 +70,7 @@ from fomc.formulas import (
     disjunction,
     fold,
 )
+from fomc import pebble
 from fomc.graphs import ColoredGraph
 from fomc.interpret import (
     X1,
@@ -591,6 +595,94 @@ def pebble_game(
 
 
 # ---------------------------------------------------------------------------
+# The all-slot type refinement, the referee of ``fomc.pebble._refine``: each
+# round builds the contexts of every slot, pads every row to the widest
+# graph, and interns the types once more in the round that finds them
+# stable. It shares the production atomic columns and key interning.
+
+def _all_slot_spread(table: np.ndarray, sides: list[int], s: int, axes) -> np.ndarray:
+    """One column over all graphs' tuples. ``table`` holds, graph after
+    graph, an array with one axis of n + 1 per slot in ``axes``; each
+    tuple reads its graph's at those slots."""
+    col = np.empty(sum(m**s for m in sides), table.dtype)
+    lo = at = 0
+    for m in sides:
+        shape = [m if k in axes else 1 for k in range(s)]
+        col[lo : lo + m**s].reshape((m,) * s)[...] = table[at : at + m ** len(axes)].reshape(shape)
+        lo, at = lo + m**s, at + m ** len(axes)
+    return col
+
+
+def _all_slot_rows(types: np.ndarray, sides: list[int], starts: list[int], s: int) -> np.ndarray:
+    """One row per context, slot-major, then graph-minor, then in tuple
+    order: the types of the tuples that put each vertex into the open
+    slot, padded to the widest graph by repeating the first."""
+    rows = np.empty((s * sum(m ** (s - 1) for m in sides), max(sides) - 1), types.dtype)
+    at = 0
+    for i, (lo, m) in itertools.product(range(s), zip(starts, sides)):
+        before, after = m**i, m ** (s - 1 - i)
+        block = rows[at : at + before * after]
+        lines = types[lo : lo + m**s].reshape(before, m, after)[:, 1:]
+        block.reshape(before, after, -1)[..., : m - 1] = lines.transpose(0, 2, 1)
+        block[:, m - 1 :] = block[:, :1]
+        at += before * after
+    return rows
+
+
+def _all_slot_set_ids(rows: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """(dense ids of the sets of types listed by the rows of ``rows``,
+    the number of distinct sets). ``rows`` is overwritten."""
+    rows.sort(axis=1)
+    repeat = rows[:, 1:] == rows[:, :-1]
+    rows += 1
+    rows[:, 1:][repeat] = 0
+    width = rows.shape[1] - int(repeat.sum(axis=1).min())
+    rows.sort(axis=1)
+    return pebble._intern((col, count + 1) for col in rows.T[-width:])
+
+
+def all_slot_refine(
+    graphs: Sequence[ColoredGraph], s: int, until_split: bool
+) -> tuple[np.ndarray, int]:
+    """(class id of each graph's all-blank tuple, rounds run).
+
+    Refines until the partition is stable, or with ``until_split`` until
+    the all-blank tuples no longer share one class. Every slot's contexts
+    get their set ids, and a round that adds no class ends the loop.
+    """
+    sides = [g.n + 1 for g in graphs]
+    sizes = [m**s for m in sides]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    others = [set(range(s)) - {i} for i in range(s)]
+    types, count = pebble._intern(pebble._atomic_columns(graphs, sides, s))
+    for rounds in itertools.count(1):
+        sets, nsets = _all_slot_set_ids(_all_slot_rows(types, sides, starts, s), count)
+        columns = zip(sets.reshape(s, -1), others)
+        slots = ((_all_slot_spread(ids, sides, s, axes), nsets) for ids, axes in columns)
+        new, new_count = pebble._intern(itertools.chain([(types, count)], slots))
+        blanks = new[starts]
+        if new_count == count or until_split and (blanks != blanks[0]).any():
+            return blanks, rounds
+        types, count = new, new_count
+
+
+def all_slot_spoiler_distance(a: ColoredGraph, b: ColoredGraph, s: int) -> int | None:
+    """The round of the all-slot refinement that separates the all-blank
+    tuples of ``a`` and ``b``, or None when they never separate."""
+    blanks, rounds = all_slot_refine([a, b], s, until_split=True)
+    return None if blanks[0] == blanks[1] else rounds
+
+
+def all_slot_census(graphs: Sequence[ColoredGraph], s: int) -> list[list[int]]:
+    """Input indices grouped by the class of their all-blank tuple at the
+    all-slot refinement's fixpoint, blocks in order of their first member."""
+    blocks: dict[int, list[int]] = {}
+    for idx, blank in enumerate(all_slot_refine(graphs, s, until_split=False)[0]):
+        blocks.setdefault(int(blank), []).append(idx)
+    return list(blocks.values())
+
+
+# ---------------------------------------------------------------------------
 # Decomposition pipelines by translate-then-evaluate
 #
 # The production pipelines evaluate the original sentence on the graph's
@@ -724,6 +816,15 @@ def mc_by_translation(
     return mc_tree(host, translated, s + scheme.variable_overhead)
 
 
+def satisfying_rows(sat: SatisfyingSet) -> frozenset[tuple[int, ...]]:
+    """The satisfying assignments of ``sat``, each giving vertices in the
+    order of ``sat.variables``: one empty row (true) or none (false) when
+    there are no free variables."""
+    if not sat.variables:
+        return frozenset([()] if sat.cells else [])
+    return frozenset(map(tuple, (np.argwhere(sat.cells) + 1).tolist()))
+
+
 def row_set_apply_interpretation(
     scheme: InterpretationScheme, g: ColoredGraph
 ) -> ColoredGraph:
@@ -732,13 +833,13 @@ def row_set_apply_interpretation(
     of holders per color. A violation is named in the iteration order of
     those sets, not necessarily the first one in vertex order."""
     dom_sat = evaluate_free(g, And((scheme.domain_formula, Eq(X1, X1))))
-    domain = sorted(row[0] for row in dom_sat.rows)
+    domain = sorted(row[0] for row in satisfying_rows(dom_sat))
     if not domain:
         raise ValueError("the interpretation has an empty domain on this graph")
     edge_sat = evaluate_free(
         g, And((scheme.edge_formula, Eq(X1, X1), Eq(X2, X2)))
     )
-    related = {tuple(row) for row in edge_sat.rows}
+    related = {tuple(row) for row in satisfying_rows(edge_sat)}
     for u, v in related:
         if u == v:
             raise ValueError(f"edge formula is reflexive at vertex {u}")
@@ -757,7 +858,7 @@ def row_set_apply_interpretation(
         holders: dict[int, set[int]] = {}
         for color, body in scheme.color_formulas:
             sat = evaluate_free(g, And((body, Eq(X1, X1))))
-            holders[color] = {row[0] for row in sat.rows}
+            holders[color] = {row[0] for row in satisfying_rows(sat)}
         colors = []
         for v in domain:
             matches = [color for color in sorted(holders) if v in holders[color]]

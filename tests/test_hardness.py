@@ -30,7 +30,13 @@ from fomc.hardness import (
 )
 from fomc.randgen import random_formula, random_graph
 
-from .oracles import all_labeled_graphs, bfs_distances, distinct_nodes, graphs_isomorphic
+from .oracles import (
+    all_labeled_graphs,
+    bfs_distances,
+    distinct_nodes,
+    graphs_isomorphic,
+    satisfying_rows,
+)
 
 x1, x2, x3, x4, x5 = Var(1), Var(2), Var(3), Var(4), Var(5)
 
@@ -107,12 +113,12 @@ def test_distance_formula_matches_bfs_on_paths():
                 for v in p.vertices
                 if dist[u].get(v) == k
             }
-            assert set(sat.rows) == expected, (n, k)
+            assert set(satisfying_rows(sat)) == expected, (n, k)
 
 
 def test_distance_beyond_diameter_empty():
     p8 = gen_path(8)
-    assert not evaluate_free(p8, distance_formula(9)).rows
+    assert not satisfying_rows(evaluate_free(p8, distance_formula(9)))
 
 
 def test_distance_variable_economy():
@@ -179,7 +185,7 @@ def test_encoding_k2():
 def test_encoding_edgeless_is_false():
     f = edge_encoding_formula(ColoredGraph.build(3, []))
     assert f == Not(Eq(x1, x1))
-    assert not evaluate_free(gen_path(3), f).rows
+    assert not satisfying_rows(evaluate_free(gen_path(3), f))
 
 
 def test_encoding_free_variables():
@@ -198,7 +204,7 @@ def test_encoding_semantics_both_endpoints():
     n = g.n
     path = gen_path(n)
     f = edge_encoding_formula(g)
-    sat = evaluate_free(path, f)
+    rows = satisfying_rows(evaluate_free(path, f))
     for endpoint, order in ((1, list(range(1, n + 1))), (n, list(range(n, 0, -1)))):
         # encoded position of graph vertex order[i-1] is at distance i-1
         place = {v: order.index(v) + 1 for v in g.vertices}
@@ -210,7 +216,7 @@ def test_encoding_semantics_both_endpoints():
                 path_v = (
                     place[v] if endpoint == 1 else n + 1 - place[v]
                 )
-                assert ((endpoint, path_u, path_v) in sat.rows) == g.has_edge(u, v)
+                assert ((endpoint, path_u, path_v) in rows) == g.has_edge(u, v)
 
 
 def test_encoding_size_cubic():
@@ -447,7 +453,7 @@ def test_endpoint_guard_pins_degree_one():
     out = reduce_to_path(g, parse_formula("exists x2. exists x3. adj(x2,x3)"))
     body = out.sentence.body
     sat = evaluate_free(out.path, body)
-    witnesses = {row[0] for row in sat.rows}
+    witnesses = {row[0] for row in satisfying_rows(sat)}
     assert witnesses <= {
         v for v in out.path.vertices if len(out.path.adj[v]) == 1
     }

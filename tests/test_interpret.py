@@ -56,6 +56,7 @@ from .oracles import (
     random_tree,
     random_tree_model,
     row_set_apply_interpretation,
+    satisfying_rows,
     treedepth_host_and_scheme,
     treemodel_host_and_scheme,
 )
@@ -126,7 +127,7 @@ def _violations(scheme: InterpretationScheme, g: ColoredGraph) -> list[str]:
     edge relation, the coloring."""
 
     def rows(f, *params):
-        return evaluate_free(g, And((f, *(Eq(v, v) for v in params)))).rows
+        return satisfying_rows(evaluate_free(g, And((f, *(Eq(v, v) for v in params)))))
 
     domain = sorted(v for (v,) in rows(scheme.domain_formula, x1))
     if not domain:

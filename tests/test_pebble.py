@@ -17,6 +17,9 @@ from fomc.randgen import random_formula, random_graph
 
 from .oracles import (
     all_labeled_graphs,
+    all_slot_census,
+    all_slot_refine,
+    all_slot_spoiler_distance,
     graphs_isomorphic,
     is_s_partial_isomorphism,
     pebble_game,
@@ -337,3 +340,121 @@ def test_one_pebble_on_long_paths_stores_no_vertex_pair_table():
     finally:
         tracemalloc.stop()
     assert peak / (20_001 + 20_002) <= 48
+
+
+def test_one_pebble_census_of_mixed_sizes_stays_within_the_tuple_bound():
+    # context rows are deduplicated at each graph's own width, so one long
+    # path among many tiny graphs does not pad every row to its length
+    rng = random.Random(67)
+    tiny: dict[ColoredGraph, None] = {}
+    while len(tiny) < 300:
+        g = random_graph(rng, rng.randint(1, 4), colors=3, edge_prob=0.5)
+        tiny.setdefault(g)
+    graphs = [gen_path(20_000), *tiny]
+    tracemalloc.start()
+    try:
+        blocks = type_census(graphs, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == all_slot_census(graphs, 1)
+    assert peak / sum(g.n + 1 for g in graphs) <= 48
+
+
+def _sweep_pairs(rng: random.Random, count: int):
+    """Seeded (a, b, s) over s = 1-4, equal and unequal vertex counts,
+    1-3 colors and relabelled copies."""
+    for _ in range(count):
+        s = rng.randint(1, 4)
+        top = (8, 8, 6, 4)[s - 1]
+        colors = rng.randint(1, 3)
+        n = rng.randint(1, top)
+        m = n if rng.random() < 0.4 else rng.randint(1, top)
+        a = random_graph(rng, n, colors=colors, edge_prob=rng.uniform(0.1, 0.7))
+        b = random_graph(rng, m, colors=colors, edge_prob=rng.uniform(0.1, 0.7))
+        if rng.random() < 0.25:
+            b = relabel(rng, a)
+        yield a, b, s
+
+
+def test_slot_zero_refinement_matches_the_all_slot_referee():
+    rng = random.Random(68)
+    separated = 0
+    for a, b, s in _sweep_pairs(rng, 500):
+        expected = all_slot_spoiler_distance(a, b, s)
+        assert spoiler_distance(a, b, s) == expected, (a, b, s)
+        assert fo_s_equivalent(a, b, s) == (expected is None), (a, b, s)
+        separated += expected is not None
+    assert 150 < separated < 450
+    for _ in range(60):
+        s = rng.randint(1, 3)
+        colors = rng.randint(1, 3)
+        graphs = [random_graph(rng, rng.randint(1, 6 - s), colors=colors) for _ in range(8)]
+        graphs += [relabel(rng, g) for g in rng.sample(graphs, 3)]
+        rng.shuffle(graphs)
+        distinct = list(dict.fromkeys(graphs))
+        if len(distinct) > 1:
+            assert all_slot_census(distinct, s) == type_census(distinct, s), (distinct, s)
+
+
+def _count_set_rows(monkeypatch) -> list[int]:
+    """The number of context rows each round hands to ``_set_ids``."""
+    rows_seen: list[int] = []
+    set_ids = pebble._set_ids
+
+    def counting(rows, count):
+        rows_seen.append(len(rows))
+        return set_ids(rows, count)
+
+    monkeypatch.setattr(pebble, "_set_ids", counting)
+    return rows_seen
+
+
+def test_sets_are_built_from_slot_zero_contexts_alone(monkeypatch):
+    rows_seen = _count_set_rows(monkeypatch)
+    a, b = gen_path(4), ColoredGraph.build(5, [(1, 2), (2, 3), (4, 5)])
+    for s in (1, 2, 3, 4):
+        rows_seen.clear()
+        spoiler_distance(a, b, s)
+        assert rows_seen, s
+        assert set(rows_seen) == {5 ** (s - 1) + 6 ** (s - 1)}, s
+
+
+def test_a_stable_refinement_interns_no_round_that_adds_no_type(monkeypatch):
+    # the round whose sets add nothing stops before interning the types
+    rng = random.Random(69)
+    counts: list[int] = []
+    intern = pebble._intern
+
+    def recording(columns):
+        ids, count = intern(columns)
+        if len(ids) == tuples:
+            counts.append(count)
+        return ids, count
+
+    monkeypatch.setattr(pebble, "_intern", recording)
+    for s in (1, 2, 3):
+        for _ in range(10):
+            graphs = [random_graph(rng, rng.randint(1, 6), colors=2) for _ in range(3)]
+            graphs = list(dict.fromkeys(graphs))
+            if len(graphs) < 2:
+                continue
+            tuples = sum((g.n + 1) ** s for g in graphs)
+            counts.clear()
+            type_census(graphs, s)
+            assert counts == sorted(set(counts)), (graphs, s)
+            # the atomic types plus every round but the one that found them stable
+            assert len(counts) == all_slot_refine(graphs, s, until_split=False)[1], (graphs, s)
+
+
+def test_equivalence_stops_at_the_first_round_whose_types_differ(monkeypatch):
+    # a type realised in one graph alone is pebbled in at most s moves, so
+    # the verdict is fixed before the all-blank tuples split
+    rounds = _count_set_rows(monkeypatch)
+    for n in range(5, 12):
+        a, b = gen_path(n), gen_path(n + 1)
+        rounds.clear()
+        assert not fo_s_equivalent(a, b, 3)
+        assert len(rounds) <= 2, n
+        assert spoiler_distance(a, b, 3) == all_slot_spoiler_distance(a, b, 3) > 2, n
+    assert spoiler_distance(gen_path(5), gen_path(6), 3) == 3
