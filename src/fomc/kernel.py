@@ -167,8 +167,10 @@ def verify_kernel(
     """Check a reduction against an independent referee.
 
     Structural checks first (the result is a reduction of ``t``, its kept
-    set contains the root, and it honors the size bound), then tuple type
-    refinement decides FO^s equivalence of original and kernel.
+    set contains the root, and it honors the size bound), then
+    ``fo_s_equivalent`` decides FO^s equivalence of original and kernel:
+    it refines both graphs' s-tuple types together and answers False at
+    the first round in which the two realise different context sets.
     """
     if result.tree != t or t.root not in result.kept:
         return False

@@ -18,29 +18,40 @@ swapped. A round builds sum (n+1)^(s-1) contexts, not s times that.
 Each graph's contexts are sorted and deduplicated at its own width, so
 one large graph does not pad the rows of many small ones.
 
-Types are interned exactly and jointly over all input graphs, as dense
-int32 ids. Each interning packs its columns into one int64 key in mixed
-radix (the radices are class counts, known in advance) and ranks the
-keys by one argsort and a running count of the steps between sorted
-neighbours; where the product of radices would reach 2^62 the key is
-ranked first and packing goes on from the ranks. A set of types is
-packed as its sorted distinct members.
+Each round's context partition refines the last one (round -1's is
+the atomic type of the tuple with slot 0 blank), so tuple types need no
+dense ids. Round r + 1's type of a tuple is (round r's type, round r's
+set ids of its s contexts), and round r's type is (atomic type, round
+r - 1's set ids). Round r's set ids determine round r - 1's, so round
+r + 1's type partitions the tuples exactly as (atomic type, round r's
+set ids) does. Each round therefore packs the atomic key and the s
+set-id columns, jointly over all input graphs, into one exact int64 key
+in mixed radix (the radices, the atomic bound and the set count, are
+known in advance). Only where the product of radices would reach 2^62
+is the key ranked, by one argsort, and packing goes on from the ranks.
 
-Each round's context partition refines the last one; round 0's is the
-atomic type of the tuple with slot 0 blank. The types a round adds are
-read off its contexts, so a round whose set count does not grow would
-add nothing: the partition is stable, and the refinement stops before
-interning that round's types. Two graphs agree on every sentence with
-at most s variables exactly when their all-blank tuples end in one class
+A context's row holds its set's distinct member keys plus one, sorted
+after a run of zeros, and each row is ranked whole as one byte string.
+Two rows hold the same set exactly when their bytes are equal. On a
+little-endian host byte order is not numeric order, but ranking needs
+only an order that keeps equal rows together, so the set ids are exact.
+
+A round whose set count does not grow leaves the partition stable, and
+the refinement stops. Two graphs agree on every sentence with at most
+s variables exactly when their all-blank tuples end in one class
 (Immerman & Lander 1990). Round r keeps two tuples together exactly when
 the s-pebble game from that pair of positions survives r rounds.
 
 ``fo_s_equivalent`` answers False at the first round in which one graph
-realises a type that the other does not: the spoiler pebbles such a
-tuple in at most s moves and wins from there. ``spoiler_distance`` is
-the round that separates the all-blank tuples, so it refines until they
-split (or the partition is stable); an earlier difference of realised
-types only bounds it, from below by that round and from above by s more.
+realises a context set that the other does not. Every tuple with that
+context has a next-round type realised in that graph alone, and the
+spoiler pebbles such a tuple in at most s moves and wins from there.
+This also covers the all-blank contexts: a set of tuples blank in every
+slot but 0 is realised by the all-blank context alone, so when the
+all-blank contexts differ, so do the realised sets.
+``spoiler_distance`` is one more than the first round whose all-blank
+contexts differ, so it refines until they split (or the partition is
+stable); an earlier difference of realised sets only bounds it.
 The work is (n+1)^s tuples per graph, not the game's
 ((|A|+1)(|B|+1))^s positions per pair.
 """
@@ -79,12 +90,13 @@ def _require_pebbles(s: int, cap: int) -> None:
 def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
     """(dense ids of the values of ``key``, in the values' order, the
     number of distinct values), by one argsort and a running count of
-    the steps between neighbours in sorted order."""
+    the steps between neighbours in sorted order. Only equality matters,
+    so any total order that keeps equal values together will do."""
     order = np.argsort(key)
     ordered = key[order]
     rank = np.empty(len(key), np.int32 if len(key) < 2**31 else np.int64)
     rank[0] = 0
-    np.not_equal(ordered[1:], ordered[:-1], out=rank[1:])
+    rank[1:] = ordered[1:] != ordered[:-1]
     del ordered
     np.cumsum(rank, out=rank)
     ids = np.empty_like(rank)
@@ -92,13 +104,12 @@ def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
     return ids, int(rank[-1]) + 1
 
 
-def _intern(columns) -> tuple[np.ndarray, int]:
-    """(dense ids of the rows formed by ``(column, base)`` pairs, whose
-    values lie in ``range(base)``, the number of distinct rows).
+def _pack(columns) -> tuple[np.ndarray, int]:
+    """(an exact int64 key of the rows formed by ``(column, base)`` pairs,
+    whose values lie in ``range(base)``, a bound above every key).
 
-    Exact: the columns are packed into one int64 key in mixed radix, and
-    the key is made dense again wherever the next radix would take its
-    bound to ``_KEY_LIMIT``.
+    The columns are packed in mixed radix, and the key is made dense
+    first wherever the next radix would take its bound to ``_KEY_LIMIT``.
     """
     columns = iter(columns)
     first, bound = next(columns)
@@ -110,15 +121,15 @@ def _intern(columns) -> tuple[np.ndarray, int]:
         key *= base
         key += col
         bound *= base
-    return _dense(key)
+    return key, bound
 
 
-def _set_ids(rows: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    """(dense ids of the sets of types written by the rows of ``rows``,
-    the number of distinct sets). Each row holds its set's sorted
-    distinct members plus one after a run of zeros, as ``_rows`` writes
-    them, and is packed in radix ``count + 1``."""
-    return _intern((col, count + 1) for col in rows.T)
+def _set_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """(dense ids of the sets written by the rows of ``rows``, the number
+    of distinct sets). Each row holds its set's distinct members plus
+    one, sorted after a run of zeros, as ``_rows`` writes them, and is
+    ranked whole as one byte string."""
+    return _dense(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
 
 
 def _spread(blocks, sides: list[int], s: int, dtype, slot: int) -> np.ndarray:
@@ -139,7 +150,7 @@ def _atomic_columns(graphs, sides: list[int], s: int):
     """``(column, base)`` pairs over the tuples of all graphs: per slot
     the color (0 for the blank), then per slot pair 2 * equal + adjacent.
     Colors are replaced by their rank among the colors of all graphs, so
-    any color value fits the packed keys of ``_intern``."""
+    any color value fits the packed keys of ``_pack``."""
     palette = sorted({col for g in graphs for col in g.colors})
     rank = {col: i for i, col in enumerate(palette, start=1)}
     lead = (-1,) + (1,) * (s - 1)  # a table over slot 0
@@ -160,8 +171,8 @@ def _atomic_columns(graphs, sides: list[int], s: int):
 
 def _rows(types: np.ndarray, sides: list[int], starts: list[int], s: int) -> np.ndarray:
     """One row per slot-0 context (a tuple with slot 0 left open), graph
-    after graph in tuple order: the distinct types of the tuples that put
-    a vertex into slot 0, plus one, sorted after a run of zeros. Each
+    after graph in tuple order: the distinct type keys of the tuples that
+    put a vertex into slot 0, plus one, sorted after a run of zeros. Each
     graph's rows are sorted and deduplicated at its own width, and all are
     padded only to the most distinct members of any row."""
     blocks = []
@@ -184,29 +195,26 @@ def _rows(types: np.ndarray, sides: list[int], starts: list[int], s: int) -> np.
     return out
 
 
-def _slot_sets(sets: np.ndarray, nsets: int, sides: list[int], s: int):
+def _slot_sets(sets: list[np.ndarray], nsets: int, sides: list[int], s: int):
     """``(column, base)`` per slot i: the set id of each tuple's slot-i
     context. That is the slot-0 set id of the tuple with slots 0 and i
     swapped, so each graph's slot-0 ids, whose axes are slots 1 .. s-1,
     are spread with slots 0 and i swapped."""
-    ids, at = [], 0
-    for m in sides:
-        ids.append(sets[at : at + m ** (s - 1)].reshape((m,) * (s - 1)))
-        at += m ** (s - 1)
+    ids = [block.reshape((m,) * (s - 1)) for block, m in zip(sets, sides)]
     for i in range(s):
-        yield _spread(ids, sides, s, sets.dtype, i), nsets
+        yield _spread(ids, sides, s, sets[0].dtype, i), nsets
 
 
 def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
-    """Yield, round after round from the atomic types (round 0) until the
-    partition is stable, (each graph's array of tuple types, the number
-    of types).
+    """Yield, round after round until the partition is stable, (each
+    graph's array of slot-0 context set ids, the number of sets).
 
-    Viewed with one axis of n + 1 per slot, a graph's types hold one
+    Viewed with one axis of n + 1 per slot, a graph's tuple keys hold one
     slot-0 context per line along axis 0: its set is the line minus the
-    blank. Each round's set partition refines the last one, so the first
-    round whose set count does not grow leaves the types as they are,
-    and the refinement stops before interning them again.
+    blank. Round r's sets give round r + 1's tuple keys, packed from the
+    atomic key and the set ids of each slot's context. Each round's set
+    partition refines the last one, so the first round whose set count
+    does not grow is the last.
     """
     sides = [g.n + 1 for g in graphs]
     sizes = [m**s for m in sides]
@@ -216,37 +224,41 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
             f"vertex counts {[g.n for g in graphs]}, s={s}"
         )
     starts = list(itertools.accumulate(sizes[:-1], initial=0))
-    types, count = _intern(_atomic_columns(graphs, sides, s))
-    # round 0's context partition: the atomic types of the tuples with slot 0 blank
-    heads = np.concatenate([types[lo : lo + m ** (s - 1)] for lo, m in zip(starts, sides)])
-    known = _dense(heads)[1]
+    contexts = list(itertools.accumulate((m ** (s - 1) for m in sides), initial=0))
+    atomic = _pack(_atomic_columns(graphs, sides, s))
+    types = atomic[0]
+    # round -1's sets: the atomic types of the tuples with slot 0 blank
+    heads = [types[lo : lo + m ** (s - 1)] for lo, m in zip(starts, sides)]
+    known = _dense(np.concatenate(heads))[1]
     while True:
-        yield [types[lo : lo + size] for lo, size in zip(starts, sizes)], count
-        sets, nsets = _set_ids(_rows(types, sides, starts, s), count)
+        sets, nsets = _set_ids(_rows(types, sides, starts, s))
+        sets = [sets[lo:hi] for lo, hi in itertools.pairwise(contexts)]
+        yield sets, nsets
         if nsets == known:
             return
         known = nsets
-        slots = _slot_sets(sets, nsets, sides, s)
-        types, count = _intern(itertools.chain([(types, count)], slots))
+        types = _pack(itertools.chain([atomic], _slot_sets(sets, nsets, sides, s)))[0]
 
 
 def _run_game(
     a: ColoredGraph, b: ColoredGraph, s: int, cap: int, *, first_separation: bool = False
 ) -> tuple[bool, int | None]:
     """(the s-pebble game's start position survives, the round in which
-    it dies), read off the refinement of both graphs' tuple types.
+    it dies), read off the refinement of both graphs' context sets. Round
+    r's set ids give round r + 1's types, so the all-blank tuples split in
+    round r + 1 when their contexts' sets differ in round r.
 
     With ``first_separation`` the verdict is the same, but the round
-    reported is the first in which the two graphs realise different sets
-    of types (0 when their atomic types differ), which may come before
-    the start position dies."""
-    for rounds, (types, count) in enumerate(_refine([a, b], s, cap)):
+    reported is one more than the first round in which the two graphs
+    realise different context sets: the first round with a type realised
+    in one graph alone, which may come before the start position dies."""
+    for rounds, (sets, nsets) in enumerate(_refine([a, b], s, cap), start=1):
         if first_separation:
-            seen = np.zeros((2, count), bool)
-            seen[0, types[0]] = seen[1, types[1]] = True
+            seen = np.zeros((2, nsets), bool)
+            seen[0, sets[0]] = seen[1, sets[1]] = True
             apart = (seen[0] != seen[1]).any()
         else:
-            apart = types[0][0] != types[1][0]
+            apart = sets[0][0] != sets[1][0]
         if apart:
             return False, rounds
     return True, None
@@ -281,15 +293,16 @@ def type_census(
     of their first member.
 
     Equal graphs share a block without refinement; the distinct ones are
-    refined together, once, and grouped by their all-blank tuple's class.
+    refined together, once, and grouped by the final set of their
+    all-blank tuple's context.
     """
     _require_pebbles(s, cap)
     first: dict[ColoredGraph, int] = {}
     rep = [first.setdefault(g, len(first)) for g in graphs]
     classes = [0]
     if len(first) > 1:
-        for types, _ in _refine(list(first), s, cap):
-            classes = [t[0] for t in types]
+        for sets, _ in _refine(list(first), s, cap):
+            classes = [ids[0] for ids in sets]
     blocks: dict[int, list[int]] = {}
     for idx, r in enumerate(rep):
         blocks.setdefault(int(classes[r]), []).append(idx)

@@ -597,8 +597,15 @@ def pebble_game(
 # ---------------------------------------------------------------------------
 # The all-slot type refinement, the referee of ``fomc.pebble._refine``: each
 # round builds the contexts of every slot, pads every row to the widest
-# graph, and interns the types once more in the round that finds them
-# stable. It shares the production atomic columns and key interning.
+# graph, interns every tuple's type as a dense id, and interns the types
+# once more in the round that finds them stable. It shares the production
+# atomic columns and key packing.
+
+def _intern(columns) -> tuple[np.ndarray, int]:
+    """(dense ids of the rows formed by ``(column, base)`` pairs, whose
+    values lie in ``range(base)``, the number of distinct rows)."""
+    return pebble._dense(pebble._pack(columns)[0])
+
 
 def _all_slot_spread(table: np.ndarray, sides: list[int], s: int, axes) -> np.ndarray:
     """One column over all graphs' tuples. ``table`` holds, graph after
@@ -638,7 +645,7 @@ def _all_slot_set_ids(rows: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     rows[:, 1:][repeat] = 0
     width = rows.shape[1] - int(repeat.sum(axis=1).min())
     rows.sort(axis=1)
-    return pebble._intern((col, count + 1) for col in rows.T[-width:])
+    return _intern((col, count + 1) for col in rows.T[-width:])
 
 
 def all_slot_refine(
@@ -654,12 +661,12 @@ def all_slot_refine(
     sizes = [m**s for m in sides]
     starts = list(itertools.accumulate(sizes[:-1], initial=0))
     others = [set(range(s)) - {i} for i in range(s)]
-    types, count = pebble._intern(pebble._atomic_columns(graphs, sides, s))
+    types, count = _intern(pebble._atomic_columns(graphs, sides, s))
     for rounds in itertools.count(1):
         sets, nsets = _all_slot_set_ids(_all_slot_rows(types, sides, starts, s), count)
         columns = zip(sets.reshape(s, -1), others)
         slots = ((_all_slot_spread(ids, sides, s, axes), nsets) for ids, axes in columns)
-        new, new_count = pebble._intern(itertools.chain([(types, count)], slots))
+        new, new_count = _intern(itertools.chain([(types, count)], slots))
         blanks = new[starts]
         if new_count == count or until_split and (blanks != blanks[0]).any():
             return blanks, rounds

@@ -211,9 +211,10 @@ def test_apply_flip_costs_only_the_related_parts():
     g = gen_path(6000)
     parts = [range(60 * k + 1, 60 * k + 61) for k in range(100)]
     flip = PartitionFlip.build(parts, [(0, 1), (5, 5)])
-    start = time.perf_counter()
+    # this thread's CPU time: time spent descheduled on a busy host does not count
+    start = time.thread_time()
     flipped = apply_flip(g, flip)
-    assert time.perf_counter() - start < 1.0
+    assert time.thread_time() - start < 1.0
     # 60 * 60 pairs between parts 0 and 1 (one of them the path edge
     # 60-61), 60 * 59 / 2 inside part 5 (59 of them path edges)
     assert len(flipped.edges) == 5999 + (3600 - 2) + (1770 - 2 * 59)  # 11,249

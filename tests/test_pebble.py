@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fomc import pebble
@@ -314,11 +315,14 @@ def test_keys_split_below_the_limit_decide_as_whole_ones(monkeypatch):
     assert len(calls) > whole
     test_refinement_matches_the_referee_game()
     test_census_matches_pairwise_referee_games()
+    for limit in (2**10, 2**6):
+        monkeypatch.setattr(pebble, "_KEY_LIMIT", limit)
+        test_slot_zero_refinement_matches_the_all_slot_referee()
 
 
 def test_refinement_peak_memory_per_tuple():
-    # refinement keeps the types and one round's buffers; the peak is one
-    # packed key and its sort, about 36 bytes per stored tuple at s = 3
+    # refinement keeps the tuple keys, the atomic keys and one round's
+    # buffers, about 32 bytes per stored tuple at s = 3
     a, b = gen_path(60), gen_path(61)
     tracemalloc.start()
     try:
@@ -402,9 +406,9 @@ def _count_set_rows(monkeypatch) -> list[int]:
     rows_seen: list[int] = []
     set_ids = pebble._set_ids
 
-    def counting(rows, count):
+    def counting(rows):
         rows_seen.append(len(rows))
-        return set_ids(rows, count)
+        return set_ids(rows)
 
     monkeypatch.setattr(pebble, "_set_ids", counting)
     return rows_seen
@@ -421,18 +425,18 @@ def test_sets_are_built_from_slot_zero_contexts_alone(monkeypatch):
 
 
 def test_a_stable_refinement_interns_no_round_that_adds_no_type(monkeypatch):
-    # the round whose sets add nothing stops before interning the types
+    # the round whose sets add nothing stops before packing the types
     rng = random.Random(69)
     counts: list[int] = []
-    intern = pebble._intern
+    pack = pebble._pack
 
     def recording(columns):
-        ids, count = intern(columns)
-        if len(ids) == tuples:
-            counts.append(count)
-        return ids, count
+        key, bound = pack(columns)
+        if len(key) == tuples:
+            counts.append(len(np.unique(key)))
+        return key, bound
 
-    monkeypatch.setattr(pebble, "_intern", recording)
+    monkeypatch.setattr(pebble, "_pack", recording)
     for s in (1, 2, 3):
         for _ in range(10):
             graphs = [random_graph(rng, rng.randint(1, 6), colors=2) for _ in range(3)]
@@ -458,3 +462,49 @@ def test_equivalence_stops_at_the_first_round_whose_types_differ(monkeypatch):
         assert len(rounds) <= 2, n
         assert spoiler_distance(a, b, 3) == all_slot_spoiler_distance(a, b, 3) > 2, n
     assert spoiler_distance(gen_path(5), gen_path(6), 3) == 3
+
+
+def test_whole_row_ranking_matches_numeric_row_equality():
+    # rows are ranked as byte strings; members at or above 2**32 sort in
+    # another order as bytes than as numbers, but equal rows still meet
+    rng = np.random.default_rng(70)
+    for width in (1, 2, 5):
+        for top in (2**8, 2**33, 2**62):
+            pool = rng.integers(0, top, size=(12, width), dtype=np.int64)
+            pool[0] = 2**32  # its bytes sort below those of 1
+            pool[1] = 1
+            rows = pool[rng.integers(0, len(pool), size=200)]
+            ids, count = pebble._set_ids(rows)
+            _, expected = np.unique(rows, axis=0, return_inverse=True)
+            assert count == expected.max() + 1, (width, top)
+            # the same partition: ids and the numeric classes map one to one
+            assert len(set(zip(ids.tolist(), expected.ravel().tolist()))) == count, (width, top)
+
+
+def test_no_round_ranks_the_tuples(monkeypatch):
+    # tuple keys are packed, not made dense: only context rows (and the
+    # heads of the first round) are ranked, one row per slot-0 context
+    ranked: list[int] = []
+    dense = pebble._dense
+
+    def counting(key):
+        ranked.append(len(key))
+        return dense(key)
+
+    monkeypatch.setattr(pebble, "_dense", counting)
+    rows_seen = _count_set_rows(monkeypatch)
+    for s in (2, 3):
+        cases = [[gen_path(n), gen_path(n + 1)] for n in (4, 7, 10)]
+        cases += [[gen_path(n) for n in lengths] for lengths in ((2, 3, 5), (1, 4, 6, 9))]
+        for graphs in cases:
+            tuples = sum((g.n + 1) ** s for g in graphs)
+            contexts = sum((g.n + 1) ** (s - 1) for g in graphs)
+            ranked.clear()
+            rows_seen.clear()
+            if len(graphs) == 2:
+                spoiler_distance(*graphs, s)
+                fo_s_equivalent(*graphs, s)
+            else:
+                type_census(graphs, s)
+            assert rows_seen and set(rows_seen) == {contexts}, (graphs, s)
+            assert max(ranked) < tuples, (graphs, s)

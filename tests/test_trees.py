@@ -716,9 +716,10 @@ def test_a_wide_tree_model_validates_in_time(monkeypatch):
     assert len(g.edges) == 525_943
     times = []
     for _ in range(5):
-        start = time.perf_counter()
+        # this thread's CPU time: time spent descheduled on a busy host does not count
+        start = time.thread_time()
         assert validate_tree_model(g, tm)
-        times.append(time.perf_counter() - start)
+        times.append(time.thread_time() - start)
     assert min(times) < 0.3
     climbs = []
     distance = RootedColoredTree.distance
