@@ -46,10 +46,8 @@ from .graphs import (
     _natural,
     apply_flip,
     build_sc_graph,
-    gen_flipped_half_graph,
-    gen_half_graph,
-    gen_layer_flipped_paths,
     gen_disjoint_paths,
+    gen_half_graph,
     gen_path,
     read_graph,
     read_partition,
@@ -181,6 +179,22 @@ def _parse_index_pairs(spec: str, option: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _flip(
+    g: ColoredGraph, parts: dict, pairs: list[tuple], option: str, where: str
+) -> ColoredGraph:
+    """``g`` flipped between the parts that ``pairs`` name by their labels
+    in ``parts``; the parts take their positions in label order. The first
+    label of ``pairs`` that ``parts`` lacks is refused, naming ``option``
+    and ``where`` the parts come from."""
+    order = sorted(parts)
+    index = {label: i for i, label in enumerate(order)}
+    unknown = [label for pair in pairs for label in pair if label not in index]
+    if unknown:
+        raise ValueError(f"{option} names part {unknown[0]}, not in {where}")
+    rel = [(index[i], index[j]) for i, j in pairs]
+    return apply_flip(g, PartitionFlip.build([parts[label] for label in order], rel))
+
+
 def _recipe_list(data: dict, field: str) -> list:
     value = data.get(field, [])
     if not isinstance(value, list):
@@ -256,26 +270,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if kind == "path":
         g = gen_path(args.n)
     elif kind == "halfgraph":
-        if args.flip:
-            g = gen_flipped_half_graph(args.t, _parse_half_flip(args.flip))
-        else:
-            g, _, _ = gen_half_graph(args.t)
+        pairs = _parse_half_flip(args.flip or "")
+        base, side_a, side_b = gen_half_graph(args.t)
+        g = _flip(base, {"A": side_a, "B": side_b}, pairs, "--flip", "sides A and B")
     elif kind == "kpt":
-        if args.flip:
-            g = gen_layer_flipped_paths(args.k, args.t, _parse_index_pairs(args.flip, "--flip"))
-        else:
-            g, _ = gen_disjoint_paths(args.k, args.t)
+        pairs = _parse_index_pairs(args.flip or "", "--flip")
+        base, layers = gen_disjoint_paths(args.k, args.t)
+        g = _flip(base, dict(enumerate(layers, start=1)), pairs, "--flip", f"layers 1..{args.t}")
     elif kind == "flip":
         base = _read(args.graph, read_graph)
         parts = _read(args.parts, read_partition)
-        order = sorted(parts)
-        index = {k: i for i, k in enumerate(order)}
-        pairs = _parse_index_pairs(args.rel or "", "--rel")
-        missing = sorted({k for pair in pairs for k in pair} - index.keys())
-        if missing:
-            raise ValueError(f"--rel names part {missing[0]}, not in {args.parts}")
-        rel = [(index[i], index[j]) for i, j in pairs]
-        g = apply_flip(base, PartitionFlip.build([parts[k] for k in order], rel))
+        g = _flip(base, parts, _parse_index_pairs(args.rel or "", "--rel"), "--rel", args.parts)
     else:  # sc
         recipe = _load_json(_read(args.recipe, lambda fh: fh.read()), _recipe_node)
         if not isinstance(recipe, SCRecipe):

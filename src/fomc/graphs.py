@@ -16,17 +16,10 @@ Partition files hold one part per line: ``part <k> <id> <id> ...``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral
 from typing import Collection, Iterable, Sequence, TextIO
 
 Edge = tuple[int, int]
-
-
-def _norm_edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValueError(f"loop at vertex {u} is not allowed in a simple graph")
-    return (u, v) if u < v else (v, u)
 
 
 def _require_integer(name: str, value: object) -> None:
@@ -71,6 +64,8 @@ class ColoredGraph:
             if not (1 <= u < v <= n and type(u) is type(v) is int):
                 if not (isinstance(u, Integral) and isinstance(v, Integral)):
                     raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
+                if u == v:
+                    raise ValueError(f"loop at vertex {u} is not allowed in a simple graph")
                 if not 1 <= u < v <= n:
                     raise ValueError(f"bad edge ({u},{v}) on {n} vertices")
 
@@ -88,26 +83,12 @@ class ColoredGraph:
             n=n,
             colors=cols,
             c=palette,
-            edges=frozenset(_norm_edge(u, v) for u, v in edges),
+            edges=frozenset((u, v) if u < v else (v, u) for u, v in edges),
         )
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Neighborhoods, indexed by vertex (slot 0 unused)."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return _norm_edge(u, v) in self.edges
 
     def color_of(self, v: int) -> int:
         return self.colors[v - 1]
@@ -216,25 +197,6 @@ def gen_half_graph(t: int) -> tuple[ColoredGraph, frozenset[int], frozenset[int]
     return g, frozenset(range(1, t + 1)), frozenset(range(t + 1, 2 * t + 1))
 
 
-def gen_flipped_half_graph(
-    t: int, rel: Iterable[tuple[str, str]]
-) -> ColoredGraph:
-    """A flip of the half-graph along its sides.
-
-    ``rel`` lists side pairs from {"A", "B"}, e.g. ``[("A","B")]`` flips
-    all edges between the two sides.
-    """
-    g, side_a, side_b = gen_half_graph(t)
-    index = {"A": 0, "B": 1}
-    pairs = []
-    for x, y in rel:
-        if x not in index or y not in index:
-            raise ValueError(f"unknown side in flip relation: ({x},{y})")
-        pairs.append((index[x], index[y]))
-    flip = PartitionFlip.build([side_a, side_b], pairs)
-    return apply_flip(g, flip)
-
-
 def gen_disjoint_paths(
     k: int, t: int
 ) -> tuple[ColoredGraph, tuple[frozenset[int], ...]]:
@@ -255,22 +217,6 @@ def gen_disjoint_paths(
         frozenset((a - 1) * t + i for a in range(1, k + 1)) for i in range(1, t + 1)
     )
     return g, layers
-
-
-def gen_layer_flipped_paths(
-    k: int, t: int, rel: Iterable[tuple[int, int]]
-) -> ColoredGraph:
-    """Flip ``k`` disjoint paths along their layering.
-
-    ``rel`` holds pairs of 1-based layer indices.
-    """
-    g, layers = gen_disjoint_paths(k, t)
-    pairs = []
-    for i, j in rel:
-        if not (1 <= i <= t and 1 <= j <= t):
-            raise ValueError(f"layer index out of range in ({i},{j})")
-        pairs.append((i - 1, j - 1))
-    return apply_flip(g, PartitionFlip.build(layers, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +376,7 @@ def read_graph(stream: TextIO) -> ColoredGraph:
             raise ValueError(f"line {lineno}: edge endpoint out of range")
         if u == v:
             raise ValueError(f"line {lineno}: loop at vertex {u}")
-        e = _norm_edge(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in edges:
             raise ValueError(f"line {lineno}: duplicate edge {e}")
         edges.add(e)

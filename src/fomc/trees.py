@@ -155,9 +155,6 @@ class RootedColoredTree:
     def color_of(self, v: int) -> int:
         return self.colors[v - 1]
 
-    def depth_of(self, v: int) -> int:
-        return self.depths[v - 1]
-
     def to_graph(self) -> ColoredGraph:
         edges = frozenset(
             [(p, v) if p < v else (v, p) for v, p in enumerate(self.parents, start=1) if p]
@@ -228,10 +225,6 @@ class EliminationForest:
     @property
     def height(self) -> int:
         return max(self.node_depths)
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self.parents[v - 1] == 0)
 
 
 def _edge_ancestry(g: ColoredGraph, ef: EliminationForest) -> Iterator[tuple[int, int] | None]:

@@ -96,6 +96,20 @@ from fomc.trees import (
 )
 
 
+def neighborhoods(g: ColoredGraph) -> list[set[int]]:
+    """The neighbors of each vertex of ``g``, indexed by vertex (slot 0 unused)."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def adjacent(g: ColoredGraph, u: int, v: int) -> bool:
+    """Whether an edge of ``g`` joins ``u`` and ``v``."""
+    return (u, v) in g.edges or (v, u) in g.edges
+
+
 def recursive_model_check(
     g: ColoredGraph, f: Formula, env: dict[Var, int] | None = None
 ) -> bool:
@@ -103,7 +117,7 @@ def recursive_model_check(
     env = env or {}
     match f:
         case Adj(u, v):
-            return g.has_edge(env[u], env[v])
+            return adjacent(g, env[u], env[v])
         case Eq(u, v):
             return env[u] == env[v]
         case HasColor(color, v):
@@ -243,11 +257,12 @@ def distinct_nodes(f) -> int:
 
 
 def bfs_distances(g: ColoredGraph, source: int) -> dict[int, int]:
+    adj = neighborhoods(g)
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.adj[u]:
+        for w in adj[u]:
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -257,7 +272,7 @@ def bfs_distances(g: ColoredGraph, source: int) -> dict[int, int]:
 def treedepth_oracle(g: ColoredGraph) -> int:
     """Minimum elimination-forest height by plain subset recursion."""
 
-    adj = g.adj
+    adj = neighborhoods(g)
 
     @lru_cache(maxsize=None)
     def td(vertices: frozenset[int]) -> int:
@@ -340,7 +355,7 @@ def graphs_isomorphic(a: ColoredGraph, b: ColoredGraph) -> bool:
         mapping = {u: perm[u - 1] for u in a.vertices}
         if any(a.color_of(u) != b.color_of(mapping[u]) for u in a.vertices):
             continue
-        if all(b.has_edge(mapping[u], mapping[v]) for u, v in a.edges):
+        if all(adjacent(b, mapping[u], mapping[v]) for u, v in a.edges):
             return True
     return False
 
@@ -497,7 +512,7 @@ def is_s_partial_isomorphism(
             (x1, y1), (x2, y2) = placed[i], placed[j]
             if (x1 == x2) != (y1 == y2):
                 return False
-            if a.has_edge(x1, x2) != b.has_edge(y1, y2):
+            if adjacent(a, x1, x2) != adjacent(b, y1, y2):
                 return False
     return True
 
@@ -721,7 +736,7 @@ def treemodel_host_and_scheme(
             1 if is_leaf else 0,
             g.color_of(v) if is_leaf else 0,
             t.color_of(v),
-            t.depth_of(v),
+            t.depths[v - 1],
         )
         code[comp] = host.color_of(v)
     palette = sorted(code)
@@ -889,7 +904,7 @@ def pairwise_validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
     for u in g.vertices:
         for v in range(u + 1, g.n + 1):
             got = tm.verdict(t.color_of(u), t.color_of(v), t.distance(u, v))
-            if got != g.has_edge(u, v):
+            if got != adjacent(g, u, v):
                 return False
     return True
 
@@ -898,7 +913,7 @@ def climbing_encode_elimination_forest(
     g: ColoredGraph, ef: EliminationForest
 ) -> RootedColoredTree:
     """``encode_elimination_forest`` with each vertex's adjacency bits
-    found by climbing its ancestor chain and probing ``g.has_edge`` at
+    found by climbing its ancestor chain and probing ``adjacent`` at
     every ancestor. The forest is valid when these probes find every edge
     of ``g``, each from its lower end."""
     if ef.n != g.n:
@@ -910,7 +925,7 @@ def climbing_encode_elimination_forest(
         bits = 0
         anc = ef.parents[v - 1]
         while anc != 0:
-            if g.has_edge(v, anc):
+            if adjacent(g, v, anc):
                 bits |= 1 << (depths[anc - 1] - 1)
                 found += 1
             anc = ef.parents[anc - 1]
@@ -918,7 +933,7 @@ def climbing_encode_elimination_forest(
     if found != len(g.edges):
         raise ValueError("not a valid elimination forest for this graph")
     parents = {v: ef.parents[v - 1] for v in g.vertices}
-    roots = ef.roots
+    roots = [v for v in g.vertices if ef.parents[v - 1] == 0]
     if len(roots) > 1:
         spare = g.n + 1
         for r in roots:
@@ -1125,11 +1140,12 @@ def tree_from_graph(g: ColoredGraph, root: int) -> RootedColoredTree:
         raise ValueError("root out of range")
     if len(g.edges) != g.n - 1:
         raise ValueError("not a tree: wrong edge count")
+    adj = neighborhoods(g)
     parents = {root: 0}
     frontier = [root]
     while frontier:
         u = frontier.pop()
-        for w in g.adj[u]:
+        for w in adj[u]:
             if w not in parents:
                 parents[w] = u
                 frontier.append(w)

@@ -9,14 +9,18 @@ from fomc.evaluator import model_check
 from fomc.formulas import parse_formula, read_formulas, variable_count
 from fomc.graphs import (
     ColoredGraph,
+    PartitionFlip,
     SCCombine,
     SCLeaf,
+    apply_flip,
     build_sc_graph,
-    gen_layer_flipped_paths,
+    gen_disjoint_paths,
+    gen_half_graph,
     gen_path,
     read_graph,
     write_graph,
 )
+from fomc.hardness import CrossCheck
 from fomc.interpret import backwards_translate, complement_interpretation
 from fomc.trees import RootedColoredTree, read_tree, write_tree
 from fomc.trees import TreeModel
@@ -216,6 +220,45 @@ def test_gen_flip_unknown_part_exits_2(workdir, capsys):
     assert err.startswith("fomc: --rel names part 7")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("kpt --k 2 --t 3 --flip 1-4", "--flip names part 4, not in layers 1..3"),
+        ("flip --graph {g} --parts {parts} --rel 1-9,7-1", "--rel names part 9, not in {parts}"),
+    ],
+    ids=["kpt-layer", "flip-first-unknown"],
+)
+def test_gen_refuses_an_unknown_part_label_naming_it_and_its_option(
+    workdir, capsys, args, message
+):
+    tmp, write = workdir
+    paths = {
+        "g": write("g.g", graph_text(gen_path(4))),
+        "parts": write("parts.p", "part 1 1 2\npart 2 3 4\n"),
+    }
+    assert main(["gen", *args.format(**paths).split(), "--out", str(tmp / "o.g")]) == 2
+    assert capsys.readouterr().err == f"fomc: {message.format(**paths)}\n"
+    assert not (tmp / "o.g").exists()
+
+
+def test_gen_flip_without_pairs_still_checks_the_parts(workdir, capsys):
+    tmp, write = workdir
+    gpath = write("g.g", graph_text(gen_path(4)))
+    ppath = write("parts.p", "part 1 1 2\npart 2 3 9\n")
+    assert main(["gen", "flip", "--graph", gpath, "--parts", ppath, "--out", str(tmp / "o.g")]) == 2
+    assert capsys.readouterr().err == "fomc: part vertex 9 outside the graph\n"
+
+
+def test_gen_halfgraph_flip_skips_empty_items(workdir):
+    tmp, write = workdir
+    out = str(tmp / "g.g")
+    assert main(["gen", "halfgraph", "--t", "3", "--flip", "AA,,AB", "--out", out]) == 0
+    g, side_a, side_b = gen_half_graph(3)
+    flip = PartitionFlip.build([side_a, side_b], [(0, 0), (0, 1)])
+    with open(out, encoding="utf-8") as fh:
+        assert read_graph(fh) == apply_flip(g, flip)
+
+
 def test_gen_flip_refuses_a_repeated_vertex_line(workdir, capsys):
     # the second line used to recolor vertex 1 silently
     tmp, write = workdir
@@ -342,6 +385,20 @@ def test_xvalidate_random_tap(workdir, capsys):
     assert out[0] == "# seed 11"
     assert out[1] == "1..5"
     assert all(line.startswith("ok") for line in out[2:])
+
+
+def test_xvalidate_reports_a_disagreement_as_not_ok(workdir, capsys, monkeypatch):
+    tmp, write = workdir
+    corpus = tmp / "corpus"
+    corpus.mkdir()
+    for name in ("a", "b"):
+        (corpus / f"{name}.g").write_text(graph_text(gen_path(3)), encoding="utf-8")
+        (corpus / f"{name}.fo").write_text("exists x1. C1(x1)\n", encoding="utf-8")
+    verdicts = iter([CrossCheck(lhs=True, rhs=True), CrossCheck(lhs=True, rhs=False)])
+    monkeypatch.setattr("fomc.cli.cross_validate", lambda g, phi: next(verdicts))
+    assert main(["xvalidate", "--dir", str(corpus)]) == 1
+    tap = capsys.readouterr().out.splitlines()
+    assert tap == ["1..2", "ok 1 - a", "not ok 2 - b lhs=True rhs=False"]
 
 
 @pytest.mark.parametrize(
@@ -535,7 +592,8 @@ def test_gen_kpt_flip_matches_the_generator(workdir, capsys):
     out = str(tmp / "g.g")
     assert main(["gen", "kpt", "--k", "3", "--t", "4", "--flip", "1-1, 2-4,", "--out", out]) == 0
     with open(out, encoding="utf-8") as fh:
-        assert read_graph(fh) == gen_layer_flipped_paths(3, 4, [(1, 1), (2, 4)])
+        g, layers = gen_disjoint_paths(3, 4)
+        assert read_graph(fh) == apply_flip(g, PartitionFlip.build(layers, [(0, 0), (1, 3)]))
     args = ["gen", "kpt", "--k", "2", "--t", "3", "--flip", "\u0661-\u0662", "--out", out]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("fomc: --flip: expected a natural number")

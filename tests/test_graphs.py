@@ -17,9 +17,7 @@ from fomc.graphs import (
     apply_flip,
     build_sc_graph,
     gen_disjoint_paths,
-    gen_flipped_half_graph,
     gen_half_graph,
-    gen_layer_flipped_paths,
     gen_path,
     read_graph,
     read_partition,
@@ -27,15 +25,15 @@ from fomc.graphs import (
 )
 from fomc.randgen import random_graph
 
-from .oracles import graphs_isomorphic
+from .oracles import adjacent, graphs_isomorphic, neighborhoods
 
-#: All eight symmetric relations on the two half-graph sides, in binary
-#: order over the pair set {(A,A), (A,B), (B,B)}. None is singled out as
-#: canonical.
-ALL_HALF_GRAPH_FLIP_RELATIONS: tuple[frozenset[tuple[str, str]], ...] = tuple(
+#: All eight symmetric relations on the two half-graph sides, A as part 0
+#: and B as part 1, in binary order over the pair set {(A,A), (A,B), (B,B)}.
+#: None is singled out as canonical.
+ALL_HALF_GRAPH_FLIP_RELATIONS: tuple[frozenset[tuple[int, int]], ...] = tuple(
     frozenset(combo)
     for size in range(4)
-    for combo in itertools.combinations((("A", "A"), ("A", "B"), ("B", "B")), size)
+    for combo in itertools.combinations(((0, 0), (0, 1), (1, 1)), size)
 )
 
 
@@ -57,7 +55,8 @@ def test_gen_path():
     assert k2.edges == {(1, 2)}
     p5 = gen_path(5)
     assert len(p5.edges) == 4
-    assert sum(1 for v in p5.vertices if len(p5.adj[v]) == 1) == 2
+    adj = neighborhoods(p5)
+    assert sum(1 for v in p5.vertices if len(adj[v]) == 1) == 2
     with pytest.raises(ValueError):
         gen_path(0)
 
@@ -94,9 +93,9 @@ def test_half_graph_edge_count_formula():
 
 def test_flipped_half_graph():
     t = 3
-    base, side_a, _ = gen_half_graph(t)
-    assert gen_flipped_half_graph(t, []) == base
-    within_a = gen_flipped_half_graph(t, [("A", "A")])
+    base, side_a, side_b = gen_half_graph(t)
+    assert apply_flip(base, PartitionFlip.build([side_a, side_b], [])) == base
+    within_a = apply_flip(base, PartitionFlip.build([side_a, side_b], [(0, 0)]))
     expected = set(base.edges) | set(
         itertools.combinations(sorted(side_a), 2)
     )
@@ -105,7 +104,8 @@ def test_flipped_half_graph():
 
 def test_flipped_half_graph_hand_xor_table():
     # order 2, flip everything: complement within and between the sides
-    g = gen_flipped_half_graph(2, [("A", "A"), ("B", "B"), ("A", "B")])
+    base, side_a, side_b = gen_half_graph(2)
+    g = apply_flip(base, PartitionFlip.build([side_a, side_b], [(0, 0), (1, 1), (0, 1)]))
     base_edges = {(1, 3), (1, 4), (2, 4)}
     all_pairs = set(itertools.combinations(range(1, 5), 2))
     assert g.edges == frozenset(all_pairs - base_edges)
@@ -113,8 +113,9 @@ def test_flipped_half_graph_hand_xor_table():
 
 def test_all_half_graph_flips_enumerated():
     assert len(ALL_HALF_GRAPH_FLIP_RELATIONS) == 8
+    base, side_a, side_b = gen_half_graph(3)
     seen = {
-        frozenset(gen_flipped_half_graph(3, rel).edges)
+        apply_flip(base, PartitionFlip.build([side_a, side_b], rel)).edges
         for rel in ALL_HALF_GRAPH_FLIP_RELATIONS
     }
     assert len(seen) == 8
@@ -139,9 +140,9 @@ def test_disjoint_paths_edge_count():
 
 
 def test_layer_flipped_paths():
-    base, _ = gen_disjoint_paths(2, 2)
-    assert gen_layer_flipped_paths(2, 2, []) == base
-    flipped = gen_layer_flipped_paths(2, 2, [(1, 1)])
+    base, layers = gen_disjoint_paths(2, 2)
+    assert apply_flip(base, PartitionFlip.build(layers, [])) == base
+    flipped = apply_flip(base, PartitionFlip.build(layers, [(0, 0)]))
     # layer 1 holds vertices 1 and 3: the flip adds that edge
     assert flipped.edges == base.edges | {(1, 3)}
 
@@ -228,7 +229,7 @@ def test_flip_on_half_graph_between_sides():
     # a_i b_j adjacent exactly when i > j after the flip
     for i in range(1, t + 1):
         for j in range(1, t + 1):
-            assert flipped.has_edge(i, t + j) == (i > j)
+            assert adjacent(flipped, i, t + j) == (i > j)
 
 
 def test_overlapping_parts_rejected():
@@ -451,17 +452,28 @@ def test_partition_file_numbers_are_ascii_naturals():
             "part vertex 3 outside the graph",
         ),
         (lambda: gen_half_graph(0), "order must be positive"),
-        (lambda: gen_flipped_half_graph(2, [("A", "C")]), "unknown side in flip relation: (A,C)"),
         (lambda: gen_disjoint_paths(0, 3), "both path count and path length must be positive"),
-        (lambda: gen_layer_flipped_paths(2, 3, [(1, 4)]), "layer index out of range in (1,4)"),
         (
             lambda: SCCombine(children=(), flip_names=frozenset()),
             "combine needs at least one child",
         ),
+        (
+            lambda: ColoredGraph.build(2, [(1, 1)]),
+            "loop at vertex 1 is not allowed in a simple graph",
+        ),
+        (
+            lambda: ColoredGraph(n=3, colors=(1, 1, 1), c=1, edges=frozenset({(2, 2)})),
+            "loop at vertex 2 is not allowed in a simple graph",
+        ),
+        (
+            lambda: ColoredGraph.build(3, [(1.0, 1.0)]),
+            "edge (1.0,1.0) has an endpoint that is not an integer",
+        ),
     ],
     ids=[
         "palette-0", "colors-short", "flip-unknown-part", "flip-pair-order", "flip-vertex-outside",
-        "half-graph-0", "half-graph-side", "paths-0", "paths-layer", "combine-empty",
+        "half-graph-0", "paths-0", "combine-empty", "loop-build", "loop-constructor",
+        "loop-non-integer",
     ],
 )
 def test_the_graph_api_refuses_malformed_arguments(make, message):

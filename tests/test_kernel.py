@@ -78,6 +78,8 @@ def test_bound_capped():
     for args in ((3, 2, 4), (3, 3, 3)):
         capped, is_exact = kernel_size_bound_capped(*args)
         assert not is_exact and capped == BOUND_CAP
+    # a power small enough to compute, times a budget of 201 bits, is over the cap
+    assert kernel_size_bound_capped(2**200, 1, 1) == (BOUND_CAP, False)
 
 
 def test_an_exact_bound_above_4096_bits_is_refused():

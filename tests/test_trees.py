@@ -55,7 +55,7 @@ def test_tree_basics():
     assert partial.colors == (1, 1, 2) and partial.c == 2
     chain = RootedColoredTree.build({1: 0, 2: 1, 3: 2})
     assert chain.depth == 2
-    assert chain.depth_of(3) == 2
+    assert chain.depths[3 - 1] == 2
     assert chain.distance(1, 3) == chain.distance(3, 1) == 2
     assert chain.distance(2, 3) == 1
     assert chain.distance(2, 2) == 0
