@@ -452,6 +452,11 @@ def test_partition_file_numbers_are_ascii_naturals():
             "part vertex 3 outside the graph",
         ),
         (lambda: gen_half_graph(0), "order must be positive"),
+        (
+            # a third side beside the half-graph's two, A as part 0 and B as part 1
+            lambda: PartitionFlip.build(gen_half_graph(2)[1:], [(0, 2)]),
+            "flip relation mentions unknown part (0,2)",
+        ),
         (lambda: gen_disjoint_paths(0, 3), "both path count and path length must be positive"),
         (
             lambda: SCCombine(children=(), flip_names=frozenset()),
@@ -472,7 +477,7 @@ def test_partition_file_numbers_are_ascii_naturals():
     ],
     ids=[
         "palette-0", "colors-short", "flip-unknown-part", "flip-pair-order", "flip-vertex-outside",
-        "half-graph-0", "paths-0", "combine-empty", "loop-build", "loop-constructor",
+        "half-graph-0", "half-graph-side", "paths-0", "combine-empty", "loop-build", "loop-constructor",
         "loop-non-integer",
     ],
 )
