@@ -35,7 +35,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .formulas import (
     Var,
     require_sentence,
 )
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, _edge_ends
 from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +104,9 @@ def _adjacency(g: ColoredGraph) -> np.ndarray:
     n = g.n
     _require_cells(n, 2)
     cells = np.zeros((n, n), dtype=bool)
-    edges = g.edges
-    if edges:
-        ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)) - 1
-        u, v = ends[0::2], ends[1::2]
-        cells[u, v] = cells[v, u] = True
+    ends = _edge_ends(g) - 1
+    u, v = ends[0::2], ends[1::2]
+    cells[u, v] = cells[v, u] = True
     return cells
 
 

@@ -16,8 +16,11 @@ Partition files hold one part per line: ``part <k> <id> <id> ...``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral
 from typing import Collection, Iterable, Sequence, TextIO
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -27,6 +30,21 @@ def _require_integer(name: str, value: object) -> None:
     an int passes without the slower ``Integral`` check."""
     if type(value) is not int and not isinstance(value, Integral):
         raise ValueError(f"{name} {value!r} is not an integer")
+
+
+def _require_ids(name: str, ids: Collection[int]) -> None:
+    """Refuse the first of ``ids`` that is not an integer; a sum of ints
+    is an int, so the loop runs only to name the fault."""
+    if type(sum(ids)) is not int:
+        for v in ids:
+            _require_integer(name, v)
+
+
+def _inferred_palette(colors: Sequence[int]) -> int:
+    """The palette of ``colors`` when none is given: their largest, or 1 when
+    that is not a positive integer, so ``_require_palette`` names the vertex."""
+    top = max(colors, default=1)
+    return top if isinstance(top, Integral) and top >= 1 else 1
 
 
 def _require_palette(colors: Sequence[int], c: int) -> None:
@@ -78,7 +96,7 @@ class ColoredGraph:
     ) -> "ColoredGraph":
         _require_integer("vertex count", n)
         cols = tuple(colors) if colors is not None else (1,) * n
-        palette = c if c is not None else max(cols, default=1)
+        palette = c if c is not None else _inferred_palette(cols)
         return ColoredGraph(
             n=n,
             colors=cols,
@@ -97,6 +115,7 @@ class ColoredGraph:
         """The subgraph induced on ``vertices``, relabeled to 1..m in
         ascending id order; colors and the palette ``c`` are kept."""
         kept = sorted(set(vertices))
+        _require_ids("vertex", kept)
         if not kept:
             raise ValueError("an induced subgraph needs at least one vertex")
         if not (1 <= kept[0] and kept[-1] <= self.n):
@@ -112,6 +131,11 @@ class ColoredGraph:
                 if u in relabel and v in relabel
             ),
         )
+
+
+def _edge_ends(g: ColoredGraph) -> np.ndarray:
+    """The 1-based ends of the edges of ``g``, flat: edge i is (ends[2i], ends[2i + 1])."""
+    return np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +203,7 @@ def apply_flip(g: ColoredGraph, flip: PartitionFlip) -> ColoredGraph:
 
 def gen_path(n: int) -> ColoredGraph:
     """The path ``1 - 2 - ... - n``, all vertices colored 1."""
+    _require_integer("vertex count", n)
     if n < 1:
         raise ValueError("a path needs at least one vertex")
     return ColoredGraph.build(n, ((i, i + 1) for i in range(1, n)))
@@ -190,6 +215,7 @@ def gen_half_graph(t: int) -> tuple[ColoredGraph, frozenset[int], frozenset[int]
     Side A is ``1..t``, side B is ``t+1..2t``; ``a_i`` and ``b_j`` are
     adjacent exactly when ``i <= j``.
     """
+    _require_integer("order", t)
     if t < 1:
         raise ValueError("order must be positive")
     edges = [(i, t + j) for i in range(1, t + 1) for j in range(i, t + 1)]
@@ -205,6 +231,8 @@ def gen_disjoint_paths(
     Path ``a`` occupies vertices ``(a-1)*t+1 .. a*t``; layer ``i`` holds
     the i-th vertex of every path.
     """
+    _require_integer("path count", k)
+    _require_integer("path length", t)
     if k < 1 or t < 1:
         raise ValueError("both path count and path length must be positive")
     edges = [

@@ -55,7 +55,7 @@ from .formulas import (
     rebuild,
     require_sentence,
 )
-from .graphs import ColoredGraph, gen_path
+from .graphs import ColoredGraph, _require_integer, gen_path
 
 
 def distance_formula(
@@ -71,6 +71,7 @@ def distance_formula(
     to the left; the name two steps back is the one reused, and ``a`` is
     bound outermost.
     """
+    _require_integer("distance", k)
     if k < 0:
         raise ValueError("distance must be nonnegative")
     if k == 0:

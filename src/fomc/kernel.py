@@ -19,8 +19,9 @@ as if the root's neighbors carried a palette doubled by marking, hence
 the c+1 and 2c. The value explodes for k >= 3, so results carry a
 saturated bound (capped at BOUND_CAP) together with an exactness flag.
 
-Determinism: vertices are bucketed by level and visited level by level,
-deepest first, each level in ascending id order. Class ids are interned
+Determinism: one pass over the vertices in ascending id order buckets
+them by level and lists each parent's children, so every list is in id
+order. Levels are visited deepest first. Class ids are interned
 Aho-Hopcroft-Ullman style from (color, class ids of the kept children)
 in that visiting order, so they depend only on the tree, and a vertex's
 children are ordered by (class id of the reduced subtree, vertex id).
@@ -115,10 +116,15 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     _require_integer("variable budget", s)
     if s < 1:
         raise ValueError("the variable budget must be positive")
-    depths, colors, children = t.depths, t.colors, t.children
-    levels: list[list[int]] = [[] for _ in range(t.depth + 1)]
-    for v, level in enumerate(depths, start=1):
+    colors = t.colors
+    levels: list[list[int]] = [[] for _ in range(max(t.depths) + 1)]
+    children: dict[int, list[int]] = {}  # only parents get a list, ids ascending
+    for v, (level, p) in enumerate(zip(t.depths, t.parents), start=1):
         levels[level].append(v)
+        if p in children:
+            children[p].append(v)
+        else:
+            children[p] = [v]
     # AHU class ids: equal ids exactly for isomorphic reduced subtrees
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
     class_of = [0] * (t.n + 1)
@@ -127,8 +133,8 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     for level in reversed(range(len(levels))):
         distinct = 0  # child classes seen across this level
         for v in levels[level]:
-            kids = children[v]
-            if not kids:
+            kids = children.get(v)
+            if kids is None:
                 class_of[v] = ids.setdefault((colors[v - 1], ()), len(ids))
                 continue
             kept, kept_classes, last, copies = [], [], -1, 0
@@ -148,7 +154,7 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     kept_all = [t.root]
     for v in kept_all:  # grows as it is walked: each kept vertex brings its kept children
         kept_all.extend(kept_kids[v])
-    bound, exact = kernel_size_bound_capped(s, t.depth, t.c)
+    bound, exact = kernel_size_bound_capped(s, len(levels) - 1, t.c)
     return KernelResult(
         tree=t,
         kept=frozenset(kept_all),
@@ -168,9 +174,7 @@ def verify_kernel(
 
     Structural checks first (the result is a reduction of ``t``, its kept
     set contains the root, and it honors the size bound), then
-    ``fo_s_equivalent`` decides FO^s equivalence of original and kernel:
-    it refines both graphs' s-tuple types together and answers False at
-    the first round in which the two realise different context sets.
+    ``fo_s_equivalent`` decides FO^s equivalence of original and kernel.
     """
     if result.tree != t or t.root not in result.kept:
         return False

@@ -42,6 +42,7 @@ s variables exactly when their all-blank tuples end in one class
 (Immerman & Lander 1990). Round r keeps two tuples together exactly when
 the s-pebble game from that pair of positions survives r rounds.
 
+Each answer reads the rounds of ``_refine`` with its own stopping rule.
 ``fo_s_equivalent`` answers False at the first round in which one graph
 realises a context set that the other does not. Every tuple with that
 context has a next-round type realised in that graph alone, and the
@@ -63,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ColoredGraph, _require_integer
+from .graphs import ColoredGraph, _edge_ends, _require_integer
 
 #: Refuse instances that would store more tuples (or table cells) than this.
 DEFAULT_POSITION_CAP = 10_000_000
@@ -161,7 +162,8 @@ def _atomic_columns(graphs, sides: list[int], s: int):
         return  # no slot pairs, whose (n+1) x (n+1) tables may outgrow the tuples
     pairs = [np.eye(m, dtype=np.int8) * 2 for m in sides]  # equal, never adjacent
     for g, table in zip(graphs, pairs):
-        u, v = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp).reshape(-1, 2).T
+        ends = _edge_ends(g)
+        u, v = ends[0::2], ends[1::2]
         table[u, v] = table[v, u] = 1
     for i, j in itertools.combinations(range(s), 2):
         # a table over slots 0 and j, spread with slots 0 and i swapped
@@ -240,26 +242,13 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
         types = _pack(itertools.chain([atomic], _slot_sets(sets, nsets, sides, s)))[0]
 
 
-def _run_game(
-    a: ColoredGraph, b: ColoredGraph, s: int, cap: int, *, first_separation: bool = False
-) -> tuple[bool, int | None]:
-    """(the s-pebble game's start position survives, the round in which
-    it dies), read off the refinement of both graphs' context sets. Round
-    r's set ids give round r + 1's types, so the all-blank tuples split in
-    round r + 1 when their contexts' sets differ in round r.
-
-    With ``first_separation`` the verdict is the same, but the round
-    reported is one more than the first round in which the two graphs
-    realise different context sets: the first round with a type realised
-    in one graph alone, which may come before the start position dies."""
+def _run_game(a: ColoredGraph, b: ColoredGraph, s: int, cap: int) -> tuple[bool, int | None]:
+    """(the s-pebble game's start position survives, one more than the
+    first round in which the two graphs realise different context sets)."""
     for rounds, (sets, nsets) in enumerate(_refine([a, b], s, cap), start=1):
-        if first_separation:
-            seen = np.zeros((2, nsets), bool)
-            seen[0, sets[0]] = seen[1, sets[1]] = True
-            apart = (seen[0] != seen[1]).any()
-        else:
-            apart = sets[0][0] != sets[1][0]
-        if apart:
+        seen = np.zeros((2, nsets), bool)
+        seen[0, sets[0]] = seen[1, sets[1]] = True
+        if (seen[0] != seen[1]).any():
             return False, rounds
     return True, None
 
@@ -270,7 +259,7 @@ def fo_s_equivalent(
     """Whether ``a`` and ``b`` satisfy the same sentences with at most
     ``s`` distinct variables."""
     _require_pebbles(s, cap)
-    return a == b or _run_game(a, b, s, cap, first_separation=True)[0]
+    return a == b or _run_game(a, b, s, cap)[0]
 
 
 def spoiler_distance(
@@ -280,10 +269,11 @@ def spoiler_distance(
     when the graphs are equivalent. This is the number of rounds in which
     the spoiler wins the s-pebble game."""
     _require_pebbles(s, cap)
-    if a == b:
-        return None
-    alive, death_round = _run_game(a, b, s, cap)
-    return None if alive else death_round
+    if a != b:
+        for rounds, (sets, _) in enumerate(_refine([a, b], s, cap), start=1):
+            if sets[0][0] != sets[1][0]:
+                return rounds
+    return None
 
 
 def type_census(

@@ -35,7 +35,9 @@ from typing import Collection, Iterable, Iterator, TextIO
 from .graphs import (
     ColoredGraph,
     _by_vertex,
+    _inferred_palette,
     _records,
+    _require_ids,
     _require_integer,
     _require_palette,
     _sized_header,
@@ -121,7 +123,7 @@ class RootedColoredTree:
             root=links.index(0) + 1 if 0 in links else 0,
             parents=links,
             colors=cols,
-            c=c if c is not None else max(cols, default=1),
+            c=c if c is not None else _inferred_palette(cols),
         )
 
     @cached_property
@@ -132,21 +134,6 @@ class RootedColoredTree:
     @property
     def depth(self) -> int:
         return max(self.depths)
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Children lists indexed by vertex (slot 0 unused), ids ascending."""
-        kids: dict[int, list[int]] = {}  # only parents get a list
-        for v, p in enumerate(self.parents, start=1):
-            if p in kids:
-                kids[p].append(v)
-            else:
-                kids[p] = [v]
-        slots: list[tuple[int, ...]] = [()] * (self.n + 1)
-        for p, vs in kids.items():
-            slots[p] = tuple(vs)
-        slots[0] = ()  # it held the root
-        return tuple(slots)
 
     @cached_property
     def leaves(self) -> frozenset[int]:
@@ -165,6 +152,7 @@ class RootedColoredTree:
         """Edges on the tree path between ``u`` and ``v``, counted while
         climbing from the deeper of the two until they meet."""
         for w in (u, v):
+            _require_integer("vertex", w)
             if not 1 <= w <= self.n:
                 raise ValueError(f"vertex {w} is not in 1..{self.n}")
         depths, parents = self.depths, self.parents
@@ -184,6 +172,7 @@ def restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTre
     taking parents.
     """
     ids = sorted(set(kept))
+    _require_ids("kept id", ids)
     if t.root not in ids:
         raise ValueError("the kept set must contain the root")
     for v in (ids[0], ids[-1]):

@@ -306,15 +306,25 @@ def _components(vertices: frozenset[int], adj) -> list[frozenset[int]]:
     return out
 
 
+def children(t: RootedColoredTree) -> tuple[tuple[int, ...], ...]:
+    """Children lists indexed by vertex (slot 0 unused), ids ascending."""
+    kids: list[list[int]] = [[] for _ in range(t.n + 1)]
+    for v, p in enumerate(t.parents, start=1):
+        if p:
+            kids[p].append(v)
+    return tuple(map(tuple, kids))
+
+
 def rooted_trees_isomorphic(a: RootedColoredTree, b: RootedColoredTree) -> bool:
     """Color-preserving rooted isomorphism by backtracking on children."""
     if a.n != b.n:
         return False
+    below_a, below_b = children(a), children(b)
 
     def match(u: int, v: int) -> bool:
         if a.color_of(u) != b.color_of(v):
             return False
-        ka, kb = a.children[u], b.children[v]
+        ka, kb = below_a[u], below_b[v]
         if len(ka) != len(kb):
             return False
         return _match_children(list(ka), list(kb), match)
@@ -336,11 +346,11 @@ def canonical_code(t: RootedColoredTree) -> bytes:
     """Canonical form: equal codes exactly for color-preserving rooted
     isomorphs. The code of a vertex is its color followed by the sorted
     codes of its children."""
-    return _code_below(t, t.root)
+    return _code_below(t, children(t), t.root)
 
 
-def _code_below(t: RootedColoredTree, v: int) -> bytes:
-    kids = sorted(_code_below(t, w) for w in t.children[v])
+def _code_below(t: RootedColoredTree, below: tuple[tuple[int, ...], ...], v: int) -> bytes:
+    kids = sorted(_code_below(t, below, w) for w in below[v])
     return b"(%d:" % t.color_of(v) + b"".join(kids) + b")"
 
 
@@ -976,14 +986,14 @@ def sorting_reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
     class_of = [0] * (t.n + 1)
     kept_kids: list[list[int]] = [[] for _ in range(t.n + 1)]
-    depths, colors, children = t.depths, t.colors, t.children
+    depths, colors, below = t.depths, t.colors, children(t)
     deepest_first = sorted(
         range(1, t.n + 1), key=lambda v: depths[v - 1], reverse=True
     )
     for v in deepest_first:
         copies: dict[int, int] = {}
         kept = kept_kids[v]
-        for cls, w in sorted([(class_of[w], w) for w in children[v]]):
+        for cls, w in sorted([(class_of[w], w) for w in below[v]]):
             seen = copies.get(cls, 0)
             copies[cls] = seen + 1
             if seen < s:

@@ -474,11 +474,22 @@ def test_partition_file_numbers_are_ascii_naturals():
             lambda: ColoredGraph.build(3, [(1.0, 1.0)]),
             "edge (1.0,1.0) has an endpoint that is not an integer",
         ),
+        # an inferred palette used to hide the colour at fault behind
+        # "color count must be positive" or "color count 1.5 is not an integer"
+        (lambda: ColoredGraph.build(1, [], [0]), "vertex 1 has color 0 outside 1..1"),
+        (lambda: ColoredGraph.build(2, [], [1, 1.5]), "vertex 2 has color 1.5, not an integer"),
+        (lambda: build_sc_graph(SCLeaf("a", color=0)), "vertex 1 has color 0 outside 1..1"),
+        # each used to escape as a TypeError
+        (lambda: gen_path(3).induced_subgraph([1.5, 2]), "vertex 1.5 is not an integer"),
+        (lambda: gen_path(2.5), "vertex count 2.5 is not an integer"),
+        (lambda: gen_half_graph(2.5), "order 2.5 is not an integer"),
+        (lambda: gen_disjoint_paths(2, 1.5), "path length 1.5 is not an integer"),
     ],
     ids=[
         "palette-0", "colors-short", "flip-unknown-part", "flip-pair-order", "flip-vertex-outside",
         "half-graph-0", "half-graph-side", "paths-0", "combine-empty", "loop-build", "loop-constructor",
-        "loop-non-integer",
+        "loop-non-integer", "inferred-color-0", "inferred-color-1.5", "recipe-color-0",
+        "induced-non-integer", "path-non-integer", "half-graph-non-integer", "paths-non-integer",
     ],
 )
 def test_the_graph_api_refuses_malformed_arguments(make, message):

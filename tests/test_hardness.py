@@ -57,6 +57,12 @@ def test_a_negative_distance_is_refused():
         distance_formula(-1)
 
 
+def test_a_distance_that_is_not_an_integer_is_refused():
+    # it used to escape as a TypeError
+    with pytest.raises(ValueError, match=r"^distance 1\.5 is not an integer$"):
+        distance_formula(1.5)
+
+
 def test_distance_step_shape():
     # one step: adj(a,b) & exists d. (!a=d & adj(b,d) & <next step>), with
     # the window (a, b, d) moving to (b, d, a)

@@ -20,6 +20,7 @@ from fomc.trees import RootedColoredTree, TreeModel, compute_elimination_forest,
 from .oracles import (
     all_colored_rooted_trees,
     canonical_code,
+    children,
     dict_restrict_tree,
     random_tree,
     rooted_trees_isomorphic,
@@ -381,9 +382,10 @@ def test_exhaustive_small_corpus_class_multiplicity():
     for t in all_colored_rooted_trees(6, 3, 2):
         for s in (1, 2):
             core = reduce_tree(t, s).kernel
+            below = children(core)
             for v in range(1, core.n + 1):
                 codes = {}
-                for w in core.children[v]:
+                for w in below[v]:
                     code = canonical_code(restrict_subtree(core, w))
                     codes[code] = codes.get(code, 0) + 1
                 assert all(cnt <= s for cnt in codes.values())
@@ -392,9 +394,10 @@ def test_exhaustive_small_corpus_class_multiplicity():
 def restrict_subtree(t: RootedColoredTree, v: int) -> RootedColoredTree:
     sub = {v}
     stack = [v]
+    below = children(t)
     while stack:
         u = stack.pop()
-        for w in t.children[u]:
+        for w in below[u]:
             sub.add(w)
             stack.append(w)
     parents = {u: (t.parents[u - 1] if u != v else 0) for u in sub}

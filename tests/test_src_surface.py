@@ -13,21 +13,24 @@ helpers that only tests use belong in ``tests/``.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 import fomc
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fomc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fomc"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+#: The benchmark's tracer (perfbench/spans.py) wraps these by name in
+#: their defining modules, so they stay until the benchmark reads a
+#: stats object instead of patching functions.
+TRACED = {"substitute_edge_atoms", "depth_edge_interpretation"}
+
 #: Names kept although nothing in the package calls them.
-ALLOWED = {
-    # The benchmark's tracer (perfbench/spans.py) wraps these by name in
-    # their defining modules, so they stay until the benchmark reads a
-    # stats object instead of patching functions.
-    "substitute_edge_atoms",
-    "depth_edge_interpretation",
+ALLOWED = TRACED | {
     # Public and documented in the README: the extra variables a scheme's
     # translation needs, read off its formulas; the tests check it
     # against the closed forms that the pipelines use instead.
@@ -87,3 +90,16 @@ def test_allow_list_holds_only_functions_without_a_caller():
     unused = unreferenced_definitions(set(fomc.__all__))
     assert {name.rsplit(".", 1)[1] for name in unused} == ALLOWED
 
+
+def test_every_function_the_tracer_wraps_is_defined():
+    # a missing name used to show only as a benchmark subprocess failing
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in spans.TARGETS
+        if not callable(getattr(importlib.import_module(f"fomc.{module}"), name, None))
+    ]
+    assert not missing, "the tracer wraps undefined names: " + ", ".join(missing)
+    assert TRACED <= {name for _, name, _ in spans.TARGETS}

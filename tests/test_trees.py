@@ -28,6 +28,7 @@ from fomc.randgen import random_graph
 
 from .oracles import (
     bfs_distances,
+    children,
     climbing_depths_in_vertices,
     dict_restrict_tree,
     pairwise_validate_tree_model,
@@ -50,7 +51,7 @@ def test_tree_basics():
     t = star(3)
     assert t.depth == 1
     assert t.leaves == {2, 3, 4}
-    assert t.children[1] == (2, 3, 4)
+    assert children(t)[1] == (2, 3, 4)
     partial = RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {3: 2})
     assert partial.colors == (1, 1, 2) and partial.c == 2
     chain = RootedColoredTree.build({1: 0, 2: 1, 3: 2})
@@ -334,10 +335,12 @@ def test_a_non_integer_is_refused_naming_its_vertex_or_edge(make, message):
             "vertex count 2.0",
         ),
         (lambda: EliminationForest(n=2.0, parents=(0, 1)), "vertex count 2.0"),
+        (lambda: restrict_tree(star(2), [1, 2.5]), "kept id 2.5"),
+        (lambda: star(2).distance(1.5, 2), "vertex 1.5"),
     ],
     ids=[
         "graph-palette", "tree-palette", "graph-nan-palette", "graph-n", "graph-build-n",
-        "tree-n", "forest-n",
+        "tree-n", "forest-n", "restrict-id", "distance-id",
     ],
 )
 def test_a_count_that_is_not_an_integer_is_refused(make, message):
@@ -346,6 +349,12 @@ def test_a_count_that_is_not_an_integer_is_refused(make, message):
     # build escaped with a TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
         make()
+
+
+def test_an_inferred_palette_names_the_vertex_whose_color_is_at_fault():
+    # it used to say "color count must be positive"
+    with pytest.raises(ValueError, match=r"^vertex 1 has color 0 outside 1\.\.1$"):
+        RootedColoredTree.build({1: 0}, {1: 0})
 
 
 def test_restrict_tree_refuses_ids_outside_the_tree():
@@ -393,7 +402,7 @@ def test_restrict_tree():
     t = star(4)
     sub = restrict_tree(t, {1, 3, 5})
     assert sub.n == 3
-    assert sub.children[1] == (2, 3)
+    assert children(sub)[1] == (2, 3)
     with pytest.raises(ValueError):
         restrict_tree(t, {2, 3})  # root missing
 
