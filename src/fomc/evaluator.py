@@ -14,9 +14,12 @@ of nodes to expand and ``(node, child count)`` frames, each under a
 private marker; when a frame comes back up, its children's tables top the
 table stack. Nodes are interned, so an identity memo stores one table per
 distinct subformula, and ``EvalStats`` counts each once. The adjacency and
-identity matrices and the colour array are built once per call, when an
-atom first needs them. A table above ``pebble.DEFAULT_POSITION_CAP`` cells
-is refused with ``ResourceLimitError`` before it is allocated.
+identity matrices, the colour array, each colour value's vector and the
+vectors of ``x=x`` and ``adj(x,x)`` are built once per call, when an atom
+first needs them; no table is written after it is built, so atoms share
+them. The adjacency matrix is filled from the graph's stored edge arrays.
+A table above ``pebble.DEFAULT_POSITION_CAP`` cells is refused with
+``ResourceLimitError`` before it is allocated.
 
 The root table's variables are the formula's free variables, so
 ``model_check`` reads sentence-ness off the evaluation instead of walking
@@ -52,7 +55,7 @@ from .formulas import (
     Var,
     require_sentence,
 )
-from .graphs import ColoredGraph, _edge_ends
+from .graphs import ColoredGraph
 from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +103,13 @@ _LEAVE = object()
 
 
 def _adjacency(g: ColoredGraph) -> np.ndarray:
-    """The n x n adjacency table of ``g``, refused above the cell cap."""
+    """The n x n adjacency table of ``g``, refused above the cell cap: a
+    view that leaves out row and column 0 of a table indexed by vertex id."""
     n = g.n
     _require_cells(n, 2)
-    cells = np.zeros((n, n), dtype=bool)
-    ends = _edge_ends(g) - 1
-    u, v = ends[0::2], ends[1::2]
-    cells[u, v] = cells[v, u] = True
-    return cells
+    cells = np.zeros((n + 1, n + 1), dtype=bool)
+    cells[g.edge_lo, g.edge_hi] = cells[g.edge_hi, g.edge_lo] = True
+    return cells[1:, 1:]
 
 
 def evaluate_free_with_stats(
@@ -115,6 +117,7 @@ def evaluate_free_with_stats(
 ) -> tuple[SatisfyingSet, EvalStats]:
     n = g.n
     adjacency = identity = colors = None
+    vectors: dict = {}  # one-variable atom tables, by colour value, or by Eq / Adj for x=x / adj(x,x)
     stored = 0
     memo: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
     tables: list[tuple[tuple[int, ...], np.ndarray]] = []
@@ -162,13 +165,19 @@ def evaluate_free_with_stats(
                 todo += (node, 1, _LEAVE, node.child if kind is Not else node.body)
                 continue
             if kind is HasColor:
-                if colors is None:  # int64, uint64 or object: every colour exact
-                    colors = np.asarray(g.colors)
-                axes, cells = (node.v.index,), np.equal(colors, node.color)
+                cells = vectors.get(node.color)
+                if cells is None:
+                    if colors is None:  # int64, uint64 or object: every colour exact
+                        colors = np.asarray(g.colors)
+                    cells = vectors[node.color] = np.equal(colors, node.color)
+                axes = (node.v.index,)
             elif kind is Adj or kind is Eq:
                 u, v = node.u.index, node.v.index
                 if u == v:
-                    axes, cells = (u,), np.full(n, kind is Eq)
+                    cells = vectors.get(kind)
+                    if cells is None:
+                        cells = vectors[kind] = np.full(n, kind is Eq)
+                    axes = (u,)
                 elif kind is Adj:
                     if adjacency is None:
                         adjacency = _adjacency(g)

@@ -3,6 +3,17 @@
 Vertices are the dense 1-based integers ``1..n``. Every vertex carries a
 color from ``1..c``. Graphs are simple: no loops, no multi-edges.
 
+A ``ColoredGraph`` stores its edges once, when it is built, as two
+read-only ``np.intp`` arrays ``edge_lo < edge_hi``, sorted by (lo, hi)
+with no repeats: 16 bytes per edge. Every reader in the package uses them:
+the evaluator and the pebble game index tables with them, the tree
+checks gather over them, and ``to_graph`` and ``induced_subgraph`` build
+them without going through Python tuples. The checks on given edges run
+over all of them at once; a per-edge loop runs only to name a fault.
+``edges``, a frozenset of (lo, hi) tuples, is a view for callers that want
+a set: it is built on first read and kept, at about 0.1–0.4 µs and 80–150
+bytes per edge (2 cores), so nothing in the package reads it.
+
 Graph file format (ASCII, newline-delimited, ``#`` starts a comment, lines
 in any order):
 
@@ -15,6 +26,7 @@ Partition files hold one part per line: ``part <k> <id> <id> ...``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
@@ -63,29 +75,134 @@ def _require_palette(colors: Sequence[int], c: int) -> None:
                 raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
 
 
-@dataclass(frozen=True)
+def _name_bad_edge(n: int, pairs: Iterable[Edge]) -> None:
+    """Refuse the first of ``pairs`` that is not an edge u < v of 1..n with
+    integer ends; the loop that names it runs only when a check over all
+    of them has failed."""
+    for u, v in pairs:
+        if not (1 <= u < v <= n and type(u) is type(v) is int):
+            if not (isinstance(u, Integral) and isinstance(v, Integral)):
+                raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
+            if u == v:
+                raise ValueError(f"loop at vertex {u} is not allowed in a simple graph")
+            if not 1 <= u < v <= n:
+                raise ValueError(f"bad edge ({u},{v}) on {n} vertices")
+
+
+def _edge_arrays(n: int, edges: Iterable[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    """The ends (lo, hi) of the pairs of ``edges``, each u < v in 1..n with
+    integer ends, sorted by the key ``lo * (n + 1) + hi``, with repeats
+    merged. The pairs are split into their first and second ends in one
+    pass, which refuses pairs of other lengths; a sum of ints is an int,
+    and the range and order checks run at builtin speed over all ends at
+    once. When a check fails, ``_name_bad_edge`` names the first fault."""
+    pairs = frozenset(edges)  # a frozenset is not copied
+    m = len(pairs)
+    try:
+        us, vs = zip(*pairs, strict=True) if m else ((), ())
+        exact = (
+            type(sum(us) + sum(vs)) is int
+            and (not m or 1 <= min(us) and max(vs) <= n)
+            and all(map(operator.lt, us, vs))
+        )
+    except (TypeError, ValueError):
+        exact = False
+    if not exact:
+        _name_bad_edge(n, pairs)  # raises, unless the ends are integers of another type
+    ends = np.fromiter(chain(us, vs), np.intp, 2 * m)
+    keys = ends[:m] * (n + 1)
+    keys += ends[m:]
+    keys.sort()
+    return np.divmod(keys, n + 1)
+
+
 class ColoredGraph:
+    """A simple graph on the vertices 1..n, vertex v coloured ``colors[v-1]``
+    from 1..c.
+
+    The edges are stored once, as two read-only ``np.intp`` arrays: edge i
+    joins ``edge_lo[i] < edge_hi[i]``, and the edges are sorted by (lo, hi)
+    without repeats. ``==`` and ``hash`` read (n, colors, c) and these
+    arrays. ``edges``, a frozenset of (lo, hi) tuples, is a view built on
+    first read and kept.
+
+    ``ColoredGraph(n, colors, c, edges)`` takes pairs u < v and merges
+    repeats; ``build`` takes either orientation and fills in the colours.
+    """
+
+    __slots__ = ("n", "colors", "c", "edge_lo", "edge_hi", "_edges")
+
     n: int
     colors: tuple[int, ...]
     c: int
-    edges: frozenset[Edge]
+    edge_lo: np.ndarray
+    edge_hi: np.ndarray
 
-    def __post_init__(self) -> None:
-        _require_integer("vertex count", self.n)
-        if self.n < 1:
+    def __init__(self, n: int, colors: tuple[int, ...], c: int, edges: Iterable[Edge]) -> None:
+        _require_integer("vertex count", n)
+        if n < 1:
             raise ValueError("graphs must have at least one vertex")
-        if len(self.colors) != self.n:
+        if len(colors) != n:
             raise ValueError("colors must assign exactly one color per vertex")
-        _require_palette(self.colors, self.c)
-        n = self.n
-        for u, v in self.edges:
-            if not (1 <= u < v <= n and type(u) is type(v) is int):
-                if not (isinstance(u, Integral) and isinstance(v, Integral)):
-                    raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
-                if u == v:
-                    raise ValueError(f"loop at vertex {u} is not allowed in a simple graph")
-                if not 1 <= u < v <= n:
-                    raise ValueError(f"bad edge ({u},{v}) on {n} vertices")
+        _require_palette(colors, c)
+        self._fill(n, colors, c, *_edge_arrays(n, edges))
+
+    def _fill(self, n: int, colors: tuple[int, ...], c: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        fill = object.__setattr__
+        fill(self, "n", n)
+        fill(self, "colors", colors)
+        fill(self, "c", c)
+        fill(self, "edge_lo", lo)
+        fill(self, "edge_hi", hi)
+        fill(self, "_edges", None)
+
+    @classmethod
+    def _of_arrays(
+        cls, n: int, colors: tuple[int, ...], c: int, lo: np.ndarray, hi: np.ndarray
+    ) -> "ColoredGraph":
+        """The graph whose fields these are, unchecked: the caller derives
+        them from a checked graph or tree, ``lo`` and ``hi`` as the class
+        stores them. The arrays are made read-only."""
+        g = object.__new__(cls)
+        g._fill(n, colors, c, lo, hi)
+        return g
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: a ColoredGraph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: a ColoredGraph is immutable")
+
+    def __reduce__(self):
+        return ColoredGraph._of_arrays, (self.n, self.colors, self.c, self.edge_lo, self.edge_hi)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ColoredGraph:
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.c == other.c
+            and self.colors == other.colors
+            and self.edge_lo.tobytes() == other.edge_lo.tobytes()
+            and self.edge_hi.tobytes() == other.edge_hi.tobytes()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.colors, self.c, self.edge_lo.tobytes(), self.edge_hi.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"ColoredGraph(n={self.n!r}, colors={self.colors!r}, c={self.c!r}, edges={self.edges!r})"
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as (lo, hi) tuples: built on first read, O(m) Python
+        objects, for callers that want a set."""
+        if self._edges is None:
+            view = frozenset(zip(self.edge_lo.tolist(), self.edge_hi.tolist()))
+            object.__setattr__(self, "_edges", view)
+        return self._edges
 
     @staticmethod
     def build(
@@ -113,29 +230,24 @@ class ColoredGraph:
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "ColoredGraph":
         """The subgraph induced on ``vertices``, relabeled to 1..m in
-        ascending id order; colors and the palette ``c`` are kept."""
+        ascending id order; colors and the palette ``c`` are kept. The
+        relabelling is monotone, so the kept edges stay sorted; on every
+        vertex it is the identity, and the graph itself is returned."""
         kept = sorted(set(vertices))
         _require_ids("vertex", kept)
         if not kept:
             raise ValueError("an induced subgraph needs at least one vertex")
         if not (1 <= kept[0] and kept[-1] <= self.n):
             raise ValueError(f"vertices must lie in 1..{self.n}")
-        relabel = {old: new for new, old in enumerate(kept, start=1)}
-        return ColoredGraph(
-            n=len(kept),
-            colors=tuple(self.color_of(v) for v in kept),
-            c=self.c,
-            edges=frozenset(
-                (relabel[u], relabel[v])
-                for u, v in self.edges
-                if u in relabel and v in relabel
-            ),
-        )
-
-
-def _edge_ends(g: ColoredGraph) -> np.ndarray:
-    """The 1-based ends of the edges of ``g``, flat: edge i is (ends[2i], ends[2i + 1])."""
-    return np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges))
+        if len(kept) == self.n:
+            return self
+        relabel = np.zeros(self.n + 1, np.intp)
+        relabel[np.array(kept, np.intp)] = np.arange(1, len(kept) + 1)
+        lo, hi = relabel[self.edge_lo], relabel[self.edge_hi]
+        inside = np.logical_and(lo, hi)
+        lo, hi = lo[inside], hi[inside]
+        colors = self.colors
+        return ColoredGraph._of_arrays(len(kept), tuple([colors[v - 1] for v in kept]), self.c, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +318,8 @@ def gen_path(n: int) -> ColoredGraph:
     _require_integer("vertex count", n)
     if n < 1:
         raise ValueError("a path needs at least one vertex")
-    return ColoredGraph.build(n, ((i, i + 1) for i in range(1, n)))
+    lo, hi = np.arange(1, n, dtype=np.intp), np.arange(2, n + 1, dtype=np.intp)
+    return ColoredGraph._of_arrays(n, (1,) * n, 1, lo, hi)
 
 
 def gen_half_graph(t: int) -> tuple[ColoredGraph, frozenset[int], frozenset[int]]:
@@ -318,7 +431,7 @@ def write_graph(g: ColoredGraph, stream: TextIO) -> None:
     for v in g.vertices:
         if g.color_of(v) != 1:
             stream.write(f"v {v} {g.color_of(v)}\n")
-    for u, v in sorted(g.edges):
+    for u, v in zip(g.edge_lo.tolist(), g.edge_hi.tolist()):
         stream.write(f"e {u} {v}\n")
 
 

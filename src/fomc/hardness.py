@@ -100,12 +100,13 @@ def edge_encoding_formula(
     endpoint, so vertex 1 is the endpoint itself. An edgeless graph
     yields the canonical false formula.
     """
-    if not g.edges:
+    if not g.edge_lo.size:
         return canonical_false(Var(1))
-    ends = {w for e in g.edges for w in e}
+    lo, hi = g.edge_lo.tolist(), g.edge_hi.tolist()
+    ends = {*lo, *hi}
     at_u = {w: distance_formula(w - 1, u, v, spare) for w in ends}
     at_v = {w: distance_formula(w - 1, v, u, spare) for w in ends}
-    arcs = sorted(arc for s, t in g.edges for arc in ((s, t), (t, s)))
+    arcs = sorted([*zip(lo, hi), *zip(hi, lo)])
     return disjunction(And((at_u[s], at_v[t])) for s, t in arcs)
 
 

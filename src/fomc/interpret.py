@@ -73,7 +73,7 @@ from .formulas import (
     require_sentence,
     variables,
 )
-from .graphs import ColoredGraph, _require_integer
+from .graphs import ColoredGraph, _require_integer, _require_palette
 from .kernel import reduce_tree
 from .trees import (
     EliminationForest,
@@ -176,7 +176,7 @@ def apply_interpretation(
         if u == v:
             raise ValueError(f"edge formula is reflexive at vertex {u}")
         raise ValueError(f"edge formula is asymmetric on ({u},{v})")
-    edges = (np.argwhere(np.triu(related[np.ix_(domain, domain)], 1)) + 1).tolist()
+    lo, hi = np.nonzero(np.triu(related[np.ix_(domain, domain)], 1))  # sorted by (lo, hi)
     if scheme.color_formulas is None:
         colors = np.asarray(g.colors)[domain].tolist()
         palette = g.c
@@ -192,7 +192,9 @@ def apply_interpretation(
             )
         colors = np.take(keys, holds.argmax(axis=0)).tolist()
         palette = max(keys)
-    return ColoredGraph.build(len(domain), edges, colors, c=palette)
+    colors = tuple(colors)
+    _require_palette(colors, palette)
+    return ColoredGraph._of_arrays(len(domain), colors, palette, lo + 1, hi + 1)
 
 
 def backwards_translate(

@@ -64,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ColoredGraph, _edge_ends, _require_integer
+from .graphs import ColoredGraph, _require_integer
 
 #: Refuse instances that would store more tuples (or table cells) than this.
 DEFAULT_POSITION_CAP = 10_000_000
@@ -162,9 +162,7 @@ def _atomic_columns(graphs, sides: list[int], s: int):
         return  # no slot pairs, whose (n+1) x (n+1) tables may outgrow the tuples
     pairs = [np.eye(m, dtype=np.int8) * 2 for m in sides]  # equal, never adjacent
     for g, table in zip(graphs, pairs):
-        ends = _edge_ends(g)
-        u, v = ends[0::2], ends[1::2]
-        table[u, v] = table[v, u] = 1
+        table[g.edge_lo, g.edge_hi] = table[g.edge_hi, g.edge_lo] = 1
     for i, j in itertools.combinations(range(s), 2):
         # a table over slots 0 and j, spread with slots 0 and i swapped
         shapes = ([m if k in (0, j) else 1 for k in range(s)] for m in sides)

@@ -32,6 +32,8 @@ from functools import cached_property
 from numbers import Integral
 from typing import Collection, Iterable, Iterator, TextIO
 
+import numpy as np
+
 from .graphs import (
     ColoredGraph,
     _by_vertex,
@@ -143,10 +145,16 @@ class RootedColoredTree:
         return self.colors[v - 1]
 
     def to_graph(self) -> ColoredGraph:
-        edges = frozenset(
-            [(p, v) if p < v else (v, p) for v, p in enumerate(self.parents, start=1) if p]
-        )
-        return ColoredGraph(n=self.n, colors=self.colors, c=self.c, edges=edges)
+        """The tree as a graph on the same vertices and colours. The edge
+        {v, p} of vertex v and its parent p has key ``min * (n + 1) + max``,
+        that is ``min * n + v + p``; the root's pair with slot 0 has key
+        ``root``, below every edge's, so it sorts first and is dropped."""
+        n = self.n
+        parents = np.array(self.parents, np.intp)
+        ids = np.arange(1, n + 1, dtype=np.intp)
+        keys = np.minimum(parents, ids) * n + (parents + ids)
+        keys.sort()
+        return ColoredGraph._of_arrays(n, self.colors, self.c, *np.divmod(keys[1:], n + 1))
 
     def distance(self, u: int, v: int) -> int:
         """Edges on the tree path between ``u`` and ``v``, counted while
@@ -223,7 +231,7 @@ def _edge_ancestry(g: ColoredGraph, ef: EliminationForest) -> Iterator[tuple[int
     if ef.n != g.n:
         raise ValueError("forest and graph disagree on the vertex count")
     depths, parents = ef.node_depths, ef.parents
-    for u, v in g.edges:
+    for u, v in zip(g.edge_lo.tolist(), g.edge_hi.tolist()):
         du, dv = depths[u - 1], depths[v - 1]
         if du < dv:
             u, v, du, dv = v, u, dv, du
@@ -297,7 +305,7 @@ def compute_elimination_forest(
     if k < 1:
         raise ValueError("the height budget must be positive")
     nb = [0] * (g.n + 1)  # slot 0 is empty
-    for u, v in g.edges:
+    for u, v in zip(g.edge_lo.tolist(), g.edge_hi.tolist()):
         nb[u] |= 1 << v
         nb[v] |= 1 << u
     known: dict[int, tuple[int, int]] = {}  # (height, root); root 0: height exceeds it
@@ -400,6 +408,8 @@ def validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
     climbed once per pair of these classes, for the pair's verdict. The
     graph then matches when every edge lies in a class pair whose verdict
     is an edge, and the edges number the vertex pairs of those class pairs.
+    The first is one gather over the class-pair table, by the classes of
+    the graph's stored edge ends.
     """
     if tm.tree.leaves != frozenset(g.vertices):
         raise ValueError(
@@ -411,10 +421,11 @@ def validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
     of = [ids.setdefault(key, len(ids)) for key in leaves]
     sizes = Counter(of)
     classes = list(ids)
-    adjacent = [bytearray(len(classes)) for _ in classes]
+    k = len(classes)
+    adjacent = bytearray(k * k)  # by class pair, row-major
     expected = 0
     for i, (p, c1) in enumerate(classes):
-        for j in range(i, len(classes)):
+        for j in range(i, k):
             pairs = sizes[i] * sizes[j] if j > i else sizes[i] * (sizes[i] - 1) // 2
             if pairs:
                 q, c2 = classes[j]
@@ -422,15 +433,13 @@ def validate_tree_model(g: ColoredGraph, tm: TreeModel) -> bool:
                 if edge is None:
                     return False
                 if edge:
-                    adjacent[i][j] = adjacent[j][i] = 1
+                    adjacent[i * k + j] = adjacent[j * k + i] = 1
                     expected += pairs
-    if len(g.edges) != expected:
+    if g.edge_lo.size != expected:
         return False
-    row, cls = [None, *(adjacent[c] for c in of)], [None, *of]  # by vertex
-    for u, v in g.edges:
-        if not row[u][cls[v]]:
-            return False
-    return True
+    table = np.frombuffer(adjacent, np.bool_).reshape(k, k)
+    cls = np.array([0, *of], np.intp)  # by vertex; slot 0 is unused
+    return bool(table[cls[g.edge_lo], cls[g.edge_hi]].all())
 
 
 # ---------------------------------------------------------------------------

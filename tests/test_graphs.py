@@ -5,6 +5,7 @@ import re
 import time
 from typing import Iterable, Mapping, Sequence, TextIO
 
+import numpy as np
 import pytest
 
 from fomc.graphs import (
@@ -495,3 +496,105 @@ def test_partition_file_numbers_are_ascii_naturals():
 def test_the_graph_api_refuses_malformed_arguments(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def test_graph_semantics_do_not_depend_on_how_the_edges_are_given(monkeypatch):
+    # a seeded sweep over edge order, orientation and repeated edges: the
+    # graphs are equal, hash alike, pickle and write alike, and are one
+    # dict key, so type_census puts them in one block without refining
+    import pickle
+
+    from fomc import pebble
+
+    refined = []
+    refine = pebble._refine
+    monkeypatch.setattr(pebble, "_refine", lambda gs, s, cap: refined.append(len(gs)) or refine(gs, s, cap))
+    rng = random.Random(33)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+        colors = [rng.randint(1, 3) for _ in range(n)]
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        given += rng.sample(given, len(given) // 2)
+        rng.shuffle(given)
+        g = ColoredGraph.build(n, pairs, colors, c=3)
+        same = [
+            ColoredGraph.build(n, given, colors, c=3),
+            ColoredGraph.build(n, iter(given), tuple(colors), c=3),
+            ColoredGraph(n=n, colors=tuple(colors), c=3, edges=frozenset(pairs)),
+        ]
+        same += [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        texts = set()
+        for h in same:
+            assert h == g and not h != g and hash(h) == hash(g)
+            assert h.edges == frozenset(pairs)
+            buf = io.StringIO()
+            write_graph(h, buf)
+            texts.add(buf.getvalue())
+            buf.seek(0)
+            assert read_graph(buf) == g
+        assert len(texts) == 1 and len({g, *same}) == 1 and {g: 1}[same[0]] == 1
+        refined.clear()
+        assert pebble.type_census([g, *same], 2) == [list(range(len(same) + 1))]
+        assert not refined
+        others = [
+            ColoredGraph.build(n, pairs, colors, c=4),
+            ColoredGraph.build(n, pairs, [colors[0] % 3 + 1, *colors[1:]], c=3),
+        ]
+        if n > 1:
+            u, v = rng.sample(range(1, n + 1), 2)
+            flipped = set(pairs) ^ {(min(u, v), max(u, v))}
+            others.append(ColoredGraph.build(n, flipped, colors, c=3))
+        for h in others:
+            assert h != g and not h == g
+        if pairs:
+            assert ColoredGraph.build(n, pairs[1:], colors, c=3) != g
+
+
+def _edge_arrays_of(g: ColoredGraph) -> list[tuple[int, int]]:
+    """The stored edge arrays of ``g``, checked to be read-only index
+    arrays of pairs lo < hi in 1..n, strictly increasing by (lo, hi)."""
+    lo, hi = g.edge_lo, g.edge_hi
+    assert lo.dtype == hi.dtype == np.intp and lo.shape == hi.shape == (len(lo),)
+    assert not lo.flags.writeable and not hi.flags.writeable
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    assert all(1 <= u < v <= g.n for u, v in pairs)
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+    return pairs
+
+
+def test_every_way_of_making_a_graph_stores_sorted_read_only_edge_arrays():
+    from fomc.interpret import apply_interpretation, complement_interpretation
+    from fomc.trees import RootedColoredTree
+
+    from .oracles import random_tree
+
+    rng = random.Random(34)
+    made = []
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 9), colors=2)
+        t = random_tree(rng, rng.randint(1, 12), 3, colors=2)
+        buf = io.StringIO()
+        write_graph(g, buf)
+        buf.seek(0)
+        kept = rng.sample(range(1, g.n + 1), rng.randint(1, g.n))
+        parts = [rng.sample(range(1, g.n + 1), rng.randint(0, g.n))]
+        made += [
+            g,
+            read_graph(buf),
+            g.induced_subgraph(kept),
+            t.to_graph(),
+            t.to_graph().induced_subgraph(rng.sample(range(1, t.n + 1), rng.randint(1, t.n))),
+            apply_flip(g, PartitionFlip.build(parts, [(0, 0)])),
+            apply_interpretation(complement_interpretation(), g),
+        ]
+    made += [gen_path(n) for n in (1, 2, 7)] + [gen_half_graph(3)[0], gen_disjoint_paths(3, 4)[0]]
+    made.append(RootedColoredTree.build({1: 0}).to_graph())
+    for g in made:
+        assert _edge_arrays_of(g) == sorted(g.edges)
+    g = gen_path(4)
+    with pytest.raises(ValueError):
+        g.edge_lo[0] = 2
+    for name in ("n", "edge_lo", "edges"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)

@@ -103,3 +103,16 @@ def test_every_function_the_tracer_wraps_is_defined():
     ]
     assert not missing, "the tracer wraps undefined names: " + ", ".join(missing)
     assert TRACED <= {name for _, name, _ in spans.TARGETS}
+
+
+def test_no_production_module_reads_the_edge_set_view():
+    # ``ColoredGraph.edges`` is a frozenset built on first read; every
+    # reader in the package uses the stored arrays ``edge_lo``/``edge_hi``
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "graphs.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "edges"
+    ]
+    assert not readers, "reads .edges: " + ", ".join(readers)

@@ -1,0 +1,139 @@
+"""In-process A/B timing of two fomc source trees on the benchmark's workloads.
+
+    python3 tools/ab.py --a ../parent/src --b src --workload eval-scale --seed 7
+    python3 tools/ab.py --a src --b src --quick          # an A/A control
+
+Both trees are imported into one process, as two module sets under their
+own package names, so neither sees the other's objects. Each side builds
+its own inputs from the same payloads (``perfbench/workloads.py``), and
+runs one warm-up check per kind. Then every copy of every check runs on
+both sides back to back; the side that goes first alternates from copy to
+copy, so a drift of the host's speed falls on both sides alike.
+
+A side's time for a check is its fastest copy. Per workload and per kind
+the tool prints the two sums of those times and their ratio A/B (above 1:
+B takes less time), and whether B's verdict equals A's on every copy. The
+last line of standard output is one JSON object holding the same figures.
+The exit code is 1 when any verdict differs.
+
+``peak_rss_mb`` and ``setup_s`` cannot be compared inside one process;
+``perfbench/run.py`` in separate processes measures them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import json
+import random
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run  # noqa: E402  (perfbench/run.py: the module list of a program)
+import workloads  # noqa: E402
+
+clock = time.perf_counter
+#: Copies of each check, each run once per side; a side's time for the
+#: check is its fastest copy.
+COPIES = 4
+
+
+def load_side(src: Path, name: str) -> SimpleNamespace:
+    """The ``fomc`` package of ``src`` imported as package ``name``, by
+    submodule as ``run.load_program`` gives it."""
+    init = src / "fomc" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no program at {src}: {init} is missing")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in run.SUBMODULES})
+
+
+def build_side(fc, wl: workloads.Workload) -> list[list]:
+    """Every copy of every check built by ``fc``, after one warm-up check per kind."""
+    for ch in wl.warmups:
+        build, execute, _ = workloads.KINDS[ch.kind]
+        execute(fc, build(fc, ch.copies[0]))
+    return [[workloads.KINDS[ch.kind][0](fc, p) for p in ch.copies] for ch in wl.checks]
+
+
+def compare(sides, wl: workloads.Workload) -> list[dict]:
+    """Per check: each side's fastest copy, and whether the verdicts agree."""
+    rows = []
+    for i, check in enumerate(wl.checks):
+        _, execute, judge = workloads.KINDS[check.kind]
+        best = [float("inf")] * 2
+        equal = True
+        for r in range(len(check.copies)):
+            verdicts = [None, None]
+            for k in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
+                fc, built = sides[k]
+                args = built[i][r]
+                t0 = clock()
+                out = execute(fc, args)
+                best[k] = min(best[k], clock() - t0)
+                verdicts[k] = repr(judge(fc, check, args, out)[0])
+            equal = equal and verdicts[0] == verdicts[1]
+        rows.append({"kind": check.kind, "a_s": best[0], "b_s": best[1], "equal": equal})
+    return rows
+
+
+def summary(rows: list[dict]) -> dict:
+    a = sum(row["a_s"] for row in rows)
+    b = sum(row["b_s"] for row in rows)
+    return {
+        "checks": len(rows),
+        "a_s": a,
+        "b_s": b,
+        "ratio": a / b,
+        "equal": all(row["equal"] for row in rows),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--a", type=Path, required=True, help="the src directory of side A")
+    ap.add_argument("--b", type=Path, required=True, help="the src directory of side B")
+    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
+                    help="repeat for several; default every workload")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--quick", action="store_true", help="tiny sizes, for a smoke test")
+    args = ap.parse_args(argv)
+
+    fcs = (load_side(args.a.resolve(), "fomc_side_a"), load_side(args.b.resolve(), "fomc_side_b"))
+    report = {}
+    print(f"{'workload':<11} {'kind':<15} {'checks':>6} {'A s':>9} {'B s':>9} {'A/B':>7}  verdicts")
+    for name in args.workload or list(workloads.WORKLOADS):
+        wl = workloads.WORKLOADS[name](
+            random.Random(args.seed), random.Random(0), COPIES, args.quick
+        )
+        sides = [(fc, build_side(fc, wl)) for fc in fcs]
+        gc.collect()
+        gc.freeze()  # as in run.py: the prebuilt inputs are not rescanned
+        rows = compare(sides, wl)
+        sides.clear()
+        gc.unfreeze()
+        kinds = {kind: summary([r for r in rows if r["kind"] == kind]) for kind in dict.fromkeys(r["kind"] for r in rows)}
+        report[name] = {"all": summary(rows), "kinds": kinds}
+        for kind, s in [*kinds.items(), ("(all)", report[name]["all"])]:
+            print(
+                f"{name:<11} {kind:<15} {s['checks']:>6} {s['a_s']:>9.4f} {s['b_s']:>9.4f} "
+                f"{s['ratio']:>7.3f}  {'equal' if s['equal'] else 'DIFFER'}"
+            )
+    print(json.dumps(report))
+    return 0 if all(w["all"]["equal"] for w in report.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
