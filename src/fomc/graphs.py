@@ -5,11 +5,11 @@ color from ``1..c``. Graphs are simple: no loops, no multi-edges.
 
 A ``ColoredGraph`` stores its edges once, when it is built, as two
 read-only ``np.intp`` arrays ``edge_lo < edge_hi``, sorted by (lo, hi)
-with no repeats: 16 bytes per edge. Every reader in the package uses them:
-the evaluator and the pebble game index tables with them, the tree
-checks gather over them, and ``to_graph`` and ``induced_subgraph`` build
-them without going through Python tuples. The checks on given edges run
-over all of them at once; a per-edge loop runs only to name a fault.
+with no repeats: 16 bytes per edge. Every reader in the package uses them,
+and every graph the package makes from its own data is built as arrays,
+never as Python tuples; flips and recipes keep the keys ``lo * (n + 1) +
+hi`` that occur an odd number of times. Edges given as pairs are checked
+all at once; a per-edge loop runs only to name a fault.
 ``edges``, a frozenset of (lo, hi) tuples, is a view for callers that want
 a set: it is built on first read and kept, at about 0.1–0.4 µs and 80–150
 bytes per edge (2 cores), so nothing in the package reads it.
@@ -47,7 +47,11 @@ def _require_integer(name: str, value: object) -> None:
 def _require_ids(name: str, ids: Collection[int]) -> None:
     """Refuse the first of ``ids`` that is not an integer; a sum of ints
     is an int, so the loop runs only to name the fault."""
-    if type(sum(ids)) is not int:
+    try:
+        exact = type(sum(ids)) is int
+    except TypeError:  # a value that is not a number
+        exact = False
+    if not exact:
         for v in ids:
             _require_integer(name, v)
 
@@ -267,10 +271,12 @@ class PartitionFlip:
     def __post_init__(self) -> None:
         seen: set[int] = set()
         for part in self.parts:
+            _require_ids("part vertex", part)
             if part & seen:
                 raise ValueError("partition parts overlap")
             seen |= part
         for i, j in self.rel:
+            _require_ids("flip relation part", (i, j))
             if not (0 <= i < len(self.parts) and 0 <= j < len(self.parts)):
                 raise ValueError(f"flip relation mentions unknown part ({i},{j})")
             if i > j:
@@ -286,28 +292,32 @@ class PartitionFlip:
         )
 
 
-def _toggle_pairs(edges: set[Edge], a: Collection[int], b: Collection[int]) -> None:
-    """XOR into ``edges`` each unordered pair {u, v} with u != v, u from
-    ``a`` and v from ``b``, once. ``a`` and ``b`` are equal or disjoint."""
-    edges.symmetric_difference_update(
-        {(u, v) if u < v else (v, u) for u in a for v in b if u != v}
-    )
+def _toggled(n: int, keys: np.ndarray, pairs: Iterable[tuple[np.ndarray, np.ndarray]]):
+    """The edges (lo, hi) whose keys ``lo * (n + 1) + hi`` occur an odd number
+    of times in ``keys`` and in the pairs {u, v}, u in ``a`` and v in ``b``, of
+    each (a, b) of ``pairs``: each pair of ``a`` once if ``a is b``, else all."""
+    keys = [keys]
+    for a, b in pairs:
+        i, j = np.triu_indices(len(a), 1) if a is b else np.indices((len(a), len(b))).reshape(2, -1)
+        keys.append(np.minimum(a[i], b[j]) * (n + 1) + np.maximum(a[i], b[j]))
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    return np.divmod(keys[counts % 2 == 1], n + 1)
 
 
 def apply_flip(g: ColoredGraph, flip: PartitionFlip) -> ColoredGraph:
     """XOR the flip relation into the adjacency of ``g``: each related pair
-    of parts costs the pairs of its vertices, and nothing else is visited.
+    of parts costs the pairs of its vertices, and a sort of the m edge keys
+    follows. Of the part vertices outside 1..n, the least is named.
 
     Involution: applying the same flip twice restores ``g``.
     """
-    for part in flip.parts:
-        for v in part:
-            if not 1 <= v <= g.n:
-                raise ValueError(f"part vertex {v} outside the graph")
-    edges = set(g.edges)
-    for i, j in flip.rel:
-        _toggle_pairs(edges, flip.parts[i], flip.parts[j])
-    return ColoredGraph(n=g.n, colors=g.colors, c=g.c, edges=frozenset(edges))
+    parts = [part for part in flip.parts if part]
+    if parts and not (1 <= min(map(min, parts)) and max(map(max, parts)) <= g.n):
+        outside = min(v for part in parts for v in part if not 1 <= v <= g.n)
+        raise ValueError(f"part vertex {outside} outside the graph")
+    ends = {i: np.fromiter(flip.parts[i], np.intp) for pair in flip.rel for i in pair}
+    lo, hi = _toggled(g.n, g.edge_lo * (g.n + 1) + g.edge_hi, [(ends[i], ends[j]) for i, j in flip.rel])
+    return ColoredGraph._of_arrays(g.n, g.colors, g.c, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +341,8 @@ def gen_half_graph(t: int) -> tuple[ColoredGraph, frozenset[int], frozenset[int]
     _require_integer("order", t)
     if t < 1:
         raise ValueError("order must be positive")
-    edges = [(i, t + j) for i in range(1, t + 1) for j in range(i, t + 1)]
-    g = ColoredGraph.build(2 * t, edges)
+    i, j = np.triu_indices(t)  # i <= j, sorted by (i, j)
+    g = ColoredGraph._of_arrays(2 * t, (1,) * (2 * t), 1, i + 1, j + (t + 1))
     return g, frozenset(range(1, t + 1)), frozenset(range(t + 1, 2 * t + 1))
 
 
@@ -348,16 +358,9 @@ def gen_disjoint_paths(
     _require_integer("path length", t)
     if k < 1 or t < 1:
         raise ValueError("both path count and path length must be positive")
-    edges = [
-        ((a - 1) * t + b, (a - 1) * t + b + 1)
-        for a in range(1, k + 1)
-        for b in range(1, t)
-    ]
-    g = ColoredGraph.build(k * t, edges)
-    layers = tuple(
-        frozenset((a - 1) * t + i for a in range(1, k + 1)) for i in range(1, t + 1)
-    )
-    return g, layers
+    lo = np.arange(1, k * t + 1, dtype=np.intp).reshape(k, t)[:, :-1].ravel()
+    g = ColoredGraph._of_arrays(k * t, (1,) * (k * t), 1, lo, lo + 1)
+    return g, tuple(frozenset(range(i, k * t + 1, t)) for i in range(1, t + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +394,8 @@ def build_sc_graph(r: SCRecipe) -> ColoredGraph:
     name leaves below the combine. Vertex ids follow leaf order.
 
     A combine's leaves are consecutive in that order, so one pass notes
-    each combine's range of leaf positions as it closes, and its flip
-    set's pairs are toggled in one edge set.
+    each combine's range of leaf positions as it closes, and the pairs of
+    all flip sets are toggled at once, as edge keys.
     """
     leaves: list[SCLeaf] = []
     closed: list[tuple[SCCombine, int, int]] = []  # post-order, leaves (first, last]
@@ -410,7 +413,7 @@ def build_sc_graph(r: SCRecipe) -> ColoredGraph:
     ids = {leaf.name: v for v, leaf in enumerate(leaves, start=1)}
     if len(ids) != len(leaves):
         raise ValueError("leaf names must be unique in a recipe")
-    edges: set[Edge] = set()
+    flips = []
     for node, first, last in closed:
         missing = [name for name in node.flip_names if not first < ids.get(name, 0) <= last]
         if missing:
@@ -418,9 +421,12 @@ def build_sc_graph(r: SCRecipe) -> ColoredGraph:
                 "flip set names unknown below this combine: "
                 + ", ".join(sorted(missing))
             )
-        flipped = [ids[name] for name in node.flip_names]
-        _toggle_pairs(edges, flipped, flipped)
-    return ColoredGraph.build(len(leaves), edges, [leaf.color for leaf in leaves])
+        flipped = np.fromiter(map(ids.__getitem__, node.flip_names), np.intp)
+        flips.append((flipped, flipped))
+    colors = tuple(leaf.color for leaf in leaves)
+    _require_palette(colors, c := _inferred_palette(colors))  # as ``ColoredGraph.build`` does
+    lo, hi = _toggled(len(leaves), np.empty(0, np.intp), flips)
+    return ColoredGraph._of_arrays(len(leaves), colors, c, lo, hi)
 
 
 # ---------------------------------------------------------------------------

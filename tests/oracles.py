@@ -26,7 +26,9 @@ that reads the evaluator's satisfying rows into sets and dicts referees
 the one that works on its tables. The type refinement that builds the
 contexts of every slot, pads them to the widest graph and interns the
 types once more to find them stable referees the one that builds slot
-0's contexts alone and stops as soon as its answer is fixed.
+0's contexts alone and stops as soon as its answer is fixed. The flip and
+the recipe build that toggle pairs in a set of edge tuples referee the
+ones that XOR edge keys in arrays.
 
 The module also holds the suite's seeded generators (random trees and
 tree-models), the tree-from-graph rooting and the forest and tree-model
@@ -43,7 +45,7 @@ import re
 from collections import deque
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -71,7 +73,7 @@ from fomc.formulas import (
     fold,
 )
 from fomc import pebble
-from fomc.graphs import ColoredGraph
+from fomc.graphs import ColoredGraph, Edge, PartitionFlip, SCCombine, SCLeaf, SCRecipe
 from fomc.interpret import (
     X1,
     X2,
@@ -1032,6 +1034,62 @@ def dict_restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColor
         parents[relabel[old]] = relabel[p] if p != 0 else 0
         colors[relabel[old]] = t.color_of(old)
     return RootedColoredTree.build(parents, colors, c=t.c)
+
+
+# ---------------------------------------------------------------------------
+# Flips and recipes over a set of edge tuples, the referees of
+# ``fomc.graphs.apply_flip`` and ``fomc.graphs.build_sc_graph``, which XOR
+# edge keys in arrays
+
+def _toggle_pairs(edges: set[Edge], a: Collection[int], b: Collection[int]) -> None:
+    """XOR into ``edges`` each unordered pair {u, v} with u != v, u from
+    ``a`` and v from ``b``, once. ``a`` and ``b`` are equal or disjoint."""
+    edges.symmetric_difference_update(
+        {(u, v) if u < v else (v, u) for u in a for v in b if u != v}
+    )
+
+
+def set_apply_flip(g: ColoredGraph, flip: PartitionFlip) -> ColoredGraph:
+    """``apply_flip`` on a copy of the edge-set view, one part pair at a time."""
+    for part in flip.parts:
+        for v in part:
+            if not 1 <= v <= g.n:
+                raise ValueError(f"part vertex {v} outside the graph")
+    edges = set(g.edges)
+    for i, j in flip.rel:
+        _toggle_pairs(edges, flip.parts[i], flip.parts[j])
+    return ColoredGraph(n=g.n, colors=g.colors, c=g.c, edges=frozenset(edges))
+
+
+def set_build_sc_graph(r: SCRecipe) -> ColoredGraph:
+    """``build_sc_graph`` toggling each combine's flip set in one edge set,
+    built with ``ColoredGraph.build``."""
+    leaves: list[SCLeaf] = []
+    closed: list[tuple[SCCombine, int, int]] = []  # post-order, leaves (first, last]
+    todo: list = [r]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, SCLeaf):
+            leaves.append(item)
+        elif isinstance(item, SCCombine):
+            todo.append((item, len(leaves)))
+            todo += reversed(item.children)
+        else:
+            node, first = item
+            closed.append((node, first, len(leaves)))
+    ids = {leaf.name: v for v, leaf in enumerate(leaves, start=1)}
+    if len(ids) != len(leaves):
+        raise ValueError("leaf names must be unique in a recipe")
+    edges: set[Edge] = set()
+    for node, first, last in closed:
+        missing = [name for name in node.flip_names if not first < ids.get(name, 0) <= last]
+        if missing:
+            raise ValueError(
+                "flip set names unknown below this combine: " + ", ".join(sorted(missing))
+            )
+        flipped = [ids[name] for name in node.flip_names]
+        _toggle_pairs(edges, flipped, flipped)
+    return ColoredGraph.build(len(leaves), edges, [leaf.color for leaf in leaves])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import itertools
+import operator
 import random
 import re
 import time
@@ -26,7 +27,7 @@ from fomc.graphs import (
 )
 from fomc.randgen import random_graph
 
-from .oracles import adjacent, graphs_isomorphic, neighborhoods
+from .oracles import adjacent, graphs_isomorphic, neighborhoods, set_apply_flip, set_build_sc_graph
 
 #: All eight symmetric relations on the two half-graph sides, A as part 0
 #: and B as part 1, in binary order over the pair set {(A,A), (A,B), (B,B)}.
@@ -320,25 +321,53 @@ def _union_then_flip(r):
     return apply_flip(g, PartitionFlip.build([part], [(0, 0)] if part else [])), names
 
 
+def random_recipe(rng: random.Random, depth: int) -> SCRecipe:
+    """A seeded recipe nested at most ``depth`` combines deep, its leaves
+    v1, v2, ... in leaf order coloured from 1..3. Each combine flips a
+    random subset of the leaves below it, so nested flip sets overlap."""
+    count = 0
+
+    def draw(depth):
+        nonlocal count
+        if depth == 0 or rng.random() < 0.3:
+            count += 1
+            return SCLeaf(f"v{count}", rng.randint(1, 3))
+        children = tuple(draw(depth - 1) for _ in range(rng.randint(1, 3)))
+        below = recipe_leaf_names(SCCombine(children, frozenset()))
+        flip = rng.sample(below, rng.randint(0, len(below)))
+        return SCCombine(children, frozenset(flip))
+
+    return draw(depth)
+
+
 def test_sc_recipes_agree_with_union_then_flip():
     rng = random.Random(13)
     for _ in range(200):
-        count = 0
-
-        def draw(depth):
-            nonlocal count
-            if depth == 0 or rng.random() < 0.3:
-                count += 1
-                return SCLeaf(f"v{count}", rng.randint(1, 3))
-            children = tuple(draw(depth - 1) for _ in range(rng.randint(1, 3)))
-            below = recipe_leaf_names(SCCombine(children, frozenset()))
-            flip = rng.sample(below, rng.randint(0, len(below)))
-            return SCCombine(children, frozenset(flip))
-
-        recipe = draw(4)
+        recipe = random_recipe(rng, 4)
         expected, names = _union_then_flip(recipe)
         assert recipe_leaf_names(recipe) == names
         assert build_sc_graph(recipe) == expected
+
+
+def test_flips_and_recipes_match_the_set_xor_referees():
+    # a seeded sweep: 1-4 parts, some empty, under empty, self-only,
+    # cross-only and mixed relations, and recipes up to 3 combines deep
+    rng = random.Random(35)
+    kinds = {"empty": lambda i, j: False, "self": operator.eq, "cross": operator.lt, "mixed": operator.le}
+    for kind in itertools.islice(itertools.cycle(kinds), 1200):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, colors=2)
+        parts: list[list[int]] = [[] for _ in range(rng.randint(1, 4))]
+        for v in rng.sample(range(1, n + 1), rng.randint(0, n)):
+            rng.choice(parts).append(v)
+        pairs = [(i, j) for i in range(len(parts)) for j in range(len(parts)) if kinds[kind](i, j)]
+        flip = PartitionFlip.build(parts, rng.sample(pairs, rng.randint(min(1, len(pairs)), len(pairs))))
+        once = apply_flip(g, flip)
+        assert once == set_apply_flip(g, flip)
+        assert apply_flip(once, flip) == g
+    for _ in range(300):
+        recipe = random_recipe(rng, 3)
+        assert build_sc_graph(recipe) == set_build_sc_graph(recipe)
 
 
 def test_sc_recipe_nesting_has_no_recursion_cap():
@@ -485,12 +514,32 @@ def test_partition_file_numbers_are_ascii_naturals():
         (lambda: gen_path(2.5), "vertex count 2.5 is not an integer"),
         (lambda: gen_half_graph(2.5), "order 2.5 is not an integer"),
         (lambda: gen_disjoint_paths(2, 1.5), "path length 1.5 is not an integer"),
+        # each used to be accepted: the relation part then escaped from
+        # apply_flip as a TypeError, and a vertex of an unrelated part was
+        # never read, where an array would truncate 1.5 to 1
+        (lambda: PartitionFlip.build([[1], [2]], [(0.5, 1)]), "flip relation part 0.5 is not an integer"),
+        (
+            lambda: apply_flip(gen_path(3), PartitionFlip.build([[1.5], [3]], [])),
+            "part vertex 1.5 is not an integer",
+        ),
+        (lambda: PartitionFlip.build([[1], ["2"]], []), "part vertex '2' is not an integer"),
+        # of the part vertices outside the graph, the least is named
+        (
+            lambda: apply_flip(gen_path(2), PartitionFlip.build([[5], [1, 4], [3]], [(0, 1)])),
+            "part vertex 3 outside the graph",
+        ),
+        (
+            lambda: apply_flip(gen_path(2), PartitionFlip.build([[4], [2, 0]], [])),
+            "part vertex 0 outside the graph",
+        ),
     ],
     ids=[
         "palette-0", "colors-short", "flip-unknown-part", "flip-pair-order", "flip-vertex-outside",
         "half-graph-0", "half-graph-side", "paths-0", "combine-empty", "loop-build", "loop-constructor",
         "loop-non-integer", "inferred-color-0", "inferred-color-1.5", "recipe-color-0",
         "induced-non-integer", "path-non-integer", "half-graph-non-integer", "paths-non-integer",
+        "flip-rel-non-integer", "flip-vertex-non-integer", "flip-vertex-not-a-number",
+        "flip-vertex-outside-least", "flip-vertex-below-1",
     ],
 )
 def test_the_graph_api_refuses_malformed_arguments(make, message):
@@ -587,6 +636,7 @@ def test_every_way_of_making_a_graph_stores_sorted_read_only_edge_arrays():
             t.to_graph().induced_subgraph(rng.sample(range(1, t.n + 1), rng.randint(1, t.n))),
             apply_flip(g, PartitionFlip.build(parts, [(0, 0)])),
             apply_interpretation(complement_interpretation(), g),
+            build_sc_graph(random_recipe(rng, 3)),
         ]
     made += [gen_path(n) for n in (1, 2, 7)] + [gen_half_graph(3)[0], gen_disjoint_paths(3, 4)[0]]
     made.append(RootedColoredTree.build({1: 0}).to_graph())
