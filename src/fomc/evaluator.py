@@ -19,7 +19,10 @@ vectors of ``x=x`` and ``adj(x,x)`` are built once per call, when an atom
 first needs them; no table is written after it is built, so atoms share
 them. The adjacency matrix is filled from the graph's stored edge arrays.
 A table above ``pebble.DEFAULT_POSITION_CAP`` cells is refused with
-``ResourceLimitError`` before it is allocated.
+``ResourceLimitError`` before it is allocated, except the one-variable
+atom vectors (a colour's, ``x=x``'s and ``adj(x,x)``'s): each holds n
+cells, as many as the graph's own colour tuple. Negation and quantifiers
+never grow a table.
 
 The root table's variables are the formula's free variables, so
 ``model_check`` reads sentence-ness off the evaluation instead of walking

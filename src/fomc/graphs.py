@@ -37,11 +37,15 @@ import numpy as np
 Edge = tuple[int, int]
 
 
-def _require_integer(name: str, value: object) -> None:
-    """Refuse a count that is not an integer, under the rule colors follow;
-    an int passes without the slower ``Integral`` check."""
-    if type(value) is not int and not isinstance(value, Integral):
+def _require_integer(name: str, value: object) -> int:
+    """Refuse a count that is not an integer, under the rule colors follow,
+    and return it as an int (a numpy integer has no ``bit_length``); an
+    int passes without the slower ``Integral`` check."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Integral):
         raise ValueError(f"{name} {value!r} is not an integer")
+    return operator.index(value)
 
 
 def _require_ids(name: str, ids: Collection[int]) -> None:
@@ -286,6 +290,8 @@ class PartitionFlip:
     def build(
         parts: Sequence[Iterable[int]], rel: Iterable[tuple[int, int]]
     ) -> "PartitionFlip":
+        rel = [tuple(pair) for pair in rel]
+        _require_ids("flip relation part", [part for pair in rel for part in pair])
         return PartitionFlip(
             parts=tuple(frozenset(p) for p in parts),
             rel=frozenset((min(i, j), max(i, j)) for i, j in rel),

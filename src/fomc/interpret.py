@@ -23,24 +23,14 @@ Pipelines:
   encode it as a colored tree whose colors carry (depth, original
   color, adjacency bits toward ancestors). The bits come from the
   per-edge climb that validates the forest.
-* ``mc_treemodel``: recolor the model tree by (leaf flag, graph color,
-  model color, depth).
+* ``mc_treemodel``: recolor the model tree by (graph color, 0 for an
+  inner vertex; model color; depth).
 
-All three take one kernel route: reduce the host tree at budget
-s + overhead and evaluate the original s-variable sentence on the
-graph's induced subgraph on the kept graph vertices. The overhead is the
-extra variables the matching interpretation needs, read off the host: 0
-for ``mc_tree``, min(2, max(0, h - 2)) for a forest of height h (the
-closed form of ``depth_edge_interpretation(h, c).variable_overhead``)
-and min(3, depth) for a tree-model (a meeting point plus two names
-reused along upward chains, which climb no higher than the tree). The
-kernel is ancestor-closed and the interpretations read only depth, color
-and ancestry, so interpreting the kernel gives exactly that subgraph; the
-kernel agrees with the host on s + overhead variables, so the subgraph
-agrees with the graph on s variables. For ``mc_tree`` the subgraph is
-the kernel itself read as a graph. No sentence is translated on this
-path; translating through the scheme and evaluating on the kernel is the
-test suite's referee.
+All three reduce the host tree at the sentence's own budget s and
+evaluate the sentence on the graph's induced subgraph on the kept graph
+vertices; ``_decide_on_kernel`` gives the s-pebble argument. No
+sentence is translated on this path; translating through the schemes
+above and evaluating on the kernel is the test suite's referee.
 """
 
 from __future__ import annotations
@@ -333,10 +323,8 @@ def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
     a chain of tree edges whose depth annotations decrease by one per
     step, reusing the two auxiliary variables x3 and x4.
 
-    No pipeline calls this: ``mc_treedepth`` evaluates the original
-    sentence on an induced subgraph, and the test suite uses this scheme
-    as its referee. It stays here, with its ``_encoded_colors`` and
-    ``_color_set_atom`` helpers, because the benchmark's tracer
+    No pipeline's argument needs it; it is the test suite's referee, and
+    stays here with its helpers because the benchmark's tracer
     (``perfbench/spans.py``) resolves it by name.
     """
     if k < 1 or colors < 1:
@@ -391,22 +379,39 @@ def _require_budget(sentence: Formula, s: int) -> None:
 
 
 def _decide_on_kernel(
-    g: ColoredGraph, host: RootedColoredTree, sentence: Formula, budget: int
+    g: ColoredGraph, host: RootedColoredTree, sentence: Formula, s: int
 ) -> bool:
-    """Evaluate the sentence on g's induced subgraph on the graph
-    vertices that the kernel of ``host`` at ``budget`` keeps.
+    """Evaluate the sentence, of at most ``s`` variables, on g's induced
+    subgraph on the graph vertices that ``host``'s kernel at budget s keeps.
 
-    ``host`` must encode g with graph vertex v as host vertex v and every
-    other host vertex above g.n, under an interpretation that reads only
-    depth, color and ancestry and needs ``budget - s`` extra variables
-    for s-variable sentences. The kernel is ancestor-closed, so that
-    interpretation maps it to exactly this induced subgraph, and the
-    kernel agrees with the host on every sentence with ``budget``
-    variables, so the subgraph agrees with g on every sentence with s
-    variables. The caller has checked the sentence (``_require_budget``);
-    ``holds`` still refuses a result with free variables.
+    ``host`` holds graph vertex v as host vertex v and its other
+    vertices above g.n, coloured apart from the graph vertices, and the
+    adjacency of two graph vertices depends only on their host colours
+    and depths and the depth of their lowest common ancestor: the tree
+    is its own host; the encoded forest's colours hold the adjacency
+    bits toward the ancestors, and every edge joins an ancestor to a
+    descendant; the model tree's colours hold the model colours, which
+    with the distance decide the model's rules.
+
+    Then the core agrees with g on every sentence of s variables. In the
+    s-pebble game the duplicator keeps an injective map f from the
+    ancestor closure of the pebbled vertices on one side to the other,
+    root to root and parent to parent, that keeps each vertex's class:
+    the isomorphism type of its kept subtree, which a kept vertex keeps
+    in the core. So f keeps colours, depths and lowest common ancestors,
+    and is a partial isomorphism on the pebbled graph vertices. When a
+    pebble goes to x, let a be x's deepest ancestor in the closure of
+    the other s - 1 pebbles and b its child toward x. Equal classes give
+    a and f(a) the same number k = min(m, s) of kept children of b's
+    class, m being the count in g, and at most k - 1 of them lie in the
+    closure, one per other pebble and none of them b; so one is free to
+    match b.
+    Below it nothing is pebbled and classes agree, so each step down to
+    x finds a child of the class it needs. Sibling subtrees of one class
+    are thus interchangeable over their common ancestors, and s copies
+    suffice. ``holds`` still refuses a result with free variables.
     """
-    kept = reduce_tree(host, budget).kept
+    kept = reduce_tree(host, s).kept
     core = g.induced_subgraph(v for v in kept if v <= g.n)
     return evaluate_free(core, sentence).holds
 
@@ -426,7 +431,7 @@ def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
     if ef is None:
         raise ValueError(f"the graph has tree-depth larger than {k}")
     host = encode_elimination_forest(g, ef)
-    return _decide_on_kernel(g, host, sentence, s + min(2, max(0, ef.height - 2)))
+    return _decide_on_kernel(g, host, sentence, s)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +442,7 @@ def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
 # the palette enumerates the realized composites in sorted order. The leaves
 # are the graph vertices, and the adjacency of two leaves follows from
 # their model colors and their distance, which depth and ancestry
-# determine. Phrased as an interpretation, distance-d is "some common
-# ancestor at upward distances i+j = d, and none closer", with upward
-# chains reusing two variables and the meeting point pinned at a third.
+# determine.
 
 
 def _tree_model_host(g: ColoredGraph, tm: TreeModel) -> RootedColoredTree:
@@ -468,4 +471,4 @@ def mc_treemodel(
     if not validate_tree_model(g, tm):
         raise ValueError("the tree-model does not reproduce the graph")
     host = _tree_model_host(g, tm)
-    return _decide_on_kernel(g, host, sentence, s + min(3, tm.tree.depth))
+    return _decide_on_kernel(g, host, sentence, s)

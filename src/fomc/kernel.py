@@ -71,9 +71,9 @@ def kernel_size_bound_capped(s: int, k: int, c: int) -> tuple[int, bool]:
 def _bound(s: int, k: int, c: int, bits: int) -> int | None:
     """The value of the recurrence, or None when it has more than
     ``bits`` bits; no power of more than 2 * ``bits`` bits is computed."""
-    _require_integer("variable budget", s)
-    _require_integer("depth", k)
-    _require_integer("color count", c)
+    s = _require_integer("variable budget", s)
+    k = _require_integer("depth", k)
+    c = _require_integer("color count", c)
     if s < 1 or c < 1 or k < 0:
         raise ValueError("need s >= 1, c >= 1, k >= 0")
     value = 1  # bound(s, 0, c + k)
@@ -113,7 +113,7 @@ class KernelResult:
 
 
 def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
-    _require_integer("variable budget", s)
+    s = _require_integer("variable budget", s)
     if s < 1:
         raise ValueError("the variable budget must be positive")
     colors = t.colors
@@ -175,9 +175,17 @@ def verify_kernel(
     Structural checks first (the result is a reduction of ``t``, its kept
     set contains the root, and it honors the size bound), then
     ``fo_s_equivalent`` decides FO^s equivalence of original and kernel.
+    The kernel is read as the tree's graph induced on the kept set, which
+    is the kernel tree read as a graph once the set is closed under
+    parents; a set that is not is refused with ``ValueError``.
     """
-    if result.tree != t or t.root not in result.kept:
+    kept = result.kept
+    if result.tree != t or t.root not in kept:
         return False
-    if len(result.kept) > result.bound:
+    if len(kept) > result.bound:
         return False
-    return fo_s_equivalent(t.to_graph(), result.kernel.to_graph(), s, cap)
+    g = t.to_graph()
+    core = g.induced_subgraph(kept)
+    if not {t.parents[v - 1] for v in kept} <= kept | {0}:
+        raise ValueError("the kept set is not closed under parents")
+    return fo_s_equivalent(g, core, s, cap)

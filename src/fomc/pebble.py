@@ -78,14 +78,16 @@ class ResourceLimitError(RuntimeError):
     """An instance would exceed the configured cap."""
 
 
-def _require_pebbles(s: int, cap: int) -> None:
-    # checked before any shortcut, so equal graphs get no answer either
-    _require_integer("pebble count", s)
-    _require_integer("tuple cap", cap)
+def _require_pebbles(s: int, cap: int) -> tuple[int, int]:
+    """``(s, cap)`` as ints, checked before any shortcut, so equal graphs
+    get no answer either."""
+    s = _require_integer("pebble count", s)
+    cap = _require_integer("tuple cap", cap)
     if s < 1:
         raise ValueError("the pebble count must be positive")
     if cap < 1:
         raise ValueError(f"the tuple cap must be positive, got {cap}")
+    return s, cap
 
 
 def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
@@ -217,6 +219,11 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
     does not grow is the last.
     """
     sides = [g.n + 1 for g in graphs]
+    if s > cap.bit_length():  # every side is at least 2, so m**s > cap
+        raise ResourceLimitError(
+            f"type refinement needs more than {cap} tuples (cap {cap}): "
+            f"vertex counts {[g.n for g in graphs]}, more than {cap.bit_length()} pebbles"
+        )
     sizes = [m**s for m in sides]
     if sum(sizes) > cap:
         raise ResourceLimitError(
@@ -256,7 +263,7 @@ def fo_s_equivalent(
 ) -> bool:
     """Whether ``a`` and ``b`` satisfy the same sentences with at most
     ``s`` distinct variables."""
-    _require_pebbles(s, cap)
+    s, cap = _require_pebbles(s, cap)
     return a == b or _run_game(a, b, s, cap)[0]
 
 
@@ -266,7 +273,7 @@ def spoiler_distance(
     """The refinement round that separates the all-blank tuples, or None
     when the graphs are equivalent. This is the number of rounds in which
     the spoiler wins the s-pebble game."""
-    _require_pebbles(s, cap)
+    s, cap = _require_pebbles(s, cap)
     if a != b:
         for rounds, (sets, _) in enumerate(_refine([a, b], s, cap), start=1):
             if sets[0][0] != sets[1][0]:
@@ -284,7 +291,7 @@ def type_census(
     refined together, once, and grouped by the final set of their
     all-blank tuple's context.
     """
-    _require_pebbles(s, cap)
+    s, cap = _require_pebbles(s, cap)
     first: dict[ColoredGraph, int] = {}
     rep = [first.setdefault(g, len(first)) for g in graphs]
     classes = [0]

@@ -2,7 +2,7 @@
 
 Conventions:
 
-* ``RootedColoredTree.depth`` counts edges, so a single vertex has depth 0.
+* ``RootedColoredTree.depths`` count edges, so a single vertex has depth 0.
 * ``EliminationForest.height`` counts vertices along a root-to-node path,
   so a single vertex has height 1. A graph has tree-depth at most k
   exactly when it has an elimination forest of height at most k.
@@ -132,10 +132,6 @@ class RootedColoredTree:
     def depths(self) -> tuple[int, ...]:
         """Distance in edges from the root, per vertex."""
         return _depths(self.parents, top=0)
-
-    @property
-    def depth(self) -> int:
-        return max(self.depths)
 
     @cached_property
     def leaves(self) -> frozenset[int]:

@@ -30,10 +30,12 @@ types once more to find them stable referees the one that builds slot
 the recipe build that toggle pairs in a set of edge tuples referee the
 ones that XOR edge keys in arrays.
 
-The module also holds the suite's seeded generators (random trees and
-tree-models), the tree-from-graph rooting and the forest and tree-model
-file writers. These are not independent referees: they only build and
-write inputs, and they live here because no production path calls them.
+The module also holds the suite's seeded generators (random trees,
+tree-models and graphs of bounded tree-depth), the tree-from-graph
+rooting, the forest and tree-model file writers and the sweep that
+checks the graph routes' kernels. These are not independent referees:
+they build and write inputs or call the package, and they live here
+because no production path calls them.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ from collections import deque
 from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence, TextIO
+from unittest import mock
 
 import numpy as np
 
-from fomc.evaluator import EvalStats, SatisfyingSet, _require_cells, evaluate_free
+from fomc.evaluator import EvalStats, SatisfyingSet, _require_cells, evaluate_free, model_check
 from fomc.formulas import (
     Adj,
     And,
@@ -72,7 +75,7 @@ from fomc.formulas import (
     disjunction,
     fold,
 )
-from fomc import pebble
+from fomc import interpret, kernel, pebble
 from fomc.graphs import ColoredGraph, Edge, PartitionFlip, SCCombine, SCLeaf, SCRecipe
 from fomc.interpret import (
     X1,
@@ -781,7 +784,7 @@ def treemodel_host_and_scheme(
     def ancestor_at(v: Var, steps: int, to: Var) -> Formula:
         options = [
             conjunction((at_depth(v, d), up_chain(v, d, steps, to)))
-            for d in range(steps, t.depth + 1)
+            for d in range(steps, max(t.depths) + 1)
         ]
         return disjunction(options) if options else canonical_false(v)
 
@@ -1009,7 +1012,7 @@ def sorting_reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     for v in reversed(deepest_first):
         if v in kept_all:
             kept_all.update(kept_kids[v])
-    bound, exact = kernel_size_bound_capped(s, t.depth, t.c)
+    bound, exact = kernel_size_bound_capped(s, max(t.depths), t.c)
     return KernelResult(
         tree=t,
         kept=frozenset(kept_all),
@@ -1202,6 +1205,30 @@ def random_tree_model(
     return g, tm
 
 
+def random_treedepth_graph(
+    rng: random.Random, n: int, depth: int, keep: float, colors: int
+) -> ColoredGraph:
+    """A graph of tree-depth at most ``depth + 1``: the edges of a
+    ``random_tree`` of that depth, plus each pair of a vertex and a
+    further ancestor with probability ``keep``, on vertices relabelled
+    at random and coloured from 1..``colors``."""
+    parents = random_tree(rng, n, depth).parents
+    edges = []
+    for v, p in enumerate(parents, start=1):
+        a = p
+        while a:
+            if a == p or rng.random() < keep:
+                edges.append((v, a))
+            a = parents[a - 1]
+    label = rng.sample(range(1, n + 1), n)
+    return ColoredGraph.build(
+        n,
+        [(label[u - 1], label[v - 1]) for u, v in edges],
+        [rng.randint(1, colors) for _ in range(n)],
+        c=colors,
+    )
+
+
 def tree_from_graph(g: ColoredGraph, root: int) -> RootedColoredTree:
     """The tree ``g`` rooted at ``root``; colors and the palette are kept."""
     if not 1 <= root <= g.n:
@@ -1347,3 +1374,61 @@ def pipeline_fixtures() -> PipelineFixtures:
         for _ in range(100)
     )
     return PipelineFixtures(sentences, trees, tuple(graphs), tree_models)
+
+
+def kernel_budget_sweep(seed: int, draws: int) -> dict[str, int]:
+    """Check the graph routes' kernels at budget s on seeded draws, and
+    count per route the cores strictly smaller than at the earlier
+    budgets, s + min(2, max(0, h - 2)) for a forest of height h and
+    s + min(3, depth) for a tree-model.
+
+    Each route gets ``draws`` draws at s = 1, 2, 3 in turn: for
+    ``mc_treedepth``, ``random_treedepth_graph`` with 6-40 vertices,
+    depth 2 or 3, ``keep`` in {0, 0.3, 0.6, 1} and 1-2 colours; for
+    ``mc_treemodel``, ``random_tree_model`` with 2-30 leaves and depth
+    1-3. The route decides a random s-variable sentence as
+    ``model_check`` does, the kernel it reduced at budget s keeps no more
+    graph vertices than the earlier budget's, and the induced subgraph
+    on them is FO^s-equivalent to the graph (``fo_s_equivalent``). The
+    first failure raises ``AssertionError``.
+    """
+    rng = random.Random(seed)
+    reductions = []
+
+    def spy(host: RootedColoredTree, budget: int) -> KernelResult:
+        result = kernel.reduce_tree(host, budget)
+        reductions.append((budget, result))
+        return result
+
+    def check(route: str, g: ColoredGraph, decide, s: int, earlier: int) -> bool:
+        phi = random_formula(rng, s, g.c, 4)
+        assert decide(phi) == model_check(g, phi), (route, g, phi)
+        budget, result = reductions.pop()
+        assert budget == s, (route, budget, s)
+        kept, before = (
+            [v for v in res.kept if v <= g.n]
+            for res in (result, kernel.reduce_tree(result.tree, earlier))
+        )
+        assert len(kept) <= len(before), (route, g)
+        assert pebble.fo_s_equivalent(g, g.induced_subgraph(kept), s), (route, g, s)
+        return len(kept) < len(before)
+
+    smaller = {"forest": 0, "tree-model": 0}
+    with mock.patch.object(interpret, "reduce_tree", spy):
+        for i in range(draws):
+            s = 1 + i % 3
+            depth = rng.choice((2, 3))
+            g = random_treedepth_graph(
+                rng, rng.randint(6, 40), depth, rng.choice((0, 0.3, 0.6, 1)), rng.randint(1, 2)
+            )
+            h = compute_elimination_forest(g, depth + 1).height
+            smaller["forest"] += check(
+                "forest", g, lambda phi: interpret.mc_treedepth(g, phi, depth + 1, s),
+                s, s + min(2, max(0, h - 2)),
+            )
+            g, tm = random_tree_model(rng, rng.randint(2, 30), rng.randint(1, 3))
+            smaller["tree-model"] += check(
+                "tree-model", g, lambda phi: interpret.mc_treemodel(g, tm, phi, s),
+                s, s + min(3, max(tm.tree.depths)),
+            )
+    return smaller

@@ -648,3 +648,10 @@ def test_every_way_of_making_a_graph_stores_sorted_read_only_edge_arrays():
     for name in ("n", "edge_lo", "edges"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
+
+
+@pytest.mark.parametrize("pair", [(0, "x"), ("x", 1), ("x", "y")])
+def test_a_flip_relation_pair_that_mixes_types_is_refused(pair):
+    # a pair of an int and a str used to escape from min/max as a TypeError
+    with pytest.raises(ValueError, match="^flip relation part 'x' is not an integer$"):
+        PartitionFlip.build([[1], [2]], [pair])

@@ -51,6 +51,7 @@ from fomc.randgen import random_formula, random_graph
 from .oracles import (
     all_labeled_graphs,
     climbing_encode_elimination_forest,
+    kernel_budget_sweep,
     mc_by_translation,
     pipeline_fixtures,
     random_tree,
@@ -489,9 +490,10 @@ def test_depth_edge_interpretation_is_pinned(k, c):
 
 
 # ---------------------------------------------------------------------------
-# Kernel budgets: the pipelines reduce at s plus the overhead of the
-# interpretation that recovers the graph from the host. The agreement
-# tests alone do not guard this: a budget of s passes them all.
+# Kernel budgets: the pipelines reduce every host at the sentence's own
+# budget s. The agreement tests alone do not guard this: a larger budget
+# passes them all. The seeded sweep checks each budget-s core against
+# FO^s equivalence and against the core at the earlier, larger budget.
 
 def _kernel_calls(monkeypatch) -> list:
     """Each (budget, kept vertices) the pipelines' ``reduce_tree`` call
@@ -507,47 +509,58 @@ def _kernel_calls(monkeypatch) -> list:
     return calls
 
 
-def test_mc_treedepth_reduces_at_the_forest_schemes_overhead(monkeypatch):
+def test_mc_treedepth_reduces_at_the_sentences_budget(monkeypatch):
+    # the forest of a path is a balanced binary tree whose siblings
+    # differ in their adjacency bits, so every vertex is kept
     calls = _kernel_calls(monkeypatch)
     phi = parse_formula("exists x1. C1(x1)")
-    for h in range(1, 9):
-        g = gen_path(2 ** (h - 1))  # tree-depth h
-        assert mc_treedepth(g, phi, h, 1)
-        overhead = depth_edge_interpretation(h, g.c).variable_overhead
-        assert calls.pop()[0] == 1 + overhead == 1 + min(2, max(0, h - 2))
+    for s in (1, 2, 3):
+        for h in range(1, 9):
+            g = gen_path(2 ** (h - 1))  # tree-depth h
+            assert mc_treedepth(g, phi, h, s)
+            assert calls.pop() == (s, g.n)
 
 
-def test_mc_treemodel_reduces_within_the_referee_overhead(monkeypatch):
-    # the referee binds a meeting point plus two names along upward
-    # chains, which climb at most the tree's depth
+def test_mc_treemodel_reduces_at_the_sentences_budget(monkeypatch):
+    # kept host vertices summed per model depth; the earlier budget
+    # 1 + min(3, depth) kept 487, 923 and 133
     calls = _kernel_calls(monkeypatch)
     phi = parse_formula("exists x1. C1(x1)")
     rng = random.Random(21)
     seeded = [random_tree_model(rng, rng.randint(1, 8), rng.randint(1, 3)) for _ in range(150)]
-    reached = set()
+    kept = {}
     for g, tm in list(pipeline_fixtures().tree_models) + seeded:
-        depth = tm.tree.depth
-        overhead = treemodel_host_and_scheme(g, tm)[1].variable_overhead
         mc_treemodel(g, tm, phi, 1)
-        assert overhead <= calls.pop()[0] - 1 == min(3, depth)
-        if overhead == depth:
-            reached.add(depth)
-    assert reached == {1, 2, 3}
+        budget, count = calls.pop()
+        assert budget == 1
+        depth = max(tm.tree.depths)
+        kept[depth] = kept.get(depth, 0) + count
+    assert kept == {1: 386, 2: 811, 3: 120}
 
 
-def test_shallow_forest_hosts_keep_only_what_their_overhead_needs(monkeypatch):
+def test_forest_hosts_keep_only_what_budget_s_needs(monkeypatch):
     # criterion 3's graphs at s = 1, kept vertices summed per forest
-    # height; a fixed budget of s + 2 would keep 24, 228 and 1371
+    # height; the earlier budget s + min(2, max(0, h - 2)) kept 1320 at
+    # height 3, and a fixed budget of s + 2 would keep 24, 228 and 1371
     calls = _kernel_calls(monkeypatch)
     phi = parse_formula("exists x1. C1(x1)")
     hosts, kept = {}, {}
     for g in pipeline_fixtures().treedepth_graphs:
         h = compute_elimination_forest(g, 3).height
         mc_treedepth(g, phi, 3, 1)
+        budget, count = calls.pop()
+        assert budget == 1
         hosts[h] = hosts.get(h, 0) + 1
-        kept[h] = kept.get(h, 0) + calls.pop()[1]
-    assert hosts[2] == 37
-    assert kept == {1: 13, 2: 128, 3: 1320}
+        kept[h] = kept.get(h, 0) + count
+    assert hosts == {1: 7, 2: 37, 3: 198}
+    assert kept == {1: 13, 2: 128, 3: 1077}
+
+
+def test_budget_s_cores_are_fo_s_equivalent_to_their_graphs():
+    # 300 draws per route at s = 1, 2, 3; the seed gives 198 and 205
+    # cores strictly smaller than at the earlier budgets
+    smaller = kernel_budget_sweep(7, 300)
+    assert smaller["forest"] >= 150 and smaller["tree-model"] >= 150
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 from fomc import kernel
@@ -192,7 +193,7 @@ def test_reduction_stats_class_counts():
 def test_deep_path_is_not_capped_by_the_recursion_limit():
     path = RootedColoredTree.build({v: v - 1 for v in range(1, 5001)})
     assert reduce_tree(path, 2).kept == frozenset(range(1, 5001))
-    assert kernel_size_bound_capped(2, path.depth, 1) == (BOUND_CAP, False)
+    assert kernel_size_bound_capped(2, max(path.depths), 1) == (BOUND_CAP, False)
     assert mc_tree(path, parse_formula("forall x1. C1(x1)"), 2)
     total = parse_formula("forall x1. exists x2. adj(x1,x2)")
     # 5000^2 adjacency cells exceed the evaluator's cap, 3000^2 do not
@@ -407,3 +408,39 @@ def restrict_subtree(t: RootedColoredTree, v: int) -> RootedColoredTree:
         {relabel[u]: t.color_of(u) for u in sub},
         c=t.c,
     )
+
+
+def test_a_numpy_integer_budget_is_read_as_an_int():
+    # each call raised AttributeError: numpy integers have no bit_length
+    t = random_tree(random.Random(3), 40, 3, colors=2)
+    g = t.to_graph()
+    phi = parse_formula("forall x1. exists x2. adj(x1,x2) & exists x3. adj(x2,x3) & !x1=x3")
+    three, two = np.int64(3), np.int64(2)
+    assert mc_tree(t, phi, three) == mc_tree(t, phi, 3)
+    assert mc_treedepth(g, phi, 4, three) == mc_treedepth(g, phi, 4, 3)
+    res, ref = reduce_tree(t, two), reduce_tree(t, 2)
+    assert (res.kept, res.bound, res.bound_exact) == (ref.kept, ref.bound, ref.bound_exact)
+    assert kernel_size_bound(two, 2, 2) == kernel_size_bound(2, 2, 2)
+
+
+def test_the_induced_graph_on_the_kept_set_is_the_kernel_read_as_a_graph():
+    # what verify_kernel compares with the tree, read without restrict_tree
+    rng = random.Random(77)
+    for _ in range(80):
+        t = random_tree(rng, rng.randint(1, 60), 3, colors=2)
+        res = reduce_tree(t, rng.randint(1, 3))
+        assert t.to_graph().induced_subgraph(res.kept) == res.kernel.to_graph()
+
+
+def test_verify_kernel_refuses_a_kept_set_not_closed_under_parents():
+    t = RootedColoredTree.build({1: 0, 2: 1, 3: 2})
+    res = reduce_tree(t, 1)
+    gap = type(res)(
+        tree=t,
+        kept=frozenset({1, 3}),
+        bound=res.bound,
+        bound_exact=res.bound_exact,
+        stats=res.stats,
+    )
+    with pytest.raises(ValueError, match="^the kept set is not closed under parents$"):
+        verify_kernel(t, gap, 1)

@@ -1,6 +1,12 @@
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,3 +513,36 @@ def test_no_round_ranks_the_tuples(monkeypatch):
                 type_census(graphs, s)
             assert rows_seen and set(rows_seen) == {contexts}, (graphs, s)
             assert max(ranked) < tuples, (graphs, s)
+
+
+def test_a_huge_pebble_count_is_refused_before_any_power():
+    # (n + 1) ** s used to be computed before the cap was read, which at
+    # s = 2**70 does not return; a child process with a time limit and a
+    # memory limit keeps that from blocking or starving the suite
+    script = textwrap.dedent(
+        """
+        from fomc.graphs import gen_path
+        from fomc.pebble import ResourceLimitError, fo_s_equivalent, spoiler_distance, type_census
+        a, b, s = gen_path(3), gen_path(4), 2**70
+        for call in (spoiler_distance, fo_s_equivalent, lambda a, b, s: type_census([a, b], s)):
+            try:
+                print("answered", call(a, b, s))
+            except ResourceLimitError as e:
+                print(e)
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=30, env=env, preexec_fn=limit_memory,
+    )
+    assert out.stdout.splitlines() == [
+        "type refinement needs more than 10000000 tuples (cap 10000000): "
+        "vertex counts [3, 4], more than 24 pebbles"
+    ] * 3, out.stderr

@@ -33,7 +33,7 @@ TRACED = {"substitute_edge_atoms", "depth_edge_interpretation"}
 ALLOWED = TRACED | {
     # Public and documented in the README: the extra variables a scheme's
     # translation needs, read off its formulas; the tests check it
-    # against the closed forms that the pipelines use instead.
+    # against its closed forms.
     "variable_overhead",
 }
 

@@ -49,13 +49,13 @@ def star(leaves: int) -> RootedColoredTree:
 
 def test_tree_basics():
     t = star(3)
-    assert t.depth == 1
+    assert max(t.depths) == 1
     assert t.leaves == {2, 3, 4}
     assert children(t)[1] == (2, 3, 4)
     partial = RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {3: 2})
     assert partial.colors == (1, 1, 2) and partial.c == 2
     chain = RootedColoredTree.build({1: 0, 2: 1, 3: 2})
-    assert chain.depth == 2
+    assert max(chain.depths) == 2
     assert chain.depths[3 - 1] == 2
     assert chain.distance(1, 3) == chain.distance(3, 1) == 2
     assert chain.distance(2, 3) == 1
@@ -95,7 +95,7 @@ def test_random_tree_draws_are_unchanged():
 
 def test_random_tree_draws_a_large_tree():
     t = random_tree(random.Random(7), 100_000, 3)
-    assert t.n == 100_000 and t.depth == 3
+    assert t.n == 100_000 and max(t.depths) == 3
 
 
 def test_tree_validation():
