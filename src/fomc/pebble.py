@@ -15,8 +15,16 @@ adjacency are symmetric. So a tuple's slot-i set partitions the tuples
 exactly as the slot-0 set of the tuple with slots 0 and i swapped does,
 and slot i's column is slot 0's set ids read with those two axes
 swapped. A round builds sum (n+1)^(s-1) contexts, not s times that.
-Each graph's contexts are sorted and deduplicated at its own width, so
-one large graph does not pad the rows of many small ones.
+
+The input graphs are refined in blocks, one per vertex count: a block
+of G graphs with n + 1 = m holds its tuple keys as one (G, m, ..., m)
+array, slot 0 on the last axis, so each slot-0 context is one line of
+it, and every step of a round is one array operation per block, not one
+per graph. Each size's contexts are sorted and deduplicated at its own
+width, so one large graph does not pad the rows of many small ones. The
+keys are built by broadcasting each block's (G, m) colors, (G, m, m)
+equality and adjacency tables and (G, m, ..., m) slot-0 set ids over
+its tuples; no column is spread over all tuples.
 
 Each round's context partition refines the last one (round -1's is
 the atomic type of the tuple with slot 0 blank), so tuple types need no
@@ -24,15 +32,18 @@ dense ids. Round r + 1's type of a tuple is (round r's type, round r's
 set ids of its s contexts), and round r's type is (atomic type, round
 r - 1's set ids). Round r's set ids determine round r - 1's, so round
 r + 1's type partitions the tuples exactly as (atomic type, round r's
-set ids) does. Each round therefore packs the atomic key and the s
-set-id columns, jointly over all input graphs, into one exact int64 key
-in mixed radix (the radices, the atomic bound and the set count, are
-known in advance). Only where the product of radices would reach 2^62
-is the key ranked, by one argsort, and packing goes on from the ranks.
+set ids) does. From s = 3 on the set ids alone do: every member of a
+slot-i context (there is one, as n >= 1) has the tuple's atomic type
+off slot i, and each slot and each pair of slots lies off some third
+slot. Each round therefore packs the s set-id columns (and below s = 3
+the atomic key), jointly over all blocks, into one exact int64 key in
+mixed radix (the radices, the set count and the atomic bound, are known
+in advance). Only where the product of radices would reach 2^62 is the
+key ranked, by one argsort, and packing goes on from the ranks.
 
-A context's row holds its set's distinct member keys plus one, sorted
-after a run of zeros, and each row is ranked whole as one byte string.
-Two rows hold the same set exactly when their bytes are equal. On a
+A context's row holds its set's distinct member keys, sorted after a
+run of -1, and each row is ranked whole as one byte string. Two rows
+hold the same set exactly when their bytes are equal. On a
 little-endian host byte order is not numeric order, but ranking needs
 only an order that keeps equal rows together, so the set ids are exact.
 
@@ -60,6 +71,7 @@ The work is (n+1)^s tuples per graph, not the game's
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -107,89 +119,151 @@ def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
     return ids, int(rank[-1]) + 1
 
 
-def _pack(columns) -> tuple[np.ndarray, int]:
-    """(an exact int64 key of the rows formed by ``(column, base)`` pairs,
-    whose values lie in ``range(base)``, a bound above every key).
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """``flat`` cut into consecutive blocks, each viewed with its shape."""
+    views, lo = [], 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        views.append(flat[lo:hi].reshape(shape))
+        lo = hi
+    return views
 
-    The columns are packed in mixed radix, and the key is made dense
-    first wherever the next radix would take its bound to ``_KEY_LIMIT``.
+
+def _pack(columns) -> tuple[np.ndarray, int]:
+    """(an exact int64 key of the tuples of all blocks, a bound above
+    every key). The first item of ``columns`` is the blocks' shapes, and
+    the key holds the blocks one after another; each later item is an
+    ``(arrays, base)`` column: one array per block, with values in
+    ``range(base)``, broadcast over the block's tuples.
+
+    The columns are packed in mixed radix, and the key is made dense,
+    jointly over all blocks, first wherever the next radix would take
+    its bound to ``_KEY_LIMIT``. Between two such steps each column is
+    added once, scaled by the radices after it, so the key is written
+    once per column.
     """
     columns = iter(columns)
-    first, bound = next(columns)
-    key = first.astype(np.int64)
-    for col, base in columns:
-        if bound * base >= _KEY_LIMIT:
+    shapes = next(columns)
+    key = np.empty(sum(map(math.prod, shapes)), np.int64)
+    views = _views(key, shapes)
+    head, bound, run = None, 1, []
+    for blocks, base in columns:
+        if bound * base >= _KEY_LIMIT and bound > 1:
+            _write(views, head, run)
             key, bound = _dense(key)
             key = key.astype(np.int64)
-        key *= base
-        key += col
+            views = _views(key, shapes)
+            head, run = views, []
+        run.append((blocks, base))
         bound *= base
+    _write(views, head, run)
     return key, bound
+
+
+def _write(views: list[np.ndarray], head: list[np.ndarray] | None, run) -> None:
+    """Write into ``views`` the ``head`` arrays (none: zeros) followed, in
+    mixed radix, by the ``(arrays, base)`` columns of ``run``; ``head``
+    may be ``views``. Without a head, two first columns that are not
+    whole blocks are summed into the key by one broadcast."""
+    total = 1
+    for _, base in run:
+        total *= base
+    terms, weight = [], total  # (arrays, weight) per column
+    for blocks, base in run:
+        weight //= base
+        terms.append((blocks, np.int64(weight)))
+    if head is not None:
+        for view, block in zip(views, head):
+            np.multiply(block, total, out=view)
+    elif len(terms) > 1 and terms[0][0][0].shape != views[0].shape:
+        (first, a), (second, b) = terms[:2]
+        for view, x, y in zip(views, first, second):
+            np.add(x * a, y * b, out=view)
+        terms = terms[2:]
+    else:
+        for view, block in zip(views, terms[0][0]):
+            np.multiply(block, terms[0][1], out=view)
+        terms = terms[1:]
+    for blocks, weight in terms:
+        for view, block in zip(views, blocks):
+            view += block * weight if weight > 1 else block
 
 
 def _set_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """(dense ids of the sets written by the rows of ``rows``, the number
-    of distinct sets). Each row holds its set's distinct members plus
-    one, sorted after a run of zeros, as ``_rows`` writes them, and is
-    ranked whole as one byte string."""
+    of distinct sets). Each row holds its set's distinct members, sorted
+    after a run of -1, as ``_rows`` writes them, and is ranked whole as
+    one byte string."""
     return _dense(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
 
 
-def _spread(blocks, sides: list[int], s: int, dtype, slot: int) -> np.ndarray:
-    """One column over all graphs' tuples. Graph after graph, the tuples
-    are viewed with one axis of n + 1 per slot and with slots 0 and
-    ``slot`` swapped, and the graph's block is broadcast into that view."""
-    axes = list(range(s))
-    axes[0], axes[slot] = slot, 0
-    col = np.empty(sum(m**s for m in sides), dtype)
-    lo = 0
-    for m, block in zip(sides, blocks):
-        col[lo : lo + m**s].reshape((m,) * s).transpose(axes)[...] = block
-        lo += m**s
-    return col
+def _by_size(graphs: Sequence[ColoredGraph]) -> list[list[int]]:
+    """The input indices grouped by vertex count, groups in order of
+    their first member."""
+    groups: dict[int, list[int]] = {}
+    for idx, g in enumerate(graphs):
+        groups.setdefault(g.n, []).append(idx)
+    return list(groups.values())
 
 
-def _atomic_columns(graphs, sides: list[int], s: int):
-    """``(column, base)`` pairs over the tuples of all graphs: per slot
-    the color (0 for the blank), then per slot pair 2 * equal + adjacent.
-    Colors are replaced by their rank among the colors of all graphs, so
-    any color value fits the packed keys of ``_pack``."""
-    palette = sorted({col for g in graphs for col in g.colors})
-    rank = {col: i for i, col in enumerate(palette, start=1)}
-    lead = (-1,) + (1,) * (s - 1)  # a table over slot 0
-    colors = [np.array([0, *map(rank.get, g.colors)], np.int32).reshape(lead) for g in graphs]
-    for i in range(s):
-        yield _spread(colors, sides, s, np.int32, i), len(rank) + 1
+def _atomic(groups: list[list[ColoredGraph]], s: int):
+    """The blocks' (G, m, ..., m) tuple shapes, m = n + 1, then the
+    ``(arrays, base)`` columns of the atomic key, as ``_pack`` reads
+    them. At s = 1 the column is the (G, m) colors, 0 for the blank.
+    Otherwise there is one column per pair of tuple axes a < b, read off
+    a (G, m, m) table: 2 * equal + adjacent, plus the color at b when a
+    is the first axis, plus the color at a too when b is the second; so
+    every axis's color is read once. Colors are replaced by their rank
+    among the colors of all graphs, so any color value fits the packed
+    keys of ``_pack``."""
+    # the blank's 0 sorts below every color, so it ranks 0 and a color c
+    # ranks one more than the number of smaller colors
+    palette = sorted(set().union([0], *(g.colors for group in groups for g in group)))
+    dtype = np.int64 if palette[-1] < 2**63 else object  # a dtype that holds every color
+    palette = np.array(palette, dtype)
+    colors = []
+    for group in groups:
+        blank_first = itertools.chain.from_iterable(itertools.chain((0,), g.colors) for g in group)
+        values = np.fromiter(blank_first, dtype, len(group) * (group[0].n + 1))
+        colors.append(np.searchsorted(palette, values).reshape(len(group), -1))
+        del values
+    yield [c.shape + c.shape[1:] * (s - 1) for c in colors]
     if s == 1:
-        return  # no slot pairs, whose (n+1) x (n+1) tables may outgrow the tuples
-    pairs = [np.eye(m, dtype=np.int8) * 2 for m in sides]  # equal, never adjacent
-    for g, table in zip(graphs, pairs):
-        table[g.edge_lo, g.edge_hi] = table[g.edge_hi, g.edge_lo] = 1
-    for i, j in itertools.combinations(range(s), 2):
-        # a table over slots 0 and j, spread with slots 0 and i swapped
-        shapes = ([m if k in (0, j) else 1 for k in range(s)] for m in sides)
-        yield _spread(map(np.reshape, pairs, shapes), sides, s, np.int8, i), 3
+        yield colors, len(palette)
+        return  # no axis pairs, whose (n+1) x (n+1) tables may outgrow the tuples
+    rels = []
+    for group, c in zip(groups, colors):
+        size, m = c.shape
+        rel = np.zeros((size, m, m), np.int8)
+        rel.reshape(size, m * m)[:, :: m + 1] = 2  # equal, never adjacent
+        which = np.repeat(np.arange(size), [len(g.edge_lo) for g in group])
+        lo = np.concatenate([g.edge_lo for g in group])
+        hi = np.concatenate([g.edge_hi for g in group])
+        rel[which, lo, hi] = rel[which, hi, lo] = 1
+        rels.append(rel)
+    for a, b in itertools.combinations(range(s), 2):  # tuple axes a + 1 < b + 1
+        tables, base = rels, 3
+        if a == 0:  # the color at b, and at a too for the first pair
+            tables = [c[:, None, :] * base + rel for c, rel in zip(colors, rels)]
+            base *= len(palette)
+            if b == 1:
+                for c, t in zip(colors, tables):
+                    t += c[:, :, None] * base
+                base *= len(palette)
+        yield [t.reshape(t.shape[:1] + (1,) * a + t.shape[1:2] + (1,) * (b - a - 1) + t.shape[2:] + (1,) * (s - 1 - b)) for t in tables], base
 
 
-def _rows(types: np.ndarray, sides: list[int], starts: list[int], s: int) -> np.ndarray:
-    """One row per slot-0 context (a tuple with slot 0 left open), graph
-    after graph in tuple order: the distinct type keys of the tuples that
-    put a vertex into slot 0, plus one, sorted after a run of zeros. Each
-    graph's rows are sorted and deduplicated at its own width, and all are
-    padded only to the most distinct members of any row."""
-    blocks = []
-    for lo, m in zip(starts, sides):
-        rows = types[lo : lo + m**s].reshape(m, -1)[1:].T.copy()
-        rows.sort(axis=1)
-        repeat = rows[:, 1:] == rows[:, :-1]
-        rows += 1
-        rows[:, 1:][repeat] = 0
-        drop = int(repeat.sum(axis=1).min())
-        del repeat
-        rows.sort(axis=1)
-        blocks.append(rows[:, drop:].copy() if drop else rows)
-    width = max(block.shape[1] for block in blocks)
-    out = np.zeros((sum(map(len, blocks)), width), types.dtype)
+def _rows(views: list[np.ndarray]) -> np.ndarray:
+    """One row per slot-0 context (a tuple with slot 0 left open), block
+    after block in tuple order: the distinct type keys of the tuples that
+    put a vertex into slot 0, sorted after a run of -1. Each block's rows
+    are sorted and deduplicated at its own width, and all are padded only
+    to the most distinct members of any row."""
+    blocks = [_block_rows(types) for types in views]
+    if len(blocks) == 1:
+        return blocks[0]
+    width = max([block.shape[1] for block in blocks])
+    out = np.full((sum(map(len, blocks)), width), -1, np.int64)
     at = 0
     for block in blocks:
         out[at : at + len(block), width - block.shape[1] :] = block
@@ -197,26 +271,46 @@ def _rows(types: np.ndarray, sides: list[int], starts: list[int], s: int) -> np.
     return out
 
 
-def _slot_sets(sets: list[np.ndarray], nsets: int, sides: list[int], s: int):
-    """``(column, base)`` per slot i: the set id of each tuple's slot-i
+def _block_rows(types: np.ndarray) -> np.ndarray:
+    """The rows of ``_rows`` for one block's tuple keys, whose last axis
+    puts each vertex (after the blank) into slot 0, at the block's own
+    width."""
+    m = types.shape[-1]
+    rows = np.sort(types.reshape(-1, m)[:, 1:], axis=1)
+    repeat = rows[:, 1:] == rows[:, :-1]
+    np.copyto(rows[:, 1:], -1, where=repeat)
+    drop = int(repeat.sum(axis=1).min())
+    del repeat
+    rows.sort(axis=1)
+    return rows[:, drop:].copy() if drop else rows
+
+
+def _slot_columns(blocks: list[np.ndarray], nsets: int, s: int):
+    """``(arrays, base)`` per slot i: the set id of each tuple's slot-i
     context. That is the slot-0 set id of the tuple with slots 0 and i
-    swapped, so each graph's slot-0 ids, whose axes are slots 1 .. s-1,
-    are spread with slots 0 and i swapped."""
-    ids = [block.reshape((m,) * (s - 1)) for block, m in zip(sets, sides)]
-    for i in range(s):
-        yield _spread(ids, sides, s, sets[0].dtype, i), nsets
+    swapped, so each block's (G, m, ..., m) slot-0 ids, whose axes after
+    the first are slots 1 .. s-1, are read with slot i's axis moved last,
+    where the tuple keys hold slot 0, and a unit axis in its place."""
+    yield [ids[..., None] for ids in blocks], nsets
+    for i in range(1, s):
+        order = (0, *range(1, i), *range(i + 1, s), i)
+        spot = (slice(None),) * i + (None,)
+        yield [ids.transpose(order)[spot] for ids in blocks], nsets
 
 
 def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
     """Yield, round after round until the partition is stable, (each
     graph's array of slot-0 context set ids, the number of sets).
 
-    Viewed with one axis of n + 1 per slot, a graph's tuple keys hold one
-    slot-0 context per line along axis 0: its set is the line minus the
-    blank. Round r's sets give round r + 1's tuple keys, packed from the
-    atomic key and the set ids of each slot's context. Each round's set
-    partition refines the last one, so the first round whose set count
-    does not grow is the last.
+    The graphs are refined in blocks, one per vertex count in order of
+    first appearance. A block of G graphs with m = n + 1 holds its tuple
+    keys as one (G, m, ..., m) array, slots 1 .. s-1 on the middle axes
+    and slot 0 on the last, so each line along the last axis is one
+    slot-0 context: its set is the line minus the blank. Round r's sets
+    give round r + 1's tuple keys, packed from the set ids of each slot's
+    context and, below s = 3, the atomic key. Each round's set partition
+    refines the last one, so the first round whose set count does not
+    grow is the last.
     """
     sides = [g.n + 1 for g in graphs]
     if s > cap.bit_length():  # every side is at least 2, so m**s > cap
@@ -224,27 +318,39 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
             f"type refinement needs more than {cap} tuples (cap {cap}): "
             f"vertex counts {[g.n for g in graphs]}, more than {cap.bit_length()} pebbles"
         )
-    sizes = [m**s for m in sides]
-    if sum(sizes) > cap:
+    tuples = sum(m**s for m in sides)
+    if tuples > cap:
         raise ResourceLimitError(
-            f"type refinement needs {sum(sizes)} tuples (cap {cap}): "
+            f"type refinement needs {tuples} tuples (cap {cap}): "
             f"vertex counts {[g.n for g in graphs]}, s={s}"
         )
-    starts = list(itertools.accumulate(sizes[:-1], initial=0))
-    contexts = list(itertools.accumulate((m ** (s - 1) for m in sides), initial=0))
-    atomic = _pack(_atomic_columns(graphs, sides, s))
-    types = atomic[0]
+    groups = _by_size(graphs)
+    shapes = [(len(group), *[sides[group[0]]] * s) for group in groups]
+    contexts = [shape[:-1] for shape in shapes]
+    spans = [None] * len(graphs)  # each graph's slot-0 contexts in the blocks' set ids
+    lo = 0
+    for group in groups:
+        width = sides[group[0]] ** (s - 1)
+        for idx in group:
+            spans[idx] = lo, lo + width
+            lo += width
+    atomic, bound = _pack(_atomic([[graphs[i] for i in group] for group in groups], s))
+    types = _views(atomic, shapes)
+    del atomic
     # round -1's sets: the atomic types of the tuples with slot 0 blank
-    heads = [types[lo : lo + m ** (s - 1)] for lo, m in zip(starts, sides)]
-    known = _dense(np.concatenate(heads))[1]
+    known = _dense(np.concatenate([block[..., 0] for block in types], axis=None))[1]
+    # from s = 3 on, the slot contexts' set ids fix the atomic type
+    atomic_column = [(types, bound)] if s < 3 else []
     while True:
-        sets, nsets = _set_ids(_rows(types, sides, starts, s))
-        sets = [sets[lo:hi] for lo, hi in itertools.pairwise(contexts)]
-        yield sets, nsets
+        ids, nsets = _set_ids(_rows(types))
+        del types
+        yield [ids[lo:hi] for lo, hi in spans], nsets
         if nsets == known:
             return
         known = nsets
-        types = _pack(itertools.chain([atomic], _slot_sets(sets, nsets, sides, s)))[0]
+        blocks = _views(ids, contexts)
+        columns = itertools.chain([shapes], _slot_columns(blocks, nsets, s), atomic_column)
+        types = _views(_pack(columns)[0], shapes)
 
 
 def _run_game(a: ColoredGraph, b: ColoredGraph, s: int, cap: int) -> tuple[bool, int | None]:

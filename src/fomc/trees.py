@@ -44,6 +44,11 @@ from .graphs import (
     _require_palette,
     _sized_header,
 )
+from .pebble import ResourceLimitError
+
+#: Refuse a tree-depth search once the vertex masks it has split into
+#: components hold more vertices than this, summed over every split.
+FOREST_WORK_CAP = 4_000_000
 
 
 def _depths(parents: tuple[int, ...], top: int) -> tuple[int, ...]:
@@ -281,6 +286,13 @@ def _deepest_chain(start: int, sub: int, nb: list[int]) -> list[int]:
     return longest
 
 
+def _forest_refusal(cap: int, n: int, k: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"the tree-depth search split more than {cap} vertices into components "
+        f"(cap {cap}): {n} vertices, height budget {k}"
+    )
+
+
 def compute_elimination_forest(
     g: ColoredGraph, k: int
 ) -> EliminationForest | None:
@@ -295,7 +307,9 @@ def compute_elimination_forest(
     outwards; a root off P leaves P whole, so it is tried only while
     ``low + 1`` beats the best found, and a root reaching ``low`` ends
     the search. Dense graphs and graphs of high tree-depth still cost
-    time exponential in n.
+    time exponential in n, so the search counts its work, the vertices of
+    every mask it splits into components, and refuses with
+    ``ResourceLimitError`` once that passes ``FOREST_WORK_CAP``.
     """
     _require_integer("height budget", k)
     if k < 1:
@@ -305,9 +319,11 @@ def compute_elimination_forest(
         nb[u] |= 1 << v
         nb[v] |= 1 << u
     known: dict[int, tuple[int, int]] = {}  # (height, root); root 0: height exceeds it
+    cap, work = FOREST_WORK_CAP, g.n  # vertices in the masks handed to _split, from the first
 
     def best(sub: int, budget: int) -> tuple[int, int] | None:
         """(minimal height, a root for it) of a connected mask; None above ``budget``."""
+        nonlocal work
         if sub & (sub - 1) == 0:
             return (1, sub.bit_length() - 1) if budget >= 1 else None
         h, root = known.get(sub, (0, 0))
@@ -321,11 +337,13 @@ def compute_elimination_forest(
             return None
         outwards = sorted(range(len(path)), key=lambda i: abs(2 * i + 1 - len(path)))
         off_path = sub & ~sum(1 << v for v in path)
-        best_h, best_root = min(budget, sub.bit_count()) + 1, 0
+        size = sub.bit_count()
+        best_h, best_root = min(budget, size) + 1, 0
         roots = itertools.chain((path[j] for j in outwards), _members(off_path))
         for i, v in enumerate(roots):
             if i >= len(path) and low >= best_h - 1:
                 break
+            work += size - 1  # the vertices of the mask split below
             worst = 0
             for comp in _split(sub & ~(1 << v), nb):
                 found = best(comp, best_h - 2)
@@ -336,6 +354,8 @@ def compute_elimination_forest(
                 best_h, best_root = 1 + worst, v
                 if best_h <= low:
                     break
+        if work > cap:
+            raise _forest_refusal(cap, g.n, k)
         known[sub] = (best_h, best_root) if best_root else (budget, 0)
         return known[sub] if best_root else None
 
@@ -347,6 +367,9 @@ def compute_elimination_forest(
         sub, above = pending.pop()
         _, root = best(sub, k)
         parents[root] = above
+        work += sub.bit_count() - 1
+        if work > cap:
+            raise _forest_refusal(cap, g.n, k)
         pending.extend((comp, root) for comp in _split(sub & ~(1 << root), nb))
     return EliminationForest(n=g.n, parents=tuple(parents[1:]))
 

@@ -26,7 +26,10 @@ that reads the evaluator's satisfying rows into sets and dicts referees
 the one that works on its tables. The type refinement that builds the
 contexts of every slot, pads them to the widest graph and interns the
 types once more to find them stable referees the one that builds slot
-0's contexts alone and stops as soon as its answer is fixed. The flip and
+0's contexts alone and stops as soon as its answer is fixed, and the
+slot-0 refinement that spreads every key column over all graphs' tuples
+and deduplicates each graph's contexts on their own referees, round by
+round, the one that refines graphs of one size as one block. The flip and
 the recipe build that toggle pairs in a set of edge tuples referee the
 ones that XOR edge keys in arrays.
 
@@ -625,16 +628,132 @@ def pebble_game(
 
 
 # ---------------------------------------------------------------------------
+# The column-wise type refinement, the per-round referee of
+# ``fomc.pebble._refine``: the same slot-0 rounds, built graph by graph.
+# Every key column is spread over all graphs' tuples as one flat array,
+# and each graph's contexts are sorted and deduplicated on their own.
+
+#: The column-wise keys are made dense before their bound reaches this.
+_COLUMNWISE_KEY_LIMIT = 2**62
+
+
+def _columnwise_pack(columns) -> tuple[np.ndarray, int]:
+    """(an exact int64 key of the rows formed by ``(column, base)`` pairs,
+    whose values lie in ``range(base)``, a bound above every key), packed
+    in mixed radix and made dense wherever the next radix would take the
+    bound to ``_COLUMNWISE_KEY_LIMIT``."""
+    columns = iter(columns)
+    first, bound = next(columns)
+    key = first.astype(np.int64)
+    for col, base in columns:
+        if bound * base >= _COLUMNWISE_KEY_LIMIT:
+            key, bound = pebble._dense(key)
+            key = key.astype(np.int64)
+        key *= base
+        key += col
+        bound *= base
+    return key, bound
+
+
+def _spread(blocks, sides: list[int], s: int, dtype, slot: int) -> np.ndarray:
+    """One column over all graphs' tuples. Graph after graph, the tuples
+    are viewed with one axis of n + 1 per slot and with slots 0 and
+    ``slot`` swapped, and the graph's block is broadcast into that view."""
+    axes = list(range(s))
+    axes[0], axes[slot] = slot, 0
+    col = np.empty(sum(m**s for m in sides), dtype)
+    lo = 0
+    for m, block in zip(sides, blocks):
+        col[lo : lo + m**s].reshape((m,) * s).transpose(axes)[...] = block
+        lo += m**s
+    return col
+
+
+def _atomic_columns(graphs, sides: list[int], s: int):
+    """``(column, base)`` pairs over the tuples of all graphs: per slot the
+    color rank (0 for the blank), then per slot pair 2 * equal + adjacent."""
+    palette = sorted({col for g in graphs for col in g.colors})
+    rank = {col: i for i, col in enumerate(palette, start=1)}
+    lead = (-1,) + (1,) * (s - 1)  # a table over slot 0
+    colors = [np.array([0, *map(rank.get, g.colors)], np.int32).reshape(lead) for g in graphs]
+    for i in range(s):
+        yield _spread(colors, sides, s, np.int32, i), len(rank) + 1
+    if s == 1:
+        return
+    pairs = [np.eye(m, dtype=np.int8) * 2 for m in sides]  # equal, never adjacent
+    for g, table in zip(graphs, pairs):
+        table[g.edge_lo, g.edge_hi] = table[g.edge_hi, g.edge_lo] = 1
+    for i, j in itertools.combinations(range(s), 2):
+        # a table over slots 0 and j, spread with slots 0 and i swapped
+        shapes = ([m if k in (0, j) else 1 for k in range(s)] for m in sides)
+        yield _spread(map(np.reshape, pairs, shapes), sides, s, np.int8, i), 3
+
+
+def _columnwise_rows(types: np.ndarray, sides: list[int], starts: list[int], s: int) -> np.ndarray:
+    """One row per slot-0 context, graph after graph in tuple order: the
+    distinct type keys of the tuples that put a vertex into slot 0, plus
+    one, sorted after a run of zeros, padded to the widest row."""
+    blocks = []
+    for lo, m in zip(starts, sides):
+        rows = types[lo : lo + m**s].reshape(m, -1)[1:].T.copy()
+        rows.sort(axis=1)
+        repeat = rows[:, 1:] == rows[:, :-1]
+        rows += 1
+        rows[:, 1:][repeat] = 0
+        drop = int(repeat.sum(axis=1).min())
+        rows.sort(axis=1)
+        blocks.append(rows[:, drop:])
+    width = max(block.shape[1] for block in blocks)
+    out = np.zeros((sum(map(len, blocks)), width), types.dtype)
+    at = 0
+    for block in blocks:
+        out[at : at + len(block), width - block.shape[1] :] = block
+        at += len(block)
+    return out
+
+
+def _slot_sets(sets: list[np.ndarray], nsets: int, sides: list[int], s: int):
+    """``(column, base)`` per slot i: the set id of each tuple's slot-i
+    context, each graph's slot-0 ids spread with slots 0 and i swapped."""
+    ids = [block.reshape((m,) * (s - 1)) for block, m in zip(sets, sides)]
+    for i in range(s):
+        yield _spread(ids, sides, s, sets[0].dtype, i), nsets
+
+
+def columnwise_refine(graphs: Sequence[ColoredGraph], s: int):
+    """Yield, round after round until the partition is stable, (each
+    graph's array of slot-0 context set ids, the number of sets), as
+    ``fomc.pebble._refine`` does, with no cap."""
+    sides = [g.n + 1 for g in graphs]
+    sizes = [m**s for m in sides]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    contexts = list(itertools.accumulate((m ** (s - 1) for m in sides), initial=0))
+    atomic = _columnwise_pack(_atomic_columns(graphs, sides, s))
+    types = atomic[0]
+    heads = [types[lo : lo + m ** (s - 1)] for lo, m in zip(starts, sides)]
+    known = pebble._dense(np.concatenate(heads))[1]
+    while True:
+        rows = _columnwise_rows(types, sides, starts, s)
+        sets, nsets = pebble._dense(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
+        sets = [sets[lo:hi] for lo, hi in itertools.pairwise(contexts)]
+        yield sets, nsets
+        if nsets == known:
+            return
+        known = nsets
+        types = _columnwise_pack(itertools.chain([atomic], _slot_sets(sets, nsets, sides, s)))[0]
+
+
+# ---------------------------------------------------------------------------
 # The all-slot type refinement, the referee of ``fomc.pebble._refine``: each
 # round builds the contexts of every slot, pads every row to the widest
 # graph, interns every tuple's type as a dense id, and interns the types
-# once more in the round that finds them stable. It shares the production
-# atomic columns and key packing.
+# once more in the round that finds them stable. It shares the column-wise
+# referee's atomic columns and key packing.
 
 def _intern(columns) -> tuple[np.ndarray, int]:
     """(dense ids of the rows formed by ``(column, base)`` pairs, whose
     values lie in ``range(base)``, the number of distinct rows)."""
-    return pebble._dense(pebble._pack(columns)[0])
+    return pebble._dense(_columnwise_pack(columns)[0])
 
 
 def _all_slot_spread(table: np.ndarray, sides: list[int], s: int, axes) -> np.ndarray:
@@ -691,7 +810,7 @@ def all_slot_refine(
     sizes = [m**s for m in sides]
     starts = list(itertools.accumulate(sizes[:-1], initial=0))
     others = [set(range(s)) - {i} for i in range(s)]
-    types, count = _intern(pebble._atomic_columns(graphs, sides, s))
+    types, count = _intern(_atomic_columns(graphs, sides, s))
     for rounds in itertools.count(1):
         sets, nsets = _all_slot_set_ids(_all_slot_rows(types, sides, starts, s), count)
         columns = zip(sets.reshape(s, -1), others)

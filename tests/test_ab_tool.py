@@ -1,6 +1,7 @@
 """``tools/ab.py``, the in-process A/B timing of two source trees, run at
 the benchmark's tiny sizes: side A against itself reports every workload
-and kind with equal verdicts, and a side whose verdicts differ fails."""
+and kind with its sums, medians and p90s and equal verdicts, and a side
+whose verdicts differ fails."""
 
 from __future__ import annotations
 
@@ -36,6 +37,11 @@ def test_a_against_a_reports_every_workload_and_kind_with_equal_verdicts():
         for s in [w["all"], *w["kinds"].values()]:
             assert s["equal"] is True and s["checks"] >= 1
             assert s["a_s"] > 0 and s["b_s"] > 0 and math.isclose(s["ratio"], s["a_s"] / s["b_s"])
+            for q in ("p50", "p90"):
+                a, b = s[f"a_{q}_ms"], s[f"b_{q}_ms"]
+                assert a > 0 and b > 0
+                assert math.isclose(s[f"{q}_ratio"], a / b)
+            assert s["a_p50_ms"] <= s["a_p90_ms"] and s["b_p50_ms"] <= s["b_p90_ms"]
         assert w["all"]["checks"] == sum(s["checks"] for s in w["kinds"].values())
 
 

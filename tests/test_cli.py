@@ -22,6 +22,8 @@ from fomc.graphs import (
 )
 from fomc.hardness import CrossCheck
 from fomc.interpret import backwards_translate, complement_interpretation
+from fomc import trees
+from fomc.randgen import random_graph
 from fomc.trees import RootedColoredTree, read_tree, write_tree
 from fomc.trees import TreeModel
 
@@ -72,6 +74,17 @@ def test_mc_via_pipelines_match_naive(workdir, capsys):
     )
     capsys.readouterr()
     assert direct == via_td
+
+
+def test_mc_via_treedepth_refuses_a_forest_search_past_the_work_cap(workdir, capsys, monkeypatch):
+    # the search on this graph at k = 8 passes the cap (tests/test_trees.py);
+    # a lower cap refuses it sooner, through the same exit
+    tmp, write = workdir
+    monkeypatch.setattr(trees, "FOREST_WORK_CAP", 20_000)
+    gpath = write("g60.g", graph_text(random_graph(random.Random(60), 60, edge_prob=3 / 60)))
+    fpath = write("f.fo", "exists x1. x1=x1\n")
+    assert main(["mc", "--graph", gpath, "--formula", fpath, "--via", "treedepth", "--k", "8"]) == 3
+    assert "more than 20000 vertices" in capsys.readouterr().err
 
 
 def test_mc_via_tree(workdir, capsys):

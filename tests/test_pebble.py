@@ -27,6 +27,7 @@ from .oracles import (
     all_slot_census,
     all_slot_refine,
     all_slot_spoiler_distance,
+    columnwise_refine,
     graphs_isomorphic,
     is_s_partial_isomorphism,
     pebble_game,
@@ -370,6 +371,23 @@ def test_one_pebble_census_of_mixed_sizes_stays_within_the_tuple_bound():
     assert peak / sum(g.n + 1 for g in graphs) <= 48
 
 
+def test_three_pebble_census_of_mixed_sizes_stays_within_the_tuple_bound():
+    # blocks of one and two graphs of three sizes; refining them one graph
+    # at a time, with columns spread over all tuples, peaked at 34.1 bytes
+    # per stored tuple here
+    rng = random.Random(71)
+    p60, p30, p12 = gen_path(60), gen_path(30), gen_path(12)
+    graphs = [p60, p30, p12, relabel(rng, p60), relabel(rng, p30)]
+    tracemalloc.start()
+    try:
+        blocks = type_census(graphs, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == [[0, 3], [1, 4], [2]]
+    assert peak / sum((g.n + 1) ** 3 for g in graphs) <= 34
+
+
 def _sweep_pairs(rng: random.Random, count: int):
     """Seeded (a, b, s) over s = 1-4, equal and unequal vertex counts,
     1-3 colors and relabelled copies."""
@@ -404,6 +422,46 @@ def test_slot_zero_refinement_matches_the_all_slot_referee():
         distinct = list(dict.fromkeys(graphs))
         if len(distinct) > 1:
             assert all_slot_census(distinct, s) == type_census(distinct, s), (distinct, s)
+
+
+def _same_rounds(graphs: list[ColoredGraph], s: int) -> None:
+    """Assert that the block refinement and the column-wise referee give
+    the same context partition and set count on every round."""
+    ours = [(np.concatenate(sets), n) for sets, n in pebble._refine(graphs, s, 10**7)]
+    theirs = [(np.concatenate(sets), n) for sets, n in columnwise_refine(graphs, s)]
+    assert len(ours) == len(theirs), (graphs, s)
+    for (a, count), (b, expected) in zip(ours, theirs):
+        assert count == expected, (graphs, s)
+        # one partition: the two numberings correspond one to one
+        assert len(set(zip(a.tolist(), b.tolist()))) == count, (graphs, s)
+
+
+def test_each_round_matches_the_columnwise_referee(monkeypatch):
+    # 1-6 graphs of equal and mixed sizes, s = 1-4, colors past int64, and
+    # keys made dense between columns: below a lowered limit, and at
+    # s = 10, where 3^45 pair columns alone pass 2^62
+    rng = random.Random(72)
+    huge = (1, 2**63, 2**64 + 5)
+    for case in range(600):
+        if case == 400:
+            monkeypatch.setattr(pebble, "_KEY_LIMIT", 2**12)
+        s = rng.randint(1, 4)
+        top = (8, 7, 5, 3)[s - 1]
+        sizes = [rng.randint(1, top)] * rng.randint(1, 6)
+        if rng.random() < 0.6:
+            sizes = [rng.randint(1, top) for _ in sizes]
+        graphs = [random_graph(rng, n, colors=3, edge_prob=rng.uniform(0.1, 0.7)) for n in sizes]
+        if rng.random() < 0.3:
+            graphs = [
+                ColoredGraph.build(g.n, g.edges, [huge[col - 1] for col in g.colors], c=huge[-1])
+                for g in graphs
+            ]
+        graphs += [relabel(rng, g) for g in rng.sample(graphs, rng.randint(0, len(graphs) // 2))]
+        _same_rounds(graphs[:6], s)
+    monkeypatch.undo()
+    for sizes in ((1, 2), (2, 2, 1), (1,), (2,)):
+        graphs = [random_graph(rng, n, colors=2) for n in sizes]
+        _same_rounds(graphs, 10)
 
 
 def _count_set_rows(monkeypatch) -> list[int]:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fomc.graphs import ColoredGraph, gen_path
+from fomc.pebble import ResourceLimitError
 from fomc.trees import (
     EliminationForest,
     RootedColoredTree,
@@ -537,6 +538,25 @@ def test_compute_elimination_forest_refuses_a_long_path_at_once(split_calls, k):
     # a path on 2^k vertices has tree-depth k + 1
     assert compute_elimination_forest(gen_path(2**k), k) is None
     assert split_calls[0] <= 2
+
+
+def test_forest_search_under_the_work_cap_keeps_its_heights():
+    # the exact searches on these graphs split 0.86M-1.85M vertices into
+    # components, under FOREST_WORK_CAP
+    for seed, height in ((0, 10), (1, 11), (2, 10)):
+        g = random_graph(random.Random(seed), 16, edge_prob=0.5)
+        ef = compute_elimination_forest(g, 16)
+        assert ef is not None and ef.height == height, seed
+        assert validate_elimination_forest(g, ef)
+
+
+def test_forest_search_past_the_work_cap_is_refused():
+    # no bound settles k = 8 here: the search would split 25.8M vertices
+    # (1.66M at k = 7), and ran about 20 s on 2 cores to answer None
+    # before the cap
+    g = random_graph(random.Random(60), 60, edge_prob=3 / 60)
+    with pytest.raises(ResourceLimitError, match=f"more than {trees.FOREST_WORK_CAP} vertices"):
+        compute_elimination_forest(g, 8)
 
 
 def test_compute_elimination_forest_on_a_long_path_needs_no_deep_recursion():

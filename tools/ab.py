@@ -12,8 +12,10 @@ copy, so a drift of the host's speed falls on both sides alike.
 
 A side's time for a check is its fastest copy. Per workload and per kind
 the tool prints the two sums of those times and their ratio A/B (above 1:
-B takes less time), and whether B's verdict equals A's on every copy. The
-last line of standard output is one JSON object holding the same figures.
+B takes less time), each side's median and p90 of those times in ms with
+their ratios A/B, the figures a ``check_ms_p50`` or ``check_ms_p90`` claim
+reads, and whether B's verdict equals A's on every copy. The last line of
+standard output is one JSON object holding the same figures.
 The exit code is 1 when any verdict differs.
 
 ``peak_rss_mb`` and ``setup_s`` cannot be compared inside one process;
@@ -28,6 +30,7 @@ import importlib
 import importlib.util
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -90,15 +93,21 @@ def compare(sides, wl: workloads.Workload) -> list[dict]:
 
 
 def summary(rows: list[dict]) -> dict:
-    a = sum(row["a_s"] for row in rows)
-    b = sum(row["b_s"] for row in rows)
-    return {
-        "checks": len(rows),
-        "a_s": a,
-        "b_s": b,
-        "ratio": a / b,
-        "equal": all(row["equal"] for row in rows),
-    }
+    """The sums of the per-check times and their ratio A/B, each side's
+    median and p90 of those times in ms (``run.p90``, as ``check_ms_p50``
+    and ``check_ms_p90`` are read) with their ratios, and whether every
+    verdict agrees."""
+    out = {"checks": len(rows)}
+    for side in ("a", "b"):
+        times = [row[f"{side}_s"] for row in rows]
+        out[f"{side}_s"] = sum(times)
+        out[f"{side}_p50_ms"] = statistics.median(times) * 1e3
+        out[f"{side}_p90_ms"] = run.p90(times) * 1e3
+    out["ratio"] = out["a_s"] / out["b_s"]
+    out["p50_ratio"] = out["a_p50_ms"] / out["b_p50_ms"]
+    out["p90_ratio"] = out["a_p90_ms"] / out["b_p90_ms"]
+    out["equal"] = all(row["equal"] for row in rows)
+    return out
 
 
 def main(argv=None) -> int:
@@ -113,7 +122,10 @@ def main(argv=None) -> int:
 
     fcs = (load_side(args.a.resolve(), "fomc_side_a"), load_side(args.b.resolve(), "fomc_side_b"))
     report = {}
-    print(f"{'workload':<11} {'kind':<15} {'checks':>6} {'A s':>9} {'B s':>9} {'A/B':>7}  verdicts")
+    print(
+        f"{'workload':<11} {'kind':<15} {'checks':>6} {'A s':>9} {'B s':>9} {'A/B':>7}"
+        f" {'A p50':>7} {'B p50':>7} {'A/B':>6} {'A p90':>7} {'B p90':>7} {'A/B':>6}  verdicts"
+    )
     for name in args.workload or list(workloads.WORKLOADS):
         wl = workloads.WORKLOADS[name](
             random.Random(args.seed), random.Random(0), COPIES, args.quick
@@ -129,7 +141,9 @@ def main(argv=None) -> int:
         for kind, s in [*kinds.items(), ("(all)", report[name]["all"])]:
             print(
                 f"{name:<11} {kind:<15} {s['checks']:>6} {s['a_s']:>9.4f} {s['b_s']:>9.4f} "
-                f"{s['ratio']:>7.3f}  {'equal' if s['equal'] else 'DIFFER'}"
+                f"{s['ratio']:>7.3f} {s['a_p50_ms']:>7.3f} {s['b_p50_ms']:>7.3f} {s['p50_ratio']:>6.3f} "
+                f"{s['a_p90_ms']:>7.3f} {s['b_p90_ms']:>7.3f} {s['p90_ratio']:>6.3f}  "
+                f"{'equal' if s['equal'] else 'DIFFER'}"
             )
     print(json.dumps(report))
     return 0 if all(w["all"]["equal"] for w in report.values()) else 1
