@@ -21,10 +21,11 @@ of G graphs with n + 1 = m holds its tuple keys as one (G, m, ..., m)
 array, slot 0 on the last axis, so each slot-0 context is one line of
 it, and every step of a round is one array operation per block, not one
 per graph. Each size's contexts are sorted and deduplicated at its own
-width, so one large graph does not pad the rows of many small ones. The
-keys are built by broadcasting each block's (G, m) colors, (G, m, m)
-equality and adjacency tables and (G, m, ..., m) slot-0 set ids over
-its tuples; no column is spread over all tuples.
+width, in place in the round's keys, which are read no more, so one large
+graph does not pad the rows of many small ones. The keys are built by
+broadcasting each block's (G, m) colors, (G, m, m) equality and
+adjacency tables and (G, m, ..., m) slot-0 set ids over its tuples; no
+column is spread over all tuples.
 
 Each round's context partition refines the last one (round -1's is
 the atomic type of the tuple with slot 0 blank), so tuple types need no
@@ -32,14 +33,16 @@ dense ids. Round r + 1's type of a tuple is (round r's type, round r's
 set ids of its s contexts), and round r's type is (atomic type, round
 r - 1's set ids). Round r's set ids determine round r - 1's, so round
 r + 1's type partitions the tuples exactly as (atomic type, round r's
-set ids) does. From s = 3 on the set ids alone do: every member of a
-slot-i context (there is one, as n >= 1) has the tuple's atomic type
-off slot i, and each slot and each pair of slots lies off some third
-slot. Each round therefore packs the s set-id columns (and below s = 3
-the atomic key), jointly over all blocks, into one exact int64 key in
-mixed radix (the radices, the set count and the atomic bound, are known
-in advance). Only where the product of radices would reach 2^62 is the
-key ranked, by one argsort, and packing goes on from the ranks.
+set ids) does. The set ids fix most of the atomic type: every member
+of a slot-i context (there is one, as n >= 1) has the tuple's atomic
+type off slot i. So only what touches every slot is packed beside them:
+at s = 1 the color of slot 0, at s = 2 the equality and adjacency of
+slots 0 and 1, and from s = 3 on nothing, as each slot and each pair of
+slots lies off some third slot. Each round packs these columns, jointly
+over all blocks, into one exact int64 key in mixed radix (the radices,
+the set count and the color count or 3, are known in advance). Only
+where the product of radices would reach 2^62 is the key ranked, by one
+argsort, and packing goes on from the ranks.
 
 A context's row holds its set's distinct member keys, sorted after a
 run of -1, and each row is ranked whole as one byte string. Two rows
@@ -163,8 +166,8 @@ def _pack(columns) -> tuple[np.ndarray, int]:
 def _write(views: list[np.ndarray], head: list[np.ndarray] | None, run) -> None:
     """Write into ``views`` the ``head`` arrays (none: zeros) followed, in
     mixed radix, by the ``(arrays, base)`` columns of ``run``; ``head``
-    may be ``views``. Without a head, two first columns that are not
-    whole blocks are summed into the key by one broadcast."""
+    may be ``views``. Without a head, two first columns of which neither
+    fills a whole block are summed into the key by one broadcast."""
     total = 1
     for _, base in run:
         total *= base
@@ -175,7 +178,7 @@ def _write(views: list[np.ndarray], head: list[np.ndarray] | None, run) -> None:
     if head is not None:
         for view, block in zip(views, head):
             np.multiply(block, total, out=view)
-    elif len(terms) > 1 and terms[0][0][0].shape != views[0].shape:
+    elif len(terms) > 1 and views[0].shape not in (terms[0][0][0].shape, terms[1][0][0].shape):
         (first, a), (second, b) = terms[:2]
         for view, x, y in zip(views, first, second):
             np.add(x * a, y * b, out=view)
@@ -206,34 +209,29 @@ def _by_size(graphs: Sequence[ColoredGraph]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _atomic(groups: list[list[ColoredGraph]], s: int):
-    """The blocks' (G, m, ..., m) tuple shapes, m = n + 1, then the
-    ``(arrays, base)`` columns of the atomic key, as ``_pack`` reads
-    them. At s = 1 the column is the (G, m) colors, 0 for the blank.
-    Otherwise there is one column per pair of tuple axes a < b, read off
-    a (G, m, m) table: 2 * equal + adjacent, plus the color at b when a
-    is the first axis, plus the color at a too when b is the second; so
-    every axis's color is read once. Colors are replaced by their rank
-    among the colors of all graphs, so any color value fits the packed
-    keys of ``_pack``."""
+def _atomic_parts(groups: list[list[ColoredGraph]], s: int):
+    """(each block's (G, m) colors, m = n + 1, 0 for the blank, as int32
+    at s = 1; from s = 2 on each block's (G, m, m) int8 table of
+    2 * equal + adjacent, else none; the number of color values). Colors
+    are replaced by their rank among the colors of all graphs, so any
+    color value fits the packed keys of ``_pack``."""
     # the blank's 0 sorts below every color, so it ranks 0 and a color c
     # ranks one more than the number of smaller colors
     palette = sorted(set().union([0], *(g.colors for group in groups for g in group)))
     dtype = np.int64 if palette[-1] < 2**63 else object  # a dtype that holds every color
     palette = np.array(palette, dtype)
-    colors = []
+    colors, rels = [], []
     for group in groups:
+        size, m = len(group), group[0].n + 1
         blank_first = itertools.chain.from_iterable(itertools.chain((0,), g.colors) for g in group)
-        values = np.fromiter(blank_first, dtype, len(group) * (group[0].n + 1))
-        colors.append(np.searchsorted(palette, values).reshape(len(group), -1))
+        values = np.fromiter(blank_first, dtype, size * m)
+        ranks = np.searchsorted(palette, values).reshape(size, m)
         del values
-    yield [c.shape + c.shape[1:] * (s - 1) for c in colors]
-    if s == 1:
-        yield colors, len(palette)
-        return  # no axis pairs, whose (n+1) x (n+1) tables may outgrow the tuples
-    rels = []
-    for group, c in zip(groups, colors):
-        size, m = c.shape
+        if s == 1:  # the colors are read every round, and there are no slot
+            # pairs, whose (n+1) x (n+1) tables may outgrow the tuples
+            colors.append(ranks.astype(np.int32))
+            continue
+        colors.append(ranks)
         rel = np.zeros((size, m, m), np.int8)
         rel.reshape(size, m * m)[:, :: m + 1] = 2  # equal, never adjacent
         which = np.repeat(np.arange(size), [len(g.edge_lo) for g in group])
@@ -241,15 +239,29 @@ def _atomic(groups: list[list[ColoredGraph]], s: int):
         hi = np.concatenate([g.edge_hi for g in group])
         rel[which, lo, hi] = rel[which, hi, lo] = 1
         rels.append(rel)
+    return colors, rels, len(palette)
+
+
+def _atomic(colors: list[np.ndarray], rels: list[np.ndarray], palette: int, s: int):
+    """The blocks' (G, m, ..., m) tuple shapes, then the ``(arrays, base)``
+    columns of the atomic key, as ``_pack`` reads them, from the parts of
+    ``_atomic_parts``. At s = 1 the column is the colors. Otherwise there
+    is one column per pair of tuple axes a < b, read off a (G, m, m)
+    table: 2 * equal + adjacent, plus the color at b when a is the first
+    axis, plus the color at a too when b is the second; so every axis's
+    color is read once."""
+    yield [c.shape + c.shape[1:] * (s - 1) for c in colors]
+    if s == 1:
+        yield colors, palette
     for a, b in itertools.combinations(range(s), 2):  # tuple axes a + 1 < b + 1
         tables, base = rels, 3
         if a == 0:  # the color at b, and at a too for the first pair
             tables = [c[:, None, :] * base + rel for c, rel in zip(colors, rels)]
-            base *= len(palette)
+            base *= palette
             if b == 1:
                 for c, t in zip(colors, tables):
                     t += c[:, :, None] * base
-                base *= len(palette)
+                base *= palette
         yield [t.reshape(t.shape[:1] + (1,) * a + t.shape[1:2] + (1,) * (b - a - 1) + t.shape[2:] + (1,) * (s - 1 - b)) for t in tables], base
 
 
@@ -257,32 +269,35 @@ def _rows(views: list[np.ndarray]) -> np.ndarray:
     """One row per slot-0 context (a tuple with slot 0 left open), block
     after block in tuple order: the distinct type keys of the tuples that
     put a vertex into slot 0, sorted after a run of -1. Each block's rows
-    are sorted and deduplicated at its own width, and all are padded only
-    to the most distinct members of any row."""
+    are sorted and deduplicated at its own width, in place in its keys,
+    and all are copied out padded only to the most distinct members of
+    any row."""
     blocks = [_block_rows(types) for types in views]
     if len(blocks) == 1:
-        return blocks[0]
-    width = max([block.shape[1] for block in blocks])
-    out = np.full((sum(map(len, blocks)), width), -1, np.int64)
+        rows, drop = blocks[0]
+        return rows[:, drop:].copy()
+    width = max([rows.shape[1] - drop for rows, drop in blocks])
+    out = np.full((sum([len(rows) for rows, _ in blocks]), width), -1, np.int64)
     at = 0
-    for block in blocks:
-        out[at : at + len(block), width - block.shape[1] :] = block
-        at += len(block)
+    for rows, drop in blocks:
+        out[at : at + len(rows), width - rows.shape[1] + drop :] = rows[:, drop:]
+        at += len(rows)
     return out
 
 
-def _block_rows(types: np.ndarray) -> np.ndarray:
-    """The rows of ``_rows`` for one block's tuple keys, whose last axis
-    puts each vertex (after the blank) into slot 0, at the block's own
-    width."""
-    m = types.shape[-1]
-    rows = np.sort(types.reshape(-1, m)[:, 1:], axis=1)
+def _block_rows(types: np.ndarray) -> tuple[np.ndarray, int]:
+    """One block's rows of ``_rows``, sorted in place in its tuple keys,
+    whose last axis puts the blank and then each vertex into slot 0, and
+    the number of leading -1 in every row."""
+    rows = types.reshape(-1, types.shape[-1])
+    rows[:, 0] = -1  # the blank is no member
+    rows.sort(axis=1)
     repeat = rows[:, 1:] == rows[:, :-1]
     np.copyto(rows[:, 1:], -1, where=repeat)
-    drop = int(repeat.sum(axis=1).min())
+    drop = int(repeat.sum(axis=1).min()) + 1
     del repeat
     rows.sort(axis=1)
-    return rows[:, drop:].copy() if drop else rows
+    return rows, drop
 
 
 def _slot_columns(blocks: list[np.ndarray], nsets: int, s: int):
@@ -308,9 +323,9 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
     and slot 0 on the last, so each line along the last axis is one
     slot-0 context: its set is the line minus the blank. Round r's sets
     give round r + 1's tuple keys, packed from the set ids of each slot's
-    context and, below s = 3, the atomic key. Each round's set partition
-    refines the last one, so the first round whose set count does not
-    grow is the last.
+    context and, below s = 3, the part of the atomic type that no slot
+    context fixes. Each round's set partition refines the last one, so
+    the first round whose set count does not grow is the last.
     """
     sides = [g.n + 1 for g in graphs]
     if s > cap.bit_length():  # every side is at least 2, so m**s > cap
@@ -325,31 +340,32 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
             f"vertex counts {[g.n for g in graphs]}, s={s}"
         )
     groups = _by_size(graphs)
-    shapes = [(len(group), *[sides[group[0]]] * s) for group in groups]
-    contexts = [shape[:-1] for shape in shapes]
-    spans = [None] * len(graphs)  # each graph's slot-0 contexts in the blocks' set ids
-    lo = 0
+    shapes, spans, lo = [], [None] * len(graphs), 0  # spans: each graph's slot-0 contexts
     for group in groups:
-        width = sides[group[0]] ** (s - 1)
+        m = sides[group[0]]
+        shapes.append((len(group),) + (m,) * s)
         for idx in group:
-            spans[idx] = lo, lo + width
-            lo += width
-    atomic, bound = _pack(_atomic([[graphs[i] for i in group] for group in groups], s))
-    types = _views(atomic, shapes)
-    del atomic
+            spans[idx] = lo, lo + m ** (s - 1)
+            lo += m ** (s - 1)
+    contexts = [shape[:-1] for shape in shapes]
+    colors, rels, palette = _atomic_parts([[graphs[i] for i in group] for group in groups], s)
+    types = _views(_pack(_atomic(colors, rels, palette, s))[0], shapes)
     # round -1's sets: the atomic types of the tuples with slot 0 blank
     known = _dense(np.concatenate([block[..., 0] for block in types], axis=None))[1]
-    # from s = 3 on, the slot contexts' set ids fix the atomic type
-    atomic_column = [(types, bound)] if s < 3 else []
+    # the part of the atomic type that no slot context fixes
+    unfixed = [(colors, palette)] if s == 1 else [(rels, 3)] if s == 2 else []
+    del colors, rels
     while True:
-        ids, nsets = _set_ids(_rows(types))
-        del types
+        rows = _rows(types)
+        del types  # sorted in place, and read no more
+        ids, nsets = _set_ids(rows)
+        del rows
         yield [ids[lo:hi] for lo, hi in spans], nsets
         if nsets == known:
             return
         known = nsets
         blocks = _views(ids, contexts)
-        columns = itertools.chain([shapes], _slot_columns(blocks, nsets, s), atomic_column)
+        columns = itertools.chain([shapes], _slot_columns(blocks, nsets, s), unfixed)
         types = _views(_pack(columns)[0], shapes)
 
 
