@@ -166,8 +166,8 @@ def _pack(columns) -> tuple[np.ndarray, int]:
 def _write(views: list[np.ndarray], head: list[np.ndarray] | None, run) -> None:
     """Write into ``views`` the ``head`` arrays (none: zeros) followed, in
     mixed radix, by the ``(arrays, base)`` columns of ``run``; ``head``
-    may be ``views``. Without a head, two first columns of which neither
-    fills a whole block are summed into the key by one broadcast."""
+    may be ``views``. Without a head, the first two columns are summed
+    into the key by one broadcast."""
     total = 1
     for _, base in run:
         total *= base
@@ -178,7 +178,7 @@ def _write(views: list[np.ndarray], head: list[np.ndarray] | None, run) -> None:
     if head is not None:
         for view, block in zip(views, head):
             np.multiply(block, total, out=view)
-    elif len(terms) > 1 and views[0].shape not in (terms[0][0][0].shape, terms[1][0][0].shape):
+    elif len(terms) > 1:
         (first, a), (second, b) = terms[:2]
         for view, x, y in zip(views, first, second):
             np.add(x * a, y * b, out=view)
@@ -189,7 +189,7 @@ def _write(views: list[np.ndarray], head: list[np.ndarray] | None, run) -> None:
         terms = terms[1:]
     for blocks, weight in terms:
         for view, block in zip(views, blocks):
-            view += block * weight if weight > 1 else block
+            view += block * weight
 
 
 def _set_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:

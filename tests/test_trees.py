@@ -550,12 +550,14 @@ def test_forest_search_under_the_work_cap_keeps_its_heights():
         assert validate_elimination_forest(g, ef)
 
 
-def test_forest_search_past_the_work_cap_is_refused():
+def test_forest_search_past_the_work_cap_is_refused(monkeypatch):
     # no bound settles k = 8 here: the search would split 25.8M vertices
-    # (1.66M at k = 7), and ran about 20 s on 2 cores to answer None
-    # before the cap
+    # (1.66M at k = 7), past FOREST_WORK_CAP, and ran about 20 s on 2 cores
+    # to answer None before the cap; a lower cap refuses it sooner, on the
+    # same count
+    monkeypatch.setattr(trees, "FOREST_WORK_CAP", 100_000)
     g = random_graph(random.Random(60), 60, edge_prob=3 / 60)
-    with pytest.raises(ResourceLimitError, match=f"more than {trees.FOREST_WORK_CAP} vertices"):
+    with pytest.raises(ResourceLimitError, match="more than 100000 vertices"):
         compute_elimination_forest(g, 8)
 
 
