@@ -116,19 +116,35 @@ class _Interned(type):
     def __call__(cls, *args, **kwargs):
         if kwargs:  # the dataclass ``__init__`` binds keywords to fields
             made = super().__call__(*args, **kwargs)
-            return _NODES.setdefault(
-                (cls, *(getattr(made, name) for name in _FIELDS[cls])), made
-            )
-        key = (cls, *args)
-        node = _NODES.get(key)
+            key = (cls, *(getattr(made, name) for name in _FIELDS[cls]))
+        else:
+            key = (cls, *args)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
         if node is None:
-            node = _NODES[key] = super().__call__(*args)
+            node = made if kwargs else super().__call__(*args)
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
         return node
 
 
-#: Every live node, keyed by its type and fields; an entry goes when its
-#: node is no longer referenced.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's intern key."""
+
+    __slots__ = ("key",)
+
+
+#: Every live node's reference, keyed by its type and fields; an entry
+#: goes when its node is no longer referenced.
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, nodes: dict[tuple, _Ref] = _NODES) -> None:
+    """Drop the entry of a node that has gone, unless a new node of the
+    same key holds it already. The table is bound at definition, so this
+    still runs while the interpreter clears module globals at exit."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 class Formula(metaclass=_Interned):

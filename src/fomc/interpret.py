@@ -70,6 +70,7 @@ from .trees import (
     RootedColoredTree,
     TreeModel,
     _edge_ancestry,
+    _greedy_forest,
     compute_elimination_forest,
     validate_tree_model,
 )
@@ -425,9 +426,23 @@ def mc_tree(t: RootedColoredTree, sentence: Formula, s: int) -> bool:
 
 def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
     """Decide the sentence on a graph of tree-depth at most ``k`` on the
-    kernel of its encoded elimination forest."""
+    kernel of an encoded elimination forest of height at most k.
+
+    Any such forest makes the kernel exact; the height changes only the
+    kernel's size. So the route takes the forest of the greedy pass
+    ``trees._greedy_forest`` and runs the exact search
+    ``compute_elimination_forest`` only when that pass gives up. When the
+    double-sweep path of a component of g has at least 2^k vertices, the
+    graph is refused at once and the message lists that path in order;
+    a graph the exact search finds taller than k is refused without one."""
     _require_budget(sentence, s)
-    ef = compute_elimination_forest(g, k)
+    ef = _greedy_forest(g, k)
+    if type(ef) is list:
+        raise ValueError(
+            f"the graph has tree-depth larger than {k}: it has a path of "
+            f"{len(ef)} vertices: {' '.join(map(str, ef))}"
+        )
+    ef = ef or compute_elimination_forest(g, k)
     if ef is None:
         raise ValueError(f"the graph has tree-depth larger than {k}")
     host = encode_elimination_forest(g, ef)

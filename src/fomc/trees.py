@@ -26,7 +26,7 @@ Tree-model files are tree files with extra rule lines:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -293,6 +293,51 @@ def _forest_refusal(cap: int, n: int, k: int) -> ResourceLimitError:
     )
 
 
+def _neighbourhoods(g: ColoredGraph, k: int) -> list[int]:
+    """Per vertex v, the mask of N(v), slot 0 empty, once the height
+    budget ``k`` is checked to be a positive integer."""
+    _require_integer("height budget", k)
+    if k < 1:
+        raise ValueError("the height budget must be positive")
+    nb = [0] * (g.n + 1)
+    for u, v in zip(g.edge_lo.tolist(), g.edge_hi.tolist()):
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    return nb
+
+
+def _greedy_forest(g: ColoredGraph, k: int) -> EliminationForest | list[int] | None:
+    """An elimination forest of height at most k found without search; a
+    path of g with at least 2^k vertices, which certifies tree-depth above
+    k; or None when the pass gives up.
+
+    Each connected piece, every top-level one first, is rooted at the
+    middle of its double-sweep path, the root ``compute_elimination_forest``
+    tries first, and the components it leaves become pieces one level
+    down; no root is undone. A path of l vertices needs ``l.bit_length()``
+    levels, so the pass gives up as soon as a piece's path needs more
+    levels than are left at its depth, and never roots a level below k.
+    A top-level piece's path is a path of g: when it alone needs more
+    than k levels, it is returned.
+    """
+    nb = _neighbourhoods(g, k)
+    parents = [0] * (g.n + 1)
+    pending = deque((comp, 0, k) for comp in _split((1 << g.n + 1) - 2, nb))
+    while pending:
+        sub, above, room = pending.popleft()  # room: the levels left for sub
+        if sub & (sub - 1) == 0:
+            path = [sub.bit_length() - 1]
+        else:
+            far = _deepest_chain((sub & -sub).bit_length() - 1, sub, nb)[-1]
+            path = _deepest_chain(far, sub, nb)
+        if len(path).bit_length() > room:
+            return path if room == k else None
+        root = path[(len(path) - 1) // 2]
+        parents[root] = above
+        pending.extend((comp, root, room - 1) for comp in _split(sub & ~(1 << root), nb))
+    return EliminationForest(n=g.n, parents=tuple(parents[1:]))
+
+
 def compute_elimination_forest(
     g: ColoredGraph, k: int
 ) -> EliminationForest | None:
@@ -311,13 +356,7 @@ def compute_elimination_forest(
     every mask it splits into components, and refuses with
     ``ResourceLimitError`` once that passes ``FOREST_WORK_CAP``.
     """
-    _require_integer("height budget", k)
-    if k < 1:
-        raise ValueError("the height budget must be positive")
-    nb = [0] * (g.n + 1)  # slot 0 is empty
-    for u, v in zip(g.edge_lo.tolist(), g.edge_hi.tolist()):
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
+    nb = _neighbourhoods(g, k)
     known: dict[int, tuple[int, int]] = {}  # (height, root); root 0: height exceeds it
     cap, work = FOREST_WORK_CAP, g.n  # vertices in the masks handed to _split, from the first
 

@@ -104,6 +104,17 @@ from fomc.trees import (
 )
 
 
+def refusal_path(g: ColoredGraph, k: int, message: str) -> list[int]:
+    """The vertices that a tree-depth refusal's ``message`` lists after
+    its last colon, checked to be a path of ``g`` on at least 2^k
+    distinct vertices, which has tree-depth above k."""
+    path = [int(v) for v in message.rsplit(": ", 1)[1].split()]
+    nbrs = neighborhoods(g)
+    assert all(v in nbrs[u] for u, v in zip(path, path[1:])), path
+    assert len(set(path)) == len(path) >= 2**k, path
+    return path
+
+
 def neighborhoods(g: ColoredGraph) -> list[set[int]]:
     """The neighbors of each vertex of ``g``, indexed by vertex (slot 0 unused)."""
     nbrs: list[set[int]] = [set() for _ in range(g.n + 1)]

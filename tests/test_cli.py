@@ -27,7 +27,7 @@ from fomc.randgen import random_graph
 from fomc.trees import RootedColoredTree, read_tree, write_tree
 from fomc.trees import TreeModel
 
-from .oracles import random_tree_model, write_tree_model
+from .oracles import random_tree_model, refusal_path, write_tree_model
 
 
 @pytest.fixture
@@ -85,6 +85,17 @@ def test_mc_via_treedepth_refuses_a_forest_search_past_the_work_cap(workdir, cap
     fpath = write("f.fo", "exists x1. x1=x1\n")
     assert main(["mc", "--graph", gpath, "--formula", fpath, "--via", "treedepth", "--k", "8"]) == 3
     assert "more than 20000 vertices" in capsys.readouterr().err
+
+
+def test_mc_via_treedepth_prints_the_path_that_refuses_k(workdir, capsys):
+    tmp, write = workdir
+    g = gen_path(8)
+    gpath = write("p8.g", graph_text(g))
+    fpath = write("f.fo", "exists x1. x1=x1\n")
+    assert main(["mc", "--graph", gpath, "--formula", fpath, "--via", "treedepth", "--k", "3"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("fomc: the graph has tree-depth larger than 3: it has a path of 8 vertices")
+    assert sorted(refusal_path(g, 3, err)) == list(g.vertices)
 
 
 def test_mc_via_tree(workdir, capsys):

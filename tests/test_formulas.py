@@ -1,9 +1,12 @@
 import copy
 import gc
 import io
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -478,6 +481,26 @@ def test_dropped_deep_chain_leaves_the_intern_table():
     del chain
     gc.collect()
     assert len(formulas._NODES) == before
+
+
+def test_nodes_built_and_dropped_in_a_process_leave_it_quietly():
+    # the intern table's removal callback runs as nodes go, during the
+    # run and while the interpreter exits; a failure in it is printed
+    # to stderr and does not change the exit code
+    script = (
+        "from fomc.formulas import Exists, Not, Var, parse_formula\n"
+        "kept = [parse_formula(f'exists x{i}. adj(x{i},x{i+1}) & C{i}(x{i})') for i in range(1, 40)]\n"
+        "for i in range(200):\n"
+        "    dropped = Not(Exists(Var(i % 7 + 1), parse_formula('x1=x3 | !x2=x4')))\n"
+        "del dropped\n"
+        "deep = parse_formula('!' * 2000 + 'x5=x6')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (out.returncode, out.stderr) == (0, "")
 
 
 def test_match_args_patterns_still_match():

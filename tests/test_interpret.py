@@ -1,10 +1,11 @@
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
-from fomc import interpret
+from fomc import interpret, trees
 from fomc.evaluator import evaluate_free, model_check
 from fomc.formulas import (
     Adj,
@@ -56,9 +57,12 @@ from .oracles import (
     pipeline_fixtures,
     random_tree,
     random_tree_model,
+    random_treedepth_graph,
+    refusal_path,
     row_set_apply_interpretation,
     satisfying_rows,
     treedepth_host_and_scheme,
+    treedepth_oracle,
     treemodel_host_and_scheme,
 )
 
@@ -614,6 +618,7 @@ def test_mc_treedepth_refuses_bad_sentences_before_the_forest_search(monkeypatch
         raise AssertionError("the forest search ran")
 
     monkeypatch.setattr(interpret, "compute_elimination_forest", no_search)
+    monkeypatch.setattr(interpret, "_greedy_forest", no_search)
     p4 = gen_path(4)
     with pytest.raises(ValueError, match="found free variables: x1, x3$"):
         mc_treedepth(p4, parse_formula("adj(x1,x3) & exists x2. x2=x2"), 3, 3)
@@ -623,6 +628,90 @@ def test_mc_treedepth_refuses_bad_sentences_before_the_forest_search(monkeypatch
     # an open sentence over budget reports its free variables
     with pytest.raises(ValueError, match="found free variables: x5$"):
         mc_treedepth(p4, parse_formula("exists x1. exists x2. adj(x1,x2) & x2=x5"), 3, 1)
+
+
+@pytest.fixture
+def forest_route(monkeypatch):
+    """Per ``mc_treedepth`` call: a one-item list counting its exact
+    searches, and the list of forests it encodes."""
+    searches, used = [0], []
+    search, encode = interpret.compute_elimination_forest, interpret.encode_elimination_forest
+
+    def counting(g, k):
+        searches[0] += 1
+        return search(g, k)
+
+    def spy(g, ef):
+        used.append(ef)
+        return encode(g, ef)
+
+    monkeypatch.setattr(interpret, "compute_elimination_forest", counting)
+    monkeypatch.setattr(interpret, "encode_elimination_forest", spy)
+    return searches, used
+
+
+def test_mc_treedepth_searches_only_when_the_greedy_pass_gives_up(forest_route):
+    # k from td - 1 to td + 2 on bounded-depth graphs, trees read as
+    # graphs and small G(n, p); this seed's 200 draws give 568 fits and
+    # 79 give-ups of the greedy pass, and 182 refusals (td > k), 135 of
+    # them with a path from the pass
+    searches, used = forest_route
+    rng = random.Random(20261020)
+    outcomes = Counter()
+    for i in range(200):
+        if i % 3 == 0:
+            keep = rng.choice((0, 0.3, 0.6, 1))
+            g = random_treedepth_graph(rng, rng.randint(1, 12), rng.randint(1, 3), keep, 2)
+        elif i % 3 == 1:
+            g = random_tree(rng, rng.randint(1, 14), rng.randint(1, 4), colors=2).to_graph()
+        else:
+            g = random_graph(rng, rng.randint(1, 9), colors=2, edge_prob=rng.choice((0.2, 0.4, 0.6)))
+        td = treedepth_oracle(g)
+        phi = random_formula(rng, 3, 2, 4)
+        truth = model_check(g, phi)
+        for k in range(max(1, td - 1), td + 3):
+            greedy = trees._greedy_forest(g, k)
+            searches[0] = 0
+            used.clear()
+            if td > k:
+                with pytest.raises(ValueError, match=f"^the graph has tree-depth larger than {k}") as err:
+                    mc_treedepth(g, phi, k, 3)
+                if type(greedy) is list:
+                    assert refusal_path(g, k, str(err.value)) == greedy
+            else:
+                assert mc_treedepth(g, phi, k, 3) == truth
+                (ef,) = used
+                assert validate_elimination_forest(g, ef) and ef.height <= k
+            if isinstance(greedy, EliminationForest):
+                assert searches[0] == 0 and used == [greedy]
+                outcomes["fits"] += 1
+            else:
+                assert searches[0] == (greedy is None)
+                outcomes["gives up" if greedy is None else "path"] += 1
+            outcomes["refused"] += td > k
+    assert outcomes["fits"] >= 500 and outcomes["gives up"] >= 60
+    assert outcomes["refused"] >= 150 and outcomes["path"] >= 100
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 11])
+def test_mc_treedepth_refuses_a_long_path_naming_it(forest_route, k):
+    g = gen_path(2**k)
+    with pytest.raises(ValueError, match=f"^the graph has tree-depth larger than {k}: ") as err:
+        mc_treedepth(g, parse_formula("exists x1. C1(x1)"), k, 1)
+    assert f"a path of {2**k} vertices" in str(err.value)
+    assert sorted(refusal_path(g, k, str(err.value))) == list(g.vertices)
+    assert forest_route[0] == [0]
+
+
+def test_mc_treedepth_decides_a_10000_vertex_tree_graph_without_search(forest_route):
+    # the exact search at k = 4 takes over twice the greedy pass's time
+    phi = parse_formula(
+        "forall x1. exists x2. adj(x1,x2) & C2(x2) & exists x1. adj(x2,x1) & !x1=x2 & C1(x1)"
+    )
+    t = random_tree(random.Random(5), 10_000, 3, colors=2)
+    assert mc_treedepth(t.to_graph(), phi, 4, 2) == mc_tree(t, phi, 2)
+    assert forest_route[0] == [0]
+    assert forest_route[1][0].height == 4
 
 
 def test_mc_treedepth_distance_three_on_p7():
