@@ -67,12 +67,12 @@ def _inferred_palette(colors: Sequence[int]) -> int:
     return top if isinstance(top, Integral) and top >= 1 else 1
 
 
-def _require_palette(colors: Sequence[int], c: int) -> None:
+def _require_palette(colors: Sequence[int], c: int) -> int:
     """Refuse a palette size ``c`` that is not an integer or lies below 1,
     or a color of vertex v (``colors[v-1]``) that is not an integer or lies
-    outside 1..c. A sum of ints is an int, and a float, NaN included,
-    makes it a float."""
-    _require_integer("color count", c)
+    outside 1..c, and return c as an int. A sum of ints is an int, and a
+    float, NaN included, makes it a float."""
+    c = _require_integer("color count", c)
     if c < 1:
         raise ValueError("color count must be positive")
     if colors and not (type(sum(colors)) is int and 1 <= min(colors) <= max(colors) <= c):
@@ -81,6 +81,7 @@ def _require_palette(colors: Sequence[int], c: int) -> None:
                 raise ValueError(f"vertex {v} has color {col!r}, not an integer")
             if not 1 <= col <= c:
                 raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
+    return c
 
 
 def _name_bad_edge(n: int, pairs: Iterable[Edge]) -> None:
@@ -147,12 +148,12 @@ class ColoredGraph:
     edge_hi: np.ndarray
 
     def __init__(self, n: int, colors: tuple[int, ...], c: int, edges: Iterable[Edge]) -> None:
-        _require_integer("vertex count", n)
+        n = _require_integer("vertex count", n)
         if n < 1:
             raise ValueError("graphs must have at least one vertex")
         if len(colors) != n:
             raise ValueError("colors must assign exactly one color per vertex")
-        _require_palette(colors, c)
+        c = _require_palette(colors, c)
         self._fill(n, colors, c, *_edge_arrays(n, edges))
 
     def _fill(self, n: int, colors: tuple[int, ...], c: int, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -219,7 +220,7 @@ class ColoredGraph:
         colors: Sequence[int] | None = None,
         c: int | None = None,
     ) -> "ColoredGraph":
-        _require_integer("vertex count", n)
+        n = _require_integer("vertex count", n)
         cols = tuple(colors) if colors is not None else (1,) * n
         palette = c if c is not None else _inferred_palette(cols)
         return ColoredGraph(
@@ -430,7 +431,7 @@ def build_sc_graph(r: SCRecipe) -> ColoredGraph:
         flipped = np.fromiter(map(ids.__getitem__, node.flip_names), np.intp)
         flips.append((flipped, flipped))
     colors = tuple(leaf.color for leaf in leaves)
-    _require_palette(colors, c := _inferred_palette(colors))  # as ``ColoredGraph.build`` does
+    c = _require_palette(colors, _inferred_palette(colors))  # as ``ColoredGraph.build`` does
     lo, hi = _toggled(len(leaves), np.empty(0, np.intp), flips)
     return ColoredGraph._of_arrays(len(leaves), colors, c, lo, hi)
 
@@ -515,8 +516,19 @@ def _sized_header(found: dict[str, list[tuple[int, list[int]]]]) -> tuple[int, i
 
 
 def read_graph(stream: TextIO) -> ColoredGraph:
+    """The graph of a graph file. A header that declares more vertices
+    than ``pebble.DEFAULT_POSITION_CAP``, the evaluator's largest table, is
+    refused with ``ResourceLimitError``, naming its line, before anything
+    is built per vertex."""
+    from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError  # pebble imports this module
+
     found = _records(stream, {"p": "p graph <n> <c>", "v": "v <id> <color>", "e": "e <u> <v>"})
     n, c = _sized_header(found)
+    if n > DEFAULT_POSITION_CAP:
+        raise ResourceLimitError(
+            f"line {found['p'][0][0]}: the header declares {n} vertices, more than "
+            f"the limit of {DEFAULT_POSITION_CAP}"
+        )
     for lineno, (v, col) in found["v"]:
         if not 1 <= v <= n:
             raise ValueError(f"line {lineno}: vertex {v} out of range")

@@ -70,8 +70,7 @@ from .trees import (
     RootedColoredTree,
     TreeModel,
     _edge_ancestry,
-    _greedy_forest,
-    compute_elimination_forest,
+    _forest,
     validate_tree_model,
 )
 
@@ -184,7 +183,7 @@ def apply_interpretation(
         colors = np.take(keys, holds.argmax(axis=0)).tolist()
         palette = max(keys)
     colors = tuple(colors)
-    _require_palette(colors, palette)
+    palette = _require_palette(colors, palette)
     return ColoredGraph._of_arrays(len(domain), colors, palette, lo + 1, hi + 1)
 
 
@@ -429,22 +428,23 @@ def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:
     kernel of an encoded elimination forest of height at most k.
 
     Any such forest makes the kernel exact; the height changes only the
-    kernel's size. So the route takes the forest of the greedy pass
-    ``trees._greedy_forest`` and runs the exact search
-    ``compute_elimination_forest`` only when that pass gives up. When the
-    double-sweep path of a component of g has at least 2^k vertices, the
-    graph is refused at once and the message lists that path in order;
-    a graph the exact search finds taller than k is refused without one."""
+    kernel's size. So the route takes the first forest the search
+    ``trees._forest`` fits within k: its first descent roots each piece at
+    the middle of its double-sweep path, and it backtracks only where that
+    fails. When the double-sweep path of a component of g has at least
+    2^k vertices, the graph is refused at once and the message lists that
+    path in order; a graph the search finds taller than k is refused
+    without one. The search shares ``compute_elimination_forest``'s work
+    cap."""
     _require_budget(sentence, s)
-    ef = _greedy_forest(g, k)
+    ef = _forest(g, k, shallowest=False)
+    if ef is None:
+        raise ValueError(f"the graph has tree-depth larger than {k}")
     if type(ef) is list:
         raise ValueError(
             f"the graph has tree-depth larger than {k}: it has a path of "
             f"{len(ef)} vertices: {' '.join(map(str, ef))}"
         )
-    ef = ef or compute_elimination_forest(g, k)
-    if ef is None:
-        raise ValueError(f"the graph has tree-depth larger than {k}")
     host = encode_elimination_forest(g, ef)
     return _decide_on_kernel(g, host, sentence, s)
 

@@ -26,7 +26,7 @@ Tree-model files are tree files with extra rule lines:
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -97,14 +97,15 @@ class RootedColoredTree:
     c: int
 
     def __post_init__(self) -> None:
-        _require_integer("vertex count", self.n)
+        object.__setattr__(self, "n", _require_integer("vertex count", self.n))
+        object.__setattr__(self, "root", _require_integer("root", self.root))
         if len(self.parents) != self.n or len(self.colors) != self.n:
             raise ValueError("parents and colors must cover every vertex")
         if self.parents.count(0) != 1:
             raise ValueError(f"expected exactly one root, found {self.parents.count(0)}")
         if not 1 <= self.root <= self.n or self.parents[self.root - 1] != 0:
             raise ValueError(f"root {self.root} is not the vertex with parent 0")
-        _require_palette(self.colors, self.c)
+        object.__setattr__(self, "c", _require_palette(self.colors, self.c))
         self.depths  # forces the parent range and cycle checks
 
     @staticmethod
@@ -210,7 +211,7 @@ class EliminationForest:
     parents: tuple[int, ...]  # parents[v-1]; 0 for roots
 
     def __post_init__(self) -> None:
-        _require_integer("vertex count", self.n)
+        object.__setattr__(self, "n", _require_integer("vertex count", self.n))
         if len(self.parents) != self.n:
             raise ValueError("parents must cover every vertex")
         self.node_depths  # parent range and cycle checks
@@ -306,35 +307,107 @@ def _neighbourhoods(g: ColoredGraph, k: int) -> list[int]:
     return nb
 
 
-def _greedy_forest(g: ColoredGraph, k: int) -> EliminationForest | list[int] | None:
-    """An elimination forest of height at most k found without search; a
-    path of g with at least 2^k vertices, which certifies tree-depth above
-    k; or None when the pass gives up.
+def _path(sub: int, nb: list[int]) -> list[int]:
+    """A path of the connected mask ``sub``: the deepest chain of a DFS
+    tree grown from the end of the deepest chain of one grown from its
+    lowest vertex (a double sweep)."""
+    if sub & (sub - 1) == 0:
+        return [sub.bit_length() - 1]
+    far = _deepest_chain((sub & -sub).bit_length() - 1, sub, nb)[-1]
+    return _deepest_chain(far, sub, nb)
 
-    Each connected piece, every top-level one first, is rooted at the
-    middle of its double-sweep path, the root ``compute_elimination_forest``
-    tries first, and the components it leaves become pieces one level
-    down; no root is undone. A path of l vertices needs ``l.bit_length()``
-    levels, so the pass gives up as soon as a piece's path needs more
-    levels than are left at its depth, and never roots a level below k.
-    A top-level piece's path is a path of g: when it alone needs more
-    than k levels, it is returned.
+
+def _roots(path: list[int], sub: int, off_path: bool) -> Iterator[int]:
+    """The roots to try for the connected mask ``sub``: its ``path`` from
+    the middle outwards, the lower index first between two as far from the
+    middle, then, with ``off_path``, its other vertices ascending. Each
+    part is ordered only once it is reached."""
+    yield path[(len(path) - 1) // 2]
+    for i in sorted(range(len(path)), key=lambda i: abs(2 * i + 1 - len(path)))[1:]:
+        yield path[i]
+    if off_path:
+        yield from _members(sub & ~sum(1 << v for v in path))
+
+
+def _forest(g: ColoredGraph, k: int, shallowest: bool) -> EliminationForest | list[int] | None:
+    """An elimination forest of height at most k, a shallowest one when
+    ``shallowest`` is set; a path of g with at least 2^k vertices, which
+    certifies tree-depth above k; or None when tree-depth exceeds k.
+
+    ``fit`` roots a connected piece in at most ``budget`` levels. A path of
+    l vertices needs ``l.bit_length()`` levels, so a piece whose
+    double-sweep path needs more fails at once. Roots on that path are
+    tried from its middle outwards; a root off it leaves the path whole,
+    so those are tried only while the path needs fewer levels than the
+    budget. The first root whose components all fit one level down is
+    kept, so with no failure the first descent roots every piece at the
+    middle of its path. Only failures are memoized, as the largest
+    budget a mask failed. A top-level piece's path is a path of g: when
+    one alone needs more than k levels, it is returned before any root
+    is tried.
+
+    For the shallowest forest each top-level piece is fitted again one
+    level below the height it took, until its path bound or the first
+    failure, whose writes are undone from the piece's members. Dense
+    graphs and graphs of high tree-depth still cost time exponential in
+    n, so the search counts its work, the vertices of every mask it splits
+    into components, and refuses with ``ResourceLimitError`` once that
+    passes ``FOREST_WORK_CAP``.
     """
     nb = _neighbourhoods(g, k)
     parents = [0] * (g.n + 1)
-    pending = deque((comp, 0, k) for comp in _split((1 << g.n + 1) - 2, nb))
-    while pending:
-        sub, above, room = pending.popleft()  # room: the levels left for sub
-        if sub & (sub - 1) == 0:
-            path = [sub.bit_length() - 1]
-        else:
-            far = _deepest_chain((sub & -sub).bit_length() - 1, sub, nb)[-1]
-            path = _deepest_chain(far, sub, nb)
-        if len(path).bit_length() > room:
-            return path if room == k else None
-        root = path[(len(path) - 1) // 2]
-        parents[root] = above
-        pending.extend((comp, root, room - 1) for comp in _split(sub & ~(1 << root), nb))
+    failed: dict[int, int] = {}  # mask -> the largest budget it did not fit
+    cap, work = FOREST_WORK_CAP, g.n  # vertices in the masks handed to _split, from the first
+
+    def fit(sub: int, above: int, budget: int, path: list[int] | None = None) -> int:
+        """The levels, at most ``budget``, that the connected mask ``sub`` of
+        two or more vertices takes rooted below ``above``, its parents
+        written; 0 when it does not fit."""
+        nonlocal work
+        if failed.get(sub, 0) >= budget:
+            return 0
+        path = path or _path(sub, nb)
+        low = len(path).bit_length()
+        if low > budget:
+            failed[sub] = low - 1
+            return 0
+        size = sub.bit_count()
+        for v in _roots(path, sub, low < budget):
+            work += size - 1  # the vertices of the mask split below
+            if work > cap:
+                raise _forest_refusal(cap, g.n, k)
+            height = 1
+            for comp in _split(sub & ~(1 << v), nb):
+                if comp & (comp - 1) == 0:
+                    parents[comp.bit_length() - 1] = v
+                elif not (below := fit(comp, v, budget - 1)):
+                    break
+                elif below > height:
+                    height = below
+            else:
+                parents[v] = above
+                return height + 1
+        failed[sub] = budget
+        return 0
+
+    pieces = [(comp, _path(comp, nb)) for comp in _split((1 << g.n + 1) - 2, nb)]
+    for _, path in pieces:
+        if len(path).bit_length() > k:
+            return path
+    for comp, path in pieces:
+        if len(path) == 1:
+            continue  # a lone vertex is a root
+        height = fit(comp, 0, k, path)
+        if not height:
+            return None
+        while shallowest and height > len(path).bit_length():
+            members = list(_members(comp))
+            kept = [parents[v] for v in members]
+            height = fit(comp, 0, height - 1, path)
+            if not height:
+                for v, p in zip(members, kept):
+                    parents[v] = p
+                break
     return EliminationForest(n=g.n, parents=tuple(parents[1:]))
 
 
@@ -343,74 +416,16 @@ def compute_elimination_forest(
 ) -> EliminationForest | None:
     """Exact minimum-height elimination forest, or None when tree-depth > k.
 
-    Memoized recursion on connected vertex masks: a connected piece needs
-    1 plus, over root choices, the worst of its remaining components. A
-    double-sweep depth-first search (from the lowest vertex, then from
-    the end of the longest chain found) gives a path P of l vertices, so
-    the piece needs ``low = l.bit_length()``; it is refused at once when
-    that exceeds its budget. Roots on P are tried first, from its middle
-    outwards; a root off P leaves P whole, so it is tried only while
-    ``low + 1`` beats the best found, and a root reaching ``low`` ends
-    the search. Dense graphs and graphs of high tree-depth still cost
-    time exponential in n, so the search counts its work, the vertices of
-    every mask it splits into components, and refuses with
-    ``ResourceLimitError`` once that passes ``FOREST_WORK_CAP``.
+    ``_forest`` fits each connected piece of g within k levels, then one
+    level lower each time, until its double-sweep path rules out a lower
+    height or a fit fails. A fit is exhaustive below its root choices, with
+    failures memoized, so the last height found is the piece's minimum.
+    Dense graphs and graphs of high tree-depth still cost time exponential
+    in n; past ``FOREST_WORK_CAP`` vertices split into components the search
+    is refused with ``ResourceLimitError``.
     """
-    nb = _neighbourhoods(g, k)
-    known: dict[int, tuple[int, int]] = {}  # (height, root); root 0: height exceeds it
-    cap, work = FOREST_WORK_CAP, g.n  # vertices in the masks handed to _split, from the first
-
-    def best(sub: int, budget: int) -> tuple[int, int] | None:
-        """(minimal height, a root for it) of a connected mask; None above ``budget``."""
-        nonlocal work
-        if sub & (sub - 1) == 0:
-            return (1, sub.bit_length() - 1) if budget >= 1 else None
-        h, root = known.get(sub, (0, 0))
-        if root or h >= budget:
-            return (h, root) if root and h <= budget else None
-        far = _deepest_chain((sub & -sub).bit_length() - 1, sub, nb)[-1]
-        path = _deepest_chain(far, sub, nb)
-        low = len(path).bit_length()
-        if low > budget:
-            known[sub] = (low - 1, 0)
-            return None
-        outwards = sorted(range(len(path)), key=lambda i: abs(2 * i + 1 - len(path)))
-        off_path = sub & ~sum(1 << v for v in path)
-        size = sub.bit_count()
-        best_h, best_root = min(budget, size) + 1, 0
-        roots = itertools.chain((path[j] for j in outwards), _members(off_path))
-        for i, v in enumerate(roots):
-            if i >= len(path) and low >= best_h - 1:
-                break
-            work += size - 1  # the vertices of the mask split below
-            worst = 0
-            for comp in _split(sub & ~(1 << v), nb):
-                found = best(comp, best_h - 2)
-                if found is None:
-                    break
-                worst = max(worst, found[0])
-            else:
-                best_h, best_root = 1 + worst, v
-                if best_h <= low:
-                    break
-        if work > cap:
-            raise _forest_refusal(cap, g.n, k)
-        known[sub] = (best_h, best_root) if best_root else (budget, 0)
-        return known[sub] if best_root else None
-
-    parents = [0] * (g.n + 1)
-    pending = [(comp, 0) for comp in _split(sum(1 << v for v in g.vertices), nb)]
-    if any(best(comp, k) is None for comp, _ in pending):
-        return None
-    while pending:
-        sub, above = pending.pop()
-        _, root = best(sub, k)
-        parents[root] = above
-        work += sub.bit_count() - 1
-        if work > cap:
-            raise _forest_refusal(cap, g.n, k)
-        pending.extend((comp, root) for comp in _split(sub & ~(1 << root), nb))
-    return EliminationForest(n=g.n, parents=tuple(parents[1:]))
+    found = _forest(g, k, shallowest=True)
+    return None if type(found) is list else found
 
 
 # ---------------------------------------------------------------------------

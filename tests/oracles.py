@@ -31,7 +31,9 @@ slot-0 refinement that spreads every key column over all graphs' tuples
 and deduplicates each graph's contexts on their own referees, round by
 round, the one that refines graphs of one size as one block. The flip and
 the recipe build that toggle pairs in a set of edge tuples referee the
-ones that XOR edge keys in arrays.
+ones that XOR edge keys in arrays. The greedy forest pass, which roots
+each piece at the middle of its double-sweep path breadth first and never
+backtracks, referees the first descent of the tree-depth search.
 
 The module also holds the suite's seeded generators (random trees,
 tree-models and graphs of bounded tree-depth), the tree-from-graph
@@ -99,6 +101,9 @@ from fomc.trees import (
     EliminationForest,
     RootedColoredTree,
     TreeModel,
+    _deepest_chain,
+    _neighbourhoods,
+    _split,
     compute_elimination_forest,
     write_tree,
 )
@@ -113,6 +118,37 @@ def refusal_path(g: ColoredGraph, k: int, message: str) -> list[int]:
     assert all(v in nbrs[u] for u, v in zip(path, path[1:])), path
     assert len(set(path)) == len(path) >= 2**k, path
     return path
+
+
+def greedy_forest(g: ColoredGraph, k: int) -> EliminationForest | list[int] | None:
+    """An elimination forest of height at most k found without search; a
+    path of g with at least 2^k vertices, which certifies tree-depth above
+    k; or None when the pass gives up.
+
+    Each connected piece, every top-level one first, is rooted at the
+    middle of its double-sweep path, and the components it leaves become
+    pieces one level down; no root is undone. A path of l vertices needs
+    ``l.bit_length()`` levels, so the pass gives up as soon as a piece's
+    path needs more levels than are left at its depth. A top-level piece's
+    path is a path of g: when it alone needs more than k levels, it is
+    returned.
+    """
+    nb = _neighbourhoods(g, k)
+    parents = [0] * (g.n + 1)
+    pending = deque((comp, 0, k) for comp in _split((1 << g.n + 1) - 2, nb))
+    while pending:
+        sub, above, room = pending.popleft()  # room: the levels left for sub
+        if sub & (sub - 1) == 0:
+            path = [sub.bit_length() - 1]
+        else:
+            far = _deepest_chain((sub & -sub).bit_length() - 1, sub, nb)[-1]
+            path = _deepest_chain(far, sub, nb)
+        if len(path).bit_length() > room:
+            return path if room == k else None
+        root = path[(len(path) - 1) // 2]
+        parents[root] = above
+        pending.extend((comp, root, room - 1) for comp in _split(sub & ~(1 << root), nb))
+    return EliminationForest(n=g.n, parents=tuple(parents[1:]))
 
 
 def neighborhoods(g: ColoredGraph) -> list[set[int]]:

@@ -22,7 +22,7 @@ from fomc.graphs import (
 )
 from fomc.hardness import CrossCheck
 from fomc.interpret import backwards_translate, complement_interpretation
-from fomc import trees
+from fomc import pebble, trees
 from fomc.randgen import random_graph
 from fomc.trees import RootedColoredTree, read_tree, write_tree
 from fomc.trees import TreeModel
@@ -85,6 +85,19 @@ def test_mc_via_treedepth_refuses_a_forest_search_past_the_work_cap(workdir, cap
     fpath = write("f.fo", "exists x1. x1=x1\n")
     assert main(["mc", "--graph", gpath, "--formula", fpath, "--via", "treedepth", "--k", "8"]) == 3
     assert "more than 20000 vertices" in capsys.readouterr().err
+
+
+def test_a_graph_header_over_the_vertex_limit_exits_3(workdir, capsys, monkeypatch):
+    tmp, write = workdir
+    fpath = write("f.fo", "exists x1. x1=x1\n")
+    huge = write("huge.g", "p graph 100000000 1\n")
+    assert main(["mc", "--graph", huge, "--formula", fpath]) == 3
+    assert "line 1: the header declares 100000000 vertices" in capsys.readouterr().err
+    monkeypatch.setattr(pebble, "DEFAULT_POSITION_CAP", 5)
+    gpath = write("p6.g", graph_text(gen_path(6)))
+    assert main(["mc", "--graph", gpath, "--formula", fpath]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fomc: resource limit: line 1: ") and "more than the limit of 5" in err
 
 
 def test_mc_via_treedepth_prints_the_path_that_refuses_k(workdir, capsys):

@@ -7,7 +7,9 @@ import re
 
 import pytest
 
+from fomc import pebble
 from fomc.graphs import ColoredGraph, read_graph, write_graph
+from fomc.pebble import ResourceLimitError
 from fomc.randgen import random_graph
 from fomc.trees import (
     EliminationForest,
@@ -173,6 +175,16 @@ def test_rule_lines_are_unknown_in_a_plain_tree_file():
 def test_repeated_and_out_of_range_lines_are_refused(name, text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FORMATS[name][0](io.StringIO(text))
+
+
+def test_a_graph_header_over_the_vertex_limit_is_refused_before_its_vertices(monkeypatch):
+    # a 20-byte file declaring 10^8 vertices took 15.6 s and 1.55 GB to read
+    with pytest.raises(ResourceLimitError, match="^line 1: the header declares 100000000 vertices"):
+        read_graph(io.StringIO("p graph 100000000 1\n"))
+    monkeypatch.setattr(pebble, "DEFAULT_POSITION_CAP", 50)
+    with pytest.raises(ResourceLimitError, match="^line 2: .* 51 vertices, more than the limit of 50$"):
+        read_graph(io.StringIO("e 1 2\np graph 51 1\n"))
+    assert read_graph(io.StringIO("e 1 2\np graph 50 1\n")) == ColoredGraph.build(50, [(1, 2)])
 
 
 def test_graph_lines_may_come_before_the_header():

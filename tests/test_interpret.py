@@ -52,6 +52,7 @@ from fomc.randgen import random_formula, random_graph
 from .oracles import (
     all_labeled_graphs,
     climbing_encode_elimination_forest,
+    greedy_forest,
     kernel_budget_sweep,
     mc_by_translation,
     pipeline_fixtures,
@@ -614,11 +615,10 @@ def test_mc_treedepth_budget_exceeded():
 
 
 def test_mc_treedepth_refuses_bad_sentences_before_the_forest_search(monkeypatch):
-    def no_search(*_args):
+    def no_search(*_args, **_kwargs):
         raise AssertionError("the forest search ran")
 
-    monkeypatch.setattr(interpret, "compute_elimination_forest", no_search)
-    monkeypatch.setattr(interpret, "_greedy_forest", no_search)
+    monkeypatch.setattr(interpret, "_forest", no_search)
     p4 = gen_path(4)
     with pytest.raises(ValueError, match="found free variables: x1, x3$"):
         mc_treedepth(p4, parse_formula("adj(x1,x3) & exists x2. x2=x2"), 3, 3)
@@ -632,30 +632,30 @@ def test_mc_treedepth_refuses_bad_sentences_before_the_forest_search(monkeypatch
 
 @pytest.fixture
 def forest_route(monkeypatch):
-    """Per ``mc_treedepth`` call: a one-item list counting its exact
-    searches, and the list of forests it encodes."""
-    searches, used = [0], []
-    search, encode = interpret.compute_elimination_forest, interpret.encode_elimination_forest
+    """Per ``mc_treedepth`` call: a one-item list counting the forest
+    search's component splits, and the list of forests it encodes."""
+    splits, used = [0], []
+    split, encode = trees._split, interpret.encode_elimination_forest
 
-    def counting(g, k):
-        searches[0] += 1
-        return search(g, k)
+    def counting(*args):
+        splits[0] += 1
+        return split(*args)
 
     def spy(g, ef):
         used.append(ef)
         return encode(g, ef)
 
-    monkeypatch.setattr(interpret, "compute_elimination_forest", counting)
+    monkeypatch.setattr(trees, "_split", counting)
     monkeypatch.setattr(interpret, "encode_elimination_forest", spy)
-    return searches, used
+    return splits, used
 
 
 def test_mc_treedepth_searches_only_when_the_greedy_pass_gives_up(forest_route):
     # k from td - 1 to td + 2 on bounded-depth graphs, trees read as
-    # graphs and small G(n, p); this seed's 200 draws give 568 fits and
-    # 79 give-ups of the greedy pass, and 182 refusals (td > k), 135 of
-    # them with a path from the pass
-    searches, used = forest_route
+    # graphs and small G(n, p); on this seed's 200 draws the greedy pass
+    # fits 568 times, and of its 79 give-ups 32 have tree-depth within k;
+    # 135 refusals name a path
+    _, used = forest_route
     rng = random.Random(20261020)
     outcomes = Counter()
     for i in range(200):
@@ -670,27 +670,28 @@ def test_mc_treedepth_searches_only_when_the_greedy_pass_gives_up(forest_route):
         phi = random_formula(rng, 3, 2, 4)
         truth = model_check(g, phi)
         for k in range(max(1, td - 1), td + 3):
-            greedy = trees._greedy_forest(g, k)
-            searches[0] = 0
+            greedy = greedy_forest(g, k)
             used.clear()
             if td > k:
                 with pytest.raises(ValueError, match=f"^the graph has tree-depth larger than {k}") as err:
                     mc_treedepth(g, phi, k, 3)
                 if type(greedy) is list:
                     assert refusal_path(g, k, str(err.value)) == greedy
+                    outcomes["path"] += 1
+                else:
+                    assert greedy is None and str(err.value).endswith(str(k))
+                    outcomes["gives up, refused"] += 1
             else:
                 assert mc_treedepth(g, phi, k, 3) == truth
                 (ef,) = used
-                assert validate_elimination_forest(g, ef) and ef.height <= k
-            if isinstance(greedy, EliminationForest):
-                assert searches[0] == 0 and used == [greedy]
-                outcomes["fits"] += 1
-            else:
-                assert searches[0] == (greedy is None)
-                outcomes["gives up" if greedy is None else "path"] += 1
-            outcomes["refused"] += td > k
-    assert outcomes["fits"] >= 500 and outcomes["gives up"] >= 60
-    assert outcomes["refused"] >= 150 and outcomes["path"] >= 100
+                if greedy is None:
+                    assert validate_elimination_forest(g, ef) and ef.height <= k
+                    outcomes["gives up, fits"] += 1
+                else:
+                    assert ef == greedy
+                    outcomes["fits"] += 1
+    assert outcomes["fits"] >= 500 and outcomes["path"] >= 100
+    assert outcomes["gives up, fits"] >= 25 and outcomes["gives up, refused"] >= 40
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 11])
@@ -700,18 +701,21 @@ def test_mc_treedepth_refuses_a_long_path_naming_it(forest_route, k):
         mc_treedepth(g, parse_formula("exists x1. C1(x1)"), k, 1)
     assert f"a path of {2**k} vertices" in str(err.value)
     assert sorted(refusal_path(g, k, str(err.value))) == list(g.vertices)
-    assert forest_route[0] == [0]
+    assert forest_route[0] == [1]  # the split into top-level pieces, and no root tried
 
 
 def test_mc_treedepth_decides_a_10000_vertex_tree_graph_without_search(forest_route):
-    # the exact search at k = 4 takes over twice the greedy pass's time
+    # the shallowest forest at k = 4 takes over twice the first one's time;
+    # the first descent splits each piece of two or more vertices once
     phi = parse_formula(
         "forall x1. exists x2. adj(x1,x2) & C2(x2) & exists x1. adj(x2,x1) & !x1=x2 & C1(x1)"
     )
     t = random_tree(random.Random(5), 10_000, 3, colors=2)
-    assert mc_treedepth(t.to_graph(), phi, 4, 2) == mc_tree(t, phi, 2)
-    assert forest_route[0] == [0]
-    assert forest_route[1][0].height == 4
+    g = t.to_graph()
+    greedy = greedy_forest(g, 4)
+    assert mc_treedepth(g, phi, 4, 2) == mc_tree(t, phi, 2)
+    assert forest_route[1] == [greedy] and greedy.height == 4
+    assert forest_route[0][0] <= g.n
 
 
 def test_mc_treedepth_distance_three_on_p7():

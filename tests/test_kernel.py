@@ -16,7 +16,13 @@ from fomc.kernel import (
     verify_kernel,
 )
 from fomc.pebble import ResourceLimitError, fo_s_equivalent, type_census
-from fomc.trees import RootedColoredTree, TreeModel, compute_elimination_forest, restrict_tree
+from fomc.trees import (
+    EliminationForest,
+    RootedColoredTree,
+    TreeModel,
+    compute_elimination_forest,
+    restrict_tree,
+)
 
 from .oracles import (
     all_colored_rooted_trees,
@@ -421,6 +427,20 @@ def test_a_numpy_integer_budget_is_read_as_an_int():
     res, ref = reduce_tree(t, two), reduce_tree(t, 2)
     assert (res.kept, res.bound, res.bound_exact) == (ref.kept, ref.bound, ref.bound_exact)
     assert kernel_size_bound(two, 2, 2) == kernel_size_bound(2, 2, 2)
+
+
+def test_a_numpy_integer_vertex_count_is_stored_as_an_int():
+    # mc_treedepth raised AttributeError: the graph kept n as a numpy
+    # integer, which has no bit_length
+    edges = [(v, v + 1) for v in range(1, 70)]
+    g, ref = ColoredGraph.build(np.int64(70), edges, c=np.int64(2)), ColoredGraph.build(70, edges, c=2)
+    assert type(g.n) is type(g.c) is int and g == ref
+    phi = parse_formula("exists x1. exists x2. adj(x1,x2) & forall x1. (adj(x2,x1) -> x1=x1)")
+    assert mc_treedepth(g, phi, 7, 2) == mc_treedepth(ref, phi, 7, 2)
+    assert compute_elimination_forest(g, 7) == compute_elimination_forest(ref, 7)
+    t = RootedColoredTree(np.int64(2), np.int64(1), (0, 1), (1, 1), np.int64(1))
+    assert (type(t.n), type(t.root), type(t.c)) == (int, int, int)
+    assert type(EliminationForest(np.int64(2), (0, 1)).n) is int
 
 
 def test_the_induced_graph_on_the_kept_set_is_the_kernel_read_as_a_graph():

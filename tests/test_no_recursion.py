@@ -22,7 +22,7 @@ import fomc
 
 PACKAGE = Path(fomc.__file__).parent
 EXEMPT = {
-    "trees": "the tree-depth search ``best`` recurses once per level, at most the budget k",
+    "trees": "the tree-depth search ``fit`` recurses once per level, at most the budget k",
     "randgen": "``go`` recurses once per formula node, at most the size it is asked for",
 }
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
