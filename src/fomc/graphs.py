@@ -127,16 +127,17 @@ def _edge_arrays(n: int, edges: Iterable[Edge]) -> tuple[np.ndarray, np.ndarray]
 
 class ColoredGraph:
     """A simple graph on the vertices 1..n, vertex v coloured ``colors[v-1]``
-    from 1..c.
+    from 1..c; n is ``len(colors)``, read off the colours, never given.
 
     The edges are stored once, as two read-only ``np.intp`` arrays: edge i
     joins ``edge_lo[i] < edge_hi[i]``, and the edges are sorted by (lo, hi)
-    without repeats. ``==`` and ``hash`` read (n, colors, c) and these
+    without repeats. ``==`` and ``hash`` read (colors, c) and these
     arrays. ``edges``, a frozenset of (lo, hi) tuples, is a view built on
     first read and kept.
 
-    ``ColoredGraph(n, colors, c, edges)`` takes pairs u < v and merges
-    repeats; ``build`` takes either orientation and fills in the colours.
+    ``ColoredGraph(colors, c, edges)`` takes pairs u < v and merges
+    repeats; ``build`` takes n and either orientation, fills in the
+    colours and refuses colours that do not number n.
     """
 
     __slots__ = ("n", "colors", "c", "edge_lo", "edge_hi", "_edges")
@@ -147,20 +148,17 @@ class ColoredGraph:
     edge_lo: np.ndarray
     edge_hi: np.ndarray
 
-    def __init__(self, n: int, colors: tuple[int, ...], c: int, edges: Iterable[Edge]) -> None:
-        n = _require_integer("vertex count", n)
-        if n < 1:
+    def __init__(self, colors: tuple[int, ...], c: int, edges: Iterable[Edge]) -> None:
+        if not colors:
             raise ValueError("graphs must have at least one vertex")
-        if len(colors) != n:
-            raise ValueError("colors must assign exactly one color per vertex")
         c = _require_palette(colors, c)
-        self._fill(n, colors, c, *_edge_arrays(n, edges))
+        self._fill(colors, c, *_edge_arrays(len(colors), edges))
 
-    def _fill(self, n: int, colors: tuple[int, ...], c: int, lo: np.ndarray, hi: np.ndarray) -> None:
+    def _fill(self, colors: tuple[int, ...], c: int, lo: np.ndarray, hi: np.ndarray) -> None:
         lo.setflags(write=False)
         hi.setflags(write=False)
         fill = object.__setattr__
-        fill(self, "n", n)
+        fill(self, "n", len(colors))
         fill(self, "colors", colors)
         fill(self, "c", c)
         fill(self, "edge_lo", lo)
@@ -169,13 +167,13 @@ class ColoredGraph:
 
     @classmethod
     def _of_arrays(
-        cls, n: int, colors: tuple[int, ...], c: int, lo: np.ndarray, hi: np.ndarray
+        cls, colors: tuple[int, ...], c: int, lo: np.ndarray, hi: np.ndarray
     ) -> "ColoredGraph":
         """The graph whose fields these are, unchecked: the caller derives
         them from a checked graph or tree, ``lo`` and ``hi`` as the class
         stores them. The arrays are made read-only."""
         g = object.__new__(cls)
-        g._fill(n, colors, c, lo, hi)
+        g._fill(colors, c, lo, hi)
         return g
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -185,24 +183,23 @@ class ColoredGraph:
         raise AttributeError(f"cannot delete field {name!r}: a ColoredGraph is immutable")
 
     def __reduce__(self):
-        return ColoredGraph._of_arrays, (self.n, self.colors, self.c, self.edge_lo, self.edge_hi)
+        return ColoredGraph._of_arrays, (self.colors, self.c, self.edge_lo, self.edge_hi)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not ColoredGraph:
             return NotImplemented
         return (
-            self.n == other.n
-            and self.c == other.c
+            self.c == other.c
             and self.colors == other.colors
             and self.edge_lo.tobytes() == other.edge_lo.tobytes()
             and self.edge_hi.tobytes() == other.edge_hi.tobytes()
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.colors, self.c, self.edge_lo.tobytes(), self.edge_hi.tobytes()))
+        return hash((self.colors, self.c, self.edge_lo.tobytes(), self.edge_hi.tobytes()))
 
     def __repr__(self) -> str:
-        return f"ColoredGraph(n={self.n!r}, colors={self.colors!r}, c={self.c!r}, edges={self.edges!r})"
+        return f"ColoredGraph(colors={self.colors!r}, c={self.c!r}, edges={self.edges!r})"
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -222,13 +219,10 @@ class ColoredGraph:
     ) -> "ColoredGraph":
         n = _require_integer("vertex count", n)
         cols = tuple(colors) if colors is not None else (1,) * n
+        if len(cols) != n:
+            raise ValueError("colors must assign exactly one color per vertex")
         palette = c if c is not None else _inferred_palette(cols)
-        return ColoredGraph(
-            n=n,
-            colors=cols,
-            c=palette,
-            edges=frozenset((u, v) if u < v else (v, u) for u, v in edges),
-        )
+        return ColoredGraph(cols, palette, frozenset((u, v) if u < v else (v, u) for u, v in edges))
 
     @property
     def vertices(self) -> range:
@@ -256,7 +250,7 @@ class ColoredGraph:
         inside = np.logical_and(lo, hi)
         lo, hi = lo[inside], hi[inside]
         colors = self.colors
-        return ColoredGraph._of_arrays(len(kept), tuple([colors[v - 1] for v in kept]), self.c, lo, hi)
+        return ColoredGraph._of_arrays(tuple([colors[v - 1] for v in kept]), self.c, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +318,7 @@ def apply_flip(g: ColoredGraph, flip: PartitionFlip) -> ColoredGraph:
         raise ValueError(f"part vertex {outside} outside the graph")
     ends = {i: np.fromiter(flip.parts[i], np.intp) for pair in flip.rel for i in pair}
     lo, hi = _toggled(g.n, g.edge_lo * (g.n + 1) + g.edge_hi, [(ends[i], ends[j]) for i, j in flip.rel])
-    return ColoredGraph._of_arrays(g.n, g.colors, g.c, lo, hi)
+    return ColoredGraph._of_arrays(g.colors, g.c, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def gen_path(n: int) -> ColoredGraph:
     if n < 1:
         raise ValueError("a path needs at least one vertex")
     lo, hi = np.arange(1, n, dtype=np.intp), np.arange(2, n + 1, dtype=np.intp)
-    return ColoredGraph._of_arrays(n, (1,) * n, 1, lo, hi)
+    return ColoredGraph._of_arrays((1,) * n, 1, lo, hi)
 
 
 def gen_half_graph(t: int) -> tuple[ColoredGraph, frozenset[int], frozenset[int]]:
@@ -349,7 +343,7 @@ def gen_half_graph(t: int) -> tuple[ColoredGraph, frozenset[int], frozenset[int]
     if t < 1:
         raise ValueError("order must be positive")
     i, j = np.triu_indices(t)  # i <= j, sorted by (i, j)
-    g = ColoredGraph._of_arrays(2 * t, (1,) * (2 * t), 1, i + 1, j + (t + 1))
+    g = ColoredGraph._of_arrays((1,) * (2 * t), 1, i + 1, j + (t + 1))
     return g, frozenset(range(1, t + 1)), frozenset(range(t + 1, 2 * t + 1))
 
 
@@ -366,7 +360,7 @@ def gen_disjoint_paths(
     if k < 1 or t < 1:
         raise ValueError("both path count and path length must be positive")
     lo = np.arange(1, k * t + 1, dtype=np.intp).reshape(k, t)[:, :-1].ravel()
-    g = ColoredGraph._of_arrays(k * t, (1,) * (k * t), 1, lo, lo + 1)
+    g = ColoredGraph._of_arrays((1,) * (k * t), 1, lo, lo + 1)
     return g, tuple(frozenset(range(i, k * t + 1, t)) for i in range(1, t + 1))
 
 
@@ -433,7 +427,7 @@ def build_sc_graph(r: SCRecipe) -> ColoredGraph:
     colors = tuple(leaf.color for leaf in leaves)
     c = _require_palette(colors, _inferred_palette(colors))  # as ``ColoredGraph.build`` does
     lo, hi = _toggled(len(leaves), np.empty(0, np.intp), flips)
-    return ColoredGraph._of_arrays(len(leaves), colors, c, lo, hi)
+    return ColoredGraph._of_arrays(colors, c, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def apply_interpretation(
         palette = max(keys)
     colors = tuple(colors)
     palette = _require_palette(colors, palette)
-    return ColoredGraph._of_arrays(len(domain), colors, palette, lo + 1, hi + 1)
+    return ColoredGraph._of_arrays(colors, palette, lo + 1, hi + 1)
 
 
 def backwards_translate(
@@ -303,13 +303,7 @@ def encode_elimination_forest(
         spare = g.n + 1
         parents = (*(p or spare for p in parents), 0)
         colors += (1,)
-    return RootedColoredTree(
-        n=len(parents),
-        root=parents.index(0) + 1,
-        parents=parents,
-        colors=colors,
-        c=_encoded_palette_size(ef.height, g.c),
-    )
+    return RootedColoredTree(parents, colors, _encoded_palette_size(ef.height, g.c))
 
 
 def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
@@ -468,13 +462,7 @@ def _tree_model_host(g: ColoredGraph, tm: TreeModel) -> RootedColoredTree:
     composites = list(zip(graph_colors, t.colors, t.depths))
     palette = sorted(set(composites))
     code = {comp: i for i, comp in enumerate(palette, start=1)}
-    return RootedColoredTree(
-        n=t.n,
-        root=t.root,
-        parents=t.parents,
-        colors=tuple(map(code.__getitem__, composites)),
-        c=len(palette),
-    )
+    return RootedColoredTree(t.parents, tuple(map(code.__getitem__, composites)), len(palette))
 
 
 def mc_treemodel(

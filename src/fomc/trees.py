@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
 from typing import Collection, Iterable, Iterator, TextIO
@@ -90,21 +90,29 @@ def _depths(parents: tuple[int, ...], top: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RootedColoredTree:
-    n: int
-    root: int
+    """A tree on the vertices 1..n, vertex v coloured ``colors[v-1]`` from
+    1..c below its parent ``parents[v-1]``; the root has parent 0.
+
+    ``RootedColoredTree(parents, colors, c)`` takes the per-vertex data
+    alone: n is ``len(parents)`` and ``root`` the one vertex with parent
+    0, both read off ``parents`` once the colours are checked to number n
+    and the root to be unique. ``build`` takes dicts by vertex.
+    """
+
     parents: tuple[int, ...]  # parents[v-1]; 0 for the root
     colors: tuple[int, ...]
     c: int
+    n: int = field(init=False)
+    root: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _require_integer("vertex count", self.n))
-        object.__setattr__(self, "root", _require_integer("root", self.root))
-        if len(self.parents) != self.n or len(self.colors) != self.n:
+        n = len(self.parents)
+        if len(self.colors) != n:
             raise ValueError("parents and colors must cover every vertex")
         if self.parents.count(0) != 1:
             raise ValueError(f"expected exactly one root, found {self.parents.count(0)}")
-        if not 1 <= self.root <= self.n or self.parents[self.root - 1] != 0:
-            raise ValueError(f"root {self.root} is not the vertex with parent 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "root", self.parents.index(0) + 1)
         object.__setattr__(self, "c", _require_palette(self.colors, self.c))
         self.depths  # forces the parent range and cycle checks
 
@@ -126,13 +134,7 @@ class RootedColoredTree:
         else:
             cols = (1,) * n
         links = tuple(map(parents.__getitem__, vertices))
-        return RootedColoredTree(
-            n=n,
-            root=links.index(0) + 1 if 0 in links else 0,
-            parents=links,
-            colors=cols,
-            c=c if c is not None else _inferred_palette(cols),
-        )
+        return RootedColoredTree(links, cols, c if c is not None else _inferred_palette(cols))
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
@@ -156,7 +158,7 @@ class RootedColoredTree:
         ids = np.arange(1, n + 1, dtype=np.intp)
         keys = np.minimum(parents, ids) * n + (parents + ids)
         keys.sort()
-        return ColoredGraph._of_arrays(n, self.colors, self.c, *np.divmod(keys[1:], n + 1))
+        return ColoredGraph._of_arrays(self.colors, self.c, *np.divmod(keys[1:], n + 1))
 
     def distance(self, u: int, v: int) -> int:
         """Edges on the tree path between ``u`` and ``v``, counted while
@@ -197,9 +199,7 @@ def restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTre
             raise ValueError("the kept set is not closed under parents")
         parents.append(p)
         colors.append(t.colors[v - 1])
-    return RootedColoredTree(
-        n=len(ids), root=relabel[t.root], parents=tuple(parents), colors=tuple(colors), c=t.c
-    )
+    return RootedColoredTree(tuple(parents), tuple(colors), t.c)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +207,15 @@ def restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTre
 
 @dataclass(frozen=True)
 class EliminationForest:
-    n: int
+    """A forest on the vertices 1..n, vertex v below ``parents[v-1]`` and
+    each root below 0. ``EliminationForest(parents)`` takes the parents
+    alone: n is ``len(parents)``."""
+
     parents: tuple[int, ...]  # parents[v-1]; 0 for roots
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _require_integer("vertex count", self.n))
-        if len(self.parents) != self.n:
-            raise ValueError("parents must cover every vertex")
+        object.__setattr__(self, "n", len(self.parents))
         self.node_depths  # parent range and cycle checks
 
     @cached_property
@@ -342,9 +344,11 @@ def _forest(g: ColoredGraph, k: int, shallowest: bool) -> EliminationForest | li
     budget. The first root whose components all fit one level down is
     kept, so with no failure the first descent roots every piece at the
     middle of its path. Only failures are memoized, as the largest
-    budget a mask failed. A top-level piece's path is a path of g: when
-    one alone needs more than k levels, it is returned before any root
-    is tried.
+    budget a mask failed. ``fit`` is a generator, and one loop keeps the
+    fits under way on a list, so a search k levels deep nests no calls and
+    never meets the recursion limit. A lone vertex is a root and enters no
+    mask. A top-level piece's path is a path of g: when one alone needs
+    more than k levels, it is returned before any root is tried.
 
     For the shallowest forest each top-level piece is fitted again one
     level below the height it took, until its path bound or the first
@@ -357,12 +361,14 @@ def _forest(g: ColoredGraph, k: int, shallowest: bool) -> EliminationForest | li
     nb = _neighbourhoods(g, k)
     parents = [0] * (g.n + 1)
     failed: dict[int, int] = {}  # mask -> the largest budget it did not fit
-    cap, work = FOREST_WORK_CAP, g.n  # vertices in the masks handed to _split, from the first
+    cap, work = FOREST_WORK_CAP, g.n  # vertices in the masks handed to _split, n for the first
 
-    def fit(sub: int, above: int, budget: int, path: list[int] | None = None) -> int:
-        """The levels, at most ``budget``, that the connected mask ``sub`` of
-        two or more vertices takes rooted below ``above``, its parents
-        written; 0 when it does not fit."""
+    def fit(sub: int, above: int, budget: int, path: list[int] | None = None):
+        """A generator of the levels, at most ``budget``, that the connected
+        mask ``sub`` of two or more vertices takes rooted below ``above``,
+        its parents written; 0 when it does not fit. It yields the
+        arguments of ``fit`` for each component it needs fitted and is sent
+        that component's levels back."""
         nonlocal work
         if failed.get(sub, 0) >= budget:
             return 0
@@ -380,7 +386,7 @@ def _forest(g: ColoredGraph, k: int, shallowest: bool) -> EliminationForest | li
             for comp in _split(sub & ~(1 << v), nb):
                 if comp & (comp - 1) == 0:
                     parents[comp.bit_length() - 1] = v
-                elif not (below := fit(comp, v, budget - 1)):
+                elif not (below := (yield comp, v, budget - 1)):
                     break
                 elif below > height:
                     height = below
@@ -390,25 +396,38 @@ def _forest(g: ColoredGraph, k: int, shallowest: bool) -> EliminationForest | li
         failed[sub] = budget
         return 0
 
-    pieces = [(comp, _path(comp, nb)) for comp in _split((1 << g.n + 1) - 2, nb)]
+    def levels(sub: int, budget: int, path: list[int]) -> int:
+        """``fit`` of a top-level piece run to its end, the fits it asks
+        for held on one stack, so no depth of the search nests a call."""
+        stack, got = [fit(sub, 0, budget, path)], None
+        while stack:
+            try:
+                stack.append(fit(*stack[-1].send(got)))
+                got = None
+            except StopIteration as done:
+                stack.pop()
+                got = done.value
+        return got
+
+    # bit v set when v has a neighbour: a lone vertex is a root and enters no mask
+    touched = int("".join(["1" if m else "0" for m in reversed(nb)]), 2)
+    pieces = [(comp, _path(comp, nb)) for comp in _split(touched, nb)]
     for _, path in pieces:
         if len(path).bit_length() > k:
             return path
     for comp, path in pieces:
-        if len(path) == 1:
-            continue  # a lone vertex is a root
-        height = fit(comp, 0, k, path)
+        height = levels(comp, k, path)
         if not height:
             return None
         while shallowest and height > len(path).bit_length():
             members = list(_members(comp))
             kept = [parents[v] for v in members]
-            height = fit(comp, 0, height - 1, path)
+            height = levels(comp, height - 1, path)
             if not height:
                 for v, p in zip(members, kept):
                     parents[v] = p
                 break
-    return EliminationForest(n=g.n, parents=tuple(parents[1:]))
+    return EliminationForest(tuple(parents[1:]))
 
 
 def compute_elimination_forest(
@@ -554,8 +573,9 @@ def _read_tree(found: dict[str, list[tuple[int, list[int]]]]) -> TreeModel:
     for lineno, (v, _, *color) in found["t"]:
         if color and not 1 <= color[0] <= c:
             raise ValueError(f"line {lineno}: vertex {v} has color {color[0]} outside 1..{c}")
-    parents = {v: numbers[1] for v, numbers in records.items()}
-    colors = {v: numbers[2] for v, numbers in records.items() if len(numbers) > 2}
+    vertices = [records[v] for v in range(1, n + 1)]
+    parents = tuple(numbers[1] for numbers in vertices)
+    colors = tuple(numbers[2] if len(numbers) > 2 else 1 for numbers in vertices)
     keys = set()
     for lineno, (c1, c2, d, bit) in found.get("rule", []):
         key = (min(c1, c2), max(c1, c2), d)
@@ -565,7 +585,7 @@ def _read_tree(found: dict[str, list[tuple[int, list[int]]]]) -> TreeModel:
             raise ValueError(f"line {lineno}: duplicate rule for {key}")
         keys.add(key)
     rules = (numbers for _, numbers in found.get("rule", []))
-    return TreeModel.build(RootedColoredTree.build(parents, colors, c=c), rules)
+    return TreeModel.build(RootedColoredTree(parents, colors, c), rules)
 
 
 def _require_records(n: int, records: Collection[int]) -> None:
@@ -591,4 +611,4 @@ def read_forest(stream: TextIO) -> EliminationForest:
     records = _by_vertex(found["t"])
     _require_records(n, records)
     _require_parents(n, found["t"])
-    return EliminationForest(n=n, parents=tuple(records[v][1] for v in range(1, n + 1)))
+    return EliminationForest(tuple(records[v][1] for v in range(1, n + 1)))

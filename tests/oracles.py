@@ -148,7 +148,7 @@ def greedy_forest(g: ColoredGraph, k: int) -> EliminationForest | list[int] | No
         root = path[(len(path) - 1) // 2]
         parents[root] = above
         pending.extend((comp, root, room - 1) for comp in _split(sub & ~(1 << root), nb))
-    return EliminationForest(n=g.n, parents=tuple(parents[1:]))
+    return EliminationForest(parents=tuple(parents[1:]))
 
 
 def neighborhoods(g: ColoredGraph) -> list[set[int]]:
@@ -1227,7 +1227,7 @@ def set_apply_flip(g: ColoredGraph, flip: PartitionFlip) -> ColoredGraph:
     edges = set(g.edges)
     for i, j in flip.rel:
         _toggle_pairs(edges, flip.parts[i], flip.parts[j])
-    return ColoredGraph(n=g.n, colors=g.colors, c=g.c, edges=frozenset(edges))
+    return ColoredGraph(colors=g.colors, c=g.c, edges=frozenset(edges))
 
 
 def set_build_sc_graph(r: SCRecipe) -> ColoredGraph:

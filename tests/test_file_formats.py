@@ -23,7 +23,7 @@ from .oracles import random_tree, random_tree_model, write_forest, write_tree_mo
 
 
 def random_forest(rng: random.Random, n: int) -> EliminationForest:
-    return EliminationForest(n=n, parents=tuple(rng.randrange(v) for v in range(1, n + 1)))
+    return EliminationForest(parents=tuple(rng.randrange(v) for v in range(1, n + 1)))
 
 
 #: name -> (reader, writer, random instance, usage text per record kind,

@@ -68,7 +68,7 @@ def test_induced_subgraph():
     g = ColoredGraph.build(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [1, 2, 1, 3, 1], c=4)
     sub = g.induced_subgraph([5, 2, 4, 2])
     # 2, 4, 5 relabeled to 1, 2, 3; only edge 4-5 lies inside the set
-    assert sub == ColoredGraph(n=3, colors=(2, 3, 1), c=4, edges=frozenset({(2, 3)}))
+    assert sub == ColoredGraph(colors=(2, 3, 1), c=4, edges=frozenset({(2, 3)}))
     assert g.induced_subgraph(g.vertices) == g
     for bad in ([], [0, 1], [6], [2, 6]):
         with pytest.raises(ValueError):
@@ -466,7 +466,7 @@ def test_partition_file_numbers_are_ascii_naturals():
     [
         (lambda: ColoredGraph.build(2, c=0), "color count must be positive"),
         (
-            lambda: ColoredGraph(n=2, colors=(1,), c=1, edges=frozenset()),
+            lambda: ColoredGraph.build(2, [], [1]),
             "colors must assign exactly one color per vertex",
         ),
         (
@@ -497,7 +497,7 @@ def test_partition_file_numbers_are_ascii_naturals():
             "loop at vertex 1 is not allowed in a simple graph",
         ),
         (
-            lambda: ColoredGraph(n=3, colors=(1, 1, 1), c=1, edges=frozenset({(2, 2)})),
+            lambda: ColoredGraph(colors=(1, 1, 1), c=1, edges=frozenset({(2, 2)})),
             "loop at vertex 2 is not allowed in a simple graph",
         ),
         (
@@ -570,7 +570,7 @@ def test_graph_semantics_do_not_depend_on_how_the_edges_are_given(monkeypatch):
         same = [
             ColoredGraph.build(n, given, colors, c=3),
             ColoredGraph.build(n, iter(given), tuple(colors), c=3),
-            ColoredGraph(n=n, colors=tuple(colors), c=3, edges=frozenset(pairs)),
+            ColoredGraph(colors=tuple(colors), c=3, edges=frozenset(pairs)),
         ]
         same += [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         texts = set()

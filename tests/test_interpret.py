@@ -1,8 +1,13 @@
 import hashlib
+import io
+import itertools
+import pickle
 import random
 import re
+import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fomc import interpret, trees
@@ -24,7 +29,19 @@ from fomc.formulas import (
     render_formula,
     variable_count,
 )
-from fomc.graphs import ColoredGraph, gen_path
+from fomc.graphs import (
+    ColoredGraph,
+    PartitionFlip,
+    SCCombine,
+    SCLeaf,
+    apply_flip,
+    build_sc_graph,
+    gen_disjoint_paths,
+    gen_half_graph,
+    gen_path,
+    read_graph,
+    write_graph,
+)
 from fomc.interpret import (
     InterpretationScheme,
     _tree_model_host,
@@ -44,8 +61,13 @@ from fomc.trees import (
     RootedColoredTree,
     TreeModel,
     compute_elimination_forest,
+    read_forest,
+    read_tree,
+    read_tree_model,
+    restrict_tree,
     validate_elimination_forest,
     validate_tree_model,
+    write_tree,
 )
 from fomc.randgen import random_formula, random_graph
 
@@ -65,6 +87,8 @@ from .oracles import (
     treedepth_host_and_scheme,
     treedepth_oracle,
     treemodel_host_and_scheme,
+    write_forest,
+    write_tree_model,
 )
 
 x1, x2, x3 = Var(1), Var(2), Var(3)
@@ -353,7 +377,7 @@ def test_encode_k2_chain():
 def test_encode_p3_center_root():
     g = gen_path(3)
     ef_parents = (2, 0, 2)  # center as the root
-    ef = EliminationForest(n=3, parents=ef_parents)
+    ef = EliminationForest(parents=ef_parents)
     assert validate_elimination_forest(g, ef)
     enc = encode_elimination_forest(g, ef)
     # both leaves carry the adjacency bit toward depth 1
@@ -377,7 +401,7 @@ def random_graph_on_a_forest(rng: random.Random, n: int, colors: int):
     parents = [0] * (n + 1)
     for i, v in enumerate(order[1:], start=1):
         parents[v] = order[rng.randrange(i)] if rng.random() < 0.8 else 0
-    ef = EliminationForest(n=n, parents=tuple(parents[1:]))
+    ef = EliminationForest(parents=tuple(parents[1:]))
     edges = []
     for v in range(1, n + 1):
         anc = parents[v]
@@ -419,8 +443,8 @@ def test_encode_elimination_forest_matches_the_climbing_referee():
 def test_forest_checks_refuse_a_vertex_count_mismatch_and_a_crossing_edge(check):
     for g in (gen_path(3), ColoredGraph.build(3)):
         with pytest.raises(ValueError, match="^forest and graph disagree on the vertex count$"):
-            check(g, EliminationForest(n=2, parents=(0, 1)))
-    crossing = EliminationForest(n=3, parents=(0, 1, 0))  # edge 2-3 joins two trees
+            check(g, EliminationForest(parents=(0, 1)))
+    crossing = EliminationForest(parents=(0, 1, 0))  # edge 2-3 joins two trees
     if check is validate_elimination_forest:
         assert not check(gen_path(3), crossing)
     else:
@@ -718,6 +742,22 @@ def test_mc_treedepth_decides_a_10000_vertex_tree_graph_without_search(forest_ro
     assert forest_route[0][0] <= g.n
 
 
+def test_mc_treedepth_goes_k_levels_deep_without_the_call_stack():
+    # the forest search recursed once per level, so K_150 at k = 150 raised
+    # RecursionError under a limit 100 frames above the caller
+    n = 150
+    g = ColoredGraph.build(n, itertools.combinations(range(1, n + 1), 2))
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert mc_treedepth(g, parse_formula("exists x1. x1=x1"), n, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_mc_treedepth_distance_three_on_p7():
     from fomc.hardness import distance_formula
 
@@ -824,3 +864,69 @@ def test_pipelines_agree_with_translation_referee(s):
             else:
                 got = mc_treemodel(g, tm, phi, s)
             assert got == mc_by_translation(host, scheme, phi, s), (g, phi)
+
+
+def test_size_and_root_are_read_off_the_per_vertex_data_however_made():
+    # no constructor takes n or the root: each is read off the colours or
+    # the parents, as an int, whichever way the object was made
+    def reread(write, x):
+        buf = io.StringIO()
+        write(x, buf)
+        return io.StringIO(buf.getvalue())
+
+    rng = random.Random(40)
+    t = random_tree(rng, 12, 3, colors=2)
+    upward = RootedColoredTree.build({3: 0, 1: 3, 2: 1, 4: 2}, {4: 2})  # rooted at 3
+    g = t.to_graph()
+    two_paths = gen_disjoint_paths(2, 3)[0]
+    h, tm = random_tree_model(rng, 6, 3)
+    ef, ef2 = compute_elimination_forest(g, 4), compute_elimination_forest(two_paths, 2)
+    recipe = SCCombine((SCLeaf("a"), SCLeaf("b", 2), SCLeaf("c")), frozenset({"a", "c"}))
+    graphs = [
+        g,
+        read_graph(reread(write_graph, g)),
+        ColoredGraph.build(4, [(2, 1), (3, 4)], [1, 2, 2, 1]),
+        ColoredGraph.build(np.int64(3), c=np.int64(2)),
+        ColoredGraph(g.colors, g.c, g.edges),
+        pickle.loads(pickle.dumps(g)),
+        g.induced_subgraph([1, 3, 5, 8]),
+        apply_flip(g, PartitionFlip.build([[1, 2], [5]], [(0, 1)])),
+        gen_path(5),
+        gen_half_graph(3)[0],
+        two_paths,
+        build_sc_graph(recipe),
+        random_graph(rng, 7),
+        apply_interpretation(complement_interpretation(), g),
+        h,
+    ]
+    kept = [v for v in t.parents if v] + [1]  # every inner vertex, closed under parents
+    trees_ = [
+        t,
+        upward,
+        read_tree(reread(write_tree, upward)),
+        read_tree_model(reread(write_tree_model, tm)).tree,
+        RootedColoredTree(upward.parents, upward.colors, upward.c),
+        TreeModel.build(upward, [(1, 2, 2, True)]).tree,
+        restrict_tree(t, kept),
+        restrict_tree(upward, [1, 3]),
+        reduce_tree(t, 1).kernel,
+        encode_elimination_forest(g, ef),
+        encode_elimination_forest(two_paths, ef2),
+        _tree_model_host(h, tm),
+    ]
+    forests = [
+        ef,
+        ef2,
+        read_forest(reread(write_forest, ef2)),
+        EliminationForest(ef2.parents),
+        trees._forest(two_paths, 2, shallowest=False),
+    ]
+    for x in graphs:
+        assert type(x.n) is int and x.n == len(x.colors)
+    for x in trees_:
+        assert type(x.n) is int and x.n == len(x.parents) == len(x.colors)
+        assert type(x.root) is int and x.parents[x.root - 1] == 0
+    for x in forests:
+        assert type(x.n) is int and x.n == len(x.parents)
+    assert (upward.root, restrict_tree(upward, [1, 3]).root) == (3, 2)
+    assert encode_elimination_forest(two_paths, ef2).root == 7  # the spare root

@@ -438,9 +438,9 @@ def test_a_numpy_integer_vertex_count_is_stored_as_an_int():
     phi = parse_formula("exists x1. exists x2. adj(x1,x2) & forall x1. (adj(x2,x1) -> x1=x1)")
     assert mc_treedepth(g, phi, 7, 2) == mc_treedepth(ref, phi, 7, 2)
     assert compute_elimination_forest(g, 7) == compute_elimination_forest(ref, 7)
-    t = RootedColoredTree(np.int64(2), np.int64(1), (0, 1), (1, 1), np.int64(1))
+    t = RootedColoredTree((0, 1), (1, 1), np.int64(1))
     assert (type(t.n), type(t.root), type(t.c)) == (int, int, int)
-    assert type(EliminationForest(np.int64(2), (0, 1)).n) is int
+    assert type(EliminationForest((0, 1)).n) is int
 
 
 def test_the_induced_graph_on_the_kept_set_is_the_kernel_read_as_a_graph():

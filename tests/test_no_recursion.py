@@ -3,7 +3,10 @@ other functions of its module, so input size is never capped by the
 Python recursion limit. Every module is scanned except those in
 ``EXEMPT``, each with the reason its recursion is bounded by a parameter
 rather than by the input; an exempt module that loses its cycle fails
-too, so the exemption goes with the recursion.
+too, so the exemption goes with the recursion. A bound that the caller
+chooses is no bound: the tree-depth search goes k levels deep for the
+caller's k, so its steps are generators that one loop keeps on a list
+(``trees._forest``), and ``trees`` is scanned like the rest.
 
 The graph joins each function defined in a module (methods and nested
 functions included) to the functions of the same module that its body
@@ -22,7 +25,6 @@ import fomc
 
 PACKAGE = Path(fomc.__file__).parent
 EXEMPT = {
-    "trees": "the tree-depth search ``fit`` recurses once per level, at most the budget k",
     "randgen": "``go`` recurses once per formula node, at most the size it is asked for",
 }
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))

@@ -103,9 +103,9 @@ def test_tree_validation():
     with pytest.raises(ValueError):
         RootedColoredTree.build({1: 2, 2: 1})  # no root
     with pytest.raises(ValueError):
-        RootedColoredTree(n=2, root=1, parents=(0, 2), colors=(1, 1), c=1)
+        RootedColoredTree(parents=(0, 2), colors=(1, 1), c=1)
     with pytest.raises(ValueError):
-        RootedColoredTree(n=3, root=1, parents=(0, 3, 2), colors=(1, 1, 1), c=1)
+        RootedColoredTree(parents=(0, 3, 2), colors=(1, 1, 1), c=1)
 
 
 def test_depths_of_a_long_path_rooted_at_its_largest_id():
@@ -120,14 +120,14 @@ def test_node_depths_of_a_long_forest_path_rooted_at_its_largest_id():
     n = 20000
     # the same chain as above; depths count vertices, so they start at 1
     parents = tuple(v + 1 if v < n else 0 for v in range(1, n + 1))
-    path = EliminationForest(n=n, parents=parents)
+    path = EliminationForest(parents=parents)
     assert path.node_depths == tuple(n + 1 - v for v in range(1, n + 1))
     assert path.height == n
 
 
 def test_forest_parent_cycle_refused():
     with pytest.raises(ValueError, match="cycle"):
-        EliminationForest(n=3, parents=(0, 3, 2))
+        EliminationForest(parents=(0, 3, 2))
 
 
 @pytest.mark.parametrize("parent", [-1, 4])
@@ -135,35 +135,30 @@ def test_parent_outside_0_to_n_refused(parent):
     # a negative parent would index from the end of the list
     message = f"vertex 2 has parent {parent} out of range"
     with pytest.raises(ValueError, match=message):
-        RootedColoredTree(n=3, root=1, parents=(0, parent, 1), colors=(1, 1, 1), c=1)
+        RootedColoredTree(parents=(0, parent, 1), colors=(1, 1, 1), c=1)
     with pytest.raises(ValueError, match=message):
-        EliminationForest(n=3, parents=(0, parent, 1))
+        EliminationForest(parents=(0, parent, 1))
 
 
 def test_tree_refuses_a_second_root_and_a_self_parent():
     with pytest.raises(ValueError, match="^expected exactly one root, found 2$"):
-        RootedColoredTree(n=3, root=1, parents=(0, 0, 1), colors=(1, 1, 1), c=1)
+        RootedColoredTree(parents=(0, 0, 1), colors=(1, 1, 1), c=1)
     with pytest.raises(ValueError, match="^expected exactly one root, found 2$"):
         RootedColoredTree.build({1: 0, 2: 0, 3: 1})
     with pytest.raises(ValueError, match="cycle"):
-        RootedColoredTree(n=3, root=1, parents=(0, 2, 1), colors=(1, 1, 1), c=1)
+        RootedColoredTree(parents=(0, 2, 1), colors=(1, 1, 1), c=1)
 
 
 @pytest.mark.parametrize(
     "make, message",
     [
         (
-            lambda: RootedColoredTree(n=2, root=1, parents=(0,), colors=(1, 1), c=1),
+            lambda: RootedColoredTree(parents=(0,), colors=(1, 1), c=1),
             "parents and colors must cover every vertex",
         ),
-        (
-            lambda: RootedColoredTree(n=2, root=2, parents=(0, 1), colors=(1, 1), c=1),
-            "root 2 is not the vertex with parent 0",
-        ),
-        (lambda: EliminationForest(n=2, parents=(0,)), "parents must cover every vertex"),
         (lambda: compute_elimination_forest(gen_path(2), 0), "the height budget must be positive"),
     ],
-    ids=["tree-short", "tree-wrong-root", "forest-short", "search-budget-0"],
+    ids=["tree-short", "search-budget-0"],
 )
 def test_a_tree_or_forest_that_does_not_fit_its_count_is_refused(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -242,7 +237,7 @@ def test_depths_and_refusals_match_the_climbing_referee():
             except ValueError as e:
                 want = str(e)
             try:
-                got = EliminationForest(n=n, parents=links).node_depths
+                got = EliminationForest(parents=links).node_depths
             except ValueError as e:
                 got = str(e)
             assert got == want, links
@@ -254,7 +249,7 @@ def test_the_first_of_two_faults_is_named():
     with pytest.raises(ValueError, match=r"^vertex 2 has color 0 outside 1\.\.2$"):
         RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {2: 0, 3: 9}, c=2)
     with pytest.raises(ValueError, match=r"^vertex 2 has color 5 outside 1\.\.2$"):
-        ColoredGraph(n=3, colors=(1, 5, 0), c=2, edges=frozenset())
+        ColoredGraph(colors=(1, 5, 0), c=2, edges=frozenset())
     # a missing record and colours for non-vertices: the record
     with pytest.raises(ValueError, match="^vertex 2 has no 't' record$"):
         RootedColoredTree.build({1: 0, 3: 1}, {3: 2, 7: 5})
@@ -263,16 +258,16 @@ def test_the_first_of_two_faults_is_named():
         RootedColoredTree.build({1: 0, 2: 0, 3: 1}, {3: 9}, c=2)
     # a colour that is not an integer and one out of range: the lower vertex
     with pytest.raises(ValueError, match="^vertex 2 has color nan, not an integer$"):
-        ColoredGraph(n=3, colors=(1, math.nan, 0), c=2, edges=frozenset())
+        ColoredGraph(colors=(1, math.nan, 0), c=2, edges=frozenset())
     with pytest.raises(ValueError, match=r"^vertex 2 has color 0 outside 1\.\.2$"):
-        ColoredGraph(n=3, colors=(1, 0, 1.5), c=2, edges=frozenset())
+        ColoredGraph(colors=(1, 0, 1.5), c=2, edges=frozenset())
     # a bad colour and a cycle: the colour
     with pytest.raises(ValueError, match=r"^vertex 3 has color 9 outside 1\.\.2$"):
         RootedColoredTree.build({1: 0, 2: 3, 3: 2}, {3: 9}, c=2)
     # a cycle met before an out-of-range parent, climbing from vertex 1 up
     for make in (
         lambda parents: RootedColoredTree.build(dict(enumerate(parents, start=1))),
-        lambda parents: EliminationForest(n=len(parents), parents=parents),
+        lambda parents: EliminationForest(parents=parents),
     ):
         with pytest.raises(ValueError, match="^parent links contain a cycle$"):
             make((0, 3, 2, 5))
@@ -307,7 +302,7 @@ def test_the_first_of_two_faults_is_named():
             "vertex 2 has parent 1.0, not an integer",
         ),
         (
-            lambda: EliminationForest(n=2, parents=(0, 1.0)),
+            lambda: EliminationForest(parents=(0, 1.0)),
             "vertex 2 has parent 1.0, not an integer",
         ),
     ],
@@ -329,19 +324,13 @@ def test_a_non_integer_is_refused_naming_its_vertex_or_edge(make, message):
         (lambda: ColoredGraph.build(2, [(1, 2)], [1, 2], c=2.5), "color count 2.5"),
         (lambda: RootedColoredTree.build({1: 0, 2: 1}, {2: 2}, c=2.5), "color count 2.5"),
         (lambda: ColoredGraph.build(2, c=math.nan), "color count nan"),
-        (lambda: ColoredGraph(n=2.0, colors=(1, 1), c=1, edges=frozenset()), "vertex count 2.0"),
         (lambda: ColoredGraph.build(2.0, [(1, 2)]), "vertex count 2.0"),
-        (
-            lambda: RootedColoredTree(n=2.0, root=1, parents=(0, 1), colors=(1, 1), c=1),
-            "vertex count 2.0",
-        ),
-        (lambda: EliminationForest(n=2.0, parents=(0, 1)), "vertex count 2.0"),
         (lambda: restrict_tree(star(2), [1, 2.5]), "kept id 2.5"),
         (lambda: star(2).distance(1.5, 2), "vertex 1.5"),
     ],
     ids=[
-        "graph-palette", "tree-palette", "graph-nan-palette", "graph-n", "graph-build-n",
-        "tree-n", "forest-n", "restrict-id", "distance-id",
+        "graph-palette", "tree-palette", "graph-nan-palette", "graph-build-n", "restrict-id",
+        "distance-id",
     ],
 )
 def test_a_count_that_is_not_an_integer_is_refused(make, message):
@@ -413,14 +402,14 @@ def test_restrict_tree():
 
 def test_validate_elimination_forest_star():
     g = ColoredGraph.build(4, [(1, 2), (1, 3), (1, 4)])
-    ef = EliminationForest(n=4, parents=(0, 1, 1, 1))
+    ef = EliminationForest(parents=(0, 1, 1, 1))
     assert validate_elimination_forest(g, ef)
 
 
 def test_validate_elimination_forest_crossing_edge():
     # path 1-2-3 with 2 below 1 and 3 a separate root: edge 2-3 crosses
     g = gen_path(3)
-    ef = EliminationForest(n=3, parents=(0, 1, 0))
+    ef = EliminationForest(parents=(0, 1, 0))
     assert not validate_elimination_forest(g, ef)
 
 
@@ -429,7 +418,7 @@ def test_validate_elimination_forest_chain_dominates():
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 7), colors=1)
         parents = tuple(v - 1 for v in g.vertices)  # 1 <- 2 <- 3 ...
-        assert validate_elimination_forest(g, EliminationForest(g.n, parents))
+        assert validate_elimination_forest(g, EliminationForest(parents))
 
 
 def test_validate_elimination_forest_memory_stays_flat():
@@ -437,7 +426,7 @@ def test_validate_elimination_forest_memory_stays_flat():
     # nothing that grows with its height
     n = 4000
     g = gen_path(n)
-    ef = EliminationForest(n=n, parents=tuple(range(n)))
+    ef = EliminationForest(parents=tuple(range(n)))
     tracemalloc.start()
     try:
         assert validate_elimination_forest(g, ef)
@@ -447,7 +436,7 @@ def test_validate_elimination_forest_memory_stays_flat():
     assert peak < 2**20
     # vertex 3 moved under vertex 1: the edge 3-4 still climbs to 3, but
     # the edge 2-3 now joins two siblings
-    moved = EliminationForest(n=n, parents=(0, 1, 1) + tuple(range(3, n)))
+    moved = EliminationForest(parents=(0, 1, 1) + tuple(range(3, n)))
     assert not validate_elimination_forest(g, moved)
 
 
@@ -533,6 +522,20 @@ def test_compute_elimination_forest_splits_a_shallow_tree_linearly(split_calls):
     assert compute_elimination_forest(g, 3) is None
 
 
+def test_lone_vertices_enter_no_mask(split_calls, monkeypatch):
+    # the search split all n vertices as its first mask, quadratic in n
+    # when most of them are lone
+    handed = []
+    counting = trees._split  # the fixture's counter
+    monkeypatch.setattr(trees, "_split", lambda sub, nb: handed.append(sub) or counting(sub, nb))
+    assert compute_elimination_forest(ColoredGraph.build(20_000), 1).parents == (0,) * 20_000
+    assert split_calls[0] == 1 and [sub.bit_count() for sub in handed] == [0]
+    handed.clear()
+    ef = compute_elimination_forest(ColoredGraph.build(20_000, [(7, 9)]), 2)
+    assert ef.height == 2 and ef.parents.count(0) == 19_999
+    assert [sub.bit_count() for sub in handed] == [2, 1]
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 11])
 def test_compute_elimination_forest_refuses_a_long_path_at_once(split_calls, k):
     # a path on 2^k vertices has tree-depth k + 1
@@ -590,7 +593,7 @@ def test_compute_elimination_forest_matches_oracle_on_shallow_trees(split_calls)
 
 
 def test_forest_file_round_trip():
-    ef = EliminationForest(n=4, parents=(0, 1, 1, 0))
+    ef = EliminationForest(parents=(0, 1, 1, 0))
     buf = io.StringIO()
     write_forest(ef, buf)
     buf.seek(0)
