@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success (and for "true"/"equivalent"/"valid"
 verdicts), 1 for negative verdicts, 2 for usage or input errors, 3 when
-an instance exceeds a resource limit (the tuple cap of equivalence,
+an instance exceeds a resource limit (the cell cap of equivalence,
 the Python recursion limit, or memory), 4 for an internal error.
 
 Subcommands:
@@ -392,8 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-model", default=None)
     p.set_defaults(func=_cmd_mc)
 
-    cap_help = "stored-tuple cap, (n+1)^s per distinct graph"
-    p = sub.add_parser("equiv", help="FO^s equivalence by s-tuple type refinement")
+    cap_help = (
+        "cap on the cells one refinement round stores, summed over the distinct graphs: "
+        "n + 2m per graph at s = 2 (n vertices, m edges), (n+1)^s from s = 3; unused at s = 1"
+    )
+    p = sub.add_parser("equiv", help="FO^s equivalence by type refinement")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--s", type=int, required=True)

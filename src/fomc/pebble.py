@@ -1,8 +1,41 @@
 """Equivalence of colored graphs under s-variable first-order logic,
-decided by refining the types of s-tuples.
+decided by refining types: of vertices at s <= 2, of s-tuples from s = 3.
 
-A tuple is an s-tuple over the vertices plus a blank (index 0, a
-variable that holds no vertex). Its atomic type lists, per slot, the
+One variable sees a vertex's color and nothing else, so at s = 1 two
+graphs agree exactly when they have the same set of colors: the answers
+compare those sets and build no array.
+
+Two variables need no pair table either. By the normal form of FO^2
+(Grädel & Otto, TCS 1999), a formula phi(x, y) of quantifier rank r is a
+boolean combination of atoms in x and y and of rank-r formulas with one
+free variable. So a pair's rank-r type is its atomic type (equal,
+adjacent or neither) plus the rank-r 1-types of its two vertices, and a
+vertex's rank-(r + 1) 1-type is its rank-r type plus the set of (atomic
+type, rank-r type) over every vertex w. The equal pair gives the vertex's
+own type; the adjacent pairs give its neighbours' types; a non-adjacent
+vertex of type T exists exactly when count_T - |N(v) ∩ T| - [type(v) = T]
+> 0 in v's graph. So a vertex's next type is fixed, within its graph, by
+its type, whether it is the only vertex of its type, and for each
+distinct type T of its neighbours whether T is *full* (every other
+vertex of type T is a neighbour), written as the code 2 * T + full.
+``_type_rounds`` ranks these rows, jointly over all graphs, by one sort
+of the arcs per round, so a round stores O(n + m), not (n+1)^2 tuples.
+The cap counts those cells, n + 2m per graph. A sentence of rank r + 1
+is a boolean combination of sentences "some vertex has rank-r type T",
+so a sentence of rank r + 1 tells two graphs apart exactly when their
+sets of rank-r types differ. The answers count the colors (rank 0) as
+round 1, so the first round whose realised sets differ is the spoiler's
+distance, and both ``fo_s_equivalent`` and ``spoiler_distance`` stop
+there.
+The rows hold no graph id, though the non-adjacent part of a type reads
+the set of types its graph realises. Two graphs that realise the same
+types in every round so far read the same sets, so within them the
+joint ranking is exact; once two graphs realise different types, every
+later round keeps them apart, because each round's type holds the last
+one. A census therefore groups the graphs by their final realised sets.
+
+From s = 3 on a tuple is an s-tuple over the vertices plus a blank (index
+0, a variable that holds no vertex). Its atomic type lists, per slot, the
 vertex color or the blank, and per pair of slots, equality and
 adjacency. One refinement round gives each tuple a new type: its old
 type plus, for each slot i, the *set* of old types of the tuples that
@@ -33,22 +66,21 @@ dense ids. Round r + 1's type of a tuple is (round r's type, round r's
 set ids of its s contexts), and round r's type is (atomic type, round
 r - 1's set ids). Round r's set ids determine round r - 1's, so round
 r + 1's type partitions the tuples exactly as (atomic type, round r's
-set ids) does. The set ids fix most of the atomic type: every member
-of a slot-i context (there is one, as n >= 1) has the tuple's atomic
-type off slot i. So only what touches every slot is packed beside them:
-at s = 1 the color of slot 0, at s = 2 the equality and adjacency of
-slots 0 and 1, and from s = 3 on nothing, as each slot and each pair of
-slots lies off some third slot. Each round packs these columns, jointly
-over all blocks, into one exact int64 key in mixed radix (the radices,
-the set count and the color count or 3, are known in advance). Only
-where the product of radices would reach 2^62 is the key ranked, by one
-argsort, and packing goes on from the ranks.
+set ids) does. The set ids fix the whole atomic type: every member of a
+slot-i context (there is one, as n >= 1) has the tuple's atomic type
+off slot i, and from s = 3 on each slot and each pair of slots lies off
+some third slot. So a round's key packs the s slots' set ids alone, jointly
+over all blocks, into one exact int64 key in mixed radix (the radix, the
+set count, is known in advance). Only where the product of radices would
+reach 2^62 is the key ranked, by one argsort, and packing goes on from
+the ranks.
 
 A context's row holds its set's distinct member keys, sorted after a
 run of -1, and each row is ranked whole as one byte string. Two rows
 hold the same set exactly when their bytes are equal. On a
 little-endian host byte order is not numeric order, but ranking needs
 only an order that keeps equal rows together, so the set ids are exact.
+The 1-type rows are ranked the same way.
 
 A round whose set count does not grow leaves the partition stable, and
 the refinement stops. Two graphs agree on every sentence with at most
@@ -110,13 +142,13 @@ def _dense(key: np.ndarray) -> tuple[np.ndarray, int]:
     number of distinct values), by one argsort and a running count of
     the steps between neighbours in sorted order. Only equality matters,
     so any total order that keeps equal values together will do."""
-    order = np.argsort(key)
+    order = key.argsort()
     ordered = key[order]
     rank = np.empty(len(key), np.int32 if len(key) < 2**31 else np.int64)
     rank[0] = 0
     rank[1:] = ordered[1:] != ordered[:-1]
     del ordered
-    np.cumsum(rank, out=rank)
+    rank.cumsum(out=rank)
     ids = np.empty_like(rank)
     ids[order] = rank
     return ids, int(rank[-1]) + 1
@@ -209,12 +241,11 @@ def _by_size(graphs: Sequence[ColoredGraph]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _atomic_parts(groups: list[list[ColoredGraph]], s: int):
-    """(each block's (G, m) colors, m = n + 1, 0 for the blank, as int32
-    at s = 1; from s = 2 on each block's (G, m, m) int8 table of
-    2 * equal + adjacent, else none; the number of color values). Colors
-    are replaced by their rank among the colors of all graphs, so any
-    color value fits the packed keys of ``_pack``."""
+def _atomic_parts(groups: list[list[ColoredGraph]]):
+    """(each block's (G, m) colors, m = n + 1, 0 for the blank; each
+    block's (G, m, m) int8 table of 2 * equal + adjacent; the number of
+    color values). Colors are replaced by their rank among the colors of
+    all graphs, so any color value fits the packed keys of ``_pack``."""
     # the blank's 0 sorts below every color, so it ranks 0 and a color c
     # ranks one more than the number of smaller colors
     palette = sorted(set().union([0], *(g.colors for group in groups for g in group)))
@@ -225,13 +256,8 @@ def _atomic_parts(groups: list[list[ColoredGraph]], s: int):
         size, m = len(group), group[0].n + 1
         blank_first = itertools.chain.from_iterable(itertools.chain((0,), g.colors) for g in group)
         values = np.fromiter(blank_first, dtype, size * m)
-        ranks = np.searchsorted(palette, values).reshape(size, m)
+        colors.append(np.searchsorted(palette, values).reshape(size, m))
         del values
-        if s == 1:  # the colors are read every round, and there are no slot
-            # pairs, whose (n+1) x (n+1) tables may outgrow the tuples
-            colors.append(ranks.astype(np.int32))
-            continue
-        colors.append(ranks)
         rel = np.zeros((size, m, m), np.int8)
         rel.reshape(size, m * m)[:, :: m + 1] = 2  # equal, never adjacent
         which = np.repeat(np.arange(size), [len(g.edge_lo) for g in group])
@@ -245,14 +271,11 @@ def _atomic_parts(groups: list[list[ColoredGraph]], s: int):
 def _atomic(colors: list[np.ndarray], rels: list[np.ndarray], palette: int, s: int):
     """The blocks' (G, m, ..., m) tuple shapes, then the ``(arrays, base)``
     columns of the atomic key, as ``_pack`` reads them, from the parts of
-    ``_atomic_parts``. At s = 1 the column is the colors. Otherwise there
-    is one column per pair of tuple axes a < b, read off a (G, m, m)
-    table: 2 * equal + adjacent, plus the color at b when a is the first
-    axis, plus the color at a too when b is the second; so every axis's
-    color is read once."""
+    ``_atomic_parts``: one column per pair of tuple axes a < b, read off a
+    (G, m, m) table: 2 * equal + adjacent, plus the color at b when a is
+    the first axis, plus the color at a too when b is the second; so every
+    axis's color is read once."""
     yield [c.shape + c.shape[1:] * (s - 1) for c in colors]
-    if s == 1:
-        yield colors, palette
     for a, b in itertools.combinations(range(s), 2):  # tuple axes a + 1 < b + 1
         tables, base = rels, 3
         if a == 0:  # the color at b, and at a too for the first pair
@@ -323,9 +346,8 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
     and slot 0 on the last, so each line along the last axis is one
     slot-0 context: its set is the line minus the blank. Round r's sets
     give round r + 1's tuple keys, packed from the set ids of each slot's
-    context and, below s = 3, the part of the atomic type that no slot
-    context fixes. Each round's set partition refines the last one, so
-    the first round whose set count does not grow is the last.
+    context alone (s >= 3). Each round's set partition refines the last
+    one, so the first round whose set count does not grow is the last.
     """
     sides = [g.n + 1 for g in graphs]
     if s > cap.bit_length():  # every side is at least 2, so m**s > cap
@@ -348,12 +370,10 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
             spans[idx] = lo, lo + m ** (s - 1)
             lo += m ** (s - 1)
     contexts = [shape[:-1] for shape in shapes]
-    colors, rels, palette = _atomic_parts([[graphs[i] for i in group] for group in groups], s)
+    colors, rels, palette = _atomic_parts([[graphs[i] for i in group] for group in groups])
     types = _views(_pack(_atomic(colors, rels, palette, s))[0], shapes)
     # round -1's sets: the atomic types of the tuples with slot 0 blank
     known = _dense(np.concatenate([block[..., 0] for block in types], axis=None))[1]
-    # the part of the atomic type that no slot context fixes
-    unfixed = [(colors, palette)] if s == 1 else [(rels, 3)] if s == 2 else []
     del colors, rels
     while True:
         rows = _rows(types)
@@ -365,13 +385,136 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
             return
         known = nsets
         blocks = _views(ids, contexts)
-        columns = itertools.chain([shapes], _slot_columns(blocks, nsets, s), unfixed)
+        columns = itertools.chain([shapes], _slot_columns(blocks, nsets, s))
         types = _views(_pack(columns)[0], shapes)
+
+
+def _type_rounds(graphs: Sequence[ColoredGraph], cap: int):
+    """Yield, round after round until the partition is stable, (each
+    vertex's 1-type, the graphs' vertices one after another, the number
+    of types, the number of distinct (graph, type) pairs).
+
+    Round 0's types are the colors; round r + 1 ranks each vertex's row
+    of ``_rank_rows``: 2 * its type + whether it is the only vertex of
+    its type in its graph, then the sorted codes 2 * T + full over the
+    distinct types T of its neighbours. A round stores O(n + m), and the
+    cap counts its cells, n + 2m per graph, once before the first.
+    """
+    sizes = [g.n for g in graphs]
+    n, edges = sum(sizes), sum([len(g.edge_lo) for g in graphs])
+    if n + 2 * edges > cap:
+        raise ResourceLimitError(
+            f"1-type refinement needs {n + 2 * edges} cells (cap {cap}): "
+            f"vertex counts {sizes}, {edges} edges, s=2"
+        )
+    dtype = np.int32 if n < 2**30 else np.int64  # codes and heads lie below 2n
+    ends = list(itertools.accumulate(sizes, initial=-1))  # each graph's 1-based ids made global, from 0
+    lo = np.concatenate([g.edge_lo + at for g, at in zip(graphs, ends)])
+    hi = np.concatenate([g.edge_hi + at for g, at in zip(graphs, ends)])
+    tail, head = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    del lo, hi
+    order = tail.argsort(kind="stable")
+    tail, head = tail[order], head[order]  # the arcs by tail
+    del order
+    graph = np.repeat(np.arange(len(graphs)), sizes)
+    top = max(max(g.colors) for g in graphs)
+    colors = itertools.chain.from_iterable(g.colors for g in graphs)
+    types, ntypes = _dense(np.fromiter(colors, np.int64 if top < 2**63 else object, n))
+    while True:
+        joint = graph * ntypes
+        joint += types
+        ranked, pairs = _dense(joint)
+        del joint
+        yield types, ntypes, pairs
+        members = np.bincount(ranked).take(ranked)  # of each vertex's type in its graph
+        del ranked
+        # the arcs by (tail, head's type): each run is one tail's neighbours
+        # of one type, and the tails stay in place
+        key = tail * ntypes
+        key += types[head]
+        order = key.argsort(kind="stable")
+        key = key[order]
+        step = np.empty(len(key) + 1, bool)
+        step[0] = step[-1] = True
+        np.not_equal(key[1:], key[:-1], out=step[1:-1])
+        del key
+        runs = step.nonzero()[0]  # each run's first arc, then the end
+        del step
+        owner, near = tail[runs[:-1]], head[order[runs[:-1]]]
+        del order
+        kind = types[near]
+        # full: every other vertex of the type is a neighbour
+        full = members[near] - (runs[1:] - runs[:-1]) == (types[owner] == kind)
+        del runs
+        codes = np.multiply(kind, 2, dtype=dtype)
+        codes += full
+        del kind, full, near
+        heads = np.multiply(types, 2, dtype=dtype)
+        heads += members == 1
+        del members
+        types, count = _rank_rows(heads, owner, codes)
+        if count == ntypes:
+            return
+        ntypes = count
+
+
+def _layout(lengths: np.ndarray):
+    """(each row's first cell, the rows in class order or None when all
+    share the first class, [(rows, width)] per class) for rows of a head
+    and ``lengths`` codes: up to 8 codes share one class, longer rows are
+    padded to the next power of two, and the classes lie one after
+    another."""
+    n = len(lengths)
+    if lengths.max(initial=0) <= 8:
+        return np.arange(0, 9 * n, 9), None, [(n, 9)]
+    logs = np.maximum(np.frexp(lengths - 1)[1], 3)
+    order = np.argsort(logs, kind="stable")
+    widths = (np.int64(1) << logs[order]) + 1
+    ends = np.cumsum(widths)
+    start = np.empty(n, np.int64)
+    start[order] = ends - widths
+    sizes = np.bincount(logs).tolist()
+    return start, order, [(size, (1 << log) + 1) for log, size in enumerate(sizes) if size]
+
+
+def _rank_rows(heads: np.ndarray, owner: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """(dense ids of the rows (``heads[v]``, then the ``codes`` whose
+    ``owner`` is v, in order), the number of distinct rows); ``owner`` is
+    sorted. The rows are laid out by ``_layout``, -1 after their codes,
+    each class is ranked as ``_set_ids`` ranks the tuple rows, and the
+    classes take consecutive id ranges."""
+    n = len(heads)
+    lengths = np.bincount(owner, minlength=n)
+    start, order, classes = _layout(lengths)
+    flat = np.full(sum([size * width for size, width in classes]), -1, heads.dtype)
+    flat[start] = heads
+    # code i of the codes goes i - (its row's first code) + 1 cells after its head
+    shift = np.cumsum(lengths)
+    shift -= lengths + start + 1
+    flat[np.arange(len(codes)) - shift[owner]] = codes
+    if order is None:
+        return _set_ids(flat.reshape(n, 9))
+    ids = np.empty(n, heads.dtype)
+    total = at = lo = 0
+    for size, width in classes:
+        local, count = _set_ids(flat[at : at + size * width].reshape(size, width))
+        ids[order[lo : lo + size]] = local + total
+        total, at, lo = total + count, at + size * width, lo + size
+    return ids, total
 
 
 def _run_game(a: ColoredGraph, b: ColoredGraph, s: int, cap: int) -> tuple[bool, int | None]:
     """(the s-pebble game's start position survives, one more than the
-    first round in which the two graphs realise different context sets)."""
+    first round, from 0, in which the two graphs realise different context
+    sets, or below s = 3 different 1-types; there that is the spoiler's
+    distance)."""
+    if s == 1:
+        return (True, None) if set(a.colors) == set(b.colors) else (False, 1)
+    if s == 2:
+        for rounds, (_, ntypes, pairs) in enumerate(_type_rounds([a, b], cap), start=1):
+            if pairs < 2 * ntypes:  # a type realised in one graph alone
+                return False, rounds
+        return True, None
     for rounds, (sets, nsets) in enumerate(_refine([a, b], s, cap), start=1):
         seen = np.zeros((2, nsets), bool)
         seen[0, sets[0]] = seen[1, sets[1]] = True
@@ -392,15 +535,29 @@ def fo_s_equivalent(
 def spoiler_distance(
     a: ColoredGraph, b: ColoredGraph, s: int, cap: int = DEFAULT_POSITION_CAP
 ) -> int | None:
-    """The refinement round that separates the all-blank tuples, or None
-    when the graphs are equivalent. This is the number of rounds in which
-    the spoiler wins the s-pebble game."""
+    """The refinement round that separates the all-blank tuples (below
+    s = 3, the first round whose realised 1-types differ), or None when
+    the graphs are equivalent. This is the number of rounds in which the
+    spoiler wins the s-pebble game."""
     s, cap = _require_pebbles(s, cap)
-    if a != b:
-        for rounds, (sets, _) in enumerate(_refine([a, b], s, cap), start=1):
-            if sets[0][0] != sets[1][0]:
-                return rounds
+    if a == b:
+        return None
+    if s <= 2:
+        return _run_game(a, b, s, cap)[1]
+    for rounds, (sets, _) in enumerate(_refine([a, b], s, cap), start=1):
+        if sets[0][0] != sets[1][0]:
+            return rounds
     return None
+
+
+def _final_types(graphs: Sequence[ColoredGraph], cap: int) -> list[bytes]:
+    """Each graph's set of stable 1-types, as the bytes of its sorted ids."""
+    for types, ntypes, _ in _type_rounds(graphs, cap):
+        pass
+    graph = np.repeat(np.arange(len(graphs)), [g.n for g in graphs])
+    pairs = np.unique(graph * ntypes + types)  # by graph, then type
+    cuts = np.searchsorted(pairs, np.arange(1, len(graphs)) * ntypes)
+    return [part.tobytes() for part in np.split(pairs % ntypes, cuts)]
 
 
 def type_census(
@@ -411,16 +568,22 @@ def type_census(
 
     Equal graphs share a block without refinement; the distinct ones are
     refined together, once, and grouped by the final set of their
-    all-blank tuple's context.
+    all-blank tuple's context: at s = 1 their set of colors, at s = 2
+    their set of stable 1-types.
     """
     s, cap = _require_pebbles(s, cap)
     first: dict[ColoredGraph, int] = {}
     rep = [first.setdefault(g, len(first)) for g in graphs]
-    classes = [0]
+    classes: list = [0]
     if len(first) > 1:
-        for sets, _ in _refine(list(first), s, cap):
-            classes = [ids[0] for ids in sets]
-    blocks: dict[int, list[int]] = {}
+        if s == 1:
+            classes = [frozenset(g.colors) for g in first]
+        elif s == 2:
+            classes = _final_types(list(first), cap)
+        else:
+            for sets, _ in _refine(list(first), s, cap):
+                classes = [int(ids[0]) for ids in sets]
+    blocks: dict[object, list[int]] = {}
     for idx, r in enumerate(rep):
-        blocks.setdefault(int(classes[r]), []).append(idx)
+        blocks.setdefault(classes[r], []).append(idx)
     return list(blocks.values())

@@ -154,6 +154,17 @@ def test_equiv_resource_refusal(workdir, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_equiv_at_two_pebbles_refuses_a_cap_below_its_cells(workdir, capsys):
+    # at s = 2 the cap counts n + 2m cells per graph: 40 + 78 and 41 + 80
+    tmp, write = workdir
+    a = write("a.g", graph_text(gen_path(40)))
+    b = write("b.g", graph_text(gen_path(41)))
+    assert main(["equiv", "--a", a, "--b", b, "--s", "2", "--cap", "238"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+    assert main(["equiv", "--a", a, "--b", b, "--s", "2", "--cap", "239"]) == 0
+    assert capsys.readouterr().out.strip() == "equivalent"
+
+
 def test_census(workdir, capsys):
     tmp, write = workdir
     paths = [write(f"p{i}.g", graph_text(gen_path(i))) for i in (2, 3, 2)]

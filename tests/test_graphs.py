@@ -556,8 +556,8 @@ def test_graph_semantics_do_not_depend_on_how_the_edges_are_given(monkeypatch):
     from fomc import pebble
 
     refined = []
-    refine = pebble._refine
-    monkeypatch.setattr(pebble, "_refine", lambda gs, s, cap: refined.append(len(gs)) or refine(gs, s, cap))
+    refine = pebble._type_rounds  # the census refines 1-types at s = 2
+    monkeypatch.setattr(pebble, "_type_rounds", lambda gs, cap: refined.append(len(gs)) or refine(gs, cap))
     rng = random.Random(33)
     for _ in range(150):
         n = rng.randint(1, 10)

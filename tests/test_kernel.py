@@ -275,6 +275,12 @@ def test_verify_kernel_accepts_reductions():
             assert verify_kernel(t, res, s)
 
 
+def test_two_pebble_kernel_of_a_20000_vertex_tree_is_verified():
+    # the s = 2 tuple refinement needed over 20001^2 tuples here and refused
+    t = random_tree(random.Random(5), 20_000, 3, colors=2)
+    assert verify_kernel(t, reduce_tree(t, 2), 2)
+
+
 def test_verify_kernel_refuses_a_cap_below_1():
     t = star(3)
     with pytest.raises(ValueError, match="tuple cap must be positive"):

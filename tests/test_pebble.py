@@ -31,6 +31,7 @@ from .oracles import (
     graphs_isomorphic,
     is_s_partial_isomorphism,
     pebble_game,
+    random_tree,
 )
 
 
@@ -388,6 +389,69 @@ def test_three_pebble_census_of_mixed_sizes_stays_within_the_tuple_bound():
     assert peak / sum((g.n + 1) ** 3 for g in graphs) <= 34
 
 
+def _colored_star(n: int, swap: bool) -> ColoredGraph:
+    """Vertex 1 joined to every other vertex, each vertex of its own color;
+    with ``swap`` two leaves trade colors, which gives an isomorphic copy."""
+    colors = list(range(1, n + 1))
+    if swap:
+        colors[1], colors[2] = colors[2], colors[1]
+    return ColoredGraph.build(n, [(1, v) for v in range(2, n + 1)], colors, c=n)
+
+
+def test_two_pebble_peak_memory_per_vertex_and_edge_does_not_grow_with_a_wide_row():
+    # the hub's neighbours realise n - 1 distinct types, so its row holds
+    # n - 1 codes; padding every row to it would store n^2 cells. The tuple
+    # refinement refused these pairs at (n+1)^2 tuples per graph
+    per_item = []
+    for n in (10_000, 40_000):
+        a, b = _colored_star(n, False), _colored_star(n, True)
+        tracemalloc.start()
+        try:
+            assert fo_s_equivalent(a, b, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_item.append(peak / (2 * (n + n - 1)))
+    assert per_item[1] <= 1.1 * per_item[0] and per_item[1] <= 128, per_item
+
+
+def test_two_pebble_census_of_mixed_sizes_stores_no_graphs_by_types_table():
+    # 2,000 small graphs realise about 5,000 types between them: a table of
+    # graphs by types would hold about 10^7 cells, some 1,500 bytes per
+    # vertex and edge here
+    rng = random.Random(74)
+    tiny: dict[ColoredGraph, None] = {}
+    while len(tiny) < 2000:
+        tiny.setdefault(random_graph(rng, rng.randint(1, 5), colors=6, edge_prob=0.5))
+    graphs = [gen_path(20_000), *tiny]
+    tracemalloc.start()
+    try:
+        blocks = type_census(graphs, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # paths of four or more vertices share one FO^2 class, so P6 stands in
+    # for the long path before the referee
+    assert blocks == all_slot_census([gen_path(6), *tiny], 2)
+    assert peak / sum(g.n + len(g.edge_lo) for g in graphs) <= 128
+
+
+def test_two_pebble_cap_counts_vertices_and_arcs():
+    # at s = 2 a round stores n + 2m cells per graph, checked before the
+    # first round; at s = 1 the cap is only validated
+    a, b = gen_path(60), gen_path(59)
+    cells = (60 + 2 * 59) + (59 + 2 * 58)
+    calls = (fo_s_equivalent, spoiler_distance, lambda a, b, s, cap: type_census([a, b], s, cap))
+    for call in calls:
+        with pytest.raises(ResourceLimitError, match=f"^1-type refinement needs {cells} cells \\(cap {cells - 1}\\)"):
+            call(a, b, 2, cap=cells - 1)
+        call(a, b, 2, cap=cells)
+        call(a, b, 1, cap=1)
+    # far below the (n+1)^2 tuples per graph the refinement stored before
+    assert fo_s_equivalent(a, b, 2, cap=cells)
+    assert not fo_s_equivalent(a, gen_path(3), 2, cap=cells)
+
+
 def _sweep_pairs(rng: random.Random, count: int):
     """Seeded (a, b, s) over s = 1-4, equal and unequal vertex counts,
     1-3 colors and relabelled copies."""
@@ -424,6 +488,94 @@ def test_slot_zero_refinement_matches_the_all_slot_referee():
             assert all_slot_census(distinct, s) == type_census(distinct, s), (distinct, s)
 
 
+HUGE = (1, 2**63, 2**64 + 5)
+
+
+def _huge(g: ColoredGraph) -> ColoredGraph:
+    """``g`` with colors 1-3 moved past int64."""
+    return ColoredGraph.build(g.n, g.edges, [HUGE[col - 1] for col in g.colors], c=HUGE[-1])
+
+
+def _one_type_pair(rng: random.Random) -> tuple[ColoredGraph, ColoredGraph]:
+    """Two random graphs of 1-8 vertices and 1-3 colors, a graph and a
+    relabelled copy, or the graphs of two random trees of one depth (1-3),
+    whose FO^2 types often agree without isomorphism."""
+    if rng.random() < 0.3:
+        depth, colors = rng.randint(1, 3), rng.randint(1, 2)
+        return tuple(random_tree(rng, rng.randint(1, 10), depth, colors).to_graph() for _ in "ab")
+    colors = rng.randint(1, 3)
+    a, b = (random_graph(rng, rng.randint(1, 8), colors, rng.uniform(0.1, 0.7)) for _ in "ab")
+    return (a, relabel(rng, a)) if rng.random() < 0.25 else (a, b)
+
+
+def test_one_and_two_pebbles_match_the_all_slot_referee():
+    # at s <= 2 the answers read colour sets and 1-type rounds, not tuples;
+    # the all-slot tuple refinement is their referee
+    rng = random.Random(73)
+    separated = equivalent_apart = 0
+    for _ in range(3000):
+        s = rng.randint(1, 2)
+        a, b = _one_type_pair(rng)
+        if rng.random() < 0.2:
+            a, b = _huge(a), _huge(b)
+        expected = all_slot_spoiler_distance(a, b, s)
+        assert spoiler_distance(a, b, s) == expected, (a, b, s)
+        assert fo_s_equivalent(a, b, s) == (expected is None), (a, b, s)
+        separated += expected is not None
+        # FO^2-equivalent, and of different sizes, so not isomorphic
+        equivalent_apart += s == 2 and expected is None and (a.n, len(a.edge_lo)) != (b.n, len(b.edge_lo))
+    assert 1000 < separated < 2000
+    assert equivalent_apart > 80
+    for _ in range(300):
+        s = rng.randint(1, 2)
+        graphs = [g for _ in range(rng.randint(1, 4)) for g in _one_type_pair(rng)]
+        graphs += [relabel(rng, g) for g in rng.sample(graphs, rng.randint(0, len(graphs) // 2))]
+        if rng.random() < 0.2:
+            graphs = [_huge(g) for g in graphs]
+        rng.shuffle(graphs)
+        assert type_census(graphs, s) == all_slot_census(graphs, s), (graphs, s)
+
+
+def _hub_graph(rng: random.Random) -> ColoredGraph:
+    """A graph of 20-40 vertices whose vertex 1 is joined to 16 or more
+    others of 9 or more colors, plus sparse random edges: its rows spread
+    over several width classes."""
+    n = rng.randint(20, 40)
+    spokes = rng.sample(range(2, n + 1), rng.randint(16, n - 1))
+    colors = [rng.randint(1, 30) for _ in range(n)]
+    while len({colors[v - 1] for v in spokes}) < 9:
+        colors[rng.choice(spokes) - 1] = rng.randint(1, 30)
+    edges = {(1, v) for v in spokes}
+    edges |= {(u, v) for u in range(2, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.05}
+    return ColoredGraph.build(n, edges, colors, c=30)
+
+
+def test_rows_wider_than_eight_codes_match_the_all_slot_referee():
+    rng = random.Random(75)
+    separated = 0
+    for _ in range(150):
+        a = _hub_graph(rng)
+        pick = rng.random()
+        if pick < 0.4:
+            b = relabel(rng, a)
+        elif pick < 0.7:  # one vertex recolored
+            colors = list(a.colors)
+            colors[rng.randrange(a.n)] = rng.randint(1, 30)
+            b = ColoredGraph.build(a.n, a.edges, colors, c=30)
+        else:
+            b = _hub_graph(rng)
+        expected = all_slot_spoiler_distance(a, b, 2)
+        assert spoiler_distance(a, b, 2) == expected, (a, b)
+        assert fo_s_equivalent(a, b, 2) == (expected is None), (a, b)
+        separated += expected is not None
+    assert 40 < separated < 130
+    for _ in range(20):
+        graphs = [_hub_graph(rng) for _ in range(2)] + [g for _ in range(2) for g in _one_type_pair(rng)]
+        graphs += [relabel(rng, g) for g in graphs[:3]]
+        rng.shuffle(graphs)
+        assert type_census(graphs, 2) == all_slot_census(graphs, 2), graphs
+
+
 def _same_rounds(graphs: list[ColoredGraph], s: int) -> None:
     """Assert that the block refinement and the column-wise referee give
     the same context partition and set count on every round."""
@@ -437,16 +589,17 @@ def _same_rounds(graphs: list[ColoredGraph], s: int) -> None:
 
 
 def test_each_round_matches_the_columnwise_referee(monkeypatch):
-    # 1-6 graphs of equal and mixed sizes, s = 1-4, colors past int64, and
-    # keys made dense between columns: below a lowered limit, and at
-    # s = 10, where 3^45 pair columns alone pass 2^62
+    # 1-6 graphs of equal and mixed sizes, s = 3-4 (below s = 3 the answers
+    # read 1-types, not tuples), colors past int64, and keys made dense
+    # between columns: below a lowered limit, and at s = 10, where 3^45
+    # pair columns alone pass 2^62
     rng = random.Random(72)
     huge = (1, 2**63, 2**64 + 5)
     for case in range(600):
         if case == 400:
             monkeypatch.setattr(pebble, "_KEY_LIMIT", 2**12)
-        s = rng.randint(1, 4)
-        top = (8, 7, 5, 3)[s - 1]
+        s = rng.randint(3, 4)
+        top = (5, 3)[s - 3]
         sizes = [rng.randint(1, top)] * rng.randint(1, 6)
         if rng.random() < 0.6:
             sizes = [rng.randint(1, top) for _ in sizes]
@@ -480,7 +633,7 @@ def _count_set_rows(monkeypatch) -> list[int]:
 def test_sets_are_built_from_slot_zero_contexts_alone(monkeypatch):
     rows_seen = _count_set_rows(monkeypatch)
     a, b = gen_path(4), ColoredGraph.build(5, [(1, 2), (2, 3), (4, 5)])
-    for s in (1, 2, 3, 4):
+    for s in (3, 4):  # the tuple path; below s = 3 no tuple rows are built
         rows_seen.clear()
         spoiler_distance(a, b, s)
         assert rows_seen, s
@@ -500,7 +653,7 @@ def test_a_stable_refinement_interns_no_round_that_adds_no_type(monkeypatch):
         return key, bound
 
     monkeypatch.setattr(pebble, "_pack", recording)
-    for s in (1, 2, 3):
+    for s in (3,):  # the tuple path; below s = 3 nothing is packed
         for _ in range(10):
             graphs = [random_graph(rng, rng.randint(1, 6), colors=2) for _ in range(3)]
             graphs = list(dict.fromkeys(graphs))
@@ -556,7 +709,7 @@ def test_no_round_ranks_the_tuples(monkeypatch):
 
     monkeypatch.setattr(pebble, "_dense", counting)
     rows_seen = _count_set_rows(monkeypatch)
-    for s in (2, 3):
+    for s in (3,):  # the tuple path; below s = 3 no tuple is stored
         cases = [[gen_path(n), gen_path(n + 1)] for n in (4, 7, 10)]
         cases += [[gen_path(n) for n in lengths] for lengths in ((2, 3, 5), (1, 4, 6, 9))]
         for graphs in cases:
