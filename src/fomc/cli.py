@@ -2,8 +2,11 @@
 
 Exit codes: 0 for success (and for "true"/"equivalent"/"valid"
 verdicts), 1 for negative verdicts, 2 for usage or input errors, 3 when
-an instance exceeds a resource limit (the cell cap of equivalence,
-the Python recursion limit, or memory), 4 for an internal error.
+an instance exceeds a resource limit, 4 for an internal error. The
+limits are the evaluator's table cap, the refinement cap of ``equiv`` and
+``census`` (``--cap``), the vertex cap on a graph file's header, the
+elimination-forest search's ``FOREST_WORK_CAP``, the Python recursion
+limit and memory.
 
 Subcommands:
 

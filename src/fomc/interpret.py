@@ -78,10 +78,8 @@ X1, X2, X3 = Var(1), Var(2), Var(3)
 
 
 class _Definition(NamedTuple):
-    """A defining formula: what it defines, as refusals name it, the
-    formula, its parameters and its auxiliaries, sorted by index."""
+    """A defining formula, its parameters and its auxiliaries, sorted by index."""
 
-    name: str
     formula: Formula
     params: tuple[Var, ...]
     aux: tuple[Var, ...]
@@ -117,7 +115,7 @@ class InterpretationScheme:
             if not free <= set(params):
                 raise ValueError(f"the {name} may only have {', '.join(map(str, params))} free")
             aux = tuple(sorted(occurring.difference(params)))
-            definitions[name] = _Definition(name, f, params, aux)
+            definitions[name] = _Definition(f, params, aux)
         return tuple(definitions.values())
 
     @cached_property

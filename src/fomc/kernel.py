@@ -94,17 +94,16 @@ class KernelResult:
     """Outcome of a reduction.
 
     ``tree`` is the input and ``kept`` the vertices of it that the kernel
-    keeps; ``bound`` is the size guarantee (saturated at BOUND_CAP when
-    ``bound_exact`` is false), and ``stats`` records, per tree level, how
-    many distinct child classes were seen across that level. The kernel
-    tree itself is built from these on first use.
+    keeps: the root and, below each kept vertex, the first ``s`` children
+    of each child class. ``bound`` is the size guarantee, saturated at
+    BOUND_CAP when ``bound_exact`` is false. The kernel tree itself is
+    built from ``tree`` and ``kept`` on first use.
     """
 
     tree: RootedColoredTree
     kept: frozenset[int]
     bound: int
     bound_exact: bool
-    stats: tuple[tuple[int, int], ...]
 
     @cached_property
     def kernel(self) -> RootedColoredTree:
@@ -129,10 +128,8 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
     class_of = [0] * (t.n + 1)
     kept_kids: list[list[int] | tuple[()]] = [()] * (t.n + 1)
-    stats = []
-    for level in reversed(range(len(levels))):
-        distinct = 0  # child classes seen across this level
-        for v in levels[level]:
+    for level in reversed(levels):
+        for v in level:
             kids = children.get(v)
             if kids is None:
                 class_of[v] = ids.setdefault((colors[v - 1], ()), len(ids))
@@ -141,7 +138,6 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
             for cls, w in sorted(zip(map(class_of.__getitem__, kids), kids)):
                 if cls != last:
                     last, copies = cls, 0
-                    distinct += 1
                 if copies < s:
                     kept.append(w)
                     kept_classes.append(cls)
@@ -149,19 +145,11 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
             kept_kids[v] = kept
             key = (colors[v - 1], tuple(kept_classes))
             class_of[v] = ids.setdefault(key, len(ids))
-        if distinct:
-            stats.append((level, distinct))
     kept_all = [t.root]
     for v in kept_all:  # grows as it is walked: each kept vertex brings its kept children
         kept_all.extend(kept_kids[v])
     bound, exact = kernel_size_bound_capped(s, len(levels) - 1, t.c)
-    return KernelResult(
-        tree=t,
-        kept=frozenset(kept_all),
-        bound=bound,
-        bound_exact=exact,
-        stats=tuple(reversed(stats)),
-    )
+    return KernelResult(tree=t, kept=frozenset(kept_all), bound=bound, bound_exact=exact)
 
 
 def verify_kernel(

@@ -125,6 +125,17 @@ class ResourceLimitError(RuntimeError):
     """An instance would exceed the configured cap."""
 
 
+def _refusal(need: str, cap: int, sizes: list[int], rest: str) -> ResourceLimitError:
+    """``need`` against ``cap``, then the vertex counts and ``rest``. Past
+    eight graphs only their count and the four largest counts are named,
+    so a refused census stays one short line."""
+    counts = f"vertex counts {sizes}"
+    if len(sizes) > 8:
+        top = sorted(sizes, reverse=True)[:4]
+        counts = f"{len(sizes)} graphs of up to {top[0]} vertices, the largest vertex counts {top}"
+    return ResourceLimitError(f"{need} (cap {cap}): {counts}, {rest}")
+
+
 def _require_pebbles(s: int, cap: int) -> tuple[int, int]:
     """``(s, cap)`` as ints, checked before any shortcut, so equal graphs
     get no answer either."""
@@ -351,16 +362,11 @@ def _refine(graphs: Sequence[ColoredGraph], s: int, cap: int):
     """
     sides = [g.n + 1 for g in graphs]
     if s > cap.bit_length():  # every side is at least 2, so m**s > cap
-        raise ResourceLimitError(
-            f"type refinement needs more than {cap} tuples (cap {cap}): "
-            f"vertex counts {[g.n for g in graphs]}, more than {cap.bit_length()} pebbles"
-        )
+        need = f"type refinement needs more than {cap} tuples"
+        raise _refusal(need, cap, [g.n for g in graphs], f"more than {cap.bit_length()} pebbles")
     tuples = sum(m**s for m in sides)
     if tuples > cap:
-        raise ResourceLimitError(
-            f"type refinement needs {tuples} tuples (cap {cap}): "
-            f"vertex counts {[g.n for g in graphs]}, s={s}"
-        )
+        raise _refusal(f"type refinement needs {tuples} tuples", cap, [g.n for g in graphs], f"s={s}")
     groups = _by_size(graphs)
     shapes, spans, lo = [], [None] * len(graphs), 0  # spans: each graph's slot-0 contexts
     for group in groups:
@@ -403,10 +409,7 @@ def _type_rounds(graphs: Sequence[ColoredGraph], cap: int):
     sizes = [g.n for g in graphs]
     n, edges = sum(sizes), sum([len(g.edge_lo) for g in graphs])
     if n + 2 * edges > cap:
-        raise ResourceLimitError(
-            f"1-type refinement needs {n + 2 * edges} cells (cap {cap}): "
-            f"vertex counts {sizes}, {edges} edges, s=2"
-        )
+        raise _refusal(f"1-type refinement needs {n + 2 * edges} cells", cap, sizes, f"{edges} edges, s=2")
     dtype = np.int32 if n < 2**30 else np.int64  # codes and heads lie below 2n
     ends = list(itertools.accumulate(sizes, initial=-1))  # each graph's 1-based ids made global, from 0
     lo = np.concatenate([g.edge_lo + at for g, at in zip(graphs, ends)])

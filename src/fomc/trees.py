@@ -313,8 +313,6 @@ def _path(sub: int, nb: list[int]) -> list[int]:
     """A path of the connected mask ``sub``: the deepest chain of a DFS
     tree grown from the end of the deepest chain of one grown from its
     lowest vertex (a double sweep)."""
-    if sub & (sub - 1) == 0:
-        return [sub.bit_length() - 1]
     far = _deepest_chain((sub & -sub).bit_length() - 1, sub, nb)[-1]
     return _deepest_chain(far, sub, nb)
 

@@ -1152,7 +1152,6 @@ def sorting_reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     each vertex's child classes counted in a dict."""
     if s < 1:
         raise ValueError("the variable budget must be positive")
-    class_counts: dict[int, int] = {}
     # AHU class ids: equal ids exactly for isomorphic reduced subtrees
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
     class_of = [0] * (t.n + 1)
@@ -1169,9 +1168,6 @@ def sorting_reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
             copies[cls] = seen + 1
             if seen < s:
                 kept.append(w)
-        if copies:
-            level = depths[v - 1]
-            class_counts[level] = class_counts.get(level, 0) + len(copies)
         key = (colors[v - 1], tuple([class_of[w] for w in kept]))
         class_of[v] = ids.setdefault(key, len(ids))
     kept_all = {t.root}
@@ -1184,7 +1180,6 @@ def sorting_reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
         kept=frozenset(kept_all),
         bound=bound,
         bound_exact=exact,
-        stats=tuple(sorted(class_counts.items())),
     )
 
 

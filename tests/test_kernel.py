@@ -187,15 +187,6 @@ def test_star_reduction_examples():
     assert len(r3.kept) == 4
 
 
-def test_reduction_stats_class_counts():
-    # the root sits at level 0 and its five leaves form one class
-    assert reduce_tree(star(5), 1).stats == ((0, 1),)
-    two_classes = RootedColoredTree.build(
-        {1: 0, 2: 1, 3: 1, 4: 1}, {2: 1, 3: 2, 4: 2}, c=2
-    )
-    assert reduce_tree(two_classes, 1).stats == ((0, 2),)
-
-
 def test_deep_path_is_not_capped_by_the_recursion_limit():
     path = RootedColoredTree.build({v: v - 1 for v in range(1, 5001)})
     assert reduce_tree(path, 2).kept == frozenset(range(1, 5001))
@@ -296,7 +287,6 @@ def test_verify_kernel_rejects_overpruned():
         kept=pruned,
         bound=res.bound,
         bound_exact=res.bound_exact,
-        stats=res.stats,
     )
     # two pebbles tell one leaf apart from two
     assert not verify_kernel(t, broken, 2)
@@ -310,7 +300,6 @@ def test_verify_kernel_rejects_wrong_restriction():
         kept=res.kept,
         bound=res.bound,
         bound_exact=res.bound_exact,
-        stats=res.stats,
     )
     assert not verify_kernel(t, tampered, 1)
 
@@ -323,7 +312,6 @@ def test_verify_kernel_rejects_a_kept_set_above_its_bound():
         kept=res.kept,
         bound=len(res.kept) - 1,
         bound_exact=res.bound_exact,
-        stats=res.stats,
     )
     assert verify_kernel(t, res, 1)
     assert not verify_kernel(t, tight, 1)
@@ -385,7 +373,6 @@ def test_reduce_tree_matches_the_sorting_referee():
         for s in (1, 2, 3):
             got, want = reduce_tree(t, s), sorting_reduce_tree(t, s)
             assert got.kept == want.kept
-            assert got.stats == want.stats
             assert (got.bound, got.bound_exact) == (want.bound, want.bound_exact)
             assert got.kernel == dict_restrict_tree(t, want.kept)
 
@@ -466,7 +453,6 @@ def test_verify_kernel_refuses_a_kept_set_not_closed_under_parents():
         kept=frozenset({1, 3}),
         bound=res.bound,
         bound_exact=res.bound_exact,
-        stats=res.stats,
     )
     with pytest.raises(ValueError, match="^the kept set is not closed under parents$"):
         verify_kernel(t, gap, 1)

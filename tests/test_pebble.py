@@ -415,15 +415,21 @@ def test_two_pebble_peak_memory_per_vertex_and_edge_does_not_grow_with_a_wide_ro
     assert per_item[1] <= 1.1 * per_item[0] and per_item[1] <= 128, per_item
 
 
-def test_two_pebble_census_of_mixed_sizes_stores_no_graphs_by_types_table():
-    # 2,000 small graphs realise about 5,000 types between them: a table of
-    # graphs by types would hold about 10^7 cells, some 1,500 bytes per
-    # vertex and edge here
+def _mixed_census() -> tuple[list[ColoredGraph], list[ColoredGraph]]:
+    """A 20,000-vertex path and 2,000 distinct graphs of 1-5 vertices, and
+    the tiny graphs alone."""
     rng = random.Random(74)
     tiny: dict[ColoredGraph, None] = {}
     while len(tiny) < 2000:
         tiny.setdefault(random_graph(rng, rng.randint(1, 5), colors=6, edge_prob=0.5))
-    graphs = [gen_path(20_000), *tiny]
+    return [gen_path(20_000), *tiny], list(tiny)
+
+
+def test_two_pebble_census_of_mixed_sizes_stores_no_graphs_by_types_table():
+    # 2,000 small graphs realise about 5,000 types between them: a table of
+    # graphs by types would hold about 10^7 cells, some 1,500 bytes per
+    # vertex and edge here
+    graphs, tiny = _mixed_census()
     tracemalloc.start()
     try:
         blocks = type_census(graphs, 2)
@@ -434,6 +440,17 @@ def test_two_pebble_census_of_mixed_sizes_stores_no_graphs_by_types_table():
     # for the long path before the referee
     assert blocks == all_slot_census([gen_path(6), *tiny], 2)
     assert peak / sum(g.n + len(g.edge_lo) for g in graphs) <= 128
+
+
+def test_a_refused_census_of_many_graphs_names_their_count_not_every_size():
+    # a refused census of thousands of graphs stays one readable line
+    graphs, _ = _mixed_census()
+    cells = sum(g.n + 2 * len(g.edge_lo) for g in graphs)
+    with pytest.raises(ResourceLimitError, match=f"^1-type refinement needs {cells} cells") as refused:
+        type_census(graphs, 2, cap=cells - 1)
+    message = str(refused.value)
+    assert len(message) < 200
+    assert "2001 graphs" in message and "20000 vertices" in message
 
 
 def test_two_pebble_cap_counts_vertices_and_arcs():

@@ -7,7 +7,9 @@ does not start with ``__``. Its own body does not count, and neither do
 comments, docstrings or imports. CLI commands count through
 ``set_defaults(func=...)`` and the console script ``fomc.cli:main``
 through the module's ``__main__`` guard. Generators, writers, methods and
-helpers that only tests use belong in ``tests/``.
+helpers that only tests use belong in ``tests/``. Likewise every field of
+its dataclasses and ``NamedTuple``s must be read as an attribute by code
+in ``src/fomc`` or by the benchmark's code in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -103,6 +105,38 @@ def test_every_function_the_tracer_wraps_is_defined():
     ]
     assert not missing, "the tracer wraps undefined names: " + ", ".join(missing)
     assert TRACED <= {name for _, name, _ in spans.TARGETS}
+
+
+def _fields(tree: ast.Module):
+    """(class, field) for each annotated field of each dataclass or
+    ``NamedTuple`` at the top level of ``tree``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+            isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
+        ):
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield node.name, member.target.id
+
+
+def test_every_record_field_is_read():
+    # a field that nothing reads is computed, stored and carried for nobody;
+    # the benchmark's own code counts as a reader, its tests do not
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path for path in sorted((ROOT / "perfbench").glob("*.py")) if not path.name.startswith("test_")]
+    used: Counter = Counter()
+    for tree in [*modules.values(), *(ast.parse(path.read_text()) for path in bench)]:
+        used += _references(tree)
+    unread = [
+        f"{stem}.{cls}.{field}"
+        for stem, tree in modules.items()
+        for cls, field in _fields(tree)
+        if not used["." + field]
+    ]
+    assert not unread, "fields nothing reads: " + ", ".join(unread)
 
 
 #: The only code that may read ``ColoredGraph.edges``: the view itself and
