@@ -4,7 +4,9 @@ Exit codes: 0 for success (and for "true"/"equivalent"/"valid"
 verdicts), 1 for negative verdicts, 2 for usage or input errors, 3 when
 an instance exceeds a resource limit, 4 for an internal error. The
 limits are the evaluator's table cap, the refinement cap of ``equiv`` and
-``census`` (``--cap``), the vertex cap on a graph file's header, the
+``census`` (``--cap``), the values below 2^31 - 2 that 1-type rows may
+hold at s = 2 (reached only past 2^30 vertices or 2^31 - 2 cells, which
+``--cap`` can admit), the vertex cap on a graph file's header, the
 elimination-forest search's ``FOREST_WORK_CAP``, the Python recursion
 limit and memory.
 

@@ -80,7 +80,16 @@ run of -1, and each row is ranked whole as one byte string. Two rows
 hold the same set exactly when their bytes are equal. On a
 little-endian host byte order is not numeric order, but ranking needs
 only an order that keeps equal rows together, so the set ids are exact.
-The 1-type rows are ranked the same way.
+Its members are packed keys of up to 62 bits, so a chunk key of the
+kind below would hold one member alone.
+
+The 1-type rows hold values below 2n, and they are ranked by exact
+int64 keys instead. A pass cuts every row into chunks of as many places
+as one key below 2^62 holds, writing a value v as the digit v + 1 and a
+place past the row's end as 0, so chunks of different lengths get
+different keys. It ranks all chunks together, and the rows of chunk ids
+are ranked the same way until every row is one chunk. A graph's set of
+stable types is one more such row.
 
 A round whose set count does not grow leaves the partition stable, and
 the refinement stops. Two graphs agree on every sentence with at most
@@ -401,10 +410,11 @@ def _type_rounds(graphs: Sequence[ColoredGraph], cap: int):
     of types, the number of distinct (graph, type) pairs).
 
     Round 0's types are the colors; round r + 1 ranks each vertex's row
-    of ``_rank_rows``: 2 * its type + whether it is the only vertex of
-    its type in its graph, then the sorted codes 2 * T + full over the
-    distinct types T of its neighbours. A round stores O(n + m), and the
-    cap counts its cells, n + 2m per graph, once before the first.
+    with ``_rank_rows``, by int64 chunk keys: 2 * its type + whether it
+    is the only vertex of its type in its graph, then the sorted codes
+    2 * T + full over the distinct types T of its neighbours. A round
+    stores O(n + m), and the cap counts its cells, n + 2m per graph, once
+    before the first.
     """
     sizes = [g.n for g in graphs]
     n, edges = sum(sizes), sum([len(g.edge_lo) for g in graphs])
@@ -461,49 +471,49 @@ def _type_rounds(graphs: Sequence[ColoredGraph], cap: int):
         ntypes = count
 
 
-def _layout(lengths: np.ndarray):
-    """(each row's first cell, the rows in class order or None when all
-    share the first class, [(rows, width)] per class) for rows of a head
-    and ``lengths`` codes: up to 8 codes share one class, longer rows are
-    padded to the next power of two, and the classes lie one after
-    another."""
-    n = len(lengths)
-    if lengths.max(initial=0) <= 8:
-        return np.arange(0, 9 * n, 9), None, [(n, 9)]
-    logs = np.maximum(np.frexp(lengths - 1)[1], 3)
-    order = np.argsort(logs, kind="stable")
-    widths = (np.int64(1) << logs[order]) + 1
-    ends = np.cumsum(widths)
-    start = np.empty(n, np.int64)
-    start[order] = ends - widths
-    sizes = np.bincount(logs).tolist()
-    return start, order, [(size, (1 << log) + 1) for log, size in enumerate(sizes) if size]
-
-
 def _rank_rows(heads: np.ndarray, owner: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     """(dense ids of the rows (``heads[v]``, then the ``codes`` whose
     ``owner`` is v, in order), the number of distinct rows); ``owner`` is
-    sorted. The rows are laid out by ``_layout``, -1 after their codes,
-    each class is ranked as ``_set_ids`` ranks the tuple rows, and the
-    classes take consecutive id ranges."""
+    sorted.
+
+    The rows lie one after another in one int64 array. Each pass cuts
+    every row into chunks of as many places as one key below 2^62 holds
+    in base r, one more than the largest digit: a value v is the digit
+    v + 1 and a place past the row's end the digit 0, so chunks of
+    different lengths get different keys. The pass ranks all chunks
+    together, and each row's chunk ids are its values in the next pass,
+    until every row is one chunk. A value of 2^31 - 2 or more leaves one
+    place per key, so a pass that would have to shorten a row then is
+    refused; the values are below 2n and then below the cells of a
+    round, so only past 2^30 vertices or 2^31 - 2 cells.
+    """
     n = len(heads)
     lengths = np.bincount(owner, minlength=n)
-    start, order, classes = _layout(lengths)
-    flat = np.full(sum([size * width for size, width in classes]), -1, heads.dtype)
-    flat[start] = heads
-    # code i of the codes goes i - (its row's first code) + 1 cells after its head
-    shift = np.cumsum(lengths)
-    shift -= lengths + start + 1
-    flat[np.arange(len(codes)) - shift[owner]] = codes
-    if order is None:
-        return _set_ids(flat.reshape(n, 9))
-    ids = np.empty(n, heads.dtype)
-    total = at = lo = 0
-    for size, width in classes:
-        local, count = _set_ids(flat[at : at + size * width].reshape(size, width))
-        ids[order[lo : lo + size]] = local + total
-        total, at, lo = total + count, at + size * width, lo + size
-    return ids, total
+    lengths += 1
+    starts = np.cumsum(lengths) - lengths  # each row's head
+    values = np.empty(n + len(codes), np.int64)
+    values[starts] = heads
+    values[np.arange(1, len(codes) + 1) + owner] = codes  # code i goes to i + owner[i] + 1
+    while True:
+        values += 1  # the digits
+        radix = int(values.max()) + 1
+        width = 62 // radix.bit_length()
+        if width < 2 and len(values) > n:
+            raise ResourceLimitError(f"1-type rows hold a value of {radix - 2}, past 2^31 - 3")
+        place = np.arange(len(values))
+        place -= np.repeat(starts, lengths)
+        place %= width
+        firsts = (place == 0).nonzero()[0]  # each chunk's first place
+        terms = (radix ** np.arange(width - 1, -1, -1, dtype=np.int64))[place]
+        del place
+        terms *= values
+        del values
+        values, count = _dense(np.add.reduceat(terms, firsts))
+        if len(values) == n:
+            return values, count
+        del terms, firsts
+        lengths = -(-lengths // width)
+        starts = np.cumsum(lengths) - lengths
 
 
 def _run_game(a: ColoredGraph, b: ColoredGraph, s: int, cap: int) -> tuple[bool, int | None]:
@@ -553,14 +563,14 @@ def spoiler_distance(
     return None
 
 
-def _final_types(graphs: Sequence[ColoredGraph], cap: int) -> list[bytes]:
-    """Each graph's set of stable 1-types, as the bytes of its sorted ids."""
+def _final_types(graphs: Sequence[ColoredGraph], cap: int) -> list[int]:
+    """Each graph's set of stable 1-types, as an id: ``_rank_rows`` ranks
+    one row per graph, 0 and then the graph's sorted types."""
     for types, ntypes, _ in _type_rounds(graphs, cap):
         pass
     graph = np.repeat(np.arange(len(graphs)), [g.n for g in graphs])
     pairs = np.unique(graph * ntypes + types)  # by graph, then type
-    cuts = np.searchsorted(pairs, np.arange(1, len(graphs)) * ntypes)
-    return [part.tobytes() for part in np.split(pairs % ntypes, cuts)]
+    return _rank_rows(np.zeros(len(graphs), np.int64), pairs // ntypes, pairs % ntypes)[0].tolist()
 
 
 def type_census(
@@ -572,7 +582,7 @@ def type_census(
     Equal graphs share a block without refinement; the distinct ones are
     refined together, once, and grouped by the final set of their
     all-blank tuple's context: at s = 1 their set of colors, at s = 2
-    their set of stable 1-types.
+    the id ``_rank_rows`` gives their set of stable 1-types.
     """
     s, cap = _require_pebbles(s, cap)
     first: dict[ColoredGraph, int] = {}

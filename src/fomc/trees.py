@@ -561,7 +561,9 @@ def _read_tree(found: dict[str, list[tuple[int, list[int]]]]) -> TreeModel:
         raise ValueError(
             f"line {roots[1][0]}: duplicate root line" if roots else "missing 'r' line"
         )
-    (root,) = roots[0][1]
+    lineno, (root,) = roots[0]
+    if not 1 <= root <= n:
+        raise ValueError(f"line {lineno}: root {root} out of range")
     records = _by_vertex(found["t"])
     records.setdefault(root, [root, 0])
     _require_records(n, records)

@@ -165,11 +165,14 @@ def test_rule_lines_are_unknown_in_a_plain_tree_file():
         ("tree", "p tree 3 0\nr 1\nt 2 1\nt 3 1\n", "line 1: color count must be positive"),
         ("graph", "p graph 2 1\nv 3 1\n", "line 2: vertex 3 out of range"),
         ("tree", "p tree 2 1\nr 2\nt 2 1\nt 1 0\n", "declared root 2 has a nonzero parent"),
+        ("tree", "p tree 3 1\nr 5\nt 1 0\nt 2 1\nt 3 1\n", "line 2: root 5 out of range"),
+        ("tree-model", "p tree 3 1\nr 0\nt 1 0\nt 2 1\nt 3 1\n", "line 2: root 0 out of range"),
     ],
     ids=[
         "v", "graph-p", "e", "tree-t", "tree-no-r", "rule-verdict", "forest-t", "rule",
         "rule-swapped-colors", "graph-color", "tree-color", "tree-parent", "forest-parent",
-        "graph-palette", "tree-palette", "graph-vertex", "tree-root-parent",
+        "graph-palette", "tree-palette", "graph-vertex", "tree-root-parent", "tree-root-high",
+        "tree-model-root-zero",
     ],
 )
 def test_repeated_and_out_of_range_lines_are_refused(name, text, message):

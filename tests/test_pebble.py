@@ -555,8 +555,8 @@ def test_one_and_two_pebbles_match_the_all_slot_referee():
 
 def _hub_graph(rng: random.Random) -> ColoredGraph:
     """A graph of 20-40 vertices whose vertex 1 is joined to 16 or more
-    others of 9 or more colors, plus sparse random edges: its rows spread
-    over several width classes."""
+    others of 9 or more colors, plus sparse random edges: its row holds 9
+    or more codes."""
     n = rng.randint(20, 40)
     spokes = rng.sample(range(2, n + 1), rng.randint(16, n - 1))
     colors = [rng.randint(1, 30) for _ in range(n)]
@@ -712,6 +712,74 @@ def test_whole_row_ranking_matches_numeric_row_equality():
             assert count == expected.max() + 1, (width, top)
             # the same partition: ids and the numeric classes map one to one
             assert len(set(zip(ids.tolist(), expected.ravel().tolist()))) == count, (width, top)
+
+
+def _rows_of_every_chunk_count(rng: random.Random, bits: int) -> list[list[int]]:
+    """Seeded 1-type rows (a head, then codes) whose largest value gives
+    ``_rank_rows`` a radix of ``bits`` bits: rows of a head alone, rows of
+    1, 2 and 3 or more chunks of its first pass, rows cut short of another
+    row, and rows one place longer or shorter than another in its last
+    chunk, with value 0 last or not."""
+    top = 2**bits - 3  # radix top + 2 has ``bits`` bits
+    width = 62 // bits
+    pool = [0, 1, top, *(rng.randint(0, top) for _ in range(3))]
+    rows = [[top]]
+    for _ in range(40):
+        length = rng.choice([1, width - 1, width, width + 1, 2 * width, 2 * width + 1, 3 * width + rng.randint(0, width)])
+        rows.append([rng.choice(pool) for _ in range(length)])
+    for row in rng.sample(rows, 20):
+        rows.append(row[: rng.randint(1, len(row))])
+        rows.append(row + [0])
+        rows.append(row + [rng.choice(pool)])
+        rows.append(list(row))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_ranked_rows_match_a_dict_of_tuples_at_every_radix():
+    # rows of several chunks are ranked over several passes, which the
+    # small graphs of the refinement sweeps seldom reach
+    rng = random.Random(76)
+    for bits in range(2, 32):
+        rows = _rows_of_every_chunk_count(rng, bits)
+        heads = np.array([row[0] for row in rows], np.int64)
+        owner = np.array([v for v, row in enumerate(rows) for _ in row[1:]], np.int64)
+        codes = np.array([code for row in rows for code in row[1:]], np.int64)
+        ids, count = pebble._rank_rows(heads, owner, codes)
+        referee: dict[tuple[int, ...], int] = {}
+        expected = [referee.setdefault(tuple(row), len(referee)) for row in rows]
+        assert count == len(referee), bits
+        # one partition: the two numberings correspond one to one
+        assert len(set(zip(ids.tolist(), expected))) == count, bits
+        chunks = {-(-len(row) // (62 // bits)) for row in rows}
+        assert {1, 2, 3} <= chunks, bits
+
+
+def test_rows_of_values_past_two_places_a_key_are_refused_or_ranked_at_once(monkeypatch):
+    # from the value 2^31 - 2 on a key holds one place, so no pass could
+    # shorten a row of two or more: that is refused, and rows of a head
+    # alone are ranked in one pass
+    passes: list[int] = []
+    dense = pebble._dense
+
+    def counting(key):
+        passes.append(len(key))
+        assert len(passes) <= 3, "the passes do not end"
+        return dense(key)
+
+    monkeypatch.setattr(pebble, "_dense", counting)
+    none = np.zeros(0, np.int64)
+    ids, count = pebble._rank_rows(np.array([2**31, 5, 2**31, 2**40], np.int64), none, none)
+    assert count == 3 and ids[0] == ids[2] and len({*ids.tolist()}) == 3
+    assert len(passes) == 1
+    for big in (2**31 - 2, 2**31, 2**40):
+        passes.clear()
+        with pytest.raises(ResourceLimitError, match=f"^1-type rows hold a value of {big}, past 2\\^31 - 3$"):
+            pebble._rank_rows(np.array([big, 1], np.int64), np.array([0]), np.array([3]))
+        assert not passes
+    top = 2**31 - 3  # the largest value two places of a key still hold
+    ids, count = pebble._rank_rows(np.array([top] * 3, np.int64), np.array([0, 0, 1]), np.array([1, top, 1]))
+    assert count == 3 and len(passes) == 2
 
 
 def test_no_round_ranks_the_tuples(monkeypatch):

@@ -20,6 +20,11 @@ The exit code is 1 when any verdict differs.
 
 ``peak_rss_mb`` and ``setup_s`` cannot be compared inside one process;
 ``perfbench/run.py`` in separate processes measures them.
+
+The tool lives in ``tools/``, not ``perfbench/``: ``perfbench/`` is the
+benchmark's fixed contract (the ``paths`` of ``BENCHMARK.json``), which
+a change to the program may not edit, while this tool must be free to
+change with the program whose changes it measures.
 """
 
 from __future__ import annotations
