@@ -64,7 +64,7 @@ from .formulas import (
     variables,
 )
 from .graphs import ColoredGraph, _require_integer, _require_palette
-from .kernel import reduce_tree
+from .kernel import _core_graph, reduce_tree
 from .trees import (
     EliminationForest,
     RootedColoredTree,
@@ -410,9 +410,13 @@ def _decide_on_kernel(
 
 def mc_tree(t: RootedColoredTree, sentence: Formula, s: int) -> bool:
     """Decide the sentence on a colored tree by evaluating on its
-    reduced core. Requires the sentence to use at most ``s`` variables."""
+    reduced core: the tree is its own host in ``_decide_on_kernel``'s
+    argument, and the core, the tree's graph on the kept set, is read
+    off the kept parent links. Requires the sentence to use at most
+    ``s`` variables."""
     _require_budget(sentence, s)
-    return _decide_on_kernel(t.to_graph(), t, sentence, s)
+    core = _core_graph(t, reduce_tree(t, s).kept)
+    return evaluate_free(core, sentence).holds
 
 
 def mc_treedepth(g: ColoredGraph, sentence: Formula, k: int, s: int) -> bool:

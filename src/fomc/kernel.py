@@ -19,14 +19,17 @@ as if the root's neighbors carried a palette doubled by marking, hence
 the c+1 and 2c. The value explodes for k >= 3, so results carry a
 saturated bound (capped at BOUND_CAP) together with an exactness flag.
 
-Determinism: one pass over the vertices in ascending id order buckets
-them by level and lists each parent's children, so every list is in id
-order. Levels are visited deepest first. Class ids are interned
-Aho-Hopcroft-Ullman style from (color, class ids of the kept children)
-in that visiting order, so they depend only on the tree, and a vertex's
-children are ordered by (class id of the reduced subtree, vertex id).
-Re-reducing a reduced tree keeps everything, and the kept set only grows
-with s.
+Determinism: one pass visits the vertices deepest level first, ids
+ascending within a level, so the pass reaches a vertex after all its
+children, and the children of one parent in id order. A leaf's class is
+its colour; an inner vertex's class is interned Aho-Hopcroft-Ullman
+style from (colour, sorted classes of its kept children), numbered past
+the palette in pass order. Equal classes mean isomorphic reduced
+subtrees. A vertex is kept by its parent when it is among the first s
+of its class there, so a parent keeps the s smallest ids of each child
+class. Only the kept set and the bound are pinned, not the class
+numbers. Re-reducing a reduced tree keeps everything, and the kept set
+only grows with s.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import _require_integer
+import numpy as np
+
+from .graphs import ColoredGraph, _require_ids, _require_integer
 from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError, fo_s_equivalent
-from .trees import RootedColoredTree, restrict_tree
+from .trees import RootedColoredTree, _link_graph, restrict_tree
 
 #: Saturation threshold for the size bound carried in results.
 BOUND_CAP = 10**30
@@ -115,41 +120,64 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     s = _require_integer("variable budget", s)
     if s < 1:
         raise ValueError("the variable budget must be positive")
-    colors = t.colors
-    levels: list[list[int]] = [[] for _ in range(max(t.depths) + 1)]
-    children: dict[int, list[int]] = {}  # only parents get a list, ids ascending
-    for v, (level, p) in enumerate(zip(t.depths, t.parents), start=1):
+    colors, parents, depths = t.colors, t.parents, t.depths
+    levels: list[list[int]] = [[] for _ in range(max(depths) + 1)]
+    for v, level in enumerate(depths, start=1):
         levels[level].append(v)
-        if p in children:
-            children[p].append(v)
-        else:
-            children[p] = [v]
-    # AHU class ids: equal ids exactly for isomorphic reduced subtrees
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    class_of = [0] * (t.n + 1)
-    kept_kids: list[list[int] | tuple[()]] = [()] * (t.n + 1)
+    first = t.c + 1  # the first inner class; leaves are classed by colour
+    kids: dict[int, list[int]] = {}  # each parent's kept children, ids ascending
+    kinds: dict[int, list[int]] = {}  # their classes, sorted when the pass reaches the parent
+    copies: dict[int, int] = {}  # by class * (n + 1) + parent
+    stride = t.n + 1
     for level in reversed(levels):
         for v in level:
-            kids = children.get(v)
-            if kids is None:
-                class_of[v] = ids.setdefault((colors[v - 1], ()), len(ids))
-                continue
-            kept, kept_classes, last, copies = [], [], -1, 0
-            for cls, w in sorted(zip(map(class_of.__getitem__, kids), kids)):
-                if cls != last:
-                    last, copies = cls, 0
-                if copies < s:
-                    kept.append(w)
-                    kept_classes.append(cls)
-                copies += 1
-            kept_kids[v] = kept
-            key = (colors[v - 1], tuple(kept_classes))
-            class_of[v] = ids.setdefault(key, len(ids))
-    kept_all = [t.root]
-    for v in kept_all:  # grows as it is walked: each kept vertex brings its kept children
-        kept_all.extend(kept_kids[v])
+            classes = kinds.get(v)
+            if classes is None:
+                cls = colors[v - 1]
+            else:
+                classes.sort()
+                key = (colors[v - 1], tuple(classes))
+                cls = ids.get(key)
+                if cls is None:
+                    cls = ids[key] = first + len(ids)
+            p = parents[v - 1]
+            slot = cls * stride + p
+            seen = copies.get(slot, 0)
+            if seen < s:
+                copies[slot] = seen + 1
+                if seen or p in kids:
+                    kids[p].append(v)
+                    kinds[p].append(cls)
+                else:
+                    kids[p] = [v]
+                    kinds[p] = [cls]
+    kept = [t.root]
+    for v in kept:  # grows as it is walked: each kept vertex brings its kept children
+        kept.extend(kids.get(v, ()))
     bound, exact = kernel_size_bound_capped(s, len(levels) - 1, t.c)
-    return KernelResult(tree=t, kept=frozenset(kept_all), bound=bound, bound_exact=exact)
+    return KernelResult(tree=t, kept=frozenset(kept), bound=bound, bound_exact=exact)
+
+
+def _core_graph(t: RootedColoredTree, kept: frozenset[int]) -> ColoredGraph:
+    """``t``'s graph induced on ``kept``, relabelled 1..m in id order and
+    read off the kept vertices' own parent links; ``kept`` must hold the
+    root. Refused with ``ValueError``: an id that is not an integer or
+    not in 1..n, and a set not closed under parents, where a kept
+    vertex's parent relabels to 0."""
+    ids = sorted(kept)
+    _require_ids("vertex", ids)
+    if not (1 <= ids[0] and ids[-1] <= t.n):
+        raise ValueError(f"vertices must lie in 1..{t.n}")
+    if len(ids) == t.n:  # every vertex: the relabelling is the identity
+        return t.to_graph()
+    parents, colors = t.parents, t.colors
+    relabel = np.zeros(t.n + 1, np.intp)
+    relabel[ids] = np.arange(1, len(ids) + 1)
+    above = relabel[[parents[v - 1] for v in ids]]
+    if np.count_nonzero(above) != len(ids) - 1:  # the root alone has parent 0
+        raise ValueError("the kept set is not closed under parents")
+    return _link_graph(above, tuple([colors[v - 1] for v in ids]), t.c)
 
 
 def verify_kernel(
@@ -163,17 +191,16 @@ def verify_kernel(
     Structural checks first (the result is a reduction of ``t``, its kept
     set contains the root, and it honors the size bound), then
     ``fo_s_equivalent`` decides FO^s equivalence of original and kernel.
-    The kernel is read as the tree's graph induced on the kept set, which
-    is the kernel tree read as a graph once the set is closed under
-    parents; a set that is not is refused with ``ValueError``.
+    The kernel is read as the tree's graph induced on the kept set
+    (``_core_graph``), which is the kernel tree read as a graph once the
+    set is closed under parents; a set that is not is refused with
+    ``ValueError``.
     """
     kept = result.kept
     if result.tree != t or t.root not in kept:
         return False
     if len(kept) > result.bound:
         return False
-    g = t.to_graph()
-    core = g.induced_subgraph(kept)
-    if not {t.parents[v - 1] for v in kept} <= kept | {0}:
-        raise ValueError("the kept set is not closed under parents")
-    return fo_s_equivalent(g, core, s, cap)
+    core = _core_graph(t, kept)
+    whole = core if len(kept) == t.n else t.to_graph()  # every vertex kept: the core is the tree
+    return fo_s_equivalent(whole, core, s, cap)

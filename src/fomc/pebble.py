@@ -477,15 +477,19 @@ def _rank_rows(heads: np.ndarray, owner: np.ndarray, codes: np.ndarray) -> tuple
     sorted.
 
     The rows lie one after another in one int64 array. Each pass cuts
-    every row into chunks of as many places as one key below 2^62 holds
-    in base r, one more than the largest digit: a value v is the digit
-    v + 1 and a place past the row's end the digit 0, so chunks of
-    different lengths get different keys. The pass ranks all chunks
-    together, and each row's chunk ids are its values in the next pass,
-    until every row is one chunk. A value of 2^31 - 2 or more leaves one
-    place per key, so a pass that would have to shorten a row then is
-    refused; the values are below 2n and then below the cells of a
-    round, so only past 2^30 vertices or 2^31 - 2 cells.
+    every row left into chunks of as many places as one key below 2^62
+    holds in base r, one more than the largest digit: a value v is the
+    digit v + 1 and a place past the row's end the digit 0, so chunks of
+    different lengths get different keys. The pass ranks all these
+    chunks together. A row of one chunk is then done: its id is its
+    chunk's rank among the done rows' chunks, offset past the ids that
+    earlier passes gave. The other rows' chunk ids are their values in
+    the next pass, which ranks them alone. Equal rows have equal
+    lengths, so they are done in one pass and get one id. A value of
+    2^31 - 2 or more leaves one place per key, so a pass that would have
+    to shorten a row then is refused; the values are below 2n and then
+    below the cells of a round, so only past 2^30 vertices or 2^31 - 2
+    cells.
     """
     n = len(heads)
     lengths = np.bincount(owner, minlength=n)
@@ -494,11 +498,12 @@ def _rank_rows(heads: np.ndarray, owner: np.ndarray, codes: np.ndarray) -> tuple
     values = np.empty(n + len(codes), np.int64)
     values[starts] = heads
     values[np.arange(1, len(codes) + 1) + owner] = codes  # code i goes to i + owner[i] + 1
+    ids, rows, given = None, None, 0  # made on the first pass that leaves a row: ids, rows left
     while True:
         values += 1  # the digits
         radix = int(values.max()) + 1
         width = 62 // radix.bit_length()
-        if width < 2 and len(values) > n:
+        if width < 2 and len(values) > len(lengths):
             raise ResourceLimitError(f"1-type rows hold a value of {radix - 2}, past 2^31 - 3")
         place = np.arange(len(values))
         place -= np.repeat(starts, lengths)
@@ -508,11 +513,29 @@ def _rank_rows(heads: np.ndarray, owner: np.ndarray, codes: np.ndarray) -> tuple
         del place
         terms *= values
         del values
-        values, count = _dense(np.add.reduceat(terms, firsts))
-        if len(values) == n:
-            return values, count
+        ranked, count = _dense(np.add.reduceat(terms, firsts))
         del terms, firsts
-        lengths = -(-lengths // width)
+        if len(ranked) == len(lengths):  # every row left is one chunk
+            if ids is None:
+                return ranked, count
+            ids[rows] = ranked + given
+            return ids, given + count
+        if ids is None:
+            ids, rows = np.empty(n, ranked.dtype), np.arange(n)
+        lengths = -(-lengths // width)  # chunks per row
+        left = lengths > 1
+        chunks = np.repeat(left, lengths)
+        done = ranked[~chunks]  # one chunk per row done
+        if len(done):
+            seen = np.zeros(count, bool)
+            seen[done] = True
+            renumber = np.cumsum(seen, dtype=ids.dtype)
+            ids[rows[~left]] = renumber[done] + (given - 1)
+            given += int(renumber[-1])
+            del seen, renumber
+        values = ranked[chunks]
+        del ranked, chunks
+        rows, lengths = rows[left], lengths[left]
         starts = np.cumsum(lengths) - lengths
 
 

@@ -149,16 +149,8 @@ class RootedColoredTree:
         return self.colors[v - 1]
 
     def to_graph(self) -> ColoredGraph:
-        """The tree as a graph on the same vertices and colours. The edge
-        {v, p} of vertex v and its parent p has key ``min * (n + 1) + max``,
-        that is ``min * n + v + p``; the root's pair with slot 0 has key
-        ``root``, below every edge's, so it sorts first and is dropped."""
-        n = self.n
-        parents = np.array(self.parents, np.intp)
-        ids = np.arange(1, n + 1, dtype=np.intp)
-        keys = np.minimum(parents, ids) * n + (parents + ids)
-        keys.sort()
-        return ColoredGraph._of_arrays(self.colors, self.c, *np.divmod(keys[1:], n + 1))
+        """The tree as a graph on the same vertices and colours."""
+        return _link_graph(np.array(self.parents, np.intp), self.colors, self.c)
 
     def distance(self, u: int, v: int) -> int:
         """Edges on the tree path between ``u`` and ``v``, counted while
@@ -175,6 +167,19 @@ class RootedColoredTree:
             u = parents[u - 1]
             steps += 1
         return steps
+
+
+def _link_graph(links: np.ndarray, colors: tuple[int, ...], c: int) -> ColoredGraph:
+    """The graph of a tree given by its parent links as an ``np.intp``
+    array, ``links[v-1]`` the parent of v and 0 at the one root. The
+    edge {v, p} of vertex v and its parent p has key ``min * (n + 1) +
+    max``, that is ``min * n + v + p``; the root's pair with slot 0 has
+    key ``root``, below every edge's, so it sorts first and is dropped."""
+    n = len(links)
+    ids = np.arange(1, n + 1, dtype=np.intp)
+    keys = np.minimum(links, ids) * n + (links + ids)
+    keys.sort()
+    return ColoredGraph._of_arrays(colors, c, *np.divmod(keys[1:], n + 1))
 
 
 def restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTree:

@@ -1,7 +1,8 @@
 """``tools/ab.py``, the in-process A/B timing of two source trees, run at
 the benchmark's tiny sizes: side A against itself reports every workload
-and kind with its sums, medians and p90s and equal verdicts, and a side
-whose verdicts differ fails."""
+and kind with its sums, medians and p90s, the bootstrap intervals of the
+sum and p50 ratios, and equal verdicts, and a side whose verdicts differ
+fails."""
 
 from __future__ import annotations
 
@@ -42,6 +43,9 @@ def test_a_against_a_reports_every_workload_and_kind_with_equal_verdicts():
                 assert a > 0 and b > 0
                 assert math.isclose(s[f"{q}_ratio"], a / b)
             assert s["a_p50_ms"] <= s["a_p90_ms"] and s["b_p50_ms"] <= s["b_p90_ms"]
+            for q in ("", "p50_"):
+                lo, hi = s[f"{q}ratio_interval"]
+                assert 0 < lo <= s[f"{q}ratio"] <= hi
         assert w["all"]["checks"] == sum(s["checks"] for s in w["kinds"].values())
 
 

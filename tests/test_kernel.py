@@ -377,6 +377,20 @@ def test_reduce_tree_matches_the_sorting_referee():
             assert got.kernel == dict_restrict_tree(t, want.kept)
 
 
+def test_reduce_tree_matches_the_sorting_referee_on_a_seeded_sweep():
+    # the referee sorts each parent's children by (class, id); the pass
+    # meets them level by level in id order, which relabelling shuffles
+    rng = random.Random(4545)
+    for _ in range(2000):
+        n, depth, colors = rng.randint(1, 200), rng.randint(1, 5), rng.randint(1, 4)
+        t = relabelled(random_tree(rng, n, depth, colors), rng)
+        for s in (1, 2, 3, 4):
+            got, want = reduce_tree(t, s), sorting_reduce_tree(t, s)
+            assert got.kept == want.kept, (t, s)
+            assert (got.bound, got.bound_exact) == (want.bound, want.bound_exact), (t, s)
+            assert got.kernel == dict_restrict_tree(t, want.kept), (t, s)
+
+
 def test_exhaustive_small_corpus_class_multiplicity():
     # inside a kernel every sibling class appears at most s times
     for t in all_colored_rooted_trees(6, 3, 2):
@@ -456,3 +470,21 @@ def test_verify_kernel_refuses_a_kept_set_not_closed_under_parents():
     )
     with pytest.raises(ValueError, match="^the kept set is not closed under parents$"):
         verify_kernel(t, gap, 1)
+
+
+@pytest.mark.parametrize(
+    "forged, message",
+    [
+        ({0, 1, 2}, "vertices must lie in 1..4"),
+        ({1, 2, 5}, "vertices must lie in 1..4"),
+        ({1, 2, 2.5}, "vertex 2.5 is not an integer"),
+    ],
+    ids=["id-0", "id-n+1", "id-not-an-integer"],
+)
+def test_verify_kernel_refuses_a_kept_id_that_is_not_a_vertex(forged, message):
+    t = star(3)
+    res = reduce_tree(t, 1)
+    assert len(forged) <= res.bound
+    bad = type(res)(tree=t, kept=frozenset(forged), bound=res.bound, bound_exact=res.bound_exact)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_kernel(t, bad, 1)

@@ -415,6 +415,41 @@ def test_two_pebble_peak_memory_per_vertex_and_edge_does_not_grow_with_a_wide_ro
     assert per_item[1] <= 1.1 * per_item[0] and per_item[1] <= 128, per_item
 
 
+def test_a_pass_of_the_row_ranking_ranks_only_the_rows_left(monkeypatch):
+    # every leaf's row is one chunk after the first pass, so later passes
+    # rank the two hubs' chunks alone; each ranked all 80,000 rows again,
+    # 88,888 keys down to 80,000 in passes 2-10
+    a, b = _colored_star(40_000, False), _colored_star(40_000, True)
+    passes: list[list[int]] = []  # per _rank_rows call, the keys each pass ranks
+    inside = []
+    dense, rank_rows = pebble._dense, pebble._rank_rows
+
+    def ranking(*args):
+        passes.append([])
+        inside.append(True)
+        try:
+            return rank_rows(*args)
+        finally:
+            inside.pop()
+
+    def counting(key):
+        if inside:
+            passes[-1].append(len(key))
+        return dense(key)
+
+    monkeypatch.setattr(pebble, "_rank_rows", ranking)
+    monkeypatch.setattr(pebble, "_dense", counting)
+    assert fo_s_equivalent(a, b, 2)  # isomorphic copies
+    wide = [p for p in passes if len(p) > 1]
+    assert len(wide) == 1, passes
+    first, *later = wide[0]
+    # the first pass ranks every row: 79,998 leaves, each hub 13,334 chunks
+    # of three places; each later pass ranks at most half the hubs' last
+    assert first == 79_998 + 2 * 13_334
+    hubs = [2 * 13_334, *later]
+    assert all(x <= y / 2 for x, y in zip(hubs[1:], hubs)), hubs
+
+
 def _mixed_census() -> tuple[list[ColoredGraph], list[ColoredGraph]]:
     """A 20,000-vertex path and 2,000 distinct graphs of 1-5 vertices, and
     the tiny graphs alone."""

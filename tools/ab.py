@@ -14,9 +14,13 @@ A side's time for a check is its fastest copy. Per workload and per kind
 the tool prints the two sums of those times and their ratio A/B (above 1:
 B takes less time), each side's median and p90 of those times in ms with
 their ratios A/B, the figures a ``check_ms_p50`` or ``check_ms_p90`` claim
-reads, and whether B's verdict equals A's on every copy. The last line of
-standard output is one JSON object holding the same figures.
-The exit code is 1 when any verdict differs.
+reads, and whether B's verdict equals A's on every copy. Beside the
+summed-time ratio and the p50 ratio it prints a 95 % bootstrap interval
+over checks: the 2.5th and 97.5th percentiles of the ratio over 2,000
+resamples of the checks with replacement, each check keeping its two
+times, drawn from ``--seed``. The last line of standard output is one
+JSON object holding the same figures. The exit code is 1 when any verdict
+differs.
 
 ``peak_rss_mb`` and ``setup_s`` cannot be compared inside one process;
 ``perfbench/run.py`` in separate processes measures them.
@@ -40,6 +44,8 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -97,11 +103,24 @@ def compare(sides, wl: workloads.Workload) -> list[dict]:
     return rows
 
 
-def summary(rows: list[dict]) -> dict:
+def intervals(rows: list[dict], seed: int) -> tuple[list[float], list[float]]:
+    """95 % bootstrap intervals over checks of the summed-time ratio A/B
+    and of the p50 ratio: the 2.5th and 97.5th percentiles of each over
+    2,000 resamples of ``rows`` with replacement, drawn from ``seed``."""
+    a = np.array([row["a_s"] for row in rows])
+    b = np.array([row["b_s"] for row in rows])
+    pick = np.random.default_rng(seed).integers(0, len(rows), (2000, len(rows)))
+    sums = a[pick].sum(axis=1) / b[pick].sum(axis=1)
+    medians = np.median(a[pick], axis=1) / np.median(b[pick], axis=1)
+    return [np.quantile(ratios, [0.025, 0.975]).tolist() for ratios in (sums, medians)]
+
+
+def summary(rows: list[dict], seed: int) -> dict:
     """The sums of the per-check times and their ratio A/B, each side's
     median and p90 of those times in ms (``run.p90``, as ``check_ms_p50``
-    and ``check_ms_p90`` are read) with their ratios, and whether every
-    verdict agrees."""
+    and ``check_ms_p90`` are read) with their ratios, the bootstrap
+    intervals of the sum and p50 ratios drawn from ``seed``, and whether
+    every verdict agrees."""
     out = {"checks": len(rows)}
     for side in ("a", "b"):
         times = [row[f"{side}_s"] for row in rows]
@@ -111,6 +130,7 @@ def summary(rows: list[dict]) -> dict:
     out["ratio"] = out["a_s"] / out["b_s"]
     out["p50_ratio"] = out["a_p50_ms"] / out["b_p50_ms"]
     out["p90_ratio"] = out["a_p90_ms"] / out["b_p90_ms"]
+    out["ratio_interval"], out["p50_ratio_interval"] = intervals(rows, seed)
     out["equal"] = all(row["equal"] for row in rows)
     return out
 
@@ -128,8 +148,8 @@ def main(argv=None) -> int:
     fcs = (load_side(args.a.resolve(), "fomc_side_a"), load_side(args.b.resolve(), "fomc_side_b"))
     report = {}
     print(
-        f"{'workload':<11} {'kind':<15} {'checks':>6} {'A s':>9} {'B s':>9} {'A/B':>7}"
-        f" {'A p50':>7} {'B p50':>7} {'A/B':>6} {'A p90':>7} {'B p90':>7} {'A/B':>6}  verdicts"
+        f"{'workload':<11} {'kind':<15} {'checks':>6} {'A s':>9} {'B s':>9} {'A/B':>7} {'95 %':>11}"
+        f" {'A p50':>7} {'B p50':>7} {'A/B':>6} {'95 %':>11} {'A p90':>7} {'B p90':>7} {'A/B':>6}  verdicts"
     )
     for name in args.workload or list(workloads.WORKLOADS):
         wl = workloads.WORKLOADS[name](
@@ -141,12 +161,17 @@ def main(argv=None) -> int:
         rows = compare(sides, wl)
         sides.clear()
         gc.unfreeze()
-        kinds = {kind: summary([r for r in rows if r["kind"] == kind]) for kind in dict.fromkeys(r["kind"] for r in rows)}
-        report[name] = {"all": summary(rows), "kinds": kinds}
+        kinds = {
+            kind: summary([r for r in rows if r["kind"] == kind], args.seed)
+            for kind in dict.fromkeys(r["kind"] for r in rows)
+        }
+        report[name] = {"all": summary(rows, args.seed), "kinds": kinds}
         for kind, s in [*kinds.items(), ("(all)", report[name]["all"])]:
+            (lo, hi), (p50_lo, p50_hi) = s["ratio_interval"], s["p50_ratio_interval"]
             print(
                 f"{name:<11} {kind:<15} {s['checks']:>6} {s['a_s']:>9.4f} {s['b_s']:>9.4f} "
-                f"{s['ratio']:>7.3f} {s['a_p50_ms']:>7.3f} {s['b_p50_ms']:>7.3f} {s['p50_ratio']:>6.3f} "
+                f"{s['ratio']:>7.3f} {lo:>5.3f}-{hi:<5.3f} "
+                f"{s['a_p50_ms']:>7.3f} {s['b_p50_ms']:>7.3f} {s['p50_ratio']:>6.3f} {p50_lo:>5.3f}-{p50_hi:<5.3f} "
                 f"{s['a_p90_ms']:>7.3f} {s['b_p90_ms']:>7.3f} {s['p90_ratio']:>6.3f}  "
                 f"{'equal' if s['equal'] else 'DIFFER'}"
             )
