@@ -30,17 +30,24 @@ of its class there, so a parent keeps the s smallest ids of each child
 class. Only the kept set and the bound are pinned, not the class
 numbers. Re-reducing a reduced tree keeps everything, and the kept set
 only grows with s.
+
+Verification (``verify_kernel``) compares the tree with its core. At
+s = 1 it compares colour sets, the FO^1 rule in ``pebble``'s docstring,
+and builds no graph. From s = 2 on it reads the core off the kept
+vertices' parent links and plays the pebble game on it and the tree.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .graphs import ColoredGraph, _require_ids, _require_integer
-from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError, fo_s_equivalent
+from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError, _require_pebbles, fo_s_equivalent
 from .trees import RootedColoredTree, _link_graph, restrict_tree
 
 #: Saturation threshold for the size bound carried in results.
@@ -159,25 +166,37 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     return KernelResult(tree=t, kept=frozenset(kept), bound=bound, bound_exact=exact)
 
 
-def _core_graph(t: RootedColoredTree, kept: frozenset[int]) -> ColoredGraph:
-    """``t``'s graph induced on ``kept``, relabelled 1..m in id order and
-    read off the kept vertices' own parent links; ``kept`` must hold the
-    root. Refused with ``ValueError``: an id that is not an integer or
-    not in 1..n, and a set not closed under parents, where a kept
-    vertex's parent relabels to 0."""
+def _kept_parents(t: RootedColoredTree, kept: frozenset[int]) -> tuple[list[int], Sequence[int]]:
+    """The kept ids in ascending order and the parent of each (0 at the
+    root), ``t.parents`` itself when every vertex is kept. Refused with
+    ``ValueError``: an id that is not an integer or not in 1..n, and a
+    set not closed under parents (a set without the root is not)."""
     ids = sorted(kept)
     _require_ids("vertex", ids)
     if not (1 <= ids[0] and ids[-1] <= t.n):
         raise ValueError(f"vertices must lie in 1..{t.n}")
+    if len(ids) == t.n:
+        return ids, t.parents
+    parents = t.parents
+    ups = [parents[v - 1] for v in ids]
+    # the root's parent 0 is passed over; a set without the root fails at
+    # its highest vertex, whose parent is not kept
+    if not kept.issuperset(filter(None, ups)):
+        raise ValueError("the kept set is not closed under parents")
+    return ids, ups
+
+
+def _core_graph(t: RootedColoredTree, kept: frozenset[int]) -> ColoredGraph:
+    """``t``'s graph induced on ``kept``, relabelled 1..m in id order and
+    read off the kept vertices' own parent links; ``_kept_parents``
+    checks ``kept``."""
+    ids, ups = _kept_parents(t, kept)
     if len(ids) == t.n:  # every vertex: the relabelling is the identity
         return t.to_graph()
-    parents, colors = t.parents, t.colors
-    relabel = np.zeros(t.n + 1, np.intp)
-    relabel[ids] = np.arange(1, len(ids) + 1)
-    above = relabel[[parents[v - 1] for v in ids]]
-    if np.count_nonzero(above) != len(ids) - 1:  # the root alone has parent 0
-        raise ValueError("the kept set is not closed under parents")
-    return _link_graph(above, tuple([colors[v - 1] for v in ids]), t.c)
+    place = np.zeros(t.n + 1, np.intp)
+    place[ids] = np.arange(1, len(ids) + 1)
+    colors = t.colors
+    return _link_graph(place[ups], tuple([colors[v - 1] for v in ids]), t.c)
 
 
 def verify_kernel(
@@ -189,18 +208,27 @@ def verify_kernel(
     """Check a reduction against an independent referee.
 
     Structural checks first (the result is a reduction of ``t``, its kept
-    set contains the root, and it honors the size bound), then
-    ``fo_s_equivalent`` decides FO^s equivalence of original and kernel.
-    The kernel is read as the tree's graph induced on the kept set
-    (``_core_graph``), which is the kernel tree read as a graph once the
-    set is closed under parents; a set that is not is refused with
-    ``ValueError``.
+    set contains the root, and it honors the size bound), then the kept
+    set: integer ids in 1..n, closed under parents, or ``ValueError``;
+    then the pebble count and cap as ``fo_s_equivalent`` checks them.
+    At s = 1 the answer is whether the kept vertices show every colour
+    of the tree: one variable sees colours alone (``pebble``'s FO^1
+    rule), so no graph is built. From s = 2 on ``fo_s_equivalent``
+    decides FO^s equivalence of original and kernel, the kernel read off
+    the kept vertices' parent links (``_core_graph``): the tree's graph
+    induced on the kept set, which is the kernel tree read as a graph
+    once the set is closed under parents.
     """
     kept = result.kept
     if result.tree != t or t.root not in kept:
         return False
     if len(kept) > result.bound:
         return False
+    if isinstance(s, Integral) and s == 1:  # any other s is checked by fo_s_equivalent
+        ids = _kept_parents(t, kept)[0]  # checks the kept set
+        _require_pebbles(s, cap)
+        colors = t.colors
+        return set(colors) == {colors[v - 1] for v in ids}
     core = _core_graph(t, kept)
     whole = core if len(kept) == t.n else t.to_graph()  # every vertex kept: the core is the tree
     return fo_s_equivalent(whole, core, s, cap)

@@ -136,12 +136,14 @@ TWO = parse_formula("exists x1. exists x2. adj(x1,x2)")
         (lambda: fo_s_equivalent(P4, P4, 2, cap=1e7), "tuple cap 10000000.0"),
         (lambda: type_census([P4, gen_path(5)], 1.5), "pebble count 1.5"),
         (lambda: verify_kernel(star(3), reduce_tree(star(3), 1), 1.5), "pebble count 1.5"),
+        (lambda: verify_kernel(star(3), reduce_tree(star(3), 1), 1.0), "pebble count 1.0"),
         (lambda: kernel_size_bound(1, 1.0, 1), "depth 1.0"),
         (lambda: kernel_size_bound_capped(1, 1, 2.0), "color count 2.0"),
     ],
     ids=[
         "reduce-s", "tree-s", "treedepth-k", "treedepth-s", "treemodel-s", "forest-k",
-        "equivalent-s", "equivalent-cap", "census-s", "verify-s", "bound-k", "bound-c",
+        "equivalent-s", "equivalent-cap", "census-s", "verify-s", "verify-s-1.0", "bound-k",
+        "bound-c",
     ],
 )
 def test_a_budget_or_height_that_is_not_an_integer_is_refused(make, message):
@@ -451,7 +453,7 @@ def test_a_numpy_integer_vertex_count_is_stored_as_an_int():
 
 
 def test_the_induced_graph_on_the_kept_set_is_the_kernel_read_as_a_graph():
-    # what verify_kernel compares with the tree, read without restrict_tree
+    # what verify_kernel compares with the tree from s = 2, read without restrict_tree
     rng = random.Random(77)
     for _ in range(80):
         t = random_tree(rng, rng.randint(1, 60), 3, colors=2)
@@ -472,6 +474,15 @@ def test_verify_kernel_refuses_a_kept_set_not_closed_under_parents():
         verify_kernel(t, gap, 1)
 
 
+@pytest.mark.parametrize("s", [1, 1.0, 2])
+def test_verify_kernel_checks_the_kept_set_before_the_pebble_count_and_cap(s):
+    t = RootedColoredTree.build({1: 0, 2: 1, 3: 2})
+    res = reduce_tree(t, 1)
+    gap = type(res)(tree=t, kept=frozenset({1, 3}), bound=res.bound, bound_exact=res.bound_exact)
+    with pytest.raises(ValueError, match="^the kept set is not closed under parents$"):
+        verify_kernel(t, gap, s, cap=0)
+
+
 @pytest.mark.parametrize(
     "forged, message",
     [
@@ -488,3 +499,38 @@ def test_verify_kernel_refuses_a_kept_id_that_is_not_a_vertex(forged, message):
     bad = type(res)(tree=t, kept=frozenset(forged), bound=res.bound, bound_exact=res.bound_exact)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         verify_kernel(t, bad, 1)
+
+
+def test_verify_kernel_at_one_pebble_compares_colour_sets_and_builds_no_graph(monkeypatch):
+    # one variable sees colours alone; the referee is the game on the tree's
+    # graph and its graph induced on the kept set
+    rng = random.Random(4646)
+    cases = []
+    for _ in range(120):
+        n, depth, colors = rng.randint(1, 400), rng.randint(1, 3), rng.randint(1, 3)
+        drawn = random_tree(rng, n, depth, colors)
+        for t in (drawn, relabelled(drawn, rng)):
+            res = reduce_tree(t, 1)
+            below = {t.parents[v - 1] for v in res.kept}
+            hues = [t.colors[v - 1] for v in res.kept]
+            lone = [
+                v for v in res.kept
+                if v != t.root and v not in below and hues.count(t.colors[v - 1]) == 1
+            ]
+            kept_sets = [(res.kept, True), (frozenset(range(1, t.n + 1)), True)]
+            if lone:  # its colour leaves the kept set with it
+                kept_sets.append((res.kept - {lone[0]}, False))
+            for kept, expected in kept_sets:
+                whole = t.to_graph()
+                want = fo_s_equivalent(whole, whole.induced_subgraph(kept), 1)
+                assert want is expected
+                cases.append((t, type(res)(t, kept, max(res.bound, t.n), False), want))
+    assert sum(not want for *_, want in cases) > 50
+
+    def built(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(kernel, "_link_graph", built)
+    monkeypatch.setattr(RootedColoredTree, "to_graph", built)
+    for t, res, want in cases:
+        assert verify_kernel(t, res, 1) is want

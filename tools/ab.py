@@ -22,6 +22,14 @@ times, drawn from ``--seed``. The last line of standard output is one
 JSON object holding the same figures. The exit code is 1 when any verdict
 differs.
 
+A claim read off the tool states three things: the ratio, its 95 %
+interval, and an A/A run (``--a`` and ``--b`` the same tree) on the same
+seed and workload beside it, in the form "structure p50 x<ratio>
+(<low>-<high>); A/A x<ratio> (<low>-<high>), seed <seed>". The A/A
+shows the tool's own bias: an A/A interval can exclude 1, so a ratio
+counts as a change only where its interval clears the A/A's ratio, not
+merely 1.
+
 ``peak_rss_mb`` and ``setup_s`` cannot be compared inside one process;
 ``perfbench/run.py`` in separate processes measures them.
 
