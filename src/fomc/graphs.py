@@ -60,6 +60,16 @@ def _require_ids(name: str, ids: Collection[int]) -> None:
             _require_integer(name, v)
 
 
+def _sorted_ids(vertices: Collection[int], n: int) -> list[int]:
+    """The distinct ``vertices`` (a set) in ascending order, each refused
+    with ``ValueError`` when it is not an integer or not in 1..n."""
+    ids = sorted(vertices)
+    _require_ids("vertex", ids)
+    if ids and not (1 <= ids[0] and ids[-1] <= n):
+        raise ValueError(f"vertices must lie in 1..{n}")
+    return ids
+
+
 def _inferred_palette(colors: Sequence[int]) -> int:
     """The palette of ``colors`` when none is given: their largest, or 1 when
     that is not a positive integer, so ``_require_palette`` names the vertex."""
@@ -236,12 +246,9 @@ class ColoredGraph:
         ascending id order; colors and the palette ``c`` are kept. The
         relabelling is monotone, so the kept edges stay sorted; on every
         vertex it is the identity, and the graph itself is returned."""
-        kept = sorted(set(vertices))
-        _require_ids("vertex", kept)
+        kept = _sorted_ids(set(vertices), self.n)
         if not kept:
             raise ValueError("an induced subgraph needs at least one vertex")
-        if not (1 <= kept[0] and kept[-1] <= self.n):
-            raise ValueError(f"vertices must lie in 1..{self.n}")
         if len(kept) == self.n:
             return self
         relabel = np.zeros(self.n + 1, np.intp)

@@ -64,13 +64,14 @@ from .formulas import (
     variables,
 )
 from .graphs import ColoredGraph, _require_integer, _require_palette
-from .kernel import _core_graph, reduce_tree
+from .kernel import reduce_tree
 from .trees import (
     EliminationForest,
     RootedColoredTree,
     TreeModel,
     _edge_ancestry,
     _forest,
+    restrict_tree,
     validate_tree_model,
 )
 
@@ -411,11 +412,11 @@ def _decide_on_kernel(
 def mc_tree(t: RootedColoredTree, sentence: Formula, s: int) -> bool:
     """Decide the sentence on a colored tree by evaluating on its
     reduced core: the tree is its own host in ``_decide_on_kernel``'s
-    argument, and the core, the tree's graph on the kept set, is read
-    off the kept parent links. Requires the sentence to use at most
-    ``s`` variables."""
+    argument, and the core, the tree's graph on the kept set, is the
+    kernel tree (``restrict_tree``'s one checked cut) read as a graph.
+    Requires the sentence to use at most ``s`` variables."""
     _require_budget(sentence, s)
-    core = _core_graph(t, reduce_tree(t, s).kept)
+    core = restrict_tree(t, reduce_tree(t, s).kept).to_graph()
     return evaluate_free(core, sentence).holds
 
 

@@ -33,22 +33,21 @@ only grows with s.
 
 Verification (``verify_kernel``) compares the tree with its core. At
 s = 1 it compares colour sets, the FO^1 rule in ``pebble``'s docstring,
-and builds no graph. From s = 2 on it reads the core off the kept
-vertices' parent links and plays the pebble game on it and the tree.
+and builds no graph. From s = 2 on the core is the kernel tree read as a
+graph, and the pebble game is played on it and the tree. The kept set is
+checked once, where ``trees.restrict_tree`` cuts the kernel tree; the cut
+itself is not checked again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 
-import numpy as np
-
-from .graphs import ColoredGraph, _require_ids, _require_integer
+from .graphs import _require_integer
 from .pebble import DEFAULT_POSITION_CAP, ResourceLimitError, _require_pebbles, fo_s_equivalent
-from .trees import RootedColoredTree, _link_graph, restrict_tree
+from .trees import RootedColoredTree, _kept_parents, restrict_tree
 
 #: Saturation threshold for the size bound carried in results.
 BOUND_CAP = 10**30
@@ -166,39 +165,6 @@ def reduce_tree(t: RootedColoredTree, s: int) -> KernelResult:
     return KernelResult(tree=t, kept=frozenset(kept), bound=bound, bound_exact=exact)
 
 
-def _kept_parents(t: RootedColoredTree, kept: frozenset[int]) -> tuple[list[int], Sequence[int]]:
-    """The kept ids in ascending order and the parent of each (0 at the
-    root), ``t.parents`` itself when every vertex is kept. Refused with
-    ``ValueError``: an id that is not an integer or not in 1..n, and a
-    set not closed under parents (a set without the root is not)."""
-    ids = sorted(kept)
-    _require_ids("vertex", ids)
-    if not (1 <= ids[0] and ids[-1] <= t.n):
-        raise ValueError(f"vertices must lie in 1..{t.n}")
-    if len(ids) == t.n:
-        return ids, t.parents
-    parents = t.parents
-    ups = [parents[v - 1] for v in ids]
-    # the root's parent 0 is passed over; a set without the root fails at
-    # its highest vertex, whose parent is not kept
-    if not kept.issuperset(filter(None, ups)):
-        raise ValueError("the kept set is not closed under parents")
-    return ids, ups
-
-
-def _core_graph(t: RootedColoredTree, kept: frozenset[int]) -> ColoredGraph:
-    """``t``'s graph induced on ``kept``, relabelled 1..m in id order and
-    read off the kept vertices' own parent links; ``_kept_parents``
-    checks ``kept``."""
-    ids, ups = _kept_parents(t, kept)
-    if len(ids) == t.n:  # every vertex: the relabelling is the identity
-        return t.to_graph()
-    place = np.zeros(t.n + 1, np.intp)
-    place[ids] = np.arange(1, len(ids) + 1)
-    colors = t.colors
-    return _link_graph(place[ups], tuple([colors[v - 1] for v in ids]), t.c)
-
-
 def verify_kernel(
     t: RootedColoredTree,
     result: KernelResult,
@@ -213,11 +179,11 @@ def verify_kernel(
     then the pebble count and cap as ``fo_s_equivalent`` checks them.
     At s = 1 the answer is whether the kept vertices show every colour
     of the tree: one variable sees colours alone (``pebble``'s FO^1
-    rule), so no graph is built. From s = 2 on ``fo_s_equivalent``
-    decides FO^s equivalence of original and kernel, the kernel read off
-    the kept vertices' parent links (``_core_graph``): the tree's graph
-    induced on the kept set, which is the kernel tree read as a graph
-    once the set is closed under parents.
+    rule), so the kept set is checked (``trees._kept_parents``) and no
+    tree or graph is built. From s = 2 on ``fo_s_equivalent`` decides
+    FO^s equivalence of original and kernel: ``restrict_tree`` checks
+    the kept set and cuts the kernel tree, whose graph is the tree's
+    graph induced on the kept set.
     """
     kept = result.kept
     if result.tree != t or t.root not in kept:
@@ -229,6 +195,6 @@ def verify_kernel(
         _require_pebbles(s, cap)
         colors = t.colors
         return set(colors) == {colors[v - 1] for v in ids}
-    core = _core_graph(t, kept)
+    core = restrict_tree(t, kept).to_graph()
     whole = core if len(kept) == t.n else t.to_graph()  # every vertex kept: the core is the tree
     return fo_s_equivalent(whole, core, s, cap)

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
-from typing import Collection, Iterable, Iterator, TextIO
+from typing import Collection, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -39,10 +39,10 @@ from .graphs import (
     _by_vertex,
     _inferred_palette,
     _records,
-    _require_ids,
     _require_integer,
     _require_palette,
     _sized_header,
+    _sorted_ids,
 )
 from .pebble import ResourceLimitError
 
@@ -182,29 +182,47 @@ def _link_graph(links: np.ndarray, colors: tuple[int, ...], c: int) -> ColoredGr
     return ColoredGraph._of_arrays(colors, c, *np.divmod(keys[1:], n + 1))
 
 
-def restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTree:
-    """Induced subtree on ``kept``, relabeled to 1..m in ascending id order.
+def _kept_parents(t: RootedColoredTree, kept: frozenset[int]) -> tuple[list[int], Sequence[int]]:
+    """The kept ids in ascending order and the parent of each (0 at the
+    root), ``t.parents`` itself when every vertex is kept. Refused with
+    ``ValueError``: an id that is not an integer or not in 1..n, and a
+    set not closed under parents (a set without the root is not)."""
+    ids = _sorted_ids(kept, t.n)
+    if len(ids) == t.n:
+        return ids, t.parents
+    parents = t.parents
+    ups = [parents[v - 1] for v in ids]
+    # the root's parent 0 is passed over; a set without the root fails at
+    # its highest vertex, whose parent is not kept
+    if not kept.issuperset(filter(None, ups)):
+        raise ValueError("the kept set is not closed under parents")
+    return ids, ups
 
-    ``kept`` must lie in 1..n, contain the root and be closed under
-    taking parents.
+
+def restrict_tree(t: RootedColoredTree, kept: Iterable[int]) -> RootedColoredTree:
+    """Induced subtree on ``kept``, relabeled to 1..m in ascending id
+    order; ``t`` itself when every vertex is kept.
+
+    ``kept`` must contain the root, lie in 1..n and be closed under taking
+    parents (``_kept_parents`` checks it). Such a set keeps every vertex's
+    colour and depth, so the cut is built from ``t``'s checked data and
+    not checked again; its depths are computed on first read.
     """
-    ids = sorted(set(kept))
-    _require_ids("kept id", ids)
-    if t.root not in ids:
+    kept = frozenset(kept)
+    if t.root not in kept:
         raise ValueError("the kept set must contain the root")
-    for v in (ids[0], ids[-1]):
-        if not 1 <= v <= t.n:
-            raise ValueError(f"kept id {v} is not a vertex of the tree")
-    relabel = dict(zip(ids, range(1, len(ids) + 1)))
-    relabel[0] = 0
-    parents, colors = [], []
-    for v in ids:
-        p = relabel.get(t.parents[v - 1])
-        if p is None:
-            raise ValueError("the kept set is not closed under parents")
-        parents.append(p)
-        colors.append(t.colors[v - 1])
-    return RootedColoredTree(tuple(parents), tuple(colors), t.c)
+    ids, ups = _kept_parents(t, kept)
+    if len(ids) == t.n:
+        return t
+    place = dict(zip(ids, range(1, len(ids) + 1)))
+    place[0] = 0
+    colors = t.colors
+    cut = object.__new__(RootedColoredTree)  # its fields set as __post_init__ would
+    vars(cut).update(
+        parents=tuple(map(place.__getitem__, ups)), colors=tuple([colors[v - 1] for v in ids]),
+        c=t.c, n=len(ids), root=place[t.root],
+    )
+    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fomc import kernel
+from fomc import graphs, kernel, trees
 from fomc.formulas import parse_formula
 from fomc.graphs import ColoredGraph, gen_path
 from fomc.interpret import mc_tree, mc_treedepth, mc_treemodel
@@ -320,24 +320,28 @@ def test_verify_kernel_rejects_a_kept_set_above_its_bound():
 
 
 def test_kernel_tree_is_built_only_when_read(monkeypatch):
+    # every cut of a kept set goes through restrict_tree's one check,
+    # looked up in trees however restrict_tree was reached
     calls = []
+    check = trees._kept_parents
 
     def counting(t, kept):
         calls.append(t)
-        return restrict_tree(t, kept)
+        return check(t, kept)
 
-    monkeypatch.setattr(kernel, "restrict_tree", counting)
+    monkeypatch.setattr(trees, "_kept_parents", counting)
     t = star(5)
     two_leaves = parse_formula("exists x1. exists x2. adj(x1,x2) & !x1=x2")
-    assert mc_tree(t, two_leaves, 2)
+    res = reduce_tree(t, 2)
     assert mc_treedepth(gen_path(4), two_leaves, 3, 2)
     tm = TreeModel.build(RootedColoredTree.build({1: 3, 2: 3, 3: 0}), [(1, 1, 2, True)])
     assert mc_treemodel(gen_path(2), tm, two_leaves, 2)
     assert calls == []
-    res = reduce_tree(t, 2)
+    assert mc_tree(t, two_leaves, 2)
+    assert calls == [t]
     assert res.kernel is res.kernel
     assert res.kernel.n == 3
-    assert calls == [t]
+    assert calls == [t, t]
 
 
 def relabelled(t: RootedColoredTree, rng: random.Random) -> RootedColoredTree:
@@ -391,6 +395,40 @@ def test_reduce_tree_matches_the_sorting_referee_on_a_seeded_sweep():
             assert got.kept == want.kept, (t, s)
             assert (got.bound, got.bound_exact) == (want.bound, want.bound_exact), (t, s)
             assert got.kernel == dict_restrict_tree(t, want.kept), (t, s)
+
+
+def test_restrict_tree_cuts_a_checked_tree_without_checking_the_cut_again(monkeypatch):
+    # a set closed under parents keeps each vertex's colour and depth, so
+    # the cut runs neither the palette check nor the depth walk
+    rng = random.Random(4747)
+    cases = []
+    for _ in range(300):
+        n, depth, colors = rng.randint(1, 200), rng.randint(1, 4), rng.randint(1, 3)
+        t = relabelled(random_tree(rng, n, depth, colors), rng)
+        for s in (1, 2, 3):
+            cases.append((t, reduce_tree(t, s).kept))
+        kept = {t.root}
+        for v in rng.sample(range(1, n + 1), rng.randint(0, n)):
+            while v not in kept:
+                kept.add(v)
+                v = t.parents[v - 1] or t.root
+        cases.append((t, kept))
+
+    def checked(*args):
+        raise AssertionError("the cut was checked again")
+
+    with monkeypatch.context() as m:
+        m.setattr(trees, "_depths", checked)
+        m.setattr(trees, "_require_palette", checked)
+        m.setattr(graphs, "_require_palette", checked)
+        cuts = [restrict_tree(t, kept) for t, kept in cases]
+    assert sum(len(kept) < t.n for t, kept in cases) > 500
+    for (t, kept), cut in zip(cases, cuts):
+        assert cut == dict_restrict_tree(t, kept), (t, kept)
+        assert cut.depths == tuple(t.depths[v - 1] for v in sorted(kept))
+        assert type(cut.n) is type(cut.root) is type(cut.c) is int
+        if len(kept) == t.n:
+            assert cut is t
 
 
 def test_exhaustive_small_corpus_class_multiplicity():
@@ -453,7 +491,8 @@ def test_a_numpy_integer_vertex_count_is_stored_as_an_int():
 
 
 def test_the_induced_graph_on_the_kept_set_is_the_kernel_read_as_a_graph():
-    # what verify_kernel compares with the tree from s = 2, read without restrict_tree
+    # what verify_kernel compares with the tree from s = 2, the kernel tree
+    # read as a graph, is the tree's graph induced on the kept set
     rng = random.Random(77)
     for _ in range(80):
         t = random_tree(rng, rng.randint(1, 60), 3, colors=2)
@@ -530,7 +569,7 @@ def test_verify_kernel_at_one_pebble_compares_colour_sets_and_builds_no_graph(mo
     def built(*args):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(kernel, "_link_graph", built)
+    monkeypatch.setattr(trees, "_link_graph", built)
     monkeypatch.setattr(RootedColoredTree, "to_graph", built)
     for t, res, want in cases:
         assert verify_kernel(t, res, 1) is want

@@ -325,7 +325,7 @@ def test_a_non_integer_is_refused_naming_its_vertex_or_edge(make, message):
         (lambda: RootedColoredTree.build({1: 0, 2: 1}, {2: 2}, c=2.5), "color count 2.5"),
         (lambda: ColoredGraph.build(2, c=math.nan), "color count nan"),
         (lambda: ColoredGraph.build(2.0, [(1, 2)]), "vertex count 2.0"),
-        (lambda: restrict_tree(star(2), [1, 2.5]), "kept id 2.5"),
+        (lambda: restrict_tree(star(2), [1, 2.5]), "vertex 2.5"),
         (lambda: star(2).distance(1.5, 2), "vertex 1.5"),
     ],
     ids=[
@@ -349,8 +349,15 @@ def test_an_inferred_palette_names_the_vertex_whose_color_is_at_fault():
 
 def test_restrict_tree_refuses_ids_outside_the_tree():
     t = RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {3: 2})
-    for kept, bad in (([0, 1, 2], 0), ([-1, 1], -1), ([1, 2, 5], 5)):
-        with pytest.raises(ValueError, match=f"^kept id {bad} is not a vertex of the tree$"):
+    for kept in ([0, 1, 2], [-1, 1], [1, 2, 5]):
+        with pytest.raises(ValueError, match=r"^vertices must lie in 1\.\.3$"):
+            restrict_tree(t, kept)
+
+
+def test_restrict_tree_refuses_a_set_without_the_root_before_its_other_checks():
+    t = RootedColoredTree.build({1: 0, 2: 1, 3: 1}, {3: 2})
+    for kept in ([], [2, 3], [2, 2.5], [2, 9]):
+        with pytest.raises(ValueError, match="^the kept set must contain the root$"):
             restrict_tree(t, kept)
 
 
