@@ -12,23 +12,24 @@ most |formula| * n^s cells, and variable reuse pays off directly.
 ``evaluate_free_with_stats`` is one iterative post-order loop over a stack
 of nodes to expand and ``(node, child count)`` frames, each under a
 private marker; when a frame comes back up, its children's tables top the
-table stack. Nodes are interned, so an identity memo stores one table per
-distinct subformula, and ``EvalStats`` counts each once. The adjacency and
-identity matrices, the colour array, each colour value's vector and the
-vectors of ``x=x`` and ``adj(x,x)`` are built once per call, when an atom
-first needs them; no table is written after it is built, so atoms share
-them. The adjacency matrix is filled from the graph's stored edge arrays.
+table stack. A table's axes are its node's free variables, which the node
+recorded, sorted, when it was built (``formulas.Formula``), so the loop
+computes none; a quantifier that kept its body's record binds no free
+variable of the body. Nodes are interned, so an identity memo stores one
+table per distinct subformula, and ``EvalStats`` counts each once. The
+adjacency and identity matrices, the colour array, each colour value's
+vector and the vectors of ``x=x`` and ``adj(x,x)`` are built once per
+call, when an atom first needs them; no table is written after it is
+built, so atoms share them. The adjacency matrix is filled from the graph's stored edge arrays.
 A table above ``pebble.DEFAULT_POSITION_CAP`` cells is refused with
 ``ResourceLimitError`` before it is allocated, except the one-variable
 atom vectors (a colour's, ``x=x``'s and ``adj(x,x)``'s): each holds n
 cells, as many as the graph's own colour tuple. Negation and quantifiers
 never grow a table.
 
-The root table's variables are the formula's free variables, so
-``model_check`` reads sentence-ness off the evaluation instead of walking
-the formula a second time: an open formula is evaluated before its
-``ValueError``, unless the evaluation is refused for size, in which case
-the ``ValueError`` still comes first.
+``model_check`` reads sentence-ness off the root's record too, so an open
+formula gets its ``ValueError`` before anything is evaluated, and before
+any size refusal.
 
 Conventions:
 
@@ -130,23 +131,22 @@ def evaluate_free_with_stats(
         if node is _LEAVE:
             k, node = todo.pop(), todo.pop()
             kind = type(node)
+            axes = node._free
             if k == 1:  # Not, Exists, Forall
-                axes, cells = tables.pop()
+                t, cells = tables.pop()
                 if kind is Not:
                     cells = ~cells
-                elif node.var.index in axes:  # else vacuous over a nonempty universe
-                    axis = axes.index(node.var.index)
+                elif t is not axes:  # else vacuous over a nonempty universe
+                    axis = t.index(node.var.index)
                     op = np.logical_or if kind is Exists else np.logical_and
                     if axis and cells.ndim > 2:  # a copy's leading axis reduces faster
                         order = (axis, *range(axis), *range(axis + 1, cells.ndim))
                         cells = op.reduce(np.ascontiguousarray(cells.transpose(order)), 0)
                     else:
                         cells = op.reduce(cells, axis)
-                    axes = axes[:axis] + axes[axis + 1 :]
             else:  # And, Or, Implies
                 kids = tables[-k:]
                 del tables[-k:]
-                axes = tuple(sorted({i for t, _ in kids for i in t}))
                 _require_cells(n, len(axes))
                 op = _CONNECTIVES[kind]
                 cells = None
@@ -173,25 +173,23 @@ def evaluate_free_with_stats(
                     if colors is None:  # int64, uint64 or object: every colour exact
                         colors = np.asarray(g.colors)
                     cells = vectors[node.color] = np.equal(colors, node.color)
-                axes = (node.v.index,)
             elif kind is Adj or kind is Eq:
-                u, v = node.u.index, node.v.index
-                if u == v:
+                if node.u is node.v:
                     cells = vectors.get(kind)
                     if cells is None:
                         cells = vectors[kind] = np.full(n, kind is Eq)
-                    axes = (u,)
                 elif kind is Adj:
                     if adjacency is None:
                         adjacency = _adjacency(g)
-                    axes, cells = (u, v) if u < v else (v, u), adjacency
+                    cells = adjacency
                 else:
                     if identity is None:
                         _require_cells(n, 2)
                         identity = np.eye(n, dtype=bool)
-                    axes, cells = (u, v) if u < v else (v, u), identity
+                    cells = identity
             else:
                 raise TypeError(f"not a formula: {node!r}")
+            axes = node._free
         stored += cells.size
         memo[id(node)] = table = (axes, cells)
         tables.append(table)
@@ -209,19 +207,9 @@ def evaluate_free(g: ColoredGraph, f: Formula) -> SatisfyingSet:
 def model_check(g: ColoredGraph, sentence: Formula) -> bool:
     """Whether the nonempty colored graph ``g`` satisfies the sentence.
 
-    The formula is walked once, to evaluate it: the root table's
-    variables are its free variables, so an open formula is evaluated and
-    then refused with ``require_sentence``'s ``ValueError``; no rows are
-    built for it. When the evaluation is refused for size
-    (``ResourceLimitError``), an open formula still gets the
-    ``ValueError``, so an input error is reported before a resource
-    error."""
-    try:
-        sat = evaluate_free(g, sentence)
-    except ResourceLimitError:
-        require_sentence(sentence)
-        raise
-    if sat.variables:
-        require_sentence(sentence)
+    An open formula is refused with ``require_sentence``'s ``ValueError``
+    before it is evaluated, from the free variables it recorded when it
+    was built, so an input error comes before a resource error."""
+    require_sentence(sentence)
+    sat = evaluate_free(g, sentence)
     return sat.holds
-

@@ -41,21 +41,25 @@ and ``==`` and ``hash`` are those of identity. Variables are shared the
 same way, one ``Var`` per index. A formula's hash is therefore not
 stable across processes, and nothing orders output by it.
 
+Each node records its scope when it is interned: the sorted indices of
+its free variables and of every variable occurring in it, computed by
+its type's builder from its parts' records. So ``variables``,
+``free_vars``, ``all_vars``, ``variable_count`` and ``require_sentence``
+read the root's record and walk nothing, and the evaluator takes each
+table's axes from its node's record.
+
 Every pass over a formula (metrics, renaming, substitution, and the
 passes of the other modules) is a call to ``fold``, an iterative
 post-order traversal, so formula depth is not limited by the Python
-recursion limit. ``variables`` gathers the free and the occurring
-variables in one such pass; ``free_vars``, ``all_vars``,
-``variable_count`` and ``require_sentence`` read from it, so a caller
-that needs both sets calls ``variables`` once. The parser,
-``render_formula``, ``repr`` and pickling keep explicit stacks or flat
-lists too.
+recursion limit. The parser, ``render_formula``, ``repr`` and pickling
+keep explicit stacks or flat lists too.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
+from bisect import bisect
 from dataclasses import dataclass, fields
 from functools import partial, total_ordering
 from operator import attrgetter
@@ -109,20 +113,21 @@ _VARS: dict[int, Var] = {}
 
 class _Interned(type):
     """Metaclass of ``Formula``: a constructor call returns the live node
-    of the same type and fields when there is one. The fields' subformulas
-    are interned already, so the lookup compares and hashes them by
+    of the same type and fields when there is one, else the node its
+    type's builder makes (``_BUILD``). The fields' subformulas are
+    interned already, so the lookup compares and hashes them by
     identity."""
 
     def __call__(cls, *args, **kwargs):
-        if kwargs:  # the dataclass ``__init__`` binds keywords to fields
-            made = super().__call__(*args, **kwargs)
+        if kwargs:  # the builder binds keywords to fields
+            made = _BUILD[cls](*args, **kwargs)
             key = (cls, *(getattr(made, name) for name in _FIELDS[cls]))
         else:
             key = (cls, *args)
         ref = _NODES.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            node = made if kwargs else super().__call__(*args)
+            node = made if kwargs else _BUILD[cls](*args)
             ref = _NODES[key] = _Ref(node, _forget)
             ref.key = key
         return node
@@ -154,9 +159,16 @@ class Formula(metaclass=_Interned):
     writes the flat ``_flatten`` list of distinct subformulas, and
     unpickling builds them through the constructors in one loop. ``repr``
     is a loop that prints the dataclass text. So nesting depth costs no
-    Python stack in any of them."""
+    Python stack in any of them.
 
-    __slots__ = ("__weakref__",)  # the intern table holds nodes weakly
+    Each node records its scope when it is built, from its parts' scopes:
+    ``_free``, the indices of its free variables, and ``_names``, those of
+    every variable occurring in it, each a sorted tuple, and a part's own
+    tuple when they equal it. A node with a part that is not a formula, or
+    that holds one, records no scope, so reading it raises
+    ``AttributeError``."""
+
+    __slots__ = ("__weakref__", "_free", "_names")  # the intern table holds nodes weakly
 
     def __str__(self) -> str:
         return render_formula(self)
@@ -174,7 +186,9 @@ class Formula(metaclass=_Interned):
         return _unflatten, (_flatten(self),)
 
 
-_node = dataclass(frozen=True, eq=False, repr=False, slots=True)
+# The builders below set the fields; the dataclass gives their slots, the
+# match arguments, and the refusal to assign or delete an attribute.
+_node = dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 
 
 @_node
@@ -194,10 +208,6 @@ class HasColor(Formula):
     color: int
     v: Var
 
-    def __post_init__(self) -> None:
-        if self.color < 1:
-            raise ValueError(f"color index must be >= 1, got {self.color}")
-
 
 @_node
 class Not(Formula):
@@ -208,18 +218,10 @@ class Not(Formula):
 class And(Formula):
     children: tuple[Formula, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("conjunction needs at least two children")
-
 
 @_node
 class Or(Formula):
     children: tuple[Formula, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("disjunction needs at least two children")
 
 
 @_node
@@ -238,6 +240,180 @@ class Exists(Formula):
 class Forall(Formula):
     var: Var
     body: Formula
+
+
+# ---------------------------------------------------------------------------
+# Builders: the miss path of the intern table. Each makes a bare node, sets
+# its fields through their slots, runs its type's checks, then records its
+# scope from its parts' scopes.
+
+_new = object.__new__
+_set_free = Formula._free.__set__
+_set_names = Formula._names.__set__
+
+
+def _named(cls: type, build: Callable) -> Callable:
+    """``build``, named after ``cls`` for the messages of a bad call."""
+    build.__name__ = build.__qualname__ = cls.__name__
+    return build
+
+
+def _pair_builder(cls: type) -> Callable[[Var, Var], Formula]:
+    """The builder of ``Adj`` or ``Eq``."""
+    set_u, set_v = cls.u.__set__, cls.v.__set__
+
+    def build(u: Var, v: Var) -> Formula:
+        node = _new(cls)
+        set_u(node, u)
+        set_v(node, v)
+        i, j = u.index, v.index
+        scope = (i,) if i == j else (i, j) if i < j else (j, i)
+        _set_free(node, scope)
+        _set_names(node, scope)
+        return node
+
+    return _named(cls, build)
+
+
+def _has_color_builder() -> Callable[[int, Var], Formula]:
+    set_color, set_v = HasColor.color.__set__, HasColor.v.__set__
+
+    def build(color: int, v: Var) -> Formula:
+        node = _new(HasColor)
+        set_color(node, color)
+        set_v(node, v)
+        if color < 1:
+            raise ValueError(f"color index must be >= 1, got {color}")
+        scope = (v.index,)
+        _set_free(node, scope)
+        _set_names(node, scope)
+        return node
+
+    return _named(HasColor, build)
+
+
+def _not_builder() -> Callable[[Formula], Formula]:
+    set_child = Not.child.__set__
+
+    def build(child: Formula) -> Formula:
+        node = _new(Not)
+        set_child(node, child)
+        try:
+            free, names = child._free, child._names
+        except AttributeError:  # a part that is not a formula, or holds one
+            return node
+        _set_free(node, free)
+        _set_names(node, names)
+        return node
+
+    return _named(Not, build)
+
+
+def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted union of two sorted tuples: ``a`` or ``b`` itself when
+    it holds the other, ``b`` when they are equal, so that a union taken
+    part by part ends on a part's own tuple when that is the whole. Most
+    scopes hold one or two names, so a one-name tuple is inserted without
+    building a set."""
+    if not a or a == b:
+        return b
+    if not b:
+        return a
+    if len(a) == 1:
+        a, b = b, a
+    elif len(b) != 1:
+        merged = {*a, *b}
+        size = len(merged)
+        return a if size == len(a) else b if size == len(b) else tuple(sorted(merged))
+    i = b[0]
+    if i in a:
+        return a
+    k = bisect(a, i)
+    return a[:k] + b + a[k:]
+
+
+def _junction_builder(cls: type, word: str) -> Callable[[tuple[Formula, ...]], Formula]:
+    """The builder of ``And`` or ``Or``; ``word`` names the node in its refusal."""
+    set_children = cls.children.__set__
+
+    def build(children: tuple[Formula, ...]) -> Formula:
+        node = _new(cls)
+        set_children(node, children)
+        if len(children) < 2:
+            raise ValueError(f"{word} needs at least two children")
+        try:
+            free, names = children[0]._free, children[0]._names
+            for kid in children[1:]:
+                bound = names is not free or kid._names is not kid._free
+                free = _merge(free, kid._free)
+                names = _merge(names, kid._names) if bound else free
+        except AttributeError:  # a part that is not a formula, or holds one
+            return node
+        _set_free(node, free)
+        _set_names(node, names)
+        return node
+
+    return _named(cls, build)
+
+
+def _implies_builder() -> Callable[[Formula, Formula], Formula]:
+    set_lhs, set_rhs = Implies.lhs.__set__, Implies.rhs.__set__
+
+    def build(lhs: Formula, rhs: Formula) -> Formula:
+        node = _new(Implies)
+        set_lhs(node, lhs)
+        set_rhs(node, rhs)
+        try:
+            free = _merge(lhs._free, rhs._free)
+            bound = lhs._names is not lhs._free or rhs._names is not rhs._free
+            names = _merge(lhs._names, rhs._names) if bound else free
+        except AttributeError:  # a part that is not a formula, or holds one
+            return node
+        _set_free(node, free)
+        _set_names(node, names)
+        return node
+
+    return _named(Implies, build)
+
+
+def _quantifier_builder(cls: type) -> Callable[[Var, Formula], Formula]:
+    """The builder of ``Exists`` or ``Forall``."""
+    set_var, set_body = cls.var.__set__, cls.body.__set__
+
+    def build(var: Var, body: Formula) -> Formula:
+        node = _new(cls)
+        set_var(node, var)
+        set_body(node, body)
+        i = var.index
+        try:
+            free, names = body._free, body._names
+            if i in free:  # then in names too
+                k = free.index(i)
+                free = free[:k] + free[k + 1 :]
+            elif i not in names:
+                k = bisect(names, i)
+                names = names[:k] + (i,) + names[k:]
+        except AttributeError:  # a part that is not a formula, or holds one
+            return node
+        _set_free(node, free)
+        _set_names(node, names)
+        return node
+
+    return _named(cls, build)
+
+
+#: Each node type's builder.
+_BUILD: dict[type, Callable[..., Formula]] = {
+    Adj: _pair_builder(Adj),
+    Eq: _pair_builder(Eq),
+    HasColor: _has_color_builder(),
+    Not: _not_builder(),
+    And: _junction_builder(And, "conjunction"),
+    Or: _junction_builder(Or, "disjunction"),
+    Implies: _implies_builder(),
+    Exists: _quantifier_builder(Exists),
+    Forall: _quantifier_builder(Forall),
+}
 
 
 def conjunction(parts: Iterable[Formula]) -> Formula:
@@ -415,26 +591,21 @@ def rebuild(node: Formula, parts: Sequence[Formula]) -> Formula:
 # Metrics and structural helpers
 
 
-def _vars_step(
-    node: Formula, parts: Sequence[tuple[frozenset[Var], frozenset[Var]]], _env: None
-) -> tuple[frozenset[Var], frozenset[Var]]:
-    """``fold`` step of ``variables``."""
-    if not parts:  # an atom
-        names = frozenset((node.v,) if type(node) is HasColor else (node.u, node.v))
-        return names, names
-    if len(parts) == 1:
-        if type(node) is Not:
-            return parts[0]
-        free, every = parts[0]  # a quantifier
-        return free - {node.var}, every | {node.var}
-    free, every = zip(*parts)
-    return free[0].union(*free[1:]), every[0].union(*every[1:])
+def _scope(f: Formula) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The free and the occurring variable indices that ``f`` recorded
+    when it was built; a ``TypeError`` that names the first part of ``f``
+    that is not a formula, when there is one."""
+    names = getattr(f, "_names", None)
+    if names is None:  # f is not a formula, or has a part that is not
+        fold(f, lambda _node, _parts, _env: None)  # raises, naming that part
+    return f._free, names
 
 
 def variables(f: Formula) -> tuple[frozenset[Var], frozenset[Var]]:
     """The free variables of ``f`` and every variable occurring in it,
-    bound or free, from one ``fold``."""
-    return fold(f, _vars_step)
+    bound or free, read off its recorded scope."""
+    free, names = _scope(f)
+    return frozenset(map(Var, free)), frozenset(map(Var, names))
 
 
 def quantifier_rank(f: Formula) -> int:
@@ -448,16 +619,19 @@ def quantifier_rank(f: Formula) -> int:
 
 def all_vars(f: Formula) -> frozenset[Var]:
     """Every variable occurring in ``f``, bound or free."""
-    return variables(f)[1]
+    return frozenset(map(Var, _scope(f)[1]))
 
 
 def variable_count(f: Formula) -> int:
     """Number of distinct variable names (reuse counted once)."""
-    return len(variables(f)[1])
+    return len(_scope(f)[1])
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
-    return variables(f)[0]
+    """The free variables of ``f``. No pipeline calls this; it stays
+    because the benchmark's tracer (``perfbench/spans.py``) resolves it
+    by name."""
+    return frozenset(map(Var, _scope(f)[0]))
 
 
 def formula_length(f: Formula) -> int:
@@ -468,9 +642,9 @@ def formula_length(f: Formula) -> int:
 def require_sentence(f: Formula) -> Formula:
     """``f`` itself when it is a sentence; else a ``ValueError`` that
     lists its free variables."""
-    fv = free_vars(f)
-    if fv:
-        names = ", ".join(str(v) for v in sorted(fv))
+    free = _scope(f)[0]
+    if free:
+        names = ", ".join(f"x{i}" for i in free)
         raise ValueError(f"expected a sentence but found free variables: {names}")
     return f
 
@@ -597,14 +771,18 @@ class ParseError(ValueError):
 
 #: One match per token, after optional blanks. A well-formed atom or
 #: quantifier prefix is one match; when it is malformed, its pieces match
-#: one at a time as the fine tokens after the operators.
+#: one at a time as the fine tokens after the operators. Parentheses come
+#: first, here and in ``_parse``'s tests: fully parenthesised text, such
+#: as the sentences ``perfbench`` generates, is about three fifths
+#: parentheses.
 _TOKEN_RE = re.compile(
     r"""\s*(?:
-      (?P<adj_atom>adj\s*\(\s*x(?P<adj_u>[0-9]+)\s*,\s*x(?P<adj_v>[0-9]+)\s*\))
+      (?P<lparen>\() | (?P<rparen>\))
+    | (?P<adj_atom>adj\s*\(\s*x(?P<adj_u>[0-9]+)\s*,\s*x(?P<adj_v>[0-9]+)\s*\))
     | (?P<eq_atom>x(?P<eq_u>[0-9]+)\s*=\s*x(?P<eq_v>[0-9]+))
     | (?P<color_atom>C(?P<color_c>[0-9]+)\s*\(\s*x(?P<color_v>[0-9]+)\s*\))
     | (?P<prefix>(?P<quantifier>exists|forall)\s+x(?P<prefix_v>[0-9]+)\s*\.)
-    | (?P<arrow>->) | (?P<lparen>\() | (?P<rparen>\)) | (?P<not>!) | (?P<and>&) | (?P<or>\|)
+    | (?P<arrow>->) | (?P<not>!) | (?P<and>&) | (?P<or>\|)
     | (?P<adj>adj\b) | (?P<exists>exists\b) | (?P<forall>forall\b)
     | (?P<var>x[0-9]+) | (?P<color>C[0-9]+) | (?P<eq>=) | (?P<comma>,) | (?P<dot>\.)
     | (?P<bad>.) | (?P<eof>\Z)
@@ -620,11 +798,22 @@ def _error(text: str, pos: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
+#: The interning constructor, which the parser calls without the class
+#: call's dispatch through the metaclass slot.
+_make = _Interned.__call__
+_make_not = partial(_make, Not)
+
+
+def _var(index: int) -> Var:
+    """``Var(index)``, found without the class call when it exists."""
+    return _VARS.get(index) or Var(index)
+
+
 #: Binary operators by token kind: (precedence, builder of the node).
 _BINARY = {
-    "and": (_PREC_AND, lambda *parts: And(parts)),
-    "or": (_PREC_OR, lambda *parts: Or(parts)),
-    "arrow": (_PREC_IMPL, Implies),
+    "and": (_PREC_AND, lambda *parts: _make(And, parts)),
+    "or": (_PREC_OR, lambda *parts: _make(Or, parts)),
+    "arrow": (_PREC_IMPL, partial(_make, Implies)),
 }
 _QUANTIFIERS = {"exists": Exists, "forall": Forall}
 #: The fine tokens that must follow each first piece of a malformed atom
@@ -680,22 +869,22 @@ def _parse(text: str) -> Formula:
         # An operand is expected: prefix constructs open frames, an atom ends it.
         m = match(text, pos)
         kind, pos = m.lastgroup, m.end()
+        if kind == "lparen":
+            frames.append((-2, len(operands), None))
+            parens += 1
+            continue
         if kind == "adj_atom":
-            operands.append(Adj(Var(int(m["adj_u"])), Var(int(m["adj_v"]))))
+            operands.append(_make(Adj, _var(int(m["adj_u"])), _var(int(m["adj_v"]))))
         elif kind == "eq_atom":
-            operands.append(Eq(Var(int(m["eq_u"])), Var(int(m["eq_v"]))))
+            operands.append(_make(Eq, _var(int(m["eq_u"])), _var(int(m["eq_v"]))))
         elif kind == "color_atom":
-            operands.append(HasColor(int(m["color_c"]), Var(int(m["color_v"]))))
+            operands.append(_make(HasColor, int(m["color_c"]), _var(int(m["color_v"]))))
         elif kind == "prefix":
-            build = partial(_QUANTIFIERS[m["quantifier"]], Var(int(m["prefix_v"])))
+            build = partial(_make, _QUANTIFIERS[m["quantifier"]], _var(int(m["prefix_v"])))
             frames.append((-1, len(operands), build))
             continue
         elif kind == "not":
-            frames.append((_PREC_UNARY, len(operands), Not))
-            continue
-        elif kind == "lparen":
-            frames.append((-2, len(operands), None))
-            parens += 1
+            frames.append((_PREC_UNARY, len(operands), _make_not))
             continue
         else:
             # A malformed atom or prefix: its fine tokens name the first
@@ -715,10 +904,10 @@ def _parse(text: str) -> Formula:
         while True:
             m = match(text, pos)
             kind, pos = m.lastgroup, m.end()
-            if kind in _BINARY:
-                prec, build = _BINARY[kind]
-            elif kind == ("rparen" if parens else "eof"):
+            if kind == ("rparen" if parens else "eof"):
                 prec = -2
+            elif kind in _BINARY:
+                prec, build = _BINARY[kind]
             else:
                 message = "expected ')'" if parens else "trailing input after the formula"
                 raise _error(text, m.start(kind), message)

@@ -145,12 +145,12 @@ def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
     """Build the path-and-sentence instance equivalent to ``g`` and
     ``sentence``. Needs at least three vertices.
 
-    The sentence is walked once, by the renaming fold. A free variable
-    shows up there as a name with no binder in scope, and is refused with
-    ``require_sentence``'s ``ValueError``; on fewer than three vertices
-    that error still comes before the size error."""
+    An open sentence is refused first, with ``require_sentence``'s
+    ``ValueError`` read off its recorded free variables, then a graph of
+    fewer than three vertices; the sentence is walked once, by the
+    renaming fold."""
+    require_sentence(sentence)
     if g.n < 3:
-        require_sentence(sentence)
         raise ValueError("the reduction needs a graph on at least 3 vertices")
 
     # one encoding per distinct atom, shared by all its occurrences; the
@@ -194,11 +194,7 @@ def reduce_to_path(g: ColoredGraph, sentence: Formula) -> ReductionOutput:
                 return type(f)(Var(depth + 2), parts[0])
         return rebuild(f, parts)
 
-    try:
-        body = fold(sentence, leave, enter, (0, {}))
-    except KeyError:  # a name with no binder in scope
-        require_sentence(sentence)
-        raise
+    body = fold(sentence, leave, enter, (0, {}))
     endpoint_guard = Exists(
         Var(2), Forall(Var(3), Implies(Adj(Var(1), Var(3)), Eq(Var(2), Var(3))))
     )

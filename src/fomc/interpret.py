@@ -54,6 +54,7 @@ from .formulas import (
     Implies,
     Not,
     Var,
+    all_vars,
     canonical_false,
     conjunction,
     disjunction,
@@ -61,6 +62,7 @@ from .formulas import (
     rebuild,
     rename_variables,
     require_sentence,
+    variable_count,
     variables,
 )
 from .graphs import ColoredGraph, _require_integer, _require_palette
@@ -104,7 +106,7 @@ class InterpretationScheme:
 
     @cached_property
     def _definitions(self) -> tuple[_Definition, ...]:
-        """The domain, edge and color formulas, in order, each read by one ``variables`` walk."""
+        """The domain, edge and color formulas, in order, each with the variables it recorded."""
         parts = [("domain formula", self.domain_formula, (X1,))]
         parts += [("edge formula", self.edge_formula, (X1, X2))]
         parts += [(f"formula for color {c}", f, (X1,)) for c, f in self.color_formulas or ()]
@@ -201,10 +203,8 @@ def backwards_translate(
     adjacency atom on a repeated variable is replaced by falsehood,
     which matches the edge relation being irreflexive.
     """
-    free, occurring = variables(sentence)
-    if free:
-        require_sentence(sentence)
-    base = max(v.index for v in occurring)
+    require_sentence(sentence)
+    base = max(v.index for v in all_vars(sentence))
 
     def instance(d: _Definition) -> Callable[..., Formula]:
         """``d`` with its auxiliaries in the pool, at the given parameters."""
@@ -362,13 +362,13 @@ def depth_edge_interpretation(k: int, colors: int = 1) -> InterpretationScheme:
 
 def _require_budget(sentence: Formula, s: int) -> None:
     """Refuse a budget that is not an integer, an open sentence, then one
-    with more than ``s`` variables, from one walk."""
+    with more than ``s`` variables. Both are read off the scope the
+    sentence recorded when it was built; nothing walks it."""
     _require_integer("variable budget", s)
-    free, occurring = variables(sentence)
-    if free:
-        require_sentence(sentence)
-    if len(occurring) > s:
-        raise ValueError(f"sentence uses {len(occurring)} variables, budget is {s}")
+    require_sentence(sentence)
+    count = variable_count(sentence)
+    if count > s:
+        raise ValueError(f"sentence uses {count} variables, budget is {s}")
 
 
 def _decide_on_kernel(

@@ -1,8 +1,9 @@
 """``tools/ab.py``, the in-process A/B timing of two source trees, run at
 the benchmark's tiny sizes: side A against itself reports every workload
 and kind with its sums, medians and p90s, the bootstrap intervals of the
-sum and p50 ratios, and equal verdicts, and a side whose verdicts differ
-fails."""
+sum and p50 ratios, and equal verdicts, and each workload's ``(build)``
+row, the two sides' times to build its inputs and their ratio; a side
+whose verdicts differ fails."""
 
 from __future__ import annotations
 
@@ -47,6 +48,13 @@ def test_a_against_a_reports_every_workload_and_kind_with_equal_verdicts():
                 lo, hi = s[f"{q}ratio_interval"]
                 assert 0 < lo <= s[f"{q}ratio"] <= hi
         assert w["all"]["checks"] == sum(s["checks"] for s in w["kinds"].values())
+        build = w["build"]
+        assert build["a_s"] > 0 and build["b_s"] > 0
+        assert math.isclose(build["ratio"], build["a_s"] / build["b_s"])
+    rows = [line.split() for line in out.stdout.splitlines() if "(build)" in line]
+    assert sorted(row[0] for row in rows) == sorted(report)
+    for row in rows:
+        assert float(row[4]) == round(report[row[0]]["build"]["ratio"], 3)
 
 
 def test_a_differing_verdict_fails_the_run(tmp_path):

@@ -88,8 +88,9 @@ def test_an_open_result_has_no_verdict():
 
 
 def test_model_check_walks_a_sentence_once(monkeypatch):
-    # the evaluator walks the formula in its own loop, and a sentence
-    # needs no second walk to find its free variables
+    # the evaluator walks the formula in its own loop, and no formula
+    # needs a second walk to find its free variables: each node recorded
+    # them when it was built, so an open one is refused without a fold
     calls = []
 
     def counting_fold(*args, **kwargs):
@@ -103,7 +104,7 @@ def test_model_check_walks_a_sentence_once(monkeypatch):
     assert calls == []
     with pytest.raises(ValueError):
         model_check(gen_path(4), f.body)
-    assert calls == [f.body]
+    assert calls == []
 
 
 def test_a_non_formula_node_is_named():

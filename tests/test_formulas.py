@@ -226,6 +226,122 @@ def test_variable_count_vs_free_vars():
         assert variable_count(f) >= len(free_vars(f))
 
 
+def _assert_scopes(f):
+    """Every distinct subformula of ``f`` recorded, when it was built, the
+    free and occurring variables that the recursive referee finds, as
+    sorted index tuples; where that equals a part's tuple, it is that
+    part's tuple object."""
+    nodes = []
+    fold(f, lambda node, _parts, _env: nodes.append(node))
+    for node in nodes:
+        free, every = _variables_by_recursion(node)
+        assert node._free == tuple(sorted(v.index for v in free)), node
+        assert node._names == tuple(sorted(v.index for v in every)), node
+        parts = formulas._PARTS[type(node)]
+        for attr in ("_free", "_names"):
+            owned = [getattr(part, attr) for part in (parts(node) if parts else ())]
+            if getattr(node, attr) in owned:
+                assert any(getattr(node, attr) is t for t in owned), (attr, node)
+    return len(nodes)
+
+
+def _keyword_copy(record):
+    """The last formula of a ``_flatten`` record, built anew by keyword."""
+    nodes = []
+    for kind, data, kids in record:
+        parts = [nodes[i] for i in kids]
+        values = (tuple(parts),) if kind is And or kind is Or else (*data, *parts)
+        nodes.append(kind(**dict(zip(formulas._FIELDS[kind], values))))
+    return nodes[-1]
+
+
+def test_every_node_records_its_scope_on_a_seeded_sweep():
+    # random trees and shared DAGs, each also rebuilt after the original
+    # is gone, by unpickling and by keyword, and renamed
+    from .test_evaluator import _random_dag
+
+    rng = random.Random(48)
+    checked = rebuilt = 0
+    for i in range(300):
+        if i % 2:
+            f = random_formula(rng, max_vars=4, colors=2, rank=3, size=rng.randint(1, 14))
+        else:
+            f = _random_dag(rng, names=4, colors=2, rank=3, steps=rng.randint(4, 12))
+        checked += _assert_scopes(f)
+        blob, record, size = pickle.dumps(f), formulas._flatten(f), len(formulas._NODES)
+        names = sorted(all_vars(f))
+        images = rng.sample([Var(k) for k in range(1, 8)], len(names))
+        renamed = rename_variables(f, dict(zip(names, images)))
+        checked += _assert_scopes(renamed)
+        del f, renamed
+        gc.collect()
+        rebuilt += len(formulas._NODES) < size
+        for copy_ in (pickle.loads(blob), _keyword_copy(record)):
+            checked += _assert_scopes(copy_)
+    assert checked > 6_000 and rebuilt > 250, (checked, rebuilt)
+
+
+def test_reductions_and_translations_record_their_scopes():
+    from fomc.hardness import reduce_to_path
+    from fomc.interpret import backwards_translate, depth_edge_interpretation
+    from fomc.randgen import random_graph
+
+    rng = random.Random(4848)
+    checked = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(3, 5), colors=2)
+        f = random_formula(rng, max_vars=3, colors=2, rank=2, size=rng.randint(1, 10))
+        checked += _assert_scopes(reduce_to_path(g, f).sentence)
+        scheme = depth_edge_interpretation(rng.randint(1, 3), rng.randint(1, 2))
+        checked += _assert_scopes(backwards_translate(f, scheme))
+    assert checked > 1_500
+
+
+def test_the_variable_readers_walk_nothing(monkeypatch):
+    def no_fold(*_args, **_kwargs):
+        raise AssertionError("a variable reader folded")
+
+    f = parse_formula("exists x2. adj(x1,x2) & (forall x3. C1(x3)) | x4=x1 -> !x5=x5")
+    closed = Forall(x1, Forall(Var(4), Forall(x5, f)))
+    monkeypatch.setattr(formulas, "fold", no_fold)
+    assert variables(f) == ({x1, Var(4), x5}, {x1, x2, x3, Var(4), x5})
+    assert (free_vars(f), all_vars(f), variable_count(f)) == ({x1, Var(4), x5}, all_vars(closed), 5)
+    assert require_sentence(closed) is closed
+    with pytest.raises(ValueError, match="found free variables: x1, x4, x5$"):
+        require_sentence(f)
+
+
+def test_the_variable_readers_name_a_part_that_is_not_a_formula():
+    # such a node still builds, and records no scope; each reader then
+    # names the part, as a fold does
+    eq = Eq(x1, x1)
+    bad = And((eq, 3))
+    for f in (bad, Not(bad), Exists(x1, bad), Implies(eq, bad), Or((bad, eq)), 3):
+        for read in (variables, free_vars, all_vars, variable_count, require_sentence):
+            with pytest.raises(TypeError, match="^not a formula: 3$"):
+                read(f)
+    with pytest.raises(TypeError, match=r"^not a formula: \(Eq"):
+        variables(Not(Or((eq, (eq, 1)))))
+
+
+def test_variable_count_at_many_names_allocates_no_sets():
+    # each of the 2,000 quantifiers is a node whose names are recorded as
+    # it is built: about 16 MiB of sorted tuples in all, and counting them
+    # reads the root's. Gathering sets node by node peaked at 84 MiB.
+    text = "".join(f"exists x{i}. " for i in range(1, 2001)) + "adj(x1,x2)"
+    tracemalloc.start()
+    try:
+        f = parse_formula(text)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert variable_count(f) == 2000
+        assert require_sentence(f) is f
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held + 2**20 and peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_formula_files_round_trip():
     formulas = [
         parse_formula("x1=x2"),

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fomc import interpret, trees
+from fomc import formulas, interpret, trees
 from fomc.evaluator import evaluate_free, model_check
 from fomc.formulas import (
     Adj,
@@ -636,6 +636,54 @@ def test_mc_treedepth_budget_exceeded():
     c4 = ColoredGraph.build(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     with pytest.raises(ValueError):
         mc_treedepth(c4, parse_formula("exists x1. C1(x1)"), 2, 1)
+
+
+def test_the_routes_check_a_sentence_without_walking_it(monkeypatch):
+    # every node recorded its free and occurring variables when it was
+    # built, so the budget check folds nothing: no route walks the
+    # sentence, answered or refused. The refusals keep their order: an
+    # open sentence, then one over budget, then the route's own.
+    calls = []
+    fold = formulas.fold
+
+    def counting_fold(*args, **kwargs):
+        calls.append(args[0])
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(formulas, "fold", counting_fold)
+    monkeypatch.setattr(interpret, "fold", counting_fold)
+    t = random_tree(random.Random(5), 30, 3, colors=2)
+    g, tm = random_tree_model(random.Random(6), 6, 2)
+    corrupt = TreeModel(tree=tm.tree, rules=())
+    assert not validate_tree_model(g, corrupt)
+    p4 = gen_path(4)  # tree-depth 3
+    routes = {  # each route, and the route given an input it refuses
+        "mc_tree": (lambda f, s: mc_tree(t, f, s), None),
+        "mc_treedepth": (
+            lambda f, s: mc_treedepth(p4, f, 3, s),
+            lambda f, s: mc_treedepth(p4, f, 1, s),
+        ),
+        "mc_treemodel": (
+            lambda f, s: mc_treemodel(g, tm, f, s),
+            lambda f, s: mc_treemodel(g, corrupt, f, s),
+        ),
+    }
+    closed = parse_formula("exists x1. exists x2. adj(x1,x2) | x1=x2")
+    four = parse_formula("exists x1. exists x2. exists x3. exists x4. adj(x1,x2) & x3=x4")
+    open_ = parse_formula("exists x1. exists x4. adj(x1,x2) & x3=x4")
+    free = "^expected a sentence but found free variables: x2, x3$"
+    over = "^sentence uses 4 variables, budget is 3$"
+    for name, (route, refusing) in routes.items():
+        assert isinstance(route(closed, 2), bool)
+        for run in filter(None, (route, refusing)):
+            with pytest.raises(ValueError, match=free):
+                run(open_, 3)
+            with pytest.raises(ValueError, match=over):
+                run(four, 3)
+        if refusing is not None:
+            with pytest.raises(ValueError, match="tree-depth larger than 1|does not reproduce"):
+                refusing(closed, 2)
+        assert calls == [], name
 
 
 def test_mc_treedepth_refuses_bad_sentences_before_the_forest_search(monkeypatch):

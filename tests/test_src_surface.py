@@ -28,8 +28,9 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: The benchmark's tracer (perfbench/spans.py) wraps these by name in
 #: their defining modules, so they stay until the benchmark reads a
-#: stats object instead of patching functions.
-TRACED = {"substitute_edge_atoms", "depth_edge_interpretation"}
+#: stats object instead of patching functions. ``free_vars`` lost its
+#: last caller when ``require_sentence`` came to read the recorded scope.
+TRACED = {"substitute_edge_atoms", "depth_edge_interpretation", "free_vars"}
 
 #: Names kept although nothing in the package calls them.
 ALLOWED = TRACED | {

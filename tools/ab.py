@@ -30,8 +30,14 @@ shows the tool's own bias: an A/A interval can exclude 1, so a ratio
 counts as a change only where its interval clears the A/A's ratio, not
 merely 1.
 
-``peak_rss_mb`` and ``setup_s`` cannot be compared inside one process;
-``perfbench/run.py`` in separate processes measures them.
+Per workload a ``(build)`` row, and ``build`` in the JSON, give each
+side's time to build every input from the payloads with one warm-up
+check per kind, the work ``setup_s`` times less the import: the fastest
+of 5 builds per side, the two sides interleaved, with their ratio A/B. A
+change that moves work into building inputs shows its set-up cost there,
+next to its check gain. ``peak_rss_mb``, and ``setup_s`` itself with the
+import, cannot be compared inside one process; ``perfbench/run.py`` in
+separate processes measures them.
 
 The tool lives in ``tools/``, not ``perfbench/``: ``perfbench/`` is the
 benchmark's fixed contract (the ``paths`` of ``BENCHMARK.json``), which
@@ -65,6 +71,8 @@ clock = time.perf_counter
 #: Copies of each check, each run once per side; a side's time for the
 #: check is its fastest copy.
 COPIES = 4
+#: Builds of a workload's inputs per side; a side's build time is its fastest.
+BUILDS = 5
 
 
 def load_side(src: Path, name: str) -> SimpleNamespace:
@@ -88,6 +96,22 @@ def build_side(fc, wl: workloads.Workload) -> list[list]:
         build, execute, _ = workloads.KINDS[ch.kind]
         execute(fc, build(fc, ch.copies[0]))
     return [[workloads.KINDS[ch.kind][0](fc, p) for p in ch.copies] for ch in wl.checks]
+
+
+def time_builds(fcs, wl: workloads.Workload) -> dict:
+    """Each side's fastest of ``BUILDS`` builds of every input, with its
+    warm-up checks (``run.set_up`` without the import), the two sides
+    interleaved and the first alternating; each build is dropped before
+    the next, so every node it interns is built anew."""
+    best = [float("inf")] * 2
+    for r in range(BUILDS):
+        for k in ((0, 1) if r % 2 == 0 else (1, 0)):
+            gc.collect()
+            t0 = clock()
+            built = build_side(fcs[k], wl)
+            best[k] = min(best[k], clock() - t0)
+            del built
+    return {"a_s": best[0], "b_s": best[1], "ratio": best[0] / best[1]}
 
 
 def compare(sides, wl: workloads.Workload) -> list[dict]:
@@ -163,6 +187,7 @@ def main(argv=None) -> int:
         wl = workloads.WORKLOADS[name](
             random.Random(args.seed), random.Random(0), COPIES, args.quick
         )
+        build = time_builds(fcs, wl)
         sides = [(fc, build_side(fc, wl)) for fc in fcs]
         gc.collect()
         gc.freeze()  # as in run.py: the prebuilt inputs are not rescanned
@@ -173,7 +198,7 @@ def main(argv=None) -> int:
             kind: summary([r for r in rows if r["kind"] == kind], args.seed)
             for kind in dict.fromkeys(r["kind"] for r in rows)
         }
-        report[name] = {"all": summary(rows, args.seed), "kinds": kinds}
+        report[name] = {"all": summary(rows, args.seed), "kinds": kinds, "build": build}
         for kind, s in [*kinds.items(), ("(all)", report[name]["all"])]:
             (lo, hi), (p50_lo, p50_hi) = s["ratio_interval"], s["p50_ratio_interval"]
             print(
@@ -183,6 +208,10 @@ def main(argv=None) -> int:
                 f"{s['a_p90_ms']:>7.3f} {s['b_p90_ms']:>7.3f} {s['p90_ratio']:>6.3f}  "
                 f"{'equal' if s['equal'] else 'DIFFER'}"
             )
+        print(
+            f"{name:<11} {'(build)':<15} {'':>6} {build['a_s']:>9.4f} {build['b_s']:>9.4f} "
+            f"{build['ratio']:>7.3f}"
+        )
     print(json.dumps(report))
     return 0 if all(w["all"]["equal"] for w in report.values()) else 1
 
