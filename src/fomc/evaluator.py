@@ -14,8 +14,7 @@ of nodes to expand and ``(node, child count)`` frames, each under a
 private marker; when a frame comes back up, its children's tables top the
 table stack. A table's axes are its node's free variables, which the node
 recorded, sorted, when it was built (``formulas.Formula``), so the loop
-computes none; a quantifier that kept its body's record binds no free
-variable of the body. Nodes are interned, so an identity memo stores one
+computes none. Nodes are interned, so an identity memo stores one
 table per distinct subformula, and ``EvalStats`` counts each once. The
 adjacency and identity matrices, the colour array, each colour value's
 vector and the vectors of ``x=x`` and ``adj(x,x)`` are built once per
@@ -136,7 +135,7 @@ def evaluate_free_with_stats(
                 t, cells = tables.pop()
                 if kind is Not:
                     cells = ~cells
-                elif t is not axes:  # else vacuous over a nonempty universe
+                elif node.var.index in t:  # else vacuous over a nonempty universe
                     axis = t.index(node.var.index)
                     op = np.logical_or if kind is Exists else np.logical_and
                     if axis and cells.ndim > 2:  # a copy's leading axis reduces faster

@@ -258,6 +258,29 @@ def _named(cls: type, build: Callable) -> Callable:
     return build
 
 
+def _union(scopes: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The sorted union of sorted index tuples: the first of them that
+    holds the others, when one does."""
+    whole = set().union(*scopes)
+    for t in scopes:
+        if len(t) == len(whole):
+            return t
+    return tuple(sorted(whole))
+
+
+def _record_parts(node: Formula, parts: Sequence[Formula]) -> Formula:
+    """``node``, with the unions of its ``parts``' scopes recorded as its
+    own. A part that is not a formula, or holds one, has no scope, and
+    then neither has ``node``."""
+    try:
+        free, names = [p._free for p in parts], [p._names for p in parts]
+    except AttributeError:
+        return node
+    _set_free(node, _union(free))
+    _set_names(node, _union(names))
+    return node
+
+
 def _pair_builder(cls: type) -> Callable[[Var, Var], Formula]:
     """The builder of ``Adj`` or ``Eq``."""
     set_u, set_v = cls.u.__set__, cls.v.__set__
@@ -275,61 +298,34 @@ def _pair_builder(cls: type) -> Callable[[Var, Var], Formula]:
     return _named(cls, build)
 
 
-def _has_color_builder() -> Callable[[int, Var], Formula]:
-    set_color, set_v = HasColor.color.__set__, HasColor.v.__set__
+_set_color, _set_color_v = HasColor.color.__set__, HasColor.v.__set__
 
-    def build(color: int, v: Var) -> Formula:
-        node = _new(HasColor)
-        set_color(node, color)
-        set_v(node, v)
-        if color < 1:
-            raise ValueError(f"color index must be >= 1, got {color}")
-        scope = (v.index,)
-        _set_free(node, scope)
-        _set_names(node, scope)
+
+def _build_has_color(color: int, v: Var) -> HasColor:
+    node = _new(HasColor)
+    _set_color(node, color)
+    _set_color_v(node, v)
+    if color < 1:
+        raise ValueError(f"color index must be >= 1, got {color}")
+    scope = (v.index,)
+    _set_free(node, scope)
+    _set_names(node, scope)
+    return node
+
+
+_set_child = Not.child.__set__
+
+
+def _build_not(child: Formula) -> Not:
+    node = _new(Not)
+    _set_child(node, child)
+    try:
+        free, names = child._free, child._names
+    except AttributeError:  # a part that is not a formula, or holds one
         return node
-
-    return _named(HasColor, build)
-
-
-def _not_builder() -> Callable[[Formula], Formula]:
-    set_child = Not.child.__set__
-
-    def build(child: Formula) -> Formula:
-        node = _new(Not)
-        set_child(node, child)
-        try:
-            free, names = child._free, child._names
-        except AttributeError:  # a part that is not a formula, or holds one
-            return node
-        _set_free(node, free)
-        _set_names(node, names)
-        return node
-
-    return _named(Not, build)
-
-
-def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The sorted union of two sorted tuples: ``a`` or ``b`` itself when
-    it holds the other, ``b`` when they are equal, so that a union taken
-    part by part ends on a part's own tuple when that is the whole. Most
-    scopes hold one or two names, so a one-name tuple is inserted without
-    building a set."""
-    if not a or a == b:
-        return b
-    if not b:
-        return a
-    if len(a) == 1:
-        a, b = b, a
-    elif len(b) != 1:
-        merged = {*a, *b}
-        size = len(merged)
-        return a if size == len(a) else b if size == len(b) else tuple(sorted(merged))
-    i = b[0]
-    if i in a:
-        return a
-    k = bisect(a, i)
-    return a[:k] + b + a[k:]
+    _set_free(node, free)
+    _set_names(node, names)
+    return node
 
 
 def _junction_builder(cls: type, word: str) -> Callable[[tuple[Formula, ...]], Formula]:
@@ -341,43 +337,25 @@ def _junction_builder(cls: type, word: str) -> Callable[[tuple[Formula, ...]], F
         set_children(node, children)
         if len(children) < 2:
             raise ValueError(f"{word} needs at least two children")
-        try:
-            free, names = children[0]._free, children[0]._names
-            for kid in children[1:]:
-                bound = names is not free or kid._names is not kid._free
-                free = _merge(free, kid._free)
-                names = _merge(names, kid._names) if bound else free
-        except AttributeError:  # a part that is not a formula, or holds one
-            return node
-        _set_free(node, free)
-        _set_names(node, names)
-        return node
+        return _record_parts(node, children)
 
     return _named(cls, build)
 
 
-def _implies_builder() -> Callable[[Formula, Formula], Formula]:
-    set_lhs, set_rhs = Implies.lhs.__set__, Implies.rhs.__set__
+_set_lhs, _set_rhs = Implies.lhs.__set__, Implies.rhs.__set__
 
-    def build(lhs: Formula, rhs: Formula) -> Formula:
-        node = _new(Implies)
-        set_lhs(node, lhs)
-        set_rhs(node, rhs)
-        try:
-            free = _merge(lhs._free, rhs._free)
-            bound = lhs._names is not lhs._free or rhs._names is not rhs._free
-            names = _merge(lhs._names, rhs._names) if bound else free
-        except AttributeError:  # a part that is not a formula, or holds one
-            return node
-        _set_free(node, free)
-        _set_names(node, names)
-        return node
 
-    return _named(Implies, build)
+def _build_implies(lhs: Formula, rhs: Formula) -> Implies:
+    node = _new(Implies)
+    _set_lhs(node, lhs)
+    _set_rhs(node, rhs)
+    return _record_parts(node, (lhs, rhs))
 
 
 def _quantifier_builder(cls: type) -> Callable[[Var, Formula], Formula]:
-    """The builder of ``Exists`` or ``Forall``."""
+    """The builder of ``Exists`` or ``Forall``: the body's scope less the
+    variable among the free ones and with it among the names, and the
+    body's own tuple where that changes nothing."""
     set_var, set_body = cls.var.__set__, cls.body.__set__
 
     def build(var: Var, body: Formula) -> Formula:
@@ -387,14 +365,14 @@ def _quantifier_builder(cls: type) -> Callable[[Var, Formula], Formula]:
         i = var.index
         try:
             free, names = body._free, body._names
-            if i in free:  # then in names too
-                k = free.index(i)
-                free = free[:k] + free[k + 1 :]
-            elif i not in names:
-                k = bisect(names, i)
-                names = names[:k] + (i,) + names[k:]
         except AttributeError:  # a part that is not a formula, or holds one
             return node
+        if i in free:  # then in names too
+            k = free.index(i)
+            free = free[:k] + free[k + 1 :]
+        elif i not in names:
+            k = bisect(names, i)
+            names = names[:k] + (i,) + names[k:]
         _set_free(node, free)
         _set_names(node, names)
         return node
@@ -406,11 +384,11 @@ def _quantifier_builder(cls: type) -> Callable[[Var, Formula], Formula]:
 _BUILD: dict[type, Callable[..., Formula]] = {
     Adj: _pair_builder(Adj),
     Eq: _pair_builder(Eq),
-    HasColor: _has_color_builder(),
-    Not: _not_builder(),
+    HasColor: _named(HasColor, _build_has_color),
+    Not: _named(Not, _build_not),
     And: _junction_builder(And, "conjunction"),
     Or: _junction_builder(Or, "disjunction"),
-    Implies: _implies_builder(),
+    Implies: _named(Implies, _build_implies),
     Exists: _quantifier_builder(Exists),
     Forall: _quantifier_builder(Forall),
 }

@@ -342,6 +342,23 @@ def test_variable_count_at_many_names_allocates_no_sets():
     assert peak < held + 2**20 and peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_a_wide_conjunction_takes_its_scope_in_one_union(monkeypatch):
+    # 3,000 two-name atoms under one And: its free variables and its names
+    # are each one union over the children, not a union grown child by child
+    unions = []
+    union = formulas._union
+
+    def counted(scopes):
+        unions.append(len(scopes))
+        return union(scopes)
+
+    monkeypatch.setattr(formulas, "_union", counted)
+    f = parse_formula(" & ".join(f"adj(x{2 * i + 1},x{2 * i + 2})" for i in range(3000)))
+    assert type(f) is And and len(f.children) == 3000
+    assert f._free == f._names == tuple(range(1, 6001))
+    assert unions == [3000, 3000]
+
+
 def test_formula_files_round_trip():
     formulas = [
         parse_formula("x1=x2"),
